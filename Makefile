@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race test-chaos chaos-elastic overhead trace-demo serve-demo obsv-demo check bench benchjson bench-compare
+.PHONY: build vet test race test-chaos chaos-elastic overhead trace-demo serve-demo obsv-demo check bench benchjson bench-compare bench-pair
 
 build:
 	$(GO) build ./...
@@ -46,9 +46,13 @@ chaos-elastic:
 # chunk pipeline) stops being allocation-free. The packed gate holds
 # the compute plane to the same bar: steady-state fused kernel calls
 # must allocate nothing per pass (DESIGN.md "Packed compute plane").
+# The allocation budget holds a whole split-aggregation training step on
+# a 1M-feature aggregator to 4× the aggregator's bytes (DESIGN.md
+# "Aggregator ownership and lifetime").
 overhead:
 	$(GO) test -run 'TelemetryOverhead|PipelineOverhead' -v ./internal/collective
 	$(GO) test -run 'PackedKernelOverhead' -v ./internal/linalg
+	$(GO) test -run 'AllocBudget' -v ./internal/mllib
 
 # End-to-end tracing demo: a traced LR run whose event log must convert
 # to a Perfetto-loadable Chrome trace with >= 2 executor tracks,
@@ -109,3 +113,13 @@ bench-compare:
 	@cat BENCH_PR9.json
 	$(GO) run ./cmd/sparkerbench -only elastic -json > BENCH_PR10.json
 	@cat BENCH_PR10.json
+
+# The paired rule for a performance claim (benchmark/README.md): >= 10
+# alternating parent/change runs of one benchmark workload, per-side
+# median and quartiles, wins out of pairs, host_steal_pct.
+#   make bench-pair PARENT=HEAD~1 WORKLOAD=wide-split-tcp [PAIRS=10 SEED=2 RUN_SECONDS=20]
+PAIRS ?= 10
+SEED ?= 2
+RUN_SECONDS ?= 20
+bench-pair:
+	scripts/bench-pair.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(SEED) $(RUN_SECONDS)

@@ -188,6 +188,26 @@ func chunkCapable[V any](ops Ops[V]) bool {
 		ops.MakeSegment != nil && ops.DecodeChunkInto != nil
 }
 
+// ChunkStride returns the chunk payload bytes per element when ops
+// supplies the full chunk fast path with a linear encoding, else 0. A
+// positive stride means any element range of a segment has a raw wire
+// form of stride × elements bytes (EncodeChunkTo) that decodes in place
+// at any element offset of a MakeSegment'ed segment (DecodeChunkInto) —
+// what the pipelined ring cuts its trains from, and what lets a gather
+// assemble segments into one vector without intermediate values.
+func (ops Ops[V]) ChunkStride() int {
+	if !chunkCapable(ops) {
+		return 0
+	}
+	stride := ops.ChunkEncodedSize(1)
+	if stride <= 0 || ops.ChunkEncodedSize(2) != 2*stride {
+		// A non-linear chunk encoding cannot be resegmented by byte
+		// ranges.
+		return 0
+	}
+	return stride
+}
+
 // frame is one parsed incoming ring frame: a whole-segment legacy frame
 // (chunked=false) or one chunk of a pipelined train.
 type frame struct {
@@ -278,15 +298,10 @@ func (rc *ringChan[V]) init(e *comm.Endpoint, ops Ops[V], ch int, epoch uint32, 
 	rc.tel = tel
 	rc.cores = cores
 	rc.next = e.Next()
-	if chunkCapable(ops) {
-		rc.stride = ops.ChunkEncodedSize(1)
-		if rc.stride > 0 && ops.ChunkEncodedSize(2) == 2*rc.stride {
-			rc.chunkBytes = chunkBytes
-		} else {
-			// A non-linear chunk encoding cannot be resegmented by byte
-			// ranges; fall back to whole-segment frames.
-			rc.stride = 0
-		}
+	// Without a fixed stride the channel falls back to whole-segment
+	// frames.
+	if rc.stride = ops.ChunkStride(); rc.stride > 0 {
+		rc.chunkBytes = chunkBytes
 	}
 	if rc.stride == 8 {
 		// Compressed frames are always float64-element chunks; the view

@@ -12,15 +12,17 @@ package core
 // Fault model. The ring stage runs with MaxAttempts=1: resubmitting one
 // ring member alone cannot succeed, so the classified failure
 // (comm.ErrPeerTimeout, comm.ErrPeerDown) is surfaced promptly instead
-// of burning the retry budget. Because the IMM stage has already left
-// one merged aggregator per executor in the mutable object manager, the
-// fallback needs no recompute: each executor republishes its aggregator
-// as a block, and the driver performs the same serial merge
+// of burning the retry budget. The ring reduces in place in each
+// executor's resident aggregator (when SplitOp returns views), so a
+// failed ring leaves the aggregators partly reduced: the fallback drops
+// them, re-runs the IMM stage, has each executor republish its fresh
+// aggregator as a block, and the driver performs the same serial merge
 // TreeAggregateIMM would — correct whenever the task transport and
 // block manager survive the ring fault (e.g. a severed or silent PDR
-// link). Degradations are observable: the metrics counters
-// metrics.CounterPeerFailure and metrics.CounterRingFallback are bumped
-// and a marker event is written to the history log.
+// link). The failure path pays for the recompute; the healthy path
+// keeps no pristine copy. Degradations are observable: the metrics
+// counters metrics.CounterPeerFailure and metrics.CounterRingFallback
+// are bumped and a marker event is written to the history log.
 
 import (
 	"context"
@@ -220,11 +222,17 @@ type AggFuncs[T, U, V any] struct {
 	// SplitOp returns segment i of n from an aggregator; all ranks must
 	// agree on the segmentation, and SplitOp(u, 0, 1) must be the whole
 	// aggregator viewed as a segment (how the tree strategies and the
-	// fallback convert U to V).
+	// fallback convert U to V). Segments may alias u (SplitSlice): the
+	// ring then reduces in place in the resident aggregator, which no
+	// one reads afterwards. Copies (SplitSliceCopy) work as well and cost
+	// one pass over the aggregator.
 	SplitOp func(u U, i, n int) V
 	// ReduceOp merges two aggregator segments.
 	ReduceOp func(V, V) V
-	// ConcatOp reassembles the ordered reduced segments.
+	// ConcatOp reassembles the ordered reduced segments. It must be plain
+	// concatenation when Ops has a fixed stride: the driver then decodes
+	// the gathered segments straight into one MakeSegment'ed vector and
+	// does not call it.
 	ConcatOp func([]V) V
 	// Ops, when non-nil, replaces the generic serde-backed collective
 	// operations for the ring stage. Supplying ops with the chunked fast
@@ -232,6 +240,22 @@ type AggFuncs[T, U, V any] struct {
 	// []float64 segments) enables zero-decode chunk reduction and is a
 	// prerequisite for wire compression (AggOptions.Compress).
 	Ops *collective.Ops[V]
+	// Recycle, when non-nil, receives every aggregator the engine made
+	// with Zero and is done with — a partition's accumulator once merged,
+	// an executor's resident aggregator once its segments are encoded or
+	// concatenated — so Zero can hand the memory out again. Supply it
+	// only if nothing SplitOp, ConcatOp or the serde encoding of U
+	// produced can still alias the aggregator at that point (ConcatSlices
+	// copies; identity callbacks do not qualify). Aggregators that reach
+	// the caller (the tree strategies' result) are never recycled.
+	Recycle func(U)
+}
+
+// recycle hands u to Recycle when the caller supplied one.
+func (f *AggFuncs[T, U, V]) recycle(u U) {
+	if f.Recycle != nil {
+		f.Recycle(u)
+	}
 }
 
 func (f *AggFuncs[T, U, V]) validate(s Strategy) error {
@@ -309,7 +333,7 @@ func Aggregate[T, U, V any](ctx context.Context, r *rdd.RDD[T], fns AggFuncs[T, 
 		}
 		return fns.SplitOp(u, 0, 1), nil
 	case StrategyIMM:
-		u, err := treeAggregateIMM(ctx, r, o.Tenant, fns.Zero, fns.SeqOp, fns.MergeOp)
+		u, err := treeAggregateIMM(ctx, r, o.Tenant, &fns)
 		if err != nil {
 			return zv, err
 		}
@@ -372,18 +396,14 @@ func ringAggregate[T, U, V any](ctx context.Context, r *rdd.RDD[T], fns AggFuncs
 	opID := rc.NewOpID()
 	epoch0 := rc.MembershipEpoch()
 	prefix := fmt.Sprintf("%s/%d/", kind, opID)
-	if o.KeepKey == "" {
-		defer cleanupIMM(rc, prefix)
-	} else {
-		// Keep the result objects; clean only the aggregation state.
-		defer cleanupIMM(rc, prefix+"agg")
-	}
+	key := prefix + "agg"
 
 	tr, aggSC := trace.FromContext(ctx)
 
 	// Stage 1: reduced-result stage (IMM) → one aggregator per executor.
 	start := time.Now()
-	if err := runIMMStage(r, prefix, aggSC, o.Tenant, fns.Zero, fns.SeqOp, fns.MergeOp); err != nil {
+	held, err := runIMMStage(r, key, aggSC, o.Tenant, &fns)
+	if err != nil {
 		return zv, err
 	}
 	rc.RecordPhase(metrics.PhaseAggCompute, time.Since(start), "IMM reduced-result stage")
@@ -393,10 +413,15 @@ func ringAggregate[T, U, V any](ctx context.Context, r *rdd.RDD[T], fns AggFuncs
 
 	// Stage 2: SpawnRDD — exactly one task per executor, statically
 	// placed, running the ring collective with per-step deadlines.
-	out, ringErr := runRingStage(ctx, rc, opID, prefix, fns, o, allGather)
+	out, ringErr := runRingStage(ctx, rc, opID, key, held, fns, o, allGather)
 	if ringErr == nil {
+		// Every ring task took its executor's aggregator: nothing is
+		// left behind, so the healthy path submits no cleanup stage.
 		return out, nil
 	}
+	// Failure paths only: ring tasks that never ran still hold their
+	// aggregator, and the fallback leaves its own behind.
+	defer cleanupIMM(rc, prefix)
 	if errors.Is(ringErr, ErrMembershipChanged) {
 		// The stage itself detected the churn (stale ring geometry).
 		// Executors swap endpoints before the driver installs the epoch,
@@ -428,9 +453,12 @@ func ringAggregate[T, U, V any](ctx context.Context, r *rdd.RDD[T], fns AggFuncs
 		return zv, ringErr
 	}
 
-	// Ring→tree degradation: the IMM aggregators are still resident, so
-	// gather them over the block manager and merge serially like
-	// TreeAggregateIMM — no recompute, survives a dead PDR link.
+	// Ring→tree degradation: the ring tasks took the resident
+	// aggregators and reduced into them, so recompute them with a second
+	// IMM stage (under its own key — a ring task that never ran still
+	// holds the first run's), then gather them over the block manager
+	// and merge serially like TreeAggregateIMM — survives a dead PDR
+	// link.
 	rc.RecordMarker(metrics.CounterPeerFailure, ringErr.Error())
 	rc.RecordMarker(metrics.CounterRingFallback,
 		fmt.Sprintf("%s aggregation degraded to tree gather: %v", kind, ringErr))
@@ -440,7 +468,7 @@ func ringAggregate[T, U, V any](ctx context.Context, r *rdd.RDD[T], fns AggFuncs
 	fb := tr.StartSpan("ring-fallback", aggSC)
 	fb.SetAttr("strategy", kind)
 	fb.SetAttr("cause", ringErr.Error())
-	acc, err := fallbackGather(rc, prefix, fns.Zero, fns.MergeOp)
+	acc, err := fallbackGather(r, prefix+"fallback", aggSC, o.Tenant, &fns)
 	if err != nil {
 		wrapped := fmt.Errorf("core: tree fallback after ring failure (%v): %w", ringErr, err)
 		fb.EndErr(wrapped)
@@ -467,7 +495,7 @@ func ringAggregate[T, U, V any](ctx context.Context, r *rdd.RDD[T], fns AggFuncs
 // for allreduce) under the configured per-step deadline. The op id
 // tags every ring frame as this collective's epoch, so residue from an
 // earlier aborted collective is discarded instead of reduced.
-func runRingStage[T, U, V any](ctx context.Context, rc *rdd.Context, opID int64, prefix string, fns AggFuncs[T, U, V], o AggOptions, allGather bool) (V, error) {
+func runRingStage[T, U, V any](ctx context.Context, rc *rdd.Context, opID int64, key string, held map[int]bool, fns AggFuncs[T, U, V], o AggOptions, allGather bool) (V, error) {
 	var zv V
 	sctx := collective.WithEpoch(ctx, uint32(opID))
 	if o.StepDeadline > 0 {
@@ -494,7 +522,7 @@ func runRingStage[T, U, V any](ctx context.Context, rc *rdd.Context, opID int64,
 		Tenant: o.Tenant,
 		Tasks:  nExec,
 		Epoch:  uint32(opID),
-		Detail: prefix,
+		Detail: key,
 	})
 	defer untrack()
 	keepKey := o.KeepKey
@@ -549,20 +577,30 @@ func runRingStage[T, U, V any](ctx context.Context, rc *rdd.Context, opID int64,
 				return nil, fmt.Errorf("core: ring width changed under the stage (planned %d ranks, endpoint has %d): %w",
 					nExec, got, ErrMembershipChanged)
 			}
-			agg := sharedAgg(ec, prefix+"agg", fns.Zero)
-			segs := splitParallel(agg, nSegs, ec.Cores, fns.SplitOp)
+			// The task owns the executor's aggregator from here on: the
+			// ring reduces in place in whatever SplitOp returns, and on
+			// success the memory goes back through Recycle. A failed ring
+			// leaves it partly reduced, so it is simply dropped.
+			u, err := takeAgg(ec, key, held, &fns)
+			if err != nil {
+				return nil, err
+			}
+			segs := splitParallel(u, nSegs, ec.Cores, fns.SplitOp)
 			owned, err := collective.RingReduceScatter(cctx, ec.Comm, segs, o.Parallelism, ops)
 			if err != nil {
 				return nil, err
 			}
 			if !allGather {
-				return encodeOwned(owned, ops)
+				frame := encodeOwned(owned, ops, ec.ResultBuf)
+				fns.recycle(u)
+				return frame, nil
 			}
 			all, err := collective.RingAllGather(cctx, ec.Comm, owned, o.Parallelism, ops)
 			if err != nil {
 				return nil, err
 			}
 			result := fns.ConcatOp(all)
+			fns.recycle(u)
 			if keepKey != "" {
 				ec.MutObjs.GetOrCreate(keepKey, func() any { return result }).
 					Update(func(any) any { return result })
@@ -592,32 +630,33 @@ func runRingStage[T, U, V any](ctx context.Context, rc *rdd.Context, opID int64,
 		return zv, fmt.Errorf("core: allreduce produced no driver copy")
 	}
 
-	// Gather: order the segments by global index and concatenate.
-	segs := make([]V, nSegs)
-	seen := make([]bool, nSegs)
-	for _, p := range payloads {
-		if err := decodeOwned(p, segs, seen, ops); err != nil {
-			return zv, err
-		}
-	}
-	for i, ok := range seen {
-		if !ok {
-			return zv, fmt.Errorf("core: segment %d missing after reduce-scatter", i)
-		}
-	}
-	return fns.ConcatOp(segs), nil
+	// Gather: order the segments by global index and reassemble.
+	return decodeOwned(payloads, nSegs, ops, fns.ConcatOp)
 }
 
-// fallbackGather is the surviving-path tree reduction: every executor
-// republishes its resident IMM aggregator as a block, and the driver
-// fetches and merges them serially in executor order — the exact merge
-// TreeAggregateIMM performs, so the degraded result is identical to the
-// tree result.
-func fallbackGather[U any](rc *rdd.Context, prefix string, zero func() U, mergeOp func(U, U) U) (U, error) {
+// fallbackGather is the surviving-path tree reduction: the IMM stage
+// runs again (the failed ring consumed the first run's aggregators),
+// every executor republishes its fresh aggregator as a block, and the
+// driver fetches and merges them serially in executor order — the exact
+// merge TreeAggregateIMM performs, so the degraded result is identical
+// to the tree result. The caller's cleanup stage drops the aggregators
+// (key must sit under the prefix it clears).
+func fallbackGather[T, U, V any](r *rdd.RDD[T], key string, parent trace.SpanContext, tenant string, fns *AggFuncs[T, U, V]) (U, error) {
 	var zu U
-	blockID := prefix + "fallback"
+	rc := r.Context()
+	if _, err := runIMMStage(r, key, parent, tenant, fns); err != nil {
+		return zu, err
+	}
+	blockID := key + "/block"
 	_, err := rc.RunOnAllExecutors(func(ec *rdd.ExecContext, task, attempt int) ([]byte, error) {
-		wire, err := serde.Encode(nil, sharedAgg(ec, prefix+"agg", zero))
+		// Read, not take: the task may be retried after publishing.
+		var agg U
+		if obj := ec.MutObjs.Get(key); obj != nil {
+			agg = obj.Value().(*immState[U]).agg
+		} else {
+			agg = fns.Zero()
+		}
+		wire, err := serde.Encode(nil, agg)
 		if err != nil {
 			return nil, err
 		}
@@ -631,7 +670,7 @@ func fallbackGather[U any](rc *rdd.Context, prefix string, zero func() U, mergeO
 		ec.Store.DeletePrefix(blockID)
 		return nil, nil
 	})
-	acc := zero()
+	acc := fns.Zero()
 	for _, i := range rc.LiveExecutors() {
 		wire, err := rc.DriverStore().FetchFrom(rc.ExecutorStoreName(i), blockID)
 		if err != nil {
@@ -641,7 +680,7 @@ func fallbackGather[U any](rc *rdd.Context, prefix string, zero func() U, mergeO
 		if err != nil {
 			return zu, err
 		}
-		acc = mergeOp(acc, v.(U))
+		acc = fns.MergeOp(acc, v.(U))
 	}
 	rc.DriverStore().DeletePrefix(blockID)
 	return acc, nil

@@ -64,8 +64,8 @@ func requireExact(t *testing.T, got, want []float64) {
 
 // TestChaosSplitAggregateKillFallsBack kills one executor's inbound
 // ring links on the first data message: the collective fails with a
-// classified error, the fallback gathers the resident IMM aggregators
-// over the block manager, and the result is exact. A second aggregation
+// classified error, the fallback recomputes the IMM aggregators and
+// gathers them over the block manager, and the result is exact. A second aggregation
 // on the now-degraded ring must also come back exact.
 func TestChaosSplitAggregateKillFallsBack(t *testing.T) {
 	const samples, dim = 300, 97

@@ -34,6 +34,7 @@ package core
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -44,6 +45,7 @@ import (
 	"sparker/internal/rdd"
 	"sparker/internal/serde"
 	"sparker/internal/trace"
+	"sparker/internal/transport"
 )
 
 // Options tunes split aggregation.
@@ -91,15 +93,18 @@ type immState[U any] struct {
 }
 
 // runIMMStage executes the reduced-result stage: every partition is
-// folded with seqOp and merged into the executor's shared aggregator
-// with mergeOp. On any task failure the stage's shared values are
-// cleared on every executor and the whole stage re-submitted (§3.2).
-// Afterwards each executor holds exactly one aggregator under
-// prefix+"agg".
-func runIMMStage[T, U any](r *rdd.RDD[T], prefix string, parent trace.SpanContext, tenant string, zero func() U, seqOp func(U, T) U, mergeOp func(U, U) U) error {
-	ctx := r.Context()
-	key := prefix + "agg"
-	_, err := ctx.RunJob(rdd.JobSpec{
+// folded with seqOp into its own accumulator; the first accumulator to
+// finish on an executor is adopted as that executor's resident
+// aggregator and the later ones are merged into it with mergeOp and
+// handed back through recycle. Adoption replaces merging the first
+// accumulator into a fresh zero(): the association order of the
+// accumulators is unchanged (arrival order), only the identity element
+// at its head is gone. On any task failure the stage's shared values
+// are cleared on every executor and the whole stage re-submitted
+// (§3.2). Afterwards each executor that ran a task holds exactly one
+// aggregator under key; held reports which executors those are.
+func runIMMStage[T, U, V any](r *rdd.RDD[T], key string, parent trace.SpanContext, tenant string, fns *AggFuncs[T, U, V]) (held map[int]bool, err error) {
+	h, err := r.Context().SubmitJob(rdd.JobSpec{
 		Tenant:      tenant,
 		Tasks:       r.NumPartitions(),
 		TraceParent: parent,
@@ -110,29 +115,60 @@ func runIMMStage[T, U any](r *rdd.RDD[T], prefix string, parent trace.SpanContex
 			}
 			// Fold locally first so executor cores compute in parallel;
 			// only the final merge serializes on the shared object.
-			acc := zero()
+			acc := fns.Zero()
 			for _, v := range data {
-				acc = seqOp(acc, v)
+				acc = fns.SeqOp(acc, v)
 			}
-			obj := ec.MutObjs.GetOrCreate(key, func() any {
-				return &immState[U]{agg: zero()}
-			})
-			obj.Update(func(v any) any {
+			ec.MutObjs.GetOrCreate(key, func() any { return &immState[U]{} }).Update(func(v any) any {
 				st := v.(*immState[U])
-				st.agg = mergeOp(st.agg, acc)
+				if st.tasks == 0 {
+					st.agg = acc
+				} else {
+					st.agg = fns.MergeOp(st.agg, acc)
+					fns.recycle(acc)
+				}
 				st.tasks++
 				return st
 			})
-			// A reduced-result task returns only (executor id, object
-			// id) — the aggregator itself stays in executor memory.
-			return []byte(fmt.Sprintf("%d:%s", ec.ID, key)), nil
+			// A reduced-result task returns nothing — the aggregator
+			// itself stays in executor memory.
+			return nil, nil
 		},
 		StageCleanup: func(ec *rdd.ExecContext) error {
-			ec.MutObjs.ClearPrefix(prefix)
+			ec.MutObjs.Remove(key)
 			return nil
 		},
 	})
-	return err
+	if err != nil {
+		return nil, err
+	}
+	if _, err := h.Wait(); err != nil {
+		return nil, err
+	}
+	held = make(map[int]bool)
+	for _, e := range h.Executors() {
+		held[e] = true
+	}
+	return held, nil
+}
+
+// takeAgg removes the executor's resident aggregator from the mutable
+// object manager and returns it: the calling task now holds the only
+// reference, and nothing is left behind for a cleanup stage. An
+// executor that ran no task of the IMM stage contributes zero(); one
+// that did (held) and has no aggregator has lost it — it was already
+// taken, or the executor was replaced since — which must fail the task
+// rather than pass a zero off as its contribution.
+func takeAgg[T, U, V any](ec *rdd.ExecContext, key string, held map[int]bool, fns *AggFuncs[T, U, V]) (U, error) {
+	if obj := ec.MutObjs.Get(key); obj != nil {
+		ec.MutObjs.Remove(key)
+		return obj.Value().(*immState[U]).agg, nil
+	}
+	if held[ec.ID] {
+		var zu U
+		return zu, fmt.Errorf("core: executor %d no longer holds aggregator %s: %w", ec.ID, key, ErrMembershipChanged)
+	}
+	return fns.Zero(), nil
 }
 
 // runOnAllExecutorsTenant mirrors rdd.RunOnAllExecutors (one task per
@@ -146,23 +182,16 @@ func runOnAllExecutorsTenant(ctx *rdd.Context, tenant string, fn func(ec *rdd.Ex
 	return ctx.RunJob(rdd.JobSpec{Tenant: tenant, Tasks: len(placement), Placement: placement, Fn: fn})
 }
 
-// cleanupIMM drops the aggregation's shared state everywhere.
+// cleanupIMM drops an aggregation's resident aggregators everywhere.
+// Only failure paths need it: the ring task and the IMM gather task
+// take their executor's aggregator when they start.
 func cleanupIMM(ctx *rdd.Context, prefix string) {
-	ctx.RunOnAllExecutors(func(ec *rdd.ExecContext, task, attempt int) ([]byte, error) {
+	// Best effort: an executor the job cannot reach is being evicted,
+	// and its objects go with it.
+	_, _ = ctx.RunOnAllExecutors(func(ec *rdd.ExecContext, task, attempt int) ([]byte, error) {
 		ec.MutObjs.ClearPrefix(prefix)
 		return nil, nil
 	})
-}
-
-// sharedAgg returns the executor's merged aggregator, creating a zero
-// one when the executor received no partitions.
-func sharedAgg[U any](ec *rdd.ExecContext, key string, zero func() U) U {
-	obj := ec.MutObjs.GetOrCreate(key, func() any {
-		return &immState[U]{agg: zero()}
-	})
-	var out U
-	obj.Read(func(v any) { out = v.(*immState[U]).agg })
-	return out
 }
 
 // TreeAggregateIMM performs tree aggregation with in-memory merge:
@@ -179,15 +208,15 @@ func TreeAggregateIMM[T, U any](r *rdd.RDD[T], zero func() U, seqOp func(U, T) U
 
 // treeAggregateIMM is the StrategyIMM implementation shared by
 // Aggregate and the deprecated TreeAggregateIMM wrapper.
-func treeAggregateIMM[T, U any](cctx context.Context, r *rdd.RDD[T], tenant string, zero func() U, seqOp func(U, T) U, mergeOp func(U, U) U) (U, error) {
+func treeAggregateIMM[T, U, V any](cctx context.Context, r *rdd.RDD[T], tenant string, fns *AggFuncs[T, U, V]) (U, error) {
 	var zu U
 	ctx := r.Context()
-	prefix := fmt.Sprintf("imm/%d/", ctx.NewOpID())
-	defer cleanupIMM(ctx, prefix)
+	key := fmt.Sprintf("imm/%d/agg", ctx.NewOpID())
 
 	_, parent := trace.FromContext(cctx)
 	start := time.Now()
-	if err := runIMMStage(r, prefix, parent, tenant, zero, seqOp, mergeOp); err != nil {
+	held, err := runIMMStage(r, key, parent, tenant, fns)
+	if err != nil {
 		return zu, err
 	}
 	ctx.RecordPhase(metrics.PhaseAggCompute, time.Since(start), "IMM reduced-result stage")
@@ -195,18 +224,25 @@ func treeAggregateIMM[T, U any](cctx context.Context, r *rdd.RDD[T], tenant stri
 	start = time.Now()
 	defer func() { ctx.RecordPhase(metrics.PhaseAggReduce, time.Since(start), "reduce stage") }()
 	payloads, err := runOnAllExecutorsTenant(ctx, tenant, func(ec *rdd.ExecContext, task, attempt int) ([]byte, error) {
-		return serde.Encode(nil, sharedAgg(ec, prefix+"agg", zero))
+		agg, err := takeAgg(ec, key, held, fns)
+		if err != nil {
+			return nil, err
+		}
+		wire, err := serde.Encode(nil, agg)
+		fns.recycle(agg)
+		return wire, err
 	})
 	if err != nil {
+		cleanupIMM(ctx, key)
 		return zu, err
 	}
-	acc := zero()
+	acc := fns.Zero()
 	for _, p := range payloads {
 		v, _, err := serde.Decode(p)
 		if err != nil {
 			return zu, err
 		}
-		acc = mergeOp(acc, v.(U))
+		acc = fns.MergeOp(acc, v.(U))
 	}
 	return acc, nil
 }
@@ -300,50 +336,132 @@ func splitParallel[U, V any](agg U, nSegs, workers int, splitOp func(U, int, int
 	return segs
 }
 
-// encodeOwned frames a rank's owned segments as count + (index, bytes)
-// pairs, sorted by index for determinism.
-func encodeOwned[V any](owned map[int]V, ops collective.Ops[V]) ([]byte, error) {
+// Owned-segments frame — what a split ring task returns to the driver:
+//
+//	count uint32 | count × ( index uint32 | length uint32 | segment bytes )
+//
+// sorted by index for determinism. With fixed-stride ops (stride > 0,
+// collective.Ops.ChunkStride) the segment bytes are the raw element
+// words of EncodeChunkTo, which the driver decodes in place into its
+// slot of one result vector; otherwise they are ops.Encode's framing.
+
+// ErrMalformedFrame classifies an owned-segments frame the driver could
+// not accept: truncated, or naming a segment twice or out of range.
+var ErrMalformedFrame = errors.New("core: malformed owned-segments frame")
+
+// encodeOwned frames a rank's owned segments. With fixed-stride ops the
+// frame's exact size is known up front and it is encoded once, straight
+// into the buffer draw(size) returns (the task's pooled result frame);
+// otherwise it grows by append.
+func encodeOwned[V any](owned map[int]V, ops collective.Ops[V], draw func(n int) []byte) []byte {
 	idxs := make([]int, 0, len(owned))
 	for i := range owned {
 		idxs = append(idxs, i)
 	}
 	sort.Ints(idxs)
-	b := binary.LittleEndian.AppendUint32(nil, uint32(len(idxs)))
-	for _, i := range idxs {
-		b = binary.LittleEndian.AppendUint32(b, uint32(i))
-		seg := ops.Encode(nil, owned[i])
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(seg)))
-		b = append(b, seg...)
+	stride := ops.ChunkStride()
+	var dst []byte
+	if stride > 0 {
+		size := 4
+		for _, v := range owned {
+			size += 8 + stride*ops.Elems(v)
+		}
+		dst = draw(size)
 	}
-	return b, nil
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(idxs)))
+	for _, i := range idxs {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(i))
+		lenAt := len(dst)
+		dst = append(dst, 0, 0, 0, 0)
+		if stride > 0 {
+			dst = ops.EncodeChunkTo(dst, owned[i], 0, ops.Elems(owned[i]))
+		} else {
+			dst = ops.Encode(dst, owned[i])
+		}
+		binary.LittleEndian.PutUint32(dst[lenAt:], uint32(len(dst)-lenAt-4))
+	}
+	return dst
 }
 
-func decodeOwned[V any](p []byte, segs []V, seen []bool, ops collective.Ops[V]) error {
+// parseOwned validates one owned-segments frame and records each
+// segment's bytes (aliasing p) in bodies by global index.
+func parseOwned(p []byte, bodies [][]byte) error {
 	if len(p) < 4 {
-		return fmt.Errorf("core: short owned-segments frame")
+		return fmt.Errorf("%w: %d-byte frame", ErrMalformedFrame, len(p))
 	}
-	n := int(binary.LittleEndian.Uint32(p))
-	off := 4
-	for k := 0; k < n; k++ {
-		if len(p) < off+8 {
-			return fmt.Errorf("core: truncated owned-segments frame")
+	n := binary.LittleEndian.Uint32(p)
+	p = p[4:]
+	for k := uint32(0); k < n; k++ {
+		if len(p) < 8 {
+			return fmt.Errorf("%w: truncated at entry %d of %d", ErrMalformedFrame, k, n)
 		}
-		idx := int(binary.LittleEndian.Uint32(p[off:]))
-		segLen := int(binary.LittleEndian.Uint32(p[off+4:]))
-		off += 8
-		if len(p) < off+segLen {
-			return fmt.Errorf("core: truncated segment %d", idx)
+		idx, segLen := binary.LittleEndian.Uint32(p), binary.LittleEndian.Uint32(p[4:])
+		p = p[8:]
+		if uint64(idx) >= uint64(len(bodies)) {
+			return fmt.Errorf("%w: segment index %d out of range [0,%d)", ErrMalformedFrame, idx, len(bodies))
 		}
-		if idx < 0 || idx >= len(segs) {
-			return fmt.Errorf("core: segment index %d out of range", idx)
+		if uint64(segLen) > uint64(len(p)) {
+			return fmt.Errorf("%w: segment %d claims %d bytes, %d left", ErrMalformedFrame, idx, segLen, len(p))
 		}
-		v, err := ops.Decode(p[off : off+segLen])
-		if err != nil {
-			return err
+		if bodies[idx] != nil {
+			return fmt.Errorf("%w: segment %d appears twice", ErrMalformedFrame, idx)
 		}
-		segs[idx] = v
-		seen[idx] = true
-		off += segLen
+		bodies[idx] = p[:segLen:segLen]
+		p = p[segLen:]
 	}
 	return nil
+}
+
+// decodeOwned reassembles the reduced aggregate from the ring tasks'
+// owned-segments frames. On the fixed-stride path every segment is
+// decoded once, into its slot of one result vector — by the chunk
+// contract that is the concatenation, so concatOp is not consulted —
+// and the frames, which DecodeChunkInto may not retain, go back to the
+// wire pool. Otherwise segments are decoded one by one and handed to
+// concatOp, and the frames are left to the garbage collector because a
+// generic Decode may alias them.
+func decodeOwned[V any](payloads [][]byte, nSegs int, ops collective.Ops[V], concatOp func([]V) V) (V, error) {
+	var zv V
+	bodies := make([][]byte, nSegs)
+	for _, p := range payloads {
+		if err := parseOwned(p, bodies); err != nil {
+			return zv, err
+		}
+	}
+	for i, b := range bodies {
+		if b == nil {
+			return zv, fmt.Errorf("core: segment %d missing after reduce-scatter", i)
+		}
+	}
+	stride := ops.ChunkStride()
+	if stride == 0 {
+		segs := make([]V, nSegs)
+		for i, b := range bodies {
+			v, err := ops.Decode(b)
+			if err != nil {
+				return zv, err
+			}
+			segs[i] = v
+		}
+		return concatOp(segs), nil
+	}
+	total := 0
+	for i, b := range bodies {
+		if len(b)%stride != 0 {
+			return zv, fmt.Errorf("%w: segment %d is %d bytes, stride %d", ErrMalformedFrame, i, len(b), stride)
+		}
+		total += len(b) / stride
+	}
+	out := ops.MakeSegment(total)
+	off := 0
+	for _, b := range bodies {
+		if err := ops.DecodeChunkInto(out, off, b); err != nil {
+			return zv, err
+		}
+		off += len(b) / stride
+	}
+	for _, p := range payloads {
+		transport.PutBuf(p)
+	}
+	return out, nil
 }

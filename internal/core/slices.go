@@ -5,9 +5,11 @@ package core
 
 // SplitSlice returns segment i of n of a: the contiguous range
 // [i*len/n, (i+1)*len/n). Segments cover the slice exactly and differ
-// in length by at most one. The returned slice aliases a; callers that
-// mutate segments (reduce-scatter does) receive fresh copies from
-// SplitSliceCopy instead.
+// in length by at most one. The returned slice aliases a, which is what
+// a splitOp wants: reduce-scatter then reduces in place in the resident
+// aggregator, and nothing reads that aggregator afterwards (a failed
+// ring is recovered by recomputing it, see Aggregate). Callers that
+// need a to survive a mutation of the segments use SplitSliceCopy.
 func SplitSlice[E any](a []E, i, n int) []E {
 	if n <= 0 || i < 0 || i >= n {
 		panic("core: SplitSlice index out of range")

@@ -263,6 +263,41 @@ func putCSRScratch(sc *csrScratch) {
 	}
 }
 
+// vecFree is the same GC-proof free list for dense accumulator vectors:
+// a split-aggregation step needs one aggregator-sized []float64 per
+// partition, and a training loop asks for the same size every step.
+// Capacity bounds retention to a few vectors per in-process executor.
+var vecFree = make(chan []float64, 16)
+
+// GetVec returns a zeroed vector of length n, reusing one parked by
+// PutVec when it fits (capacity in [n, 2n]). A parked vector of another
+// size is dropped for the garbage collector: the list serves one shape
+// at a time, which is what an optimizer loop presents.
+func GetVec(n int) []float64 {
+	select {
+	case v := <-vecFree:
+		if cap(v) >= n && cap(v) <= 2*n {
+			v = v[:n]
+			clear(v)
+			return v
+		}
+	default:
+	}
+	return make([]float64, n)
+}
+
+// PutVec parks v for a later GetVec. The caller must hold the only
+// reference: v is overwritten as soon as it is handed out again.
+func PutVec(v []float64) {
+	if cap(v) == 0 {
+		return
+	}
+	select {
+	case vecFree <- v:
+	default:
+	}
+}
+
 // clear drops the pinned references so pooled scratch does not retain
 // partitions or weight snapshots.
 func (sc *csrScratch) clear() {

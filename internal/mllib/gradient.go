@@ -77,9 +77,54 @@ func (SimpleUpdater) Update(w, g []float64, stepSize float64, iter int, _ float6
 	return out, 0
 }
 
+// meanUpdater is implemented by updaters that can take the gradient
+// sum and the sample count and divide on the fly, sparing the optimizer
+// a separate pass over the gradient. The result must be bit-identical
+// to Update on the divided gradient.
+type meanUpdater interface {
+	updateMean(weights, gradSum []float64, count, stepSize float64, iter int, regParam float64) ([]float64, float64)
+}
+
+// updateMean steps up with the mean gradient gradSum/count. gradSum is
+// consumed: updaters without the fused form get it divided in place.
+func updateMean(up Updater, weights, gradSum []float64, count, stepSize float64, iter int, regParam float64) ([]float64, float64) {
+	if mu, ok := up.(meanUpdater); ok {
+		return mu.updateMean(weights, gradSum, count, stepSize, iter, regParam)
+	}
+	for i := range gradSum {
+		gradSum[i] /= count
+	}
+	return up.Update(weights, gradSum, stepSize, iter, regParam)
+}
+
+// decayStepMean returns decay·w − step·(gradSum/count) elementwise, each
+// element rounded exactly as the separate passes (divide, scale w, axpy)
+// would round it (the conversion keeps a fusing compiler from folding
+// the decay product into the sum).
+func decayStepMean(w, gradSum []float64, decay, step, count float64) []float64 {
+	out := make([]float64, len(w))
+	gradSum = gradSum[:len(w)]
+	for i, wi := range w {
+		out[i] = float64(wi*decay) + -step*(gradSum[i]/count)
+	}
+	return out
+}
+
+func (SimpleUpdater) updateMean(w, gradSum []float64, count, stepSize float64, iter int, _ float64) ([]float64, float64) {
+	// decay 1 multiplies exactly.
+	return decayStepMean(w, gradSum, 1, stepSize/math.Sqrt(float64(iter)), count), 0
+}
+
 // SquaredL2Updater adds L2 regularization via weight decay (the
 // paper's SVM setting: regParam=0.01).
 type SquaredL2Updater struct{}
+
+func (SquaredL2Updater) updateMean(w, gradSum []float64, count, stepSize float64, iter int, regParam float64) ([]float64, float64) {
+	step := stepSize / math.Sqrt(float64(iter))
+	out := decayStepMean(w, gradSum, 1-step*regParam, step, count)
+	norm := linalg.Norm2(out)
+	return out, 0.5 * regParam * norm * norm
+}
 
 // Update implements Updater.
 func (SquaredL2Updater) Update(w, g []float64, stepSize float64, iter int, regParam float64) ([]float64, float64) {

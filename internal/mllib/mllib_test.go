@@ -149,6 +149,45 @@ func TestUpdaters(t *testing.T) {
 	}
 }
 
+// negatingUpdater has no fused form, so updateMean must divide for it.
+type negatingUpdater struct{}
+
+func (negatingUpdater) Update(w, g []float64, _ float64, _ int, _ float64) ([]float64, float64) {
+	out := make([]float64, len(w))
+	for i := range w {
+		out[i] = w[i] - g[i]
+	}
+	return out, 0
+}
+
+// TestUpdateMeanBitIdentical: folding the gradient's division by the
+// sample count into the update must not move a bit against the separate
+// divide-then-Update passes, and must leave the weights untouched.
+func TestUpdateMeanBitIdentical(t *testing.T) {
+	const dim = 1003
+	w, sum := make([]float64, dim), make([]float64, dim)
+	for i := range w {
+		w[i] = math.Sin(float64(i)) * 3
+		sum[i] = math.Cos(float64(i)*0.7) * 1e3 / 7
+	}
+	for _, up := range []Updater{SimpleUpdater{}, SquaredL2Updater{}, negatingUpdater{}} {
+		for _, count := range []float64{1, 3, 20000} {
+			mean := make([]float64, dim)
+			for i := range sum {
+				mean[i] = sum[i] / count
+			}
+			wantW, wantReg := up.Update(w, mean, 0.3, 7, 0.01)
+			wBefore := append([]float64(nil), w...)
+			gotW, gotReg := updateMean(up, w, append([]float64(nil), sum...), count, 0.3, 7, 0.01)
+			bitsEqualSlices(t, fmt.Sprintf("%T count=%v", up, count), gotW, wantW)
+			if math.Float64bits(gotReg) != math.Float64bits(wantReg) {
+				t.Fatalf("%T: reg %v != %v", up, gotReg, wantReg)
+			}
+			bitsEqualSlices(t, "weights", w, wBefore)
+		}
+	}
+}
+
 func TestStrategyString(t *testing.T) {
 	if StrategyTree.String() != "tree" || StrategyTreeIMM.String() != "tree+imm" || StrategySplit.String() != "split" {
 		t.Fatal("Strategy strings wrong")

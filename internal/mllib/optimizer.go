@@ -117,14 +117,20 @@ func AggregateF64Ctx[T any](ctx context.Context, r *rdd.RDD[T], dim int, seqOp f
 	opts := append([]core.AggOption{
 		core.WithStrategy(cs), core.WithDepth(depth), core.WithParallelism(parallelism),
 	}, extra...)
+	// Accumulators cycle through linalg's vector free list, and the
+	// split is by view: the ring reduces in place in each executor's
+	// resident aggregator (DESIGN.md "Aggregator ownership and
+	// lifetime"). ConcatSlices copies and serde encodes by value, so a
+	// recycled aggregator is never aliased.
 	return core.Aggregate(ctx, r, core.AggFuncs[T, []float64, []float64]{
-		Zero:     func() []float64 { return make([]float64, dim) },
+		Zero:     func() []float64 { return linalg.GetVec(dim) },
 		SeqOp:    seqOp,
 		MergeOp:  core.AddF64,
-		SplitOp:  core.SplitSliceCopy[float64],
+		SplitOp:  core.SplitSlice[float64],
 		ReduceOp: core.AddF64,
 		ConcatOp: core.ConcatSlices[float64],
 		Ops:      &f64Ops,
+		Recycle:  linalg.PutVec,
 	}, opts...)
 }
 
@@ -227,8 +233,9 @@ func RunGradientDescent(data *rdd.RDD[LabeledPoint], grad Gradient, up Updater, 
 	if dim == 0 {
 		return nil, nil, fmt.Errorf("mllib: empty initial weights")
 	}
-	weights := make([]float64, dim)
-	copy(weights, initial)
+	// Updaters return fresh slices and never write their input, so the
+	// caller's vector serves as the first iteration's weights as is.
+	weights := initial
 	losses := make([]float64, 0, cfg.Iterations)
 
 	tr, root, tctx := startTrainSpan(data.Context(), "gradient-descent", cfg.Strategy, cfg.Ctx)
@@ -252,8 +259,7 @@ func RunGradientDescent(data *rdd.RDD[LabeledPoint], grad Gradient, up Updater, 
 				return nil, nil, fmt.Errorf("mllib: iteration %d: %w", iter, err)
 			}
 		}
-		w := make([]float64, dim)
-		copy(w, weights) // snapshot captured by this iteration's tasks
+		w := weights // this iteration's vector, whatever the variable holds later; never written
 
 		it, ictx := startIteration(tr, root, tctx, iter)
 		extra := guard.options()
@@ -300,11 +306,7 @@ func RunGradientDescent(data *rdd.RDD[LabeledPoint], grad Gradient, up Updater, 
 			it.End()
 			continue
 		}
-		gradient := agg[:dim]
-		for i := range gradient {
-			gradient[i] /= count
-		}
-		newW, regVal := up.Update(weights, gradient, cfg.StepSize, iter, cfg.RegParam)
+		newW, regVal := updateMean(up, weights, agg[:dim], count, cfg.StepSize, iter, cfg.RegParam)
 		losses = append(losses, agg[dim]/count+regVal)
 		guard.observe(data.Context(), losses[len(losses)-1])
 		it.End()
@@ -314,6 +316,11 @@ func RunGradientDescent(data *rdd.RDD[LabeledPoint], grad Gradient, up Updater, 
 			break
 		}
 		weights = newW
+	}
+	if &weights[0] == &initial[0] {
+		// No iteration produced an update; the result must still not
+		// alias the caller's vector.
+		weights = append([]float64(nil), initial...)
 	}
 	return weights, losses, nil
 }

@@ -18,12 +18,19 @@ import (
 //
 // task frame:    jobID int64 | task int32 | attempt int32
 //                [| traceID uint64 | parentSpanID uint64]   (traced jobs)
-// result frame:  jobID int64 | task int32 | attempt int32 | status byte | body
+// result frame:  body | jobID int64 | task int32 | attempt int32 | status byte
 //                body = payload bytes (status=resultOK) or error string
 //
 // The trailing trace identifiers are appended only when the stage runs
 // under a tracer, and decodeTaskFrame accepts both lengths, so untraced
 // deployments keep the exact 16-byte seed format.
+//
+// The result frame carries its fixed fields as a trailer so that the
+// payload starts where the buffer starts: a task that built its payload
+// in ExecContext.ResultBuf has the trailer appended in place (no copy
+// on the way out), and the driver hands the payload to the job's waiter
+// as the received buffer itself — the waiter may return it to the wire
+// pool with transport.PutBuf once it has decoded it.
 //
 // Task errors cross the wire as strings, which would strip the error
 // class a driver-side errors.Is needs to pick between retry and
@@ -133,40 +140,56 @@ func decodeTaskFrame(b []byte) (jobID int64, task, attempt int, tc trace.SpanCon
 	return jobID, task, attempt, tc, nil
 }
 
-func encodeResultFrame(jobID int64, task, attempt int, payload []byte, taskErr error) []byte {
+// resultTrailerSize is the fixed tail of a result frame.
+const resultTrailerSize = 17
+
+// encodeResultFrame seals one task outcome into a pooled frame. buf is
+// the task's ResultBuf draw (nil when it took none): a payload that was
+// appended into it is sealed in place, anything else is copied into a
+// fresh draw and buf goes back to the pool unused.
+func encodeResultFrame(buf []byte, jobID int64, task, attempt int, payload []byte, taskErr error) []byte {
 	status := resultStatus(taskErr)
-	var errStr string
-	if taskErr != nil {
-		errStr = taskErr.Error()
+	var b []byte
+	switch {
+	case status != resultOK:
+		msg := taskErr.Error()
+		b = append(transport.GetBuf(len(msg) + resultTrailerSize)[:0], msg...)
+	case cap(buf) > 0 && len(payload) > 0 && &payload[0] == &buf[:1][0] &&
+		cap(payload)-len(payload) >= resultTrailerSize:
+		b, buf = payload, nil
+	default:
+		b = append(transport.GetBuf(len(payload) + resultTrailerSize)[:0], payload...)
 	}
-	b := make([]byte, 0, 17+len(payload)+len(errStr))
+	if cap(buf) > 0 {
+		transport.PutBuf(buf)
+	}
 	b = binary.LittleEndian.AppendUint64(b, uint64(jobID))
 	b = binary.LittleEndian.AppendUint32(b, uint32(int32(task)))
 	b = binary.LittleEndian.AppendUint32(b, uint32(int32(attempt)))
-	b = append(b, status)
-	if status == resultOK {
-		b = append(b, payload...)
-	} else {
-		b = append(b, errStr...)
-	}
-	return b
+	return append(b, status)
 }
 
+// decodeResultFrame splits a result frame. payload aliases b from its
+// first byte (nil when the task returned nothing), so releasing payload
+// releases the frame.
 func decodeResultFrame(b []byte) (jobID int64, task, attempt int, payload []byte, taskErr, err error) {
-	if len(b) < 17 {
+	if len(b) < resultTrailerSize {
 		return 0, 0, 0, nil, nil, fmt.Errorf("rdd: short result frame (%d bytes)", len(b))
 	}
-	jobID = int64(binary.LittleEndian.Uint64(b))
-	task = int(int32(binary.LittleEndian.Uint32(b[8:])))
-	attempt = int(int32(binary.LittleEndian.Uint32(b[12:])))
-	if b[16] == resultOK {
-		payload = b[17:]
+	body, t := b[:len(b)-resultTrailerSize], b[len(b)-resultTrailerSize:]
+	jobID = int64(binary.LittleEndian.Uint64(t))
+	task = int(int32(binary.LittleEndian.Uint32(t[8:])))
+	attempt = int(int32(binary.LittleEndian.Uint32(t[12:])))
+	if t[16] == resultOK {
+		if len(body) > 0 {
+			payload = body
+		}
 	} else {
-		msg := string(b[17:])
+		msg := string(body)
 		if msg == "" {
 			msg = "rdd: task failed without message"
 		}
-		taskErr = decodeWireError(b[16], msg)
+		taskErr = decodeWireError(t[16], msg)
 	}
 	return jobID, task, attempt, payload, taskErr, nil
 }
@@ -211,7 +234,11 @@ type JobSpec struct {
 	// speculated.
 	Gang bool
 	// Fn runs executor-side. Its []byte return crosses the transport
-	// back to the driver.
+	// back to the driver (copied into the result frame, or sent in place
+	// when built in ec.ResultBuf). The payload the driver-side waiter
+	// receives is its own: a large one may be returned to the wire pool
+	// with transport.PutBuf once decoded, and is otherwise left to the
+	// garbage collector.
 	Fn func(ec *ExecContext, task, attempt int) ([]byte, error)
 	// StageCleanup marks this as a reduced-result stage (IMM): on any
 	// task failure the whole stage is aborted, StageCleanup runs on
@@ -292,9 +319,12 @@ func (ctx *Context) closeExecutorConns(i int) {
 }
 
 // readResults routes result frames from one executor connection into
-// the scheduler. Malformed frames and scheduler-side overflows used to
-// vanish silently; both are now counted and marked in the event log,
-// so a protocol bug shows up in telemetry instead of as a hang.
+// the scheduler. Malformed frames and scheduler-side overflows are
+// counted and marked in the event log, so a protocol bug shows up in
+// telemetry instead of as a hang. A received frame belongs to the
+// receiver (transport.Conn contract), so a payload travels on to the
+// job's waiter as the frame itself; frames that carry none go straight
+// back to the wire pool.
 func (ctx *Context) readResults(c transport.Conn) {
 	for {
 		b, err := c.Recv()
@@ -306,12 +336,10 @@ func (ctx *Context) readResults(c transport.Conn) {
 			ctx.RecordMarker(metrics.CounterResultMalformed, err.Error())
 			continue
 		}
-		// Copy the payload: the frame buffer belongs to the transport.
-		var p []byte
-		if payload != nil {
-			p = append([]byte(nil), payload...)
+		if payload == nil {
+			transport.PutBuf(b)
 		}
-		if !ctx.sched.Deliver(jobID, task, attempt, p, taskErr) {
+		if !ctx.sched.Deliver(jobID, task, attempt, payload, taskErr) {
 			ctx.RecordMarker(metrics.CounterResultDropped,
 				fmt.Sprintf("job %d task %d attempt %d", jobID, task, attempt))
 		}

@@ -94,6 +94,18 @@ func (lc *lockedConn) send(b []byte) error {
 	return lc.c.Send(b)
 }
 
+// sendPooled sends a frame drawn from the wire pool and returns it to
+// the pool when the transport copied it out (TCP). A retaining
+// transport (in-memory) hands the receiver the slice itself, and the
+// receiver releases it.
+func (lc *lockedConn) sendPooled(b []byte) error {
+	err := lc.send(b)
+	if sr, ok := lc.c.(transport.SendRetainer); ok && !sr.SendRetainsBuffer() {
+		transport.PutBuf(b)
+	}
+	return err
+}
+
 func taskAddr(name string, id int) transport.Addr {
 	return transport.Addr(fmt.Sprintf("exec/%s/%d/tasks", name, id))
 }
@@ -340,8 +352,11 @@ func (e *Executor) worker() {
 			ec.Rank = e.rankNow()
 			ec.Comm = e.endpoint()
 			payload, taskErr := e.runTask(ec, tm)
-			frame := encodeResultFrame(tm.jobID, tm.task, tm.attempt, payload, taskErr)
-			tm.conn.send(frame)
+			frame := encodeResultFrame(ec.resultBuf, tm.jobID, tm.task, tm.attempt, payload, taskErr)
+			ec.resultBuf = nil
+			// A failed send is a severed task channel: the driver's
+			// scheduler learns of it through the executor-lost path.
+			_ = tm.conn.sendPooled(frame)
 		case <-e.quit:
 			return
 		}
@@ -455,6 +470,21 @@ type ExecContext struct {
 	// span is the current task's span, set by runTask for the task's
 	// duration. Each worker owns its ExecContext, so no lock is needed.
 	span trace.SpanContext
+	// resultBuf is the running task's ResultBuf draw, consumed by the
+	// worker when it seals the result frame.
+	resultBuf []byte
+}
+
+// ResultBuf returns an empty buffer from the wire pool with room for an
+// n-byte payload and the result-frame trailer. A task that appends its
+// payload to it and returns the appended slice has that payload sent as
+// the result frame in place — encoded once, never copied executor-side.
+// One draw per task (a second abandons the first to the garbage
+// collector); the buffer belongs to the engine again when the task
+// returns, whatever the task returns.
+func (ec *ExecContext) ResultBuf(n int) []byte {
+	ec.resultBuf = transport.GetBuf(n + resultTrailerSize)[:0]
+	return ec.resultBuf
 }
 
 // Context returns the driver context. Task closures use it only for
