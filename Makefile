@@ -1,18 +1,29 @@
 # Sparker build/test entry points. Tier-1 is `make test`; `make race`
 # runs the packages where pooled buffers and persistent senders could
 # hide data races under the race detector; `make check` is the full
-# pre-merge gate (vet + tests + race + chaos + telemetry overhead +
-# traced-run demo).
+# pre-merge gate (vet + no-deprecated + tests + race + chaos +
+# telemetry overhead + traced-run demo).
 
 GO ?= go
 
-.PHONY: build vet test race test-chaos chaos-elastic overhead trace-demo serve-demo obsv-demo check bench benchjson bench-compare bench-pair
+.PHONY: build vet no-deprecated loc test race test-chaos chaos-elastic overhead trace-demo serve-demo obsv-demo check bench benchjson bench-compare bench-pair
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# core.Aggregate is the only aggregation entry point and mllib.LoadModel
+# the only loader: a deprecated wrapper beside them is a second way in.
+# Delete the old name and port its callers instead of marking it.
+no-deprecated:
+	@if grep -rn '^// Deprecated:' --include='*.go' --exclude='*_test.go' internal cmd examples; then \
+		echo "no-deprecated: remove the deprecated names above (and port their callers)" >&2; exit 1; fi
+
+# Non-test, non-generated Go lines per package (ROADMAP item 5).
+loc:
+	@scripts/loc.sh
 
 test: build
 	$(GO) test ./...
@@ -84,7 +95,7 @@ obsv-demo:
 	$(GO) run ./cmd/sparker-analyze -postmortem -validate \
 		"$$(ls -t /tmp/sparker-obsv-demo/bundle-*.json | head -n1)"
 
-check: vet test race test-chaos chaos-elastic overhead trace-demo serve-demo obsv-demo
+check: vet no-deprecated test race test-chaos chaos-elastic overhead trace-demo serve-demo obsv-demo
 
 # Hot-path microbenchmarks: the before/after evidence for the
 # zero-allocation reduction work (see DESIGN.md "Performance notes").

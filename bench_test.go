@@ -352,7 +352,7 @@ func BenchmarkFig16Aggregation(b *testing.B) {
 				b.SetBytes(int64(dim * 8))
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := mllib.AggregateF64(samples, dim, seqOp, strat, 2, 4); err != nil {
+					if _, err := mllib.AggregateF64Ctx(context.Background(), samples, dim, seqOp, strat, 2, 4); err != nil {
 						b.Fatal(err)
 					}
 				}

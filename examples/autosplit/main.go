@@ -1,7 +1,7 @@
 // Derived split aggregation: the paper's future-work idea (§6) —
 // "generate split aggregation code without user-defined code" — in
 // action. The aggregator is a struct of two arrays plus scalars
-// (exactly Figure 7's shape); core.AutoSplitAggregate derives
+// (exactly Figure 7's shape); core.DerivedFuncs derives
 // splitOp/reduceOp/concatOp from its structure by reflection, so the
 // user writes only what treeAggregate already required.
 //
@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -59,10 +60,15 @@ func main() {
 		return s
 	}
 
-	stats, err := core.AutoSplitAggregate(samples, zero, seqOp, core.Options{Parallelism: 4})
+	fns, rebuild, err := core.DerivedFuncs[int64](zero, seqOp)
 	if err != nil {
 		log.Fatal(err)
 	}
+	seg, err := core.Aggregate(context.Background(), samples, fns, core.WithParallelism(4))
+	if err != nil {
+		log.Fatal(err)
+	}
+	stats := rebuild(seg)
 	fmt.Printf("aggregated %d samples over the ring with derived callbacks\n", stats.Count)
 	fmt.Printf("mean loss: %.4f\n", stats.Loss/float64(stats.Count))
 	var gradMass, featMass float64

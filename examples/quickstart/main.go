@@ -73,8 +73,8 @@ func main() {
 	tree := run("treeAggregate", core.WithStrategy(core.StrategyTree), core.WithDepth(2))
 	imm := run("treeAggregate + IMM", core.WithStrategy(core.StrategyIMM))
 	// The default strategy is splitAggregate; a per-step deadline turns
-	// a hung peer into a classified error (and, unless disabled with
-	// WithFallback(false), an automatic tree fallback) instead of a hang.
+	// a hung peer into a classified error (and a re-run of the
+	// aggregation as tree+IMM) instead of a hang.
 	split := run("splitAggregate",
 		core.WithParallelism(4), core.WithDeadline(30*time.Second))
 

@@ -6,6 +6,7 @@ package sparker
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -110,8 +111,10 @@ func TestTrainingSurvivesTaskFailures(t *testing.T) {
 			linalg.Axpy(p.Label+0.5, p.Features, acc)
 			return acc
 		}
-		got, err := core.SplitAggregate(train, zero, seqOp, core.AddF64,
-			core.SplitSliceCopy[float64], core.AddF64, core.ConcatSlices[float64], core.Options{})
+		got, err := core.Aggregate(context.Background(), train, core.AggFuncs[mllib.LabeledPoint, []float64, []float64]{
+			Zero: zero, SeqOp: seqOp, MergeOp: core.AddF64,
+			SplitOp: core.SplitSliceCopy[float64], ReduceOp: core.AddF64, ConcatOp: core.ConcatSlices[float64],
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,14 +171,15 @@ func TestBroadcastDrivenIteration(t *testing.T) {
 			}
 			return out, nil
 		})
-		agg, err := core.SplitAggregate(scored,
-			func() []float64 { return make([]float64, dim) },
-			func(acc []float64, v int64) []float64 {
+		agg, err := core.Aggregate(context.Background(), scored, core.AggFuncs[int64, []float64, []float64]{
+			Zero: func() []float64 { return make([]float64, dim) },
+			SeqOp: func(acc []float64, v int64) []float64 {
 				acc[int(v)%dim]++
 				return acc
 			},
-			core.AddF64, core.SplitSliceCopy[float64], core.AddF64, core.ConcatSlices[float64],
-			core.Options{})
+			MergeOp: core.AddF64, SplitOp: core.SplitSliceCopy[float64],
+			ReduceOp: core.AddF64, ConcatOp: core.ConcatSlices[float64],
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,7 +270,7 @@ func TestAutoSplitTrainsModel(t *testing.T) {
 	var lastLoss float64
 	for iter := 0; iter < 12; iter++ {
 		snapshot := append([]float64(nil), w...)
-		res, err := core.AutoSplitAggregate(train,
+		fns, rebuild, err := core.DerivedFuncs[int64](
 			func() agg { return agg{Grad: make([]float64, dim)} },
 			func(a agg, v int64) agg {
 				x := float64(v%7) - 3
@@ -276,10 +280,15 @@ func TestAutoSplitTrainsModel(t *testing.T) {
 				a.Loss += diff * diff / 2
 				a.Count++
 				return a
-			}, core.Options{})
+			})
 		if err != nil {
 			t.Fatal(err)
 		}
+		seg, err := core.Aggregate(context.Background(), train, fns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := rebuild(seg)
 		if res.Count != 160 {
 			t.Fatalf("iteration %d counted %d samples", iter, res.Count)
 		}
@@ -405,13 +414,13 @@ func TestFunctionalAggregationShape(t *testing.T) {
 	}
 	timeIt := func(s mllib.Strategy) time.Duration {
 		// Warm once, then take the best of 3 to shed scheduler noise.
-		if _, err := mllib.AggregateF64(samples, dim, seqOp, s, 2, 4); err != nil {
+		if _, err := mllib.AggregateF64Ctx(context.Background(), samples, dim, seqOp, s, 2, 4); err != nil {
 			t.Fatal(err)
 		}
 		best := time.Duration(math.MaxInt64)
 		for i := 0; i < 3; i++ {
 			start := time.Now()
-			if _, err := mllib.AggregateF64(samples, dim, seqOp, s, 2, 4); err != nil {
+			if _, err := mllib.AggregateF64Ctx(context.Background(), samples, dim, seqOp, s, 2, 4); err != nil {
 				t.Fatal(err)
 			}
 			if d := time.Since(start); d < best {

@@ -177,7 +177,7 @@ func lrCurve(train *rdd.RDD[mllib.LabeledPoint], dim, iters int, comp collective
 	}
 	for iter := 1; iter <= iters; iter++ {
 		snap := append([]float64(nil), w...)
-		clean, err := mllib.AggregateF64(train, dim+2, seqOp(snap), mllib.StrategyAllReduce, 2, 0)
+		clean, err := mllib.AggregateF64Ctx(context.Background(), train, dim+2, seqOp(snap), mllib.StrategyAllReduce, 2, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -188,7 +188,7 @@ func lrCurve(train *rdd.RDD[mllib.LabeledPoint], dim, iters int, comp collective
 		losses = append(losses, clean[dim]/count)
 		agg := clean
 		if comp.Codec != collective.CodecNone {
-			if agg, err = mllib.AggregateF64(train, dim+2, seqOp(snap), mllib.StrategyAllReduce, 2, 0,
+			if agg, err = mllib.AggregateF64Ctx(context.Background(), train, dim+2, seqOp(snap), mllib.StrategyAllReduce, 2, 0,
 				core.WithCompression(comp.Codec, comp)); err != nil {
 				return nil, err
 			}

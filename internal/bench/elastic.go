@@ -17,6 +17,7 @@ package bench
 // `make bench-compare` renders this as BENCH_PR10.json.
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -140,7 +141,7 @@ func runElasticMode(name string, p elasticParams, churn bool) (*elasticRun, erro
 		}
 		snap := append([]float64(nil), w...)
 		start := time.Now()
-		agg, err := mllib.AggregateF64(train, dim+2, seqOp(snap), mllib.StrategySplit, 2, 0)
+		agg, err := mllib.AggregateF64Ctx(context.Background(), train, dim+2, seqOp(snap), mllib.StrategySplit, 2, 0)
 		if err != nil {
 			return nil, fmt.Errorf("bench: elastic iteration %d: %w", i, err)
 		}

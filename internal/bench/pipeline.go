@@ -124,8 +124,8 @@ func newPipelineRig(mkNet func() transport.Network, name string, n, p, segLen in
 		ctx := trace.WithSpan(context.Background(), tr.StartRoot(fmt.Sprintf("%s-rank%d", name, r)))
 		ctx = metrics.NewContext(ctx, rig.regs[r])
 		if chunked {
-			// 0 = auto: SPARKER_CHUNK_BYTES if set, else the adaptive
-			// controller seeded by this same registry as trials land.
+			// 0 = auto: the adaptive controller, seeded by this same
+			// registry as trials land.
 			ctx = collective.WithCores(collective.WithChunkBytes(ctx, 0), cores)
 		} else {
 			ctx = collective.WithChunkBytes(ctx, -1)
@@ -271,7 +271,7 @@ func pipelineSweep(mkNet func() transport.Network, transportName string, n, p in
 	}
 	r.AddNote("real collective layer over %s loopback: N=%d ranks, P=%d channels, cores=%d, f64 segments",
 		transportName, n, p, cores)
-	r.AddNote("off = single-frame steps (WithChunkBytes -1); on = auto-sized chunk trains (adaptive controller, SPARKER_CHUNK_BYTES honored)")
+	r.AddNote("off = single-frame steps (WithChunkBytes -1); on = auto-sized chunk trains (adaptive controller)")
 	r.AddNote("speedup = Σ off walls / Σ on walls over equal interleaved trials: iteration tails (GC of whole-segment frames) are real training cost")
 	r.AddNote("overlap = share of decode-reduce time spent while wire traffic was still in flight (ring-step span reduce_ns/overlap_ns)")
 	return r, nil

@@ -41,8 +41,6 @@ package collective
 import (
 	"context"
 	"fmt"
-	"os"
-	"strconv"
 	"sync"
 	"time"
 
@@ -80,7 +78,6 @@ type chunkBytesKey struct{}
 // WithChunkBytes fixes the pipelined chunk payload size for collectives
 // run under ctx: n > 0 uses exactly n bytes per chunk, n < 0 disables
 // chunking (restoring the single-frame step), and n == 0 defers to the
-// SPARKER_CHUNK_BYTES environment override or, failing that, the
 // adaptive controller.
 func WithChunkBytes(ctx context.Context, n int) context.Context {
 	return context.WithValue(ctx, chunkBytesKey{}, n)
@@ -111,25 +108,6 @@ func CoresFrom(ctx context.Context) int {
 	}
 	return c
 }
-
-// envChunkBytes parses SPARKER_CHUNK_BYTES once: unset or invalid is 0
-// (auto), zero or negative is -1 (chunking disabled), positive is the
-// byte size. The env override exists so benchmarks can pin the chunk
-// size against the adaptive controller.
-var envChunkBytes = sync.OnceValue(func() int {
-	s := os.Getenv("SPARKER_CHUNK_BYTES")
-	if s == "" {
-		return 0
-	}
-	v, err := strconv.Atoi(s)
-	if err != nil {
-		return 0
-	}
-	if v <= 0 {
-		return -1
-	}
-	return v
-})
 
 // autoChunkBytes is the adaptive controller: it estimates the achieved
 // step bandwidth from the executor's ring-step histograms (PR 3) and
@@ -163,16 +141,10 @@ func autoChunkBytes(reg *metrics.Registry) int {
 }
 
 // resolveChunkBytes picks the chunk payload size for one collective:
-// explicit context choice, then the environment override, then the
-// adaptive controller. Returns 0 when chunking is disabled.
+// the explicit context choice, else the adaptive controller. Returns 0
+// when chunking is disabled.
 func resolveChunkBytes(ctx context.Context) int {
 	if v := ChunkBytesFrom(ctx); v != 0 {
-		if v < 0 {
-			return 0
-		}
-		return v
-	}
-	if v := envChunkBytes(); v != 0 {
 		if v < 0 {
 			return 0
 		}

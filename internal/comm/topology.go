@@ -49,15 +49,6 @@ func NewTopology(perm []int) Topology {
 	return Topology{execOfRank: cp, rankOfExec: InverseRanks(cp)}
 }
 
-// IdentityTopology is the unsorted baseline: rank i on executor i.
-func IdentityTopology(n int) Topology {
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	return Topology{execOfRank: perm, rankOfExec: InverseRanks(perm)}
-}
-
 // Size returns the number of ranks.
 func (t Topology) Size() int { return len(t.execOfRank) }
 

@@ -1,28 +1,27 @@
 package core
 
-// Aggregate is the unified aggregation entry point: one call that
+// Aggregate is the one aggregation entry point: a single call that
 // selects the reduction strategy (tree, tree+IMM, split, allreduce),
 // carries per-step communication deadlines into the ring collectives,
-// and — when a ring collective fails with a classified peer error —
-// automatically degrades to a tree-shaped gather over the surviving
-// block-manager paths. The legacy entry points (TreeAggregate,
-// TreeAggregateIMM, SplitAggregate, SplitAllReduce, AutoSplitAggregate)
-// are thin deprecated wrappers over it.
+// and owns the one failure rule of the IMM-based strategies — re-run
+// the aggregation (decide, below, is the whole table).
 //
 // Fault model. The ring stage runs with MaxAttempts=1: resubmitting one
 // ring member alone cannot succeed, so the classified failure
 // (comm.ErrPeerTimeout, comm.ErrPeerDown) is surfaced promptly instead
 // of burning the retry budget. The ring reduces in place in each
 // executor's resident aggregator (when SplitOp returns views), so a
-// failed ring leaves the aggregators partly reduced: the fallback drops
-// them, re-runs the IMM stage, has each executor republish its fresh
-// aggregator as a block, and the driver performs the same serial merge
-// TreeAggregateIMM would — correct whenever the task transport and
-// block manager survive the ring fault (e.g. a severed or silent PDR
-// link). The failure path pays for the recompute; the healthy path
-// keeps no pristine copy. Degradations are observable: the metrics
-// counters metrics.CounterPeerFailure and metrics.CounterRingFallback
-// are bumped and a marker event is written to the history log.
+// failed ring leaves the aggregators partly reduced; recovery is the
+// paper's (§3.2): drop the executors' shared values and run the stage
+// again — against the new epoch's ring when the failure was membership
+// churn, as StrategyIMM when the executor set is stable and only the
+// ring is broken. The degraded run needs nothing but the task
+// transport to have survived the ring fault (e.g. a severed or silent
+// PDR link). The failure path pays for the recompute; the healthy path
+// keeps no pristine copy. Recoveries are observable: the counters
+// metrics.CounterPeerFailure, metrics.CounterRingFallback and
+// metrics.CounterElasticRetry are bumped and a marker event is written
+// to the history log.
 
 import (
 	"context"
@@ -39,21 +38,18 @@ import (
 	"sparker/internal/trace"
 )
 
-// ErrMembershipChanged classifies a collective failure whose cause was
-// a membership reconfiguration (an executor died or left mid-ring and
-// the driver installed a new epoch). Aggregate retries such failures
-// once, whole, against the new epoch — the surviving-path fallback is
-// only sound when the executor set is unchanged, since a dead member's
-// IMM aggregator is gone. Aliases rdd.ErrMembershipChanged so the
+// ErrMembershipChanged classifies a stage failure whose cause was a
+// membership reconfiguration (an executor died, left or was replaced
+// under the aggregation). Aggregate re-runs such an aggregation whole
+// against the new epoch. Aliases rdd.ErrMembershipChanged so the
 // classification survives the task result frame (the wire codec maps
 // the sentinel to a status byte and re-attaches it driver-side).
 var ErrMembershipChanged = rdd.ErrMembershipChanged
 
-// elasticRetryWait bounds how long a classified ring failure waits for
-// the suspected membership reconfiguration to install before concluding
-// the executor set is stable (and degrading to the tree fallback
-// instead). Ctrl-connection eviction is near-instant, so churn-caused
-// failures see the new epoch well inside this window.
+// elasticRetryWait bounds how long a classified failure waits for the
+// suspected membership reconfiguration to install before concluding
+// the executor set is stable. Ctrl-connection eviction is near-instant,
+// so churn-caused failures see the new epoch well inside this window.
 const elasticRetryWait = 500 * time.Millisecond
 
 // Strategy selects the reduction an Aggregate call runs.
@@ -111,21 +107,12 @@ type AggOptions struct {
 	// Parallelism is the PDR channel count for the ring strategies
 	// (default: the context's RingParallelism).
 	Parallelism int
-	// StepDeadline bounds each ring collective step. Zero selects
-	// DefaultStepDeadline; a negative value disables the deadline
-	// (restoring the hang-on-silent-peer behaviour of the seed).
+	// StepDeadline bounds each ring collective step. Non-positive
+	// values select DefaultStepDeadline.
 	StepDeadline time.Duration
-	// NoFallback disables the automatic ring→tree degradation on a
-	// classified peer failure, surfacing the error instead.
-	NoFallback bool
 	// KeepKey, for StrategyAllReduce, stores the reduced result in every
 	// executor's mutable object manager under this key.
 	KeepKey string
-	// ChunkBytes sets the pipelined ring collectives' chunk size. Zero
-	// (the default) lets the collective layer pick — SPARKER_CHUNK_BYTES
-	// if set, else an adaptive size seeded from the step histograms; a
-	// negative value disables chunking (legacy single-frame steps).
-	ChunkBytes int
 	// Tenant names the scheduler fair-share account charged for the
 	// aggregation's stages (empty: the default tenant). Multi-tenant
 	// drivers tag each client's training loop so slot-time is split by
@@ -163,28 +150,15 @@ func WithParallelism(p int) AggOption {
 }
 
 // WithDeadline sets the per-step communication deadline for the ring
-// strategies. Zero selects DefaultStepDeadline; negative disables.
+// strategies. Non-positive values select DefaultStepDeadline.
 func WithDeadline(d time.Duration) AggOption {
 	return func(o *AggOptions) { o.StepDeadline = d }
-}
-
-// WithFallback enables or disables the automatic ring→tree fallback on
-// a classified peer failure (enabled by default).
-func WithFallback(enabled bool) AggOption {
-	return func(o *AggOptions) { o.NoFallback = !enabled }
 }
 
 // WithKeepKey keeps the StrategyAllReduce result resident on every
 // executor under key.
 func WithKeepKey(key string) AggOption {
 	return func(o *AggOptions) { o.KeepKey = key }
-}
-
-// WithChunkBytes fixes the pipelined ring chunk size (bytes) for this
-// aggregation. Zero defers to SPARKER_CHUNK_BYTES or the adaptive
-// controller; negative disables chunking.
-func WithChunkBytes(n int) AggOption {
-	return func(o *AggOptions) { o.ChunkBytes = n }
 }
 
 // WithTenant charges the aggregation's stages to the named scheduler
@@ -217,12 +191,12 @@ type AggFuncs[T, U, V any] struct {
 	// SeqOp folds one element into an aggregator.
 	SeqOp func(U, T) U
 	// MergeOp merges two aggregators (IMM intra-executor merge, driver
-	// merge of the tree strategies and of the fallback gather).
+	// merge of the tree strategies).
 	MergeOp func(U, U) U
 	// SplitOp returns segment i of n from an aggregator; all ranks must
 	// agree on the segmentation, and SplitOp(u, 0, 1) must be the whole
-	// aggregator viewed as a segment (how the tree strategies and the
-	// fallback convert U to V). Segments may alias u (SplitSlice): the
+	// aggregator viewed as a segment (how the tree strategies convert U
+	// to V). Segments may alias u (SplitSlice): the
 	// ring then reduces in place in the resident aggregator, which no
 	// one reads afterwards. Copies (SplitSliceCopy) work as well and cost
 	// one pass over the aggregator.
@@ -259,6 +233,9 @@ func (f *AggFuncs[T, U, V]) recycle(u U) {
 }
 
 func (f *AggFuncs[T, U, V]) validate(s Strategy) error {
+	if s < StrategySplit || s > StrategyAllReduce {
+		return fmt.Errorf("core: unknown strategy %v", s)
+	}
 	if f.Zero == nil || f.SeqOp == nil || f.MergeOp == nil {
 		return fmt.Errorf("core: Aggregate(%v) requires Zero, SeqOp and MergeOp", s)
 	}
@@ -274,8 +251,8 @@ func (f *AggFuncs[T, U, V]) validate(s Strategy) error {
 }
 
 // Aggregate reduces r with fns under the chosen options and returns the
-// final aggregate as a segment-typed value (for the tree strategies and
-// the fallback path this is SplitOp(result, 0, 1)).
+// final aggregate as a segment-typed value (for the tree strategies,
+// and so for a degraded run, this is SplitOp(result, 0, 1)).
 //
 // ctx bounds the communication of the ring strategies: it is the parent
 // of every per-step deadline context, so cancelling it aborts in-flight
@@ -297,7 +274,7 @@ func Aggregate[T, U, V any](ctx context.Context, r *rdd.RDD[T], fns AggFuncs[T, 
 	if o.Parallelism < 1 {
 		return zv, fmt.Errorf("core: Parallelism must be >= 1, got %d", o.Parallelism)
 	}
-	if o.StepDeadline == 0 {
+	if o.StepDeadline <= 0 {
 		o.StepDeadline = DefaultStepDeadline
 	}
 	strategy := o.Strategy
@@ -325,166 +302,184 @@ func Aggregate[T, U, V any](ctx context.Context, r *rdd.RDD[T], fns AggFuncs[T, 
 	defer func() { span.EndErr(retErr) }()
 	ctx = trace.WithSpan(ctx, span)
 
-	switch strategy {
-	case StrategyTree:
-		u, err := rdd.TreeAggregate(r, fns.Zero, fns.SeqOp, fns.MergeOp, rdd.AggregateOptions{Depth: o.Depth})
+	if strategy == StrategyTree {
+		// Not IMM-based: nothing stays resident on the executors, and its
+		// stages retry task by task inside the engine.
+		u, err := rdd.TreeAggregate(r, fns.Zero, fns.SeqOp, fns.MergeOp,
+			rdd.AggregateOptions{Depth: o.Depth, Tenant: o.Tenant, TraceParent: span.Context()})
 		if err != nil {
 			return zv, err
 		}
 		return fns.SplitOp(u, 0, 1), nil
-	case StrategyIMM:
-		u, err := treeAggregateIMM(ctx, r, o.Tenant, &fns)
-		if err != nil {
-			return zv, err
+	}
+
+	// The one recovery rule of the IMM-based strategies: an attempt that
+	// fails is re-run whole — same strategy or degraded to StrategyIMM,
+	// as decide says — at most maxElasticRetries times.
+	var ringErr error              // the failure a degraded run is recovering from
+	var fallback *trace.ActiveSpan // open while it does
+	for attempt := 0; ; attempt++ {
+		epoch0 := rc.MembershipEpoch()
+		opID := rc.NewOpID()
+		prefix := fmt.Sprintf("%s/%d/", strategy, opID)
+		res, err := runAttempt(ctx, r, &fns, o, strategy, opID, prefix+"agg")
+		if err == nil {
+			fallback.SetAttr("recovered", "true")
+			fallback.End()
+			return res, nil
 		}
-		return fns.SplitOp(u, 0, 1), nil
-	case StrategySplit:
-		return ringAggregateElastic(ctx, r, fns, o, false)
-	case StrategyAllReduce:
-		return ringAggregateElastic(ctx, r, fns, o, true)
-	default:
-		return zv, fmt.Errorf("core: unknown strategy %v", o.Strategy)
+		class := classify(err)
+		// Executors swap endpoints before the driver installs the epoch,
+		// and ctrl-connection eviction races the very error in hand, so a
+		// classified failure waits briefly for the install: a re-run
+		// planned against the still-stale view would fail the same way.
+		epochMoved := class != failOther && rc.AwaitReconfigured(epoch0, elasticRetryWait)
+		// Tasks of the failed attempt that never ran still hold their
+		// executor's aggregator.
+		cleanupIMM(rc, o.Tenant, span.Context(), prefix)
+
+		switch action := decide(class, epochMoved, attempt < maxElasticRetries); {
+		case action == surface:
+			if ringErr != nil {
+				err = fmt.Errorf("core: IMM re-run after ring failure (%v): %w", ringErr, err)
+			}
+			fallback.EndErr(err)
+			return zv, err
+		case action == retrySame || strategy == StrategyIMM:
+			// (StrategyIMM degraded to itself is a plain re-run.)
+			rc.RecordMarker(metrics.CounterElasticRetry,
+				fmt.Sprintf("re-running %s aggregation against epoch %d: %v", strategy, rc.MembershipEpoch(), err))
+		default:
+			// The degradation is a span of its own: its duration is the
+			// measured recovery cost and its attrs carry the classified
+			// cause — the trace-level view the chaos suites assert on.
+			rc.RecordMarker(metrics.CounterPeerFailure, err.Error())
+			rc.RecordMarker(metrics.CounterRingFallback,
+				fmt.Sprintf("%s aggregation degraded to %s: %v", strategy, StrategyIMM, err))
+			fallback = tr.StartSpan("ring-fallback", span.Context())
+			fallback.SetAttr("strategy", strategy.String())
+			fallback.SetAttr("cause", err.Error())
+			ringErr, strategy = err, StrategyIMM
+		}
 	}
 }
 
-// isPeerFailure reports whether err is a classified collective failure
-// the recovery paths can act on: a peer stopped answering
-// (comm.ErrPeerTimeout), its transport died (comm.ErrPeerDown), or the
-// scheduler lost the executor outright (sched.ErrExecutorLost).
-func isPeerFailure(err error) bool {
-	return errors.Is(err, comm.ErrPeerTimeout) || errors.Is(err, comm.ErrPeerDown) ||
-		errors.Is(err, sched.ErrExecutorLost)
+// failure is the class of a failed attempt, as far as recovery cares.
+type failure int
+
+const (
+	// failOther is everything recovery cannot act on (a task's own
+	// error, a cancelled context, a malformed frame).
+	failOther failure = iota
+	// failPeer: a peer stopped answering (comm.ErrPeerTimeout), its
+	// transport died (comm.ErrPeerDown), or the scheduler lost the
+	// executor outright (sched.ErrExecutorLost).
+	failPeer
+	// failClosed: the task's collective endpoint was closed under it
+	// (comm.ErrClosed) — during churn that is the atomic endpoint swap
+	// of a reconfiguration, on a stable epoch a genuine local shutdown.
+	failClosed
+	// failMembership: the stage itself detected the churn (stale ring
+	// geometry, an aggregator that went with a replaced executor).
+	failMembership
+)
+
+func classify(err error) failure {
+	switch {
+	case errors.Is(err, ErrMembershipChanged):
+		return failMembership
+	case errors.Is(err, comm.ErrPeerTimeout), errors.Is(err, comm.ErrPeerDown), errors.Is(err, sched.ErrExecutorLost):
+		return failPeer
+	case errors.Is(err, comm.ErrClosed):
+		return failClosed
+	default:
+		return failOther
+	}
 }
 
-// maxElasticRetries bounds how many times a churn-broken collective is
-// re-run whole. Each retry requires a fresh ErrMembershipChanged
-// classification — which itself requires an observed epoch change — so
-// the loop is bounded by actual churn events; the cap guards against a
-// cluster reconfiguring faster than it can complete one collective.
+// recovery is what Aggregate does about a failed attempt.
+type recovery int
+
+const (
+	// surface returns the error to the caller.
+	surface recovery = iota
+	// retrySame re-runs the aggregation whole — fresh op id, fresh IMM
+	// stage, the installed epoch's ring.
+	retrySame
+	// degradeToIMM re-runs it as StrategyIMM: the same IMM stage, then a
+	// gather over task result frames and the serial driver merge, so the
+	// degraded result is the StrategyIMM result bit for bit.
+	degradeToIMM
+)
+
+// maxElasticRetries bounds the re-runs of one Aggregate call. Each
+// needs a fresh classified failure, so the loop is bounded by actual
+// fault events; the cap guards against a cluster reconfiguring faster
+// than it can complete one aggregation (back-to-back churn — an
+// eviction immediately followed by a replacement join — can break two
+// attempts in a row).
 const maxElasticRetries = 3
 
-// ringAggregateElastic wraps ringAggregate with the elastic retry: a
-// collective that failed because the membership epoch moved underneath
-// it is re-run whole (fresh op id, fresh IMM stage, the new epoch's
-// ring) against the reconfigured cluster, up to maxElasticRetries
-// times — back-to-back churn (an eviction immediately followed by a
-// replacement join) can break two attempts in a row. Any failure with
-// stable membership surfaces normally.
-func ringAggregateElastic[T, U, V any](ctx context.Context, r *rdd.RDD[T], fns AggFuncs[T, U, V], o AggOptions, allGather bool) (V, error) {
-	rc := r.Context()
-	res, err := ringAggregate(ctx, r, fns, o, allGather)
-	for retry := 0; retry < maxElasticRetries && err != nil && errors.Is(err, ErrMembershipChanged); retry++ {
-		rc.RecordMarker(metrics.CounterElasticRetry,
-			fmt.Sprintf("retrying collective against epoch %d: %v", rc.MembershipEpoch(), err))
-		res, err = ringAggregate(ctx, r, fns, o, allGather)
+// decide is the failure-handling table (DESIGN.md "Failure handling"):
+// the only place an error class becomes a recovery action.
+func decide(class failure, epochMoved, attemptsLeft bool) recovery {
+	switch {
+	case class == failOther || !attemptsLeft:
+		return surface
+	case class == failMembership || epochMoved:
+		// Churn. What is resident belongs to the old executor set — a
+		// departed member's aggregator is gone — so only a whole re-run
+		// against the new epoch is sound.
+		return retrySame
+	case class == failPeer:
+		// Stable executor set, broken ring: every executor can still
+		// recompute its aggregator, only the PDR cannot carry it.
+		return degradeToIMM
+	default:
+		// A closed endpoint on a stable epoch is a local shutdown.
+		return surface
 	}
-	return res, err
 }
 
-// ringAggregate runs the split (and, with allGather, allreduce)
-// strategy: IMM stage, then a statically placed ring stage, then either
-// the driver gather (split) or the rank-0 copy (allreduce). On a
-// classified ring failure with fallback enabled it degrades to
-// fallbackGather.
-func ringAggregate[T, U, V any](ctx context.Context, r *rdd.RDD[T], fns AggFuncs[T, U, V], o AggOptions, allGather bool) (V, error) {
+// runAttempt runs the aggregation once as strategy: the IMM stage every
+// IMM-based strategy starts with, then the ring (split, allreduce) or
+// the gather over task result frames (IMM). Either second stage takes
+// every executor's aggregator, so a healthy run leaves nothing behind
+// and submits no cleanup stage.
+func runAttempt[T, U, V any](ctx context.Context, r *rdd.RDD[T], fns *AggFuncs[T, U, V], o AggOptions, strategy Strategy, opID int64, key string) (V, error) {
 	var zv V
 	rc := r.Context()
-	kind := "split"
-	if allGather {
-		kind = "allreduce"
-	}
-	opID := rc.NewOpID()
-	epoch0 := rc.MembershipEpoch()
-	prefix := fmt.Sprintf("%s/%d/", kind, opID)
-	key := prefix + "agg"
-
-	tr, aggSC := trace.FromContext(ctx)
+	_, aggSC := trace.FromContext(ctx)
 
 	// Stage 1: reduced-result stage (IMM) → one aggregator per executor.
 	start := time.Now()
-	held, err := runIMMStage(r, key, aggSC, o.Tenant, &fns)
+	held, err := runIMMStage(r, key, aggSC, o.Tenant, fns)
 	if err != nil {
 		return zv, err
 	}
 	rc.RecordPhase(metrics.PhaseAggCompute, time.Since(start), "IMM reduced-result stage")
 
 	start = time.Now()
-	defer func() { rc.RecordPhase(metrics.PhaseAggReduce, time.Since(start), kind+" reduce stage") }()
-
-	// Stage 2: SpawnRDD — exactly one task per executor, statically
-	// placed, running the ring collective with per-step deadlines.
-	out, ringErr := runRingStage(ctx, rc, opID, key, held, fns, o, allGather)
-	if ringErr == nil {
-		// Every ring task took its executor's aggregator: nothing is
-		// left behind, so the healthy path submits no cleanup stage.
-		return out, nil
+	defer func() {
+		rc.RecordPhase(metrics.PhaseAggReduce, time.Since(start), strategy.String()+" reduce stage")
+	}()
+	if strategy != StrategyIMM {
+		// Stage 2: SpawnRDD — exactly one task per executor, statically
+		// placed, running the ring collective with per-step deadlines.
+		return runRingStage(ctx, rc, opID, key, held, fns, o, strategy == StrategyAllReduce)
 	}
-	// Failure paths only: ring tasks that never ran still hold their
-	// aggregator, and the fallback leaves its own behind.
-	defer cleanupIMM(rc, prefix)
-	if errors.Is(ringErr, ErrMembershipChanged) {
-		// The stage itself detected the churn (stale ring geometry).
-		// Executors swap endpoints before the driver installs the epoch,
-		// so wait briefly for the install — a retry planned against the
-		// still-stale view would fail the same way.
-		rc.AwaitReconfigured(epoch0, elasticRetryWait)
-		return zv, ringErr
-	}
-	// comm.ErrClosed from a ring task means the task's collective
-	// endpoint was closed under it — which during churn is exactly the
-	// atomic endpoint swap of a reconfiguration. It is not a peer
-	// failure (the fallback would be pointless on a closed endpoint),
-	// but it is retry-eligible when the epoch confirms the churn.
-	if !isPeerFailure(ringErr) && !errors.Is(ringErr, comm.ErrClosed) {
-		return zv, ringErr
-	}
-	// Classified peer failure. If the membership epoch moved (or moves
-	// within the grace window — ctrl-connection eviction is racing this
-	// very error), the failure was churn: the surviving-path fallback is
-	// unsound (the departed member's IMM aggregator is gone), so classify
-	// for the whole-collective retry against the new epoch instead.
-	if rc.AwaitReconfigured(epoch0, elasticRetryWait) {
-		return zv, fmt.Errorf("core: %s ring failed across epochs %d->%d: %v: %w",
-			kind, epoch0, rc.MembershipEpoch(), ringErr, ErrMembershipChanged)
-	}
-	if o.NoFallback || errors.Is(ringErr, comm.ErrClosed) {
-		// Stable epoch: a closed endpoint here is a genuine local
-		// shutdown, not churn — surface it rather than degrade.
-		return zv, ringErr
-	}
-
-	// Ring→tree degradation: the ring tasks took the resident
-	// aggregators and reduced into them, so recompute them with a second
-	// IMM stage (under its own key — a ring task that never ran still
-	// holds the first run's), then gather them over the block manager
-	// and merge serially like TreeAggregateIMM — survives a dead PDR
-	// link.
-	rc.RecordMarker(metrics.CounterPeerFailure, ringErr.Error())
-	rc.RecordMarker(metrics.CounterRingFallback,
-		fmt.Sprintf("%s aggregation degraded to tree gather: %v", kind, ringErr))
-	// The degradation itself is a span: its duration is the measured
-	// recovery cost and its attrs carry the classified cause — the
-	// trace-level view the chaos suites assert on.
-	fb := tr.StartSpan("ring-fallback", aggSC)
-	fb.SetAttr("strategy", kind)
-	fb.SetAttr("cause", ringErr.Error())
-	acc, err := fallbackGather(r, prefix+"fallback", aggSC, o.Tenant, &fns)
+	u, err := gatherIMM(rc, o.Tenant, aggSC, key, held, fns)
 	if err != nil {
-		wrapped := fmt.Errorf("core: tree fallback after ring failure (%v): %w", ringErr, err)
-		fb.EndErr(wrapped)
-		return zv, wrapped
+		return zv, err
 	}
-	result := fns.SplitOp(acc, 0, 1)
-	if allGather && o.KeepKey != "" {
-		if err := replicateResult(rc, o.KeepKey, result); err != nil {
-			wrapped := fmt.Errorf("core: tree fallback after ring failure (%v): %w", ringErr, err)
-			fb.EndErr(wrapped)
-			return zv, wrapped
+	res := fns.SplitOp(u, 0, 1)
+	if o.Strategy == StrategyAllReduce && o.KeepKey != "" {
+		// A degraded allreduce still owes every executor its copy.
+		if err := replicateResult(rc, o.Tenant, aggSC, o.KeepKey, res); err != nil {
+			return zv, err
 		}
 	}
-	fb.SetAttr("recovered", "true")
-	fb.End()
-	return result, nil
+	return res, nil
 }
 
 // runRingStage submits the collective stage: one gang-scheduled task
@@ -495,15 +490,9 @@ func ringAggregate[T, U, V any](ctx context.Context, r *rdd.RDD[T], fns AggFuncs
 // for allreduce) under the configured per-step deadline. The op id
 // tags every ring frame as this collective's epoch, so residue from an
 // earlier aborted collective is discarded instead of reduced.
-func runRingStage[T, U, V any](ctx context.Context, rc *rdd.Context, opID int64, key string, held map[int]bool, fns AggFuncs[T, U, V], o AggOptions, allGather bool) (V, error) {
+func runRingStage[T, U, V any](ctx context.Context, rc *rdd.Context, opID int64, key string, held map[int]bool, fns *AggFuncs[T, U, V], o AggOptions, allGather bool) (V, error) {
 	var zv V
-	sctx := collective.WithEpoch(ctx, uint32(opID))
-	if o.StepDeadline > 0 {
-		sctx = collective.WithStepDeadline(sctx, o.StepDeadline)
-	}
-	if o.ChunkBytes != 0 {
-		sctx = collective.WithChunkBytes(sctx, o.ChunkBytes)
-	}
+	sctx := collective.WithStepDeadline(collective.WithEpoch(ctx, uint32(opID)), o.StepDeadline)
 	// Ring size is the LIVE executor count of the installed epoch, not
 	// the slot-table width: dead slots hold no rank in the epoch's ring.
 	nExec := rc.NumLiveExecutors()
@@ -581,7 +570,7 @@ func runRingStage[T, U, V any](ctx context.Context, rc *rdd.Context, opID int64,
 			// ring reduces in place in whatever SplitOp returns, and on
 			// success the memory goes back through Recycle. A failed ring
 			// leaves it partly reduced, so it is simply dropped.
-			u, err := takeAgg(ec, key, held, &fns)
+			u, err := takeAgg(ec, key, held, fns)
 			if err != nil {
 				return nil, err
 			}
@@ -634,67 +623,15 @@ func runRingStage[T, U, V any](ctx context.Context, rc *rdd.Context, opID int64,
 	return decodeOwned(payloads, nSegs, ops, fns.ConcatOp)
 }
 
-// fallbackGather is the surviving-path tree reduction: the IMM stage
-// runs again (the failed ring consumed the first run's aggregators),
-// every executor republishes its fresh aggregator as a block, and the
-// driver fetches and merges them serially in executor order — the exact
-// merge TreeAggregateIMM performs, so the degraded result is identical
-// to the tree result. The caller's cleanup stage drops the aggregators
-// (key must sit under the prefix it clears).
-func fallbackGather[T, U, V any](r *rdd.RDD[T], key string, parent trace.SpanContext, tenant string, fns *AggFuncs[T, U, V]) (U, error) {
-	var zu U
-	rc := r.Context()
-	if _, err := runIMMStage(r, key, parent, tenant, fns); err != nil {
-		return zu, err
-	}
-	blockID := key + "/block"
-	_, err := rc.RunOnAllExecutors(func(ec *rdd.ExecContext, task, attempt int) ([]byte, error) {
-		// Read, not take: the task may be retried after publishing.
-		var agg U
-		if obj := ec.MutObjs.Get(key); obj != nil {
-			agg = obj.Value().(*immState[U]).agg
-		} else {
-			agg = fns.Zero()
-		}
-		wire, err := serde.Encode(nil, agg)
-		if err != nil {
-			return nil, err
-		}
-		ec.Store.PutLocal(blockID, wire)
-		return nil, nil
-	})
-	if err != nil {
-		return zu, err
-	}
-	defer rc.RunOnAllExecutors(func(ec *rdd.ExecContext, task, attempt int) ([]byte, error) {
-		ec.Store.DeletePrefix(blockID)
-		return nil, nil
-	})
-	acc := fns.Zero()
-	for _, i := range rc.LiveExecutors() {
-		wire, err := rc.DriverStore().FetchFrom(rc.ExecutorStoreName(i), blockID)
-		if err != nil {
-			return zu, err
-		}
-		v, _, err := serde.Decode(wire)
-		if err != nil {
-			return zu, err
-		}
-		acc = fns.MergeOp(acc, v.(U))
-	}
-	rc.DriverStore().DeletePrefix(blockID)
-	return acc, nil
-}
-
-// replicateResult pushes the fallback allreduce result back onto every
+// replicateResult pushes a degraded allreduce's result back onto every
 // executor under key, round-tripping through serde so executors do not
 // alias one value.
-func replicateResult[V any](rc *rdd.Context, key string, result V) error {
+func replicateResult[V any](rc *rdd.Context, tenant string, parent trace.SpanContext, key string, result V) error {
 	wire, err := serde.Encode(nil, result)
 	if err != nil {
 		return err
 	}
-	_, err = rc.RunOnAllExecutors(func(ec *rdd.ExecContext, task, attempt int) ([]byte, error) {
+	_, err = runOnAllExecutorsTenant(rc, tenant, parent, func(ec *rdd.ExecContext, task, attempt int) ([]byte, error) {
 		v, _, err := serde.Decode(wire)
 		if err != nil {
 			return nil, err

@@ -2,10 +2,15 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"testing"
 	"time"
 
+	"sparker/internal/comm"
 	"sparker/internal/rdd"
+	"sparker/internal/sched"
+	"sparker/internal/trace"
 )
 
 func vecFuncs(dim int) AggFuncs[int64, []float64, []float64] {
@@ -38,30 +43,23 @@ func TestAggregateStrategiesAgree(t *testing.T) {
 	}
 }
 
-// TestAggregateDefaultIsSplit checks the zero-option call matches the
-// deprecated SplitAggregate wrapper bit for bit.
+// TestAggregateDefaultIsSplit checks the zero-option call is split
+// aggregation at the context's ring parallelism, bit for bit.
 func TestAggregateDefaultIsSplit(t *testing.T) {
 	const samples, dim = 200, 64
 	ctx := testContext(t, 2, 2)
 	r := vectorRDD(ctx, samples, 4)
 
-	unified, err := Aggregate(context.Background(), r, vecFuncs(dim))
+	def, err := Aggregate(context.Background(), r, vecFuncs(dim))
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := SplitAggregate(r, vecZero(dim), vecSeqOp, AddF64,
-		SplitSliceCopy[float64], AddF64, ConcatSlices[float64], Options{})
+	split, err := Aggregate(context.Background(), r, vecFuncs(dim),
+		WithStrategy(StrategySplit), WithParallelism(ctx.RingParallelism()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(unified) != len(legacy) {
-		t.Fatalf("length mismatch: %d vs %d", len(unified), len(legacy))
-	}
-	for i := range unified {
-		if unified[i] != legacy[i] {
-			t.Fatalf("element %d: unified %v != legacy %v", i, unified[i], legacy[i])
-		}
-	}
+	requireExact(t, def, split)
 }
 
 // TestAggregateAutoSingleExecutor: a ring of one reduces nothing, so
@@ -147,5 +145,94 @@ func TestAggregateDeadlineOptionHarmless(t *testing.T) {
 	}
 	if !vecsClose(got, expectedVector(samples, dim), 1e-9) {
 		t.Fatal("wrong vector sum")
+	}
+}
+
+// TestDecideTable is the failure-handling table, exhaustively: every
+// error class the task wire can carry × whether the membership epoch
+// moved × whether the re-run budget is spent.
+func TestDecideTable(t *testing.T) {
+	wrap := func(err error) error { return fmt.Errorf("rdd: job failed: task 1: %w", err) }
+	classes := []struct {
+		name string
+		err  error
+		// want[epochMoved] with attempts left; exhausted always surfaces.
+		stable, moved recovery
+	}{
+		{"peer timeout", wrap(comm.ErrPeerTimeout), degradeToIMM, retrySame},
+		{"peer down", wrap(comm.ErrPeerDown), degradeToIMM, retrySame},
+		{"executor lost", wrap(sched.ErrExecutorLost), degradeToIMM, retrySame},
+		{"endpoint closed", wrap(comm.ErrClosed), surface, retrySame},
+		{"membership changed", wrap(ErrMembershipChanged), retrySame, retrySame},
+		{"unclassified", errors.New("seqOp panicked"), surface, surface},
+		{"cancelled", wrap(context.Canceled), surface, surface},
+	}
+	for _, c := range classes {
+		class := classify(c.err)
+		for _, moved := range []bool{false, true} {
+			want := c.stable
+			if moved {
+				want = c.moved
+			}
+			if got := decide(class, moved, true); got != want {
+				t.Errorf("%s, epoch moved=%v, attempts left: got %v, want %v", c.name, moved, got, want)
+			}
+			if got := decide(class, moved, false); got != surface {
+				t.Errorf("%s, epoch moved=%v, attempts exhausted: got %v, want surface", c.name, moved, got)
+			}
+		}
+	}
+}
+
+// TestTreeStrategyCarriesTenantAndTraceParent: every stage of a
+// StrategyTree aggregation — fold, combine rounds, block cleanup — is
+// charged to the aggregation's tenant and parented on its span.
+func TestTreeStrategyCarriesTenantAndTraceParent(t *testing.T) {
+	const samples, dim = 200, 16
+	exp := &trace.MemExporter{}
+	ctx, err := rdd.NewContext(rdd.Config{
+		Name: "core-tree-tenant", NumExecutors: 2, CoresPerExecutor: 2, Tracer: trace.New(exp),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctx.Close()
+	r := vectorRDD(ctx, samples, 16) // 16 partitions at depth 2: one combine round
+
+	before := ctx.TenantStats()
+	got, err := Aggregate(context.Background(), r, vecFuncs(dim),
+		WithStrategy(StrategyTree), WithTenant("t"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireExact(t, got, expectedVector(samples, dim))
+	if err := ctx.Drain(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	after := ctx.TenantStats()
+	// 16 folds + 4 combiners + 2 cleanup tasks.
+	if n := after["t"].Completed; n < 22 {
+		t.Fatalf("tenant t was charged %d attempts, want >= 22", n)
+	}
+	if n := after[""].Completed - before[""].Completed; n != 0 {
+		t.Fatalf("default tenant was charged %d attempts of tenant t's aggregation", n)
+	}
+	aggs := exp.Named("aggregate")
+	if len(aggs) != 1 {
+		t.Fatalf("%d aggregate spans, want 1", len(aggs))
+	}
+	stages := 0
+	for _, s := range exp.Named("stage") {
+		if s.TraceID != aggs[0].TraceID {
+			continue // boot-time stages
+		}
+		stages++
+		if s.ParentID != aggs[0].SpanID {
+			t.Errorf("stage span %x parented on %x, want the aggregate span %x", s.SpanID, s.ParentID, aggs[0].SpanID)
+		}
+	}
+	if stages < 2 {
+		t.Fatalf("%d stages under the aggregate span, want the fold and the combine round", stages)
 	}
 }

@@ -1,25 +1,24 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"sparker/internal/rdd"
 )
 
-func TestSplitAllReduceMatchesSplitAggregate(t *testing.T) {
+func TestAllReduceMatchesSplit(t *testing.T) {
 	const samples, dim = 240, 53
 	for _, execs := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("execs=%d", execs), func(t *testing.T) {
 			ctx := testContext(t, execs, 2)
 			r := vectorRDD(ctx, samples, execs*3).Cache()
-			gather, err := SplitAggregate(r, vecZero(dim), vecSeqOp, AddF64,
-				SplitSliceCopy[float64], AddF64, ConcatSlices[float64], Options{})
+			gather, err := Aggregate(context.Background(), r, vecFuncs(dim))
 			if err != nil {
 				t.Fatal(err)
 			}
-			allred, err := SplitAllReduce(r, vecZero(dim), vecSeqOp, AddF64,
-				SplitSliceCopy[float64], AddF64, ConcatSlices[float64], AllReduceOptions{})
+			allred, err := Aggregate(context.Background(), r, vecFuncs(dim), WithStrategy(StrategyAllReduce))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -30,13 +29,11 @@ func TestSplitAllReduceMatchesSplitAggregate(t *testing.T) {
 	}
 }
 
-func TestSplitAllReduceKeepsResultOnExecutors(t *testing.T) {
+func TestAllReduceKeepsResultOnExecutors(t *testing.T) {
 	const samples, dim = 100, 24
 	ctx := testContext(t, 3, 2)
 	r := vectorRDD(ctx, samples, 6)
-	want, err := SplitAllReduce(r, vecZero(dim), vecSeqOp, AddF64,
-		SplitSliceCopy[float64], AddF64, ConcatSlices[float64],
-		AllReduceOptions{KeepKey: "model/current"})
+	want, err := Aggregate(context.Background(), r, vecFuncs(dim), WithStrategy(StrategyAllReduce), WithKeepKey("model/current"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,33 +57,27 @@ func TestSplitAllReduceKeepsResultOnExecutors(t *testing.T) {
 	}
 }
 
-func TestSplitAllReduceValidation(t *testing.T) {
+func TestAllReduceValidation(t *testing.T) {
 	ctx := testContext(t, 2, 1)
 	r := vectorRDD(ctx, 10, 2)
-	_, err := SplitAllReduce(r, vecZero(4), vecSeqOp, AddF64,
-		SplitSliceCopy[float64], AddF64, ConcatSlices[float64],
-		AllReduceOptions{Parallelism: -2})
+	_, err := Aggregate(context.Background(), r, vecFuncs(4), WithStrategy(StrategyAllReduce), WithParallelism(-2))
 	if err == nil {
 		t.Fatal("negative parallelism should fail")
 	}
 }
 
-func TestSplitAllReduceIterative(t *testing.T) {
+func TestAllReduceIterative(t *testing.T) {
 	// Two consecutive rounds: the second round's seqOp could consume
 	// the resident model; here we just assert both rounds stay correct
 	// and the resident key updates.
 	const samples, dim = 60, 10
 	ctx := testContext(t, 2, 2)
 	r := vectorRDD(ctx, samples, 4).Cache()
-	first, err := SplitAllReduce(r, vecZero(dim), vecSeqOp, AddF64,
-		SplitSliceCopy[float64], AddF64, ConcatSlices[float64],
-		AllReduceOptions{KeepKey: "w"})
+	first, err := Aggregate(context.Background(), r, vecFuncs(dim), WithStrategy(StrategyAllReduce), WithKeepKey("w"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := SplitAllReduce(r, vecZero(dim), vecSeqOp, AddF64,
-		SplitSliceCopy[float64], AddF64, ConcatSlices[float64],
-		AllReduceOptions{KeepKey: "w"})
+	second, err := Aggregate(context.Background(), r, vecFuncs(dim), WithStrategy(StrategyAllReduce), WithKeepKey("w"))
 	if err != nil {
 		t.Fatal(err)
 	}

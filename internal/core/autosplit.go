@@ -11,11 +11,9 @@ package core
 // struct of two float64 arrays).
 
 import (
-	"context"
 	"fmt"
 	"reflect"
 
-	"sparker/internal/rdd"
 	"sparker/internal/serde"
 )
 
@@ -165,7 +163,7 @@ func analyze(t reflect.Type) (plan, error) {
 	}
 }
 
-// DerivedOps is the synthesized callback set for SplitAggregate.
+// DerivedOps is the synthesized callback set for split aggregation.
 // Concat produces the reassembled segment container (the V the
 // interface returns, per Figure 6); Rebuild converts it back into the
 // aggregator type U.
@@ -337,31 +335,13 @@ func appendSliceSegment(seg *AutoSegment, v reflect.Value, kind fieldKind, i, n 
 	}
 }
 
-// AutoSplitAggregate is SplitAggregate with every splitting callback
-// derived from U's structure: the user supplies only what
+// DerivedFuncs builds the AggFuncs for Aggregate with every splitting
+// callback derived from U's structure: the user supplies only what
 // treeAggregate already required (zero and seqOp), and split
-// aggregation comes for free. This realizes the paper's §6 vision of
-// removing the extra programming effort the interface trades for
-// performance.
-//
-// Deprecated: use Aggregate with DerivedFuncs, or keep this wrapper for
-// the common flat-aggregator case.
-func AutoSplitAggregate[T, U any](r *rdd.RDD[T], zero func() U, seqOp func(U, T) U, opts Options) (U, error) {
-	var zu U
-	fns, rebuild, err := DerivedFuncs[T](zero, seqOp)
-	if err != nil {
-		return zu, err
-	}
-	seg, err := Aggregate(context.Background(), r, fns, WithParallelism(opts.Parallelism))
-	if err != nil {
-		return zu, err
-	}
-	return rebuild(seg), nil
-}
-
-// DerivedFuncs builds the AggFuncs for Aggregate from U's structure the
-// way AutoSplitAggregate does, returning the callback set plus the
-// rebuild function that converts the final AutoSegment back into a U.
+// aggregation comes for free — the paper's §6 vision of removing the
+// extra programming effort the interface trades for performance. It
+// returns the callback set plus the rebuild function that converts the
+// final AutoSegment back into a U.
 func DerivedFuncs[T, U any](zero func() U, seqOp func(U, T) U) (AggFuncs[T, U, AutoSegment], func(AutoSegment) U, error) {
 	ops, err := Derive(zero)
 	if err != nil {

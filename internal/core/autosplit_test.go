@@ -1,11 +1,29 @@
 package core
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
 	"testing/quick"
+
+	"sparker/internal/rdd"
 )
+
+// derivedAggregate is split aggregation with every splitting callback
+// derived from U's structure: DerivedFuncs, Aggregate, rebuild.
+func derivedAggregate[U any](r *rdd.RDD[int64], zero func() U, seqOp func(U, int64) U, opts ...AggOption) (U, error) {
+	var zu U
+	fns, rebuild, err := DerivedFuncs[int64](zero, seqOp)
+	if err != nil {
+		return zu, err
+	}
+	seg, err := Aggregate(context.Background(), r, fns, opts...)
+	if err != nil {
+		return zu, err
+	}
+	return rebuild(seg), nil
+}
 
 // gradAgg mimics an MLlib aggregator: gradient array + loss + count.
 type gradAgg struct {
@@ -82,7 +100,7 @@ func TestDerivedMergeAddsEverything(t *testing.T) {
 	}
 }
 
-func TestAutoSplitAggregateStruct(t *testing.T) {
+func TestDerivedAggregateStruct(t *testing.T) {
 	const samples, dim = 200, 37
 	ctx := testContext(t, 3, 2)
 	r := vectorRDD(ctx, samples, 6)
@@ -99,7 +117,7 @@ func TestAutoSplitAggregateStruct(t *testing.T) {
 		a.Count++
 		return a
 	}
-	got, err := AutoSplitAggregate(r, zero, seqOp, Options{Parallelism: 2})
+	got, err := derivedAggregate(r, zero, seqOp, WithParallelism(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,11 +137,11 @@ func TestAutoSplitAggregateStruct(t *testing.T) {
 	}
 }
 
-func TestAutoSplitAggregatePlainSlice(t *testing.T) {
+func TestDerivedAggregatePlainSlice(t *testing.T) {
 	const samples, dim = 120, 19
 	ctx := testContext(t, 2, 2)
 	r := vectorRDD(ctx, samples, 4)
-	got, err := AutoSplitAggregate(r, vecZero(dim), vecSeqOp, Options{})
+	got, err := derivedAggregate(r, vecZero(dim), vecSeqOp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +150,7 @@ func TestAutoSplitAggregatePlainSlice(t *testing.T) {
 	}
 }
 
-func TestAutoSplitAggregateInt64Slice(t *testing.T) {
+func TestDerivedAggregateInt64Slice(t *testing.T) {
 	ctx := testContext(t, 2, 1)
 	r := vectorRDD(ctx, 60, 3)
 	zero := func() []int64 { return make([]int64, 9) }
@@ -140,7 +158,7 @@ func TestAutoSplitAggregateInt64Slice(t *testing.T) {
 		a[int(v)%9] += v
 		return a
 	}
-	got, err := AutoSplitAggregate(r, zero, seqOp, Options{})
+	got, err := derivedAggregate(r, zero, seqOp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,12 +175,11 @@ func TestAutoAgreesWithManual(t *testing.T) {
 	const samples, dim = 150, 23
 	ctx := testContext(t, 3, 2)
 	r := vectorRDD(ctx, samples, 6).Cache()
-	manual, err := SplitAggregate(r, vecZero(dim), vecSeqOp, AddF64,
-		SplitSliceCopy[float64], AddF64, ConcatSlices[float64], Options{})
+	manual, err := Aggregate(context.Background(), r, vecFuncs(dim))
 	if err != nil {
 		t.Fatal(err)
 	}
-	auto, err := AutoSplitAggregate(r, vecZero(dim), vecSeqOp, Options{})
+	auto, err := derivedAggregate(r, vecZero(dim), vecSeqOp)
 	if err != nil {
 		t.Fatal(err)
 	}

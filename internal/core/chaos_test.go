@@ -2,19 +2,15 @@ package core
 
 // Chaos suite for the unified aggregation API: split aggregation over a
 // fault-injecting transport must either ride the fault out (delay) or
-// degrade to the tree fallback and still return the exact aggregate —
-// and with fallback disabled, surface a classified error instead of
-// hanging.
+// degrade to the IMM re-run and still return the exact aggregate.
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
 	"testing"
 	"time"
 
-	"sparker/internal/comm"
 	"sparker/internal/metrics"
 	"sparker/internal/rdd"
 	"sparker/internal/trace"
@@ -62,12 +58,12 @@ func requireExact(t *testing.T, got, want []float64) {
 	}
 }
 
-// TestChaosSplitAggregateKillFallsBack kills one executor's inbound
+// TestChaosSplitKillFallsBack kills one executor's inbound
 // ring links on the first data message: the collective fails with a
-// classified error, the fallback recomputes the IMM aggregators and
-// gathers them over the block manager, and the result is exact. A second aggregation
-// on the now-degraded ring must also come back exact.
-func TestChaosSplitAggregateKillFallsBack(t *testing.T) {
+// classified error, the aggregation is re-run as StrategyIMM, and the
+// result is exact. A second aggregation on the now-degraded ring must
+// also come back exact.
+func TestChaosSplitKillFallsBack(t *testing.T) {
 	const samples, dim = 300, 97
 	for _, par := range []int{1, 4} {
 		par := par
@@ -100,10 +96,10 @@ func TestChaosSplitAggregateKillFallsBack(t *testing.T) {
 	}
 }
 
-// TestChaosSplitAggregateDropFallsBack drops 100% of ring data: every
+// TestChaosSplitDropFallsBack drops 100% of ring data: every
 // ring task classifies a timeout within the step deadline, and the
 // fallback still produces the exact aggregate.
-func TestChaosSplitAggregateDropFallsBack(t *testing.T) {
+func TestChaosSplitDropFallsBack(t *testing.T) {
 	const samples, dim = 300, 97
 	for _, par := range []int{1, 4} {
 		par := par
@@ -135,10 +131,10 @@ func TestChaosSplitAggregateDropFallsBack(t *testing.T) {
 	}
 }
 
-// TestChaosSplitAggregateDelaySucceeds slows every ring message down
+// TestChaosSplitDelaySucceeds slows every ring message down
 // 10×: the ring is still healthy, so no fallback may trigger and the
 // result is exact.
-func TestChaosSplitAggregateDelaySucceeds(t *testing.T) {
+func TestChaosSplitDelaySucceeds(t *testing.T) {
 	const samples, dim = 300, 97
 	for _, par := range []int{1, 4} {
 		par := par
@@ -163,36 +159,11 @@ func TestChaosSplitAggregateDelaySucceeds(t *testing.T) {
 	}
 }
 
-// TestChaosNoFallbackSurfacesClassifiedError: with WithFallback(false)
-// the classified error must cross the executor→driver wire intact so
-// callers can dispatch on errors.Is.
-func TestChaosNoFallbackSurfacesClassifiedError(t *testing.T) {
-	const samples, dim = 120, 32
-	name := "chaos-nofb"
-	ctx := chaosContext(t, name, 3, 2, 2, &transport.FaultRule{
-		Match:     ringPrefixMatch(name),
-		Kind:      transport.FaultDrop,
-		AfterMsgs: 1,
-	})
-	r := vectorRDD(ctx, samples, 4)
-	_, err := Aggregate(context.Background(), r, vecFuncs(dim),
-		WithFallback(false), WithDeadline(250*time.Millisecond))
-	if err == nil {
-		t.Fatal("expected a classified failure with fallback disabled")
-	}
-	if !errors.Is(err, comm.ErrPeerTimeout) {
-		t.Fatalf("want ErrPeerTimeout through the task wire, got %v", err)
-	}
-	if n := ctx.Metrics().Count(metrics.CounterRingFallback); n != 0 {
-		t.Fatalf("fallback disabled but counter = %d", n)
-	}
-}
-
 // TestChaosFallbackSpan ties the chaos suite to the trace tentpole:
 // a fault-triggered degradation must appear in the trace as a
 // "ring-fallback" span parented on the aggregate span, annotated with
 // the classified cause, and its duration is the measured cost of the
-// degradation (classification + block-manager gather).
+// degradation (the IMM re-run).
 func TestChaosFallbackSpan(t *testing.T) {
 	const samples, dim = 300, 97
 	scenarios := []struct {

@@ -2,89 +2,54 @@
 // Aggregation Interface (SAI) and In-Memory Merge (IMM) on top of the
 // rdd engine.
 //
-// Three aggregation strategies are provided, matching the paper's
-// Figure 16 comparison:
+// Aggregate is the one entry point; its Strategy option selects among
+// the reductions of the paper's Figure 16 comparison:
 //
-//   - TreeAggregate — re-exported Spark baseline (rdd.TreeAggregate):
-//     per-task serialized results, combiner stages, serial driver merge.
-//   - TreeAggregateIMM — tree aggregation with in-memory merge: tasks
-//     on the same executor merge into a shared aggregator inside the
-//     mutable object manager before anything is serialized, so only one
-//     result per executor crosses the wire (§3.2, Figure 8).
-//   - SplitAggregate — the full design (§3.1, Figure 6): IMM leaves one
+//   - StrategyTree — the Spark baseline (rdd.TreeAggregate): per-task
+//     serialized results, combiner stages, serial driver merge.
+//   - StrategyIMM — tree aggregation with in-memory merge: tasks on the
+//     same executor merge into a shared aggregator inside the mutable
+//     object manager before anything is serialized, so only one result
+//     per executor crosses the wire (§3.2, Figure 8).
+//   - StrategySplit — the full design (§3.1, Figure 6): IMM leaves one
 //     aggregator per executor, a statically placed stage (SpawnRDD,
-//     §4.3) splits each into P×N segments with splitOp and runs ring
+//     §4.3) splits each into P×N segments with SplitOp and runs ring
 //     reduce-scatter over the parallel directed ring, and the driver
-//     gathers the reduced segments and reassembles them with concatOp.
+//     gathers the reduced segments and reassembles them with ConcatOp.
+//   - StrategyAllReduce — split aggregation past the paper: §6 notes
+//     that once reduction is fixed, "the driver overhead becomes the new
+//     bottleneck" because every iteration still gathers the aggregator
+//     to the driver and redistributes the updated model. The gather is
+//     replaced by a ring allgather, leaving the reduced aggregate
+//     resident on every executor (WithKeepKey); only ring rank 0 ships a
+//     copy back so the driver can observe it.
 //
 // Type parameters follow the paper: T is the element type, U the
 // aggregator type, V the aggregator-segment type. U and V may differ —
 // the paper's abstract-aggregator argument — and both must be
-// serde-encodable where they cross executor boundaries (U for IMM
-// fetches, V for reduce-scatter traffic).
+// serde-encodable where they cross executor boundaries (U for the IMM
+// gather, V for reduce-scatter traffic).
 //
-// One signature deviation from Figure 6: SplitAggregate and
-// TreeAggregateIMM take mergeOp (U, U) → U for the intra-executor
-// merge. The paper's shared in-memory value is merged with the
-// aggregator class's own merge method (Figure 7, line 6), which its
-// interface listing leaves implicit; Go has no method requirement to
-// hang that on, so the callback is explicit.
+// One signature deviation from Figure 6: AggFuncs carries MergeOp
+// (U, U) → U for the intra-executor merge. The paper's shared in-memory
+// value is merged with the aggregator class's own merge method (Figure
+// 7, line 6), which its interface listing leaves implicit; Go has no
+// method requirement to hang that on, so the callback is explicit.
 package core
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"sparker/internal/collective"
-	"sparker/internal/metrics"
 	"sparker/internal/rdd"
 	"sparker/internal/serde"
 	"sparker/internal/trace"
 	"sparker/internal/transport"
 )
-
-// Options tunes split aggregation.
-//
-// Deprecated: use the AggOption functional options of Aggregate
-// (WithParallelism). Retained so existing call sites keep compiling.
-type Options struct {
-	// Parallelism is the number of PDR channels (and reduce-scatter
-	// threads) per executor. Defaults to the context's RingParallelism
-	// (the paper settles on 4).
-	Parallelism int
-}
-
-// identityFuncs adapts a (zero, seqOp, mergeOp) triple to AggFuncs for
-// the strategies that never split: the aggregator doubles as the sole
-// segment. SplitOp is only ever invoked as SplitOp(u, 0, 1).
-func identityFuncs[T, U any](zero func() U, seqOp func(U, T) U, mergeOp func(U, U) U) AggFuncs[T, U, U] {
-	return AggFuncs[T, U, U]{
-		Zero:    zero,
-		SeqOp:   seqOp,
-		MergeOp: mergeOp,
-		SplitOp: func(u U, i, n int) U {
-			if i != 0 || n != 1 {
-				panic(fmt.Sprintf("core: identity SplitOp called with (%d, %d)", i, n))
-			}
-			return u
-		},
-		ReduceOp: mergeOp,
-		ConcatOp: func(vs []U) U { return vs[0] },
-	}
-}
-
-// TreeAggregate is the Spark baseline. See rdd.TreeAggregate.
-//
-// Deprecated: use Aggregate with WithStrategy(StrategyTree).
-func TreeAggregate[T, U any](r *rdd.RDD[T], zero func() U, seqOp func(U, T) U, reduceOp func(U, U) U, depth int) (U, error) {
-	return Aggregate(context.Background(), r, identityFuncs(zero, seqOp, reduceOp),
-		WithStrategy(StrategyTree), WithDepth(depth))
-}
 
 // immState is the per-executor shared aggregator for one aggregation.
 type immState[U any] struct {
@@ -172,58 +137,37 @@ func takeAgg[T, U, V any](ec *rdd.ExecContext, key string, held map[int]bool, fn
 }
 
 // runOnAllExecutorsTenant mirrors rdd.RunOnAllExecutors (one task per
-// LIVE executor) with the stage charged to a fair-share tenant. The
-// returned payloads are dense, in live order.
-func runOnAllExecutorsTenant(ctx *rdd.Context, tenant string, fn func(ec *rdd.ExecContext, task, attempt int) ([]byte, error)) ([][]byte, error) {
+// LIVE executor) with the stage charged to a fair-share tenant and
+// parented on the aggregation's span. The returned payloads are dense,
+// in live order.
+func runOnAllExecutorsTenant(ctx *rdd.Context, tenant string, parent trace.SpanContext, fn func(ec *rdd.ExecContext, task, attempt int) ([]byte, error)) ([][]byte, error) {
 	placement := append([]int(nil), ctx.LiveExecutors()...)
 	if len(placement) == 0 {
 		return nil, nil
 	}
-	return ctx.RunJob(rdd.JobSpec{Tenant: tenant, Tasks: len(placement), Placement: placement, Fn: fn})
+	return ctx.RunJob(rdd.JobSpec{Tenant: tenant, Tasks: len(placement), Placement: placement, TraceParent: parent, Fn: fn})
 }
 
-// cleanupIMM drops an aggregation's resident aggregators everywhere.
+// cleanupIMM drops a failed attempt's resident aggregators everywhere.
 // Only failure paths need it: the ring task and the IMM gather task
 // take their executor's aggregator when they start.
-func cleanupIMM(ctx *rdd.Context, prefix string) {
+func cleanupIMM(ctx *rdd.Context, tenant string, parent trace.SpanContext, prefix string) {
 	// Best effort: an executor the job cannot reach is being evicted,
 	// and its objects go with it.
-	_, _ = ctx.RunOnAllExecutors(func(ec *rdd.ExecContext, task, attempt int) ([]byte, error) {
+	_, _ = runOnAllExecutorsTenant(ctx, tenant, parent, func(ec *rdd.ExecContext, task, attempt int) ([]byte, error) {
 		ec.MutObjs.ClearPrefix(prefix)
 		return nil, nil
 	})
 }
 
-// TreeAggregateIMM performs tree aggregation with in-memory merge:
-// the reduced-result stage leaves one aggregator per executor, and a
-// second stage serializes each of those for a serial driver merge. The
-// reduction remains tree-shaped (driver-bound); only the serialization
-// volume shrinks from one result per task to one per executor.
-//
-// Deprecated: use Aggregate with WithStrategy(StrategyIMM).
-func TreeAggregateIMM[T, U any](r *rdd.RDD[T], zero func() U, seqOp func(U, T) U, mergeOp func(U, U) U) (U, error) {
-	return Aggregate(context.Background(), r, identityFuncs(zero, seqOp, mergeOp),
-		WithStrategy(StrategyIMM))
-}
-
-// treeAggregateIMM is the StrategyIMM implementation shared by
-// Aggregate and the deprecated TreeAggregateIMM wrapper.
-func treeAggregateIMM[T, U, V any](cctx context.Context, r *rdd.RDD[T], tenant string, fns *AggFuncs[T, U, V]) (U, error) {
+// gatherIMM is StrategyIMM's second stage: every executor serializes
+// the one aggregator the reduced-result stage left it, and the driver
+// merges them serially in executor order. The reduction remains
+// tree-shaped (driver-bound); only the serialization volume shrinks
+// from one result per task to one per executor.
+func gatherIMM[T, U, V any](ctx *rdd.Context, tenant string, parent trace.SpanContext, key string, held map[int]bool, fns *AggFuncs[T, U, V]) (U, error) {
 	var zu U
-	ctx := r.Context()
-	key := fmt.Sprintf("imm/%d/agg", ctx.NewOpID())
-
-	_, parent := trace.FromContext(cctx)
-	start := time.Now()
-	held, err := runIMMStage(r, key, parent, tenant, fns)
-	if err != nil {
-		return zu, err
-	}
-	ctx.RecordPhase(metrics.PhaseAggCompute, time.Since(start), "IMM reduced-result stage")
-
-	start = time.Now()
-	defer func() { ctx.RecordPhase(metrics.PhaseAggReduce, time.Since(start), "reduce stage") }()
-	payloads, err := runOnAllExecutorsTenant(ctx, tenant, func(ec *rdd.ExecContext, task, attempt int) ([]byte, error) {
+	payloads, err := runOnAllExecutorsTenant(ctx, tenant, parent, func(ec *rdd.ExecContext, task, attempt int) ([]byte, error) {
 		agg, err := takeAgg(ec, key, held, fns)
 		if err != nil {
 			return nil, err
@@ -233,7 +177,6 @@ func treeAggregateIMM[T, U, V any](cctx context.Context, r *rdd.RDD[T], tenant s
 		return wire, err
 	})
 	if err != nil {
-		cleanupIMM(ctx, key)
 		return zu, err
 	}
 	acc := fns.Zero()
@@ -245,45 +188,6 @@ func treeAggregateIMM[T, U, V any](cctx context.Context, r *rdd.RDD[T], tenant s
 		acc = fns.MergeOp(acc, v.(U))
 	}
 	return acc, nil
-}
-
-// SplitAggregate is the split aggregation interface of Figure 6.
-//
-// zero, seqOp: as in treeAggregate, building per-partition aggregators.
-// mergeOp:     merges aggregators within one executor (IMM).
-// splitOp:     returns segment i of n from an aggregator; all ranks
-//
-//	must agree on the segmentation.
-//
-// reduceOp:    merges two aggregator-segments.
-// concatOp:    reassembles the ordered reduced segments into the final
-//
-//	result.
-//
-// The reduction runs as ring reduce-scatter over the PDR with
-// opts.Parallelism channels, then the driver collects each executor's
-// owned segments (the "gather via collect" of §4.2) and applies
-// concatOp.
-//
-// Deprecated: use Aggregate, whose default strategy is StrategySplit.
-func SplitAggregate[T, U, V any](
-	r *rdd.RDD[T],
-	zero func() U,
-	seqOp func(U, T) U,
-	mergeOp func(U, U) U,
-	splitOp func(u U, i, n int) V,
-	reduceOp func(V, V) V,
-	concatOp func([]V) V,
-	opts Options,
-) (V, error) {
-	return Aggregate(context.Background(), r, AggFuncs[T, U, V]{
-		Zero:     zero,
-		SeqOp:    seqOp,
-		MergeOp:  mergeOp,
-		SplitOp:  splitOp,
-		ReduceOp: reduceOp,
-		ConcatOp: concatOp,
-	}, WithParallelism(opts.Parallelism))
 }
 
 // serdeOps builds the collective callbacks for a serde-encodable

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"reflect"
@@ -74,17 +75,14 @@ func vecsClose(a, b []float64, tol float64) bool {
 	return true
 }
 
-func TestSplitAggregateVectorSum(t *testing.T) {
+func TestSplitVectorSum(t *testing.T) {
 	const samples, dim = 300, 97 // dim deliberately not divisible by segments
 	for _, execs := range []int{1, 2, 3, 5} {
 		for _, par := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("execs=%d/par=%d", execs, par), func(t *testing.T) {
 				ctx := testContext(t, execs, 2)
 				r := vectorRDD(ctx, samples, execs*3)
-				got, err := SplitAggregate(r,
-					vecZero(dim), vecSeqOp, AddF64,
-					SplitSliceCopy[float64], AddF64, ConcatSlices[float64],
-					Options{Parallelism: par})
+				got, err := Aggregate(context.Background(), r, vecFuncs(dim), WithParallelism(par))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -96,13 +94,13 @@ func TestSplitAggregateVectorSum(t *testing.T) {
 	}
 }
 
-func TestTreeAggregateIMMVectorSum(t *testing.T) {
+func TestIMMVectorSum(t *testing.T) {
 	const samples, dim = 200, 33
 	for _, execs := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("execs=%d", execs), func(t *testing.T) {
 			ctx := testContext(t, execs, 2)
 			r := vectorRDD(ctx, samples, execs*2+1)
-			got, err := TreeAggregateIMM(r, vecZero(dim), vecSeqOp, AddF64)
+			got, err := Aggregate(context.Background(), r, vecFuncs(dim), WithStrategy(StrategyIMM))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,16 +116,15 @@ func TestThreeStrategiesAgree(t *testing.T) {
 	ctx := testContext(t, 3, 2)
 	r := vectorRDD(ctx, samples, 9).Cache()
 
-	tree, err := TreeAggregate(r, vecZero(dim), vecSeqOp, AddF64, 2)
+	tree, err := Aggregate(context.Background(), r, vecFuncs(dim), WithStrategy(StrategyTree), WithDepth(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	imm, err := TreeAggregateIMM(r, vecZero(dim), vecSeqOp, AddF64)
+	imm, err := Aggregate(context.Background(), r, vecFuncs(dim), WithStrategy(StrategyIMM))
 	if err != nil {
 		t.Fatal(err)
 	}
-	split, err := SplitAggregate(r, vecZero(dim), vecSeqOp, AddF64,
-		SplitSliceCopy[float64], AddF64, ConcatSlices[float64], Options{})
+	split, err := Aggregate(context.Background(), r, vecFuncs(dim))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,14 +133,13 @@ func TestThreeStrategiesAgree(t *testing.T) {
 	}
 }
 
-func TestSplitAggregateFewerPartitionsThanExecutors(t *testing.T) {
+func TestSplitFewerPartitionsThanExecutors(t *testing.T) {
 	// Executors with no data must still participate in the ring with a
 	// zero aggregator.
 	const samples, dim = 50, 16
 	ctx := testContext(t, 4, 1)
 	r := vectorRDD(ctx, samples, 2) // only 2 of 4 executors get tasks
-	got, err := SplitAggregate(r, vecZero(dim), vecSeqOp, AddF64,
-		SplitSliceCopy[float64], AddF64, ConcatSlices[float64], Options{})
+	got, err := Aggregate(context.Background(), r, vecFuncs(dim))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,30 +148,17 @@ func TestSplitAggregateFewerPartitionsThanExecutors(t *testing.T) {
 	}
 }
 
-func TestSplitAggregateDimSmallerThanSegments(t *testing.T) {
+func TestSplitDimSmallerThanSegments(t *testing.T) {
 	// dim < P*N yields empty segments; concat must still reconstruct.
 	const samples, dim = 40, 3
 	ctx := testContext(t, 3, 1)
 	r := vectorRDD(ctx, samples, 3)
-	got, err := SplitAggregate(r, vecZero(dim), vecSeqOp, AddF64,
-		SplitSliceCopy[float64], AddF64, ConcatSlices[float64],
-		Options{Parallelism: 4})
+	got, err := Aggregate(context.Background(), r, vecFuncs(dim), WithParallelism(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !vecsClose(got, expectedVector(samples, dim), 1e-9) {
 		t.Fatal("result wrong with empty segments")
-	}
-}
-
-func TestSplitAggregateParallelismValidation(t *testing.T) {
-	ctx := testContext(t, 2, 1)
-	r := vectorRDD(ctx, 10, 2)
-	_, err := SplitAggregate(r, vecZero(4), vecSeqOp, AddF64,
-		SplitSliceCopy[float64], AddF64, ConcatSlices[float64],
-		Options{Parallelism: -1})
-	if err == nil {
-		t.Fatal("negative parallelism should fail")
 	}
 }
 
@@ -201,7 +184,9 @@ func TestIMMStageRetryDoesNotDoubleCount(t *testing.T) {
 		}
 		return vecSeqOp(acc, v)
 	}
-	got, err := TreeAggregateIMM(r, vecZero(dim), seqOp, AddF64)
+	f := vecFuncs(dim)
+	f.SeqOp = seqOp
+	got, err := Aggregate(context.Background(), r, f, WithStrategy(StrategyIMM))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +198,7 @@ func TestIMMStageRetryDoesNotDoubleCount(t *testing.T) {
 	}
 }
 
-func TestSplitAggregateStageRetry(t *testing.T) {
+func TestSplitStageRetry(t *testing.T) {
 	const samples, dim = 80, 12
 	ctx := testContext(t, 2, 2)
 	var poisoned int32
@@ -224,8 +209,9 @@ func TestSplitAggregateStageRetry(t *testing.T) {
 		}
 		return vecSeqOp(acc, v)
 	}
-	got, err := SplitAggregate(r, vecZero(dim), seqOp, AddF64,
-		SplitSliceCopy[float64], AddF64, ConcatSlices[float64], Options{})
+	f := vecFuncs(dim)
+	f.SeqOp = seqOp
+	got, err := Aggregate(context.Background(), r, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +279,7 @@ func init() {
 	serde.RegisterSelf(figSeg{}, func() serde.Unmarshaler { return new(figSeg) })
 }
 
-func TestSplitAggregateStructOfArrays(t *testing.T) {
+func TestSplitStructOfArrays(t *testing.T) {
 	const dim1, dim2, samples = 31, 17, 150
 	ctx := testContext(t, 3, 2)
 	r := vectorRDD(ctx, samples, 6)
@@ -335,7 +321,9 @@ func TestSplitAggregateStructOfArrays(t *testing.T) {
 		return figSeg{Sum1: ConcatSlices(s1), Sum2: ConcatSlices(s2)}
 	}
 
-	got, err := SplitAggregate(r, zero, seqOp, mergeOp, splitOp, reduceOp, concatOp, Options{})
+	got, err := Aggregate(context.Background(), r, AggFuncs[int64, figAgg, figSeg]{
+		Zero: zero, SeqOp: seqOp, MergeOp: mergeOp, SplitOp: splitOp, ReduceOp: reduceOp, ConcatOp: concatOp,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,12 +414,11 @@ func TestQuickSplitVsTreeAgree(t *testing.T) {
 			}
 			return out, nil
 		})
-		tree, err := TreeAggregate(r, vecZero(dim), vecSeqOp, AddF64, 2)
+		tree, err := Aggregate(context.Background(), r, vecFuncs(dim), WithStrategy(StrategyTree), WithDepth(2))
 		if err != nil {
 			return false
 		}
-		split, err := SplitAggregate(r, vecZero(dim), vecSeqOp, AddF64,
-			SplitSliceCopy[float64], AddF64, ConcatSlices[float64], Options{Parallelism: 2})
+		split, err := Aggregate(context.Background(), r, vecFuncs(dim), WithParallelism(2))
 		if err != nil {
 			return false
 		}

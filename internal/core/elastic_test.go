@@ -9,10 +9,14 @@ package core
 
 import (
 	"context"
+	"errors"
+	"sync"
 	"testing"
 	"time"
 
 	"sparker/internal/metrics"
+	"sparker/internal/rdd"
+	"sparker/internal/trace"
 )
 
 // TestChaosElasticKillMidTraining kills one executor while an
@@ -178,4 +182,71 @@ func TestChaosElasticRetryClassification(t *testing.T) {
 	t.Logf("elastic retries: %d, ring fallbacks: %d",
 		ctx.Metrics().Count(metrics.CounterElasticRetry),
 		ctx.Metrics().Count(metrics.CounterRingFallback))
+}
+
+// churnBetweenStages is a span exporter that kills and replaces one
+// executor the moment the first reduced-result (IMM) stage span ends —
+// on the driver goroutine, after the stage's Wait returned and before
+// the aggregation submits its second stage.
+type churnBetweenStages struct {
+	ctx    *rdd.Context
+	victim int
+	once   sync.Once
+	err    error
+}
+
+func (c *churnBetweenStages) ExportSpan(s trace.Span) {
+	if kind, _ := s.Attr("kind"); s.Name != "stage" || kind != "reduced-result" {
+		return
+	}
+	c.once.Do(func() {
+		e0 := c.ctx.MembershipEpoch()
+		if c.err = c.ctx.KillExecutor(c.victim); c.err != nil {
+			return
+		}
+		if !c.ctx.AwaitReconfigured(e0, 10*time.Second) {
+			c.err = errors.New("kill never installed a new epoch")
+			return
+		}
+		_, c.err = c.ctx.AddExecutor("replacement")
+	})
+}
+
+// TestChaosElasticIMMReplaceBetweenStages: StrategyIMM has no ring, but
+// its aggregators are as resident as the ring strategies'. An executor
+// killed and replaced between the IMM stage and the gather takes its
+// aggregator with it; the gather task on the replacement classifies
+// that as membership change, and Aggregate must re-run the aggregation
+// on the new cluster instead of handing the classification to the
+// caller.
+func TestChaosElasticIMMReplaceBetweenStages(t *testing.T) {
+	const samples, dim = 300, 97
+	churn := &churnBetweenStages{victim: 1}
+	ctx, err := rdd.NewContext(rdd.Config{
+		Name: "core-imm-replace", NumExecutors: 3, CoresPerExecutor: 2, Tracer: trace.New(churn),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctx.Close()
+	churn.ctx = ctx
+	r := vectorRDD(ctx, samples, 6)
+
+	got, err := Aggregate(context.Background(), r, vecFuncs(dim), WithStrategy(StrategyIMM))
+	if churn.err != nil {
+		t.Fatalf("kill-and-replace: %v", churn.err)
+	}
+	if err != nil {
+		t.Fatalf("IMM across a kill-and-replace: %v", err)
+	}
+	requireExact(t, got, expectedVector(samples, dim))
+	if n := ctx.Metrics().Count(metrics.CounterElasticRetry); n != 1 {
+		t.Fatalf("elastic-retry counter = %d, want 1", n)
+	}
+	if n := ctx.Metrics().Count(metrics.CounterRingFallback); n != 0 {
+		t.Fatalf("ring-fallback counter = %d, want 0 (nothing degraded)", n)
+	}
+	if n := ctx.NumLiveExecutors(); n != 3 {
+		t.Fatalf("live executors = %d after replace, want 3", n)
+	}
 }

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -11,7 +12,7 @@ import (
 // The split aggregation interface end to end: aggregate a vector over
 // a 3-executor cluster with the reduction running as ring
 // reduce-scatter.
-func ExampleSplitAggregate() {
+func ExampleAggregate() {
 	ctx, err := rdd.NewContext(rdd.Config{Name: "ex-split", NumExecutors: 3, CoresPerExecutor: 1})
 	if err != nil {
 		log.Fatal(err)
@@ -19,18 +20,17 @@ func ExampleSplitAggregate() {
 	defer ctx.Close()
 
 	samples := rdd.FromSlice(ctx, []int64{0, 1, 2, 3, 4, 5, 6, 7}, 4)
-	sum, err := core.SplitAggregate(samples,
-		func() []float64 { return make([]float64, 4) }, // zeroValue
-		func(acc []float64, v int64) []float64 { // seqOp
+	sum, err := core.Aggregate(context.Background(), samples, core.AggFuncs[int64, []float64, []float64]{
+		Zero: func() []float64 { return make([]float64, 4) },
+		SeqOp: func(acc []float64, v int64) []float64 {
 			acc[int(v)%4] += float64(v)
 			return acc
 		},
-		core.AddF64,                  // mergeOp (IMM, executor-local)
-		core.SplitSliceCopy[float64], // splitOp
-		core.AddF64,                  // reduceOp (on segments)
-		core.ConcatSlices[float64],   // concatOp
-		core.Options{Parallelism: 2},
-	)
+		MergeOp:  core.AddF64, // IMM, executor-local
+		SplitOp:  core.SplitSliceCopy[float64],
+		ReduceOp: core.AddF64, // on segments
+		ConcatOp: core.ConcatSlices[float64],
+	}, core.WithParallelism(2))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func ExampleSplitAggregate() {
 
 // Derived callbacks: the same aggregation with splitOp/reduceOp/
 // concatOp synthesized from the aggregator's structure.
-func ExampleAutoSplitAggregate() {
+func ExampleDerivedFuncs() {
 	ctx, err := rdd.NewContext(rdd.Config{Name: "ex-auto", NumExecutors: 2, CoresPerExecutor: 1})
 	if err != nil {
 		log.Fatal(err)
@@ -52,17 +52,21 @@ func ExampleAutoSplitAggregate() {
 		Count int64
 	}
 	samples := rdd.FromSlice(ctx, []int64{1, 2, 3, 4}, 2)
-	out, err := core.AutoSplitAggregate(samples,
+	fns, rebuild, err := core.DerivedFuncs[int64](
 		func() stats { return stats{Sum: make([]float64, 2)} },
 		func(s stats, v int64) stats {
 			s.Sum[int(v)%2] += float64(v)
 			s.Count++
 			return s
-		},
-		core.Options{})
+		})
 	if err != nil {
 		log.Fatal(err)
 	}
+	seg, err := core.Aggregate(context.Background(), samples, fns)
+	if err != nil {
+		log.Fatal(err)
+	}
+	out := rebuild(seg)
 	fmt.Println(out.Sum, out.Count)
 	// Output: [6 4] 4
 }

@@ -186,7 +186,9 @@ func TestInPlaceSplitEquivalence(t *testing.T) {
 // ring step 0 went through: with the split by view, every executor's
 // resident aggregator is partly reduced by then, so a fallback that
 // gathered what is resident would double-count. The fallback must
-// recompute, return exactly the tree result, and be counted once.
+// recompute, return exactly the tree result — it is a StrategyIMM run,
+// so bit for bit that one's, over task result frames with no block
+// published — and be counted once.
 func TestChaosFallbackAfterPartialInPlaceReduce(t *testing.T) {
 	const samples, dim = 300, 97
 	for _, par := range []int{1, 2} {
@@ -215,11 +217,23 @@ func TestChaosFallbackAfterPartialInPlaceReduce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := Aggregate(context.Background(), r, f, WithDeadline(500*time.Millisecond), WithChunkBytes(-1))
+			imm, err := Aggregate(context.Background(), r, vecFuncs(dim), WithStrategy(StrategyIMM))
+			if err != nil {
+				t.Fatal(err)
+			}
+			blockPuts := func() int64 {
+				return ctx.MergedMetrics().Histogram(metrics.HistBlockPutBytes).Count()
+			}
+			putsBefore := blockPuts()
+			got, err := Aggregate(collective.WithChunkBytes(context.Background(), -1), r, f, WithDeadline(500*time.Millisecond))
 			if err != nil {
 				t.Fatalf("fallback should mask the kill: %v", err)
 			}
-			bitsEqual(t, "fallback", got, tree)
+			bitsEqual(t, "fallback vs tree", got, tree)
+			bitsEqual(t, "fallback vs imm", got, imm)
+			if n := blockPuts() - putsBefore; n != 0 {
+				t.Fatalf("degraded run published %d blocks, want none", n)
+			}
 			// Step 0 completed on every rank and channel before the kill:
 			// the aggregators the ring died on were already reduced into.
 			if n := reduces.Load(); n < int64(3*par) {

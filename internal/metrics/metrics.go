@@ -22,8 +22,8 @@ const (
 
 // Canonical counter names used by the engine.
 const (
-	// CounterRingFallback counts split aggregations that degraded to the
-	// tree fallback after a classified collective failure.
+	// CounterRingFallback counts ring aggregations re-run as StrategyIMM
+	// after a classified collective failure on a stable epoch.
 	CounterRingFallback = "ring-fallback"
 	// CounterPeerFailure counts classified peer failures (timeouts and
 	// severed connections) observed by aggregation stages.

@@ -1,6 +1,7 @@
 package mllib
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -348,7 +349,7 @@ func TestGDValidation(t *testing.T) {
 	if _, _, err := RunGradientDescent(train, LogisticGradient{}, SimpleUpdater{}, nil, GDConfig{}); err == nil {
 		t.Fatal("empty initial weights should fail")
 	}
-	if _, err := AggregateF64(train, 4, func(a []float64, p LabeledPoint) []float64 { return a }, Strategy(42), 2, 1); err == nil {
+	if _, err := AggregateF64Ctx(context.Background(), train, 4, func(a []float64, p LabeledPoint) []float64 { return a }, Strategy(42), 2, 1); err == nil {
 		t.Fatal("unknown strategy should fail")
 	}
 }

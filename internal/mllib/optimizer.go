@@ -85,17 +85,6 @@ func (s Strategy) CoreStrategy() (core.Strategy, error) {
 	}
 }
 
-// AggregateF64 reduces a flattened []float64 aggregator over an RDD
-// using the chosen strategy. It is the shared plumbing of all three
-// models: each builds its per-iteration sufficient statistics as one
-// flat vector, which is exactly the shape that makes splitOp/concatOp
-// trivial (Figure 7's splitA/concatA). All strategies route through the
-// unified core.Aggregate, so training inherits its per-step deadlines
-// and ring→tree fallback.
-func AggregateF64[T any](r *rdd.RDD[T], dim int, seqOp func(acc []float64, v T) []float64, s Strategy, depth, parallelism int, extra ...core.AggOption) ([]float64, error) {
-	return AggregateF64Ctx(context.Background(), r, dim, seqOp, s, depth, parallelism, extra...)
-}
-
 // f64Ops is the shared fused collective implementation for the flat
 // []float64 aggregators of every mllib model. Passing it as
 // AggFuncs.Ops replaces the generic serde path in the ring stage with
@@ -103,12 +92,18 @@ func AggregateF64[T any](r *rdd.RDD[T], dim int, seqOp func(acc []float64, v T) 
 // wire compression.
 var f64Ops = collective.F64Ops()
 
-// AggregateF64Ctx is AggregateF64 with an explicit context: cancellation
-// bounds the ring collectives, and a trace span carried in ctx (an
-// iteration span, typically) becomes the parent of the per-call
-// "aggregate" span so whole training runs stitch into one timeline.
-// extra options (e.g. core.WithCompression) are appended after the
-// strategy options, so they may override any of them.
+// AggregateF64Ctx reduces a flattened []float64 aggregator over an RDD
+// using the chosen strategy. It is the shared plumbing of every model:
+// each builds its per-iteration sufficient statistics as one flat
+// vector, which is exactly the shape that makes splitOp/concatOp
+// trivial (Figure 7's splitA/concatA). All strategies route through
+// core.Aggregate, so training inherits its per-step deadlines and
+// failure handling. Cancelling ctx bounds the ring collectives, and a
+// trace span carried in ctx (an iteration span, typically) becomes the
+// parent of the per-call "aggregate" span so whole training runs stitch
+// into one timeline. extra options (e.g. core.WithCompression) are
+// appended after the strategy options, so they may override any of
+// them.
 func AggregateF64Ctx[T any](ctx context.Context, r *rdd.RDD[T], dim int, seqOp func(acc []float64, v T) []float64, s Strategy, depth, parallelism int, extra ...core.AggOption) ([]float64, error) {
 	cs, err := s.CoreStrategy()
 	if err != nil {
@@ -190,7 +185,7 @@ type GDConfig struct {
 	// context.Canceled (the server's DELETE /api/v1/jobs path).
 	Ctx context.Context
 	// StepDeadline bounds each ring collective step (core.WithDeadline
-	// semantics: zero keeps the core default, negative disables). Short
+	// semantics: non-positive keeps the core default). Short
 	// deadlines make fault demos degrade in seconds instead of minutes.
 	StepDeadline time.Duration
 	// Compression selects a wire codec for the per-iteration gradient

@@ -131,22 +131,6 @@ func (m *LinearModel) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
-// LoadLinearModel reads a model written by LinearModel.Save.
-//
-// Deprecated: use LoadModel, which dispatches on the file's kind byte
-// and returns the unified Model interface.
-func LoadLinearModel(r io.Reader) (*LinearModel, error) {
-	br := bufio.NewReader(r)
-	kind, err := readHeader(br)
-	if err != nil {
-		return nil, err
-	}
-	if kind != kindLinear {
-		return nil, fmt.Errorf("mllib: file holds model kind %d, not a linear classifier", kind)
-	}
-	return loadLinearPayload(br)
-}
-
 // loadLinearPayload reads a linear classifier body (header consumed).
 func loadLinearPayload(br *bufio.Reader) (*LinearModel, error) {
 	m := &LinearModel{}

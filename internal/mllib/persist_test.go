@@ -21,10 +21,11 @@ func TestLinearModelSaveLoad(t *testing.T) {
 	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadLinearModel(&buf)
+	loaded, err := LoadModel(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := loaded.(*LinearModel)
 	if !reflect.DeepEqual(got.Weights, m.Weights) ||
 		!reflect.DeepEqual(got.Losses, m.Losses) ||
 		got.Threshold != m.Threshold || got.Kind() != m.Kind() {
@@ -61,7 +62,7 @@ func TestLDAModelSaveLoad(t *testing.T) {
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := LoadLinearModel(bytes.NewReader([]byte("not a model"))); err == nil {
+	if _, err := LoadModel(bytes.NewReader([]byte("not a model"))); err == nil {
 		t.Fatal("garbage should fail")
 	}
 	if _, err := LoadLDAModel(bytes.NewReader(nil)); err == nil {
@@ -73,7 +74,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	if err := lda.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadLinearModel(&buf); err == nil {
+	if _, err := LoadModel(&buf); err == nil {
 		t.Fatal("kind mismatch should fail")
 	}
 	// Truncated file.
@@ -83,7 +84,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	trunc := buf2.Bytes()[:buf2.Len()-5]
-	if _, err := LoadLinearModel(bytes.NewReader(trunc)); err == nil {
+	if _, err := LoadModel(bytes.NewReader(trunc)); err == nil {
 		t.Fatal("truncated file should fail")
 	}
 }

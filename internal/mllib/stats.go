@@ -1,6 +1,7 @@
 package mllib
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -29,7 +30,7 @@ func ColumnStats(data *rdd.RDD[LabeledPoint], numFeatures int, strategy Strategy
 	// Aggregator layout: [0,d) sum, [d,2d) sum of squares, [2d,3d) nnz,
 	// [3d] count.
 	d := numFeatures
-	agg, err := AggregateF64(data, 3*d+1, func(acc []float64, p LabeledPoint) []float64 {
+	agg, err := AggregateF64Ctx(context.Background(), data, 3*d+1, func(acc []float64, p LabeledPoint) []float64 {
 		for i, ix := range p.Features.Indices {
 			v := p.Features.Values[i]
 			acc[ix] += v

@@ -7,6 +7,7 @@ import (
 
 	"sparker/internal/metrics"
 	"sparker/internal/serde"
+	"sparker/internal/trace"
 )
 
 // Actions materialize RDDs. Every result crosses the executor→driver
@@ -156,6 +157,10 @@ type AggregateOptions struct {
 	// Depth is the aggregation tree depth (Spark default 2). Depth 1
 	// sends every partition aggregator straight to the driver.
 	Depth int
+	// Tenant and TraceParent are carried into every stage's JobSpec
+	// (see those fields there).
+	Tenant      string
+	TraceParent trace.SpanContext
 }
 
 // TreeAggregate is Spark's treeAggregate: per-partition seqOp folds,
@@ -178,7 +183,7 @@ func TreeAggregate[T, U any](r *RDD[T], zero func() U, seqOp func(U, T) U, combO
 	ctx := r.ctx
 	aggID := ctx.newJobID()
 	prefix := fmt.Sprintf("agg/%d/", aggID)
-	defer cleanupBlocks(ctx, prefix)
+	defer cleanupBlocks(ctx, opts.Tenant, prefix)
 
 	// Stage 1 (agg-compute): fold each partition, leave the aggregator
 	// in the executor's block store, return only the block id size ack.
@@ -187,8 +192,10 @@ func TreeAggregate[T, U any](r *RDD[T], zero func() U, seqOp func(U, T) U, combO
 	}
 	start := time.Now()
 	h, err := ctx.SubmitJob(JobSpec{
-		Tasks:  r.parts,
-		Policy: r.placementPolicy(),
+		Tenant:      opts.Tenant,
+		TraceParent: opts.TraceParent,
+		Tasks:       r.parts,
+		Policy:      r.placementPolicy(),
 		Fn: func(ec *ExecContext, task, attempt int) ([]byte, error) {
 			data, err := r.Materialize(ec, task)
 			if err != nil {
@@ -239,7 +246,9 @@ func TreeAggregate[T, U any](r *RDD[T], zero func() U, seqOp func(U, T) U, combO
 			round++
 			dstRound := round
 			rh, err := ctx.SubmitJob(JobSpec{
-				Tasks: numCombiners,
+				Tenant:      opts.Tenant,
+				TraceParent: opts.TraceParent,
+				Tasks:       numCombiners,
 				Fn: func(ec *ExecContext, task, attempt int) ([]byte, error) {
 					acc := zero()
 					for p := task; p < srcCount; p += numCombiners {
@@ -317,10 +326,10 @@ func pow(b, e int) int {
 
 // cleanupBlocks drops a job's shuffle blocks on every executor,
 // best-effort.
-func cleanupBlocks(ctx *Context, prefix string) {
-	ctx.RunOnAllExecutors(func(ec *ExecContext, task, attempt int) ([]byte, error) {
+func cleanupBlocks(ctx *Context, tenant, prefix string) {
+	ctx.runCleanup(tenant, func(ec *ExecContext) error {
 		ec.Store.DeletePrefix(prefix)
-		return nil, nil
+		return nil
 	})
 	ctx.driverStore.DeletePrefix(prefix)
 }

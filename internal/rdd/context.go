@@ -47,23 +47,6 @@ type Config struct {
 	// RingParallelism is the PDR channel count used by split
 	// aggregation (default 4, the paper's production setting).
 	RingParallelism int
-	// TaskConnStripes is the number of task-channel connections the
-	// driver opens per executor (default 4). On latency-shaped
-	// transports a single connection caps launch/result throughput at
-	// one frame per network latency; striping lets concurrent jobs'
-	// task traffic overlap, which is what the multi-tenant job server
-	// leans on. Executors accept any number of task connections and
-	// reply on the one each task arrived on, so this is driver-only.
-	TaskConnStripes int
-	// MaxTaskAttempts bounds per-task retries for ordinary stages
-	// (default 3).
-	MaxTaskAttempts int
-	// MaxStageAttempts bounds whole-stage resubmissions for
-	// reduced-result stages (default 3).
-	MaxStageAttempts int
-	// TopologyAware orders ring ranks by hostname (default true).
-	// Disabling it reproduces the unsorted baseline of Figure 14.
-	TopologyAware *bool
 	// Speculation enables the scheduler's straggler mitigation: a task
 	// running past SpeculationMultiplier × the stage's running duration
 	// quantile gets one duplicate attempt on a different executor, first
@@ -101,6 +84,22 @@ type Config struct {
 	Obsv *obsv.Observer
 }
 
+const (
+	// taskConnStripes is the number of task-channel connections the
+	// driver opens per executor. On latency-shaped transports a single
+	// connection caps launch/result throughput at one frame per network
+	// latency; striping lets concurrent jobs' task traffic overlap,
+	// which is what the multi-tenant job server leans on. Executors
+	// accept any number of task connections and reply on the one each
+	// task arrived on, so this is driver-only.
+	taskConnStripes = 4
+	// maxTaskAttempts bounds per-task retries for ordinary stages.
+	maxTaskAttempts = 3
+	// maxStageAttempts bounds whole-stage resubmissions for
+	// reduced-result stages.
+	maxStageAttempts = 3
+)
+
 func (c *Config) fill() error {
 	if c.Name == "" {
 		c.Name = "sparker"
@@ -128,22 +127,6 @@ func (c *Config) fill() error {
 	}
 	if c.RingParallelism == 0 {
 		c.RingParallelism = 4
-	}
-	if c.TaskConnStripes == 0 {
-		c.TaskConnStripes = 4
-	}
-	if c.TaskConnStripes < 1 {
-		return fmt.Errorf("rdd: TaskConnStripes must be >= 1, got %d", c.TaskConnStripes)
-	}
-	if c.MaxTaskAttempts == 0 {
-		c.MaxTaskAttempts = 3
-	}
-	if c.MaxStageAttempts == 0 {
-		c.MaxStageAttempts = 3
-	}
-	if c.TopologyAware == nil {
-		t := true
-		c.TopologyAware = &t
 	}
 	return nil
 }
@@ -224,12 +207,8 @@ func NewContext(conf Config) (*Context, error) {
 	}
 	ctx.driverStore.SetMetrics(ctx.reg)
 
-	// Ring rank assignment: topology-aware sorts by hostname.
-	if *conf.TopologyAware {
-		ctx.topo = comm.NewTopology(comm.RanksByHost(conf.Hosts))
-	} else {
-		ctx.topo = comm.IdentityTopology(conf.NumExecutors)
-	}
+	// Ring rank assignment is topology-aware: sorted by hostname.
+	ctx.topo = comm.NewTopology(comm.RanksByHost(conf.Hosts))
 
 	// The membership plane comes up before the executors: they dial its
 	// control channel as part of boot.

@@ -247,7 +247,7 @@ type JobSpec struct {
 	// which require independent tasks).
 	StageCleanup func(ec *ExecContext) error
 	// MaxAttempts, when positive, overrides the configured retry budget
-	// for this stage (MaxTaskAttempts, or MaxStageAttempts with
+	// for this stage (maxTaskAttempts, or maxStageAttempts with
 	// StageCleanup set). Collective stages set it to 1: resubmitting one
 	// ring member alone cannot succeed, and the caller wants the
 	// classified failure promptly to decide on fallback.
@@ -269,7 +269,7 @@ type JobSpec struct {
 var ErrJobFailed = errors.New("rdd: job failed")
 
 // executorConn returns a task connection to executor i, rotating
-// round-robin over TaskConnStripes connections (dialed on first use).
+// round-robin over taskConnStripes connections (dialed on first use).
 // Striping matters on latency-shaped transports: each connection
 // delivers one frame per network latency, so a single connection
 // serializes concurrent jobs' launches while stripes let them overlap.
@@ -281,8 +281,8 @@ func (ctx *Context) executorConn(i int) (*lockedConn, error) {
 		ctx.connRR = append(ctx.connRR, 0)
 	}
 	if ctx.conns[i] == nil {
-		stripes := make([]*lockedConn, 0, ctx.conf.TaskConnStripes)
-		for s := 0; s < ctx.conf.TaskConnStripes; s++ {
+		stripes := make([]*lockedConn, 0, taskConnStripes)
+		for s := 0; s < taskConnStripes; s++ {
 			c, err := ctx.net.Dial(taskAddr(ctx.conf.Name, i))
 			if err != nil {
 				for _, lc := range stripes {
@@ -443,7 +443,7 @@ func (ctx *Context) launcherFor(id int64, tc trace.SpanContext) func(task, attem
 // submitTaskRetry schedules a stage whose failed tasks retry
 // individually (plain RDD semantics, which require independent tasks).
 func (ctx *Context) submitTaskRetry(spec JobSpec, policy sched.PlacementPolicy) (*JobHandle, error) {
-	maxAttempts := ctx.conf.MaxTaskAttempts
+	maxAttempts := maxTaskAttempts
 	if spec.MaxAttempts > 0 {
 		maxAttempts = spec.MaxAttempts
 	}
@@ -527,7 +527,7 @@ const gangKeyCollective = "collective"
 // failure, run StageCleanup on every executor, resubmit from scratch.
 // The attempt loop runs on a goroutine so submission stays async.
 func (ctx *Context) submitWholeRetry(spec JobSpec, policy sched.PlacementPolicy) (*JobHandle, error) {
-	maxAttempts := ctx.conf.MaxStageAttempts
+	maxAttempts := maxStageAttempts
 	if spec.MaxAttempts > 0 {
 		maxAttempts = spec.MaxAttempts
 	}
@@ -586,7 +586,7 @@ func (ctx *Context) submitWholeRetry(spec JobSpec, policy sched.PlacementPolicy)
 				return
 			}
 			lastErr = werr
-			if err := ctx.runCleanup(spec.StageCleanup); err != nil {
+			if err := ctx.runCleanup(spec.Tenant, spec.StageCleanup); err != nil {
 				resCh <- result{err: fmt.Errorf("rdd: stage cleanup failed: %w", err)}
 				return
 			}
@@ -602,13 +602,15 @@ func (ctx *Context) submitWholeRetry(spec JobSpec, policy sched.PlacementPolicy)
 	}}, nil
 }
 
-// runCleanup runs cleanup once on every live executor.
-func (ctx *Context) runCleanup(cleanup func(ec *ExecContext) error) error {
+// runCleanup runs cleanup once on every live executor, charged to
+// tenant like the stage it cleans up after.
+func (ctx *Context) runCleanup(tenant string, cleanup func(ec *ExecContext) error) error {
 	placement := append([]int(nil), ctx.LiveExecutors()...)
 	if len(placement) == 0 {
 		return nil
 	}
 	_, err := ctx.RunJob(JobSpec{
+		Tenant:    tenant,
 		Tasks:     len(placement),
 		Placement: placement,
 		Fn: func(ec *ExecContext, task, attempt int) ([]byte, error) {

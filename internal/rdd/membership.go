@@ -438,16 +438,13 @@ func (svc *memberSvc) drainCollectives(deadline time.Time) {
 }
 
 // buildClusterView derives the rank geometry of a target epoch: live
-// executors sorted by hostname when the context is topology-aware
-// (the same rank order comm.RanksByHost produces at boot), ascending
-// ID otherwise.
+// executors sorted by hostname (the same rank order comm.RanksByHost
+// produces at boot).
 func (svc *memberSvc) buildClusterView(target *membership.View) *clusterView {
 	order := append([]int(nil), target.Live()...)
-	if *svc.ctx.conf.TopologyAware {
-		sort.SliceStable(order, func(i, j int) bool {
-			return target.HostOf(order[i]) < target.HostOf(order[j])
-		})
-	}
+	sort.SliceStable(order, func(i, j int) bool {
+		return target.HostOf(order[i]) < target.HostOf(order[j])
+	})
 	rankOfExec := make([]int, target.NumSlots())
 	for i := range rankOfExec {
 		rankOfExec[i] = -1

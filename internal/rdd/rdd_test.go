@@ -341,7 +341,7 @@ func TestWholeStageRetryExhausted(t *testing.T) {
 		StageCleanup: func(ec *ExecContext) error { return nil },
 	})
 	if err == nil {
-		t.Fatal("stage should fail after MaxStageAttempts")
+		t.Fatal("stage should fail after maxStageAttempts")
 	}
 }
 

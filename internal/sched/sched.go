@@ -355,15 +355,17 @@ func (s *Scheduler) Submit(spec StageSpec) (*StageHandle, error) {
 	need := make([]int, snap.slots)
 	for t := range place {
 		e := pol.Place(view, t)
-		if e < 0 || e >= snap.slots {
+		if e < 0 {
 			return nil, fmt.Errorf("sched: policy %s placed task %d on invalid executor %d",
 				pol.Name(), t, e)
 		}
 		if !view.isLive(e) {
-			// The caller resolved placement against a stale membership
-			// view; surface it as a lost-executor failure so collective
-			// callers re-plan against the current epoch.
-			return nil, fmt.Errorf("sched: policy %s placed task %d on dead executor %d: %w",
+			// The caller resolved placement against a membership view
+			// this scheduler does not share — stale (a dead slot), or
+			// installed a moment before its joiner is added here (a slot
+			// past the table); surface it as a lost-executor failure so
+			// collective callers re-plan against the current epoch.
+			return nil, fmt.Errorf("sched: policy %s placed task %d on executor %d, which is not live here: %w",
 				pol.Name(), t, e, ErrExecutorLost)
 		}
 		place[t] = e
