@@ -1,12 +1,17 @@
 # Sparker build/test entry points. Tier-1 is `make test`; `make race`
 # runs the packages where pooled buffers and persistent senders could
 # hide data races under the race detector; `make check` is the full
-# pre-merge gate (vet + no-deprecated + tests + race + chaos +
-# telemetry overhead + traced-run demo).
+# pre-merge gate (vet + no-deprecated + no-stale-refs + tests + race +
+# chaos + telemetry overhead + the traced-run, job-server and
+# flight-recorder demos). Three measuring instruments with disjoint
+# jobs: `go run ./benchmark` is the engine's wall clock (gated by
+# BENCHMARK.json; `make bench-pair` is its paired form), `go run
+# ./cmd/sparkerbench` renders the paper's figures from the simulator,
+# `make bench` runs the testing.B micro-kernels.
 
 GO ?= go
 
-.PHONY: build vet no-deprecated loc test race test-chaos chaos-elastic overhead trace-demo serve-demo obsv-demo check bench benchjson bench-compare bench-pair
+.PHONY: build vet no-deprecated no-stale-refs loc test race test-chaos chaos-elastic overhead trace-demo serve-demo obsv-demo check bench bench-pair
 
 build:
 	$(GO) build ./...
@@ -20,6 +25,14 @@ vet:
 no-deprecated:
 	@if grep -rn '^// Deprecated:' --include='*.go' --exclude='*_test.go' internal cmd examples; then \
 		echo "no-deprecated: remove the deprecated names above (and port their callers)" >&2; exit 1; fi
+
+# The per-PR bench harness is retired (EXPERIMENTS.md "Settled
+# single-layer claims"): no doc, this Makefile or the verify skill may
+# name its result files, its targets, or a `sparkerbench -only <id>`
+# the registry does not know. CHANGES.md, ROADMAP.md and ISSUE.md are
+# history and are exempt.
+no-stale-refs:
+	@scripts/no-stale-refs.sh
 
 # Non-test, non-generated Go lines per package (ROADMAP item 5).
 loc:
@@ -44,11 +57,11 @@ test-chaos:
 
 # Elastic-membership chaos gate (DESIGN.md §17): kill/evict/join/rejoin
 # protocol suites plus training that rides through a kill-and-replace,
-# and the scaled-down churn benchmark with its convergence and
-# iteration-blowup claims — always under the race detector.
+# against an undisturbed twin with its convergence and iteration-blowup
+# claims — always under the race detector.
 chaos-elastic:
 	$(GO) test -race ./internal/membership
-	$(GO) test -race -run 'Elastic' ./internal/rdd ./internal/core ./internal/mllib ./internal/bench
+	$(GO) test -race -run 'Elastic' ./internal/rdd ./internal/core ./internal/mllib
 
 # Telemetry overhead gate (see DESIGN.md "Observability"): with tracing
 # off the ring hot path must allocate no more per op than the PR 1
@@ -95,35 +108,13 @@ obsv-demo:
 	$(GO) run ./cmd/sparker-analyze -postmortem -validate \
 		"$$(ls -t /tmp/sparker-obsv-demo/bundle-*.json | head -n1)"
 
-check: vet no-deprecated test race test-chaos chaos-elastic overhead trace-demo serve-demo obsv-demo
+check: vet no-deprecated no-stale-refs test race test-chaos chaos-elastic overhead trace-demo serve-demo obsv-demo
 
 # Hot-path microbenchmarks: the before/after evidence for the
 # zero-allocation reduction work (see DESIGN.md "Performance notes").
 bench:
 	$(GO) test -run xxx -bench 'RingReduceScatterHot|SerdeF64' -benchmem ./internal/collective
 	$(GO) test -run xxx -bench 'LinalgKernels' -benchmem ./internal/linalg
-
-# Machine-readable paper-reproduction results for perf tracking.
-benchjson:
-	$(GO) run ./cmd/sparkerbench -json > BENCH_PR3.json
-
-# Pipelined-ring before/after evidence (DESIGN.md "Pipelined ring
-# collectives"): segment-size sweep 1KB->154MB over real TCP loopback,
-# chunking off vs on — step p50/p95, wall-clock speedup, overlap ratio.
-# Minutes of runtime at the large sizes.
-bench-compare:
-	$(GO) run ./cmd/sparkerbench -only pipeline -json > BENCH_PR4.json
-	@cat BENCH_PR4.json
-	$(GO) run ./cmd/sparkerbench -only sched -json > BENCH_PR5.json
-	@cat BENCH_PR5.json
-	$(GO) run ./cmd/sparkerbench -only compress -json > BENCH_PR6.json
-	@cat BENCH_PR6.json
-	$(GO) run ./cmd/sparkerbench -only serve -json > BENCH_PR7.json
-	@cat BENCH_PR7.json
-	$(GO) run ./cmd/sparkerbench -only compute -json > BENCH_PR9.json
-	@cat BENCH_PR9.json
-	$(GO) run ./cmd/sparkerbench -only elastic -json > BENCH_PR10.json
-	@cat BENCH_PR10.json
 
 # The paired rule for a performance claim (benchmark/README.md): >= 10
 # alternating parent/change runs of one benchmark workload, per-side

@@ -4,16 +4,17 @@
 //
 // Usage:
 //
-//	sparkerbench              # all tables and figures, paper order
-//	sparkerbench -only fig16  # one report (table1..3, fig1..4, fig12..18)
+//	sparkerbench              # all tables, figures and ablations, paper order
+//	sparkerbench -only fig16  # one report
 //	sparkerbench -list        # list report ids
+//	sparkerbench -verify      # the paper-claim checklist, PASS/FAIL
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"sparker/internal/bench"
 )
@@ -22,14 +23,10 @@ func main() {
 	only := flag.String("only", "", "render a single report (e.g. fig16, table2)")
 	list := flag.Bool("list", false, "list available report ids")
 	format := flag.String("format", "text", "output format: text or md")
-	jsonOut := flag.Bool("json", false, "emit machine-readable JSON (reports or -verify claims)")
 	verify := flag.Bool("verify", false, "run the reproduction checklist: every headline paper claim, PASS/FAIL")
 	flag.Parse()
 
 	render := func(r *bench.Report) string {
-		if *jsonOut {
-			return r.RenderJSON()
-		}
 		if *format == "md" {
 			return r.RenderMarkdown()
 		}
@@ -42,16 +39,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		if *jsonOut {
-			b, err := json.MarshalIndent(claims, "", "  ")
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Println(string(b))
-		} else {
-			fmt.Print(bench.RenderClaims(claims))
-		}
+		fmt.Print(bench.RenderClaims(claims))
 		for _, c := range claims {
 			if !c.Pass {
 				os.Exit(1)
@@ -60,7 +48,7 @@ func main() {
 		return
 	}
 	if *list {
-		fmt.Println("table1 table2 table3 fig1 fig2 fig3 fig4 fig12 fig13 fig14 fig15 fig16 fig17 fig18 fig12-aws fig13-aws fig16-aws ablation-imm ablation-algos ablation-allreduce engine-metrics pipeline sched compress compute serve elastic")
+		fmt.Println(strings.Join(bench.IDs(), " "))
 		return
 	}
 	if *only != "" {
@@ -76,11 +64,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
-	}
-	if *jsonOut {
-		// One well-formed JSON array, not concatenated objects.
-		fmt.Println(bench.RenderJSONReports(reports))
-		return
 	}
 	for _, r := range reports {
 		fmt.Println(render(r))

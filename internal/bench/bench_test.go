@@ -26,8 +26,8 @@ func TestAllReportsRender(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reports) != 18 {
-		t.Fatalf("got %d reports, want 18 (3 tables + 11 figures + 3 ablations + engine metrics)", len(reports))
+	if len(reports) != 17 {
+		t.Fatalf("got %d reports, want 17 (3 tables + 11 figures + 3 ablations)", len(reports))
 	}
 	for _, r := range reports {
 		out := r.Render()
@@ -53,8 +53,24 @@ func TestByID(t *testing.T) {
 	if !strings.Contains(r.Title, "Figure 16") {
 		t.Fatalf("ByID(fig16) returned %q", r.Title)
 	}
-	if _, err := ByID("fig99"); err == nil {
+	_, err = ByID("fig99")
+	if err == nil {
 		t.Fatal("unknown id should fail")
+	}
+	// -list, the error text and ByID all read the one registry.
+	ids := IDs()
+	if len(ids) != 20 {
+		t.Fatalf("registry has %d ids, want 20: %v", len(ids), ids)
+	}
+	seen := map[string]bool{}
+	for _, id := range ids {
+		if seen[id] {
+			t.Errorf("id %q registered twice", id)
+		}
+		seen[id] = true
+		if !strings.Contains(err.Error(), id) {
+			t.Errorf("unknown-id error does not offer %q: %v", id, err)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"math"
+	"strings"
 	"time"
 
 	"sparker/internal/data"
@@ -399,18 +400,41 @@ func fmtBytes(n int64) string {
 	}
 }
 
-// All returns every report in paper order.
-func All() ([]*Report, error) {
-	runners := []func() (*Report, error){
-		Table1, Table2, Table3,
-		Fig1, Fig2, Fig3, Fig4,
-		Fig12, Fig13, Fig14, Fig15, Fig16, Fig17, Fig18,
-		AblationIMM, AblationAlgorithms, AblationAllReduce,
-		EngineMetrics,
+// registry is every report this package renders: the one list All,
+// ByID, IDs and `sparkerbench -list` derive from. all marks the
+// reports of a bare `sparkerbench` run (the paper's own tables and
+// figures plus the ablations); the AWS variants are by id only.
+var registry = []struct {
+	id  string
+	run func() (*Report, error)
+	all bool
+}{
+	{"table1", Table1, true}, {"table2", Table2, true}, {"table3", Table3, true},
+	{"fig1", Fig1, true}, {"fig2", Fig2, true}, {"fig3", Fig3, true}, {"fig4", Fig4, true},
+	{"fig12", Fig12, true}, {"fig13", Fig13, true}, {"fig14", Fig14, true},
+	{"fig15", Fig15, true}, {"fig16", Fig16, true}, {"fig17", Fig17, true}, {"fig18", Fig18, true},
+	{"fig12-aws", Fig12AWS, false}, {"fig13-aws", Fig13AWS, false}, {"fig16-aws", Fig16AWS, false},
+	{"ablation-imm", AblationIMM, true}, {"ablation-algos", AblationAlgorithms, true},
+	{"ablation-allreduce", AblationAllReduce, true},
+}
+
+// IDs lists every report id ByID accepts, in registry order.
+func IDs() []string {
+	ids := make([]string, len(registry))
+	for i, e := range registry {
+		ids[i] = e.id
 	}
+	return ids
+}
+
+// All returns every report of a full run, in paper order.
+func All() ([]*Report, error) {
 	var out []*Report
-	for _, f := range runners {
-		r, err := f()
+	for _, e := range registry {
+		if !e.all {
+			continue
+		}
+		r, err := e.run()
 		if err != nil {
 			return nil, err
 		}
@@ -419,27 +443,13 @@ func All() ([]*Report, error) {
 	return out, nil
 }
 
-// ByID returns the report for a table ("table1") or figure ("fig16").
+// ByID returns the report for a table ("table1"), figure ("fig16") or
+// ablation ("ablation-imm").
 func ByID(id string) (*Report, error) {
-	m := map[string]func() (*Report, error){
-		"table1": Table1, "table2": Table2, "table3": Table3,
-		"fig1": Fig1, "fig2": Fig2, "fig3": Fig3, "fig4": Fig4,
-		"fig12": Fig12, "fig13": Fig13, "fig14": Fig14,
-		"fig15": Fig15, "fig16": Fig16, "fig17": Fig17, "fig18": Fig18,
-		"fig12-aws": Fig12AWS, "fig13-aws": Fig13AWS, "fig16-aws": Fig16AWS,
-		"ablation-imm": AblationIMM, "ablation-algos": AblationAlgorithms,
-		"ablation-allreduce": AblationAllReduce,
-		"engine-metrics":     EngineMetrics,
-		"pipeline":           PipelineSweep,
-		"sched":              SchedStraggler,
-		"compress":           CompressSweep,
-		"compute":            ComputeSweep,
-		"serve":              ServeBench,
-		"elastic":            ElasticChurn,
+	for _, e := range registry {
+		if e.id == id {
+			return e.run()
+		}
 	}
-	f, ok := m[id]
-	if !ok {
-		return nil, fmt.Errorf("bench: unknown report %q (tables 1-3, figures 1-4 and 12-18, ablation-imm/algos/allreduce, engine-metrics, pipeline, sched, compress, compute, serve, elastic)", id)
-	}
-	return f()
+	return nil, fmt.Errorf("bench: unknown report %q (have: %s)", id, strings.Join(IDs(), " "))
 }

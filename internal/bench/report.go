@@ -6,7 +6,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 )
@@ -21,18 +20,6 @@ type Report struct {
 	Rows [][]string
 	// Notes carry paper-reference values and caveats.
 	Notes []string
-
-	// The raw maps below are populated by engine-backed reports (not the
-	// calibrated simulation) so `sparkerbench -json` output can be diffed
-	// numerically across PRs without parsing formatted cells.
-
-	// PhasesSec maps engine phase name to accumulated seconds.
-	PhasesSec map[string]float64 `json:",omitempty"`
-	// Counters maps engine counter name to its value.
-	Counters map[string]int64 `json:",omitempty"`
-	// Quantiles maps "<histogram>/<quantile>" (e.g. "ring.step.ns/p95")
-	// to the raw sample value.
-	Quantiles map[string]int64 `json:",omitempty"`
 }
 
 // AddRow appends a formatted row.
@@ -43,28 +30,6 @@ func (r *Report) AddRow(cells ...string) {
 // AddNote appends a note line.
 func (r *Report) AddNote(format string, args ...any) {
 	r.Notes = append(r.Notes, fmt.Sprintf(format, args...))
-}
-
-// RenderJSON emits the report as an indented JSON object, the
-// machine-readable form `sparkerbench -json` writes so successive PRs
-// can diff perf trajectories (BENCH_*.json) without parsing tables.
-func (r *Report) RenderJSON() string {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		// Report holds only strings and string slices; marshaling can
-		// not fail, but never let a render path panic the bench tool.
-		return fmt.Sprintf("{\"error\": %q}", err.Error())
-	}
-	return string(b)
-}
-
-// RenderJSONReports emits a set of reports as one JSON array.
-func RenderJSONReports(reports []*Report) string {
-	b, err := json.MarshalIndent(reports, "", "  ")
-	if err != nil {
-		return fmt.Sprintf("[{\"error\": %q}]", err.Error())
-	}
-	return string(b)
 }
 
 // RenderMarkdown produces a GitHub-flavored markdown table, for

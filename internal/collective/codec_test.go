@@ -551,84 +551,98 @@ func TestErrorFeedbackReducesBias(t *testing.T) {
 }
 
 // TestCompressedWireAccounting proves the compression is real wire
-// bytes, not bookkeeping: exact sent-byte counts for an fp16 ring, and
-// the raw/wire histogram ratio — the number the bench reports as
-// bytes-on-wire reduction — must come out at the codec's ~4×.
+// bytes, not bookkeeping: exact sent-byte counts for a ring under each
+// codec, and the raw/wire histogram ratio — the bytes-on-wire reduction
+// — must come out at the codec's ~4× (fp16), ~8× (int8) and, keeping
+// 1% of the elements, ~60× (top-k).
 func TestCompressedWireAccounting(t *testing.T) {
 	const (
 		n, p       = 4, 1
 		segLen     = 4096
 		chunkBytes = 8192
 	)
-	net := transport.NewMem()
-	defer net.Close()
-	eps, err := comm.NewGroup(net, "codec-wire", n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer comm.CloseGroup(eps)
-	rng := rand.New(rand.NewSource(47))
-	inputs, want := makeInputs(rng, n, p*n, segLen)
-
-	regs := make([]*metrics.Registry, n)
-	var (
-		mu  sync.Mutex
-		got = map[int][]float64{}
-		wg  sync.WaitGroup
-	)
-	for _, e := range eps {
-		wg.Add(1)
-		go func(e *comm.Endpoint) {
-			defer wg.Done()
-			regs[e.Rank()] = metrics.NewRegistry()
-			ctx := metrics.NewContext(context.Background(), regs[e.Rank()])
-			ctx = WithCompression(WithChunkBytes(ctx, chunkBytes), Compression{Codec: CodecFP16})
-			owned, err := RingReduceScatter(ctx, e, inputs[e.Rank()], p, F64Ops())
+	for _, tc := range []struct {
+		comp Compression
+		// payload is the codec's bytes per step: at these sizes the
+		// whole segment is one codec chunk whatever the codec.
+		payload  int
+		tol      float64 // error bound on the sums, relative to their ∞-norm; 0: lossy by design
+		minRatio float64
+	}{
+		{Compression{Codec: CodecFP16}, 8 + 2*segLen, 0.01, 3.9},
+		{Compression{Codec: CodecInt8}, 8 + segLen, 0.05, 7},
+		{Compression{Codec: CodecTopK, TopKRatio: 0.01}, 4 + 12*topKCount(0.01, segLen), 0, 10},
+	} {
+		t.Run(tc.comp.Codec.String(), func(t *testing.T) {
+			net := transport.NewMem()
+			defer net.Close()
+			eps, err := comm.NewGroup(net, "codec-wire", n)
 			if err != nil {
-				t.Errorf("rank %d: %v", e.Rank(), err)
-				return
+				t.Fatal(err)
 			}
-			mu.Lock()
-			for i, v := range owned {
-				got[i] = v
-			}
-			mu.Unlock()
-		}(e)
-	}
-	wg.Wait()
-	for i := range want {
-		m := linalg.MaxAbs(want[i])
-		for j := range want[i] {
-			if e := math.Abs(got[i][j] - want[i][j]); e > 0.01*math.Max(m, 1) {
-				t.Fatalf("segment %d element %d: wrong sum (%g vs %g)", i, j, got[i][j], want[i][j])
-			}
-		}
-	}
+			defer comm.CloseGroup(eps)
+			rng := rand.New(rand.NewSource(47))
+			inputs, want := makeInputs(rng, n, p*n, segLen)
 
-	// chunkElems = chunkBytes/2 = 4096 → the whole segment is one codec
-	// chunk per step: header + meta + scale + 2 bytes per element.
-	steps := int64((n - 1) * p)
-	frameBytes := int64(epochHeaderSize + chunkMetaSize + 8 + 2*segLen)
-	rawBytes := int64(epochHeaderSize + chunkMetaSize + 8*segLen)
-	for _, e := range eps {
-		st := e.Stats()
-		if st.MsgsSent != steps {
-			t.Fatalf("rank %d sent %d messages, want %d", e.Rank(), st.MsgsSent, steps)
-		}
-		if st.BytesSent != steps*frameBytes {
-			t.Fatalf("rank %d sent %d bytes, want %d", e.Rank(), st.BytesSent, steps*frameBytes)
-		}
-	}
-	var wireSum, rawSum int64
-	for _, reg := range regs {
-		wireSum += reg.Histogram(metrics.HistRingStepBytes).Snapshot().Sum
-		rawSum += reg.Histogram(metrics.HistRingStepRawBytes).Snapshot().Sum
-	}
-	if wireSum != int64(n)*steps*frameBytes || rawSum != int64(n)*steps*rawBytes {
-		t.Fatalf("histograms: wire %d raw %d, want %d and %d", wireSum, rawSum, int64(n)*steps*frameBytes, int64(n)*steps*rawBytes)
-	}
-	if ratio := float64(rawSum) / float64(wireSum); ratio < 3.9 {
-		t.Fatalf("bytes-on-wire reduction %.2f×, want ≥ 3.9× for fp16", ratio)
+			regs := make([]*metrics.Registry, n)
+			var (
+				mu  sync.Mutex
+				got = map[int][]float64{}
+				wg  sync.WaitGroup
+			)
+			for _, e := range eps {
+				wg.Add(1)
+				go func(e *comm.Endpoint) {
+					defer wg.Done()
+					regs[e.Rank()] = metrics.NewRegistry()
+					ctx := metrics.NewContext(context.Background(), regs[e.Rank()])
+					ctx = WithCompression(WithChunkBytes(ctx, chunkBytes), tc.comp)
+					owned, err := RingReduceScatter(ctx, e, inputs[e.Rank()], p, F64Ops())
+					if err != nil {
+						t.Errorf("rank %d: %v", e.Rank(), err)
+						return
+					}
+					mu.Lock()
+					for i, v := range owned {
+						got[i] = v
+					}
+					mu.Unlock()
+				}(e)
+			}
+			wg.Wait()
+			for i := range want {
+				m := linalg.MaxAbs(want[i])
+				for j := range want[i] {
+					if e := math.Abs(got[i][j] - want[i][j]); tc.tol > 0 && e > tc.tol*math.Max(m, 1) {
+						t.Fatalf("segment %d element %d: wrong sum (%g vs %g)", i, j, got[i][j], want[i][j])
+					}
+				}
+			}
+
+			steps := int64((n - 1) * p)
+			frameBytes := int64(epochHeaderSize + chunkMetaSize + tc.payload)
+			rawBytes := int64(epochHeaderSize + chunkMetaSize + 8*segLen)
+			for _, e := range eps {
+				st := e.Stats()
+				if st.MsgsSent != steps {
+					t.Fatalf("rank %d sent %d messages, want %d", e.Rank(), st.MsgsSent, steps)
+				}
+				if st.BytesSent != steps*frameBytes {
+					t.Fatalf("rank %d sent %d bytes, want %d", e.Rank(), st.BytesSent, steps*frameBytes)
+				}
+			}
+			var wireSum, rawSum int64
+			for _, reg := range regs {
+				wireSum += reg.Histogram(metrics.HistRingStepBytes).Snapshot().Sum
+				rawSum += reg.Histogram(metrics.HistRingStepRawBytes).Snapshot().Sum
+			}
+			if wireSum != int64(n)*steps*frameBytes || rawSum != int64(n)*steps*rawBytes {
+				t.Fatalf("histograms: wire %d raw %d, want %d and %d", wireSum, rawSum, int64(n)*steps*frameBytes, int64(n)*steps*rawBytes)
+			}
+			if ratio := float64(rawSum) / float64(wireSum); ratio < tc.minRatio {
+				t.Fatalf("bytes-on-wire reduction %.2f×, want ≥ %.1f×", ratio, tc.minRatio)
+			}
+		})
 	}
 }
 

@@ -616,8 +616,8 @@ func (rc *ringChan[V]) reduceChunk(acc V, fr frame) error {
 
 // observeReduce folds one chunk's decode/reduce duration into the step
 // accumulators. active reports whether wire work (sends in flight or
-// receives still expected) overlapped the compute — the numerator of
-// the overlap ratio the bench sweep reports.
+// receives still expected) overlapped the compute — the overlap_ns
+// share of reduce_ns on the ring-step span.
 func (rc *ringChan[V]) observeReduce(d time.Duration, active bool) {
 	ns := d.Nanoseconds()
 	rc.reduceNS += ns

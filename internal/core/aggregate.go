@@ -322,7 +322,7 @@ func Aggregate[T, U, V any](ctx context.Context, r *rdd.RDD[T], fns AggFuncs[T, 
 		epoch0 := rc.MembershipEpoch()
 		opID := rc.NewOpID()
 		prefix := fmt.Sprintf("%s/%d/", strategy, opID)
-		res, err := runAttempt(ctx, r, &fns, o, strategy, opID, prefix+"agg")
+		res, leftovers, err := runAttempt(ctx, r, &fns, o, strategy, opID, prefix+"agg")
 		if err == nil {
 			fallback.SetAttr("recovered", "true")
 			fallback.End()
@@ -334,9 +334,9 @@ func Aggregate[T, U, V any](ctx context.Context, r *rdd.RDD[T], fns AggFuncs[T, 
 		// classified failure waits briefly for the install: a re-run
 		// planned against the still-stale view would fail the same way.
 		epochMoved := class != failOther && rc.AwaitReconfigured(epoch0, elasticRetryWait)
-		// Tasks of the failed attempt that never ran still hold their
-		// executor's aggregator.
-		cleanupIMM(rc, o.Tenant, span.Context(), prefix)
+		if leftovers {
+			cleanupIMM(rc, o.Tenant, span.Context(), prefix)
+		}
 
 		switch action := decide(class, epochMoved, attempt < maxElasticRetries); {
 		case action == surface:
@@ -445,8 +445,12 @@ func decide(class failure, epochMoved, attemptsLeft bool) recovery {
 // IMM-based strategy starts with, then the ring (split, allreduce) or
 // the gather over task result frames (IMM). Either second stage takes
 // every executor's aggregator, so a healthy run leaves nothing behind
-// and submits no cleanup stage.
-func runAttempt[T, U, V any](ctx context.Context, r *rdd.RDD[T], fns *AggFuncs[T, U, V], o AggOptions, strategy Strategy, opID int64, key string) (V, error) {
+// and submits no cleanup stage. On failure, leftovers says whether
+// executors may still hold this attempt's aggregators: a failed second
+// stage leaves them with the tasks that never ran, while a failed IMM
+// stage already ran its own StageCleanup after every attempt (unless
+// that cleanup is what failed).
+func runAttempt[T, U, V any](ctx context.Context, r *rdd.RDD[T], fns *AggFuncs[T, U, V], o AggOptions, strategy Strategy, opID int64, key string) (res V, leftovers bool, err error) {
 	var zv V
 	rc := r.Context()
 	_, aggSC := trace.FromContext(ctx)
@@ -455,7 +459,7 @@ func runAttempt[T, U, V any](ctx context.Context, r *rdd.RDD[T], fns *AggFuncs[T
 	start := time.Now()
 	held, err := runIMMStage(r, key, aggSC, o.Tenant, fns)
 	if err != nil {
-		return zv, err
+		return zv, errors.Is(err, rdd.ErrStageCleanup), err
 	}
 	rc.RecordPhase(metrics.PhaseAggCompute, time.Since(start), "IMM reduced-result stage")
 
@@ -466,20 +470,21 @@ func runAttempt[T, U, V any](ctx context.Context, r *rdd.RDD[T], fns *AggFuncs[T
 	if strategy != StrategyIMM {
 		// Stage 2: SpawnRDD — exactly one task per executor, statically
 		// placed, running the ring collective with per-step deadlines.
-		return runRingStage(ctx, rc, opID, key, held, fns, o, strategy == StrategyAllReduce)
+		res, err = runRingStage(ctx, rc, opID, key, held, fns, o, strategy == StrategyAllReduce)
+		return res, true, err
 	}
 	u, err := gatherIMM(rc, o.Tenant, aggSC, key, held, fns)
 	if err != nil {
-		return zv, err
+		return zv, true, err
 	}
-	res := fns.SplitOp(u, 0, 1)
+	res = fns.SplitOp(u, 0, 1)
 	if o.Strategy == StrategyAllReduce && o.KeepKey != "" {
 		// A degraded allreduce still owes every executor its copy.
 		if err := replicateResult(rc, o.Tenant, aggSC, o.KeepKey, res); err != nil {
-			return zv, err
+			return zv, true, err
 		}
 	}
-	return res, nil
+	return res, false, nil
 }
 
 // runRingStage submits the collective stage: one gang-scheduled task
@@ -631,7 +636,7 @@ func replicateResult[V any](rc *rdd.Context, tenant string, parent trace.SpanCon
 	if err != nil {
 		return err
 	}
-	_, err = runOnAllExecutorsTenant(rc, tenant, parent, func(ec *rdd.ExecContext, task, attempt int) ([]byte, error) {
+	_, err = rc.RunOnLiveExecutors(tenant, parent, func(ec *rdd.ExecContext, task, attempt int) ([]byte, error) {
 		v, _, err := serde.Decode(wire)
 		if err != nil {
 			return nil, err

@@ -185,7 +185,7 @@ func TestDecideTable(t *testing.T) {
 }
 
 // TestTreeStrategyCarriesTenantAndTraceParent: every stage of a
-// StrategyTree aggregation — fold, combine rounds, block cleanup — is
+// StrategyTree aggregation — fold, combine round, block cleanup — is
 // charged to the aggregation's tenant and parented on its span.
 func TestTreeStrategyCarriesTenantAndTraceParent(t *testing.T) {
 	const samples, dim = 200, 16
@@ -232,7 +232,7 @@ func TestTreeStrategyCarriesTenantAndTraceParent(t *testing.T) {
 			t.Errorf("stage span %x parented on %x, want the aggregate span %x", s.SpanID, s.ParentID, aggs[0].SpanID)
 		}
 	}
-	if stages < 2 {
-		t.Fatalf("%d stages under the aggregate span, want the fold and the combine round", stages)
+	if stages != 3 {
+		t.Fatalf("%d stages under the aggregate span, want 3: the fold, the combine round and the block-cleanup job", stages)
 	}
 }

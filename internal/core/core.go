@@ -136,25 +136,13 @@ func takeAgg[T, U, V any](ec *rdd.ExecContext, key string, held map[int]bool, fn
 	return fns.Zero(), nil
 }
 
-// runOnAllExecutorsTenant mirrors rdd.RunOnAllExecutors (one task per
-// LIVE executor) with the stage charged to a fair-share tenant and
-// parented on the aggregation's span. The returned payloads are dense,
-// in live order.
-func runOnAllExecutorsTenant(ctx *rdd.Context, tenant string, parent trace.SpanContext, fn func(ec *rdd.ExecContext, task, attempt int) ([]byte, error)) ([][]byte, error) {
-	placement := append([]int(nil), ctx.LiveExecutors()...)
-	if len(placement) == 0 {
-		return nil, nil
-	}
-	return ctx.RunJob(rdd.JobSpec{Tenant: tenant, Tasks: len(placement), Placement: placement, TraceParent: parent, Fn: fn})
-}
-
 // cleanupIMM drops a failed attempt's resident aggregators everywhere.
 // Only failure paths need it: the ring task and the IMM gather task
 // take their executor's aggregator when they start.
 func cleanupIMM(ctx *rdd.Context, tenant string, parent trace.SpanContext, prefix string) {
 	// Best effort: an executor the job cannot reach is being evicted,
 	// and its objects go with it.
-	_, _ = runOnAllExecutorsTenant(ctx, tenant, parent, func(ec *rdd.ExecContext, task, attempt int) ([]byte, error) {
+	_, _ = ctx.RunOnLiveExecutors(tenant, parent, func(ec *rdd.ExecContext, task, attempt int) ([]byte, error) {
 		ec.MutObjs.ClearPrefix(prefix)
 		return nil, nil
 	})
@@ -167,7 +155,7 @@ func cleanupIMM(ctx *rdd.Context, tenant string, parent trace.SpanContext, prefi
 // from one result per task to one per executor.
 func gatherIMM[T, U, V any](ctx *rdd.Context, tenant string, parent trace.SpanContext, key string, held map[int]bool, fns *AggFuncs[T, U, V]) (U, error) {
 	var zu U
-	payloads, err := runOnAllExecutorsTenant(ctx, tenant, parent, func(ec *rdd.ExecContext, task, attempt int) ([]byte, error) {
+	payloads, err := ctx.RunOnLiveExecutors(tenant, parent, func(ec *rdd.ExecContext, task, attempt int) ([]byte, error) {
 		agg, err := takeAgg(ec, key, held, fns)
 		if err != nil {
 			return nil, err

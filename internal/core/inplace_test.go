@@ -295,6 +295,73 @@ func TestHealthyAggregateSubmitsNoCleanupStage(t *testing.T) {
 	}
 }
 
+// TestFailedAggregateCleanupStages counts the cleanup jobs of the two
+// ways an attempt fails. A failed IMM stage cleans up after each of its
+// own attempts — jobs parented on that stage — and Aggregate adds no
+// clear-by-prefix job of its own; a failed ring stage leaves
+// aggregators with the tasks that never took them, so Aggregate submits
+// exactly one. (The third way — the IMM stage's own cleanup job failing,
+// which needs an executor lost under it — is marked rdd.ErrStageCleanup;
+// rdd.TestStageCleanupFailureIsMarked pins the mark runAttempt reads.)
+func TestFailedAggregateCleanupStages(t *testing.T) {
+	const samples, dim = 120, 33
+	const name = "core-failed-cleanup"
+	exp := &trace.MemExporter{}
+	victim := transport.Addr("comm/" + name + "/ring/1")
+	ctx, err := rdd.NewContext(rdd.Config{
+		Name: name, NumExecutors: 3, CoresPerExecutor: 1, RingParallelism: 1, Tracer: trace.New(exp),
+		Network: transport.NewFaulty(transport.NewMem(), 7, &transport.FaultRule{
+			Match:     func(a transport.Addr) bool { return a == victim },
+			Kind:      transport.FaultKill,
+			AfterMsgs: 1, // ring handshakes pass at boot; first step dies
+		}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctx.Close()
+	r := vectorRDD(ctx, samples, 3)
+	// stagesSince counts the stages submitted since before, by parent
+	// span.
+	stagesSince := func(before int) map[uint64]int {
+		byParent := map[uint64]int{}
+		for _, s := range exp.Named("stage")[before:] {
+			byParent[s.ParentID]++
+		}
+		return byParent
+	}
+
+	// The fold fails on every whole-stage attempt: the IMM stage hangs
+	// under the aggregate, its three cleanup jobs under it — so the only
+	// other parent seen is that stage.
+	f := vecFuncs(dim)
+	f.SeqOp = func([]float64, int64) []float64 { panic("injected") }
+	before := len(exp.Named("stage"))
+	if _, err := Aggregate(context.Background(), r, f, WithStrategy(StrategyIMM)); err == nil {
+		t.Fatal("an IMM stage that always fails must surface")
+	}
+	agg := exp.Named("aggregate")[0]
+	byParent := stagesSince(before)
+	imm := exp.Named("stage")[len(exp.Named("stage"))-1] // a stage span ends after its cleanup jobs
+	if len(byParent) != 2 || byParent[agg.SpanID] != 1 || imm.ParentID != agg.SpanID || byParent[imm.SpanID] != 3 {
+		t.Fatalf("failed IMM stage: stages by parent = %v, want the IMM stage %x under aggregate %x and its 3 cleanup jobs under it",
+			byParent, imm.SpanID, agg.SpanID)
+	}
+
+	// The ring dies on its first step: IMM stage, ring stage, one
+	// cleanupIMM, then the degraded re-run's IMM stage and gather.
+	before = len(exp.Named("stage"))
+	got, err := Aggregate(context.Background(), r, vecFuncs(dim), WithDeadline(500*time.Millisecond))
+	if err != nil {
+		t.Fatalf("fallback should mask the kill: %v", err)
+	}
+	requireExact(t, got, expectedVector(samples, dim))
+	agg = exp.Named("aggregate")[1]
+	if byParent := stagesSince(before); len(byParent) != 1 || byParent[agg.SpanID] != 5 {
+		t.Fatalf("failed ring stage: stages by parent = %v, want 5 under aggregate %x", byParent, agg.SpanID)
+	}
+}
+
 // ownedFrame builds an owned-segments frame from (index, body) pairs,
 // declaring count entries.
 func ownedFrame(count uint32, entries ...any) []byte {

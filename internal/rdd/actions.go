@@ -183,7 +183,7 @@ func TreeAggregate[T, U any](r *RDD[T], zero func() U, seqOp func(U, T) U, combO
 	ctx := r.ctx
 	aggID := ctx.newJobID()
 	prefix := fmt.Sprintf("agg/%d/", aggID)
-	defer cleanupBlocks(ctx, opts.Tenant, prefix)
+	defer cleanupBlocks(ctx, opts.Tenant, opts.TraceParent, prefix)
 
 	// Stage 1 (agg-compute): fold each partition, leave the aggregator
 	// in the executor's block store, return only the block id size ack.
@@ -326,10 +326,10 @@ func pow(b, e int) int {
 
 // cleanupBlocks drops a job's shuffle blocks on every executor,
 // best-effort.
-func cleanupBlocks(ctx *Context, tenant, prefix string) {
-	ctx.runCleanup(tenant, func(ec *ExecContext) error {
+func cleanupBlocks(ctx *Context, tenant string, parent trace.SpanContext, prefix string) {
+	_, _ = ctx.RunOnLiveExecutors(tenant, parent, func(ec *ExecContext, _, _ int) ([]byte, error) {
 		ec.Store.DeletePrefix(prefix)
-		return nil
+		return nil, nil
 	})
 	ctx.driverStore.DeletePrefix(prefix)
 }

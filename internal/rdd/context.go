@@ -48,22 +48,12 @@ type Config struct {
 	// aggregation (default 4, the paper's production setting).
 	RingParallelism int
 	// Speculation enables the scheduler's straggler mitigation: a task
-	// running past SpeculationMultiplier × the stage's running duration
-	// quantile gets one duplicate attempt on a different executor, first
-	// result wins. Off by default; never applies to executor-targeted or
-	// collective (gang) stages regardless of this switch.
+	// running well past the stage's median task duration (the thresholds
+	// are sched's constants) gets one duplicate attempt on a different
+	// executor, first result wins. Off by default; never applies to
+	// executor-targeted or collective (gang) stages regardless of this
+	// switch.
 	Speculation bool
-	// SpeculationMultiplier is the straggler threshold multiple
-	// (default 1.5 — Spark's spark.speculation.multiplier).
-	SpeculationMultiplier float64
-	// SpeculationQuantile is the completion quantile the threshold is
-	// measured against (default 0.5).
-	SpeculationQuantile float64
-	// SpeculationInterval is the straggler scan period (default 10ms).
-	SpeculationInterval time.Duration
-	// SpeculationMinRuntime floors the speculation threshold so
-	// micro-stages never duplicate on scheduling noise (default 20ms).
-	SpeculationMinRuntime time.Duration
 	// EventLog, when non-nil, receives structured history-log events
 	// (phase timings) the way Spark's history server does — the data
 	// source of the paper's Section-2 bottleneck analysis.
@@ -219,19 +209,15 @@ func NewContext(conf Config) (*Context, error) {
 	}
 
 	ctx.sched, err = sched.New(sched.Config{
-		NumExecutors:          conf.NumExecutors,
-		CoresPerExecutor:      conf.CoresPerExecutor,
-		DefaultPolicy:         sched.RoundRobin(),
-		Speculation:           conf.Speculation,
-		SpeculationMultiplier: conf.SpeculationMultiplier,
-		SpeculationQuantile:   conf.SpeculationQuantile,
-		SpeculationInterval:   conf.SpeculationInterval,
-		SpeculationMinRuntime: conf.SpeculationMinRuntime,
-		Metrics:               ctx.reg,
-		Recorder:              ctx.rec,
-		EventLog:              conf.EventLog,
-		Tracer:                conf.Tracer,
-		Obsv:                  conf.Obsv,
+		NumExecutors:     conf.NumExecutors,
+		CoresPerExecutor: conf.CoresPerExecutor,
+		DefaultPolicy:    sched.RoundRobin(),
+		Speculation:      conf.Speculation,
+		Metrics:          ctx.reg,
+		Recorder:         ctx.rec,
+		EventLog:         conf.EventLog,
+		Tracer:           conf.Tracer,
+		Obsv:             conf.Obsv,
 	})
 	if err != nil {
 		ctx.Close()

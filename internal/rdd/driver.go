@@ -268,6 +268,11 @@ type JobSpec struct {
 // ErrJobFailed wraps the terminal failure of a job after retries.
 var ErrJobFailed = errors.New("rdd: job failed")
 
+// ErrStageCleanup marks a reduced-result stage that gave up because its
+// StageCleanup job itself failed — the one way such a stage fails with
+// its state possibly still resident on executors.
+var ErrStageCleanup = errors.New("rdd: stage cleanup failed")
+
 // executorConn returns a task connection to executor i, rotating
 // round-robin over taskConnStripes connections (dialed on first use).
 // Striping matters on latency-shaped transports: each connection
@@ -586,8 +591,10 @@ func (ctx *Context) submitWholeRetry(spec JobSpec, policy sched.PlacementPolicy)
 				return
 			}
 			lastErr = werr
-			if err := ctx.runCleanup(spec.Tenant, spec.StageCleanup); err != nil {
-				resCh <- result{err: fmt.Errorf("rdd: stage cleanup failed: %w", err)}
+			if _, err := ctx.RunOnLiveExecutors(spec.Tenant, tc, func(ec *ExecContext, _, _ int) ([]byte, error) {
+				return nil, spec.StageCleanup(ec)
+			}); err != nil {
+				resCh <- result{err: fmt.Errorf("%w: %w", ErrStageCleanup, err)}
 				return
 			}
 		}
@@ -602,22 +609,24 @@ func (ctx *Context) submitWholeRetry(spec JobSpec, policy sched.PlacementPolicy)
 	}}, nil
 }
 
-// runCleanup runs cleanup once on every live executor, charged to
-// tenant like the stage it cleans up after.
-func (ctx *Context) runCleanup(tenant string, cleanup func(ec *ExecContext) error) error {
+// RunOnLiveExecutors is the engine's one spelling of "one task per live
+// executor": a placed job charged to the fair-share tenant and parented
+// on parent's span (both may be zero). It returns the payloads dense,
+// in ascending order of live executor ID.
+func (ctx *Context) RunOnLiveExecutors(tenant string, parent trace.SpanContext, fn func(ec *ExecContext, task, attempt int) ([]byte, error)) ([][]byte, error) {
+	out, _, err := ctx.runOnLive(tenant, parent, fn)
+	return out, err
+}
+
+// runOnLive is RunOnLiveExecutors beside the placement (the live
+// executor IDs, ascending) the payloads came from.
+func (ctx *Context) runOnLive(tenant string, parent trace.SpanContext, fn func(ec *ExecContext, task, attempt int) ([]byte, error)) ([][]byte, []int, error) {
 	placement := append([]int(nil), ctx.LiveExecutors()...)
 	if len(placement) == 0 {
-		return nil
+		return nil, nil, nil
 	}
-	_, err := ctx.RunJob(JobSpec{
-		Tenant:    tenant,
-		Tasks:     len(placement),
-		Placement: placement,
-		Fn: func(ec *ExecContext, task, attempt int) ([]byte, error) {
-			return nil, cleanup(ec)
-		},
-	})
-	return err
+	out, err := ctx.RunJob(JobSpec{Tenant: tenant, Tasks: len(placement), Placement: placement, TraceParent: parent, Fn: fn})
+	return out, placement, err
 }
 
 // RunOnAllExecutors runs fn once per live executor and returns the
@@ -625,12 +634,8 @@ func (ctx *Context) runCleanup(tenant string, cleanup func(ec *ExecContext) erro
 // slots hold nil, so callers that address results by executor keep
 // working across membership change.
 func (ctx *Context) RunOnAllExecutors(fn func(ec *ExecContext, task, attempt int) ([]byte, error)) ([][]byte, error) {
-	placement := append([]int(nil), ctx.LiveExecutors()...)
 	res := make([][]byte, ctx.NumExecutors())
-	if len(placement) == 0 {
-		return res, nil
-	}
-	out, err := ctx.RunJob(JobSpec{Tasks: len(placement), Placement: placement, Fn: fn})
+	out, placement, err := ctx.runOnLive("", trace.SpanContext{}, fn)
 	if err != nil {
 		return nil, err
 	}

@@ -110,12 +110,6 @@ func taskAddr(name string, id int) transport.Addr {
 	return transport.Addr(fmt.Sprintf("exec/%s/%d/tasks", name, id))
 }
 
-// TaskChannelAddr returns the listener address executor id's task
-// channel binds under a context named name — the handle fault-injection
-// rigs (straggler benches, chaos tests) use to slow or sever one
-// executor's task traffic without touching its block stores.
-func TaskChannelAddr(name string, id int) transport.Addr { return taskAddr(name, id) }
-
 // listenRetry retries a transport Listen briefly: a replacement
 // executor adopting a dead slot can race the previous incarnation's
 // teardown for the slot's well-known addresses.

@@ -1,12 +1,15 @@
 package rdd
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"sort"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+
+	"sparker/internal/trace"
 )
 
 func testContext(t *testing.T, execs, cores int) *Context {
@@ -342,6 +345,47 @@ func TestWholeStageRetryExhausted(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("stage should fail after maxStageAttempts")
+	}
+	if !errors.Is(err, ErrJobFailed) || errors.Is(err, ErrStageCleanup) {
+		t.Fatalf("exhausted stage with clean cleanups: err = %v, want ErrJobFailed and not ErrStageCleanup", err)
+	}
+}
+
+// TestStageCleanupFailureIsMarked: a reduced-result stage whose own
+// cleanup job fails gives up at once — shared state may survive, so
+// resubmitting would merge into it — and says so with ErrStageCleanup,
+// the mark core.Aggregate reads to clear the leftovers itself.
+func TestStageCleanupFailureIsMarked(t *testing.T) {
+	exp := &trace.MemExporter{}
+	ctx, err := NewContext(Config{Name: "stage-cleanup-fails", NumExecutors: 2, CoresPerExecutor: 1, Tracer: trace.New(exp)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctx.Close()
+	var lastAttempt atomic.Int64
+	cleanupErr := errors.New("cleanup refused")
+	_, err = ctx.RunJob(JobSpec{
+		Tasks: 2,
+		Fn: func(ec *ExecContext, task, attempt int) ([]byte, error) {
+			lastAttempt.Store(int64(attempt))
+			return nil, fmt.Errorf("always poisoned")
+		},
+		StageCleanup: func(ec *ExecContext) error { return cleanupErr },
+	})
+	if !errors.Is(err, ErrStageCleanup) {
+		t.Fatalf("err = %v, want ErrStageCleanup", err)
+	}
+	if n := lastAttempt.Load(); n != 0 {
+		t.Fatalf("stage was resubmitted (attempt %d) after its cleanup failed", n)
+	}
+	// The reduced-result stage and its one cleanup job, parented on it.
+	stages := exp.Named("stage")
+	if len(stages) != 2 {
+		t.Fatalf("%d stage spans, want the stage and its one cleanup job", len(stages))
+	}
+	cleanup, stage := stages[0], stages[1] // a stage span ends after its cleanup job
+	if cleanup.ParentID != stage.SpanID {
+		t.Fatalf("cleanup job's parent = %x, want the stage %x", cleanup.ParentID, stage.SpanID)
 	}
 }
 

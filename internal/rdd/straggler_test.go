@@ -3,6 +3,7 @@ package rdd
 import (
 	"bytes"
 	"fmt"
+	"sort"
 	"testing"
 	"time"
 
@@ -14,7 +15,7 @@ import (
 // transport that delays every task-channel message by delay — the
 // straggling-node shape speculation exists for. The executor computes
 // at full speed; its work just arrives and reports late.
-func stragglerContext(t *testing.T, name string, delay time.Duration, speculation bool) *Context {
+func stragglerContext(t *testing.T, name string, cores int, delay time.Duration, speculation bool) *Context {
 	t.Helper()
 	var net transport.Network = transport.NewMem()
 	if delay > 0 {
@@ -23,15 +24,11 @@ func stragglerContext(t *testing.T, name string, delay time.Duration, speculatio
 			transport.StragglerRule(func(a transport.Addr) bool { return a == slow }, delay, 0))
 	}
 	ctx, err := NewContext(Config{
-		Name:                  name,
-		NumExecutors:          4,
-		CoresPerExecutor:      1,
-		Network:               net,
-		Speculation:           speculation,
-		SpeculationMultiplier: 3,
-		SpeculationQuantile:   0.5,
-		SpeculationInterval:   5 * time.Millisecond,
-		SpeculationMinRuntime: 10 * time.Millisecond,
+		Name:             name,
+		NumExecutors:     4,
+		CoresPerExecutor: cores,
+		Network:          net,
+		Speculation:      speculation,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -50,12 +47,12 @@ func stragglerPayload(task int) []byte {
 	return out
 }
 
-func runStragglerStage(t *testing.T, ctx *Context) ([][]byte, []int) {
+func runStragglerStage(t *testing.T, ctx *Context, tasks int, runtime time.Duration) ([][]byte, []int) {
 	t.Helper()
 	h, err := ctx.SubmitJob(JobSpec{
-		Tasks: 4,
+		Tasks: tasks,
 		Fn: func(ec *ExecContext, task, attempt int) ([]byte, error) {
-			time.Sleep(30 * time.Millisecond)
+			time.Sleep(runtime)
 			return stragglerPayload(task), nil
 		},
 	})
@@ -70,25 +67,30 @@ func runStragglerStage(t *testing.T, ctx *Context) ([][]byte, []int) {
 }
 
 // TestStragglerSpeculation is the straggler chaos test: with executor
-// 0's task channel delayed 10× the task runtime, speculation must
+// 0's task channel delayed 300ms per message, speculation must
 // launch exactly one duplicate, the fast copy must win on a different
 // executor, and the results must be bitwise identical to both the
 // unperturbed run and the speculation-off run.
 func TestStragglerSpeculation(t *testing.T) {
+	// One 120ms task per executor. The runtime sets the noise margin: the
+	// detector duplicates whatever runs past 1.5× the median, so a
+	// healthy task would need 60ms of scheduling noise to draw a
+	// spurious duplicate.
+	const tasks, runtime = 4, 120 * time.Millisecond
 	// Unperturbed baseline.
-	base, _ := runStragglerStage(t, stragglerContext(t, "t-strag-base", 0, false))
+	base, _ := runStragglerStage(t, stragglerContext(t, "t-strag-base", 1, 0, false), tasks, runtime)
 
 	// Straggler with speculation off: correct but slow (the stage waits
 	// out the full transport delay both ways).
-	offCtx := stragglerContext(t, "t-strag-off", 300*time.Millisecond, false)
+	offCtx := stragglerContext(t, "t-strag-off", 1, 300*time.Millisecond, false)
 	offStart := time.Now()
-	off, offExecs := runStragglerStage(t, offCtx)
+	off, offExecs := runStragglerStage(t, offCtx, tasks, runtime)
 	offWall := time.Since(offStart)
 
 	// Straggler with speculation on.
-	onCtx := stragglerContext(t, "t-strag-on", 300*time.Millisecond, true)
+	onCtx := stragglerContext(t, "t-strag-on", 1, 300*time.Millisecond, true)
 	onStart := time.Now()
-	on, onExecs := runStragglerStage(t, onCtx)
+	on, onExecs := runStragglerStage(t, onCtx, tasks, runtime)
 	onWall := time.Since(onStart)
 
 	for task := range base {
@@ -132,6 +134,47 @@ func TestStragglerSpeculation(t *testing.T) {
 	}
 }
 
+// TestStragglerSpeculationMultiWave is the cost claim: a four-wave stage
+// (64 × 30ms tasks on 16 slots) with one of four executors' task
+// channel delayed 10× the task runtime finishes, speculation on, within
+// 2× the healthy wall clock — duplicating what already runs on the
+// straggler and migrating what is still queued for it — with the
+// results bitwise identical.
+func TestStragglerSpeculationMultiWave(t *testing.T) {
+	const tasks = 64
+	// The wall clock is the median of three stages on the same cluster:
+	// one unlucky schedule (a second round of duplicates) is not the
+	// claim.
+	timed := func(ctx *Context) (out [][]byte, median time.Duration) {
+		var walls [3]time.Duration
+		for i := range walls {
+			start := time.Now()
+			out, _ = runStragglerStage(t, ctx, tasks, 30*time.Millisecond)
+			walls[i] = time.Since(start)
+		}
+		sort.Slice(walls[:], func(i, j int) bool { return walls[i] < walls[j] })
+		return out, walls[1]
+	}
+	base, baseWall := timed(stragglerContext(t, "t-strag-wave-base", 4, 0, false))
+	onCtx := stragglerContext(t, "t-strag-wave-on", 4, 300*time.Millisecond, true)
+	on, onWall := timed(onCtx)
+
+	for task := range base {
+		if !bytes.Equal(base[task], on[task]) {
+			t.Fatalf("task %d: speculation-on result differs from baseline", task)
+		}
+	}
+	rec := onCtx.Metrics()
+	if rec.Count(metrics.CounterSpecLaunched) == 0 && rec.Count(metrics.CounterSpecMigrated) == 0 {
+		t.Fatal("straggling cluster neither duplicated nor migrated anything")
+	}
+	t.Logf("healthy %v, straggler with speculation %v (%.2f×); launched %d, migrated %d", baseWall, onWall,
+		float64(onWall)/float64(baseWall), rec.Count(metrics.CounterSpecLaunched), rec.Count(metrics.CounterSpecMigrated))
+	if onWall > 2*baseWall {
+		t.Fatalf("speculation-on wall %v is %.2f× the healthy %v, claim requires <= 2×", onWall, float64(onWall)/float64(baseWall), baseWall)
+	}
+}
+
 // TestStragglerSpeculationPipeline runs a real RDD action through the
 // straggling cluster and checks end-to-end results match a healthy run,
 // exercising the block-fetch paths that consume winner placements.
@@ -148,8 +191,8 @@ func TestStragglerSpeculationPipeline(t *testing.T) {
 		}
 		return out
 	}
-	want := compute(stragglerContext(t, "t-strag-pipe-base", 0, false))
-	got := compute(stragglerContext(t, "t-strag-pipe-on", 200*time.Millisecond, true))
+	want := compute(stragglerContext(t, "t-strag-pipe-base", 1, 0, false))
+	got := compute(stragglerContext(t, "t-strag-pipe-on", 1, 200*time.Millisecond, true))
 	if len(want) != len(got) {
 		t.Fatalf("length %d != %d", len(got), len(want))
 	}
@@ -164,7 +207,7 @@ func TestStragglerSpeculationPipeline(t *testing.T) {
 // winner placements: a speculated stage-1 task's block lands off its
 // round-robin home, and the next round must fetch from the winner.
 func TestStragglerTreeAggregate(t *testing.T) {
-	ctx := stragglerContext(t, "t-strag-tree", 200*time.Millisecond, true)
+	ctx := stragglerContext(t, "t-strag-tree", 1, 200*time.Millisecond, true)
 	r := FromSlice(ctx, ints(512), 4)
 	slowed := Map(r, func(v int64) int64 {
 		time.Sleep(time.Millisecond)

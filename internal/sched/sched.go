@@ -25,22 +25,24 @@ type Config struct {
 	DefaultPolicy PlacementPolicy
 	// Speculation enables straggler mitigation: once a stage has enough
 	// completed tasks to estimate its running duration quantile, any
-	// in-flight task exceeding SpeculationMultiplier × that quantile gets
-	// one duplicate attempt on a different executor; the first result
-	// wins and the loser is dropped by attempt-number dedup. Stages with
+	// in-flight task exceeding specMultiplier × that quantile gets one
+	// duplicate attempt on a different executor; the first result wins
+	// and the loser is dropped by attempt-number dedup. Stages with
 	// NoSpeculation or Gang set are never speculated.
 	Speculation bool
-	// SpeculationMultiplier is the straggler threshold as a multiple of
-	// the stage's running duration quantile (default 1.5).
-	SpeculationMultiplier float64
-	// SpeculationQuantile is the reference quantile (default 0.5 — the
-	// running median, Spark's speculation.quantile analogue).
-	SpeculationQuantile float64
-	// SpeculationInterval is the straggler check period (default 10ms).
-	SpeculationInterval time.Duration
-	// SpeculationMinRuntime floors the threshold so sub-millisecond
-	// stages never speculate on noise (default 20ms).
-	SpeculationMinRuntime time.Duration
+	// The detector's tuning is fixed at the defaults below; the fields
+	// exist only so in-package tests can tighten it. Zero means default.
+	//
+	// specMultiplier is the straggler threshold as a multiple of the
+	// stage's running duration quantile (1.5 — Spark's
+	// spark.speculation.multiplier); specQuantile the reference quantile
+	// (0.5, the running median); specInterval the check period (10ms);
+	// specMinRuntime floors the threshold so sub-millisecond stages
+	// never speculate on noise (20ms).
+	specMultiplier float64
+	specQuantile   float64
+	specInterval   time.Duration
+	specMinRuntime time.Duration
 	// Metrics receives the scheduler's instruments (queue-depth gauge,
 	// task/stage/wait histograms). Nil disables them.
 	Metrics *metrics.Registry
@@ -66,17 +68,17 @@ func (c *Config) fill() error {
 	if c.DefaultPolicy == nil {
 		c.DefaultPolicy = RoundRobin()
 	}
-	if c.SpeculationMultiplier <= 1 {
-		c.SpeculationMultiplier = 1.5
+	if c.specMultiplier == 0 {
+		c.specMultiplier = 1.5
 	}
-	if c.SpeculationQuantile <= 0 || c.SpeculationQuantile > 1 {
-		c.SpeculationQuantile = 0.5
+	if c.specQuantile == 0 {
+		c.specQuantile = 0.5
 	}
-	if c.SpeculationInterval <= 0 {
-		c.SpeculationInterval = 10 * time.Millisecond
+	if c.specInterval == 0 {
+		c.specInterval = 10 * time.Millisecond
 	}
-	if c.SpeculationMinRuntime <= 0 {
-		c.SpeculationMinRuntime = 20 * time.Millisecond
+	if c.specMinRuntime == 0 {
+		c.specMinRuntime = 20 * time.Millisecond
 	}
 	return nil
 }
@@ -476,7 +478,7 @@ func (s *Scheduler) run() {
 	}()
 	var tick <-chan time.Time
 	if s.conf.Speculation {
-		t := time.NewTicker(s.conf.SpeculationInterval)
+		t := time.NewTicker(s.conf.specInterval)
 		defer t.Stop()
 		tick = t.C
 	}
@@ -867,17 +869,17 @@ func (s *Scheduler) eligible(st *stage) bool {
 // duration quantile. It needs a completion quorum — enough finished
 // tasks that the quantile means something.
 func (s *Scheduler) threshold(st *stage) (time.Duration, bool) {
-	quorum := int(math.Ceil(s.conf.SpeculationQuantile * float64(st.spec.Tasks)))
+	quorum := int(math.Ceil(s.conf.specQuantile * float64(st.spec.Tasks)))
 	if quorum < 1 {
 		quorum = 1
 	}
 	if st.completed < quorum {
 		return 0, false
 	}
-	med := st.durations.Quantile(s.conf.SpeculationQuantile)
-	thr := time.Duration(s.conf.SpeculationMultiplier * float64(med))
-	if thr < s.conf.SpeculationMinRuntime {
-		thr = s.conf.SpeculationMinRuntime
+	med := st.durations.Quantile(s.conf.specQuantile)
+	thr := time.Duration(s.conf.specMultiplier * float64(med))
+	if thr < s.conf.specMinRuntime {
+		thr = s.conf.specMinRuntime
 	}
 	return thr, true
 }

@@ -542,14 +542,14 @@ func TestCloseFailsPendingStages(t *testing.T) {
 func specConfig(execs, cores int) (Config, *metrics.Recorder) {
 	rec := metrics.NewRecorder()
 	return Config{
-		NumExecutors:          execs,
-		CoresPerExecutor:      cores,
-		Speculation:           true,
-		SpeculationMultiplier: 2,
-		SpeculationQuantile:   0.5,
-		SpeculationInterval:   time.Millisecond,
-		SpeculationMinRuntime: time.Millisecond,
-		Recorder:              rec,
+		NumExecutors:     execs,
+		CoresPerExecutor: cores,
+		Speculation:      true,
+		specMultiplier:   2,
+		specQuantile:     0.5,
+		specInterval:     time.Millisecond,
+		specMinRuntime:   time.Millisecond,
+		Recorder:         rec,
 	}, rec
 }
 

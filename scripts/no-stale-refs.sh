@@ -1,0 +1,30 @@
+#!/usr/bin/env bash
+# Fails if a tracked doc, the Makefile or the verify skill still names
+# the retired per-PR bench harness: its BENCH_PR*.json files, its make
+# targets, or a `sparkerbench -only <id>` that `sparkerbench -list`
+# does not print. CHANGES.md, ROADMAP.md and ISSUE.md record history
+# and are exempt.
+#
+#   scripts/no-stale-refs.sh      (or: make no-stale-refs)
+set -euo pipefail
+
+cd "$(git rev-parse --show-toplevel)"
+files=$(git ls-files '*.md' Makefile .claude/skills/verify/SKILL.md |
+	grep -vxE 'CHANGES\.md|ROADMAP\.md|ISSUE\.md' | sort -u)
+ids=" $(go run ./cmd/sparkerbench -list) "
+bad=0
+
+if grep -nE 'BENCH_PR|bench-compare|benchjson' $files; then
+	bad=1
+fi
+while IFS=: read -r file line id; do
+	if [[ "$ids" != *" $id "* ]]; then
+		echo "$file:$line: sparkerbench -only $id: no such report id"
+		bad=1
+	fi
+done < <(grep -noE 'sparkerbench -only [a-z0-9-]+' $files | sed 's/sparkerbench -only //')
+
+if [ "$bad" -ne 0 ]; then
+	echo "no-stale-refs: the references above name the retired bench harness (see EXPERIMENTS.md \"Settled single-layer claims\")" >&2
+	exit 1
+fi
