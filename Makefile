@@ -2,8 +2,8 @@
 # runs the packages where pooled buffers and persistent senders could
 # hide data races under the race detector; `make check` is the full
 # pre-merge gate (vet + no-deprecated + no-stale-refs + tests + race +
-# chaos + telemetry overhead + the traced-run, job-server and
-# flight-recorder demos). Three measuring instruments with disjoint
+# chaos + telemetry overhead + a few seconds of every fuzz target + the
+# traced-run, job-server and flight-recorder demos). Three measuring instruments with disjoint
 # jobs: `go run ./benchmark` is the engine's wall clock (gated by
 # BENCHMARK.json; `make bench-pair` is its paired form), `go run
 # ./cmd/sparkerbench` renders the paper's figures from the simulator,
@@ -11,7 +11,7 @@
 
 GO ?= go
 
-.PHONY: build vet no-deprecated no-stale-refs loc test race test-chaos chaos-elastic overhead trace-demo serve-demo obsv-demo check bench bench-pair
+.PHONY: build vet no-deprecated no-stale-refs loc test race test-chaos chaos-elastic overhead fuzz-smoke trace-demo serve-demo obsv-demo check bench bench-pair
 
 build:
 	$(GO) build ./...
@@ -29,8 +29,9 @@ no-deprecated:
 # The per-PR bench harness is retired (EXPERIMENTS.md "Settled
 # single-layer claims"): no doc, this Makefile or the verify skill may
 # name its result files, its targets, or a `sparkerbench -only <id>`
-# the registry does not know. CHANGES.md, ROADMAP.md and ISSUE.md are
-# history and are exempt.
+# the registry does not know. Nor may one still describe ring chunks
+# sized from observed step times: the chunk plan is static (DESIGN.md
+# §11). CHANGES.md, ROADMAP.md and ISSUE.md are history and are exempt.
 no-stale-refs:
 	@scripts/no-stale-refs.sh
 
@@ -72,11 +73,21 @@ chaos-elastic:
 # must allocate nothing per pass (DESIGN.md "Packed compute plane").
 # The allocation budget holds a whole split-aggregation training step on
 # a 1M-feature aggregator to 4× the aggregator's bytes (DESIGN.md
-# "Aggregator ownership and lifetime").
+# "Aggregator ownership and lifetime"). The packed chunk form is held to
+# the same budgets: PipelineOverheadPacked on the ring, OwnedFrameOverhead
+# on the executor→driver gather frame.
 overhead:
 	$(GO) test -run 'TelemetryOverhead|PipelineOverhead' -v ./internal/collective
+	$(GO) test -run 'OwnedFrameOverhead' -v ./internal/core
 	$(GO) test -run 'PackedKernelOverhead' -v ./internal/linalg
 	$(GO) test -run 'AllocBudget' -v ./internal/mllib
+
+# Every Fuzz* target for a few seconds (seed corpus plus a few thousand
+# mutations): the decoders that take bytes off a socket or a disk —
+# serde, the two data readers, the owned-segments frame, the packed
+# chunk form — must not panic on the first odd input.
+fuzz-smoke:
+	scripts/fuzz-smoke.sh
 
 # End-to-end tracing demo: a traced LR run whose event log must convert
 # to a Perfetto-loadable Chrome trace with >= 2 executor tracks,
@@ -108,12 +119,14 @@ obsv-demo:
 	$(GO) run ./cmd/sparker-analyze -postmortem -validate \
 		"$$(ls -t /tmp/sparker-obsv-demo/bundle-*.json | head -n1)"
 
-check: vet no-deprecated no-stale-refs test race test-chaos chaos-elastic overhead trace-demo serve-demo obsv-demo
+check: vet no-deprecated no-stale-refs test race test-chaos chaos-elastic overhead fuzz-smoke trace-demo serve-demo obsv-demo
 
 # Hot-path microbenchmarks: the before/after evidence for the
-# zero-allocation reduction work (see DESIGN.md "Performance notes").
+# zero-allocation reduction work (see DESIGN.md "Performance notes"),
+# and the packed chunk form's encode / decode-reduce rates by density
+# next to the dense kernels' (the evidence behind its ½ rule, §13).
 bench:
-	$(GO) test -run xxx -bench 'RingReduceScatterHot|SerdeF64' -benchmem ./internal/collective
+	$(GO) test -run xxx -bench 'RingReduceScatterHot|SerdeF64|PackedChunk' -benchmem ./internal/collective
 	$(GO) test -run xxx -bench 'LinalgKernels' -benchmem ./internal/linalg
 
 # The paired rule for a performance claim (benchmark/README.md): >= 10

@@ -63,6 +63,8 @@ func (c Codec) String() string {
 		return "int8"
 	case CodecTopK:
 		return "topk"
+	case codecPacked:
+		return "packed"
 	default:
 		return fmt.Sprintf("codec(%d)", uint8(c))
 	}
@@ -126,9 +128,8 @@ func (c Compression) enabled() bool { return c.Codec != CodecNone }
 func (c Compression) efOn() bool { return c.ErrorFeedback && c.State != nil }
 
 // wireBytesPerElem estimates the post-compression payload bytes per
-// element — what the adaptive chunk controller sizes chunks by, so a
-// chunk-bytes target keeps meaning *wire* bytes when a codec shrinks
-// the payload.
+// element — what chunkElems sizes chunks by, so a chunk-bytes target
+// keeps meaning *wire* bytes when a codec shrinks the payload.
 func (c Compression) wireBytesPerElem() float64 {
 	switch c.Codec {
 	case CodecFP16:
@@ -236,12 +237,7 @@ func (rc *ringChan[V]) encodeCodecFrame(spanID uint64, v V, idx, total, elemOff,
 		}
 		vals = sc
 	}
-	hs := epochHeaderSize
-	if spanID != 0 {
-		hs += spanIDSize
-	}
-	metaOff := hs
-	hs += chunkMetaSize
+	hs := chunkHeaderSize(spanID)
 
 	var wire []byte
 	switch rc.comp.Codec {
@@ -270,19 +266,7 @@ func (rc *ringChan[V]) encodeCodecFrame(spanID uint64, v V, idx, total, elemOff,
 			}
 		}
 	}
-	word := rc.epoch&epochMask | chunkFlag
-	if spanID != 0 {
-		word |= spanFlag
-		putUint64(wire[epochHeaderSize:], spanID)
-	}
-	putUint32(wire, word)
-	putChunkMeta(wire[metaOff:], idx, total, elemOff, elemCnt, elemAll, rc.comp.Codec)
-	if comm.RaceGuard {
-		comm.TagWire(wire, fmt.Sprintf("ring ch %d codec %s chunk %d/%d", rc.ch, rc.comp.Codec, idx, total))
-	}
-	if rc.tel.on {
-		rc.tel.chunkBytes.Observe(int64(len(wire)))
-	}
+	rc.stampChunk(wire, spanID, idx, total, elemOff, elemCnt, elemAll, rc.comp.Codec)
 	// Raw-equivalent accounting: what the dense encoder would have put on
 	// the wire for this chunk.
 	rc.lastRaw = int64(hs + 8*elemCnt)

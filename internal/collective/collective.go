@@ -269,6 +269,36 @@ type Ops[V any] struct {
 	// compression is refused otherwise. Mutations through the view must
 	// be visible in v.
 	Floats func(v V, off, n int) []float64
+
+	// Packed, when set, offers the zero-suppressed packed chunk form on
+	// top of the chunk fast path (a pointer, so that Ops stays small
+	// enough for the collectives' goroutines to capture by value).
+	Packed *PackedOps[V]
+}
+
+// PackedOps is the zero-suppressed packed chunk form (packed.go,
+// DESIGN.md §13); all four callbacks are required. Supplying it asserts
+// that Reduce is IEEE addition of element words and that segments are
+// summed up from +0.0 — the only algebra under which not shipping a zero
+// word is value-exact. Ops without it never send a packed frame and fail
+// a train that carries one.
+type PackedOps[V any] struct {
+	// ChunkSize is the encoder's counting pass over elements
+	// [off, off+n) of v: the exact packed payload size when packing wins
+	// (at most half the dense bytes), else 0 — the chunk then goes dense.
+	ChunkSize func(v V, off, n int) int
+	// EncodeChunkTo appends the packed form of elements [off, off+n) of
+	// v to dst, which has at least ChunkSize bytes of spare capacity.
+	EncodeChunkTo func(dst []byte, v V, off, n int) []byte
+	// DecodeReduceChunkInto reduces the n-element packed payload into
+	// elements [off, off+n) of acc in place. It validates the whole
+	// payload before its first store (ErrMalformedChunk) and must not
+	// retain it.
+	DecodeReduceChunkInto func(acc V, off, n int, payload []byte) error
+	// DecodeChunkInto decodes the n-element packed payload into elements
+	// [off, off+n) of dst — clear the range, then set the marked elements
+	// — with the same validate-first, non-retaining contract.
+	DecodeChunkInto func(dst V, off, n int, payload []byte) error
 }
 
 // sizeHint picks the pooled-buffer size for the next encode: the exact
@@ -304,6 +334,14 @@ func releaseIfAbandoned(drawn, out []byte) {
 	}
 }
 
+// f64Packed is F64Ops' packed form: its Reduce is float64 addition.
+var f64Packed = &PackedOps[[]float64]{
+	ChunkSize:             packedSizeF64,
+	EncodeChunkTo:         encodePackedF64,
+	DecodeReduceChunkInto: decodeReducePackedF64,
+	DecodeChunkInto:       decodePackedF64,
+}
+
 // F64Ops returns elementwise-sum Ops for []float64 segments — the
 // aggregator shape of every MLlib workload in the paper — with all
 // fast paths populated.
@@ -327,6 +365,8 @@ func F64Ops() Ops[[]float64] {
 		DecodeChunkInto:       decodeChunkF64,
 
 		Floats: func(v []float64, off, n int) []float64 { return v[off : off+n] },
+
+		Packed: f64Packed,
 	}
 }
 

@@ -11,6 +11,7 @@ package collective
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -116,3 +117,51 @@ func BenchmarkSerdeF64FusedDecodeReduce(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPackedChunk is the evidence behind the ½ rule: one 62 500-
+// element chunk (a wide-workload ring segment) at five densities through
+// the counting pass, the packed encode (count + pack, what a packed
+// frame costs the sender) and the packed decode-reduce, next to the
+// dense encode and decode-reduce of the same chunk. MB/s is always over
+// the chunk's dense 8·n bytes, so rows compare directly: a packed row
+// above its dense row means packing that chunk costs less CPU than
+// shipping it whole, before a single wire byte is saved.
+func BenchmarkPackedChunk(b *testing.B) {
+	const n = 62500
+	dense := make([]byte, 0, 8*n)
+	packed := make([]byte, 0, 8*(PackedWords(n)+n))
+	acc := make([]float64, n)
+	for _, pct := range []int{1, 5, 20, 50, 100} {
+		rng := rand.New(rand.NewSource(int64(pct)))
+		v := make([]float64, n)
+		for _, j := range rng.Perm(n)[:n*pct/100] {
+			v[j] = rng.NormFloat64()
+		}
+		run := func(name string, fn func()) {
+			b.Run(fmt.Sprintf("%s/density=%d%%", name, pct), func(b *testing.B) {
+				b.SetBytes(8 * n)
+				for i := 0; i < b.N; i++ {
+					fn()
+				}
+			})
+		}
+		run("count", func() { sinkInt = packedSizeF64(v, 0, n) })
+		run("encode-dense", func() { dense = encodeChunkF64(dense[:0], v, 0, n) })
+		run("encode-packed", func() {
+			sinkInt = packedSizeF64(v, 0, n)
+			packed = encodePackedF64(packed[:0], v, 0, n)
+		})
+		run("reduce-dense", func() {
+			if err := decodeReduceChunkF64(acc, 0, dense); err != nil {
+				b.Fatal(err)
+			}
+		})
+		run("reduce-packed", func() {
+			if err := decodeReducePackedF64(acc, 0, n, packed); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}
+
+var sinkInt int

@@ -26,6 +26,13 @@ import (
 // returns the measured result.
 func benchHotRing(t *testing.T, p int, name string, ctxFor func(rank int) context.Context) testing.BenchmarkResult {
 	t.Helper()
+	return benchHotRingData(t, p, name, ctxFor, func(j int) float64 { return float64(j%17) * 0.25 })
+}
+
+// benchHotRingData is benchHotRing over segments whose element j is
+// fill(j); the result's "wireB/op" is rank 0's bytes sent per op.
+func benchHotRingData(t *testing.T, p int, name string, ctxFor func(rank int) context.Context, fill func(j int) float64) testing.BenchmarkResult {
+	t.Helper()
 	const (
 		n      = 4
 		segLen = 1 << 17
@@ -46,7 +53,7 @@ func benchHotRing(t *testing.T, p int, name string, ctxFor func(rank int) contex
 			for i := range inputs[r] {
 				seg := make([]float64, segLen)
 				for j := range seg {
-					seg[j] = float64(j%17) * 0.25
+					seg[j] = fill(j)
 				}
 				inputs[r][i] = seg
 			}
@@ -70,6 +77,8 @@ func benchHotRing(t *testing.T, p int, name string, ctxFor func(rank int) contex
 			}
 			wg.Wait()
 		}
+		b.StopTimer()
+		b.ReportMetric(float64(eps[0].Stats().BytesSent)/float64(b.N), "wireB/op")
 	})
 	if failed != nil {
 		t.Fatal(failed)
@@ -85,11 +94,17 @@ func benchHotRing(t *testing.T, p int, name string, ctxFor func(rank int) contex
 // floor across rounds is the steady-state count, while a genuine
 // hot-path escape raises every round.
 func allocsFloor(t *testing.T, p int, name string, budget int64, ctxFor func(int) context.Context) (testing.BenchmarkResult, int64) {
-	res := benchHotRing(t, p, name, ctxFor)
+	return allocsFloorOf(budget, func(round int) testing.BenchmarkResult {
+		return benchHotRing(t, p, fmt.Sprintf("%s-r%d", name, round), ctxFor)
+	})
+}
+
+// allocsFloorOf is allocsFloor over any measurement.
+func allocsFloorOf(budget int64, bench func(round int) testing.BenchmarkResult) (testing.BenchmarkResult, int64) {
+	res := bench(1)
 	min := res.AllocsPerOp()
 	for round := 2; min > budget && round <= 3; round++ {
-		r := benchHotRing(t, p, fmt.Sprintf("%s-r%d", name, round), ctxFor)
-		if a := r.AllocsPerOp(); a < min {
+		if a := bench(round).AllocsPerOp(); a < min {
 			min = a
 		}
 	}
@@ -190,6 +205,49 @@ func TestPipelineOverheadChunkingOn(t *testing.T) {
 		if onAllocs > off.AllocsPerOp()+slack {
 			t.Errorf("P=%d: pipelined path allocates %d/op vs %d/op with chunking off (+%d slack): chunking must not cost steady-state allocations",
 				p, onAllocs, off.AllocsPerOp(), slack)
+		}
+	}
+}
+
+// TestPipelineOverheadPacked holds the packed chunk form to the dense
+// path's budget: on segments that are 1/32 non-zero — every chunk's
+// counting pass picks packed — the counting pass, the packed encode into
+// an exactly-sized pooled draw and the bit-walking decode-reduce add no
+// steady-state allocations, whole-segment (one-chunk packed trains) or
+// chunked. The wire-byte check keeps the gate from passing vacuously on
+// the dense path.
+func TestPipelineOverheadPacked(t *testing.T) {
+	if testing.Short() {
+		t.Skip("overhead gate skipped in -short")
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocs; gate runs without -race (make overhead)")
+	}
+	baselines := map[int]int64{1: 53, 4: 119}
+	const slack = 3
+	sparse := func(j int) float64 {
+		if j%32 != 0 {
+			return 0
+		}
+		return float64(j%17+1) * 0.25
+	}
+	for _, p := range []int{1, 4} {
+		for _, chunkBytes := range []int{-1, 256 << 10} {
+			res, min := allocsFloorOf(baselines[p]+slack, func(round int) testing.BenchmarkResult {
+				return benchHotRingData(t, p, fmt.Sprintf("packed-%d-r%d", chunkBytes, round), func(int) context.Context {
+					return WithChunkBytes(context.Background(), chunkBytes)
+				}, sparse)
+			})
+			// Dense would be 3 steps × p channels × 1 MiB per op.
+			dense := float64(3 * p * (8 << 17))
+			t.Logf("P=%d chunkBytes=%d packed: %v/op, %d allocs/op (baseline %d), %.0f wire B/op (dense %.0f)",
+				p, chunkBytes, res.NsPerOp(), min, baselines[p], res.Extra["wireB/op"], dense)
+			if min > baselines[p]+slack {
+				t.Errorf("P=%d chunkBytes=%d: packed path allocates %d/op, baseline %d (+%d slack)", p, chunkBytes, min, baselines[p], slack)
+			}
+			if got := res.Extra["wireB/op"]; got > dense/4 {
+				t.Errorf("P=%d chunkBytes=%d: %.0f wire bytes per op, dense is %.0f: the packed path did not run", p, chunkBytes, got, dense)
+			}
 		}
 	}
 }

@@ -28,8 +28,15 @@ package collective
 // bit 30 as part of the epoch, fails the epoch match and surfaces a
 // "superseded" error — loud, never a silent mis-reduce. Receivers
 // dispatch on the frame's own flags, so a chunking rank interoperates
-// with a non-chunking one (the adaptive controller may legitimately
-// pick different chunk sizes on different ranks).
+// with a non-chunking one, and ranks given different explicit chunk
+// sizes with each other.
+//
+// The chunk plan is static: a function of the segment's element count
+// and the chunk size in force (defaultChunkBytes, or an explicit
+// WithChunkBytes) and of nothing else, so two runs over the same data
+// put the same frames on the wire. Each chunk's *form* is chosen from
+// its data: dense as above, or zero-suppressed (packed.go) when that is
+// at most half the bytes.
 //
 // Ownership follows the PR 1 contract: every chunk frame is a pooled
 // draw sent through the recycling SendToAsync path, at most two in
@@ -46,26 +53,15 @@ import (
 
 	"sparker/internal/comm"
 	"sparker/internal/linalg"
-	"sparker/internal/metrics"
 	"sparker/internal/trace"
 )
 
 const (
-	// defaultChunkBytes is the chunk payload size when no override and
-	// no step history exist. Measured on TCP loopback at 7.6MB segments
-	// (the sweep's acceptance point), ~512 KiB beats both 256 KiB and
-	// 1 MiB trains.
+	// defaultChunkBytes is the chunk payload size without an explicit
+	// WithChunkBytes. Measured on TCP loopback at 7.6MB segments (the
+	// sweep's acceptance point), ~512 KiB beats both 256 KiB and 1 MiB
+	// trains.
 	defaultChunkBytes = 512 << 10
-	// minChunkBytes / maxChunkBytes clamp the adaptive controller:
-	// below 64 KiB the per-frame overhead dominates, above 4 MiB the
-	// pipeline degenerates toward the serialized whole-segment step.
-	minChunkBytes = 64 << 10
-	maxChunkBytes = 4 << 20
-	// targetChunkNS is the wire time the adaptive controller aims for
-	// per chunk (~2 ms): long enough to amortize framing, short enough
-	// that several chunks overlap within one step. At the ~0.3 B/ns a
-	// loaded loopback sustains this lands near defaultChunkBytes.
-	targetChunkNS = 2e6
 	// parReduceGrainBytes is the minimum payload per extra reduce
 	// worker: sharding costs two channel hops per worker, only worth it
 	// when each core gets at least this much to add.
@@ -77,13 +73,13 @@ type chunkBytesKey struct{}
 
 // WithChunkBytes fixes the pipelined chunk payload size for collectives
 // run under ctx: n > 0 uses exactly n bytes per chunk, n < 0 disables
-// chunking (restoring the single-frame step), and n == 0 defers to the
-// adaptive controller.
+// chunking (restoring the single-frame step), and n == 0 means
+// defaultChunkBytes.
 func WithChunkBytes(ctx context.Context, n int) context.Context {
 	return context.WithValue(ctx, chunkBytesKey{}, n)
 }
 
-// ChunkBytesFrom reports the chunk size carried by ctx, or 0 (auto).
+// ChunkBytesFrom reports the chunk size carried by ctx, or 0 (default).
 func ChunkBytesFrom(ctx context.Context) int {
 	n, _ := ctx.Value(chunkBytesKey{}).(int)
 	return n
@@ -109,48 +105,17 @@ func CoresFrom(ctx context.Context) int {
 	return c
 }
 
-// autoChunkBytes is the adaptive controller: it estimates the achieved
-// step bandwidth from the executor's ring-step histograms (PR 3) and
-// sizes chunks to ~targetChunkNS of wire time, clamped. With no
-// registry or too little history it returns the default — the first
-// collectives of a run seed the histograms the later ones adapt to.
-func autoChunkBytes(reg *metrics.Registry) int {
-	if reg == nil {
-		return defaultChunkBytes
-	}
-	ns := reg.Histogram(metrics.HistRingStepNS)
-	by := reg.Histogram(metrics.HistRingStepBytes)
-	if ns.Count() < 8 || by.Count() < 8 {
-		return defaultChunkBytes
-	}
-	// Aggregate bandwidth from the exact sums, not bucket quantiles:
-	// the log2 buckets are fine for reporting but a p50/p50 ratio can
-	// be off by 2x, which is the whole clamp window.
-	sumNS, sumBy := ns.Sum(), by.Sum()
-	if sumNS <= 0 || sumBy <= 0 {
-		return defaultChunkBytes
-	}
-	c := int(float64(sumBy) / float64(sumNS) * targetChunkNS)
-	if c < minChunkBytes {
-		return minChunkBytes
-	}
-	if c > maxChunkBytes {
-		return maxChunkBytes
-	}
-	return c
-}
-
 // resolveChunkBytes picks the chunk payload size for one collective:
-// the explicit context choice, else the adaptive controller. Returns 0
-// when chunking is disabled.
+// the explicit context choice, else defaultChunkBytes. Returns 0 when
+// chunking is disabled.
 func resolveChunkBytes(ctx context.Context) int {
-	if v := ChunkBytesFrom(ctx); v != 0 {
-		if v < 0 {
-			return 0
-		}
+	switch v := ChunkBytesFrom(ctx); {
+	case v < 0:
+		return 0
+	case v > 0:
 		return v
 	}
-	return autoChunkBytes(metrics.FromContext(ctx))
+	return defaultChunkBytes
 }
 
 // chunkCapable reports whether ops supplies the full chunk fast path.
@@ -233,6 +198,7 @@ type ringChan[V any] struct {
 	// frames — a dense-sending rank still decodes a compressing peer.
 	comp    Compression
 	floats  func(V, int, int) []float64
+	packs   bool      // ops supply the packed chunk form (decode always; encode unless comp wins)
 	efRes   []float64 // this step's outgoing-segment residual (nil = EF off)
 	encBuf  []float64 // error-feedback encode scratch, reused across chunks
 	selBuf  []float64 // top-k selection scratch, reused across chunks
@@ -251,8 +217,9 @@ type ringChan[V any] struct {
 
 	// Step telemetry accumulators (meaningful only when tel.on).
 	stepBytes int64
-	stepRaw   int64 // pre-compression byte equivalent of the step's sends
-	lastRaw   int64 // raw equivalent of the frame just encoded (codec frames only)
+	stepRaw   int64 // dense byte equivalent of the step's sends
+	lastRaw   int64 // dense equivalent of the frame just encoded (codec and packed frames only)
+	packedOut int64 // packed chunk frames sent this step
 	reduceNS  int64
 	overlapNS int64
 	peerSpan  uint64
@@ -275,6 +242,7 @@ func (rc *ringChan[V]) init(e *comm.Endpoint, ops Ops[V], ch int, epoch uint32, 
 	if rc.stride = ops.ChunkStride(); rc.stride > 0 {
 		rc.chunkBytes = chunkBytes
 	}
+	rc.packs = ops.CanPack()
 	if rc.stride == 8 {
 		// Compressed frames are always float64-element chunks; the view
 		// is kept even when this rank sends dense, so it can decode a
@@ -303,7 +271,7 @@ func (rc *ringChan[V]) beginStep(sctx context.Context) {
 	rc.sctx = sctx
 	rc.sent, rc.reaped = 0, 0
 	rc.stepBytes, rc.reduceNS, rc.overlapNS, rc.peerSpan = 0, 0, 0, 0
-	rc.stepRaw, rc.lastRaw = 0, 0
+	rc.stepRaw, rc.lastRaw, rc.packedOut = 0, 0, 0
 }
 
 // outChunks plans the outgoing train for a segment of elems elements:
@@ -323,8 +291,9 @@ func (rc *ringChan[V]) outChunks(elems int) int {
 
 // chunkElems is the element capacity of one chunk. With a codec active
 // the chunk-bytes target counts *post-compression* wire bytes, so the
-// element capacity grows by the codec's compression factor — the
-// adaptive controller's bandwidth-derived size keeps meaning wire time.
+// element capacity grows by the codec's (data-independent) compression
+// factor. Packing does not enter: its factor is only known per chunk,
+// after the plan is cut.
 func (rc *ringChan[V]) chunkElems() int {
 	var per int
 	if rc.comp.enabled() {
@@ -390,35 +359,107 @@ func (rc *ringChan[V]) sendFrame(wire []byte) {
 	rc.sent++
 }
 
-// encodeChunkFrame builds chunk idx of a total-chunk train covering
-// elements [elemOff, elemOff+elemCnt) of v, as an exactly-sized pooled
-// draw.
-func (rc *ringChan[V]) encodeChunkFrame(spanID uint64, v V, idx, total, elemOff, elemCnt, elemAll int) []byte {
-	if rc.comp.enabled() {
-		return rc.encodeCodecFrame(spanID, v, idx, total, elemOff, elemCnt, elemAll)
-	}
-	hs := epochHeaderSize
-	if spanID != 0 {
-		hs += spanIDSize
-	}
-	metaOff := hs
-	hs += chunkMetaSize
-	buf := comm.GetBuffer(hs + rc.stride*elemCnt)
-	wire := rc.ops.EncodeChunkTo(buf[:hs], v, elemOff, elemCnt)
-	releaseIfAbandoned(buf, wire)
+// chunkHeaderSize is where a chunk frame's payload starts: after the
+// frame header and the 20-byte chunk meta.
+func chunkHeaderSize(spanID uint64) int { return frameHeaderSize(spanID) + chunkMetaSize }
+
+// stampChunk fills in the header of an encoded chunk frame (epoch word,
+// span ID, chunk meta with the payload's codec byte) and records it for
+// the -race pool guard and the chunk-bytes histogram.
+func (rc *ringChan[V]) stampChunk(wire []byte, spanID uint64, idx, total, elemOff, elemCnt, elemAll int, codec Codec) {
 	word := rc.epoch&epochMask | chunkFlag
 	if spanID != 0 {
 		word |= spanFlag
 		putUint64(wire[epochHeaderSize:], spanID)
 	}
 	putUint32(wire, word)
-	putChunkMeta(wire[metaOff:], idx, total, elemOff, elemCnt, elemAll, CodecNone)
+	putChunkMeta(wire[frameHeaderSize(spanID):], idx, total, elemOff, elemCnt, elemAll, codec)
 	if comm.RaceGuard {
-		comm.TagWire(wire, fmt.Sprintf("ring ch %d chunk %d/%d", rc.ch, idx, total))
+		if codec != CodecNone {
+			comm.TagWire(wire, fmt.Sprintf("ring ch %d codec %s chunk %d/%d", rc.ch, codec, idx, total))
+		} else {
+			comm.TagWire(wire, fmt.Sprintf("ring ch %d chunk %d/%d", rc.ch, idx, total))
+		}
 	}
 	if rc.tel.on {
 		rc.tel.chunkBytes.Observe(int64(len(wire)))
 	}
+}
+
+// encodeChunkFrame builds chunk idx of a total-chunk train covering
+// elements [elemOff, elemOff+elemCnt) of v, as an exactly-sized pooled
+// draw: through the selected lossy codec if there is one, else packed
+// when the chunk's own data makes that at most half the bytes, else
+// dense.
+func (rc *ringChan[V]) encodeChunkFrame(spanID uint64, v V, idx, total, elemOff, elemCnt, elemAll int) []byte {
+	if rc.comp.enabled() {
+		return rc.encodeCodecFrame(spanID, v, idx, total, elemOff, elemCnt, elemAll)
+	}
+	if wire := rc.encodePackedFrame(spanID, v, idx, total, elemOff, elemCnt, elemAll); wire != nil {
+		return wire
+	}
+	hs := chunkHeaderSize(spanID)
+	buf := comm.GetBuffer(hs + rc.stride*elemCnt)
+	wire := rc.ops.EncodeChunkTo(buf[:hs], v, elemOff, elemCnt)
+	releaseIfAbandoned(buf, wire)
+	rc.stampChunk(wire, spanID, idx, total, elemOff, elemCnt, elemAll, CodecNone)
+	return wire
+}
+
+// encodePackedFrame is the data-driven choice: one counting pass over
+// the chunk (Packed.ChunkSize), and when packing wins, the packed frame
+// as an exactly-sized pooled draw. It returns nil when the chunk stays
+// dense — or when the ops cannot pack, or a lossy codec was chosen,
+// which wins over packing.
+func (rc *ringChan[V]) encodePackedFrame(spanID uint64, v V, idx, total, elemOff, elemCnt, elemAll int) []byte {
+	if !rc.packs || rc.comp.enabled() {
+		return nil
+	}
+	size := rc.ops.Packed.ChunkSize(v, elemOff, elemCnt)
+	if size <= 0 {
+		return nil
+	}
+	hs := chunkHeaderSize(spanID)
+	buf := comm.GetBuffer(hs + size)
+	wire := rc.ops.Packed.EncodeChunkTo(buf[:hs], v, elemOff, elemCnt)
+	releaseIfAbandoned(buf, wire)
+	rc.stampChunk(wire, spanID, idx, total, elemOff, elemCnt, elemAll, codecPacked)
+	rc.lastRaw = int64(hs + rc.stride*elemCnt)
+	rc.packedOut++
+	return wire
+}
+
+// outPlan cuts the outgoing train for segment v: the number of frames,
+// v's element count, and the elements per chunk. One frame means a
+// single whole-segment step — chunking off, unchunkable ops, or a
+// segment that fits one chunk.
+func (rc *ringChan[V]) outPlan(v V) (total, elems, per int) {
+	if rc.stride <= 0 {
+		return 1, 0, 0
+	}
+	elems = rc.ops.Elems(v)
+	return rc.outChunks(elems), elems, rc.chunkElems()
+}
+
+// encodeNext encodes frame rc.sent of the train outPlan cut for v. A
+// one-frame step goes out as the legacy whole-segment frame unless its
+// form needs the chunk header's codec byte: lossy codecs always, and a
+// segment that packs — both travel as one-chunk trains.
+func (rc *ringChan[V]) encodeNext(spanID uint64, v V, total, elems, per int) []byte {
+	if total > 1 || rc.comp.enabled() {
+		lo := rc.sent * per
+		hi := lo + per
+		if hi > elems {
+			hi = elems
+		}
+		return rc.encodeChunkFrame(spanID, v, rc.sent, total, lo, hi-lo, elems)
+	}
+	if wire := rc.encodePackedFrame(spanID, v, 0, 1, 0, elems, elems); wire != nil {
+		return wire
+	}
+	buf := comm.GetBuffer(sizeHint(rc.ops, rc.hint, v) + frameHeaderSize(spanID))
+	wire := encodeFrame(rc.ops, rc.epoch, spanID, buf, v)
+	rc.hint = len(wire)
 	return wire
 }
 
@@ -492,7 +533,9 @@ func (rc *ringChan[V]) recvAny() (frame, error) {
 // chunks received so far, need chunks expected or -1 before the first
 // frame) so a corrupt or misrouted chunk fails the step instead of
 // mis-reducing. The first frame of a train fixes its codec; a codec
-// change mid-train fails exactly like a train-length change.
+// change mid-train fails exactly like a train-length change — except
+// between the two lossless forms, which the sender picks chunk by chunk
+// from the data, so one train may mix dense and packed chunks.
 func (rc *ringChan[V]) checkTrain(fr frame, got, need int) error {
 	switch {
 	case !fr.chunked && got != 0:
@@ -501,15 +544,17 @@ func (rc *ringChan[V]) checkTrain(fr frame, got, need int) error {
 		return nil
 	case rc.stride <= 0:
 		return fmt.Errorf("collective: peer sent a chunked frame but ops have no chunk decoder")
-	case fr.codec > CodecTopK:
+	case fr.codec > codecPacked:
 		return fmt.Errorf("collective: unknown codec %d in chunk header", uint8(fr.codec))
-	case fr.codec != CodecNone && rc.floats == nil:
+	case fr.codec == codecPacked && !rc.packs:
+		return fmt.Errorf("collective: peer sent a packed chunk but ops have no packed decoder")
+	case !fr.codec.lossless() && rc.floats == nil:
 		return fmt.Errorf("collective: peer sent a %s-compressed chunk but ops have no float view", fr.codec)
 	case fr.total < 1 || fr.idx < 0 || fr.elemCnt < 0 || fr.elemOff < 0 || fr.elemAll < 0:
 		return fmt.Errorf("collective: corrupt chunk header (idx %d total %d off %d cnt %d all %d)", fr.idx, fr.total, fr.elemOff, fr.elemCnt, fr.elemAll)
 	case fr.idx != got:
 		return fmt.Errorf("collective: chunk %d arrived, want chunk %d of %d", fr.idx, got, fr.total)
-	case got > 0 && fr.codec != rc.inCodec:
+	case got > 0 && fr.codec != rc.inCodec && !(fr.codec.lossless() && rc.inCodec.lossless()):
 		return fmt.Errorf("collective: mixed-codec chunk train (%s after %s at chunk %d)", fr.codec, rc.inCodec, fr.idx)
 	case need >= 0 && fr.total != need:
 		return fmt.Errorf("collective: chunk train length changed mid-step (%d vs %d)", fr.total, need)
@@ -526,8 +571,8 @@ func (rc *ringChan[V]) checkTrain(fr frame, got, need int) error {
 }
 
 // checkChunkPayload validates a chunk's payload length against its
-// codec's wire format (top-k lengths are nnz-dependent and validated at
-// decode).
+// codec's wire format (top-k and packed lengths are nnz-dependent: the
+// fixed part is checked here, the rest at decode).
 func checkChunkPayload(fr frame, stride int) error {
 	switch fr.codec {
 	case CodecNone:
@@ -545,6 +590,10 @@ func checkChunkPayload(fr frame, stride int) error {
 	case CodecTopK:
 		if len(fr.payload) < 4 {
 			return fmt.Errorf("collective: top-k chunk payload %d bytes, shorter than its nnz word", len(fr.payload))
+		}
+	case codecPacked:
+		if len(fr.payload) < 8*PackedWords(fr.elemCnt) {
+			return fmt.Errorf("%w: payload %d bytes, shorter than the %d-word bitmap of %d elems", ErrMalformedChunk, len(fr.payload), PackedWords(fr.elemCnt), fr.elemCnt)
 		}
 	}
 	return nil
@@ -586,7 +635,13 @@ func (rc *ringChan[V]) reduceChunk(acc V, fr frame) error {
 		return fmt.Errorf("collective: chunk [%d,%d) exceeds local segment of %d elems",
 			fr.elemOff, fr.elemOff+fr.elemCnt, rc.ops.Elems(acc))
 	}
-	if fr.codec != CodecNone {
+	switch {
+	case fr.codec == codecPacked:
+		// Not sharded: the walk costs ∝ non-zeros, at most half a dense
+		// chunk's adds, and a shard would need the popcount of everything
+		// before it to find its values.
+		return rc.ops.Packed.DecodeReduceChunkInto(acc, fr.elemOff, fr.elemCnt, fr.payload)
+	case fr.codec != CodecNone:
 		return rc.reduceCodecChunk(acc, fr)
 	}
 	w := rc.parWorkers(fr.elemCnt)
@@ -628,15 +683,17 @@ func (rc *ringChan[V]) observeReduce(d time.Duration, active bool) {
 }
 
 // finishStep records the step's telemetry onto its span and histograms.
-// Compressing steps additionally record the pre-compression byte
-// equivalent (the raw-bytes histogram and span attribute) and the codec
-// tag; dense steps keep the exact pre-codec telemetry shape.
+// Every step over float64 elements — the ones a codec or the packed form
+// can shrink — also records its dense byte equivalent (the raw-bytes
+// histogram and span attribute) whether or not anything shrank, so
+// raw ÷ wire is the achieved reduction and raw alone the volume the
+// algorithm moves; compressing steps add the codec tag.
 func (rc *ringChan[V]) finishStep(span *trace.ActiveSpan, chunks int) {
 	if !rc.tel.on {
 		return
 	}
 	rc.tel.stepBytes.Observe(rc.stepBytes)
-	if rc.comp.enabled() {
+	if rc.floats != nil {
 		rc.tel.stepRaw.Observe(rc.stepRaw)
 	}
 	if span == nil {
@@ -644,9 +701,12 @@ func (rc *ringChan[V]) finishStep(span *trace.ActiveSpan, chunks int) {
 	}
 	span.SetInt("bytes", rc.stepBytes)
 	span.SetHex("peer_span", rc.peerSpan)
+	if rc.floats != nil {
+		span.SetInt("raw_bytes", rc.stepRaw)
+		span.SetInt("packed_chunks", rc.packedOut)
+	}
 	if rc.comp.enabled() {
 		span.SetAttr("codec", rc.comp.Codec.String())
-		span.SetInt("raw_bytes", rc.stepRaw)
 	}
 	if chunks > 1 {
 		span.SetInt("chunks", int64(chunks))
@@ -666,19 +726,10 @@ func (rc *ringChan[V]) finishStep(span *trace.ActiveSpan, chunks int) {
 // instead of running back to back.
 func (rc *ringChan[V]) transferReduce(sctx context.Context, span *trace.ActiveSpan, out V, acc V, outSeg int) (V, error) {
 	spanID := span.ID()
-	outTotal, elems, per := 1, 0, 0
-	if rc.chunkBytes > 0 && rc.stride > 0 {
-		elems = rc.ops.Elems(out)
-		outTotal = rc.outChunks(elems)
-		per = rc.chunkElems()
-	}
-	// Compression always sends chunk frames (the codec byte lives in the
-	// chunk meta), even for single-chunk trains; dense single-chunk
-	// steps keep the byte-identical legacy frame.
-	single := outTotal == 1 && !rc.comp.enabled()
+	outTotal, elems, per := rc.outPlan(out)
 	rc.beginStep(sctx)
 	rc.efRes = nil
-	if rc.comp.efOn() && !single {
+	if rc.comp.efOn() {
 		rc.efRes = rc.comp.State.residual(efKey(rc.ch, outSeg), elems)
 	}
 
@@ -687,20 +738,7 @@ func (rc *ringChan[V]) transferReduce(sctx context.Context, span *trace.ActiveSp
 		// Keep the double buffer full: encode and launch the next chunk
 		// whenever fewer than two frames are in flight.
 		if rc.sent < outTotal && rc.inflight() < 2 {
-			var wire []byte
-			if single {
-				buf := comm.GetBuffer(sizeHint(rc.ops, rc.hint, out) + frameHeaderSize(spanID))
-				wire = encodeFrame(rc.ops, rc.epoch, spanID, buf, out)
-				rc.hint = len(wire)
-			} else {
-				lo := rc.sent * per
-				hi := lo + per
-				if hi > elems {
-					hi = elems
-				}
-				wire = rc.encodeChunkFrame(spanID, out, rc.sent, outTotal, lo, hi-lo, elems)
-			}
-			rc.sendFrame(wire)
+			rc.sendFrame(rc.encodeNext(spanID, out, outTotal, elems, per))
 			continue
 		}
 		// Receive while the window is full (or everything is sent): the
@@ -815,9 +853,13 @@ func (rc *ringChan[V]) forwardFrame(f fwdFrame, spanID uint64) []byte {
 		rc.tel.chunkBytes.Observe(int64(len(wire)))
 	}
 	if f.codec != CodecNone {
-		// Relayed compressed frames keep their codec payload untouched;
-		// account the dense equivalent for the raw-bytes telemetry.
-		rc.lastRaw = int64(hs + 8*f.elemCnt)
+		// Relayed compressed and packed frames keep their payload
+		// untouched; account the dense equivalent for the raw-bytes
+		// telemetry.
+		rc.lastRaw = int64(hs + rc.stride*f.elemCnt)
+		if f.codec == codecPacked {
+			rc.packedOut++
+		}
 	}
 	return wire
 }
@@ -859,22 +901,14 @@ func (rc *ringChan[V]) gatherAbort(fwd, kept []fwdFrame) {
 // array for the returned list.
 func (rc *ringChan[V]) transferGather(sctx context.Context, span *trace.ActiveSpan, all []V, sendSlot, recvSlot int, fwd []fwdFrame, keep bool, parity int) ([]fwdFrame, error) {
 	spanID := span.ID()
-	outTotal, elems, per := 1, 0, 0
-	single := false
-	if len(fwd) > 0 {
-		outTotal = len(fwd)
-	} else {
-		if rc.chunkBytes > 0 && rc.stride > 0 {
-			elems = rc.ops.Elems(all[sendSlot])
-			outTotal = rc.outChunks(elems)
-			per = rc.chunkElems()
-		}
-		// Allgather compresses its step-0 frames without error feedback:
-		// the values are final results, never re-encoded, so there is no
-		// later iteration to re-inject the error into.
-		single = outTotal == 1 && !rc.comp.enabled()
+	outTotal, elems, per := len(fwd), 0, 0
+	if len(fwd) == 0 {
+		outTotal, elems, per = rc.outPlan(all[sendSlot])
 	}
 	rc.beginStep(sctx)
+	// Allgather compresses its step-0 frames without error feedback: the
+	// values are final results, never re-encoded, so there is no later
+	// iteration to re-inject the error into.
 	rc.efRes = nil
 
 	var kept []fwdFrame
@@ -884,23 +918,11 @@ func (rc *ringChan[V]) transferGather(sctx context.Context, span *trace.ActiveSp
 	inNeed, inGot := -1, 0
 	for {
 		if rc.sent < outTotal && rc.inflight() < 2 {
-			var wire []byte
-			switch {
-			case len(fwd) > 0:
-				wire = rc.forwardFrame(fwd[rc.sent], spanID)
-			case single:
-				buf := comm.GetBuffer(sizeHint(rc.ops, rc.hint, all[sendSlot]) + frameHeaderSize(spanID))
-				wire = encodeFrame(rc.ops, rc.epoch, spanID, buf, all[sendSlot])
-				rc.hint = len(wire)
-			default:
-				lo := rc.sent * per
-				hi := lo + per
-				if hi > elems {
-					hi = elems
-				}
-				wire = rc.encodeChunkFrame(spanID, all[sendSlot], rc.sent, outTotal, lo, hi-lo, elems)
+			if len(fwd) > 0 {
+				rc.sendFrame(rc.forwardFrame(fwd[rc.sent], spanID))
+			} else {
+				rc.sendFrame(rc.encodeNext(spanID, all[sendSlot], outTotal, elems, per))
 			}
-			rc.sendFrame(wire)
 			continue
 		}
 		if inNeed < 0 || inGot < inNeed {
@@ -931,6 +953,8 @@ func (rc *ringChan[V]) transferGather(sctx context.Context, span *trace.ActiveSp
 				if fr.elemOff+fr.elemCnt > rc.ops.Elems(all[recvSlot]) {
 					derr = fmt.Errorf("collective: chunk [%d,%d) exceeds assembled segment of %d elems",
 						fr.elemOff, fr.elemOff+fr.elemCnt, rc.ops.Elems(all[recvSlot]))
+				} else if fr.codec == codecPacked {
+					derr = rc.ops.Packed.DecodeChunkInto(all[recvSlot], fr.elemOff, fr.elemCnt, fr.payload)
 				} else if fr.codec != CodecNone {
 					derr = rc.decodeCodecChunkInto(all[recvSlot], fr)
 				} else {

@@ -4,7 +4,7 @@ package collective
 // the sequential single-frame path (the property the multi-core sharded
 // reduce must preserve), exact wire accounting for chunk trains,
 // cut-through forwarding in the allgather, header validation, and the
-// adaptive chunk-size controller.
+// static chunk plan.
 
 import (
 	"context"
@@ -369,47 +369,25 @@ func TestCheckTrainRejectsCorruptChunks(t *testing.T) {
 	}
 }
 
-// TestAutoChunkBytes checks the adaptive controller: default until both
-// histograms hold 8 samples, then p50 bandwidth × ~1 ms, clamped.
-func TestAutoChunkBytes(t *testing.T) {
-	if got := autoChunkBytes(nil); got != defaultChunkBytes {
-		t.Errorf("nil registry: %d, want default %d", got, defaultChunkBytes)
-	}
-	feed := func(stepNS, stepBytes int64, samples int) *metrics.Registry {
-		reg := metrics.NewRegistry()
-		for i := 0; i < samples; i++ {
-			reg.Histogram(metrics.HistRingStepNS).Observe(stepNS)
-			reg.Histogram(metrics.HistRingStepBytes).Observe(stepBytes)
-		}
-		return reg
-	}
-	if got := autoChunkBytes(feed(1e6, 1<<20, 7)); got != defaultChunkBytes {
-		t.Errorf("7 samples: %d, want default (needs 8)", got)
-	}
-	// 1 MiB per 1 ms ≈ 1 GiB/s -> ~1 MiB of wire time per ms, within the
-	// clamp window.
-	got := autoChunkBytes(feed(1e6, 1<<20, 16))
-	if got < minChunkBytes || got > maxChunkBytes {
-		t.Errorf("mid-range estimate %d escaped the clamp [%d, %d]", got, minChunkBytes, maxChunkBytes)
-	}
-	if got := autoChunkBytes(feed(1e9, 1024, 16)); got != minChunkBytes {
-		t.Errorf("slow link: %d, want clamp to min %d", got, minChunkBytes)
-	}
-	if got := autoChunkBytes(feed(1e3, 1<<30, 16)); got != maxChunkBytes {
-		t.Errorf("fast link: %d, want clamp to max %d", got, maxChunkBytes)
-	}
-}
-
-// TestResolveChunkBytesPrecedence: an explicit context choice wins over
-// everything; negative disables.
+// TestResolveChunkBytesPrecedence: an explicit context choice wins;
+// negative disables; with no choice the plan is the package default,
+// whatever the registry in the context has seen — the chunk plan is a
+// function of the data and the chunk size only.
 func TestResolveChunkBytesPrecedence(t *testing.T) {
 	reg := metrics.NewRegistry()
+	for i := 0; i < 16; i++ {
+		reg.Histogram(metrics.HistRingStepNS).Observe(1e9)
+		reg.Histogram(metrics.HistRingStepBytes).Observe(1024)
+	}
 	base := metrics.NewContext(context.Background(), reg)
 	if got := resolveChunkBytes(WithChunkBytes(base, 12345)); got != 12345 {
 		t.Errorf("explicit size: %d, want 12345", got)
 	}
 	if got := resolveChunkBytes(WithChunkBytes(base, -1)); got != 0 {
 		t.Errorf("explicit disable: %d, want 0", got)
+	}
+	if got := resolveChunkBytes(base); got != defaultChunkBytes {
+		t.Errorf("no choice, slow step history: %d, want the default %d", got, defaultChunkBytes)
 	}
 }
 

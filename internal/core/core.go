@@ -41,7 +41,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"sparker/internal/collective"
@@ -236,48 +236,98 @@ func splitParallel[U, V any](agg U, nSegs, workers int, splitOp func(U, int, int
 // collective.Ops.ChunkStride) the segment bytes are the raw element
 // words of EncodeChunkTo, which the driver decodes in place into its
 // slot of one result vector; otherwise they are ops.Encode's framing.
+//
+// Ops that can pack (collective.Ops.CanPack) choose a second form per
+// segment, from the segment's data, by the ring's own rule — at most
+// half the raw bytes. A packed segment sets ownedPacked in its index
+// word and its bytes are
+//
+//	elems uint32 | bitmap, ceil(elems/64) × 8 B | non-zero words × 8 B
+//
+// (collective/packed.go). A segment that does not pack, and every
+// segment of ops that cannot, is byte-identical to the raw form.
+
+// ownedPacked, in an entry's index word, marks a packed segment.
+const ownedPacked = 1 << 31
 
 // ErrMalformedFrame classifies an owned-segments frame the driver could
-// not accept: truncated, or naming a segment twice or out of range.
+// not accept: truncated, naming a segment twice or out of range, or
+// carrying a packed segment whose bitmap, value count and element count
+// disagree.
 var ErrMalformedFrame = errors.New("core: malformed owned-segments frame")
 
 // encodeOwned frames a rank's owned segments. With fixed-stride ops the
-// frame's exact size is known up front and it is encoded once, straight
-// into the buffer draw(size) returns (the task's pooled result frame);
-// otherwise it grows by append.
+// frame's exact size is known up front — one counting pass per segment
+// when the ops can pack — and it is encoded once, straight into the
+// buffer draw(size) returns (the task's pooled result frame); otherwise
+// it grows by append.
 func encodeOwned[V any](owned map[int]V, ops collective.Ops[V], draw func(n int) []byte) []byte {
-	idxs := make([]int, 0, len(owned))
+	// A rank owns one segment per ring channel; the arrays keep the
+	// usual case off the heap.
+	var idxBuf, packedBuf [16]int
+	idxs := idxBuf[:0]
 	for i := range owned {
 		idxs = append(idxs, i)
 	}
-	sort.Ints(idxs)
+	slices.Sort(idxs)
 	stride := ops.ChunkStride()
+	canPack := ops.CanPack()
+	// packed[k] is segment idxs[k]'s packed payload size, 0 for raw.
+	packed := packedBuf[:]
+	if len(idxs) > len(packed) {
+		packed = make([]int, len(idxs))
+	}
 	var dst []byte
 	if stride > 0 {
 		size := 4
-		for _, v := range owned {
-			size += 8 + stride*ops.Elems(v)
+		for k, i := range idxs {
+			n := ops.Elems(owned[i])
+			body := stride * n
+			if canPack {
+				if packed[k] = ops.Packed.ChunkSize(owned[i], 0, n); packed[k] > 0 {
+					body = 4 + packed[k]
+				}
+			}
+			size += 8 + body
 		}
 		dst = draw(size)
 	}
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(idxs)))
-	for _, i := range idxs {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(i))
+	for k, i := range idxs {
+		word := uint32(i)
+		if packed[k] > 0 {
+			word |= ownedPacked
+		}
+		dst = binary.LittleEndian.AppendUint32(dst, word)
 		lenAt := len(dst)
 		dst = append(dst, 0, 0, 0, 0)
-		if stride > 0 {
-			dst = ops.EncodeChunkTo(dst, owned[i], 0, ops.Elems(owned[i]))
-		} else {
-			dst = ops.Encode(dst, owned[i])
+		switch v := owned[i]; {
+		case packed[k] > 0:
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(ops.Elems(v)))
+			dst = ops.Packed.EncodeChunkTo(dst, v, 0, ops.Elems(v))
+		case stride > 0:
+			dst = ops.EncodeChunkTo(dst, v, 0, ops.Elems(v))
+		default:
+			dst = ops.Encode(dst, v)
 		}
 		binary.LittleEndian.PutUint32(dst[lenAt:], uint32(len(dst)-lenAt-4))
 	}
 	return dst
 }
 
+// ownedSeg is one segment of a parsed owned-segments frame, aliasing
+// the frame. body is nil until the segment has been seen; for a packed
+// segment it is the packed payload and elems its declared element
+// count.
+type ownedSeg struct {
+	body   []byte
+	packed bool
+	elems  int
+}
+
 // parseOwned validates one owned-segments frame and records each
-// segment's bytes (aliasing p) in bodies by global index.
-func parseOwned(p []byte, bodies [][]byte) error {
+// segment (aliasing p) in segs by global index.
+func parseOwned(p []byte, segs []ownedSeg) error {
 	if len(p) < 4 {
 		return fmt.Errorf("%w: %d-byte frame", ErrMalformedFrame, len(p))
 	}
@@ -287,18 +337,31 @@ func parseOwned(p []byte, bodies [][]byte) error {
 		if len(p) < 8 {
 			return fmt.Errorf("%w: truncated at entry %d of %d", ErrMalformedFrame, k, n)
 		}
-		idx, segLen := binary.LittleEndian.Uint32(p), binary.LittleEndian.Uint32(p[4:])
+		word, segLen := binary.LittleEndian.Uint32(p), binary.LittleEndian.Uint32(p[4:])
 		p = p[8:]
-		if uint64(idx) >= uint64(len(bodies)) {
-			return fmt.Errorf("%w: segment index %d out of range [0,%d)", ErrMalformedFrame, idx, len(bodies))
+		idx := word &^ ownedPacked
+		if uint64(idx) >= uint64(len(segs)) {
+			return fmt.Errorf("%w: segment index %d out of range [0,%d)", ErrMalformedFrame, idx, len(segs))
 		}
 		if uint64(segLen) > uint64(len(p)) {
 			return fmt.Errorf("%w: segment %d claims %d bytes, %d left", ErrMalformedFrame, idx, segLen, len(p))
 		}
-		if bodies[idx] != nil {
+		if segs[idx].body != nil {
 			return fmt.Errorf("%w: segment %d appears twice", ErrMalformedFrame, idx)
 		}
-		bodies[idx] = p[:segLen:segLen]
+		seg := ownedSeg{body: p[:segLen:segLen]}
+		if word&ownedPacked != 0 {
+			if segLen < 4 {
+				return fmt.Errorf("%w: packed segment %d is %d bytes, shorter than its element count", ErrMalformedFrame, idx, segLen)
+			}
+			seg.packed, seg.elems, seg.body = true, int(binary.LittleEndian.Uint32(seg.body)), seg.body[4:]
+			// The bitmap bounds the element count a frame can claim (and so
+			// what the decoder will allocate) by 8× its own bytes.
+			if len(seg.body) < 8*collective.PackedWords(seg.elems) {
+				return fmt.Errorf("%w: packed segment %d claims %d elems in %d bytes", ErrMalformedFrame, idx, seg.elems, len(seg.body))
+			}
+		}
+		segs[idx] = seg
 		p = p[segLen:]
 	}
 	return nil
@@ -308,49 +371,59 @@ func parseOwned(p []byte, bodies [][]byte) error {
 // owned-segments frames. On the fixed-stride path every segment is
 // decoded once, into its slot of one result vector — by the chunk
 // contract that is the concatenation, so concatOp is not consulted —
-// and the frames, which DecodeChunkInto may not retain, go back to the
-// wire pool. Otherwise segments are decoded one by one and handed to
+// and the frames, which the chunk decoders may not retain, go back to
+// the wire pool. Otherwise segments are decoded one by one and handed to
 // concatOp, and the frames are left to the garbage collector because a
 // generic Decode may alias them.
 func decodeOwned[V any](payloads [][]byte, nSegs int, ops collective.Ops[V], concatOp func([]V) V) (V, error) {
 	var zv V
-	bodies := make([][]byte, nSegs)
+	segs := make([]ownedSeg, nSegs)
 	for _, p := range payloads {
-		if err := parseOwned(p, bodies); err != nil {
+		if err := parseOwned(p, segs); err != nil {
 			return zv, err
-		}
-	}
-	for i, b := range bodies {
-		if b == nil {
-			return zv, fmt.Errorf("core: segment %d missing after reduce-scatter", i)
 		}
 	}
 	stride := ops.ChunkStride()
+	total := 0
+	for i := range segs {
+		s := &segs[i]
+		switch {
+		case s.body == nil:
+			return zv, fmt.Errorf("core: segment %d missing after reduce-scatter", i)
+		case s.packed:
+			if !ops.CanPack() {
+				return zv, fmt.Errorf("%w: segment %d is packed but the ops cannot unpack", ErrMalformedFrame, i)
+			}
+		case stride > 0:
+			if len(s.body)%stride != 0 {
+				return zv, fmt.Errorf("%w: segment %d is %d bytes, stride %d", ErrMalformedFrame, i, len(s.body), stride)
+			}
+			s.elems = len(s.body) / stride
+		}
+		total += s.elems
+	}
 	if stride == 0 {
-		segs := make([]V, nSegs)
-		for i, b := range bodies {
-			v, err := ops.Decode(b)
+		vals := make([]V, nSegs)
+		for i, s := range segs {
+			v, err := ops.Decode(s.body)
 			if err != nil {
 				return zv, err
 			}
-			segs[i] = v
+			vals[i] = v
 		}
-		return concatOp(segs), nil
-	}
-	total := 0
-	for i, b := range bodies {
-		if len(b)%stride != 0 {
-			return zv, fmt.Errorf("%w: segment %d is %d bytes, stride %d", ErrMalformedFrame, i, len(b), stride)
-		}
-		total += len(b) / stride
+		return concatOp(vals), nil
 	}
 	out := ops.MakeSegment(total)
 	off := 0
-	for _, b := range bodies {
-		if err := ops.DecodeChunkInto(out, off, b); err != nil {
+	for i, s := range segs {
+		if s.packed {
+			if err := ops.Packed.DecodeChunkInto(out, off, s.elems, s.body); err != nil {
+				return zv, fmt.Errorf("%w: segment %d: %w", ErrMalformedFrame, i, err)
+			}
+		} else if err := ops.DecodeChunkInto(out, off, s.body); err != nil {
 			return zv, err
 		}
-		off += len(b) / stride
+		off += s.elems
 	}
 	for _, p := range payloads {
 		transport.PutBuf(p)

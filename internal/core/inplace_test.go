@@ -6,6 +6,7 @@ package core
 // and the fallback that recomputes after a ring that died half-reduced.
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -383,6 +384,38 @@ func f64Body(vals ...float64) []byte {
 	return b
 }
 
+// packedSeg builds a packed segment's bytes — elems | bitmap | non-zero
+// words — from its dense values, independently of the encoder under
+// test.
+func packedSeg(vals ...float64) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, uint32(len(vals)))
+	bitmap := make([]uint64, collective.PackedWords(len(vals)))
+	var nz []float64
+	for i, v := range vals {
+		if math.Float64bits(v) != 0 {
+			bitmap[i/64] |= 1 << uint(i%64)
+			nz = append(nz, v)
+		}
+	}
+	for _, w := range bitmap {
+		b = binary.LittleEndian.AppendUint64(b, w)
+	}
+	return append(b, f64Body(nz...)...)
+}
+
+// unpackSeg is the reference expansion of a parsed packed segment.
+func unpackSeg(s ownedSeg) []float64 {
+	out := make([]float64, s.elems)
+	vals := s.body[8*collective.PackedWords(s.elems):]
+	for i := range out {
+		if binary.LittleEndian.Uint64(s.body[8*(i/64):])>>uint(i%64)&1 != 0 {
+			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(vals))
+			vals = vals[8:]
+		}
+	}
+	return out
+}
+
 func TestDecodeOwnedRejectsMalformedFrames(t *testing.T) {
 	ops := collective.F64Ops()
 	good := [][]byte{
@@ -395,7 +428,25 @@ func TestDecodeOwnedRejectsMalformedFrames(t *testing.T) {
 	}
 	requireExact(t, got, []float64{1, 2, 3, 4, 5})
 
+	// Raw and packed segments mix freely, frame by frame and within one.
+	negZero, tiny := math.Copysign(0, -1), math.SmallestNonzeroFloat64
+	got, err = decodeOwned([][]byte{
+		ownedFrame(2, 0|ownedPacked, packedSeg(0, 0, negZero, 0, 7), 2, f64Body(5)),
+		ownedFrame(2, 1, f64Body(3, 4), 3|ownedPacked, packedSeg(0, tiny, 0, math.Inf(-1))),
+	}, 4, ops, ConcatSlices[float64])
+	if err != nil {
+		t.Fatal(err)
+	}
+	bitsEqual(t, "mixed raw and packed", got, []float64{0, 0, negZero, 0, 7, 3, 4, 5, 0, tiny, 0, math.Inf(-1)})
+
 	short := ownedFrame(1, 0, f64Body(1, 2))
+	// Packed-segment corruptions of packedSeg(0, 9, 0): elems 3, bitmap
+	// 0b010, one value.
+	pk := packedSeg(0, 9, 0)
+	corrupt := func(mut func(b []byte) []byte) [][]byte {
+		b := mut(append([]byte(nil), pk...))
+		return [][]byte{ownedFrame(4, 0|ownedPacked, b, 1, f64Body(), 2, f64Body(), 3, f64Body())}
+	}
 	for _, c := range []struct {
 		name      string
 		payloads  [][]byte
@@ -412,6 +463,13 @@ func TestDecodeOwnedRejectsMalformedFrames(t *testing.T) {
 		{"duplicate across frames", [][]byte{ownedFrame(1, 0, f64Body(1)), ownedFrame(1, 0, f64Body(2))}, true},
 		{"body not a multiple of the stride", [][]byte{ownedFrame(4, 0, []byte{1, 2, 3}, 1, f64Body(), 2, f64Body(), 3, f64Body())}, true},
 		{"segment missing", [][]byte{ownedFrame(1, 0, f64Body(1))}, false},
+		{"packed: shorter than its element count", corrupt(func(b []byte) []byte { return b[:3] }), true},
+		{"packed: bitmap shorter than ceil(elems/64) words", corrupt(func(b []byte) []byte { b[0] = 65; return b }), true},
+		{"packed: bitmap longer than ceil(elems/64) words", corrupt(func(b []byte) []byte { b[0] = 0; return b }), true},
+		{"packed: popcount above the value count", corrupt(func(b []byte) []byte { b[4] = 0b011; return b }), true},
+		{"packed: popcount below the value count", corrupt(func(b []byte) []byte { b[4] = 0; return b }), true},
+		{"packed: bit set past elems", corrupt(func(b []byte) []byte { b[4] = 0b1000; return b }), true},
+		{"packed: truncated value", corrupt(func(b []byte) []byte { return b[:len(b)-1] }), true},
 	} {
 		_, err := decodeOwned(c.payloads, 4, ops, ConcatSlices[float64])
 		if err == nil {
@@ -432,6 +490,148 @@ func TestDecodeOwnedRejectsMalformedFrames(t *testing.T) {
 	if _, err := decodeOwned([][]byte{ownedFrame(2, 1, seg(3), 1, seg(1))}, 2, generic, ConcatSlices[float64]); !errors.Is(err, ErrMalformedFrame) {
 		t.Errorf("generic path accepted a duplicate: %v", err)
 	}
+	// Ops that cannot pack refuse a packed segment instead of misreading it.
+	if _, err := decodeOwned([][]byte{ownedFrame(2, 1, seg(3), 0|ownedPacked, packedSeg(1, 2))}, 2, generic, ConcatSlices[float64]); !errors.Is(err, ErrMalformedFrame) {
+		t.Errorf("generic path accepted a packed segment: %v", err)
+	}
+}
+
+// sparseSeqOp touches three coordinates per sample with integer values,
+// so a partition's accumulator is a few per cent non-zero — the shape of
+// a wide sparse gradient — and every association order sums to the same
+// float64s.
+func sparseSeqOp(acc []float64, v int64) []float64 {
+	for k := int64(0); k < 3; k++ {
+		acc[int((v*31+k*977)%int64(len(acc)))] += float64(v%5 + 1)
+	}
+	return acc
+}
+
+// TestSplitPackedEquivalence: on a sparse aggregator the split and
+// allreduce strategies return, bit for bit, the same vector whether the
+// ring and the gather may pack (F64Ops), may not (F64Ops without the
+// hook) or cannot (the serde ops, which never see a packed frame) — and
+// that vector is the tree's. The counter proves the packed encoder ran.
+func TestSplitPackedEquivalence(t *testing.T) {
+	const execs, samples, dim = 3, 240, 6007
+	ctx := testContext(t, execs, 2)
+	r := vectorRDD(ctx, samples, execs*2)
+	var packedEncodes atomic.Int64
+	packing := collective.F64Ops()
+	hook := *packing.Packed
+	hook.EncodeChunkTo = func(dst []byte, v []float64, off, n int) []byte {
+		packedEncodes.Add(1)
+		return packing.Packed.EncodeChunkTo(dst, v, off, n)
+	}
+	counted := packing
+	counted.Packed = &hook
+	plain := collective.F64Ops()
+	plain.Packed = nil
+
+	run := func(name string, ops *collective.Ops[[]float64], opts ...AggOption) []float64 {
+		t.Helper()
+		got, err := Aggregate(context.Background(), r, AggFuncs[int64, []float64, []float64]{
+			Zero: vecZero(dim), SeqOp: sparseSeqOp, MergeOp: AddF64,
+			SplitOp: SplitSlice[float64], ReduceOp: AddF64, ConcatOp: ConcatSlices[float64], Ops: ops,
+		}, opts...)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return got
+	}
+	tree := run("tree", nil, WithStrategy(StrategyTree))
+	want := make([]float64, dim)
+	for i := int64(0); i < samples; i++ {
+		want = sparseSeqOp(want, i)
+	}
+	requireExact(t, tree, want)
+	for _, strategy := range []Strategy{StrategySplit, StrategyAllReduce} {
+		for _, par := range []int{1, 4} {
+			name := fmt.Sprintf("%v/par=%d", strategy, par)
+			opts := []AggOption{WithStrategy(strategy), WithParallelism(par)}
+			before := packedEncodes.Load()
+			bitsEqual(t, name+"/packing", run(name, &counted, opts...), tree)
+			if packedEncodes.Load() == before {
+				t.Errorf("%s: nothing travelled packed on a %d-of-%d non-zero aggregator", name, 3*samples, dim)
+			}
+			bitsEqual(t, name+"/hook removed", run(name, &plain, opts...), tree)
+			bitsEqual(t, name+"/serde ops", run(name, nil, opts...), tree)
+		}
+	}
+}
+
+// TestOwnedFramePacksPerSegment: encodeOwned chooses the form segment
+// by segment from the data, draws the frame at its exact size, leaves a
+// segment that does not pack byte-identical to the raw form, and
+// decodeOwned gives back every word — −0.0, NaN and subnormals included.
+func TestOwnedFramePacksPerSegment(t *testing.T) {
+	ops := collective.F64Ops()
+	sparse := make([]float64, 200)
+	sparse[3], sparse[64], sparse[199] = math.Copysign(0, -1), math.NaN(), math.SmallestNonzeroFloat64
+	dense := make([]float64, 200)
+	for i := range dense {
+		dense[i] = float64(i) + 0.25
+	}
+	owned := map[int][]float64{0: sparse, 1: dense, 2: make([]float64, 130), 3: {}}
+	drawn := 0
+	frame := encodeOwned(owned, ops, func(n int) []byte { drawn = n; return make([]byte, 0, n) })
+	// count | packed(4 words bitmap + 3 values) | raw | packed(3 words, no values) | raw, empty
+	if want := 4 + (8 + 4 + 8*(4+3)) + (8 + 8*200) + (8 + 4 + 8*3) + 8; len(frame) != want || drawn != want {
+		t.Fatalf("frame is %d bytes, drew %d, want %d", len(frame), drawn, want)
+	}
+	rawOnly := collective.F64Ops()
+	rawOnly.Packed = nil
+	rawFrame := encodeOwned(map[int][]float64{1: dense}, rawOnly, func(n int) []byte { return make([]byte, 0, n) })
+	if at := 4 + 8 + 4 + 8*(4+3); !bytes.Equal(frame[at:at+8+8*200], rawFrame[4:]) {
+		t.Error("a segment that does not pack is not byte-identical to the raw form")
+	}
+	got, err := decodeOwned([][]byte{frame}, 4, ops, ConcatSlices[float64])
+	if err != nil {
+		t.Fatal(err)
+	}
+	bitsEqual(t, "round trip", got, append(append(append([]float64(nil), sparse...), dense...), make([]float64, 130)...))
+}
+
+// TestOwnedFrameOverhead is the owned-segments row of `make overhead`:
+// framing a rank's segments allocates nothing beyond the frame the task
+// draws, packed or not, and decoding packed frames allocates what
+// decoding raw ones does — the result vector and the parse table.
+func TestOwnedFrameOverhead(t *testing.T) {
+	ops := collective.F64Ops()
+	const segLen = 1 << 12
+	owned := func(stride int) map[int][]float64 {
+		m := map[int][]float64{}
+		for i := 0; i < 4; i++ {
+			m[i] = make([]float64, segLen)
+			for j := 0; j < segLen; j += stride {
+				m[i][j] = float64(j + 1)
+			}
+		}
+		return m
+	}
+	buf := make([]byte, 0, 4+4*(8+8*segLen))
+	draw := func(int) []byte { return buf }
+	for _, c := range []struct {
+		name   string
+		stride int
+	}{{"raw", 1}, {"packed", 20}} {
+		segs := owned(c.stride)
+		if a := testing.AllocsPerRun(50, func() { encodeOwned(segs, ops, draw) }); a != 0 {
+			t.Errorf("%s: encodeOwned allocates %v times per frame, want 0", c.name, a)
+		}
+	}
+	decodeAllocs := func(stride int) float64 {
+		frame := encodeOwned(owned(stride), ops, draw)
+		return testing.AllocsPerRun(50, func() {
+			// decodeOwned releases accepted frames to the wire pool.
+			if _, err := decodeOwned([][]byte{append([]byte(nil), frame...)}, 4, ops, ConcatSlices[float64]); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if raw, packed := decodeAllocs(1), decodeAllocs(20); packed > raw {
+		t.Errorf("decoding packed frames allocates %v times, raw frames %v", packed, raw)
+	}
 }
 
 // FuzzDecodeOwned: the owned-segments decoder takes bytes off a socket.
@@ -444,6 +644,15 @@ func FuzzDecodeOwned(f *testing.F) {
 	f.Add(ownedFrame(1, 7, f64Body(1)), []byte{})
 	f.Add(ownedFrame(2, 0, f64Body(1), 0, f64Body(1)), ownedFrame(0))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff}, []byte{1})
+	// Packed segments: a good frame, then bitmap length ≠ ceil(elems/64),
+	// popcount ≠ value count, a bit past elems, and a truncated value.
+	pk := packedSeg(0, 9, 0, math.Copysign(0, -1))
+	mut := func(at int, v byte) []byte { b := append([]byte(nil), pk...); b[at] = v; return b }
+	f.Add(ownedFrame(2, 0|ownedPacked, pk, 1, f64Body(3)), ownedFrame(1, 2|ownedPacked, packedSeg(0, 0)))
+	f.Add(ownedFrame(2, 0|ownedPacked, mut(0, 65), 1, f64Body(3)), ownedFrame(1, 2, f64Body()))
+	f.Add(ownedFrame(2, 0|ownedPacked, mut(4, 0b0010), 1, f64Body(3)), ownedFrame(1, 2, f64Body()))
+	f.Add(ownedFrame(2, 0|ownedPacked, mut(4, 0b11010), 1, f64Body(3)), ownedFrame(1, 2, f64Body()))
+	f.Add(ownedFrame(2, 0|ownedPacked, pk[:len(pk)-3], 1, f64Body(3)), ownedFrame(1, 2, f64Body()))
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		// Private copies: an accepted frame is released to the wire pool.
 		payloads := [][]byte{append([]byte(nil), a...), append([]byte(nil), b...)}
@@ -451,14 +660,18 @@ func FuzzDecodeOwned(f *testing.F) {
 		if err != nil {
 			return
 		}
-		bodies := make([][]byte, 3)
-		if parseOwned(a, bodies) != nil || parseOwned(b, bodies) != nil {
+		segs := make([]ownedSeg, 3)
+		if parseOwned(a, segs) != nil || parseOwned(b, segs) != nil {
 			t.Fatal("decodeOwned accepted frames parseOwned rejects")
 		}
 		var want []float64
-		for _, body := range bodies {
-			for off := 0; off < len(body); off += 8 {
-				want = append(want, math.Float64frombits(binary.LittleEndian.Uint64(body[off:])))
+		for _, s := range segs {
+			if s.packed {
+				want = append(want, unpackSeg(s)...)
+				continue
+			}
+			for off := 0; off < len(s.body); off += 8 {
+				want = append(want, math.Float64frombits(binary.LittleEndian.Uint64(s.body[off:])))
 			}
 		}
 		bitsEqual(t, "decoded", got, want)

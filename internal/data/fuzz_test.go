@@ -67,6 +67,9 @@ func FuzzReadBagOfWords(f *testing.F) {
 	f.Add("2\n5\n3\n1 1 2\n1 3 1\n2 5 4\n")
 	f.Add("0\n0\n0\n")
 	f.Add("x\n")
+	f.Add("1\n1\n0\n1 1 0")         // a zero count (found by make fuzz-smoke)
+	f.Add("-1\n1\n0\n")             // a negative document count
+	f.Add("99999999999999\n1\n0\n") // a document table nobody could hold
 	f.Fuzz(func(t *testing.T, input string) {
 		docs, vocab, err := ReadBagOfWords(strings.NewReader(input))
 		if err != nil {

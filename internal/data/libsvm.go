@@ -126,6 +126,10 @@ func ReadBagOfWordsFile(path string) ([]mllib.Document, int, error) {
 	return ReadBagOfWords(f)
 }
 
+// maxBagOfWordsDocs bounds the document count a bag-of-words header may
+// declare.
+const maxBagOfWordsDocs = 1 << 26
+
 // ReadBagOfWords parses the UCI bag-of-words format the paper's LDA
 // corpora (enron, nytimes) ship in: three header lines (D, W, NNZ) then
 // "docID wordID count" triples, 1-based ids, docID-sorted.
@@ -143,6 +147,12 @@ func ReadBagOfWords(r io.Reader) (docs []mllib.Document, vocab int, err error) {
 		}
 	}
 	nDocs, vocab := header[0], header[1]
+	// The header sizes the document table before a single triple has been
+	// read, so it is bounded: the largest UCI corpus (pubmed) has 8.2M
+	// documents.
+	if nDocs < 0 || nDocs > maxBagOfWordsDocs || vocab < 0 {
+		return nil, 0, fmt.Errorf("data: bad bag-of-words header (D=%d, W=%d)", nDocs, vocab)
+	}
 	counts := make([]map[int32]float64, nDocs)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -156,7 +166,7 @@ func ReadBagOfWords(r io.Reader) (docs []mllib.Document, vocab int, err error) {
 		d, err1 := strconv.Atoi(fields[0])
 		w, err2 := strconv.Atoi(fields[1])
 		c, err3 := strconv.ParseFloat(fields[2], 64)
-		if err1 != nil || err2 != nil || err3 != nil || d < 1 || d > nDocs || w < 1 || w > vocab {
+		if err1 != nil || err2 != nil || err3 != nil || d < 1 || d > nDocs || w < 1 || w > vocab || !(c > 0) {
 			return nil, 0, fmt.Errorf("data: bad triple %q", line)
 		}
 		if counts[d-1] == nil {

@@ -195,6 +195,11 @@ func (f64MatrixCodec) Decode(src []byte) (any, int, error) {
 	}
 	rows := int(binary.LittleEndian.Uint32(src))
 	off := 4
+	// Every row costs at least its 4-byte header, which bounds the row
+	// table before it is allocated.
+	if rows > (len(src)-off)/4 {
+		return nil, 0, fmt.Errorf("serde: [][]float64 claims %d rows in %d bytes", rows, len(src)-off)
+	}
 	out := make([][]float64, rows)
 	for i := 0; i < rows; i++ {
 		if len(src) < off+4 {

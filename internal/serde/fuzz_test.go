@@ -12,6 +12,7 @@ func FuzzDecode(f *testing.F) {
 		{1, 0, 0, 0},                       // tagSelf with no body
 		{7, 0, 0, 0, 255, 255, 255, 255},   // []float64 with huge length
 		{4, 0, 0, 0, 3, 0, 0, 0, 'a', 'b'}, // truncated string
+		{10, 0, 0, 0, 255, 255, 255, 255},  // [][]float64 with a huge row count (found by make fuzz-smoke)
 	}
 	if b, err := Encode(nil, []float64{1, 2, 3}); err == nil {
 		seeds = append(seeds, b)

@@ -3,6 +3,7 @@ package transport
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -101,6 +102,17 @@ func (l *tcpListener) Close() error {
 	return l.nl.Close()
 }
 
+// MaxFrameBytes is the largest message a TCP connection carries. The
+// engine's largest frames are whole aggregators and cached blocks, tens
+// of megabytes; the bound is what stops a corrupt length prefix from
+// drawing gigabytes before a single payload byte has arrived.
+const MaxFrameBytes = 1 << 30
+
+// ErrFrameTooLarge is returned by Send for a message over MaxFrameBytes
+// and by Recv for a length prefix claiming one; Recv also closes the
+// connection, whose byte stream can no longer be trusted.
+var ErrFrameTooLarge = errors.New("transport: frame exceeds MaxFrameBytes")
+
 // tcpConn frames messages with a 4-byte little-endian length prefix.
 type tcpConn struct {
 	c  net.Conn
@@ -118,6 +130,9 @@ func newTCPConn(c net.Conn) *tcpConn {
 }
 
 func (t *tcpConn) Send(b []byte) error {
+	if len(b) > MaxFrameBytes {
+		return fmt.Errorf("%w: sending %d bytes", ErrFrameTooLarge, len(b))
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var hdr [4]byte
@@ -137,6 +152,10 @@ func (t *tcpConn) Recv() ([]byte, error) {
 		return nil, err
 	}
 	n := binary.LittleEndian.Uint32(hdr[:])
+	if n > MaxFrameBytes {
+		t.c.Close()
+		return nil, fmt.Errorf("%w: length prefix claims %d bytes", ErrFrameTooLarge, n)
+	}
 	buf := GetBuf(int(n))
 	if _, err := io.ReadFull(t.r, buf); err != nil {
 		PutBuf(buf)

@@ -2,7 +2,10 @@ package transport
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"net"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -392,5 +395,48 @@ func TestNetworkCloseStopsDialAndListen(t *testing.T) {
 				t.Fatal("Dial after network Close should fail")
 			}
 		})
+	}
+}
+
+// TestTCPRecvBoundsLengthPrefix: Recv must not believe a length prefix
+// over MaxFrameBytes. One corrupt 4-byte header used to draw a 4 GiB
+// buffer and then wait for bytes that never come; now it is a classified
+// error at once, and the connection — whose framing is lost — is closed.
+func TestTCPRecvBoundsLengthPrefix(t *testing.T) {
+	n := NewTCP()
+	defer n.Close()
+	l, err := n.Listen("victim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := net.Dial("tcp", n.directory["victim"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	c, err := l.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := raw.Write([]byte{0xff, 0xff, 0xff, 0xff}); err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan error, 1)
+	go func() {
+		_, err := c.Recv()
+		got <- err
+	}()
+	select {
+	case err := <-got:
+		if !errors.Is(err, ErrFrameTooLarge) {
+			t.Fatalf("Recv of a 0xFFFFFFFF length prefix: %v, want ErrFrameTooLarge", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Recv still waiting for the 4 GiB a corrupt prefix promised")
+	}
+	raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := raw.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("connection left open after a corrupt prefix (read: %v)", err)
 	}
 }

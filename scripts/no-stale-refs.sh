@@ -2,19 +2,26 @@
 # Fails if a tracked doc, the Makefile or the verify skill still names
 # the retired per-PR bench harness: its BENCH_PR*.json files, its make
 # targets, or a `sparkerbench -only <id>` that `sparkerbench -list`
-# does not print. CHANGES.md, ROADMAP.md and ISSUE.md record history
-# and are exempt.
+# does not print — or still describes the ring's adaptive chunk-size
+# controller, deleted when the chunk plan became static (DESIGN.md §11).
+# CHANGES.md, ROADMAP.md and ISSUE.md record history and are exempt, as
+# is benchmark/, which a PR other than its own may not edit.
 #
 #   scripts/no-stale-refs.sh      (or: make no-stale-refs)
 set -euo pipefail
 
 cd "$(git rev-parse --show-toplevel)"
 files=$(git ls-files '*.md' Makefile .claude/skills/verify/SKILL.md |
-	grep -vxE 'CHANGES\.md|ROADMAP\.md|ISSUE\.md' | sort -u)
+	grep -vxE 'CHANGES\.md|ROADMAP\.md|ISSUE\.md' | sort -u |
+	while read -r f; do if [ -e "$f" ]; then echo "$f"; fi; done)
 ids=" $(go run ./cmd/sparkerbench -list) "
 bad=0
 
 if grep -nE 'BENCH_PR|bench-compare|benchjson' $files; then
+	bad=1
+fi
+if grep -niE 'adaptive (chunk[- ]size )?controller|autoChunkBytes|targetChunkNS' $(grep -v '^benchmark/' <<<"$files"); then
+	echo "the chunk plan is static: a function of the segment's element count and the chunk size (DESIGN.md §11)"
 	bad=1
 fi
 while IFS=: read -r file line id; do
@@ -25,6 +32,6 @@ while IFS=: read -r file line id; do
 done < <(grep -noE 'sparkerbench -only [a-z0-9-]+' $files | sed 's/sparkerbench -only //')
 
 if [ "$bad" -ne 0 ]; then
-	echo "no-stale-refs: the references above name the retired bench harness (see EXPERIMENTS.md \"Settled single-layer claims\")" >&2
+	echo "no-stale-refs: the references above name the retired bench harness (see EXPERIMENTS.md \"Settled single-layer claims\") or the deleted chunk controller" >&2
 	exit 1
 fi
