@@ -30,8 +30,10 @@ no-deprecated:
 # single-layer claims"): no doc, this Makefile or the verify skill may
 # name its result files, its targets, or a `sparkerbench -only <id>`
 # the registry does not know. Nor may one still describe ring chunks
-# sized from observed step times: the chunk plan is static (DESIGN.md
-# §11). CHANGES.md, ROADMAP.md and ISSUE.md are history and are exempt.
+# sized from observed step times (the chunk plan is static, DESIGN.md
+# §11), or name the retired lossy wire codecs and MPI baselines of
+# internal/collective. CHANGES.md, ROADMAP.md and ISSUE.md are history
+# and are exempt.
 no-stale-refs:
 	@scripts/no-stale-refs.sh
 
@@ -73,9 +75,11 @@ chaos-elastic:
 # must allocate nothing per pass (DESIGN.md "Packed compute plane").
 # The allocation budget holds a whole split-aggregation training step on
 # a 1M-feature aggregator to 4× the aggregator's bytes (DESIGN.md
-# "Aggregator ownership and lifetime"). The packed chunk form is held to
-# the same budgets: PipelineOverheadPacked on the ring, OwnedFrameOverhead
-# on the executor→driver gather frame.
+# "Aggregator ownership and lifetime"). Both chunk forms are held to the
+# same budgets: PipelineOverheadDense (which also pins Ops at <= 128
+# bytes, what lets the collectives capture it by value) and
+# PipelineOverheadPacked on the ring, OwnedFrameOverhead on the
+# executor→driver gather frame.
 overhead:
 	$(GO) test -run 'TelemetryOverhead|PipelineOverhead' -v ./internal/collective
 	$(GO) test -run 'OwnedFrameOverhead' -v ./internal/core
@@ -84,8 +88,8 @@ overhead:
 
 # Every Fuzz* target for a few seconds (seed corpus plus a few thousand
 # mutations): the decoders that take bytes off a socket or a disk —
-# serde, the two data readers, the owned-segments frame, the packed
-# chunk form — must not panic on the first odd input.
+# serde, the two data readers, the owned-segments frame, the ring frame
+# and its packed chunk form — must not panic on the first odd input.
 fuzz-smoke:
 	scripts/fuzz-smoke.sh
 
@@ -124,7 +128,7 @@ check: vet no-deprecated no-stale-refs test race test-chaos chaos-elastic overhe
 # Hot-path microbenchmarks: the before/after evidence for the
 # zero-allocation reduction work (see DESIGN.md "Performance notes"),
 # and the packed chunk form's encode / decode-reduce rates by density
-# next to the dense kernels' (the evidence behind its ½ rule, §13).
+# next to the dense kernels' (the evidence behind its ½ rule, §11).
 bench:
 	$(GO) test -run xxx -bench 'RingReduceScatterHot|SerdeF64|PackedChunk' -benchmem ./internal/collective
 	$(GO) test -run xxx -bench 'LinalgKernels' -benchmem ./internal/linalg

@@ -1,14 +1,12 @@
 package collective
 
-// Baseline reduction algorithms: the binomial tree (the communication
-// shape of Spark's treeAggregate once aggregators leave the executors)
-// and the two MPICH reduce-scatter algorithms the paper's MPI reference
-// would have used (recursive halving for short messages and pairwise
-// exchange for long ones — Thakur, Rabenseifner & Gropp 2005).
+// The baseline reduction: the binomial tree, the communication shape of
+// Spark's treeAggregate once aggregators leave the executors. (The
+// paper's MPI reference curves come from internal/sim's cost model.)
 //
-// Like the ring collectives, the baselines encode into pooled wire
-// buffers, overlap sends through the persistent channel senders, and
-// release receive buffers once reduced.
+// Like the ring collectives, it encodes into pooled wire buffers, sends
+// through the persistent channel senders, and releases receive buffers
+// once reduced.
 
 import (
 	"context"
@@ -74,187 +72,13 @@ func TreeReduce[V any](ctx context.Context, e *comm.Endpoint, root int, value V,
 	return acc, nil
 }
 
-// Reserved channel ids so collectives sharing an endpoint do not cross
-// streams with PDR reduce-scatter traffic (which uses channels 0..P-1).
-const (
-	treeChannel     = 1 << 20
-	halvingChannel  = 1 << 21
-	pairwiseChannel = 1 << 22
-)
-
-// RecursiveHalvingReduceScatter implements the MPICH short-message
-// reduce-scatter: log2(N) rounds of exchanging and reducing half of the
-// remaining data. It requires N to be a power of two (MPICH falls back
-// otherwise; callers should too). segs must have length N. The rank's
-// own fully reduced segment is returned.
-//
-// Each round's frame is count + (length, payload) per segment, so the
-// receive side can walk segment boundaries and reduce each payload in
-// place without the decode-re-encode size probing the seed used.
-func RecursiveHalvingReduceScatter[V any](ctx context.Context, e *comm.Endpoint, segs []V, ops Ops[V]) (V, error) {
-	n := e.Size()
-	var zero V
-	if len(segs) != n {
-		return zero, fmt.Errorf("collective: need %d segments, got %d", n, len(segs))
-	}
-	if n&(n-1) != 0 {
-		return zero, fmt.Errorf("collective: recursive halving requires power-of-two size, got %d", n)
-	}
-	if n == 1 {
-		return segs[0], nil
-	}
-	r := e.Rank()
-	cur := make([]V, n)
-	copy(cur, segs)
-
-	sendDone := make(chan error, 1)
-	releasable := ops.DecodeReduceInto != nil
-	hint := 0
-	lo, hi := 0, n // active segment range this rank still contributes to
-	round := func(dist int) error {
-		sctx, cancel := stepContext(ctx)
-		defer cancel()
-		// discard drains the in-flight send and releases a received frame
-		// no decoded value can alias — the common exit for frame errors.
-		discard := func(in []byte) {
-			if releasable {
-				comm.Release(in)
-			}
-			drainSend(sctx, sendDone)
-		}
-		partner := r ^ dist
-		mid := lo + (hi-lo)/2
-		var sendLo, sendHi, keepLo, keepHi int
-		if r&dist == 0 {
-			// Keep the lower half, send the upper half.
-			sendLo, sendHi, keepLo, keepHi = mid, hi, lo, mid
-		} else {
-			sendLo, sendHi, keepLo, keepHi = lo, mid, mid, hi
-		}
-		drawn := comm.GetBuffer(hint)
-		wire := appendUint32(drawn[:0], uint32(sendHi-sendLo))
-		for i := sendLo; i < sendHi; i++ {
-			// Reserve a length slot, encode, then backfill the length.
-			slot := len(wire)
-			wire = appendUint32(wire, 0)
-			wire = ops.Encode(wire, cur[i])
-			putUint32(wire[slot:], uint32(len(wire)-slot-4))
-		}
-		releaseIfAbandoned(drawn, wire)
-		hint = len(wire)
-		e.SendToAsync(partner, halvingChannel, wire, sendDone)
-		in, err := e.RecvFromCtx(sctx, partner, halvingChannel)
-		if err != nil {
-			drainSend(sctx, sendDone)
-			return fmt.Errorf("collective: halving recv: %w", err)
-		}
-		if len(in) < 4 {
-			discard(in)
-			return fmt.Errorf("collective: halving short frame")
-		}
-		cnt := int(uint32At(in, 0))
-		if cnt != keepHi-keepLo {
-			discard(in)
-			return fmt.Errorf("collective: halving count mismatch: got %d want %d", cnt, keepHi-keepLo)
-		}
-		off := 4
-		release := true
-		for i := keepLo; i < keepHi; i++ {
-			if len(in) < off+4 {
-				discard(in)
-				return fmt.Errorf("collective: halving truncated frame")
-			}
-			segLen := int(uint32At(in, off))
-			off += 4
-			if segLen < 0 || len(in) < off+segLen {
-				discard(in)
-				return fmt.Errorf("collective: halving truncated segment %d", i)
-			}
-			acc, rel, err := decodeReduce(ops, cur[i], in[off:off+segLen])
-			if err != nil {
-				discard(in)
-				return err
-			}
-			cur[i] = acc
-			release = release && rel
-			off += segLen
-		}
-		if release && releasable {
-			comm.Release(in)
-		}
-		if err := e.WaitSend(sctx, partner, sendDone); err != nil {
-			return fmt.Errorf("collective: halving send: %w", err)
-		}
-		lo, hi = keepLo, keepHi
-		return nil
-	}
-	for dist := n / 2; dist >= 1; dist /= 2 {
-		if err := round(dist); err != nil {
-			return zero, err
-		}
-	}
-	if hi-lo != 1 || lo != r {
-		return zero, fmt.Errorf("collective: halving ended with range [%d,%d) at rank %d", lo, hi, r)
-	}
-	return cur[r], nil
-}
-
-// PairwiseReduceScatter implements the MPICH long-message
-// reduce-scatter: N-1 rounds; in round k rank r sends segment
-// (r+k) mod N directly to its final owner and receives its own segment
-// slice from rank (r-k+N) mod N. Works for any N. Returns the rank's
-// fully reduced segment.
-func PairwiseReduceScatter[V any](ctx context.Context, e *comm.Endpoint, segs []V, ops Ops[V]) (V, error) {
-	n := e.Size()
-	var zero V
-	if len(segs) != n {
-		return zero, fmt.Errorf("collective: need %d segments, got %d", n, len(segs))
-	}
-	r := e.Rank()
-	acc := segs[r]
-	sendDone := make(chan error, 1)
-	hint := 0
-	round := func(k int) error {
-		sctx, cancel := stepContext(ctx)
-		defer cancel()
-		dst := (r + k) % n
-		src := (r - k + n) % n
-		wire := encodeInto(ops, comm.GetBuffer(sizeHint(ops, hint, segs[dst])), segs[dst])
-		hint = len(wire)
-		e.SendToAsync(dst, pairwiseChannel, wire, sendDone)
-		in, err := e.RecvFromCtx(sctx, src, pairwiseChannel)
-		if err != nil {
-			drainSend(sctx, sendDone)
-			return fmt.Errorf("collective: pairwise recv: %w", err)
-		}
-		merged, release, err := decodeReduce(ops, acc, in)
-		if release {
-			comm.Release(in)
-		}
-		if err != nil {
-			drainSend(sctx, sendDone)
-			return err
-		}
-		acc = merged
-		if err := e.WaitSend(sctx, dst, sendDone); err != nil {
-			return fmt.Errorf("collective: pairwise send: %w", err)
-		}
-		return nil
-	}
-	for k := 1; k < n; k++ {
-		if err := round(k); err != nil {
-			return zero, err
-		}
-	}
-	return acc, nil
-}
+// treeChannel is a reserved channel id so a tree reduce sharing an
+// endpoint does not cross streams with PDR reduce-scatter traffic (which
+// uses channels 0..P-1).
+const treeChannel = 1 << 20
 
 // --- tiny local binary helpers (no dependency on serde to keep the
 // collective layer reusable under the pure communicator benches) ------
-
-func appendUint32(dst []byte, v uint32) []byte {
-	return binary.LittleEndian.AppendUint32(dst, v)
-}
 
 func putUint32(dst []byte, v uint32) {
 	binary.LittleEndian.PutUint32(dst, v)

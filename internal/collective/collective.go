@@ -1,9 +1,7 @@
 // Package collective implements the reduction algorithms Sparker builds
 // on: the ring-based reduce-scatter (Patarasuk & Yuan) used by split
-// aggregation, ring allgather/allreduce, a binomial tree reduce (the
-// shape of Spark's treeAggregate), and the recursive-halving and
-// pairwise-exchange reduce-scatters used as MPI reference baselines
-// (Thakur, Rabenseifner & Gropp).
+// aggregation, ring allgather/allreduce, and a binomial tree reduce (the
+// shape of Spark's treeAggregate).
 //
 // All algorithms are generic over the segment type V. Values cross
 // executor boundaries serialized via the Ops callbacks, mirroring the
@@ -84,12 +82,10 @@ const epochHeaderSize = 4
 // sender span ID follows the epoch header. chunkFlag marks one chunk of
 // a pipelined segment train: a 20-byte chunk header (index, count,
 // element range — see pipeline.go) follows the epoch/span words. Epoch
-// values are masked to the low 30 bits on both encode and compare, so
-// untraced single-frame steps keep the exact PR 2 wire format and
-// traced/untraced, chunked/unchunked endpoints interoperate (the
-// extensions are backward-compatible — see DESIGN.md §10 and §11). A
-// receiver that predates a flag reads it as an epoch bit, fails the
-// epoch match and errors loudly instead of mis-parsing the frame.
+// values are masked to the low 30 bits on both encode and compare, and
+// receivers dispatch on each frame's own flags, so traced and untraced,
+// chunked and whole-segment frames mix freely on one channel (DESIGN.md
+// §10 and §11).
 const (
 	spanFlag      = uint32(1) << 31
 	chunkFlag     = uint32(1) << 30
@@ -262,14 +258,6 @@ type Ops[V any] struct {
 	// [off, off+len) of dst. It must not retain payload.
 	DecodeChunkInto func(dst V, off int, payload []byte) error
 
-	// Floats, when set, returns an aliasing float64 view of elements
-	// [off, off+n) of v — the hook the wire codecs (DESIGN.md §13)
-	// quantize from and dequantize-reduce into. Only meaningful when the
-	// chunk payload is 8-byte float64 words (ChunkEncodedSize(1) == 8);
-	// compression is refused otherwise. Mutations through the view must
-	// be visible in v.
-	Floats func(v V, off, n int) []float64
-
 	// Packed, when set, offers the zero-suppressed packed chunk form on
 	// top of the chunk fast path (a pointer, so that Ops stays small
 	// enough for the collectives' goroutines to capture by value).
@@ -277,7 +265,7 @@ type Ops[V any] struct {
 }
 
 // PackedOps is the zero-suppressed packed chunk form (packed.go,
-// DESIGN.md §13); all four callbacks are required. Supplying it asserts
+// DESIGN.md §11); all four callbacks are required. Supplying it asserts
 // that Reduce is IEEE addition of element words and that segments are
 // summed up from +0.0 — the only algebra under which not shipping a zero
 // word is value-exact. Ops without it never send a packed frame and fail
@@ -363,8 +351,6 @@ func F64Ops() Ops[[]float64] {
 		DecodeReduceChunkInto: decodeReduceChunkF64,
 		MakeSegment:           func(n int) []float64 { return make([]float64, n) },
 		DecodeChunkInto:       decodeChunkF64,
-
-		Floats: func(v []float64, off, n int) []float64 { return v[off : off+n] },
 
 		Packed: f64Packed,
 	}
@@ -581,17 +567,13 @@ func RingReduceScatter[V any](ctx context.Context, e *comm.Endpoint, segs []V, p
 	}
 
 	epoch := EpochFrom(ctx)
-	// Telemetry handles, chunk plan, codec and core budget resolved once
+	// Telemetry handles, chunk plan and core budget resolved once
 	// per collective: with neither a tracer nor a registry in ctx the
 	// per-step cost is one branch and no time syscalls, keeping the PR 1
 	// zero-allocation path intact.
 	tel := telemetryFrom(ctx)
 	chunkBytes := resolveChunkBytes(ctx)
 	cores := CoresFrom(ctx)
-	comp, err := resolveCompression(ctx, ops)
-	if err != nil {
-		return nil, err
-	}
 	r := e.Rank()
 	for ch := 0; ch < p; ch++ {
 		wg.Add(1)
@@ -612,7 +594,7 @@ func RingReduceScatter[V any](ctx context.Context, e *comm.Endpoint, segs []V, p
 			// k-step loop, cycling pooled buffers instead of allocating
 			// N-1 times.
 			var rc ringChan[V]
-			rc.init(e, ops, ch, epoch, tel, chunkBytes, cores, comp)
+			rc.init(e, ops, ch, epoch, tel, chunkBytes, cores)
 			for k := 0; k < n-1; k++ {
 				if err := ringStepRS(ctx, &rc, cur, r, n, k); err != nil {
 					setErr(err)
@@ -651,7 +633,7 @@ func ringStepRS[V any](ctx context.Context, rc *ringChan[V], cur []V, r, n, k in
 	defer cancel()
 	sendIdx := ((r-k)%n + n) % n
 	recvIdx := ((r-k-1)%n + n) % n
-	acc, err := rc.transferReduce(sctx, span, cur[sendIdx], cur[recvIdx], sendIdx)
+	acc, err := rc.transferReduce(sctx, span, cur[sendIdx], cur[recvIdx])
 	if err != nil {
 		return fmt.Errorf("collective: rank %d ch %d step %d: %w", r, rc.ch, k, err)
 	}
@@ -695,10 +677,6 @@ func RingAllGather[V any](ctx context.Context, e *comm.Endpoint, owned map[int]V
 	tel := telemetryFrom(ctx)
 	chunkBytes := resolveChunkBytes(ctx)
 	cores := CoresFrom(ctx)
-	comp, err := resolveCompression(ctx, ops)
-	if err != nil {
-		return nil, err
-	}
 	r := e.Rank()
 	for ch := 0; ch < p; ch++ {
 		wg.Add(1)
@@ -712,7 +690,7 @@ func RingAllGather[V any](ctx context.Context, e *comm.Endpoint, owned map[int]V
 			// After reduce-scatter rank r owns block index (r+1)%n.
 			have := (r + 1) % n
 			var rc ringChan[V]
-			rc.init(e, ops, ch, epoch, tel, chunkBytes, cores, comp)
+			rc.init(e, ops, ch, epoch, tel, chunkBytes, cores)
 			// Frames received at step k are forwarded verbatim at step
 			// k+1 (header rewrite only — no decode/re-encode on the
 			// relay path, DESIGN.md §11); fwd carries them across steps.

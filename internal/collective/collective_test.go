@@ -180,62 +180,6 @@ func TestTreeReduce(t *testing.T) {
 	}
 }
 
-func TestRecursiveHalvingReduceScatter(t *testing.T) {
-	for _, n := range []int{1, 2, 4, 8} {
-		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(n)))
-			inputs, want := makeInputs(rng, n, n, 8)
-			got := make([][]float64, n)
-			runGroup(t, n, fmt.Sprintf("rh-%d", n), func(e *comm.Endpoint) error {
-				v, err := RecursiveHalvingReduceScatter(context.Background(), e, inputs[e.Rank()], F64Ops())
-				if err != nil {
-					return err
-				}
-				got[e.Rank()] = v
-				return nil
-			})
-			for r := 0; r < n; r++ {
-				if !segsEqual(got[r], want[r], 1e-9) {
-					t.Errorf("rank %d: got %v want %v", r, got[r], want[r])
-				}
-			}
-		})
-	}
-}
-
-func TestRecursiveHalvingRejectsNonPow2(t *testing.T) {
-	runGroup(t, 3, "rh-bad", func(e *comm.Endpoint) error {
-		segs := [][]float64{{1}, {2}, {3}}
-		if _, err := RecursiveHalvingReduceScatter(context.Background(), e, segs, F64Ops()); err == nil {
-			return fmt.Errorf("non-power-of-two size should fail")
-		}
-		return nil
-	})
-}
-
-func TestPairwiseReduceScatter(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 5, 8} {
-		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(n)))
-			inputs, want := makeInputs(rng, n, n, 8)
-			got := make([][]float64, n)
-			runGroup(t, n, fmt.Sprintf("pw-%d", n), func(e *comm.Endpoint) error {
-				v, err := PairwiseReduceScatter(context.Background(), e, inputs[e.Rank()], F64Ops())
-				if err != nil {
-					return err
-				}
-				got[e.Rank()] = v
-				return nil
-			})
-			for r := 0; r < n; r++ {
-				if !segsEqual(got[r], want[r], 1e-9) {
-					t.Errorf("rank %d: got %v want %v", r, got[r], want[r])
-				}
-			}
-		})
-	}
-}
-
 func TestRingReduceScatterOverTCP(t *testing.T) {
 	const n, p = 3, 2
 	net := transport.NewTCP()
@@ -421,13 +365,6 @@ func TestDecodeErrorPropagates(t *testing.T) {
 		}
 		return nil
 	})
-	runGroup(t, 2, "bad-decode-pw", func(e *comm.Endpoint) error {
-		segs := [][]float64{{1}, {2}}
-		if _, err := PairwiseReduceScatter(context.Background(), e, segs, badOps); err == nil {
-			return fmt.Errorf("pairwise should surface decode errors")
-		}
-		return nil
-	})
 	runGroup(t, 2, "bad-decode-tr", func(e *comm.Endpoint) error {
 		if _, err := TreeReduce(context.Background(), e, 0, []float64{1}, badOps); err == nil && e.Rank() == 0 {
 			return fmt.Errorf("tree reduce root should surface decode errors")
@@ -441,15 +378,6 @@ func TestRingAllGatherBadIndex(t *testing.T) {
 		owned := map[int][]float64{99: {1}}
 		if _, err := RingAllGather(context.Background(), e, owned, 1, F64Ops()); err == nil {
 			return fmt.Errorf("out-of-range owned index should fail")
-		}
-		return nil
-	})
-}
-
-func TestPairwiseWrongSegmentCount(t *testing.T) {
-	runGroup(t, 3, "pw-bad", func(e *comm.Endpoint) error {
-		if _, err := PairwiseReduceScatter(context.Background(), e, [][]float64{{1}}, F64Ops()); err == nil {
-			return fmt.Errorf("wrong segment count should fail")
 		}
 		return nil
 	})

@@ -1,6 +1,6 @@
 package collective
 
-// The zero-suppressed ("packed") chunk form (DESIGN.md §13).
+// The zero-suppressed ("packed") chunk form (DESIGN.md §11).
 //
 // A dense chunk ships every element word; most of a sparse gradient's
 // words are zero. The packed form of an n-element chunk is
@@ -13,8 +13,8 @@ package collective
 // subnormals travel as themselves: the form is value-exact. The encoder
 // picks it per chunk, after one counting pass, only when it is at most
 // half the dense bytes (packThreshold); otherwise the chunk goes out
-// dense, byte-identical to the pre-packing wire. Nothing selects it and
-// nothing can switch it off — it is a property of the data.
+// dense. Nothing selects it and nothing can switch it off — it is a
+// property of the data.
 //
 // Suppressing a zero is sound only for ops whose Reduce is IEEE addition
 // and whose segments start from +0.0: x + (+0.0) == x bit for bit for
@@ -32,22 +32,13 @@ import (
 	"math/bits"
 )
 
-// codecPacked is the chunk-header codec id of the packed form. It shares
-// the codec byte with the lossy codecs but is not one of them: it is
-// unexported, ParseCodec does not spell it and resolveCompression
-// refuses it, so no caller can select it.
-const codecPacked Codec = 4
-
-// lossless reports whether c is one of the two value-exact chunk forms,
-// which a single train may mix chunk by chunk.
-func (c Codec) lossless() bool { return c == CodecNone || c == codecPacked }
-
-// ErrMalformedChunk classifies a packed payload that fails validation:
-// a bitmap of the wrong length, a popcount that disagrees with the value
+// ErrMalformedChunk classifies a chunk that fails validation: a form
+// byte that is neither dense nor packed, or a packed payload with a
+// bitmap of the wrong length, a popcount that disagrees with the value
 // count, bits set past the chunk's last element, or a truncated value
 // array. Every decoder validates the whole payload before its first
 // store, so a malformed chunk never leaves a partial write behind.
-var ErrMalformedChunk = errors.New("collective: malformed packed chunk")
+var ErrMalformedChunk = errors.New("collective: malformed chunk")
 
 // packThreshold: a chunk packs only when its packed payload is at most
 // dense/packThreshold bytes. At ½ the scatter-shaped packed kernels are

@@ -206,24 +206,6 @@ func TestPackedBitwiseIdenticalToDense(t *testing.T) {
 	}
 }
 
-// TestPackedLosesToChosenCodec: an explicitly chosen lossy codec wins —
-// no chunk is packed, and the result is what the same codec produces
-// with packing taken away.
-func TestPackedLosesToChosenCodec(t *testing.T) {
-	const n, p, segLen = 4, 2, 600
-	inputs := makeSparseInputs(rand.New(rand.NewSource(71)), n, p*n, segLen, uniform(0.01), false)
-	for _, chunkBytes := range []int{-1, 800} {
-		ctx := WithCompression(WithChunkBytes(context.Background(), chunkBytes), Compression{Codec: CodecFP16})
-		want := runAllReduce(t, "pk-codec-ref", n, p, inputs, ctx, withoutPacked())
-		var forms encodeCounts
-		got := runAllReduce(t, "pk-codec", n, p, inputs, ctx, countForms(F64Ops(), &forms))
-		requireSameResults(t, got, want)
-		if forms.packed.Load() != 0 {
-			t.Errorf("chunkBytes %d: %d chunks packed under a chosen codec", chunkBytes, forms.packed.Load())
-		}
-	}
-}
-
 // TestPackedNeedsTheHook: ops without Packed — core's serde ops, or
 // anything whose reduce is not addition from +0.0 — never send a packed
 // frame however sparse the data, and a rank that can pack still
@@ -237,49 +219,36 @@ func TestPackedNeedsTheHook(t *testing.T) {
 	got := runAllReduce(t, "pk-hookless", n, p, inputs, context.Background(), generic)
 	requireSameResults(t, got, want)
 
-	hookless := &ringChan[[]float64]{stride: 8, floats: F64Ops().Floats}
-	fr := frame{chunked: true, idx: 0, total: 1, elemCnt: 3, elemAll: 3, codec: codecPacked, payload: make([]byte, 8)}
+	hookless := &ringChan[[]float64]{stride: 8}
+	fr := frame{chunked: true, idx: 0, total: 1, elemCnt: 3, elemAll: 3, form: formPacked, payload: make([]byte, 8)}
 	if err := hookless.checkTrain(fr, 0, -1); err == nil {
 		t.Error("ops without the packed hook accepted a packed chunk")
 	}
 }
 
 // TestCheckTrainLosslessPair: dense and packed chunks may alternate
-// within a train; every other mid-train codec change still fails, in
-// both directions, and a packed payload shorter than its bitmap fails
-// before any decoder sees it.
+// within a train, whichever form opens it, and a packed payload shorter
+// than its bitmap fails before any decoder sees it.
 func TestCheckTrainLosslessPair(t *testing.T) {
-	rc := &ringChan[[]float64]{stride: 8, floats: F64Ops().Floats, packs: true}
-	chunk := func(idx int, codec Codec, payload int) frame {
-		return frame{chunked: true, idx: idx, total: 4, elemOff: 4 * idx, elemCnt: 4, elemAll: 16, codec: codec, payload: make([]byte, payload)}
+	rc := &ringChan[[]float64]{stride: 8, packs: true}
+	chunk := func(idx int, form chunkForm, payload int) frame {
+		return frame{chunked: true, idx: idx, total: 4, elemOff: 4 * idx, elemCnt: 4, elemAll: 16, form: form, payload: make([]byte, payload)}
 	}
-	train := []frame{chunk(0, CodecNone, 32), chunk(1, codecPacked, 8), chunk(2, codecPacked, 16), chunk(3, CodecNone, 32)}
-	for i, fr := range train {
-		need := -1
-		if i > 0 {
-			need = 4
-		}
-		if err := rc.checkTrain(fr, i, need); err != nil {
-			t.Fatalf("chunk %d (%s) of a dense/packed train rejected: %v", i, fr.codec, err)
-		}
-	}
-	for _, first := range []Codec{CodecNone, codecPacked} {
-		if err := rc.checkTrain(chunk(0, first, map[Codec]int{CodecNone: 32, codecPacked: 8}[first]), 0, -1); err != nil {
-			t.Fatal(err)
-		}
-		if err := rc.checkTrain(chunk(1, CodecFP16, 8+2*4), 1, 4); err == nil {
-			t.Errorf("fp16 chunk accepted inside a %s train", first)
+	for _, train := range [][]frame{
+		{chunk(0, formDense, 32), chunk(1, formPacked, 8), chunk(2, formPacked, 16), chunk(3, formDense, 32)},
+		{chunk(0, formPacked, 8), chunk(1, formDense, 32), chunk(2, formDense, 32), chunk(3, formPacked, 40)},
+	} {
+		for i, fr := range train {
+			need := -1
+			if i > 0 {
+				need = 4
+			}
+			if err := rc.checkTrain(fr, i, need); err != nil {
+				t.Fatalf("chunk %d (form %d) of a dense/packed train rejected: %v", i, fr.form, err)
+			}
 		}
 	}
-	if err := rc.checkTrain(chunk(0, CodecInt8, 8+4), 0, -1); err != nil {
-		t.Fatal(err)
-	}
-	for _, second := range []frame{chunk(1, codecPacked, 8), chunk(1, CodecNone, 32)} {
-		if err := rc.checkTrain(second, 1, 4); err == nil {
-			t.Errorf("%s chunk accepted inside an int8 train", second.codec)
-		}
-	}
-	if err := rc.checkTrain(chunk(0, codecPacked, 7), 0, -1); !errors.Is(err, ErrMalformedChunk) {
+	if err := rc.checkTrain(chunk(0, formPacked, 7), 0, -1); !errors.Is(err, ErrMalformedChunk) {
 		t.Errorf("packed payload shorter than its bitmap: %v", err)
 	}
 }

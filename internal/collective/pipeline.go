@@ -17,26 +17,23 @@ package collective
 //
 //	word0:  epoch(30 bits) | chunkFlag(1<<30) | spanFlag(1<<31)
 //	[8B]    sender step-span ID (traced frames only)
-//	[20B]   chunk index · chunk count · element offset · element
-//	        count · segment element count (all uint32)
-//	[...]   payload: elemCnt fixed-stride element words, no per-chunk
-//	        length prefix (counts ride in the header)
+//	[20B]   form(8 bits)<<24 | chunk index(24 bits) · chunk count ·
+//	        element offset · element count · segment element count
+//	        (all uint32)
+//	[...]   payload in the chunk's form (no per-chunk length prefix:
+//	        counts ride in the header)
 //
-// Untraced single-frame steps keep the exact PR 2 byte format, and
-// traced ones the PR 3 format: chunking is a per-frame, per-sender
-// extension. A pre-chunking receiver that sees a chunked frame reads
-// bit 30 as part of the epoch, fails the epoch match and surfaces a
-// "superseded" error — loud, never a silent mis-reduce. Receivers
-// dispatch on the frame's own flags, so a chunking rank interoperates
-// with a non-chunking one, and ranks given different explicit chunk
-// sizes with each other.
+// A frame without chunkFlag is a whole-segment frame: the ops' own
+// Encode output after the epoch/span words — what stride-less ops send,
+// and fixed-stride ones for a segment that is a single dense chunk.
+// Receivers dispatch on each frame's own flags.
 //
 // The chunk plan is static: a function of the segment's element count
 // and the chunk size in force (defaultChunkBytes, or an explicit
 // WithChunkBytes) and of nothing else, so two runs over the same data
 // put the same frames on the wire. Each chunk's *form* is chosen from
-// its data: dense as above, or zero-suppressed (packed.go) when that is
-// at most half the bytes.
+// its data: dense (elemCnt fixed-stride element words), or
+// zero-suppressed (packed.go) when that is at most half the bytes.
 //
 // Ownership follows the PR 1 contract: every chunk frame is a pooled
 // draw sent through the recycling SendToAsync path, at most two in
@@ -145,19 +142,35 @@ func (ops Ops[V]) ChunkStride() int {
 	return stride
 }
 
-// frame is one parsed incoming ring frame: a whole-segment legacy frame
+// chunkForm is the top byte of a chunk header's index word: the layout
+// of the chunk's payload. The sender picks it per chunk from the data
+// (encodeChunkFrame); nothing selects it. Every other byte value —
+// including 1–3, which retired forms once used — fails the step in
+// checkTrain.
+type chunkForm uint8
+
+const (
+	formDense  chunkForm = 0 // elemCnt fixed-stride element words
+	formPacked chunkForm = 4 // presence bitmap + the non-zero words (packed.go)
+
+	// chunkIdxMask masks the chunk index out of the header's index word.
+	chunkIdxMask = uint32(0xFFFFFF)
+)
+
+// frame is one parsed incoming ring frame: a whole-segment frame
 // (chunked=false) or one chunk of a pipelined train.
 type frame struct {
 	payload []byte
 	wire    []byte // full pooled buffer payload aliases; receiver releases or forwards
+	epoch   uint32 // masked epoch of the header word
 	span    uint64 // sender step-span ID, 0 when untraced
 	chunked bool
-	codec   Codec // wire codec of the payload (top byte of the meta index word)
-	idx     int   // chunk index within the train
-	total   int   // chunks in the train
-	elemOff int   // first element this chunk covers
-	elemCnt int   // elements in this chunk
-	elemAll int   // elements in the whole segment
+	form    chunkForm
+	idx     int // chunk index within the train
+	total   int // chunks in the train
+	elemOff int // first element this chunk covers
+	elemCnt int // elements in this chunk
+	elemAll int // elements in the whole segment
 }
 
 // fwdFrame is a received allgather frame retained for cut-through
@@ -167,7 +180,7 @@ type fwdFrame struct {
 	wire       []byte
 	payloadOff int
 	chunked    bool
-	codec      Codec
+	form       chunkForm
 	idx        int
 	total      int
 	elemOff    int
@@ -189,27 +202,16 @@ type ringChan[V any] struct {
 	tel        telemetry
 	cores      int
 
-	chunkBytes int // target chunk payload bytes; 0 = chunking off
-	stride     int // payload bytes per element (0 when ops lack chunk support)
-
-	// Wire-codec state (DESIGN.md §13). comp is the resolved outgoing
-	// codec (CodecNone keeps the bitwise-exact dense frames); floats is
-	// the ops' float view, set whenever the ops can decode compressed
-	// frames — a dense-sending rank still decodes a compressing peer.
-	comp    Compression
-	floats  func(V, int, int) []float64
-	packs   bool      // ops supply the packed chunk form (decode always; encode unless comp wins)
-	efRes   []float64 // this step's outgoing-segment residual (nil = EF off)
-	encBuf  []float64 // error-feedback encode scratch, reused across chunks
-	selBuf  []float64 // top-k selection scratch, reused across chunks
-	inCodec Codec     // codec fixed by the current incoming train's first frame
+	chunkBytes int  // target chunk payload bytes; 0 = chunking off
+	stride     int  // payload bytes per element (0 when ops lack chunk support)
+	packs      bool // ops supply the packed chunk form
 
 	next   int             // successor rank, cached
 	done   chan error      // send completions; capacity 2 covers the window
 	sctx   context.Context // current step context
 	sent   int             // frames enqueued this step
 	reaped int             // send completions consumed this step
-	hint   int             // last legacy frame size, for pool sizing
+	hint   int             // last whole-segment frame size, for pool sizing
 
 	// fwdBufs ping-pong the allgather forward list across steps so the
 	// steady-state relay appends into recycled backing arrays.
@@ -218,17 +220,16 @@ type ringChan[V any] struct {
 	// Step telemetry accumulators (meaningful only when tel.on).
 	stepBytes int64
 	stepRaw   int64 // dense byte equivalent of the step's sends
-	lastRaw   int64 // dense equivalent of the frame just encoded (codec and packed frames only)
+	lastRaw   int64 // dense equivalent of the frame just encoded (packed frames only)
 	packedOut int64 // packed chunk frames sent this step
 	reduceNS  int64
 	overlapNS int64
 	peerSpan  uint64
 }
 
-// init prepares the transfer engine for one channel. chunkBytes and
-// comp come from resolveChunkBytes/resolveCompression, evaluated once
-// per collective.
-func (rc *ringChan[V]) init(e *comm.Endpoint, ops Ops[V], ch int, epoch uint32, tel telemetry, chunkBytes, cores int, comp Compression) {
+// init prepares the transfer engine for one channel. chunkBytes comes
+// from resolveChunkBytes, evaluated once per collective.
+func (rc *ringChan[V]) init(e *comm.Endpoint, ops Ops[V], ch int, epoch uint32, tel telemetry, chunkBytes, cores int) {
 	rc.e = e
 	rc.ops = ops
 	rc.ch = ch
@@ -243,21 +244,6 @@ func (rc *ringChan[V]) init(e *comm.Endpoint, ops Ops[V], ch int, epoch uint32, 
 		rc.chunkBytes = chunkBytes
 	}
 	rc.packs = ops.CanPack()
-	if rc.stride == 8 {
-		// Compressed frames are always float64-element chunks; the view
-		// is kept even when this rank sends dense, so it can decode a
-		// compressing peer.
-		rc.floats = ops.Floats
-	}
-	if comp.enabled() && rc.floats != nil {
-		rc.comp = comp
-		if rc.chunkBytes <= 0 {
-			// Compression rides the chunk train: even when chunking was
-			// disabled, codec frames need the chunk meta for the codec
-			// byte, so single-chunk trains at the default size carry them.
-			rc.chunkBytes = defaultChunkBytes
-		}
-	}
 	// One completion channel serves both in-flight sends: completions
 	// are only ever counted (each one frees a window slot), never
 	// matched to a specific frame, so a single capacity-2 buffer
@@ -275,8 +261,8 @@ func (rc *ringChan[V]) beginStep(sctx context.Context) {
 }
 
 // outChunks plans the outgoing train for a segment of elems elements:
-// 1 means a single legacy frame (chunking off, unchunkable ops, or a
-// segment too small to split).
+// 1 means a single frame (chunking off, unchunkable ops, or a segment
+// too small to split).
 func (rc *ringChan[V]) outChunks(elems int) int {
 	if rc.chunkBytes <= 0 || rc.stride <= 0 || elems <= 0 {
 		return 1
@@ -289,22 +275,11 @@ func (rc *ringChan[V]) outChunks(elems int) int {
 	return c
 }
 
-// chunkElems is the element capacity of one chunk. With a codec active
-// the chunk-bytes target counts *post-compression* wire bytes, so the
-// element capacity grows by the codec's (data-independent) compression
-// factor. Packing does not enter: its factor is only known per chunk,
+// chunkElems is the element capacity of one chunk, counted in dense
+// bytes. Packing does not enter: its factor is only known per chunk,
 // after the plan is cut.
 func (rc *ringChan[V]) chunkElems() int {
-	var per int
-	if rc.comp.enabled() {
-		per = int(float64(rc.chunkBytes) / rc.comp.wireBytesPerElem())
-	} else {
-		per = rc.chunkBytes / rc.stride
-	}
-	if per < 1 {
-		per = 1
-	}
-	return per
+	return max(rc.chunkBytes/rc.stride, 1)
 }
 
 // inflight is the number of frames enqueued but not yet retired.
@@ -344,8 +319,8 @@ func (rc *ringChan[V]) abortSends() {
 }
 
 // sendFrame enqueues one pooled wire frame on the double-buffered
-// window. The caller has already ensured inflight() < 2. Codec encoders
-// deposit the frame's pre-compression byte equivalent in lastRaw; dense
+// window. The caller has already ensured inflight() < 2. The packed
+// encoder deposits the frame's dense byte equivalent in lastRaw; dense
 // frames are their own raw size.
 func (rc *ringChan[V]) sendFrame(wire []byte) {
 	rc.stepBytes += int64(len(wire))
@@ -364,22 +339,18 @@ func (rc *ringChan[V]) sendFrame(wire []byte) {
 func chunkHeaderSize(spanID uint64) int { return frameHeaderSize(spanID) + chunkMetaSize }
 
 // stampChunk fills in the header of an encoded chunk frame (epoch word,
-// span ID, chunk meta with the payload's codec byte) and records it for
+// span ID, chunk meta with the payload's form byte) and records it for
 // the -race pool guard and the chunk-bytes histogram.
-func (rc *ringChan[V]) stampChunk(wire []byte, spanID uint64, idx, total, elemOff, elemCnt, elemAll int, codec Codec) {
+func (rc *ringChan[V]) stampChunk(wire []byte, spanID uint64, idx, total, elemOff, elemCnt, elemAll int, form chunkForm) {
 	word := rc.epoch&epochMask | chunkFlag
 	if spanID != 0 {
 		word |= spanFlag
 		putUint64(wire[epochHeaderSize:], spanID)
 	}
 	putUint32(wire, word)
-	putChunkMeta(wire[frameHeaderSize(spanID):], idx, total, elemOff, elemCnt, elemAll, codec)
+	putChunkMeta(wire[frameHeaderSize(spanID):], idx, total, elemOff, elemCnt, elemAll, form)
 	if comm.RaceGuard {
-		if codec != CodecNone {
-			comm.TagWire(wire, fmt.Sprintf("ring ch %d codec %s chunk %d/%d", rc.ch, codec, idx, total))
-		} else {
-			comm.TagWire(wire, fmt.Sprintf("ring ch %d chunk %d/%d", rc.ch, idx, total))
-		}
+		comm.TagWire(wire, fmt.Sprintf("ring ch %d chunk %d/%d", rc.ch, idx, total))
 	}
 	if rc.tel.on {
 		rc.tel.chunkBytes.Observe(int64(len(wire)))
@@ -388,13 +359,9 @@ func (rc *ringChan[V]) stampChunk(wire []byte, spanID uint64, idx, total, elemOf
 
 // encodeChunkFrame builds chunk idx of a total-chunk train covering
 // elements [elemOff, elemOff+elemCnt) of v, as an exactly-sized pooled
-// draw: through the selected lossy codec if there is one, else packed
-// when the chunk's own data makes that at most half the bytes, else
-// dense.
+// draw: packed when the chunk's own data makes that at most half the
+// bytes, else dense.
 func (rc *ringChan[V]) encodeChunkFrame(spanID uint64, v V, idx, total, elemOff, elemCnt, elemAll int) []byte {
-	if rc.comp.enabled() {
-		return rc.encodeCodecFrame(spanID, v, idx, total, elemOff, elemCnt, elemAll)
-	}
 	if wire := rc.encodePackedFrame(spanID, v, idx, total, elemOff, elemCnt, elemAll); wire != nil {
 		return wire
 	}
@@ -402,17 +369,16 @@ func (rc *ringChan[V]) encodeChunkFrame(spanID uint64, v V, idx, total, elemOff,
 	buf := comm.GetBuffer(hs + rc.stride*elemCnt)
 	wire := rc.ops.EncodeChunkTo(buf[:hs], v, elemOff, elemCnt)
 	releaseIfAbandoned(buf, wire)
-	rc.stampChunk(wire, spanID, idx, total, elemOff, elemCnt, elemAll, CodecNone)
+	rc.stampChunk(wire, spanID, idx, total, elemOff, elemCnt, elemAll, formDense)
 	return wire
 }
 
 // encodePackedFrame is the data-driven choice: one counting pass over
 // the chunk (Packed.ChunkSize), and when packing wins, the packed frame
 // as an exactly-sized pooled draw. It returns nil when the chunk stays
-// dense — or when the ops cannot pack, or a lossy codec was chosen,
-// which wins over packing.
+// dense, or when the ops cannot pack.
 func (rc *ringChan[V]) encodePackedFrame(spanID uint64, v V, idx, total, elemOff, elemCnt, elemAll int) []byte {
-	if !rc.packs || rc.comp.enabled() {
+	if !rc.packs {
 		return nil
 	}
 	size := rc.ops.Packed.ChunkSize(v, elemOff, elemCnt)
@@ -423,7 +389,7 @@ func (rc *ringChan[V]) encodePackedFrame(spanID uint64, v V, idx, total, elemOff
 	buf := comm.GetBuffer(hs + size)
 	wire := rc.ops.Packed.EncodeChunkTo(buf[:hs], v, elemOff, elemCnt)
 	releaseIfAbandoned(buf, wire)
-	rc.stampChunk(wire, spanID, idx, total, elemOff, elemCnt, elemAll, codecPacked)
+	rc.stampChunk(wire, spanID, idx, total, elemOff, elemCnt, elemAll, formPacked)
 	rc.lastRaw = int64(hs + rc.stride*elemCnt)
 	rc.packedOut++
 	return wire
@@ -442,16 +408,13 @@ func (rc *ringChan[V]) outPlan(v V) (total, elems, per int) {
 }
 
 // encodeNext encodes frame rc.sent of the train outPlan cut for v. A
-// one-frame step goes out as the legacy whole-segment frame unless its
-// form needs the chunk header's codec byte: lossy codecs always, and a
-// segment that packs — both travel as one-chunk trains.
+// one-frame step goes out as the whole-segment frame unless the segment
+// packs: the packed form needs the chunk header's form byte, so it
+// travels as a one-chunk train.
 func (rc *ringChan[V]) encodeNext(spanID uint64, v V, total, elems, per int) []byte {
-	if total > 1 || rc.comp.enabled() {
+	if total > 1 {
 		lo := rc.sent * per
-		hi := lo + per
-		if hi > elems {
-			hi = elems
-		}
+		hi := min(lo+per, elems)
 		return rc.encodeChunkFrame(spanID, v, rc.sent, total, lo, hi-lo, elems)
 	}
 	if wire := rc.encodePackedFrame(spanID, v, 0, 1, 0, elems, elems); wire != nil {
@@ -463,23 +426,54 @@ func (rc *ringChan[V]) encodeNext(spanID uint64, v V, total, elems, per int) []b
 	return wire
 }
 
-// putChunkMeta serializes the 20-byte chunk header. The codec id rides
-// in the top byte of the index word: codec 0 leaves the word — and the
-// whole header — byte-identical to the pre-codec format, while a
-// pre-codec receiver reads a compressed frame's index as idx+codec·2²⁴,
-// fails the train check and errors loudly.
-func putChunkMeta(dst []byte, idx, total, elemOff, elemCnt, elemAll int, codec Codec) {
-	putUint32(dst, uint32(idx)&chunkIdxMask|uint32(codec)<<24)
+// putChunkMeta serializes the 20-byte chunk header. The form rides in
+// the top byte of the index word.
+func putChunkMeta(dst []byte, idx, total, elemOff, elemCnt, elemAll int, form chunkForm) {
+	putUint32(dst, uint32(idx)&chunkIdxMask|uint32(form)<<24)
 	putUint32(dst[4:], uint32(total))
 	putUint32(dst[8:], uint32(elemOff))
 	putUint32(dst[12:], uint32(elemCnt))
 	putUint32(dst[16:], uint32(elemAll))
 }
 
-// recvAny receives the next frame for this collective's epoch,
-// dispatching on the frame's own flags so chunked and legacy senders
-// interoperate. Stale-epoch residue is dropped and the receive retried;
-// a newer epoch means this collective was superseded.
+// parseFrame splits one received ring frame into its header fields and
+// payload, dispatching on the frame's own flags. It checks only that the
+// header the flags announce is there; checkTrain judges what it says.
+func parseFrame(in []byte) (frame, error) {
+	if len(in) < epochHeaderSize {
+		return frame{}, fmt.Errorf("collective: frame shorter than epoch header (%d bytes)", len(in))
+	}
+	word := uint32At(in, 0)
+	fr := frame{wire: in, epoch: word & epochMask}
+	hs := epochHeaderSize
+	if word&spanFlag != 0 {
+		if len(in) < hs+spanIDSize {
+			return frame{}, fmt.Errorf("collective: traced frame shorter than span header (%d bytes)", len(in))
+		}
+		fr.span = uint64At(in, hs)
+		hs += spanIDSize
+	}
+	if word&chunkFlag != 0 {
+		if len(in) < hs+chunkMetaSize {
+			return frame{}, fmt.Errorf("collective: chunked frame shorter than chunk header (%d bytes)", len(in))
+		}
+		fr.chunked = true
+		iw := uint32At(in, hs)
+		fr.form = chunkForm(iw >> 24)
+		fr.idx = int(iw & chunkIdxMask)
+		fr.total = int(uint32At(in, hs+4))
+		fr.elemOff = int(uint32At(in, hs+8))
+		fr.elemCnt = int(uint32At(in, hs+12))
+		fr.elemAll = int(uint32At(in, hs+16))
+		hs += chunkMetaSize
+	}
+	fr.payload = in[hs:]
+	return fr, nil
+}
+
+// recvAny receives the next frame for this collective's epoch.
+// Stale-epoch residue is dropped and the receive retried; a newer epoch
+// means this collective was superseded.
 func (rc *ringChan[V]) recvAny() (frame, error) {
 	want := rc.epoch & epochMask
 	for {
@@ -487,44 +481,18 @@ func (rc *ringChan[V]) recvAny() (frame, error) {
 		if err != nil {
 			return frame{}, err
 		}
-		if len(in) < epochHeaderSize {
-			return frame{}, fmt.Errorf("collective: frame shorter than epoch header (%d bytes)", len(in))
+		fr, err := parseFrame(in)
+		if err != nil {
+			return frame{}, err
 		}
-		word := uint32At(in, 0)
-		got := word & epochMask
-		hs := epochHeaderSize
-		var fr frame
-		if word&spanFlag != 0 {
-			if len(in) < hs+spanIDSize {
-				return frame{}, fmt.Errorf("collective: traced frame shorter than span header (%d bytes)", len(in))
-			}
-			fr.span = uint64At(in, hs)
-			hs += spanIDSize
-		}
-		if word&chunkFlag != 0 {
-			if len(in) < hs+chunkMetaSize {
-				return frame{}, fmt.Errorf("collective: chunked frame shorter than chunk header (%d bytes)", len(in))
-			}
-			fr.chunked = true
-			iw := uint32At(in, hs)
-			fr.codec = Codec(iw >> 24)
-			fr.idx = int(iw & chunkIdxMask)
-			fr.total = int(uint32At(in, hs+4))
-			fr.elemOff = int(uint32At(in, hs+8))
-			fr.elemCnt = int(uint32At(in, hs+12))
-			fr.elemAll = int(uint32At(in, hs+16))
-			hs += chunkMetaSize
-		}
-		if got == want {
-			fr.payload = in[hs:]
-			fr.wire = in
+		if fr.epoch == want {
 			return fr, nil
 		}
 		if rc.releasable {
 			comm.Release(in)
 		}
-		if epochNewer(got, want) {
-			return frame{}, fmt.Errorf("collective: epoch %d superseded by in-flight epoch %d", want, got)
+		if epochNewer(fr.epoch, want) {
+			return frame{}, fmt.Errorf("collective: epoch %d superseded by in-flight epoch %d", want, fr.epoch)
 		}
 	}
 }
@@ -532,10 +500,8 @@ func (rc *ringChan[V]) recvAny() (frame, error) {
 // checkTrain validates one incoming frame against the train state (got
 // chunks received so far, need chunks expected or -1 before the first
 // frame) so a corrupt or misrouted chunk fails the step instead of
-// mis-reducing. The first frame of a train fixes its codec; a codec
-// change mid-train fails exactly like a train-length change — except
-// between the two lossless forms, which the sender picks chunk by chunk
-// from the data, so one train may mix dense and packed chunks.
+// mis-reducing. The sender picks each chunk's form from its data, so one
+// train may mix dense and packed chunks.
 func (rc *ringChan[V]) checkTrain(fr frame, got, need int) error {
 	switch {
 	case !fr.chunked && got != 0:
@@ -544,65 +510,32 @@ func (rc *ringChan[V]) checkTrain(fr frame, got, need int) error {
 		return nil
 	case rc.stride <= 0:
 		return fmt.Errorf("collective: peer sent a chunked frame but ops have no chunk decoder")
-	case fr.codec > codecPacked:
-		return fmt.Errorf("collective: unknown codec %d in chunk header", uint8(fr.codec))
-	case fr.codec == codecPacked && !rc.packs:
+	case fr.form != formDense && fr.form != formPacked:
+		return fmt.Errorf("%w: unknown chunk form %d in chunk header", ErrMalformedChunk, uint8(fr.form))
+	case fr.form == formPacked && !rc.packs:
 		return fmt.Errorf("collective: peer sent a packed chunk but ops have no packed decoder")
-	case !fr.codec.lossless() && rc.floats == nil:
-		return fmt.Errorf("collective: peer sent a %s-compressed chunk but ops have no float view", fr.codec)
 	case fr.total < 1 || fr.idx < 0 || fr.elemCnt < 0 || fr.elemOff < 0 || fr.elemAll < 0:
 		return fmt.Errorf("collective: corrupt chunk header (idx %d total %d off %d cnt %d all %d)", fr.idx, fr.total, fr.elemOff, fr.elemCnt, fr.elemAll)
 	case fr.idx != got:
 		return fmt.Errorf("collective: chunk %d arrived, want chunk %d of %d", fr.idx, got, fr.total)
-	case got > 0 && fr.codec != rc.inCodec && !(fr.codec.lossless() && rc.inCodec.lossless()):
-		return fmt.Errorf("collective: mixed-codec chunk train (%s after %s at chunk %d)", fr.codec, rc.inCodec, fr.idx)
 	case need >= 0 && fr.total != need:
 		return fmt.Errorf("collective: chunk train length changed mid-step (%d vs %d)", fr.total, need)
 	case fr.elemOff+fr.elemCnt > fr.elemAll:
 		return fmt.Errorf("collective: chunk [%d,%d) exceeds its declared segment of %d elems", fr.elemOff, fr.elemOff+fr.elemCnt, fr.elemAll)
-	}
-	if err := checkChunkPayload(fr, rc.stride); err != nil {
-		return err
-	}
-	if got == 0 {
-		rc.inCodec = fr.codec
-	}
-	return nil
-}
-
-// checkChunkPayload validates a chunk's payload length against its
-// codec's wire format (top-k and packed lengths are nnz-dependent: the
-// fixed part is checked here, the rest at decode).
-func checkChunkPayload(fr frame, stride int) error {
-	switch fr.codec {
-	case CodecNone:
-		if len(fr.payload) != fr.elemCnt*stride {
-			return fmt.Errorf("collective: chunk payload %d bytes, want %d (%d elems × stride %d)", len(fr.payload), fr.elemCnt*stride, fr.elemCnt, stride)
-		}
-	case CodecFP16:
-		if len(fr.payload) != 8+2*fr.elemCnt {
-			return fmt.Errorf("collective: fp16 chunk payload %d bytes, want %d", len(fr.payload), 8+2*fr.elemCnt)
-		}
-	case CodecInt8:
-		if len(fr.payload) != 8+fr.elemCnt {
-			return fmt.Errorf("collective: int8 chunk payload %d bytes, want %d", len(fr.payload), 8+fr.elemCnt)
-		}
-	case CodecTopK:
-		if len(fr.payload) < 4 {
-			return fmt.Errorf("collective: top-k chunk payload %d bytes, shorter than its nnz word", len(fr.payload))
-		}
-	case codecPacked:
-		if len(fr.payload) < 8*PackedWords(fr.elemCnt) {
-			return fmt.Errorf("%w: payload %d bytes, shorter than the %d-word bitmap of %d elems", ErrMalformedChunk, len(fr.payload), PackedWords(fr.elemCnt), fr.elemCnt)
-		}
+	case fr.form == formDense && len(fr.payload) != fr.elemCnt*rc.stride:
+		return fmt.Errorf("collective: chunk payload %d bytes, want %d (%d elems × stride %d)", len(fr.payload), fr.elemCnt*rc.stride, fr.elemCnt, rc.stride)
+	case fr.form == formPacked && len(fr.payload) < 8*PackedWords(fr.elemCnt):
+		// The rest of a packed payload's length depends on its popcount
+		// and is checked at decode.
+		return fmt.Errorf("%w: payload %d bytes, shorter than the %d-word bitmap of %d elems", ErrMalformedChunk, len(fr.payload), PackedWords(fr.elemCnt), fr.elemCnt)
 	}
 	return nil
 }
 
 // releaseFrame returns one received frame's buffer to the pool when the
 // ops' contracts prove it unretained: always for chunk payloads (the
-// chunk decoders are defined non-retaining), for legacy frames only
-// under the DecodeReduceInto marker.
+// chunk decoders are defined non-retaining), for whole-segment frames
+// only under the DecodeReduceInto marker.
 func (rc *ringChan[V]) releaseFrame(fr frame) {
 	if rc.releasable || fr.chunked {
 		comm.Release(fr.wire)
@@ -635,14 +568,11 @@ func (rc *ringChan[V]) reduceChunk(acc V, fr frame) error {
 		return fmt.Errorf("collective: chunk [%d,%d) exceeds local segment of %d elems",
 			fr.elemOff, fr.elemOff+fr.elemCnt, rc.ops.Elems(acc))
 	}
-	switch {
-	case fr.codec == codecPacked:
+	if fr.form == formPacked {
 		// Not sharded: the walk costs ∝ non-zeros, at most half a dense
 		// chunk's adds, and a shard would need the popcount of everything
 		// before it to find its values.
 		return rc.ops.Packed.DecodeReduceChunkInto(acc, fr.elemOff, fr.elemCnt, fr.payload)
-	case fr.codec != CodecNone:
-		return rc.reduceCodecChunk(acc, fr)
 	}
 	w := rc.parWorkers(fr.elemCnt)
 	if w <= 1 {
@@ -683,17 +613,16 @@ func (rc *ringChan[V]) observeReduce(d time.Duration, active bool) {
 }
 
 // finishStep records the step's telemetry onto its span and histograms.
-// Every step over float64 elements — the ones a codec or the packed form
-// can shrink — also records its dense byte equivalent (the raw-bytes
-// histogram and span attribute) whether or not anything shrank, so
-// raw ÷ wire is the achieved reduction and raw alone the volume the
-// algorithm moves; compressing steps add the codec tag.
+// Every step of ops that can pack also records its dense byte equivalent
+// (the raw-bytes histogram and span attribute) whether or not anything
+// packed, so raw ÷ wire is the achieved reduction and raw alone the
+// volume the algorithm moves.
 func (rc *ringChan[V]) finishStep(span *trace.ActiveSpan, chunks int) {
 	if !rc.tel.on {
 		return
 	}
 	rc.tel.stepBytes.Observe(rc.stepBytes)
-	if rc.floats != nil {
+	if rc.packs {
 		rc.tel.stepRaw.Observe(rc.stepRaw)
 	}
 	if span == nil {
@@ -701,12 +630,9 @@ func (rc *ringChan[V]) finishStep(span *trace.ActiveSpan, chunks int) {
 	}
 	span.SetInt("bytes", rc.stepBytes)
 	span.SetHex("peer_span", rc.peerSpan)
-	if rc.floats != nil {
+	if rc.packs {
 		span.SetInt("raw_bytes", rc.stepRaw)
 		span.SetInt("packed_chunks", rc.packedOut)
-	}
-	if rc.comp.enabled() {
-		span.SetAttr("codec", rc.comp.Codec.String())
 	}
 	if chunks > 1 {
 		span.SetInt("chunks", int64(chunks))
@@ -724,14 +650,10 @@ func (rc *ringChan[V]) finishStep(span *trace.ActiveSpan, chunks int) {
 // the window drains on the wire — and retires completions
 // opportunistically, so encode, wire and reduce overlap within the step
 // instead of running back to back.
-func (rc *ringChan[V]) transferReduce(sctx context.Context, span *trace.ActiveSpan, out V, acc V, outSeg int) (V, error) {
+func (rc *ringChan[V]) transferReduce(sctx context.Context, span *trace.ActiveSpan, out V, acc V) (V, error) {
 	spanID := span.ID()
 	outTotal, elems, per := rc.outPlan(out)
 	rc.beginStep(sctx)
-	rc.efRes = nil
-	if rc.comp.efOn() {
-		rc.efRes = rc.comp.State.residual(efKey(rc.ch, outSeg), elems)
-	}
 
 	inNeed, inGot := -1, 0
 	for {
@@ -843,35 +765,35 @@ func (rc *ringChan[V]) forwardFrame(f fwdFrame, spanID uint64) []byte {
 	}
 	if f.chunked {
 		word |= chunkFlag
-		putChunkMeta(wire[metaOff:], f.idx, f.total, f.elemOff, f.elemCnt, f.elemAll, f.codec)
+		putChunkMeta(wire[metaOff:], f.idx, f.total, f.elemOff, f.elemCnt, f.elemAll, f.form)
 	}
 	putUint32(wire, word)
 	if comm.RaceGuard {
-		rc.tagForward(wire, f)
+		comm.TagWire(wire, fmt.Sprintf("ring ch %d fwd chunk %d/%d", rc.ch, f.idx, f.total))
 	}
 	if rc.tel.on && f.chunked {
 		rc.tel.chunkBytes.Observe(int64(len(wire)))
 	}
-	if f.codec != CodecNone {
-		// Relayed compressed and packed frames keep their payload
-		// untouched; account the dense equivalent for the raw-bytes
-		// telemetry.
+	if f.form == formPacked {
+		// A relayed packed frame keeps its payload untouched; account the
+		// dense equivalent for the raw-bytes telemetry.
 		rc.lastRaw = int64(hs + rc.stride*f.elemCnt)
-		if f.codec == codecPacked {
-			rc.packedOut++
-		}
+		rc.packedOut++
 	}
 	return wire
 }
 
-// tagForward labels a relayed frame for the -race pool guard, naming
-// the codec when the relayed payload is compressed.
-func (rc *ringChan[V]) tagForward(wire []byte, f fwdFrame) {
-	if f.codec != CodecNone {
-		comm.TagWire(wire, fmt.Sprintf("ring ch %d codec %s fwd chunk %d/%d", rc.ch, f.codec, f.idx, f.total))
-		return
+// decodeChunk is the allgather assembly of one chunk: set (not add)
+// elements [elemOff, elemOff+elemCnt) of dst from the payload.
+func (rc *ringChan[V]) decodeChunk(dst V, fr frame) error {
+	if fr.elemOff+fr.elemCnt > rc.ops.Elems(dst) {
+		return fmt.Errorf("collective: chunk [%d,%d) exceeds assembled segment of %d elems",
+			fr.elemOff, fr.elemOff+fr.elemCnt, rc.ops.Elems(dst))
 	}
-	comm.TagWire(wire, fmt.Sprintf("ring ch %d fwd chunk %d/%d", rc.ch, f.idx, f.total))
+	if fr.form == formPacked {
+		return rc.ops.Packed.DecodeChunkInto(dst, fr.elemOff, fr.elemCnt, fr.payload)
+	}
+	return rc.ops.DecodeChunkInto(dst, fr.elemOff, fr.payload)
 }
 
 // gatherAbort cleans up a failed allgather step: drain the send window
@@ -906,10 +828,6 @@ func (rc *ringChan[V]) transferGather(sctx context.Context, span *trace.ActiveSp
 		outTotal, elems, per = rc.outPlan(all[sendSlot])
 	}
 	rc.beginStep(sctx)
-	// Allgather compresses its step-0 frames without error feedback: the
-	// values are final results, never re-encoded, so there is no later
-	// iteration to re-inject the error into.
-	rc.efRes = nil
 
 	var kept []fwdFrame
 	if keep {
@@ -950,16 +868,7 @@ func (rc *ringChan[V]) transferGather(sctx context.Context, span *trace.ActiveSp
 				}
 				inNeed = fr.total
 				inGot++
-				if fr.elemOff+fr.elemCnt > rc.ops.Elems(all[recvSlot]) {
-					derr = fmt.Errorf("collective: chunk [%d,%d) exceeds assembled segment of %d elems",
-						fr.elemOff, fr.elemOff+fr.elemCnt, rc.ops.Elems(all[recvSlot]))
-				} else if fr.codec == codecPacked {
-					derr = rc.ops.Packed.DecodeChunkInto(all[recvSlot], fr.elemOff, fr.elemCnt, fr.payload)
-				} else if fr.codec != CodecNone {
-					derr = rc.decodeCodecChunkInto(all[recvSlot], fr)
-				} else {
-					derr = rc.ops.DecodeChunkInto(all[recvSlot], fr.elemOff, fr.payload)
-				}
+				derr = rc.decodeChunk(all[recvSlot], fr)
 			} else {
 				inNeed, inGot = 1, 1
 				var v V
@@ -982,7 +891,7 @@ func (rc *ringChan[V]) transferGather(sctx context.Context, span *trace.ActiveSp
 					wire:       fr.wire,
 					payloadOff: len(fr.wire) - len(fr.payload),
 					chunked:    fr.chunked,
-					codec:      fr.codec,
+					form:       fr.form,
 					idx:        fr.idx,
 					total:      fr.total,
 					elemOff:    fr.elemOff,

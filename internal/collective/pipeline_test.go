@@ -3,11 +3,13 @@ package collective
 // Tests for the pipelined chunked ring path: bitwise equivalence with
 // the sequential single-frame path (the property the multi-core sharded
 // reduce must preserve), exact wire accounting for chunk trains,
-// cut-through forwarding in the allgather, header validation, and the
-// static chunk plan.
+// cut-through forwarding in the allgather, the dense frames' byte layout,
+// header validation (table and fuzzer), and the static chunk plan.
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -367,6 +369,187 @@ func TestCheckTrainRejectsCorruptChunks(t *testing.T) {
 	if err := bare.checkTrain(frame{chunked: true, total: 1, elemCnt: 1, elemAll: 1, payload: ok8}, 0, -1); err == nil {
 		t.Error("chunked frame accepted by ops with no chunk decoder")
 	}
+}
+
+// TestCheckTrainRejectsUnknownForm: the form byte has two values. Every
+// other one — 1, 2 and 3 once named lossy codecs whose payloads these
+// would be — fails the step as ErrMalformedChunk, as the first chunk of a
+// train or inside one, before anything is stored.
+func TestCheckTrainRejectsUnknownForm(t *testing.T) {
+	rc := &ringChan[[]float64]{stride: 8, packs: true, ops: F64Ops()}
+	const n = 4
+	for _, tc := range []struct {
+		form    chunkForm
+		payload int
+	}{
+		{1, 8 + 2*n}, {2, 8 + n}, {3, 4 + 12*2}, {3, 4 + 8*n}, // retired layouts
+		{1, 8 * n}, {2, 8 * n}, {3, 8 * n}, // dense-sized payloads
+		{5, 8 * n}, {9, 8 * n}, {255, 8 * n},
+	} {
+		for _, at := range []struct{ got, need int }{{0, -1}, {1, 4}} {
+			fr := frame{chunked: true, idx: at.got, total: 4, elemOff: n * at.got, elemCnt: n, elemAll: 4 * n,
+				form: tc.form, payload: make([]byte, tc.payload)}
+			if err := rc.checkTrain(fr, at.got, at.need); !errors.Is(err, ErrMalformedChunk) {
+				t.Errorf("form %d, %d-byte payload, chunk %d: %v, want ErrMalformedChunk", tc.form, tc.payload, at.got, err)
+			}
+		}
+	}
+}
+
+// leWords is the little-endian byte string of 32-bit words.
+func leWords(words ...uint32) []byte {
+	var out []byte
+	for _, w := range words {
+		out = binary.LittleEndian.AppendUint32(out, w)
+	}
+	return out
+}
+
+// leFloats is the little-endian byte string of float64 words.
+func leFloats(vals ...float64) []byte {
+	var out []byte
+	for _, v := range vals {
+		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
+	}
+	return out
+}
+
+// TestDenseWireByteIdentical pins the bytes of the two dense frames, the
+// ones every rank of every earlier build has put on the wire: a dense
+// chunk is epoch|flags, optional span ID, five header words with a zero
+// form byte, then the raw element words; a whole-segment frame is
+// epoch|flags, optional span ID, then the ops' own encoding. (The wire
+// accounting tests count these bytes; this one reads them.)
+func TestDenseWireByteIdentical(t *testing.T) {
+	const epoch, span = 0x2345678, 0x1122334455667788
+	v := []float64{1.5, -2.25, math.Copysign(0, -1), math.Inf(1), 3, 4, 5, 6}
+	rc := &ringChan[[]float64]{ops: F64Ops(), stride: 8, packs: true, epoch: epoch}
+	spanLE := binary.LittleEndian.AppendUint64(nil, span)
+	for _, tc := range []struct {
+		name string
+		got  []byte
+		want [][]byte
+	}{
+		{"chunk", rc.encodeChunkFrame(0, v, 2, 5, 3, 4, 8),
+			[][]byte{leWords(epoch|chunkFlag, 2, 5, 3, 4, 8), leFloats(v[3:7]...)}},
+		{"traced chunk", rc.encodeChunkFrame(span, v, 2, 5, 3, 4, 8),
+			[][]byte{leWords(epoch | chunkFlag | spanFlag), spanLE, leWords(2, 5, 3, 4, 8), leFloats(v[3:7]...)}},
+		{"whole segment", rc.encodeNext(0, v, 1, 8, 8),
+			[][]byte{leWords(epoch, 8), leFloats(v...)}},
+		{"traced whole segment", rc.encodeNext(span, v, 1, 8, 8),
+			[][]byte{leWords(epoch | spanFlag), spanLE, leWords(8), leFloats(v...)}},
+	} {
+		if want := bytes.Join(tc.want, nil); !bytes.Equal(tc.got, want) {
+			t.Errorf("%s frame:\n got %x\nwant %x", tc.name, tc.got, want)
+		}
+		comm.Release(tc.got)
+	}
+}
+
+// FuzzRingFrame: the receive path takes bytes off a socket. Whatever
+// arrives, parseFrame → checkTrain → the chunk's decode-reduce and its
+// allgather decode never panic and never store outside the chunk's
+// element range; a frame any stage refuses leaves the accumulator as it
+// was; and a form byte other than dense or packed is refused as
+// ErrMalformedChunk. got and need are the train state the frame meets.
+func FuzzRingFrame(f *testing.F) {
+	const segLen = 96
+	chunkFrame := func(form chunkForm, idx, total, off, cnt, all uint32, payload []byte) []byte {
+		return append(leWords(7|chunkFlag, uint32(form)<<24|idx, total, off, cnt, all), payload...)
+	}
+	sparse := make([]float64, 70)
+	sparse[1], sparse[40], sparse[69] = 3, math.Copysign(0, -1), math.NaN()
+	dense8 := leFloats(1, 2, 3, 4, 5, 6, 7, 8)
+
+	f.Add(chunkFrame(formDense, 0, 2, 8, 8, 96, dense8), uint8(0), int8(-1))
+	f.Add(chunkFrame(formDense, 1, 2, 88, 8, 96, dense8), uint8(1), int8(2))
+	f.Add(chunkFrame(formPacked, 0, 1, 5, 70, 96, packAll(sparse)), uint8(0), int8(-1))
+	f.Add(append(leWords(7, 96), leFloats(make([]float64, 96)...)...), uint8(0), int8(-1)) // whole segment
+	f.Add(append(leWords(7, 96), leFloats(make([]float64, 96)...)...), uint8(2), int8(4))  // … inside a train
+	// Retired form bytes, each over the payload its old decoder would have
+	// taken and over a dense-sized one.
+	f.Add(chunkFrame(1, 0, 1, 0, 8, 96, make([]byte, 8+2*8)), uint8(0), int8(-1))
+	f.Add(chunkFrame(2, 0, 1, 0, 8, 96, make([]byte, 8+8)), uint8(0), int8(-1))
+	f.Add(chunkFrame(3, 0, 1, 0, 8, 96, append(leWords(1, 5), leFloats(9)...)), uint8(0), int8(-1))
+	f.Add(chunkFrame(1, 0, 1, 0, 8, 96, dense8), uint8(0), int8(-1))
+	f.Add(chunkFrame(2, 1, 2, 8, 8, 96, dense8), uint8(1), int8(2))
+	f.Add(chunkFrame(3, 0, 1, 0, 8, 96, dense8), uint8(0), int8(-1))
+	f.Add(chunkFrame(5, 0, 1, 0, 8, 96, dense8), uint8(0), int8(-1))
+	// Truncated headers.
+	f.Add([]byte{7, 0}, uint8(0), int8(-1))
+	f.Add(append(leWords(7|spanFlag), 1, 2, 3), uint8(0), int8(-1))
+	f.Add(leWords(7|chunkFlag, 0, 1, 0), uint8(0), int8(-1))
+	f.Add(append(leWords(7|chunkFlag|spanFlag), make([]byte, 8+19)...), uint8(0), int8(-1))
+	// Ranges: past the declared segment, past the local one, and a packed
+	// chunk whose bitmap is cut short.
+	f.Add(chunkFrame(formDense, 0, 2, 92, 8, 96, dense8), uint8(0), int8(-1))
+	f.Add(chunkFrame(formDense, 0, 2, 92, 8, 200, dense8), uint8(0), int8(-1))
+	f.Add(chunkFrame(formPacked, 0, 1, 40, 70, 200, packAll(sparse)), uint8(0), int8(-1))
+	f.Add(chunkFrame(formPacked, 0, 1, 0, 70, 96, packAll(sparse)[:12]), uint8(0), int8(-1))
+	f.Add(chunkFrame(formDense, 0, 1, 0xFFFFFFF0, 0x20, 0xFFFFFFFF, dense8), uint8(0), int8(-1))
+
+	f.Fuzz(func(t *testing.T, in []byte, got uint8, need int8) {
+		fresh := func() []float64 {
+			acc := make([]float64, segLen)
+			for i := range acc {
+				acc[i] = float64(i) + 0.5
+			}
+			return acc
+		}
+		rc := &ringChan[[]float64]{ops: F64Ops(), stride: 8, packs: true, cores: 1}
+		fr, err := parseFrame(in)
+		if err != nil {
+			return
+		}
+		if len(fr.payload) > len(in) || fr.epoch&^epochMask != 0 {
+			t.Fatalf("parsed %d payload bytes and epoch %#x out of a %d-byte frame", len(fr.payload), fr.epoch, len(in))
+		}
+		needN := -1
+		if got > 0 && need > 0 {
+			needN = int(need)
+		}
+		if err := rc.checkTrain(fr, int(got), needN); err != nil {
+			if fr.chunked && fr.form != formDense && fr.form != formPacked && !errors.Is(err, ErrMalformedChunk) {
+				t.Fatalf("form byte %d refused without the classification: %v", fr.form, err)
+			}
+			return
+		}
+		if !fr.chunked {
+			if got != 0 {
+				t.Fatalf("whole-segment frame accepted %d chunks into a train", got)
+			}
+			acc := fresh()
+			if _, _, err := decodeReduce(rc.ops, acc, fr.payload); err != nil {
+				requireBitwiseEqual(t, "accumulator after a refused whole-segment frame", acc, fresh())
+			}
+			return
+		}
+		if fr.form != formDense && fr.form != formPacked {
+			t.Fatalf("form byte %d accepted", fr.form)
+		}
+		for name, apply := range map[string]func([]float64, frame) error{
+			"reduce": rc.reduceChunk, "set": rc.decodeChunk,
+		} {
+			acc, want := fresh(), fresh()
+			if err := apply(acc, fr); err != nil {
+				requireBitwiseEqual(t, name+": accumulator after a refused chunk", acc, want)
+				continue
+			}
+			lo, hi := fr.elemOff, fr.elemOff+fr.elemCnt
+			requireBitwiseEqual(t, name+": below the chunk", acc[:lo], want[:lo])
+			requireBitwiseEqual(t, name+": above the chunk", acc[hi:], want[hi:])
+			if fr.form == formDense {
+				for i := lo; i < hi; i++ {
+					v := float64At(fr.payload, 8*(i-lo))
+					if name == "reduce" {
+						v += want[i]
+					}
+					want[i] = v
+				}
+				requireBitwiseEqual(t, name+": the chunk", acc[lo:hi], want[lo:hi])
+			}
+		}
+	})
 }
 
 // TestResolveChunkBytesPrecedence: an explicit context choice wins;

@@ -8,7 +8,7 @@
 // that P threads can drive reduce-scatter concurrently and saturate the
 // link — the paper's Figure 10. General point-to-point send/recv is
 // also provided for the latency/throughput micro-benchmarks (Figures
-// 12–13) and for the recursive-halving/pairwise MPI baselines.
+// 12–13) and for the binomial tree reduce.
 package comm
 
 import (

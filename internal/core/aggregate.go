@@ -118,14 +118,6 @@ type AggOptions struct {
 	// drivers tag each client's training loop so slot-time is split by
 	// the configured weights.
 	Tenant string
-	// Compress selects a wire codec for the ring stage (default: none,
-	// which is byte-identical to the pre-codec wire format). Requires an
-	// AggFuncs.Ops override whose segment type exposes a float64 view
-	// (e.g. collective.F64Ops). When Compress.ErrorFeedback is set with a
-	// nil State, each executor keeps one residual store per aggregation
-	// shape in its mutable object manager so residuals persist across
-	// iterations of an optimizer loop.
-	Compress collective.Compression
 }
 
 // AggOption mutates AggOptions.
@@ -168,19 +160,6 @@ func WithTenant(name string) AggOption {
 	return func(o *AggOptions) { o.Tenant = name }
 }
 
-// WithCompression selects a wire codec for the ring stage. opts carries
-// the codec parameters (top-k ratio, error feedback, optional explicit
-// residual state); its Codec field is overwritten by codec so the
-// common call sites read WithCompression(collective.CodecFP16,
-// collective.Compression{}). CodecNone restores the exact dense wire
-// format.
-func WithCompression(codec collective.Codec, opts collective.Compression) AggOption {
-	return func(o *AggOptions) {
-		opts.Codec = codec
-		o.Compress = opts
-	}
-}
-
 // AggFuncs carries the user callbacks of the split aggregation
 // interface (Figure 6). T is the element type, U the aggregator, V the
 // aggregator segment; U and V must be serde-encodable where they cross
@@ -211,8 +190,8 @@ type AggFuncs[T, U, V any] struct {
 	// Ops, when non-nil, replaces the generic serde-backed collective
 	// operations for the ring stage. Supplying ops with the chunked fast
 	// path (fixed stride, Fuse/Encoded hooks — e.g. collective.F64Ops for
-	// []float64 segments) enables zero-decode chunk reduction and is a
-	// prerequisite for wire compression (AggOptions.Compress).
+	// []float64 segments) enables zero-decode chunk reduction and the
+	// packed chunk form.
 	Ops *collective.Ops[V]
 	// Recycle, when non-nil, receives every aggregator the engine made
 	// with Zero and is done with — a partition's accumulator once merged,
@@ -287,9 +266,6 @@ func Aggregate[T, U, V any](ctx context.Context, r *rdd.RDD[T], fns AggFuncs[T, 
 	}
 	if err := fns.validate(strategy); err != nil {
 		return zv, err
-	}
-	if o.Compress.Codec != collective.CodecNone && fns.Ops == nil {
-		return zv, fmt.Errorf("core: WithCompression(%v) requires AggFuncs.Ops with a float64 view (e.g. collective.F64Ops)", o.Compress.Codec)
 	}
 
 	// One "aggregate" span per call, parenting every stage it submits
@@ -520,14 +496,6 @@ func runRingStage[T, U, V any](ctx context.Context, rc *rdd.Context, opID int64,
 	})
 	defer untrack()
 	keepKey := o.KeepKey
-	comp := o.Compress
-	// Residual state for error feedback lives in the executor's mutable
-	// object manager under a shape-keyed name that is NOT derived from
-	// the op id: successive aggregations of the same shape (an optimizer
-	// loop) must see the same residuals, or error feedback degenerates to
-	// plain lossy quantization. The per-(channel, segment) map inside the
-	// state self-resizes on dimension change, so shape reuse is safe.
-	efStateKey := fmt.Sprintf("collective/ef/%s/p%d/s%d", comp.Codec, o.Parallelism, nSegs)
 	_, aggSC := trace.FromContext(ctx)
 	// Topology-aware gang stage: task i lands on the executor holding
 	// ring rank i (any bijection works — the Fn keys off ec.Rank, and the
@@ -552,15 +520,6 @@ func runRingStage[T, U, V any](ctx context.Context, rc *rdd.Context, opID int64,
 			// budget also rides along so the chunked decode-reduce knows how
 			// wide it may shard.
 			cctx := collective.WithCores(ec.Instrument(sctx), ec.Cores)
-			if comp.Codec != collective.CodecNone {
-				spec := comp
-				if spec.ErrorFeedback && spec.State == nil {
-					spec.State = ec.MutObjs.GetOrCreate(efStateKey, func() any {
-						return collective.NewCompressionState()
-					}).Value().(*collective.CompressionState)
-				}
-				cctx = collective.WithCompression(cctx, spec)
-			}
 			// Stale-geometry guard: the stage was planned against an
 			// installed epoch's live count, but executors refresh their
 			// collective endpoint per dispatch — a reconfiguration landing

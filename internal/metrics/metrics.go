@@ -47,10 +47,6 @@ const (
 	// CounterSpecMigrated counts queued tasks re-placed from a busy
 	// executor to an idle one by the straggler scan.
 	CounterSpecMigrated = "spec-migrated"
-	// CounterCompressDisabled counts optimizer runs whose convergence
-	// guardrail turned wire compression off mid-training (non-finite
-	// loss, or loss rising for several consecutive iterations).
-	CounterCompressDisabled = "compress-disabled"
 	// CounterJobFailed counts server jobs that reached a terminal
 	// error state.
 	CounterJobFailed = "job-failed"

@@ -13,15 +13,14 @@ const (
 	// (send + recv + fused reduce for one segment on one channel).
 	HistRingStepNS = "ring.step.ns"
 	// HistRingStepBytes is the total wire bytes of each ring step (the
-	// single frame of the legacy path, or the sum of the chunk frames of
-	// the pipelined path) — after a wire codec or the packed chunk form
-	// has shrunk them.
+	// single whole-segment frame, or the sum of the chunk frames of the
+	// pipelined path) — after the packed chunk form has shrunk them.
 	HistRingStepBytes = "ring.step.bytes"
 	// HistRingStepRawBytes is the dense byte equivalent of each ring
-	// step over float64 elements — what the dense encoder would have sent
-	// for the same frames. Observed by every such step, shrunk or not, so
-	// its sum is the volume the algorithm moves and raw/wire the achieved
-	// bytes-on-wire reduction.
+	// step of ops that can pack (collective.F64Ops) — what the dense
+	// encoder would have sent for the same frames. Observed by every such
+	// step, packed or not, so its sum is the volume the algorithm moves
+	// and raw/wire the achieved bytes-on-wire reduction.
 	HistRingStepRawBytes = "ring.step.raw.bytes"
 	// HistRingChunkNS is the per-chunk fused decode-reduce latency of
 	// the pipelined ring path.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"sparker/internal/collective"
 	"sparker/internal/linalg"
 	"sparker/internal/rdd"
 )
@@ -29,13 +28,6 @@ type LBFGSConfig struct {
 	Strategy    Strategy
 	Depth       int
 	Parallelism int
-	// Compression selects a wire codec for the cost/gradient
-	// aggregations (ring strategies only), under the same convergence
-	// guardrail as GDConfig.Compression. Error feedback is usually a
-	// poor fit for L-BFGS — line-search probes evaluate several
-	// candidate points per iteration, so residuals mix gradients from
-	// different weights — but quantization without feedback is safe.
-	Compression collective.Compression
 	// Packed selects the CSR compute plane (default PackedAuto; see
 	// GDConfig.Packed). Line-search probes reuse the same packed
 	// partitions, so every cost evaluation skips the per-point fold.
@@ -72,7 +64,6 @@ func RunLBFGS(data *rdd.RDD[LabeledPoint], grad Gradient, initial []float64, cfg
 
 	tr, root, tctx := startTrainSpan(data.Context(), "lbfgs", cfg.Strategy, nil)
 	defer func() { root.EndErr(retErr) }()
-	guard := newCompressGuard(cfg.Compression)
 
 	var plan *packedPlan
 	var kind linalg.CSRGradKind
@@ -95,14 +86,14 @@ func RunLBFGS(data *rdd.RDD[LabeledPoint], grad Gradient, initial []float64, cfg
 		if plan != nil {
 			agg, err = AggregateF64Ctx(ictx, plan.packed, dim+2,
 				packedGradSeqOp(kind, snapshot, dim, 1, 0, 0),
-				cfg.Strategy, cfg.Depth, cfg.Parallelism, guard.options()...)
+				cfg.Strategy, cfg.Depth, cfg.Parallelism)
 		} else {
 			agg, err = AggregateF64Ctx(ictx, data, dim+2, func(acc []float64, p LabeledPoint) []float64 {
 				loss := grad.Compute(p.Features, p.Label, snapshot, acc[:dim])
 				acc[dim] += loss
 				acc[dim+1]++
 				return acc
-			}, cfg.Strategy, cfg.Depth, cfg.Parallelism, guard.options()...)
+			}, cfg.Strategy, cfg.Depth, cfg.Parallelism)
 		}
 		if err != nil {
 			return 0, nil, err
@@ -196,7 +187,6 @@ func RunLBFGS(data *rdd.RDD[LabeledPoint], grad Gradient, initial []float64, cfg
 		improvement := (loss - newLoss) / math.Max(math.Abs(loss), 1)
 		w, loss, g = newW, newLoss, newG
 		losses = append(losses, loss)
-		guard.observe(data.Context(), loss)
 		it.End()
 		if improvement < cfg.ConvergenceTol {
 			break

@@ -10,7 +10,6 @@ import (
 	"sparker/internal/collective"
 	"sparker/internal/core"
 	"sparker/internal/linalg"
-	"sparker/internal/metrics"
 	"sparker/internal/rdd"
 	"sparker/internal/trace"
 )
@@ -88,8 +87,7 @@ func (s Strategy) CoreStrategy() (core.Strategy, error) {
 // f64Ops is the shared fused collective implementation for the flat
 // []float64 aggregators of every mllib model. Passing it as
 // AggFuncs.Ops replaces the generic serde path in the ring stage with
-// the chunked zero-decode reduce and makes the aggregators eligible for
-// wire compression.
+// the chunked zero-decode reduce and the packed chunk form.
 var f64Ops = collective.F64Ops()
 
 // AggregateF64Ctx reduces a flattened []float64 aggregator over an RDD
@@ -101,9 +99,8 @@ var f64Ops = collective.F64Ops()
 // failure handling. Cancelling ctx bounds the ring collectives, and a
 // trace span carried in ctx (an iteration span, typically) becomes the
 // parent of the per-call "aggregate" span so whole training runs stitch
-// into one timeline. extra options (e.g. core.WithCompression) are
-// appended after the strategy options, so they may override any of
-// them.
+// into one timeline. extra options (e.g. core.WithTenant) are appended
+// after the strategy options, so they may override any of them.
 func AggregateF64Ctx[T any](ctx context.Context, r *rdd.RDD[T], dim int, seqOp func(acc []float64, v T) []float64, s Strategy, depth, parallelism int, extra ...core.AggOption) ([]float64, error) {
 	cs, err := s.CoreStrategy()
 	if err != nil {
@@ -188,13 +185,6 @@ type GDConfig struct {
 	// semantics: non-positive keeps the core default). Short
 	// deadlines make fault demos degrade in seconds instead of minutes.
 	StepDeadline time.Duration
-	// Compression selects a wire codec for the per-iteration gradient
-	// aggregation (ring strategies only; ignored by the tree paths). The
-	// run is guarded: a non-finite loss, or a loss that rises for several
-	// consecutive iterations, turns compression off for the rest of the
-	// run and records metrics.CounterCompressDisabled — lossy codecs must
-	// never convert a converging run into a diverging one silently.
-	Compression collective.Compression
 	// Packed selects the CSR compute plane (default PackedAuto: packed
 	// whenever the Gradient has a fused kernel). The packed fold is
 	// bitwise-identical to the per-point path, so results never depend
@@ -235,7 +225,6 @@ func RunGradientDescent(data *rdd.RDD[LabeledPoint], grad Gradient, up Updater, 
 
 	tr, root, tctx := startTrainSpan(data.Context(), "gradient-descent", cfg.Strategy, cfg.Ctx)
 	defer func() { root.EndErr(retErr) }()
-	guard := newCompressGuard(cfg.Compression)
 
 	var plan *packedPlan
 	var kind linalg.CSRGradKind
@@ -257,7 +246,7 @@ func RunGradientDescent(data *rdd.RDD[LabeledPoint], grad Gradient, up Updater, 
 		w := weights // this iteration's vector, whatever the variable holds later; never written
 
 		it, ictx := startIteration(tr, root, tctx, iter)
-		extra := guard.options()
+		var extra []core.AggOption
 		if cfg.Tenant != "" {
 			extra = append(extra, core.WithTenant(cfg.Tenant))
 		}
@@ -294,16 +283,11 @@ func RunGradientDescent(data *rdd.RDD[LabeledPoint], grad Gradient, up Updater, 
 		count := agg[dim+1]
 		if count == 0 {
 			losses = append(losses, math.NaN())
-			// A lossy codec can zero the aggregator's sample-count word
-			// (top-k dropping the scalar tail); that must trip the
-			// guardrail like any other non-finite loss, not bypass it.
-			guard.observe(data.Context(), math.NaN())
 			it.End()
 			continue
 		}
 		newW, regVal := updateMean(up, weights, agg[:dim], count, cfg.StepSize, iter, cfg.RegParam)
 		losses = append(losses, agg[dim]/count+regVal)
-		guard.observe(data.Context(), losses[len(losses)-1])
 		it.End()
 
 		if cfg.ConvergenceTol > 0 && converged(weights, newW, cfg.ConvergenceTol) {
@@ -318,62 +302,6 @@ func RunGradientDescent(data *rdd.RDD[LabeledPoint], grad Gradient, up Updater, 
 		weights = append([]float64(nil), initial...)
 	}
 	return weights, losses, nil
-}
-
-// compressGuardRises is how many consecutive loss increases the
-// convergence guardrail tolerates before disabling compression. One
-// rise is routine SGD noise; three in a row under a lossy codec is the
-// signature of quantization noise overwhelming the signal.
-const compressGuardRises = 3
-
-// compressGuard is the optimizer-side convergence guardrail for wire
-// compression: it watches the accepted loss sequence and permanently
-// disables the codec for the rest of the run on a non-finite loss or
-// compressGuardRises consecutive increases. Trips are observable via
-// metrics.CounterCompressDisabled markers.
-type compressGuard struct {
-	comp     collective.Compression
-	prevLoss float64
-	hasPrev  bool
-	rises    int
-	off      bool
-}
-
-func newCompressGuard(c collective.Compression) *compressGuard {
-	return &compressGuard{comp: c}
-}
-
-// options returns the aggregation options for the next iteration: the
-// compression spec while the guard trusts it, nothing once tripped.
-func (g *compressGuard) options() []core.AggOption {
-	if g.off || g.comp.Codec == collective.CodecNone {
-		return nil
-	}
-	return []core.AggOption{core.WithCompression(g.comp.Codec, g.comp)}
-}
-
-// observe feeds one accepted iteration's loss to the guardrail.
-func (g *compressGuard) observe(rc *rdd.Context, loss float64) {
-	if g.off || g.comp.Codec == collective.CodecNone {
-		return
-	}
-	switch {
-	case math.IsNaN(loss) || math.IsInf(loss, 0):
-		g.trip(rc, fmt.Sprintf("non-finite loss under %s compression", g.comp.Codec))
-	case g.hasPrev && loss > g.prevLoss:
-		g.rises++
-		if g.rises >= compressGuardRises {
-			g.trip(rc, fmt.Sprintf("loss rose %d consecutive iterations under %s compression", g.rises, g.comp.Codec))
-		}
-	default:
-		g.rises = 0
-	}
-	g.prevLoss, g.hasPrev = loss, true
-}
-
-func (g *compressGuard) trip(rc *rdd.Context, why string) {
-	g.off = true
-	rc.RecordMarker(metrics.CounterCompressDisabled, why)
 }
 
 // converged tests relative weight movement against tol.

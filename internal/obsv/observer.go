@@ -29,7 +29,6 @@ func DefaultTriggers() []string {
 		metrics.CounterRingFallback,
 		metrics.CounterPeerFailure,
 		metrics.CounterSpecLaunched,
-		metrics.CounterCompressDisabled,
 		metrics.CounterJobFailed,
 		metrics.CounterJobCancelled,
 		metrics.CounterExecutorEvict,

@@ -2,9 +2,9 @@
 // allocation-free ring buffer per executor and driver that retains the
 // most recent spans, event-log markers, and metric snapshots, and an
 // Observer that serializes a self-contained postmortem bundle when an
-// anomaly trips (ring fallback, speculative launch, codec disable,
-// classified peer failure, job failure/cancel, or a p99 step-latency
-// regression against a rolling baseline).
+// anomaly trips (ring fallback, speculative launch, classified peer
+// failure, job failure/cancel, or a p99 step-latency regression against
+// a rolling baseline).
 //
 // The recorder is designed so that the hot ring path (internal/
 // collective) can record one fixed-size Record per step without

@@ -152,7 +152,7 @@ func ReduceAlgorithmTime(algo SegmentReductionAlgorithm, p RSParams) (time.Durat
 		cl.MPI = cl.SC // same transport, different algorithm
 		cl.MPIProcRate = cl.RingProcRate
 		p.Cluster = cl
-		return mpiPairwiseReduceScatter(p)
+		return mpiPairwiseExchange(p)
 	case AlgoHalving:
 		cl := p.Cluster
 		cl.MPI = cl.SC

@@ -128,15 +128,15 @@ func MPIReduceScatter(p RSParams) (time.Duration, error) {
 	c := p.Cluster
 	e := c.ExecutorsPerNode * p.Nodes
 	if p.MsgBytes/int64(e) >= mpiLongMessageThreshold {
-		return mpiPairwiseReduceScatter(p)
+		return mpiPairwiseExchange(p)
 	}
 	return mpiReduceScatterv(p)
 }
 
-// mpiPairwiseReduceScatter: N-1 rounds; in round k rank r sends segment
+// mpiPairwiseExchange: N-1 rounds; in round k rank r sends segment
 // (r+k) mod N to its owner and merges the segment received from
 // (r-k+N) mod N at native speed.
-func mpiPairwiseReduceScatter(p RSParams) (time.Duration, error) {
+func mpiPairwiseExchange(p RSParams) (time.Duration, error) {
 	c := p.Cluster
 	eng := vclock.New()
 	net, err := c.network(eng, c.MPI, p.Nodes, c.ExecutorsPerNode)
