@@ -11,7 +11,7 @@
 
 GO ?= go
 
-.PHONY: build vet no-deprecated no-stale-refs loc test race test-chaos chaos-elastic overhead fuzz-smoke trace-demo serve-demo obsv-demo check bench bench-pair
+.PHONY: build vet no-deprecated no-stale-refs loc test race test-chaos chaos-elastic overhead fuzz-smoke trace-demo serve-demo obsv-demo check bench bench-pair profile
 
 build:
 	$(GO) build ./...
@@ -32,8 +32,10 @@ no-deprecated:
 # the registry does not know. Nor may one still describe ring chunks
 # sized from observed step times (the chunk plan is static, DESIGN.md
 # §11), or name the retired lossy wire codecs and MPI baselines of
-# internal/collective. CHANGES.md, ROADMAP.md and ISSUE.md are history
-# and are exempt.
+# internal/collective, or the deleted column histogram and a column
+# view whose cost grows with the dimension (the view is doubly
+# compressed, DESIGN.md §16). CHANGES.md, ROADMAP.md and ISSUE.md are
+# history and are exempt.
 no-stale-refs:
 	@scripts/no-stale-refs.sh
 
@@ -74,7 +76,7 @@ chaos-elastic:
 # the compute plane to the same bar: steady-state fused kernel calls
 # must allocate nothing per pass (DESIGN.md "Packed compute plane").
 # The allocation budget holds a whole split-aggregation training step on
-# a 1M-feature aggregator to 4× the aggregator's bytes (DESIGN.md
+# a 1M-feature aggregator to 2× the aggregator's bytes (DESIGN.md
 # "Aggregator ownership and lifetime"). Both chunk forms are held to the
 # same budgets: PipelineOverheadDense (which also pins Ops at <= 128
 # bytes, what lets the collectives capture it by value) and
@@ -88,8 +90,9 @@ overhead:
 
 # Every Fuzz* target for a few seconds (seed corpus plus a few thousand
 # mutations): the decoders that take bytes off a socket or a disk —
-# serde, the two data readers, the owned-segments frame, the ring frame
-# and its packed chunk form — must not panic on the first odd input.
+# serde, the two data readers, the packed partition block, the
+# owned-segments frame, the ring frame and its packed chunk form — must
+# not panic on the first odd input.
 fuzz-smoke:
 	scripts/fuzz-smoke.sh
 
@@ -128,7 +131,9 @@ check: vet no-deprecated no-stale-refs test race test-chaos chaos-elastic overhe
 # Hot-path microbenchmarks: the before/after evidence for the
 # zero-allocation reduction work (see DESIGN.md "Performance notes"),
 # and the packed chunk form's encode / decode-reduce rates by density
-# next to the dense kernels' (the evidence behind its ½ rule, §11).
+# next to the dense kernels' (the evidence behind its ½ rule, §11);
+# the csrgrad/wide row is the fused gradient kernel on one partition of
+# the benchmark's wide workloads (5 000 × 1 000 000, power-law rows).
 bench:
 	$(GO) test -run xxx -bench 'RingReduceScatterHot|SerdeF64|PackedChunk' -benchmem ./internal/collective
 	$(GO) test -run xxx -bench 'LinalgKernels' -benchmem ./internal/linalg
@@ -142,3 +147,11 @@ SEED ?= 2
 RUN_SECONDS ?= 20
 bench-pair:
 	scripts/bench-pair.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(SEED) $(RUN_SECONDS)
+
+# CPU profile of the wide-split-tcp step loop (20 000 × 1 000 000, 4
+# executors × 1 core, loopback TCP) as one command: the profile that
+# names the layer a perf PR spends (ROADMAP item 2) — benchmark/ itself
+# takes no profiling flag.
+profile:
+	$(GO) test -run '^$$' -bench WideStepTCP -benchtime 100x -cpuprofile /tmp/sparker-wide-step.prof -o /tmp/sparker-wide-step.test ./internal/mllib
+	$(GO) tool pprof -top -nodecount 25 /tmp/sparker-wide-step.test /tmp/sparker-wide-step.prof

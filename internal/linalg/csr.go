@@ -18,6 +18,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"unsafe"
 
@@ -35,8 +36,8 @@ var hostLittleEndian = func() bool {
 // Row r's entries live at Indices[RowOffsets[r]:RowOffsets[r+1]] /
 // Values[...], with column indices strictly increasing within a row.
 // Labels is per-row supervision (nil for unlabeled data like KMeans
-// points). Use pointer receivers only — the struct carries lazy
-// histogram state.
+// points). Use pointer receivers only — the struct carries lazily
+// built, cached derived state.
 type CSRMatrix struct {
 	// Part is the partition index this matrix was packed from; minibatch
 	// sampling keys its per-partition RNG stream off it.
@@ -51,9 +52,6 @@ type CSRMatrix struct {
 	// Labels has Rows() entries, or is nil.
 	Labels []float64
 
-	histOnce sync.Once
-	hist     []int64 // column-occupancy histogram over csrColBuckets buckets
-
 	// cached per-(worker, row) entry segment bounds for the
 	// column-sharded scatter phase over sampled row subsets (see
 	// colSegments).
@@ -61,12 +59,10 @@ type CSRMatrix struct {
 	segWorkers int
 	segBounds  []int32
 
-	// cached column-major (CSC) view for the full-batch scatter phase
-	// (see cscView).
-	cscOnce sync.Once
-	cscOffs []int64
-	cscRows []int32
-	cscVals []float64
+	// cached column-major view for the full-batch scatter phase (see
+	// cscView); nil after the build when the matrix cannot have one.
+	viewOnce sync.Once
+	view     *colView
 }
 
 // Rows returns the row count.
@@ -261,75 +257,160 @@ func (b *CSRBuilder) Build() (*CSRMatrix, error) {
 	return m, nil
 }
 
-// --- column load balancing --------------------------------------------
+// --- column view and load balancing -----------------------------------
 
-// csrColBuckets is the histogram resolution used to pick nnz-balanced
-// column cuts for the scatter phase. Power-law data concentrates mass
-// in head columns; equal-width column shards would leave most workers
-// idle there.
-const csrColBuckets = 1024
-
-func (m *CSRMatrix) colHist() []int64 {
-	m.histOnce.Do(func() {
-		h := make([]int64, csrColBuckets)
-		dim := m.Dim
-		if dim < 1 {
-			dim = 1
-		}
-		for _, ix := range m.Indices {
-			b := int(int64(ix) * csrColBuckets / int64(dim))
-			if b >= csrColBuckets {
-				b = csrColBuckets - 1
-			}
-			h[b]++
-		}
-		m.hist = h
-	})
-	return m.hist
+// colView is the column-major view of a matrix, doubly compressed: only
+// the non-empty columns are present. Column cols[k]'s entries are
+// rows/vals[offs[k]:offs[k+1]], rows strictly ascending within a column.
+// Everything that walks the view works in column-position space (k) and
+// turns a position into a column id only to address the accumulator, so
+// both the walk and the view's size are O(nnz) however wide Dim is — a
+// hypersparse partition (tens of thousands of entries in a million
+// columns) pays nothing for its empty columns.
+type colView struct {
+	cols []int32 // non-empty column ids, strictly ascending
+	offs []int64 // len(cols)+1 prefix entry counts; offs[0] == 0
+	rows []int32
+	vals []float64
 }
 
-// colCutsInto fills dst with workers+1 column boundaries whose spans
-// carry roughly equal nnz mass (bucket-granular). dst is resized in
-// place; cuts[0] == 0 and cuts[workers] == Dim. Deterministic given
-// (m, workers), so shard ownership — and therefore which worker writes
-// each accumulator element — never varies between runs.
-func (m *CSRMatrix) colCutsInto(dst []int32, workers int) []int32 {
-	dst = dst[:0]
-	dst = append(dst, 0)
-	h := m.colHist()
+// countCols counts the entries of each column into a fresh Dim-sized
+// array — transient: callers derive O(nnz) state from it and drop it.
+// It reports false, and no counts, when the matrix cannot be column
+// sharded: more entries than an int32 can count, or an index outside
+// [0, Dim) (a matrix Validate would reject; refusing here is what keeps
+// the passes that index by column inside their arrays).
+func (m *CSRMatrix) countCols() ([]int32, bool) {
+	if m.Dim < 0 || m.Dim > math.MaxInt32 || len(m.Indices) > math.MaxInt32 {
+		return nil, false
+	}
+	cnt := make([]int32, m.Dim)
+	for _, ix := range m.Indices {
+		if uint32(ix) >= uint32(len(cnt)) {
+			return nil, false
+		}
+		cnt[ix]++
+	}
+	return cnt, true
+}
+
+// cscView returns the cached column view of the matrix, or nil when it
+// has none (see countCols; the kernels then take their sequential
+// path). Because row order within a column IS the sequential fold order
+// of cum[j]'s additions, a scatter worker that owns a range of the view
+// reproduces the sequential accumulation chain of every element it owns
+// bit for bit — while touching only its own entries, instead of
+// scanning every row for per-row segments. Built once per matrix by a
+// counting sort whose only Dim-sized array is countCols' transient one;
+// what stays resident is O(nnz). Iterations 2..N reuse it. Callers must
+// not mutate the result.
+func (m *CSRMatrix) cscView() *colView {
+	m.viewOnce.Do(func() {
+		cnt, ok := m.countCols()
+		if !ok {
+			return
+		}
+		nc := 0
+		for _, c := range cnt {
+			if c != 0 {
+				nc++
+			}
+		}
+		v := &colView{
+			cols: make([]int32, 0, nc),
+			offs: make([]int64, 1, nc+1),
+			rows: make([]int32, len(m.Indices)),
+			vals: make([]float64, len(m.Indices)),
+		}
+		// cnt[j] turns from column j's entry count into its next free
+		// slot in rows/vals.
+		var next int32
+		for j, c := range cnt {
+			if c != 0 {
+				v.cols = append(v.cols, int32(j))
+				cnt[j] = next
+				next += c
+				v.offs = append(v.offs, int64(next))
+			}
+		}
+		for r, nr := 0, m.Rows(); r < nr; r++ {
+			for k := m.RowOffsets[r]; k < m.RowOffsets[r+1]; k++ {
+				j := m.Indices[k]
+				p := cnt[j]
+				cnt[j] = p + 1
+				v.rows[p] = int32(r)
+				v.vals[p] = m.Values[k]
+			}
+		}
+		m.view = v
+	})
+	return m.view
+}
+
+// cutsInto fills dst with workers+1 boundaries in column-position
+// space: shard s owns positions [cuts[s], cuts[s+1]), cuts[0] == 0 and
+// cuts[workers] == len(cols). Cut s is the first position whose entry
+// prefix reaches total·s/workers (offs is strictly ascending, so that
+// is where a binary search lands), so every shard's nnz is within one
+// column of an equal share — power-law data concentrates mass in head
+// columns, and equal-width column shards would leave most workers idle
+// there. dst is resized in place. Deterministic given (view, workers),
+// so shard ownership — and therefore which worker writes each
+// accumulator element — never varies between runs.
+func (v *colView) cutsInto(dst []int32, workers int) []int32 {
+	nc := len(v.cols)
+	total := v.offs[nc]
+	dst = append(dst[:0], 0)
+	for w := 1; w < workers; w++ {
+		cut, _ := slices.BinarySearch(v.offs[:nc], total*int64(w)/int64(workers))
+		dst = append(dst, int32(cut))
+	}
+	return append(dst, int32(nc))
+}
+
+// colCuts returns workers+1 column-id boundaries whose spans carry
+// equal nnz mass to within one column (cuts[0] == 0, cuts[workers] ==
+// Dim), for the sampled scatter's per-row segments. The same rule as
+// colView.cutsInto, taken from a transient column count so a minibatch
+// run keeps no column view resident. nil when countCols refuses.
+func (m *CSRMatrix) colCuts(workers int) []int32 {
+	cnt, ok := m.countCols()
+	if !ok {
+		return nil
+	}
+	cuts := make([]int32, 1, workers+1)
 	total := int64(len(m.Indices))
 	var cum int64
-	b := 0
+	j := 0
 	for w := 1; w < workers; w++ {
-		target := total * int64(w) / int64(workers)
-		for b < csrColBuckets && cum < target {
-			cum += h[b]
-			b++
+		for target := total * int64(w) / int64(workers); j < len(cnt) && cum < target; j++ {
+			cum += int64(cnt[j])
 		}
-		col := int64(b) * int64(m.Dim) / csrColBuckets
-		dst = append(dst, int32(col))
+		cuts = append(cuts, int32(j))
 	}
-	dst = append(dst, int32(m.Dim))
-	return dst
+	return append(cuts, int32(m.Dim))
 }
 
 // colSegments returns the cached entry segment bounds for a
 // workers-way column-sharded scatter: bounds[s*rows + r] is the first
-// entry position of row r whose column is >= colCuts[s], so worker s
-// streams row r's entries [bounds[s*rows+r], bounds[(s+1)*rows+r])
-// with no per-row searching. Built once per (matrix, workers) pair —
-// iterations 2..N reuse it — and deterministic, so scatter ownership
-// never varies between runs. Callers must not mutate the result.
-// Requires NNZ() <= MaxInt32 (the kernels fall back to the sequential
-// path beyond that).
+// entry position of row r whose column is >= cuts[s] (colCuts), so
+// worker s streams row r's entries [bounds[s*rows+r],
+// bounds[(s+1)*rows+r]) with no per-row searching. Built once per
+// (matrix, workers) pair — iterations 2..N reuse it — and
+// deterministic, so scatter ownership never varies between runs. nil
+// when the matrix cannot be column sharded (see countCols). Callers
+// must not mutate the result.
 func (m *CSRMatrix) colSegments(workers int) []int32 {
 	m.segMu.Lock()
 	defer m.segMu.Unlock()
 	if m.segWorkers == workers && m.segBounds != nil {
 		return m.segBounds
 	}
+	cuts := m.colCuts(workers)
+	if cuts == nil {
+		return nil
+	}
 	rows := m.Rows()
-	cuts := m.colCutsInto(nil, workers)
 	bounds := make([]int32, (workers+1)*rows)
 	for r := 0; r < rows; r++ {
 		k, e := m.RowOffsets[r], m.RowOffsets[r+1]
@@ -344,46 +425,6 @@ func (m *CSRMatrix) colSegments(workers int) []int32 {
 	m.segWorkers = workers
 	m.segBounds = bounds
 	return bounds
-}
-
-// cscView returns the cached column-major view of the matrix:
-// offs[j]..offs[j+1] bound column j's entries in rows/vals, with rows
-// strictly ascending within each column. Because row order within a
-// column IS the sequential fold order of cum[j]'s additions, a scatter
-// worker that owns a column range and walks this view reproduces the
-// sequential accumulation chain of every element it owns bit for bit —
-// while touching only its own entries, instead of scanning every row
-// for per-row segments. Built once per matrix (counting sort, O(nnz +
-// dim)); iterations 2..N reuse it. Callers must not mutate the result.
-func (m *CSRMatrix) cscView() (offs []int64, rows []int32, vals []float64) {
-	m.cscOnce.Do(func() {
-		dim := m.Dim
-		if dim < 1 {
-			dim = 1
-		}
-		co := make([]int64, dim+1)
-		for _, ix := range m.Indices {
-			co[ix+1]++
-		}
-		for j := 0; j < dim; j++ {
-			co[j+1] += co[j]
-		}
-		cr := make([]int32, len(m.Indices))
-		cv := make([]float64, len(m.Indices))
-		next := append([]int64(nil), co[:dim]...)
-		nr := m.Rows()
-		for r := 0; r < nr; r++ {
-			for k := m.RowOffsets[r]; k < m.RowOffsets[r+1]; k++ {
-				j := m.Indices[k]
-				p := next[j]
-				next[j] = p + 1
-				cr[p] = int32(r)
-				cv[p] = m.Values[k]
-			}
-		}
-		m.cscOffs, m.cscRows, m.cscVals = co, cr, cv
-	})
-	return m.cscOffs, m.cscRows, m.cscVals
 }
 
 // rowCutsInto fills dst with workers+1 row boundaries over row space
@@ -546,7 +587,9 @@ func decodeCSRInto(m *CSRMatrix, src []byte, copyArenas bool) (int, error) {
 	dim := int64(binary.LittleEndian.Uint64(src[16:]))
 	rows := int64(binary.LittleEndian.Uint64(src[24:]))
 	nnz := int64(binary.LittleEndian.Uint64(src[32:]))
-	if dim < 0 || rows < 0 || nnz < 0 || rows > int64(len(src)) || nnz > int64(len(src)) {
+	// Indices are int32, so no column can lie past MaxInt32 — and the
+	// kernels size per-column state by dim.
+	if dim < 0 || dim > math.MaxInt32 || rows < 0 || nnz < 0 || rows > int64(len(src)) || nnz > int64(len(src)) {
 		return 0, fmt.Errorf("linalg: corrupt CSR header (dim=%d rows=%d nnz=%d)", dim, rows, nnz)
 	}
 	offEnd := csrHeaderSize + 8*(rows+1)

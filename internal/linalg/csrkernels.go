@@ -17,9 +17,10 @@ package linalg
 //     column range, so each cum[j] still receives its contributions in
 //     exactly the sequential order — sharding decides only which core
 //     executes a chain, never the order within it. Full-batch passes
-//     walk the matrix's cached CSC view (entries grouped by column,
-//     ascending row order within a column — the fold order), so phase
-//     B is O(nnz + dim) total; sampled passes walk per-row segment
+//     walk the matrix's cached column view (entries grouped by column,
+//     ascending row order within a column — the fold order; only the
+//     non-empty columns are present), so phase B is O(nnz) total
+//     however wide the matrix; sampled passes walk per-row segment
 //     bounds instead.
 //
 // Per-core partial accumulators merged afterwards would NOT have this
@@ -37,6 +38,7 @@ package linalg
 
 import (
 	"math"
+	"slices"
 )
 
 // CSRGradKind selects the fused gradient family, mirroring
@@ -91,11 +93,26 @@ func CSRGrad(kind CSRGradKind, m *CSRMatrix, rows []int32, w, cum []float64, wor
 	// once the batch is large — and with workers == 1 ParallelFor is a
 	// plain call, so there is no pool traffic to pay for. Sampled
 	// subsets and small batches keep the fused single pass.
-	if n < csrParallelMinRows || m.NNZ() > math.MaxInt32 || (workers <= 1 && rows != nil) {
+	if n < csrParallelMinRows || (workers <= 1 && rows != nil) {
 		return csrGradSeq(kind, m, rows, w, cum), float64(n)
 	}
 	if workers < 1 {
 		workers = 1
+	}
+	// Phase B's sharding state, cached on the matrix after the first
+	// call: the column view for full-batch passes — each worker touches
+	// only the entries of its own nnz-balanced column range — and
+	// per-row segment bounds for sampled ones (the view has no cheap row
+	// filter). A matrix that can have neither folds sequentially.
+	var view *colView
+	var segBounds []int32
+	if rows == nil {
+		view = m.cscView()
+	} else {
+		segBounds = m.colSegments(workers)
+	}
+	if view == nil && segBounds == nil {
+		return csrGradSeq(kind, m, rows, w, cum), float64(n)
 	}
 	sc := getCSRScratch(n)
 	sc.kind, sc.m, sc.rows, sc.w, sc.cum = kind, m, rows, w, cum
@@ -119,16 +136,12 @@ func CSRGrad(kind CSRGradKind, m *CSRMatrix, rows []int32, w, cum []float64, wor
 			lossSum += loss[i]
 		}
 	}
-	// Phase B: column-sharded scatter. Full-batch passes walk the
-	// cached CSC view — each worker touches only the entries of its own
-	// nnz-balanced column range; sampled passes fall back to the
-	// per-row segment bounds (the CSC view has no cheap row filter).
-	if rows == nil {
-		m.cscView()
-		sc.colCuts = m.colCutsInto(sc.colCuts, workers)
+	// Phase B: column-sharded scatter.
+	if view != nil {
+		sc.colCuts = view.cutsInto(sc.colCuts, workers)
 		ParallelFor(workers, workers, sc.cscScatterBody)
 	} else {
-		sc.segBounds = m.colSegments(workers)
+		sc.segBounds = segBounds
 		ParallelFor(workers, workers, sc.scatterBody)
 	}
 	putCSRScratch(sc)
@@ -150,7 +163,11 @@ func CSRKMeans(m *CSRMatrix, centers, cNorms []float64, k, dim int, acc []float6
 	if workers > maxParallelWorkers {
 		workers = maxParallelWorkers
 	}
-	if workers <= 1 || n < csrParallelMinRows || m.NNZ() > math.MaxInt32 {
+	var view *colView
+	if workers > 1 && n >= csrParallelMinRows {
+		view = m.cscView()
+	}
+	if view == nil {
 		csrKMeansSeq(m, centers, cNorms, k, dim, acc)
 		return
 	}
@@ -167,9 +184,8 @@ func CSRKMeans(m *CSRMatrix, centers, cNorms []float64, k, dim int, acc []float6
 		acc[k*dim+int(best[i])]++
 		acc[k*dim+k] += dist[i]
 	}
-	// Phase B: column-sharded sum scatter over the CSC view.
-	m.cscView()
-	sc.colCuts = m.colCutsInto(sc.colCuts, workers)
+	// Phase B: column-sharded sum scatter over the column view.
+	sc.colCuts = view.cutsInto(sc.colCuts, workers)
 	ParallelFor(workers, workers, sc.cscKMScatterBody)
 	putCSRScratch(sc)
 }
@@ -525,26 +541,25 @@ func csrSumRow(idx []int32, vals, acc []float64, base int, s, e int64) {
 // --- gradient scatter (phase B) ---------------------------------------
 
 // runCSCScatter accumulates cum[j] for the column shards [lo, hi) of a
-// full-batch pass by walking the CSC view: each owned column's entries
-// arrive in ascending row order — exactly the sequential fold order of
-// that element's additions — and the worker reads nothing outside its
-// own entry range, so phase B's total work is O(nnz + dim) across all
-// workers instead of O(workers × rows) row scans.
+// full-batch pass by walking the column view: each owned column's
+// entries arrive in ascending row order — exactly the sequential fold
+// order of that element's additions — and the worker reads nothing
+// outside its own entry range, so phase B's total work is O(nnz) across
+// all workers instead of O(workers × rows) row scans.
 func (sc *csrScratch) runCSCScatter(lo, hi int) {
-	offs, rows, vals := sc.m.cscView()
-	mult, cum := sc.mult, sc.cum
+	view := sc.m.cscView()
 	hinge := sc.kind == CSRHinge
 	for s := lo; s < hi; s++ {
-		cscLaneScatter(offs, rows, vals, mult, cum, int(sc.colCuts[s]), int(sc.colCuts[s+1]), hinge)
+		cscLaneScatter(view, sc.mult, sc.cum, int(sc.colCuts[s]), int(sc.colCuts[s+1]), hinge)
 	}
 }
 
-// cscLaneScatter folds the columns [j0, j1) into cum. A column's
-// additions are one dependent FP-add chain (the price of exact
-// sequential order), so a heavy column alone runs at add latency — and
-// power-law heads stack several heavy columns of very unequal lengths
-// next to each other. The shard's columns are split into four
-// contiguous lanes of roughly equal nnz, and the lanes are
+// cscLaneScatter folds the view's columns at positions [k0, k1) into
+// cum. A column's additions are one dependent FP-add chain (the price
+// of exact sequential order), so a heavy column alone runs at add
+// latency — and power-law heads stack several heavy columns of very
+// unequal lengths next to each other. The shard's columns are split
+// into four contiguous lanes of roughly equal nnz, and the lanes are
 // round-robined in small blocks: four *independent* chains are in
 // flight at all times, whatever the per-column length mix (a plain
 // 4-adjacent-column unroll pipelines only the common prefix, which a
@@ -552,32 +567,30 @@ func (sc *csrScratch) runCSCScatter(lo, hi int) {
 // Each column is still folded by exactly one lane strictly in
 // ascending row order, so the result stays bitwise identical to the
 // sequential pass.
-func cscLaneScatter(offs []int64, rows []int32, vals, mult, cum []float64, j0, j1 int, hinge bool) {
+func cscLaneScatter(v *colView, mult, cum []float64, k0, k1 int, hinge bool) {
 	const lanes = 4
 	// Block size balances per-block loop overhead against keeping all
 	// four chains inside the out-of-order window at once.
 	const block = 16
-	if j0 >= j1 || offs[j1] == offs[j0] {
+	if k0 >= k1 {
 		return
 	}
-	total := offs[j1] - offs[j0]
+	cols, offs, rows, vals := v.cols, v.offs, v.rows, v.vals
+	total := offs[k1] - offs[k0]
 	var cut [lanes + 1]int
-	cut[0], cut[lanes] = j0, j1
-	j := j0
+	cut[0], cut[lanes] = k0, k1
 	for l := 1; l < lanes; l++ {
-		target := offs[j0] + total*int64(l)/lanes
-		for j < j1 && offs[j] < target {
-			j++
-		}
-		cut[l] = j
+		// first position whose entry prefix reaches the lane's share
+		at, _ := slices.BinarySearch(offs[cut[l-1]:k1], offs[k0]+total*int64(l)/lanes)
+		cut[l] = cut[l-1] + at
 	}
-	var colJ [lanes]int
+	var colK [lanes]int
 	var pos, end [lanes]int64
 	var acc [lanes]float64
 	live := 0
 	for l := 0; l < lanes; l++ {
-		colJ[l] = cut[l]
-		if laneLoad(offs, cum, &colJ[l], cut[l+1], &pos[l], &end[l], &acc[l]) {
+		colK[l] = cut[l]
+		if laneLoad(cols, offs, cum, colK[l], cut[l+1], &pos[l], &end[l], &acc[l]) {
 			live++
 		}
 	}
@@ -594,9 +607,9 @@ func cscLaneScatter(offs []int64, rows []int32, vals, mult, cum []float64, j0, j
 			acc[l] = cscColFold(rows, vals, mult, acc[l], p, b, hinge)
 			pos[l] = b
 			if b == e {
-				cum[colJ[l]] = acc[l]
-				colJ[l]++
-				if !laneLoad(offs, cum, &colJ[l], cut[l+1], &pos[l], &end[l], &acc[l]) {
+				cum[cols[colK[l]]] = acc[l]
+				colK[l]++
+				if !laneLoad(cols, offs, cum, colK[l], cut[l+1], &pos[l], &end[l], &acc[l]) {
 					live--
 				}
 			}
@@ -604,19 +617,17 @@ func cscLaneScatter(offs []int64, rows []int32, vals, mult, cum []float64, j0, j
 	}
 }
 
-// laneLoad advances *colJ to the lane's next non-empty column before
-// endCol and loads its entry range and running accumulator. It reports
-// whether the lane still has work; a drained lane parks with pos ==
-// end so the round-robin skips it.
-func laneLoad(offs []int64, cum []float64, colJ *int, endCol int, pos, end *int64, acc *float64) bool {
-	for j := *colJ; j < endCol; j++ {
-		if a, b := offs[j], offs[j+1]; a < b {
-			*colJ, *pos, *end, *acc = j, a, b, cum[j]
-			return true
-		}
+// laneLoad loads the entry range and running accumulator of the column
+// at position k — every position of the view is a non-empty column. It
+// reports whether the lane still has work; a lane past endK parks with
+// pos == end so the round-robin skips it.
+func laneLoad(cols []int32, offs []int64, cum []float64, k, endK int, pos, end *int64, acc *float64) bool {
+	if k >= endK {
+		*pos, *end = 0, 0
+		return false
 	}
-	*colJ, *pos, *end = endCol, 0, 0
-	return false
+	*pos, *end, *acc = offs[k], offs[k+1], cum[cols[k]]
+	return true
 }
 
 // cscColFold folds one column's entries [a, b) into acc in row order.
@@ -762,19 +773,20 @@ func (sc *csrScratch) assignRange(lo, hi int) {
 }
 
 // runCSCKMScatter accumulates the per-center sums for the column
-// shards [lo, hi) over the CSC view: acc[best[r]·dim + j] += v for
+// shards [lo, hi) over the column view: acc[best[r]·dim + j] += v for
 // owned columns j. Entries within a column arrive in ascending row
 // order, so each accumulator cell — a (center, column) pair, written
 // only by the worker owning that column — receives its additions as
 // the row-order subsequence the sequential fold would produce.
 func (sc *csrScratch) runCSCKMScatter(lo, hi int) {
-	offs, rows, vals := sc.m.cscView()
+	v := sc.m.cscView()
 	best := sc.best
 	acc, dim := sc.acc, sc.dim
 	for s := lo; s < hi; s++ {
-		for j := int(sc.colCuts[s]); j < int(sc.colCuts[s+1]); j++ {
-			a, b := offs[j], offs[j+1]
-			rr, vv := rows[a:b], vals[a:b:b]
+		for k := int(sc.colCuts[s]); k < int(sc.colCuts[s+1]); k++ {
+			j := int(v.cols[k])
+			a, b := v.offs[k], v.offs[k+1]
+			rr, vv := v.rows[a:b], v.vals[a:b:b]
 			for t, r := range rr {
 				acc[int(best[r])*dim+j] += vv[t]
 			}

@@ -1,8 +1,11 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -110,7 +113,8 @@ var csrKernelKinds = []struct {
 // fold bit for bit.
 func TestCSRGradBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	shapes := []struct {
+	shapes := hypersparseCSRs(rng)
+	for _, s := range []struct {
 		rows, dim int
 		density   float64
 	}{
@@ -120,10 +124,12 @@ func TestCSRGradBitwise(t *testing.T) {
 		{300, 64, 0.9}, // dense-ish
 		{500, 200, 0.05},
 		{400, 100, -1}, // mixed degenerate rows
+	} {
+		shapes = append(shapes, namedCSR{fmt.Sprintf("%dx%d", s.rows, s.dim), randCSR(rng, s.rows, s.dim, s.density)})
 	}
 	for _, kc := range csrKernelKinds {
-		for si, s := range shapes {
-			m := randCSR(rng, s.rows, s.dim, s.density)
+		for _, sh := range shapes {
+			m := sh.m
 			w := make([]float64, m.Dim)
 			for i := range w {
 				w[i] = rng.NormFloat64()
@@ -134,10 +140,10 @@ func TestCSRGradBitwise(t *testing.T) {
 				cum := make([]float64, m.Dim)
 				loss, count := CSRGrad(kc.kind, m, nil, w, cum, workers)
 				if math.Float64bits(loss) != math.Float64bits(refLoss) || count != refCount {
-					t.Fatalf("%s shape%d w%d: loss/count %v/%v want %v/%v",
-						kc.name, si, workers, loss, count, refLoss, refCount)
+					t.Fatalf("%s %s w%d: loss/count %v/%v want %v/%v",
+						kc.name, sh.name, workers, loss, count, refLoss, refCount)
 				}
-				bitsEqual(t, kc.name+"/cum", cum, refCum)
+				bitsEqual(t, kc.name+"/"+sh.name+"/cum", cum, refCum)
 			}
 		}
 	}
@@ -148,32 +154,35 @@ func TestCSRGradBitwise(t *testing.T) {
 // identically through the kernel at any worker count.
 func TestCSRGradSampledBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	m := randCSR(rng, 400, 80, -1)
-	w := make([]float64, m.Dim)
-	for i := range w {
-		w[i] = rng.NormFloat64()
-	}
-	for _, frac := range []float64{0, 0.01, 0.3, 1} {
-		var rows []int32
-		for r := 0; r < m.Rows(); r++ {
-			if rng.Float64() < frac {
-				rows = append(rows, int32(r))
-			}
+	shapes := append(hypersparseCSRs(rng), namedCSR{"mixed", randCSR(rng, 400, 80, -1)})
+	for _, sh := range shapes {
+		m := sh.m
+		w := make([]float64, m.Dim)
+		for i := range w {
+			w[i] = rng.NormFloat64()
 		}
-		if rows == nil {
-			rows = []int32{}
-		}
-		for _, kc := range csrKernelKinds {
-			refCum := make([]float64, m.Dim)
-			refLoss, refCount := refGrad(kc.kind, m, rows, w, refCum)
-			for _, workers := range []int{1, 4, 8} {
-				cum := make([]float64, m.Dim)
-				loss, count := CSRGrad(kc.kind, m, rows, w, cum, workers)
-				if math.Float64bits(loss) != math.Float64bits(refLoss) || count != refCount {
-					t.Fatalf("%s frac=%v w%d: loss/count %v/%v want %v/%v",
-						kc.name, frac, workers, loss, count, refLoss, refCount)
+		for _, frac := range []float64{0, 0.01, 0.3, 1} {
+			var rows []int32
+			for r := 0; r < m.Rows(); r++ {
+				if rng.Float64() < frac {
+					rows = append(rows, int32(r))
 				}
-				bitsEqual(t, kc.name+"/cum", cum, refCum)
+			}
+			if rows == nil {
+				rows = []int32{}
+			}
+			for _, kc := range csrKernelKinds {
+				refCum := make([]float64, m.Dim)
+				refLoss, refCount := refGrad(kc.kind, m, rows, w, refCum)
+				for _, workers := range []int{1, 2, 3, 4, 8} {
+					cum := make([]float64, m.Dim)
+					loss, count := CSRGrad(kc.kind, m, rows, w, cum, workers)
+					if math.Float64bits(loss) != math.Float64bits(refLoss) || count != refCount {
+						t.Fatalf("%s %s frac=%v w%d: loss/count %v/%v want %v/%v",
+							kc.name, sh.name, frac, workers, loss, count, refLoss, refCount)
+					}
+					bitsEqual(t, kc.name+"/"+sh.name+"/cum", cum, refCum)
+				}
 			}
 		}
 	}
@@ -218,13 +227,23 @@ func TestCSRHingeZeroMultiplier(t *testing.T) {
 // TestCSRKMeansBitwise gates the packed KMeans path the same way.
 func TestCSRKMeansBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	shapes := []struct {
+	type kmShape struct {
+		namedCSR
+		k int
+	}
+	var shapes []kmShape
+	for _, sh := range hypersparseCSRs(rng) {
+		shapes = append(shapes, kmShape{sh, 3})
+	}
+	for _, s := range []struct {
 		rows, dim, k int
 	}{
 		{0, 6, 2}, {1, 10, 3}, {250, 32, 5}, {400, 80, 8},
+	} {
+		shapes = append(shapes, kmShape{namedCSR{fmt.Sprintf("%dx%d", s.rows, s.dim), randCSR(rng, s.rows, s.dim, -1)}, s.k})
 	}
-	for si, s := range shapes {
-		m := randCSR(rng, s.rows, s.dim, -1)
+	for _, s := range shapes {
+		m := s.m
 		m.Labels = nil
 		centers := make([]float64, s.k*m.Dim)
 		for i := range centers {
@@ -234,17 +253,126 @@ func TestCSRKMeansBitwise(t *testing.T) {
 		refKMeans(m, centers, s.k, m.Dim, ref)
 		cNorms := make([]float64, s.k)
 		CSRKMeansCenterNorms(centers, s.k, m.Dim, cNorms)
-		for _, workers := range []int{1, 2, 8} {
+		for _, workers := range []int{1, 2, 3, 8} {
 			acc := make([]float64, len(ref))
 			CSRKMeans(m, centers, cNorms, s.k, m.Dim, acc, workers)
-			if len(acc) != len(ref) {
-				t.Fatal("length mismatch")
+			bitsEqual(t, fmt.Sprintf("%s w%d acc", s.name, workers), acc, ref)
+		}
+	}
+}
+
+// sliceLens appends the length of every slice reachable from v.
+func sliceLens(v reflect.Value, lens []int) []int {
+	switch v.Kind() {
+	case reflect.Slice:
+		lens = append(lens, v.Len())
+	case reflect.Pointer:
+		if !v.IsNil() {
+			lens = sliceLens(v.Elem(), lens)
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			lens = sliceLens(v.Field(i), lens)
+		}
+	}
+	return lens
+}
+
+// TestCSCViewIsCompressed pins the column view's layout: one position
+// per non-empty column and nothing else, so a matrix with fewer entries
+// than columns keeps no Dim-sized state at all after the full-batch,
+// sampled and KMeans kernels have built whatever they cache on it.
+func TestCSCViewIsCompressed(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, sh := range hypersparseCSRs(rng) {
+		m := sh.m
+		if m.NNZ() >= m.Dim || m.Rows() >= m.Dim {
+			t.Fatalf("%s: not hypersparse (%d rows, %d nnz, dim %d)", sh.name, m.Rows(), m.NNZ(), m.Dim)
+		}
+		w, cum := make([]float64, m.Dim), make([]float64, m.Dim)
+		CSRGrad(CSRLogistic, m, nil, w, cum, 3)
+		sampled := make([]int32, m.Rows()/2)
+		for i := range sampled {
+			sampled[i] = int32(2 * i)
+		}
+		CSRGrad(CSRLogistic, m, sampled, w, cum, 3)
+		CSRKMeans(m, w, []float64{0}, 1, m.Dim, make([]float64, m.Dim+2), 3)
+
+		v := m.cscView()
+		if v == nil {
+			t.Fatalf("%s: no column view", sh.name)
+		}
+		distinct := map[int32]bool{}
+		for _, ix := range m.Indices {
+			distinct[ix] = true
+		}
+		if len(v.cols) != len(distinct) || len(v.offs) != len(v.cols)+1 {
+			t.Fatalf("%s: %d cols, %d offs for %d distinct indices", sh.name, len(v.cols), len(v.offs), len(distinct))
+		}
+		if len(v.rows) != m.NNZ() || len(v.vals) != m.NNZ() || v.offs[0] != 0 || v.offs[len(v.cols)] != int64(m.NNZ()) {
+			t.Fatalf("%s: view does not cover the %d entries", sh.name, m.NNZ())
+		}
+		for k, j := range v.cols {
+			if !distinct[j] || (k > 0 && j <= v.cols[k-1]) {
+				t.Fatalf("%s: cols[%d] = %d: empty column or not strictly ascending", sh.name, k, j)
 			}
-			for i := range ref {
-				if math.Float64bits(acc[i]) != math.Float64bits(ref[i]) {
-					t.Fatalf("shape%d w%d acc[%d]: got %v want %v", si, workers, i, acc[i], ref[i])
+			if v.offs[k+1] <= v.offs[k] {
+				t.Fatalf("%s: position %d (column %d) is empty", sh.name, k, j)
+			}
+			for p := v.offs[k]; p < v.offs[k+1]; p++ {
+				if p > v.offs[k] && v.rows[p] <= v.rows[p-1] {
+					t.Fatalf("%s: column %d rows not ascending", sh.name, j)
+				}
+				r := m.Row(int(v.rows[p]))
+				at := sort.Search(len(r.Indices), func(i int) bool { return r.Indices[i] >= j })
+				if at == len(r.Indices) || r.Indices[at] != j ||
+					math.Float64bits(r.Values[at]) != math.Float64bits(v.vals[p]) {
+					t.Fatalf("%s: view entry (row %d, column %d) is not the matrix's", sh.name, v.rows[p], j)
 				}
 			}
+		}
+		for _, n := range sliceLens(reflect.ValueOf(m), nil) {
+			if n >= m.Dim {
+				t.Fatalf("%s: the matrix holds a slice of %d elements, dim is %d", sh.name, n, m.Dim)
+			}
+		}
+	}
+}
+
+// TestColumnShardingFailsClosed: a matrix Validate would reject for an
+// out-of-range index gets no column view and no segment bounds, and the
+// kernels fold it sequentially instead of indexing past a Dim-sized
+// array.
+func TestColumnShardingFailsClosed(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, bad := range []int32{-1, 50} {
+		m := randCSR(rng, 100, 50, 0.2)
+		m.Indices[len(m.Indices)-1] = bad
+		if m.Validate() == nil {
+			t.Fatalf("index %d: Validate accepted it", bad)
+		}
+		if m.cscView() != nil || m.colSegments(3) != nil {
+			t.Fatalf("index %d: column view or segment bounds built", bad)
+		}
+		if bad < 0 {
+			continue // no accumulator is long enough to run the kernels
+		}
+		// Long enough for the stray index: the sequential fold is defined.
+		w := make([]float64, m.Dim+1)
+		for i := range w {
+			w[i] = rng.NormFloat64()
+		}
+		all := make([]int32, m.Rows())
+		for i := range all {
+			all[i] = int32(i)
+		}
+		for _, rows := range [][]int32{nil, all} {
+			refCum, cum := make([]float64, len(w)), make([]float64, len(w))
+			refLoss, _ := refGrad(CSRLogistic, m, rows, w, refCum)
+			if loss, _ := CSRGrad(CSRLogistic, m, rows, w, cum, 3); math.Float64bits(loss) != math.Float64bits(refLoss) {
+				t.Fatalf("loss %v want %v", loss, refLoss)
+			}
+			bitsEqual(t, "cum", cum, refCum)
 		}
 	}
 }
@@ -265,7 +393,7 @@ func TestPackedKernelOverhead(t *testing.T) {
 	}{
 		{"seq", 1}, {"cores4", 4},
 	} {
-		// Warm up: pool scratch, lazy column histogram.
+		// Warm up: pool scratch, the matrix's cached column view.
 		CSRGrad(CSRLogistic, m, nil, w, cum, cfg.workers)
 		allocs := testing.AllocsPerRun(50, func() {
 			CSRGrad(CSRLogistic, m, nil, w, cum, cfg.workers)

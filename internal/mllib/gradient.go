@@ -86,7 +86,8 @@ type meanUpdater interface {
 }
 
 // updateMean steps up with the mean gradient gradSum/count. gradSum is
-// consumed: updaters without the fused form get it divided in place.
+// consumed: the fused updaters return the new weights in its storage,
+// updaters without the fused form get it divided in place.
 func updateMean(up Updater, weights, gradSum []float64, count, stepSize float64, iter int, regParam float64) ([]float64, float64) {
 	if mu, ok := up.(meanUpdater); ok {
 		return mu.updateMean(weights, gradSum, count, stepSize, iter, regParam)
@@ -100,12 +101,14 @@ func updateMean(up Updater, weights, gradSum []float64, count, stepSize float64,
 // decayStepMean returns decay·w − step·(gradSum/count) elementwise, each
 // element rounded exactly as the separate passes (divide, scale w, axpy)
 // would round it (the conversion keeps a fusing compiler from folding
-// the decay product into the sum).
+// the decay product into the sum). The result is written over gradSum's
+// first len(w) elements — updateMean consumes gradSum, and element i is
+// read before it is written — so a step allocates no second
+// aggregator-sized vector; w is only read.
 func decayStepMean(w, gradSum []float64, decay, step, count float64) []float64 {
-	out := make([]float64, len(w))
-	gradSum = gradSum[:len(w)]
+	out := gradSum[:len(w):len(w)]
 	for i, wi := range w {
-		out[i] = float64(wi*decay) + -step*(gradSum[i]/count)
+		out[i] = float64(wi*decay) + -step*(out[i]/count)
 	}
 	return out
 }

@@ -218,8 +218,10 @@ func RunGradientDescent(data *rdd.RDD[LabeledPoint], grad Gradient, up Updater, 
 	if dim == 0 {
 		return nil, nil, fmt.Errorf("mllib: empty initial weights")
 	}
-	// Updaters return fresh slices and never write their input, so the
-	// caller's vector serves as the first iteration's weights as is.
+	// Updaters never write their weights input and return a slice that
+	// does not alias it (a fresh one, or the consumed aggregator's
+	// storage), so the caller's vector serves as the first iteration's
+	// weights as is.
 	weights := initial
 	losses := make([]float64, 0, cfg.Iterations)
 

@@ -138,7 +138,7 @@ func csrBlockKey(dataID int64, dim, part int) string {
 
 // decodedViews caches the last zero-copy decode of each packed block.
 // DecodeCSR itself is cheap, but the *CSRMatrix it returns carries
-// lazily built derived state (the CSC view of the parallel scatter, the
+// lazily built derived state (the column view of the full-batch scatter, the
 // sampled-pass segment bounds) that costs O(nnz) to rebuild — and a
 // fresh decode per training run would rebuild it every run. A hit is
 // only valid while the store still returns the very same backing array
@@ -193,11 +193,14 @@ func materializePacked(ec *rdd.ExecContext, key string, pack func() (*linalg.CSR
 		if m, ok := loadDecodedView(key, wire); ok {
 			return []packedPart{{M: m, Cores: ec.Cores, Reg: ec.Registry}}, nil
 		}
-		if m, _, err := linalg.DecodeCSR(wire); err == nil {
+		// Stored bytes are validated in full once per decode (the decoded
+		// view is cached): the kernels index the weight and accumulator
+		// vectors by the stored column indices.
+		if m, _, err := linalg.DecodeCSR(wire); err == nil && m.Validate() == nil {
 			storeDecodedView(key, wire, m)
 			return []packedPart{{M: m, Cores: ec.Cores, Reg: ec.Registry}}, nil
 		}
-		// Undecodable bytes (corrupt or from an older layout): repack.
+		// Unusable bytes (corrupt or from an older layout): repack.
 	}
 	m, err := pack()
 	if err != nil {

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"sparker/internal/blockmanager"
 	"sparker/internal/linalg"
 	"sparker/internal/metrics"
 	"sparker/internal/rdd"
@@ -278,6 +279,41 @@ func TestPackedBlocksPersistAcrossRuns(t *testing.T) {
 		t.Fatalf("after run 2: %d csr blocks, want %d (reuse, not repack)", got, parts)
 	}
 	bitsEqualSlices(t, "weights", w2, w1)
+}
+
+// TestPackedStoreHitValidates: a stored block that decodes structurally
+// but holds an index no Dim-sized vector can take (the decoder checks
+// offsets only) must be repacked, not handed to the kernels.
+func TestPackedStoreHitValidates(t *testing.T) {
+	net := transport.NewMem()
+	defer net.Close()
+	st, err := blockmanager.NewStore(net, "validate")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	ec := &rdd.ExecContext{Store: st, Cores: 1}
+	good, err := PackPoints(0, 8, []LabeledPoint{{Label: 1, Features: linalg.SparseVector{Dim: 8, Indices: []int32{2, 7}, Values: []float64{1, 2}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := &linalg.CSRMatrix{Dim: 8, RowOffsets: good.RowOffsets, Indices: []int32{2, 8}, Values: good.Values, Labels: good.Labels}
+	const key = "csr/test/8/0"
+	st.PutLocal(key, linalg.AppendCSR(nil, bad))
+	packs := 0
+	pack := func() (*linalg.CSRMatrix, error) { packs++; return good, nil }
+	for run := 1; run <= 2; run++ {
+		parts, err := materializePacked(ec, key, pack)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := parts[0].M.Validate(); err != nil {
+			t.Fatalf("run %d: materialized an invalid matrix: %v", run, err)
+		}
+	}
+	if packs != 1 {
+		t.Fatalf("packed %d times, want 1 (corrupt block repacked once, then reused)", packs)
+	}
 }
 
 // TestChaosPackedTrainingRingFallback runs packed training over a
