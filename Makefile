@@ -32,10 +32,10 @@ no-deprecated:
 # the registry does not know. Nor may one still describe ring chunks
 # sized from observed step times (the chunk plan is static, DESIGN.md
 # §11), or name the retired lossy wire codecs and MPI baselines of
-# internal/collective, or the deleted column histogram and a column
-# view whose cost grows with the dimension (the view is doubly
-# compressed, DESIGN.md §16). CHANGES.md, ROADMAP.md and ISSUE.md are
-# history and are exempt.
+# internal/collective, or the deleted column histogram, or the deleted
+# column view and within-task kernel sharding (one task runs one fused
+# pass on one core, DESIGN.md §16). The script names the history files
+# it exempts, and exempts EXPERIMENTS.md from the last rule only.
 no-stale-refs:
 	@scripts/no-stale-refs.sh
 
@@ -48,8 +48,9 @@ test: build
 
 # The reduction data plane (pooled wire buffers, persistent senders,
 # fused decode-reduce) plus the rdd engine that drives it, the packed
-# compute plane (shared scratch free list, ParallelFor pool, cached CSC
-# views), the telemetry instruments, and the span exporters.
+# compute plane (pooled accumulators, the ParallelFor pool, the
+# decoded-block cache), the telemetry instruments, and the span
+# exporters.
 race:
 	$(GO) test -race ./internal/collective ./internal/comm ./internal/rdd ./internal/sched ./internal/transport ./internal/metrics ./internal/trace ./internal/server ./internal/obsv ./internal/linalg ./internal/mllib
 
@@ -132,8 +133,8 @@ check: vet no-deprecated no-stale-refs test race test-chaos chaos-elastic overhe
 # zero-allocation reduction work (see DESIGN.md "Performance notes"),
 # and the packed chunk form's encode / decode-reduce rates by density
 # next to the dense kernels' (the evidence behind its ½ rule, §11);
-# the csrgrad/wide row is the fused gradient kernel on one partition of
-# the benchmark's wide workloads (5 000 × 1 000 000, power-law rows).
+# the csrgrad/{wide,tall,tiny} rows are the fused gradient kernel on one
+# partition of each benchmark workload shape (DESIGN.md §16).
 bench:
 	$(GO) test -run xxx -bench 'RingReduceScatterHot|SerdeF64|PackedChunk' -benchmem ./internal/collective
 	$(GO) test -run xxx -bench 'LinalgKernels' -benchmem ./internal/linalg

@@ -5,8 +5,7 @@ package linalg
 // labels) instead of a pointer-per-point []LabeledPoint. Packing turns
 // the gradient map phase from a pointer chase over thousands of small
 // heap objects into streaming passes over four flat slices, which is
-// what lets the fused kernels in csrkernels.go run at memory speed and
-// shard rows across cores deterministically.
+// what lets the fused kernels in csrkernels.go run at memory speed.
 //
 // The wire encoding (AppendCSR / DecodeCSR) is a fixed little-endian
 // header followed by the raw arenas, 8-byte aligned — no gob, no
@@ -18,8 +17,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"slices"
-	"sync"
 	"unsafe"
 
 	"sparker/internal/serde"
@@ -36,8 +33,8 @@ var hostLittleEndian = func() bool {
 // Row r's entries live at Indices[RowOffsets[r]:RowOffsets[r+1]] /
 // Values[...], with column indices strictly increasing within a row.
 // Labels is per-row supervision (nil for unlabeled data like KMeans
-// points). Use pointer receivers only — the struct carries lazily
-// built, cached derived state.
+// points). The four arenas are all a matrix holds: the kernels derive
+// nothing from it and cache nothing on it.
 type CSRMatrix struct {
 	// Part is the partition index this matrix was packed from; minibatch
 	// sampling keys its per-partition RNG stream off it.
@@ -51,18 +48,6 @@ type CSRMatrix struct {
 	Values  []float64
 	// Labels has Rows() entries, or is nil.
 	Labels []float64
-
-	// cached per-(worker, row) entry segment bounds for the
-	// column-sharded scatter phase over sampled row subsets (see
-	// colSegments).
-	segMu      sync.Mutex
-	segWorkers int
-	segBounds  []int32
-
-	// cached column-major view for the full-batch scatter phase (see
-	// cscView); nil after the build when the matrix cannot have one.
-	viewOnce sync.Once
-	view     *colView
 }
 
 // Rows returns the row count.
@@ -257,204 +242,6 @@ func (b *CSRBuilder) Build() (*CSRMatrix, error) {
 	return m, nil
 }
 
-// --- column view and load balancing -----------------------------------
-
-// colView is the column-major view of a matrix, doubly compressed: only
-// the non-empty columns are present. Column cols[k]'s entries are
-// rows/vals[offs[k]:offs[k+1]], rows strictly ascending within a column.
-// Everything that walks the view works in column-position space (k) and
-// turns a position into a column id only to address the accumulator, so
-// both the walk and the view's size are O(nnz) however wide Dim is — a
-// hypersparse partition (tens of thousands of entries in a million
-// columns) pays nothing for its empty columns.
-type colView struct {
-	cols []int32 // non-empty column ids, strictly ascending
-	offs []int64 // len(cols)+1 prefix entry counts; offs[0] == 0
-	rows []int32
-	vals []float64
-}
-
-// countCols counts the entries of each column into a fresh Dim-sized
-// array — transient: callers derive O(nnz) state from it and drop it.
-// It reports false, and no counts, when the matrix cannot be column
-// sharded: more entries than an int32 can count, or an index outside
-// [0, Dim) (a matrix Validate would reject; refusing here is what keeps
-// the passes that index by column inside their arrays).
-func (m *CSRMatrix) countCols() ([]int32, bool) {
-	if m.Dim < 0 || m.Dim > math.MaxInt32 || len(m.Indices) > math.MaxInt32 {
-		return nil, false
-	}
-	cnt := make([]int32, m.Dim)
-	for _, ix := range m.Indices {
-		if uint32(ix) >= uint32(len(cnt)) {
-			return nil, false
-		}
-		cnt[ix]++
-	}
-	return cnt, true
-}
-
-// cscView returns the cached column view of the matrix, or nil when it
-// has none (see countCols; the kernels then take their sequential
-// path). Because row order within a column IS the sequential fold order
-// of cum[j]'s additions, a scatter worker that owns a range of the view
-// reproduces the sequential accumulation chain of every element it owns
-// bit for bit — while touching only its own entries, instead of
-// scanning every row for per-row segments. Built once per matrix by a
-// counting sort whose only Dim-sized array is countCols' transient one;
-// what stays resident is O(nnz). Iterations 2..N reuse it. Callers must
-// not mutate the result.
-func (m *CSRMatrix) cscView() *colView {
-	m.viewOnce.Do(func() {
-		cnt, ok := m.countCols()
-		if !ok {
-			return
-		}
-		nc := 0
-		for _, c := range cnt {
-			if c != 0 {
-				nc++
-			}
-		}
-		v := &colView{
-			cols: make([]int32, 0, nc),
-			offs: make([]int64, 1, nc+1),
-			rows: make([]int32, len(m.Indices)),
-			vals: make([]float64, len(m.Indices)),
-		}
-		// cnt[j] turns from column j's entry count into its next free
-		// slot in rows/vals.
-		var next int32
-		for j, c := range cnt {
-			if c != 0 {
-				v.cols = append(v.cols, int32(j))
-				cnt[j] = next
-				next += c
-				v.offs = append(v.offs, int64(next))
-			}
-		}
-		for r, nr := 0, m.Rows(); r < nr; r++ {
-			for k := m.RowOffsets[r]; k < m.RowOffsets[r+1]; k++ {
-				j := m.Indices[k]
-				p := cnt[j]
-				cnt[j] = p + 1
-				v.rows[p] = int32(r)
-				v.vals[p] = m.Values[k]
-			}
-		}
-		m.view = v
-	})
-	return m.view
-}
-
-// cutsInto fills dst with workers+1 boundaries in column-position
-// space: shard s owns positions [cuts[s], cuts[s+1]), cuts[0] == 0 and
-// cuts[workers] == len(cols). Cut s is the first position whose entry
-// prefix reaches total·s/workers (offs is strictly ascending, so that
-// is where a binary search lands), so every shard's nnz is within one
-// column of an equal share — power-law data concentrates mass in head
-// columns, and equal-width column shards would leave most workers idle
-// there. dst is resized in place. Deterministic given (view, workers),
-// so shard ownership — and therefore which worker writes each
-// accumulator element — never varies between runs.
-func (v *colView) cutsInto(dst []int32, workers int) []int32 {
-	nc := len(v.cols)
-	total := v.offs[nc]
-	dst = append(dst[:0], 0)
-	for w := 1; w < workers; w++ {
-		cut, _ := slices.BinarySearch(v.offs[:nc], total*int64(w)/int64(workers))
-		dst = append(dst, int32(cut))
-	}
-	return append(dst, int32(nc))
-}
-
-// colCuts returns workers+1 column-id boundaries whose spans carry
-// equal nnz mass to within one column (cuts[0] == 0, cuts[workers] ==
-// Dim), for the sampled scatter's per-row segments. The same rule as
-// colView.cutsInto, taken from a transient column count so a minibatch
-// run keeps no column view resident. nil when countCols refuses.
-func (m *CSRMatrix) colCuts(workers int) []int32 {
-	cnt, ok := m.countCols()
-	if !ok {
-		return nil
-	}
-	cuts := make([]int32, 1, workers+1)
-	total := int64(len(m.Indices))
-	var cum int64
-	j := 0
-	for w := 1; w < workers; w++ {
-		for target := total * int64(w) / int64(workers); j < len(cnt) && cum < target; j++ {
-			cum += int64(cnt[j])
-		}
-		cuts = append(cuts, int32(j))
-	}
-	return append(cuts, int32(m.Dim))
-}
-
-// colSegments returns the cached entry segment bounds for a
-// workers-way column-sharded scatter: bounds[s*rows + r] is the first
-// entry position of row r whose column is >= cuts[s] (colCuts), so
-// worker s streams row r's entries [bounds[s*rows+r],
-// bounds[(s+1)*rows+r]) with no per-row searching. Built once per
-// (matrix, workers) pair — iterations 2..N reuse it — and
-// deterministic, so scatter ownership never varies between runs. nil
-// when the matrix cannot be column sharded (see countCols). Callers
-// must not mutate the result.
-func (m *CSRMatrix) colSegments(workers int) []int32 {
-	m.segMu.Lock()
-	defer m.segMu.Unlock()
-	if m.segWorkers == workers && m.segBounds != nil {
-		return m.segBounds
-	}
-	cuts := m.colCuts(workers)
-	if cuts == nil {
-		return nil
-	}
-	rows := m.Rows()
-	bounds := make([]int32, (workers+1)*rows)
-	for r := 0; r < rows; r++ {
-		k, e := m.RowOffsets[r], m.RowOffsets[r+1]
-		for s := 0; s <= workers; s++ {
-			col := cuts[s]
-			for k < e && m.Indices[k] < col {
-				k++
-			}
-			bounds[s*rows+r] = int32(k)
-		}
-	}
-	m.segWorkers = workers
-	m.segBounds = bounds
-	return bounds
-}
-
-// rowCutsInto fills dst with workers+1 row boundaries over row space
-// [0, n) balanced by nnz mass (row-granular), for the margin phase.
-// When rows is non-nil (a sampled row subset) the cuts are equal-count:
-// sampling already spreads heavy rows uniformly.
-func (m *CSRMatrix) rowCutsInto(dst []int, rows []int32, n, workers int) []int {
-	dst = dst[:0]
-	dst = append(dst, 0)
-	if rows != nil || m.NNZ() == 0 {
-		for w := 1; w < workers; w++ {
-			dst = append(dst, w*n/workers)
-		}
-		dst = append(dst, n)
-		return dst
-	}
-	offs := m.RowOffsets
-	total := offs[n]
-	r := 0
-	for w := 1; w < workers; w++ {
-		target := total * int64(w) / int64(workers)
-		for r < n && offs[r+1] <= target {
-			r++
-		}
-		dst = append(dst, r)
-	}
-	dst = append(dst, n)
-	return dst
-}
-
 // --- wire format ------------------------------------------------------
 
 // Layout (all little-endian):
@@ -588,7 +375,7 @@ func decodeCSRInto(m *CSRMatrix, src []byte, copyArenas bool) (int, error) {
 	rows := int64(binary.LittleEndian.Uint64(src[24:]))
 	nnz := int64(binary.LittleEndian.Uint64(src[32:]))
 	// Indices are int32, so no column can lie past MaxInt32 — and the
-	// kernels size per-column state by dim.
+	// kernels' callers size the weight and accumulator vectors by dim.
 	if dim < 0 || dim > math.MaxInt32 || rows < 0 || nnz < 0 || rows > int64(len(src)) || nnz > int64(len(src)) {
 		return 0, fmt.Errorf("linalg: corrupt CSR header (dim=%d rows=%d nnz=%d)", dim, rows, nnz)
 	}

@@ -113,9 +113,9 @@ func powerLawCSR(rng *rand.Rand, rows, dim, perRow int) *CSRMatrix {
 	})
 }
 
-// hypersparseCSRs are the shapes the doubly-compressed column view
-// exists for: far fewer entries than columns, so almost every column
-// is empty and the non-empty ones sit wherever the shape puts them.
+// hypersparseCSRs are the wide regime's shapes: far fewer entries than
+// columns, so almost every column is empty and the non-empty ones sit
+// wherever the shape puts them.
 func hypersparseCSRs(rng *rand.Rand) []namedCSR {
 	const dim = 100_000
 	return []namedCSR{
@@ -344,9 +344,8 @@ func TestDecodeCSRRejectsCorrupt(t *testing.T) {
 			t.Errorf("%s: want decode error", name)
 		}
 	}
-	// An index == Dim passes the decoder's structural checks (full index
-	// validation is Validate's), but nothing indexed by column may be
-	// built on such a matrix.
+	// An index == Dim passes the decoder's structural checks; full index
+	// validation is Validate's.
 	got, _, err := DecodeCSR(withLastIndex(m, enc, int32(m.Dim)))
 	if err != nil {
 		t.Fatalf("index == Dim: structural decode failed: %v", err)
@@ -354,32 +353,28 @@ func TestDecodeCSRRejectsCorrupt(t *testing.T) {
 	if got.Validate() == nil {
 		t.Error("index == Dim: Validate accepted it")
 	}
-	if got.cscView() != nil || got.colSegments(2) != nil {
-		t.Error("index == Dim: a column view or segment bounds were built")
-	}
 }
 
 // FuzzDecodeCSR: whatever bytes a block store or a frame hands back,
 // DecodeCSR refuses them or returns a matrix whose Validate verdict can
-// be trusted — one it accepts runs through every kernel, sharded and
-// not, full batch and sampled, without a panic or a store outside the
-// accumulator.
+// be trusted — one it accepts runs through every kernel, full batch and
+// sampled, without a panic or a store outside the accumulator.
 func FuzzDecodeCSR(f *testing.F) {
-	// Seeds are kept near the smallest block that reaches the sharded
-	// paths (csrParallelMinRows rows): the fuzzer minimizes every input
-	// that adds coverage, at a cost that grows with its size.
+	// Seeds are kept small: the fuzzer minimizes every input that adds
+	// coverage, at a cost that grows with its size.
+	const seedRows = 64
 	rng := rand.New(rand.NewSource(14))
-	m := randCSR(rng, csrParallelMinRows, 12, 0.1)
+	m := randCSR(rng, seedRows, 12, 0.1)
 	enc := AppendCSR(nil, m)
 	f.Add(enc)
 	for _, mut := range csrCorruptions {
 		f.Add(mut(append([]byte(nil), enc...)))
 	}
 	f.Add(withLastIndex(m, enc, int32(m.Dim)))
-	f.Add(AppendCSR(nil, randCSR(rng, 0, 7, 0.5)))                 // zero rows
-	f.Add(AppendCSR(nil, randCSR(rng, csrParallelMinRows, 40, 0))) // zero nnz
-	f.Add(AppendCSR(nil, sparseCSR(rng, csrParallelMinRows, 5000, 1, 0, 5000)))
-	unlabeled := randCSR(rng, csrParallelMinRows, 12, 0.1)
+	f.Add(AppendCSR(nil, randCSR(rng, 0, 7, 0.5)))       // zero rows
+	f.Add(AppendCSR(nil, randCSR(rng, seedRows, 40, 0))) // zero nnz
+	f.Add(AppendCSR(nil, sparseCSR(rng, seedRows, 5000, 1, 0, 5000)))
+	unlabeled := randCSR(rng, seedRows, 12, 0.1)
 	unlabeled.Labels = nil
 	f.Add(AppendCSR(nil, unlabeled))
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -418,83 +413,11 @@ func FuzzDecodeCSR(f *testing.F) {
 		for r := 0; r < m.Rows(); r += 2 {
 			sampled = append(sampled, int32(r))
 		}
-		for _, workers := range []int{1, 3} {
-			if m.Labels != nil || m.Rows() == 0 {
-				for _, rows := range [][]int32{nil, sampled} {
-					run("CSRGrad", m.Dim, func(acc []float64) { CSRGrad(CSRLogistic, m, rows, w, acc, workers) })
-				}
+		if m.Labels != nil || m.Rows() == 0 {
+			for _, rows := range [][]int32{nil, sampled} {
+				run("CSRGrad", m.Dim, func(acc []float64) { CSRGrad(CSRLogistic, m, rows, w, acc, 1) })
 			}
-			run("CSRKMeans", m.Dim+2, func(acc []float64) { CSRKMeans(m, w, []float64{0}, 1, m.Dim, acc, workers) })
 		}
+		run("CSRKMeans", m.Dim+2, func(acc []float64) { CSRKMeans(m, w, []float64{0}, 1, m.Dim, acc) })
 	})
-}
-
-// maxColNNZ returns the heaviest column's entry count.
-func maxColNNZ(v *colView) int64 {
-	var mx int64
-	for k := range v.cols {
-		if c := v.offs[k+1] - v.offs[k]; c > mx {
-			mx = c
-		}
-	}
-	return mx
-}
-
-// TestCSRCutsCoverage checks the three shard cuts the kernels take: row
-// cuts cover [0, rows), the view's position-space cuts cover [0,
-// len(cols)] and the sampled path's column-id cuts cover [0, Dim), all
-// monotone — and both column cuts are exact: every shard's nnz is within
-// one column of total/workers.
-func TestCSRCutsCoverage(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	shapes := append(hypersparseCSRs(rng),
-		namedCSR{"mixed", randCSR(rng, 200, 500, -1)},
-		namedCSR{"empty", randCSR(rng, 0, 5, 0.5)})
-	for _, sh := range shapes {
-		name, m := sh.name, sh.m
-		v := m.cscView()
-		if v == nil {
-			t.Fatalf("%s: no column view", name)
-		}
-		total, slack := int64(m.NNZ()), maxColNNZ(v)
-		for _, workers := range []int{1, 2, 3, 4, 8} {
-			rc := m.rowCutsInto(nil, nil, m.Rows(), workers)
-			if len(rc) != workers+1 || rc[0] != 0 || rc[workers] != m.Rows() {
-				t.Fatalf("%s: row cuts %v don't cover [0,%d)", name, rc, m.Rows())
-			}
-			for i := 1; i < len(rc); i++ {
-				if rc[i] < rc[i-1] {
-					t.Fatalf("%s: row cuts not monotone: %v", name, rc)
-				}
-			}
-
-			pc := v.cutsInto(nil, workers)
-			if len(pc) != workers+1 || pc[0] != 0 || int(pc[workers]) != len(v.cols) {
-				t.Fatalf("%s: position cuts %v don't cover [0,%d]", name, pc, len(v.cols))
-			}
-			cc := m.colCuts(workers)
-			if len(cc) != workers+1 || cc[0] != 0 || int(cc[workers]) != m.Dim {
-				t.Fatalf("%s: col cuts %v don't cover [0,%d)", name, cc, m.Dim)
-			}
-			// nnz below a column-id cut, for comparing the two cut spaces.
-			below := func(col int32) int64 {
-				return v.offs[sort.Search(len(v.cols), func(k int) bool { return v.cols[k] >= col })]
-			}
-			for s := 0; s < workers; s++ {
-				if pc[s+1] < pc[s] || cc[s+1] < cc[s] {
-					t.Fatalf("%s: cuts not monotone: positions %v columns %v", name, pc, cc)
-				}
-				share := total*int64(s+1)/int64(workers) - total*int64(s)/int64(workers)
-				for space, nnz := range map[string]int64{
-					"position": v.offs[pc[s+1]] - v.offs[pc[s]],
-					"column":   below(cc[s+1]) - below(cc[s]),
-				} {
-					if d := nnz - share; d > slack || d < -slack {
-						t.Fatalf("%s w%d shard %d: %s-space nnz %d, share %d, heaviest column %d",
-							name, workers, s, space, nnz, share, slack)
-					}
-				}
-			}
-		}
-	}
 }

@@ -5,7 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"sort"
+	"slices"
 	"testing"
 )
 
@@ -108,9 +108,9 @@ var csrKernelKinds = []struct {
 }
 
 // TestCSRGradBitwise is the gating property test for GDConfig.Packed:
-// for every gradient family, partition shape, and worker count, the
-// fused kernel's (cum, loss, count) must equal the sequential per-point
-// fold bit for bit.
+// for every gradient family and partition shape, the fused kernel's
+// (cum, loss, count) must equal the sequential per-point fold bit for
+// bit.
 func TestCSRGradBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	shapes := hypersparseCSRs(rng)
@@ -120,7 +120,7 @@ func TestCSRGradBitwise(t *testing.T) {
 	}{
 		{0, 5, 0.5},    // empty partition
 		{1, 40, 0.3},   // single row
-		{3, 8, 0.9},    // tiny, below parallel cutoff
+		{3, 8, 0.9},    // tiny, shorter than one 4-row batch
 		{300, 64, 0.9}, // dense-ish
 		{500, 200, 0.05},
 		{400, 100, -1}, // mixed degenerate rows
@@ -136,22 +136,20 @@ func TestCSRGradBitwise(t *testing.T) {
 			}
 			refCum := make([]float64, m.Dim)
 			refLoss, refCount := refGrad(kc.kind, m, nil, w, refCum)
-			for _, workers := range []int{1, 2, 3, 8} {
-				cum := make([]float64, m.Dim)
-				loss, count := CSRGrad(kc.kind, m, nil, w, cum, workers)
-				if math.Float64bits(loss) != math.Float64bits(refLoss) || count != refCount {
-					t.Fatalf("%s %s w%d: loss/count %v/%v want %v/%v",
-						kc.name, sh.name, workers, loss, count, refLoss, refCount)
-				}
-				bitsEqual(t, kc.name+"/"+sh.name+"/cum", cum, refCum)
+			cum := make([]float64, m.Dim)
+			loss, count := CSRGrad(kc.kind, m, nil, w, cum, 1)
+			if math.Float64bits(loss) != math.Float64bits(refLoss) || count != refCount {
+				t.Fatalf("%s %s: loss/count %v/%v want %v/%v",
+					kc.name, sh.name, loss, count, refLoss, refCount)
 			}
+			bitsEqual(t, kc.name+"/"+sh.name+"/cum", cum, refCum)
 		}
 	}
 }
 
 // TestCSRGradSampledBitwise covers the minibatch path: a sampled row
 // subset (with repeats-free but arbitrary-order indices) folds
-// identically through the kernel at any worker count.
+// identically through the kernel.
 func TestCSRGradSampledBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	shapes := append(hypersparseCSRs(rng), namedCSR{"mixed", randCSR(rng, 400, 80, -1)})
@@ -174,15 +172,13 @@ func TestCSRGradSampledBitwise(t *testing.T) {
 			for _, kc := range csrKernelKinds {
 				refCum := make([]float64, m.Dim)
 				refLoss, refCount := refGrad(kc.kind, m, rows, w, refCum)
-				for _, workers := range []int{1, 2, 3, 4, 8} {
-					cum := make([]float64, m.Dim)
-					loss, count := CSRGrad(kc.kind, m, rows, w, cum, workers)
-					if math.Float64bits(loss) != math.Float64bits(refLoss) || count != refCount {
-						t.Fatalf("%s %s frac=%v w%d: loss/count %v/%v want %v/%v",
-							kc.name, sh.name, frac, workers, loss, count, refLoss, refCount)
-					}
-					bitsEqual(t, kc.name+"/"+sh.name+"/cum", cum, refCum)
+				cum := make([]float64, m.Dim)
+				loss, count := CSRGrad(kc.kind, m, rows, w, cum, 1)
+				if math.Float64bits(loss) != math.Float64bits(refLoss) || count != refCount {
+					t.Fatalf("%s %s frac=%v: loss/count %v/%v want %v/%v",
+						kc.name, sh.name, frac, loss, count, refLoss, refCount)
 				}
+				bitsEqual(t, kc.name+"/"+sh.name+"/cum", cum, refCum)
 			}
 		}
 	}
@@ -208,19 +204,17 @@ func TestCSRHingeZeroMultiplier(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := []float64{1, 0, 0, 0}
-	for _, workers := range []int{1, 8} {
-		// Seed cum with -0 so any spurious += 0 write flips it to +0.
-		cum := []float64{math.Copysign(0, -1), math.Copysign(0, -1), 1, math.Copysign(0, -1)}
-		refCum := append([]float64(nil), cum...)
-		refLoss, _ := refGrad(CSRHinge, m, nil, w, refCum)
-		loss, _ := CSRGrad(CSRHinge, m, nil, w, cum, workers)
-		if math.Float64bits(loss) != math.Float64bits(refLoss) {
-			t.Fatalf("w%d: loss %v want %v", workers, loss, refLoss)
-		}
-		bitsEqual(t, "cum", cum, refCum)
-		if !math.Signbit(cum[0]) == math.Signbit(refCum[0]) {
-			t.Fatal("sign bit mismatch on untouched element")
-		}
+	// Seed cum with -0 so any spurious += 0 write flips it to +0.
+	cum := []float64{math.Copysign(0, -1), math.Copysign(0, -1), 1, math.Copysign(0, -1)}
+	refCum := append([]float64(nil), cum...)
+	refLoss, _ := refGrad(CSRHinge, m, nil, w, refCum)
+	loss, _ := CSRGrad(CSRHinge, m, nil, w, cum, 1)
+	if math.Float64bits(loss) != math.Float64bits(refLoss) {
+		t.Fatalf("loss %v want %v", loss, refLoss)
+	}
+	bitsEqual(t, "cum", cum, refCum)
+	if !math.Signbit(cum[0]) == math.Signbit(refCum[0]) {
+		t.Fatal("sign bit mismatch on untouched element")
 	}
 }
 
@@ -253,11 +247,9 @@ func TestCSRKMeansBitwise(t *testing.T) {
 		refKMeans(m, centers, s.k, m.Dim, ref)
 		cNorms := make([]float64, s.k)
 		CSRKMeansCenterNorms(centers, s.k, m.Dim, cNorms)
-		for _, workers := range []int{1, 2, 3, 8} {
-			acc := make([]float64, len(ref))
-			CSRKMeans(m, centers, cNorms, s.k, m.Dim, acc, workers)
-			bitsEqual(t, fmt.Sprintf("%s w%d acc", s.name, workers), acc, ref)
-		}
+		acc := make([]float64, len(ref))
+		CSRKMeans(m, centers, cNorms, s.k, m.Dim, acc)
+		bitsEqual(t, s.name+" acc", acc, ref)
 	}
 }
 
@@ -278,107 +270,33 @@ func sliceLens(v reflect.Value, lens []int) []int {
 	return lens
 }
 
-// TestCSCViewIsCompressed pins the column view's layout: one position
-// per non-empty column and nothing else, so a matrix with fewer entries
-// than columns keeps no Dim-sized state at all after the full-batch,
-// sampled and KMeans kernels have built whatever they cache on it.
-func TestCSCViewIsCompressed(t *testing.T) {
+// TestKernelsCacheNothingOnTheMatrix: the kernels keep no state between
+// calls, so after full-batch, sampled and KMeans passes over the
+// hypersparse shapes the only slices reachable from the matrix are its
+// four arenas: nothing derived from them is kept resident.
+func TestKernelsCacheNothingOnTheMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for _, sh := range hypersparseCSRs(rng) {
 		m := sh.m
-		if m.NNZ() >= m.Dim || m.Rows() >= m.Dim {
-			t.Fatalf("%s: not hypersparse (%d rows, %d nnz, dim %d)", sh.name, m.Rows(), m.NNZ(), m.Dim)
-		}
 		w, cum := make([]float64, m.Dim), make([]float64, m.Dim)
-		CSRGrad(CSRLogistic, m, nil, w, cum, 3)
+		CSRGrad(CSRLogistic, m, nil, w, cum, 1)
 		sampled := make([]int32, m.Rows()/2)
 		for i := range sampled {
 			sampled[i] = int32(2 * i)
 		}
-		CSRGrad(CSRLogistic, m, sampled, w, cum, 3)
-		CSRKMeans(m, w, []float64{0}, 1, m.Dim, make([]float64, m.Dim+2), 3)
+		CSRGrad(CSRLogistic, m, sampled, w, cum, 1)
+		CSRKMeans(m, w, []float64{0}, 1, m.Dim, make([]float64, m.Dim+2))
 
-		v := m.cscView()
-		if v == nil {
-			t.Fatalf("%s: no column view", sh.name)
-		}
-		distinct := map[int32]bool{}
-		for _, ix := range m.Indices {
-			distinct[ix] = true
-		}
-		if len(v.cols) != len(distinct) || len(v.offs) != len(v.cols)+1 {
-			t.Fatalf("%s: %d cols, %d offs for %d distinct indices", sh.name, len(v.cols), len(v.offs), len(distinct))
-		}
-		if len(v.rows) != m.NNZ() || len(v.vals) != m.NNZ() || v.offs[0] != 0 || v.offs[len(v.cols)] != int64(m.NNZ()) {
-			t.Fatalf("%s: view does not cover the %d entries", sh.name, m.NNZ())
-		}
-		for k, j := range v.cols {
-			if !distinct[j] || (k > 0 && j <= v.cols[k-1]) {
-				t.Fatalf("%s: cols[%d] = %d: empty column or not strictly ascending", sh.name, k, j)
-			}
-			if v.offs[k+1] <= v.offs[k] {
-				t.Fatalf("%s: position %d (column %d) is empty", sh.name, k, j)
-			}
-			for p := v.offs[k]; p < v.offs[k+1]; p++ {
-				if p > v.offs[k] && v.rows[p] <= v.rows[p-1] {
-					t.Fatalf("%s: column %d rows not ascending", sh.name, j)
-				}
-				r := m.Row(int(v.rows[p]))
-				at := sort.Search(len(r.Indices), func(i int) bool { return r.Indices[i] >= j })
-				if at == len(r.Indices) || r.Indices[at] != j ||
-					math.Float64bits(r.Values[at]) != math.Float64bits(v.vals[p]) {
-					t.Fatalf("%s: view entry (row %d, column %d) is not the matrix's", sh.name, v.rows[p], j)
-				}
-			}
-		}
-		for _, n := range sliceLens(reflect.ValueOf(m), nil) {
-			if n >= m.Dim {
-				t.Fatalf("%s: the matrix holds a slice of %d elements, dim is %d", sh.name, n, m.Dim)
-			}
-		}
-	}
-}
-
-// TestColumnShardingFailsClosed: a matrix Validate would reject for an
-// out-of-range index gets no column view and no segment bounds, and the
-// kernels fold it sequentially instead of indexing past a Dim-sized
-// array.
-func TestColumnShardingFailsClosed(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for _, bad := range []int32{-1, 50} {
-		m := randCSR(rng, 100, 50, 0.2)
-		m.Indices[len(m.Indices)-1] = bad
-		if m.Validate() == nil {
-			t.Fatalf("index %d: Validate accepted it", bad)
-		}
-		if m.cscView() != nil || m.colSegments(3) != nil {
-			t.Fatalf("index %d: column view or segment bounds built", bad)
-		}
-		if bad < 0 {
-			continue // no accumulator is long enough to run the kernels
-		}
-		// Long enough for the stray index: the sequential fold is defined.
-		w := make([]float64, m.Dim+1)
-		for i := range w {
-			w[i] = rng.NormFloat64()
-		}
-		all := make([]int32, m.Rows())
-		for i := range all {
-			all[i] = int32(i)
-		}
-		for _, rows := range [][]int32{nil, all} {
-			refCum, cum := make([]float64, len(w)), make([]float64, len(w))
-			refLoss, _ := refGrad(CSRLogistic, m, rows, w, refCum)
-			if loss, _ := CSRGrad(CSRLogistic, m, rows, w, cum, 3); math.Float64bits(loss) != math.Float64bits(refLoss) {
-				t.Fatalf("loss %v want %v", loss, refLoss)
-			}
-			bitsEqual(t, "cum", cum, refCum)
+		got := sliceLens(reflect.ValueOf(m), nil)
+		want := []int{len(m.RowOffsets), len(m.Indices), len(m.Values), len(m.Labels)}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: slices reachable from the matrix have lengths %v, want only the arenas' %v", sh.name, got, want)
 		}
 	}
 }
 
 // TestPackedKernelOverhead is the `make overhead` gate: steady-state
-// fused gradient iterations allocate nothing, sequential or sharded.
+// fused gradient iterations allocate nothing.
 func TestPackedKernelOverhead(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m := randCSR(rng, 2000, 128, 0.15)
@@ -387,20 +305,11 @@ func TestPackedKernelOverhead(t *testing.T) {
 	for i := range w {
 		w[i] = rng.NormFloat64()
 	}
-	for _, cfg := range []struct {
-		name    string
-		workers int
-	}{
-		{"seq", 1}, {"cores4", 4},
-	} {
-		// Warm up: pool scratch, the matrix's cached column view.
-		CSRGrad(CSRLogistic, m, nil, w, cum, cfg.workers)
-		allocs := testing.AllocsPerRun(50, func() {
-			CSRGrad(CSRLogistic, m, nil, w, cum, cfg.workers)
-		})
-		if allocs != 0 {
-			t.Errorf("packed row loop (%s): %.1f allocs/op, want 0", cfg.name, allocs)
-		}
+	allocs := testing.AllocsPerRun(50, func() {
+		CSRGrad(CSRLogistic, m, nil, w, cum, 1)
+	})
+	if allocs != 0 {
+		t.Errorf("packed row loop: %.1f allocs/op, want 0", allocs)
 	}
 }
 
@@ -443,12 +352,8 @@ func BenchmarkGradPerPoint(b *testing.B) {
 func BenchmarkGradPacked(b *testing.B) {
 	m, w := benchCSR(20000, 1000)
 	cum := make([]float64, m.Dim)
-	for _, workers := range []int{1, 4} {
-		b.Run(map[int]string{1: "c1", 4: "c4"}[workers], func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				CSRGrad(CSRLogistic, m, nil, w, cum, workers)
-			}
-			b.ReportMetric(float64(m.Rows())*float64(b.N)/b.Elapsed().Seconds(), "points/s")
-		})
+	for i := 0; i < b.N; i++ {
+		CSRGrad(CSRLogistic, m, nil, w, cum, 1)
 	}
+	b.ReportMetric(float64(m.Rows())*float64(b.N)/b.Elapsed().Seconds(), "points/s")
 }

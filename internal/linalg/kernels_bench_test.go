@@ -2,7 +2,7 @@ package linalg_test
 
 // BenchmarkLinalgKernels measures the dense BLAS-1 kernels MLlib's
 // gradient inner loop hits millions of times per pass, and the fused
-// gradient kernel on one partition of the benchmark's wide workloads.
+// gradient kernel on one partition of each benchmark workload shape.
 // Run with
 //
 //	go test -bench LinalgKernels -benchmem ./internal/linalg
@@ -62,28 +62,39 @@ func BenchmarkLinalgKernels(b *testing.B) {
 		}
 		sinkF64 = s
 	})
-	// One executor's share of wide-split-tcp: 5 000 of the 20 000
-	// power-law rows over 1 M features, ~68 k entries in ~56 k distinct
-	// columns, full batch on one core.
-	b.Run("csrgrad/wide", func(b *testing.B) {
-		const features = 1_000_000
-		m, err := mllib.PackPoints(0, features, data.GenClassification(data.ClassificationSpec{
-			Samples: 5_000, Features: features, NNZPerSample: 15, NNZAlpha: 1.5, Seed: 1,
-		}))
-		if err != nil {
-			b.Fatal(err)
-		}
-		w, cum := make([]float64, features), make([]float64, features)
-		linalg.CSRGrad(linalg.CSRLogistic, m, nil, w, cum, 1) // builds the cached column view
-		b.ReportAllocs()
-		b.ResetTimer()
-		var s float64
-		for i := 0; i < b.N; i++ {
-			loss, _ := linalg.CSRGrad(linalg.CSRLogistic, m, nil, w, cum, 1)
-			s += loss
-		}
-		sinkF64 = s
-	})
+	// One executor's partition of each benchmark workload shape, full
+	// batch, as one task runs it: wide is 5 000 of wide-split-tcp's
+	// 20 000 power-law rows over 1 M features (~68 k entries in ~56 k
+	// distinct columns), tall 100 000 of tall-split-mem's 400 000 rows ×
+	// 2 000 features × 30, tiny 2 000 of tiny-split-mem's 8 000 rows ×
+	// 512 features × 15.
+	for _, s := range []struct {
+		name                string
+		rows, features, nnz int
+		alpha               float64
+	}{
+		{"wide", 5_000, 1_000_000, 15, 1.5},
+		{"tall", 100_000, 2_000, 30, 0},
+		{"tiny", 2_000, 512, 15, 0},
+	} {
+		b.Run("csrgrad/"+s.name, func(b *testing.B) {
+			m, err := mllib.PackPoints(0, s.features, data.GenClassification(data.ClassificationSpec{
+				Samples: s.rows, Features: s.features, NNZPerSample: s.nnz, NNZAlpha: s.alpha, Seed: 1,
+			}))
+			if err != nil {
+				b.Fatal(err)
+			}
+			w, cum := make([]float64, s.features), make([]float64, s.features)
+			b.ReportAllocs()
+			b.ResetTimer()
+			var sum float64
+			for i := 0; i < b.N; i++ {
+				loss, _ := linalg.CSRGrad(linalg.CSRLogistic, m, nil, w, cum, 1)
+				sum += loss
+			}
+			sinkF64 = sum
+		})
+	}
 }
 
 var sinkF64 float64

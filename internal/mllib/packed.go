@@ -4,10 +4,11 @@ package mllib
 // each data partition is packed once into a contiguous CSRMatrix,
 // cached in the executor's block store under a key derived from the
 // *data* RDD (stable across training runs), and folded through the
-// fused multi-core kernels instead of the per-point Gradient.Compute
+// fused single-pass kernels instead of the per-point Gradient.Compute
 // closure. The fused kernels are property-tested bitwise-identical to
-// the sequential per-point fold at every worker count, so flipping
-// Packed never changes a training result — only how fast it arrives.
+// the sequential per-point fold, so flipping Packed never changes a
+// training result — only how fast it arrives. Each task runs its
+// kernel on its own core; the executor's cores are its task slots.
 
 import (
 	"fmt"
@@ -113,14 +114,12 @@ func PackVectors(part, dim int, xs []linalg.SparseVector) (*linalg.CSRMatrix, er
 }
 
 // packedPart is the single element of each packed-RDD partition: the
-// matrix plus the executor-local facts the seqOp needs (core budget for
-// the kernel's shard count, registry for compute telemetry). One
+// matrix plus the executor's registry for compute telemetry. One
 // element per partition means core.Aggregate's per-element fold fires
 // the fused kernel exactly once per partition.
 type packedPart struct {
-	M     *linalg.CSRMatrix
-	Cores int
-	Reg   *metrics.Registry
+	M   *linalg.CSRMatrix
+	Reg *metrics.Registry
 }
 
 // packedPlan is one training run's handle on the packed dataset.
@@ -137,13 +136,13 @@ func csrBlockKey(dataID int64, dim, part int) string {
 }
 
 // decodedViews caches the last zero-copy decode of each packed block.
-// DecodeCSR itself is cheap, but the *CSRMatrix it returns carries
-// lazily built derived state (the column view of the full-batch scatter, the
-// sampled-pass segment bounds) that costs O(nnz) to rebuild — and a
-// fresh decode per training run would rebuild it every run. A hit is
-// only valid while the store still returns the very same backing array
-// the cached matrix aliases; an evicted-and-repacked block has a new
-// array and falls through to a fresh decode. Capped crudely: the cache
+// DecodeCSR itself is cheap, but a stored block is validated in full
+// (Validate, O(nnz)) before the kernels may index by its column
+// indices, and a caller that runs one training run per step would pay
+// DecodeCSR + Validate over every partition every step. A hit is only
+// valid while the store still returns the very same backing array the
+// cached matrix aliases; an evicted-and-repacked block has a new array
+// and falls through to a fresh decode. Capped crudely: the cache
 // mirrors the block store's working set, so overflow just drops it.
 var decodedViews struct {
 	mu sync.Mutex
@@ -186,19 +185,19 @@ func storeDecodedView(key string, wire []byte, m *linalg.CSRMatrix) {
 // mutates them); miss packs from the parent partition, stores the wire
 // bytes, and returns the zero-copy view of what was stored, so memory
 // holds a single arena copy either way. Repeat hits on an unchanged
-// block return the same *CSRMatrix, so derived state built on it (CSC
-// view, segment bounds) survives across training runs.
+// block return the same *CSRMatrix without decoding or validating it
+// again.
 func materializePacked(ec *rdd.ExecContext, key string, pack func() (*linalg.CSRMatrix, error)) ([]packedPart, error) {
 	if wire, ok := ec.Store.GetLocal(key); ok {
 		if m, ok := loadDecodedView(key, wire); ok {
-			return []packedPart{{M: m, Cores: ec.Cores, Reg: ec.Registry}}, nil
+			return []packedPart{{M: m, Reg: ec.Registry}}, nil
 		}
 		// Stored bytes are validated in full once per decode (the decoded
 		// view is cached): the kernels index the weight and accumulator
 		// vectors by the stored column indices.
 		if m, _, err := linalg.DecodeCSR(wire); err == nil && m.Validate() == nil {
 			storeDecodedView(key, wire, m)
-			return []packedPart{{M: m, Cores: ec.Cores, Reg: ec.Registry}}, nil
+			return []packedPart{{M: m, Reg: ec.Registry}}, nil
 		}
 		// Unusable bytes (corrupt or from an older layout): repack.
 	}
@@ -213,7 +212,7 @@ func materializePacked(ec *rdd.ExecContext, key string, pack func() (*linalg.CSR
 		return nil, fmt.Errorf("mllib: re-decoding packed partition: %w", err)
 	}
 	storeDecodedView(key, wire, zc)
-	return []packedPart{{M: zc, Cores: ec.Cores, Reg: ec.Registry}}, nil
+	return []packedPart{{M: zc, Reg: ec.Registry}}, nil
 }
 
 // newPackedPlan derives the packed RDD for labeled training data. The
@@ -319,7 +318,7 @@ func packedGradSeqOp(kind linalg.CSRGradKind, w []float64, dim int, frac float64
 			}
 		}
 		start := time.Now()
-		lossSum, count := linalg.CSRGrad(kind, pp.M, rows, w, acc[:dim], pp.Cores)
+		lossSum, count := linalg.CSRGrad(kind, pp.M, rows, w, acc[:dim], 1)
 		observeCompute(pp.Reg, time.Since(start), count)
 		if rp != nil {
 			putSampledRows(rp)
@@ -337,7 +336,7 @@ func packedGradSeqOp(kind linalg.CSRGradKind, w []float64, dim int, frac float64
 func packedKMeansSeqOp(centers, cNorms []float64, k, dim int) func(acc []float64, pp packedPart) []float64 {
 	return func(acc []float64, pp packedPart) []float64 {
 		start := time.Now()
-		linalg.CSRKMeans(pp.M, centers, cNorms, k, dim, acc, pp.Cores)
+		linalg.CSRKMeans(pp.M, centers, cNorms, k, dim, acc)
 		observeCompute(pp.Reg, time.Since(start), float64(pp.M.Rows()))
 		return acc
 	}

@@ -6,11 +6,15 @@
 # controller, deleted when the chunk plan became static (DESIGN.md §11)
 # — or names the lossy wire codecs or the MPI baseline collectives,
 # retired when the ring wire became one lossless format (PR 18) — or
-# still gives the column view's cost as O(nnz + dim) or names the
-# column histogram deleted with it (PR 19: the view is doubly
-# compressed, phase B is O(nnz) and the shard cuts are exact).
+# still gives a column scatter's cost as O(nnz + dim) or names the
+# column histogram — or names the column view, the shard cuts and lane
+# scatter over it, or the two-phase kernel path, all deleted when the
+# fused single pass became the only CSR kernel (one task runs on one
+# core; DESIGN.md §16).
 # CHANGES.md, ROADMAP.md and ISSUE.md record history and are exempt, as
-# is benchmark/, which a PR other than its own may not edit.
+# is benchmark/, which a PR other than its own may not edit;
+# EXPERIMENTS.md is exempt from the last rule only, because its pprof
+# dumps name the deleted functions.
 #
 #   scripts/no-stale-refs.sh      (or: make no-stale-refs)
 set -euo pipefail
@@ -35,7 +39,11 @@ if grep -nE 'WithCompression|Codec(FP16|Int8|TopK)|ParseCodec|ErrorFeedback|comp
 	bad=1
 fi
 if grep -nE 'O\(nnz ?\+ ?dim\)|colHist|csrColBuckets' $own; then
-	echo "the column view is doubly compressed: phase B is O(nnz) and shard cuts come from the view's own offsets (DESIGN.md §16)"
+	echo "no kernel walks a Dim-sized column table: the fused pass is O(nnz) (DESIGN.md §16)"
+	bad=1
+fi
+if grep -nE 'cscView|colView|colSegments|cscLaneScatter|laneLoad|csrParallelMinRows|two-phase' $(grep -vx 'EXPERIMENTS\.md' <<<"$own"); then
+	echo "the fused single pass is the only CSR kernel: no column view, no shard cuts, no within-task workers (DESIGN.md §16)"
 	bad=1
 fi
 while IFS=: read -r file line id; do
@@ -46,6 +54,6 @@ while IFS=: read -r file line id; do
 done < <(grep -noE 'sparkerbench -only [a-z0-9-]+' $files | sed 's/sparkerbench -only //')
 
 if [ "$bad" -ne 0 ]; then
-	echo "no-stale-refs: the references above name the retired bench harness (see EXPERIMENTS.md \"Settled single-layer claims\"), the deleted chunk controller, the retired codecs and MPI baselines, or the dense column view" >&2
+	echo "no-stale-refs: the references above name the retired bench harness (see EXPERIMENTS.md \"Settled single-layer claims\"), the deleted chunk controller, the retired codecs and MPI baselines, or the deleted column view and kernel sharding" >&2
 	exit 1
 fi
