@@ -132,7 +132,9 @@ check: vet no-deprecated no-stale-refs test race test-chaos chaos-elastic overhe
 # Hot-path microbenchmarks: the before/after evidence for the
 # zero-allocation reduction work (see DESIGN.md "Performance notes"),
 # and the packed chunk form's encode / decode-reduce rates by density
-# next to the dense kernels' (the evidence behind its ½ rule, §11);
+# next to the dense kernels' (the evidence behind its ½ rule, §11),
+# with the encode from a support warm and cold in DRAM (the cold rows
+# cycle through 256 MB of aggregators);
 # the csrgrad/{wide,tall,tiny} rows are the fused gradient kernel on one
 # partition of each benchmark workload shape (DESIGN.md §16).
 bench:

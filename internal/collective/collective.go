@@ -251,8 +251,8 @@ type Ops[V any] struct {
 	// range (the property tests check bitwise equality) and must not
 	// retain payload.
 	DecodeReduceChunkInto func(acc V, off int, payload []byte) error
-	// MakeSegment returns a fresh n-element segment for chunked
-	// allgather receives to assemble into.
+	// MakeSegment returns a fresh, zeroed n-element segment for chunked
+	// allgather receives and the driver's gather to assemble into.
 	MakeSegment func(n int) V
 	// DecodeChunkInto decodes a chunk payload into elements
 	// [off, off+len) of dst. It must not retain payload.
@@ -271,21 +271,28 @@ type Ops[V any] struct {
 // word is value-exact. Ops without it never send a packed frame and fail
 // a train that carries one.
 type PackedOps[V any] struct {
-	// ChunkSize is the encoder's counting pass over elements
-	// [off, off+n) of v: the exact packed payload size when packing wins
-	// (at most half the dense bytes), else 0 — the chunk then goes dense.
-	ChunkSize func(v V, off, n int) int
+	// ChunkSize decides the form of elements [off, off+n) of v: the
+	// packed payload size when packing wins (at most half the dense
+	// bytes), else 0 — the chunk then goes dense. cand, when non-nil,
+	// holds the chunk's candidate bits: bit bit+i of cand (bit b is bit
+	// b%64 of word b/64) is set for every element off+i that may be
+	// non-zero, and a clear bit promises +0.0 (WithSupport). When the
+	// candidates settle the choice the size is read from them and may
+	// overstate the payload; otherwise it is exact. nil means count.
+	ChunkSize func(v V, off, n int, cand []uint64, bit int) int
 	// EncodeChunkTo appends the packed form of elements [off, off+n) of
-	// v to dst, which has at least ChunkSize bytes of spare capacity.
-	EncodeChunkTo func(dst []byte, v V, off, n int) []byte
+	// v to dst, which has at least ChunkSize(v, off, n, cand, bit) bytes
+	// of spare capacity. The bytes do not depend on cand.
+	EncodeChunkTo func(dst []byte, v V, off, n int, cand []uint64, bit int) []byte
 	// DecodeReduceChunkInto reduces the n-element packed payload into
 	// elements [off, off+n) of acc in place. It validates the whole
 	// payload before its first store (ErrMalformedChunk) and must not
 	// retain it.
 	DecodeReduceChunkInto func(acc V, off, n int, payload []byte) error
 	// DecodeChunkInto decodes the n-element packed payload into elements
-	// [off, off+n) of dst — clear the range, then set the marked elements
-	// — with the same validate-first, non-retaining contract.
+	// [off, off+n) of dst, a range MakeSegment returned zeroed: it sets
+	// the marked elements and leaves the rest alone, with the same
+	// validate-first, non-retaining contract.
 	DecodeChunkInto func(dst V, off, n int, payload []byte) error
 }
 
@@ -533,7 +540,11 @@ func decodeReduce[V any](ops Ops[V], acc V, wire []byte) (V, bool, error) {
 //
 // ctx bounds the whole collective; wrap it with WithStepDeadline to
 // additionally bound each pipelined step, classifying a silent peer as
-// comm.ErrPeerTimeout and a dead one as comm.ErrPeerDown.
+// comm.ErrPeerTimeout and a dead one as comm.ErrPeerDown. A support
+// bitmap carried by WithSupport lets the packed encoder read only the
+// elements that can be non-zero. Each channel works on a private copy of
+// its block's share and ORs it back when it finishes, under the lock
+// that guards owned.
 func RingReduceScatter[V any](ctx context.Context, e *comm.Endpoint, segs []V, parallelism int, ops Ops[V]) (map[int]V, error) {
 	n := e.Size()
 	p := parallelism
@@ -574,6 +585,9 @@ func RingReduceScatter[V any](ctx context.Context, e *comm.Endpoint, segs []V, p
 	tel := telemetryFrom(ctx)
 	chunkBytes := resolveChunkBytes(ctx)
 	cores := CoresFrom(ctx)
+	// Assigned once: a variable the goroutines capture and that is written
+	// after its declaration would move to the heap.
+	sup := supportFor(ctx, ops, segs)
 	r := e.Rank()
 	for ch := 0; ch < p; ch++ {
 		wg.Add(1)
@@ -595,6 +609,9 @@ func RingReduceScatter[V any](ctx context.Context, e *comm.Endpoint, segs []V, p
 			// N-1 times.
 			var rc ringChan[V]
 			rc.init(e, ops, ch, epoch, tel, chunkBytes, cores)
+			if sup != nil {
+				rc.loadSupport(&mu, sup, segsElems(ops, segs[:ch*n]), block)
+			}
 			for k := 0; k < n-1; k++ {
 				if err := ringStepRS(ctx, &rc, cur, r, n, k); err != nil {
 					setErr(err)
@@ -604,6 +621,7 @@ func RingReduceScatter[V any](ctx context.Context, e *comm.Endpoint, segs []V, p
 			final := (r + 1) % n
 			mu.Lock()
 			owned[ch*n+final] = cur[final]
+			rc.storeSupport(sup)
 			mu.Unlock()
 		}(ch)
 	}
@@ -633,6 +651,9 @@ func ringStepRS[V any](ctx context.Context, rc *ringChan[V], cur []V, r, n, k in
 	defer cancel()
 	sendIdx := ((r-k)%n + n) % n
 	recvIdx := ((r-k-1)%n + n) % n
+	if rc.sup != nil {
+		rc.outBit, rc.inBit = segsElems(rc.ops, cur[:sendIdx]), segsElems(rc.ops, cur[:recvIdx])
+	}
 	acc, err := rc.transferReduce(sctx, span, cur[sendIdx], cur[recvIdx])
 	if err != nil {
 		return fmt.Errorf("collective: rank %d ch %d step %d: %w", r, rc.ch, k, err)

@@ -213,10 +213,11 @@ func TestPipelineOverheadChunkingOn(t *testing.T) {
 // TestPipelineOverheadPacked holds the packed chunk form to the dense
 // path's budget: on segments that are 1/32 non-zero — every chunk's
 // counting pass picks packed — the counting pass, the packed encode into
-// an exactly-sized pooled draw and the bit-walking decode-reduce add no
-// steady-state allocations, whole-segment (one-chunk packed trains) or
-// chunked. The wire-byte check keeps the gate from passing vacuously on
-// the dense path.
+// a pooled draw and the bit-walking decode-reduce add no steady-state
+// allocations, whole-segment (one-chunk packed trains) or chunked, and
+// neither does encoding from a support (WithSupport): the per-channel
+// copies come from a pool. The wire-byte check keeps the gate from
+// passing vacuously on the dense path.
 func TestPipelineOverheadPacked(t *testing.T) {
 	if testing.Short() {
 		t.Skip("overhead gate skipped in -short")
@@ -232,22 +233,37 @@ func TestPipelineOverheadPacked(t *testing.T) {
 		}
 		return float64(j%17+1) * 0.25
 	}
+	// support is one rank's bitmap over its p×4 segments of 1<<17
+	// elements: every 32nd element, as sparse fills them.
+	support := func(p int) []uint64 {
+		words := make([]uint64, PackedWords(p*4<<17))
+		for w := range words {
+			words[w] = 1 | 1<<32
+		}
+		return words
+	}
 	for _, p := range []int{1, 4} {
 		for _, chunkBytes := range []int{-1, 256 << 10} {
-			res, min := allocsFloorOf(baselines[p]+slack, func(round int) testing.BenchmarkResult {
-				return benchHotRingData(t, p, fmt.Sprintf("packed-%d-r%d", chunkBytes, round), func(int) context.Context {
-					return WithChunkBytes(context.Background(), chunkBytes)
-				}, sparse)
-			})
-			// Dense would be 3 steps × p channels × 1 MiB per op.
-			dense := float64(3 * p * (8 << 17))
-			t.Logf("P=%d chunkBytes=%d packed: %v/op, %d allocs/op (baseline %d), %.0f wire B/op (dense %.0f)",
-				p, chunkBytes, res.NsPerOp(), min, baselines[p], res.Extra["wireB/op"], dense)
-			if min > baselines[p]+slack {
-				t.Errorf("P=%d chunkBytes=%d: packed path allocates %d/op, baseline %d (+%d slack)", p, chunkBytes, min, baselines[p], slack)
-			}
-			if got := res.Extra["wireB/op"]; got > dense/4 {
-				t.Errorf("P=%d chunkBytes=%d: %.0f wire bytes per op, dense is %.0f: the packed path did not run", p, chunkBytes, got, dense)
+			for _, withSup := range []bool{false, true} {
+				res, min := allocsFloorOf(baselines[p]+slack, func(round int) testing.BenchmarkResult {
+					return benchHotRingData(t, p, fmt.Sprintf("packed-%d-%v-r%d", chunkBytes, withSup, round), func(int) context.Context {
+						ctx := WithChunkBytes(context.Background(), chunkBytes)
+						if withSup {
+							ctx = WithSupport(ctx, support(p))
+						}
+						return ctx
+					}, sparse)
+				})
+				// Dense would be 3 steps × p channels × 1 MiB per op.
+				dense := float64(3 * p * (8 << 17))
+				t.Logf("P=%d chunkBytes=%d support=%v packed: %v/op, %d allocs/op (baseline %d), %.0f wire B/op (dense %.0f)",
+					p, chunkBytes, withSup, res.NsPerOp(), min, baselines[p], res.Extra["wireB/op"], dense)
+				if min > baselines[p]+slack {
+					t.Errorf("P=%d chunkBytes=%d support=%v: packed path allocates %d/op, baseline %d (+%d slack)", p, chunkBytes, withSup, min, baselines[p], slack)
+				}
+				if got := res.Extra["wireB/op"]; got > dense/4 {
+					t.Errorf("P=%d chunkBytes=%d support=%v: %.0f wire bytes per op, dense is %.0f: the packed path did not run", p, chunkBytes, withSup, got, dense)
+				}
 			}
 		}
 	}

@@ -14,7 +14,9 @@ package collective
 // picks it per chunk, after one counting pass, only when it is at most
 // half the dense bytes (packThreshold); otherwise the chunk goes out
 // dense. Nothing selects it and nothing can switch it off — it is a
-// property of the data.
+// property of the data. When the caller knows the chunk's support
+// (support.go) and it is small enough to settle the choice, the counting
+// pass and the mask read only the support's elements.
 //
 // Suppressing a zero is sound only for ops whose Reduce is IEEE addition
 // and whose segments start from +0.0: x + (+0.0) == x bit for bit for
@@ -71,16 +73,29 @@ const (
 	probeMin    = 1024
 )
 
-// packedSizeF64 is the encoder's counting pass over v[off:off+n]: the
-// packed payload size when packing wins by packThreshold, else 0. It
-// stops as soon as the non-zero count rules packing out — at once for a
-// plainly dense chunk (the probe), after about half a pass for one near
-// the threshold.
-func packedSizeF64(v []float64, off, n int) int {
+// packedSizeF64 sizes the packed form of v[off:off+n]: the packed
+// payload size when packing wins by packThreshold, else 0.
+//
+// With candidate bits (cand non-nil: bit bit+i of cand set for every
+// element off+i that may be non-zero) that hold at most the limit, the
+// chunk packs for certain, and the size is an upper bound read from the
+// bitmap alone, 8·(words + candidates) — the elements are not read. The
+// only other call the scan could make is the probe's, so that is checked
+// on the candidates too; a chunk they do not settle is scanned.
+//
+// The scan stops as soon as the non-zero count rules packing out — at
+// once for a plainly dense chunk (the probe), after about half a pass
+// for one near the threshold.
+func packedSizeF64(v []float64, off, n int, cand []uint64, bit int) int {
 	words := PackedWords(n)
 	limit := n/packThreshold - words // most non-zero words a winning chunk holds
 	if limit < 0 {
 		return 0
+	}
+	if cand != nil {
+		if c := candCount(cand, bit, n); c <= limit && probeCannotFire(cand, bit, n) {
+			return 8 * (words + c)
+		}
 	}
 	s := v[off : off+n]
 	if n >= probeMin {
@@ -114,15 +129,59 @@ func packedSizeF64(v []float64, off, n int) int {
 	return 8 * (words + nnz)
 }
 
+// probeCannotFire reports whether the scan's probe is sure not to call
+// the chunk dense: even if every candidate at a probed element were
+// non-zero, fewer than ¾ of the probed elements would be. It stops as
+// soon as the remaining probes cannot change the answer.
+func probeCannotFire(cand []uint64, bit, n int) bool {
+	if n < probeMin {
+		return true
+	}
+	probed := (n + probeStride - 1) / probeStride
+	hit, left := 0, probed
+	for i := 0; i < n; i += probeStride {
+		b := bit + i
+		hit += int(cand[b>>6] >> uint(b&63) & 1)
+		left--
+		if 4*hit > 3*probed {
+			return false
+		}
+		if 4*(hit+left) <= 3*probed {
+			return true
+		}
+	}
+	return true
+}
+
 // encodePackedF64 appends the packed form of v[off:off+n] to dst, which
-// must have packedSizeF64(v, off, n) bytes of spare capacity (the
-// caller's exactly-sized pooled draw).
-func encodePackedF64(dst []byte, v []float64, off, n int) []byte {
+// must have packedSizeF64(v, off, n, cand, bit) bytes of spare capacity
+// (the caller's pooled draw). Candidate bits that hold at most the limit
+// are gathered from; otherwise every element is tested. The bytes are
+// the same either way.
+func encodePackedF64(dst []byte, v []float64, off, n int, cand []uint64, bit int) []byte {
 	s := v[off : off+n]
 	words := PackedWords(n)
 	bm := len(dst)
 	vo := bm + 8*words
 	dst = dst[:cap(dst)]
+	if cand != nil && candCount(cand, bit, n) <= n/packThreshold-words {
+		for w := 0; w < words; w++ {
+			blk := s[64*w : min(64*w+64, n)]
+			// Only the candidates are read, and a candidate that holds +0.0
+			// stays out of the mask (−0.0 and NaN payloads are set bits).
+			var m uint64
+			for c := bitsAt(cand, bit+64*w, len(blk)); c != 0; c &= c - 1 {
+				j := bits.TrailingZeros64(c)
+				if x := math.Float64bits(blk[j]); x != 0 {
+					m |= 1 << uint(j)
+					putUint64(dst[vo:], x)
+					vo += 8
+				}
+			}
+			putUint64(dst[bm+8*w:], m)
+		}
+		return dst[:vo]
+	}
 	for w := 0; w < words; w++ {
 		blk := s[64*w : min(64*w+64, n)]
 		// The mask is built branch-free and the values gathered by walking
@@ -202,13 +261,13 @@ func decodeReducePackedF64(acc []float64, off, n int, payload []byte) error {
 }
 
 // decodePackedF64 is the assembly form (allgather receive, driver
-// gather): clear the chunk's range, then set the marked elements.
+// gather): set the marked elements of a range MakeSegment returned
+// zeroed; the unmarked ones are +0.0 already.
 func decodePackedF64(dst []float64, off, n int, payload []byte) error {
 	bitmap, vals, err := packedBody(payload, off, n, len(dst))
 	if err != nil {
 		return err
 	}
-	clear(dst[off : off+n])
 	k := 0
 	for w := 0; 8*w < len(bitmap); w++ {
 		out := dst[off+64*w:]

@@ -85,9 +85,9 @@ func countForms(ops Ops[[]float64], c *encodeCounts) Ops[[]float64] {
 	if ops.Packed != nil {
 		p := *ops.Packed
 		inner := p.EncodeChunkTo
-		p.EncodeChunkTo = func(dst []byte, v []float64, off, n int) []byte {
+		p.EncodeChunkTo = func(dst []byte, v []float64, off, n int, cand []uint64, bit int) []byte {
 			c.packed.Add(1)
-			return inner(dst, v, off, n)
+			return inner(dst, v, off, n, cand, bit)
 		}
 		ops.Packed = &p
 	}
@@ -97,7 +97,7 @@ func countForms(ops Ops[[]float64], c *encodeCounts) Ops[[]float64] {
 // packAll returns the packed form of all of v, whether or not the ½
 // rule would have chosen it.
 func packAll(v []float64) []byte {
-	return encodePackedF64(make([]byte, 0, 8*(PackedWords(len(v))+len(v))), v, 0, len(v))
+	return encodePackedF64(make([]byte, 0, 8*(PackedWords(len(v))+len(v))), v, 0, len(v), nil, 0)
 }
 
 // withoutPacked is F64Ops with the packed form taken away: the dense
@@ -269,7 +269,7 @@ func TestPackedHalfRule(t *testing.T) {
 			for _, j := range rand.New(rand.NewSource(int64(n*7 + nnz))).Perm(n)[:nnz] {
 				v[1+j] = float64(j + 1)
 			}
-			size := packedSizeF64(v, 1, n)
+			size := packedSizeF64(v, 1, n, nil, 0)
 			want := 0
 			if n > 0 && 8*(words+nnz) <= 8*n/2 {
 				want = 8 * (words + nnz)
@@ -280,14 +280,13 @@ func TestPackedHalfRule(t *testing.T) {
 			if size == 0 {
 				continue
 			}
-			wire := encodePackedF64(make([]byte, 3, 3+size), v, 1, n)
+			wire := encodePackedF64(make([]byte, 3, 3+size), v, 1, n, nil, 0)
 			if len(wire) != 3+size {
 				t.Fatalf("n=%d nnz=%d: encoded %d bytes, sized %d", n, nnz, len(wire)-3, size)
 			}
+			// A zeroed range, as MakeSegment returns it, between guards.
 			out := make([]float64, n+2)
-			for i := range out {
-				out[i] = -7
-			}
+			out[0], out[n+1] = -7, -7
 			if err := decodePackedF64(out, 1, n, wire[3:]); err != nil {
 				t.Fatal(err)
 			}
@@ -309,8 +308,8 @@ func TestPackedNegativeZeroCorner(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	peer := make([]float64, 64) // all +0.0
 	peer[5] = negZero           // a −0.0 on the wire travels
-	size := packedSizeF64(peer, 0, 64)
-	wire := encodePackedF64(make([]byte, 0, size), peer, 0, 64)
+	size := packedSizeF64(peer, 0, 64, nil, 0)
+	wire := encodePackedF64(make([]byte, 0, size), peer, 0, 64, nil, 0)
 	if size != 16 || len(wire) != 16 {
 		t.Fatalf("a lone −0.0 in 64 elems must pack to bitmap + one word, got %d/%d bytes", size, len(wire))
 	}
@@ -398,22 +397,24 @@ func TestRingStepBytesRepeat(t *testing.T) {
 // return ErrMalformedChunk before their first store, never panic and
 // never write outside [off, off+n); what they accept decodes to what the
 // bitmap says. The same bytes, read as float64s, exercise the encoder:
-// whatever packs round-trips bit for bit at exactly the promised size.
+// whatever packs round-trips bit for bit within the promised size, and
+// encoding from a support — the true one widened by the bits of extra,
+// at a bit offset taken from off — gives the bytes the scan gives.
 func FuzzPackedChunk(f *testing.F) {
 	v70 := make([]float64, 70)
 	v70[1], v70[40], v70[69] = 3, math.Copysign(0, -1), math.NaN()
 	good := packAll(v70) // two bitmap words, three values
-	f.Add(good, uint16(0), uint16(70))
-	f.Add(good, uint16(3), uint16(70))                                                       // lands at an offset
-	f.Add(good, uint16(0), uint16(64))                                                       // bitmap one word too long
-	f.Add(good, uint16(0), uint16(129))                                                      // bitmap one word too short
-	f.Add(good[:len(good)-8], uint16(0), uint16(70))                                         // popcount > values
-	f.Add(append(good[:len(good):len(good)], 0, 0, 0, 0, 0, 0, 0, 0), uint16(0), uint16(70)) // popcount < values
-	f.Add(good[:len(good)-3], uint16(0), uint16(70))                                         // truncated value
-	f.Add(good, uint16(0), uint16(66))                                                       // set bits past elems
-	f.Add(good, uint16(250), uint16(70))                                                     // range past the accumulator
-	f.Add([]byte{}, uint16(0), uint16(0))
-	f.Fuzz(func(t *testing.T, payload []byte, off16, n16 uint16) {
+	f.Add(good, uint16(0), uint16(70), []byte(nil))
+	f.Add(good, uint16(3), uint16(70), []byte{0xff})                                                      // lands at an offset
+	f.Add(good, uint16(0), uint16(64), []byte{0x01, 0x80})                                                // bitmap one word too long
+	f.Add(good, uint16(0), uint16(129), []byte(nil))                                                      // bitmap one word too short
+	f.Add(good[:len(good)-8], uint16(0), uint16(70), []byte(nil))                                         // popcount > values
+	f.Add(append(good[:len(good):len(good)], 0, 0, 0, 0, 0, 0, 0, 0), uint16(0), uint16(70), []byte(nil)) // popcount < values
+	f.Add(good[:len(good)-3], uint16(0), uint16(70), []byte(nil))                                         // truncated value
+	f.Add(good, uint16(0), uint16(66), []byte{0x55})                                                      // set bits past elems
+	f.Add(good, uint16(250), uint16(70), []byte(nil))                                                     // range past the accumulator
+	f.Add([]byte{}, uint16(0), uint16(0), []byte(nil))
+	f.Fuzz(func(t *testing.T, payload []byte, off16, n16 uint16, extra []byte) {
 		const segLen = 300
 		off, n := int(off16), int(n16)
 		fresh := func() []float64 {
@@ -435,21 +436,20 @@ func FuzzPackedChunk(f *testing.F) {
 				requireBitwiseEqual(t, name+": accumulator after a refused chunk", acc, fresh())
 				continue
 			}
+			// "set" writes the marked elements only: its range is zeroed by
+			// MakeSegment, never by the decoder.
 			want := fresh()
 			vals := payload[8*PackedWords(n):]
 			for i := 0; i < n; i++ {
-				set := uint64At(payload, 8*(i/64))>>uint(i%64)&1 != 0
-				switch {
-				case set && name == "reduce":
+				if uint64At(payload, 8*(i/64))>>uint(i%64)&1 == 0 {
+					continue
+				}
+				if name == "reduce" {
 					want[off+i] += float64At(vals, 0)
-				case set:
+				} else {
 					want[off+i] = float64At(vals, 0)
-				case name == "set":
-					want[off+i] = 0
 				}
-				if set {
-					vals = vals[8:]
-				}
+				vals = vals[8:]
 			}
 			requireBitwiseEqual(t, name, acc, want)
 		}
@@ -458,14 +458,15 @@ func FuzzPackedChunk(f *testing.F) {
 		for i := range v {
 			v[i] = float64At(payload, 8*i)
 		}
-		size := packedSizeF64(v, 0, len(v))
+		requireSupportMatchesScan(t, v, 0, len(v), supersetOf(v, off%131, extra), off%131)
+		size := packedSizeF64(v, 0, len(v), nil, 0)
 		if size == 0 {
 			return
 		}
 		if 2*size > 8*len(v) {
 			t.Fatalf("packed %d elems into %d bytes, more than half of dense", len(v), size)
 		}
-		wire := encodePackedF64(make([]byte, 0, size), v, 0, len(v))
+		wire := encodePackedF64(make([]byte, 0, size), v, 0, len(v), nil, 0)
 		if len(wire) != size {
 			t.Fatalf("encoded %d bytes, sized %d", len(wire), size)
 		}

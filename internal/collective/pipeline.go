@@ -206,6 +206,14 @@ type ringChan[V any] struct {
 	stride     int  // payload bytes per element (0 when ops lack chunk support)
 	packs      bool // ops supply the packed chunk form
 
+	// The reduce-scatter channel's private support copy (support.go):
+	// nil means scan. supLo is its bit in the shared bitmap; outBit and
+	// inBit are this step's send and receive segments' bits in the copy.
+	sup           []uint64
+	supBuf        *[]uint64
+	supLo         int
+	outBit, inBit int
+
 	next   int             // successor rank, cached
 	done   chan error      // send completions; capacity 2 covers the window
 	sctx   context.Context // current step context
@@ -374,20 +382,21 @@ func (rc *ringChan[V]) encodeChunkFrame(spanID uint64, v V, idx, total, elemOff,
 }
 
 // encodePackedFrame is the data-driven choice: one counting pass over
-// the chunk (Packed.ChunkSize), and when packing wins, the packed frame
-// as an exactly-sized pooled draw. It returns nil when the chunk stays
-// dense, or when the ops cannot pack.
+// the chunk, or its support's candidates (Packed.ChunkSize), and when
+// packing wins, the packed frame as a pooled draw of that size. It
+// returns nil when the chunk stays dense, or when the ops cannot pack.
 func (rc *ringChan[V]) encodePackedFrame(spanID uint64, v V, idx, total, elemOff, elemCnt, elemAll int) []byte {
 	if !rc.packs {
 		return nil
 	}
-	size := rc.ops.Packed.ChunkSize(v, elemOff, elemCnt)
+	bit := rc.outBit + elemOff
+	size := rc.ops.Packed.ChunkSize(v, elemOff, elemCnt, rc.sup, bit)
 	if size <= 0 {
 		return nil
 	}
 	hs := chunkHeaderSize(spanID)
 	buf := comm.GetBuffer(hs + size)
-	wire := rc.ops.Packed.EncodeChunkTo(buf[:hs], v, elemOff, elemCnt)
+	wire := rc.ops.Packed.EncodeChunkTo(buf[:hs], v, elemOff, elemCnt, rc.sup, bit)
 	releaseIfAbandoned(buf, wire)
 	rc.stampChunk(wire, spanID, idx, total, elemOff, elemCnt, elemAll, formPacked)
 	rc.lastRaw = int64(hs + rc.stride*elemCnt)
@@ -698,6 +707,9 @@ func (rc *ringChan[V]) transferReduce(sctx context.Context, span *trace.ActiveSp
 			if rc.tel.on {
 				active := rc.inflight() > 0 || rc.sent < outTotal || inGot < inNeed
 				rc.observeReduce(time.Since(start), active)
+			}
+			if rerr == nil && rc.sup != nil {
+				rc.markSupport(acc, fr)
 			}
 			if canRelease {
 				comm.Release(fr.wire)

@@ -1,0 +1,184 @@
+package collective
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"sparker/internal/comm"
+	"sparker/internal/metrics"
+)
+
+// supersetOf is a support for v placed at bit bit: every non-zero word
+// of v, plus element i wherever bit i of extra (cycled) is set, plus
+// every bit outside [bit, bit+len(v)), which the encoder must not read.
+func supersetOf(v []float64, bit int, extra []byte) []uint64 {
+	sup := make([]uint64, PackedWords(bit+len(v))+1)
+	for i := range sup {
+		sup[i] = ^uint64(0)
+	}
+	for i := range v {
+		b := bit + i
+		if math.Float64bits(v[i]) == 0 && (len(extra) == 0 || extra[i/8%len(extra)]>>uint(i%8)&1 == 0) {
+			sup[b>>6] &^= 1 << uint(b&63)
+		}
+	}
+	return sup
+}
+
+// requireSupportMatchesScan: sizing and encoding v[off:off+n] from the
+// candidates cand (at bit) chooses what the scan chooses, produces the
+// scan's bytes, and stays within the size it promised.
+func requireSupportMatchesScan(t *testing.T, v []float64, off, n int, cand []uint64, bit int) {
+	t.Helper()
+	scan := packedSizeF64(v, off, n, nil, 0)
+	sized := packedSizeF64(v, off, n, cand, bit)
+	if (scan > 0) != (sized > 0) {
+		t.Fatalf("n=%d bit=%d: the scan sizes %d bytes, the support %d", n, bit, scan, sized)
+	}
+	if scan == 0 {
+		return
+	}
+	if sized < scan {
+		t.Fatalf("n=%d bit=%d: the support sizes %d bytes, under the exact %d", n, bit, sized, scan)
+	}
+	want := encodePackedF64(make([]byte, 0, scan), v, off, n, nil, 0)
+	// A capacity of exactly the promised size: writing past it panics.
+	got := encodePackedF64(make([]byte, 0, sized), v, off, n, cand, bit)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("n=%d bit=%d: encoding from the support changed the bytes (%d vs %d)", n, bit, len(got), len(want))
+	}
+}
+
+// TestSupportEncodeMatchesScan: whatever superset of the non-zero
+// elements the support is, the encoder makes the scan's choice and
+// writes the scan's bytes — over densities from empty to full; with
+// −0.0, NaN payloads, subnormals and exact +0.0 among the candidates;
+// at bit offsets that are not multiples of 64; around the 64-element
+// word at n = 63/64/65; at the ½ limit ±1; and where the scan's probe
+// fires on a chunk its count would have packed.
+func TestSupportEncodeMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	specials := []float64{math.Copysign(0, -1), math.Float64frombits(0x7ff8_0000_dead_beef), math.SmallestNonzeroFloat64, -3 * math.SmallestNonzeroFloat64}
+	fill := func(n int, density float64) []float64 {
+		v := make([]float64, n+2) // a guard element either side
+		v[0], v[n+1] = 1, 1
+		for i := 1; i <= n; i++ {
+			if rng.Float64() < density {
+				v[i] = rng.NormFloat64()
+				if rng.Intn(8) == 0 {
+					v[i] = specials[rng.Intn(len(specials))]
+				}
+			}
+		}
+		return v
+	}
+	widen := func(q float64) []byte {
+		if q == 0 {
+			return nil
+		}
+		extra := make([]byte, 97)
+		for i := range extra {
+			for b := 0; b < 8; b++ {
+				if rng.Float64() < q {
+					extra[i] |= 1 << uint(b)
+				}
+			}
+		}
+		return extra
+	}
+	for _, n := range []int{0, 1, 63, 64, 65, 1000, 4096, 62500} {
+		for _, density := range []float64{0, 0.01, 0.05, 0.2, 0.45, 0.5, 0.55, 1} {
+			for _, q := range []float64{0, 0.02, 0.3} {
+				for _, bit := range []int{0, 1, 63, 64, 100, 129} {
+					t.Run(fmt.Sprintf("n=%d/d=%v/widen=%v/bit=%d", n, density, q, bit), func(t *testing.T) {
+						v := fill(n, density)
+						requireSupportMatchesScan(t, v, 1, n, supersetOf(v[1:n+1], bit, widen(q)), bit)
+					})
+				}
+			}
+		}
+	}
+	// The ½ limit ±1 non-zero words, with the exact support and with one
+	// more candidate that holds +0.0.
+	for _, n := range []int{63, 64, 65, 1000, 4096} {
+		limit := n/packThreshold - PackedWords(n)
+		for _, nnz := range []int{limit - 1, limit, limit + 1} {
+			for _, bit := range []int{0, 37} {
+				v := make([]float64, n+2)
+				perm := rng.Perm(n)
+				for _, j := range perm[:nnz] {
+					v[1+j] = float64(j + 1)
+				}
+				exact := supersetOf(v[1:n+1], bit, nil)
+				requireSupportMatchesScan(t, v, 1, n, exact, bit)
+				b := bit + perm[nnz]
+				exact[b>>6] |= 1 << uint(b&63)
+				requireSupportMatchesScan(t, v, 1, n, exact, bit)
+			}
+		}
+	}
+	// Non-zeros exactly where the probe looks: the scan calls the chunk
+	// dense at the probe although it would pack, and so must the support.
+	v := make([]float64, 4096)
+	for i := 0; i < len(v); i += probeStride {
+		v[i] = 1
+	}
+	if packedSizeF64(v, 0, len(v), nil, 0) != 0 {
+		t.Fatal("the probe no longer fires on a stride-17 chunk; pick a chunk it does fire on")
+	}
+	requireSupportMatchesScan(t, v, 0, len(v), supersetOf(v, 5, nil), 5)
+}
+
+// TestRingSupportMatchesScan: a reduce-scatter run with a support per
+// rank returns what the same run returns without one, puts the same
+// bytes on the wire, and leaves every rank's bitmap covering its owned
+// segments' results.
+func TestRingSupportMatchesScan(t *testing.T) {
+	const n, p, segLen = 4, 2, 3001
+	inputs := makeSparseInputs(rand.New(rand.NewSource(31)), n, p*n, segLen, headDense, true)
+	run := func(name string, withSup bool) ([]map[int][]float64, [][]uint64, int64) {
+		cp := deepCopySegs(inputs)
+		sups := make([][]uint64, n)
+		owned := make([]map[int][]float64, n)
+		regs := make([]*metrics.Registry, n)
+		runGroup(t, n, name, func(e *comm.Endpoint) error {
+			regs[e.Rank()] = metrics.NewRegistry()
+			ctx := metrics.NewContext(WithChunkBytes(context.Background(), 8000), regs[e.Rank()]) // 1000-element chunks
+			if withSup {
+				var all []float64
+				for _, s := range cp[e.Rank()] {
+					all = append(all, s...)
+				}
+				sups[e.Rank()] = supersetOf(all, 0, []byte{0, 0, 0, 0x10})[:PackedWords(len(all))]
+				ctx = WithSupport(ctx, sups[e.Rank()])
+			}
+			var err error
+			owned[e.Rank()], err = RingReduceScatter(ctx, e, cp[e.Rank()], p, F64Ops())
+			return err
+		})
+		var wire int64
+		for _, reg := range regs {
+			wire += reg.Histogram(metrics.HistRingStepBytes).Sum()
+		}
+		return owned, sups, wire
+	}
+	want, _, wantWire := run("sup-scan", false)
+	got, sups, gotWire := run("sup-support", true)
+	if gotWire != wantWire {
+		t.Errorf("wire bytes %d with the support, %d without", gotWire, wantWire)
+	}
+	for r := range want {
+		for i, seg := range want[r] {
+			requireBitwiseEqual(t, fmt.Sprintf("rank %d segment %d", r, i), got[r][i], seg)
+			for j, x := range got[r][i] {
+				if b := i*segLen + j; math.Float64bits(x) != 0 && sups[r][b>>6]>>uint(b&63)&1 == 0 {
+					t.Fatalf("rank %d: element %d of owned segment %d is non-zero outside the support", r, j, i)
+				}
+			}
+		}
+	}
+}

@@ -202,6 +202,17 @@ type AggFuncs[T, U, V any] struct {
 	// copies; identity callbacks do not qualify). Aggregators that reach
 	// the caller (the tree strategies' result) are never recycled.
 	Recycle func(U)
+	// Support, when non-nil, names the aggregator elements SeqOp(acc, t)
+	// may change: a bitmap over the concatenation of SplitOp's segments,
+	// bit i%64 of word i/64 for element i. A clear bit promises SeqOp
+	// leaves that element's bits as Zero made them (+0.0); nil means
+	// unknown. The ring strategies fold it beside each executor's
+	// aggregator and encode packed chunks from it in O(support) when Ops
+	// can pack (collective.WithSupport); the bytes they send do not
+	// change. Core never writes a returned bitmap, and ORs each one in
+	// whole, so it suits a few large elements (a packed partition), not
+	// one per point.
+	Support func(T) []uint64
 }
 
 // recycle hands u to Recycle when the caller supplied one.
@@ -433,7 +444,10 @@ func runAttempt[T, U, V any](ctx context.Context, r *rdd.RDD[T], fns *AggFuncs[T
 
 	// Stage 1: reduced-result stage (IMM) → one aggregator per executor.
 	start := time.Now()
-	held, err := runIMMStage(r, key, aggSC, o.Tenant, fns)
+	// Supports are folded only for the ring, and only ops that pack read
+	// them.
+	track := strategy != StrategyIMM && fns.Support != nil && fns.Ops != nil && fns.Ops.CanPack()
+	held, err := runIMMStage(r, key, aggSC, o.Tenant, fns, track)
 	if err != nil {
 		return zv, errors.Is(err, rdd.ErrStageCleanup), err
 	}
@@ -534,17 +548,25 @@ func runRingStage[T, U, V any](ctx context.Context, rc *rdd.Context, opID int64,
 			// ring reduces in place in whatever SplitOp returns, and on
 			// success the memory goes back through Recycle. A failed ring
 			// leaves it partly reduced, so it is simply dropped.
-			u, err := takeAgg(ec, key, held, fns)
+			u, sup, err := takeAgg(ec, key, held, fns)
 			if err != nil {
 				return nil, err
 			}
 			segs := splitParallel(u, nSegs, ec.Cores, fns.SplitOp)
+			// The support goes to the ring, which ORs what it reduces in
+			// into it, and then to the owned frame; it dies with u.
+			var bits []uint64
+			if ops.CanPack() {
+				if bits = sup.words(segsElems(ops, segs)); bits != nil {
+					cctx = collective.WithSupport(cctx, bits)
+				}
+			}
 			owned, err := collective.RingReduceScatter(cctx, ec.Comm, segs, o.Parallelism, ops)
 			if err != nil {
 				return nil, err
 			}
 			if !allGather {
-				frame := encodeOwned(owned, ops, ec.ResultBuf)
+				frame := encodeOwned(owned, ops, bits, segs, ec.ResultBuf)
 				fns.recycle(u)
 				return frame, nil
 			}

@@ -54,7 +54,57 @@ import (
 // immState is the per-executor shared aggregator for one aggregation.
 type immState[U any] struct {
 	agg   U
-	tasks int // number of task results merged in
+	sup   support // of agg, when the ring will use it
+	tasks int     // number of task results merged in
+}
+
+// support is what core knows of an aggregator's possibly non-zero
+// elements (AggFuncs.Support): a bitmap over SplitOp's concatenated
+// segments, bit i%64 of word i/64 for element i, that core owns. The
+// zero value knows nothing, so the ring scans; known with nil bits means
+// every element is still +0.0.
+type support struct {
+	bits  []uint64
+	known bool
+}
+
+// add ORs one element's support into s — a copy of it, the first time.
+// A nil support, or one whose length disagrees, makes s unknown.
+func (s *support) add(b []uint64) {
+	switch {
+	case !s.known:
+	case b == nil || s.bits != nil && len(b) != len(s.bits):
+		*s = support{}
+	case s.bits == nil:
+		s.bits = slices.Clone(b)
+	default:
+		for i, w := range b {
+			s.bits[i] |= w
+		}
+	}
+}
+
+// merge folds another aggregator's support into s (MergeOp).
+func (s *support) merge(o support) {
+	if !o.known {
+		*s = support{}
+	} else if o.bits != nil {
+		s.add(o.bits)
+	}
+}
+
+// words is the bitmap the ring may read and write for an aggregator of
+// elems elements — all clear for an aggregator that is still Zero — or
+// nil when s is unknown or sized for something else.
+func (s *support) words(elems int) []uint64 {
+	n := collective.PackedWords(elems)
+	switch {
+	case !s.known || s.bits != nil && len(s.bits) != n:
+		return nil
+	case s.bits == nil:
+		s.bits = make([]uint64, n)
+	}
+	return s.bits
 }
 
 // runIMMStage executes the reduced-result stage: every partition is
@@ -67,8 +117,10 @@ type immState[U any] struct {
 // at its head is gone. On any task failure the stage's shared values
 // are cleared on every executor and the whole stage re-submitted
 // (§3.2). Afterwards each executor that ran a task holds exactly one
-// aggregator under key; held reports which executors those are.
-func runIMMStage[T, U, V any](r *rdd.RDD[T], key string, parent trace.SpanContext, tenant string, fns *AggFuncs[T, U, V]) (held map[int]bool, err error) {
+// aggregator under key; held reports which executors those are. With
+// track, each executor's support (AggFuncs.Support) is folded beside its
+// aggregator.
+func runIMMStage[T, U, V any](r *rdd.RDD[T], key string, parent trace.SpanContext, tenant string, fns *AggFuncs[T, U, V], track bool) (held map[int]bool, err error) {
 	h, err := r.Context().SubmitJob(rdd.JobSpec{
 		Tenant:      tenant,
 		Tasks:       r.NumPartitions(),
@@ -81,15 +133,20 @@ func runIMMStage[T, U, V any](r *rdd.RDD[T], key string, parent trace.SpanContex
 			// Fold locally first so executor cores compute in parallel;
 			// only the final merge serializes on the shared object.
 			acc := fns.Zero()
+			sup := support{known: track}
 			for _, v := range data {
 				acc = fns.SeqOp(acc, v)
+				if track {
+					sup.add(fns.Support(v))
+				}
 			}
 			ec.MutObjs.GetOrCreate(key, func() any { return &immState[U]{} }).Update(func(v any) any {
 				st := v.(*immState[U])
 				if st.tasks == 0 {
-					st.agg = acc
+					st.agg, st.sup = acc, sup
 				} else {
 					st.agg = fns.MergeOp(st.agg, acc)
+					st.sup.merge(sup)
 					fns.recycle(acc)
 				}
 				st.tasks++
@@ -123,17 +180,19 @@ func runIMMStage[T, U, V any](r *rdd.RDD[T], key string, parent trace.SpanContex
 // executor that ran no task of the IMM stage contributes zero(); one
 // that did (held) and has no aggregator has lost it — it was already
 // taken, or the executor was replaced since — which must fail the task
-// rather than pass a zero off as its contribution.
-func takeAgg[T, U, V any](ec *rdd.ExecContext, key string, held map[int]bool, fns *AggFuncs[T, U, V]) (U, error) {
+// rather than pass a zero off as its contribution. The aggregator's
+// support comes with it; a Zero() aggregator's is known and empty.
+func takeAgg[T, U, V any](ec *rdd.ExecContext, key string, held map[int]bool, fns *AggFuncs[T, U, V]) (U, support, error) {
 	if obj := ec.MutObjs.Get(key); obj != nil {
 		ec.MutObjs.Remove(key)
-		return obj.Value().(*immState[U]).agg, nil
+		st := obj.Value().(*immState[U])
+		return st.agg, st.sup, nil
 	}
 	if held[ec.ID] {
 		var zu U
-		return zu, fmt.Errorf("core: executor %d no longer holds aggregator %s: %w", ec.ID, key, ErrMembershipChanged)
+		return zu, support{}, fmt.Errorf("core: executor %d no longer holds aggregator %s: %w", ec.ID, key, ErrMembershipChanged)
 	}
-	return fns.Zero(), nil
+	return fns.Zero(), support{known: fns.Support != nil}, nil
 }
 
 // cleanupIMM drops a failed attempt's resident aggregators everywhere.
@@ -156,7 +215,7 @@ func cleanupIMM(ctx *rdd.Context, tenant string, parent trace.SpanContext, prefi
 func gatherIMM[T, U, V any](ctx *rdd.Context, tenant string, parent trace.SpanContext, key string, held map[int]bool, fns *AggFuncs[T, U, V]) (U, error) {
 	var zu U
 	payloads, err := ctx.RunOnLiveExecutors(tenant, parent, func(ec *rdd.ExecContext, task, attempt int) ([]byte, error) {
-		agg, err := takeAgg(ec, key, held, fns)
+		agg, _, err := takeAgg(ec, key, held, fns)
 		if err != nil {
 			return nil, err
 		}
@@ -256,12 +315,23 @@ const ownedPacked = 1 << 31
 // disagree.
 var ErrMalformedFrame = errors.New("core: malformed owned-segments frame")
 
+// segsElems is the element count of segs.
+func segsElems[V any](ops collective.Ops[V], segs []V) int {
+	n := 0
+	for _, s := range segs {
+		n += ops.Elems(s)
+	}
+	return n
+}
+
 // encodeOwned frames a rank's owned segments. With fixed-stride ops the
-// frame's exact size is known up front — one counting pass per segment
-// when the ops can pack — and it is encoded once, straight into the
-// buffer draw(size) returns (the task's pooled result frame); otherwise
-// it grows by append.
-func encodeOwned[V any](owned map[int]V, ops collective.Ops[V], draw func(n int) []byte) []byte {
+// frame's size is known up front — one counting pass per segment when
+// the ops can pack, or a read of the segment's share of sup, the
+// support over segs the ring left (nil: count) — and it is encoded once,
+// straight into the buffer draw(size) returns (the task's pooled result
+// frame); otherwise it grows by append. A size read from sup may
+// overstate: the frame is then shorter than its draw.
+func encodeOwned[V any](owned map[int]V, ops collective.Ops[V], sup []uint64, segs []V, draw func(n int) []byte) []byte {
 	// A rank owns one segment per ring channel; the arrays keep the
 	// usual case off the heap.
 	var idxBuf, packedBuf [16]int
@@ -277,6 +347,13 @@ func encodeOwned[V any](owned map[int]V, ops collective.Ops[V], draw func(n int)
 	if len(idxs) > len(packed) {
 		packed = make([]int, len(idxs))
 	}
+	// bit is segment i's first bit in sup.
+	bit := func(i int) int {
+		if sup == nil {
+			return 0
+		}
+		return segsElems(ops, segs[:i])
+	}
 	var dst []byte
 	if stride > 0 {
 		size := 4
@@ -284,7 +361,7 @@ func encodeOwned[V any](owned map[int]V, ops collective.Ops[V], draw func(n int)
 			n := ops.Elems(owned[i])
 			body := stride * n
 			if canPack {
-				if packed[k] = ops.Packed.ChunkSize(owned[i], 0, n); packed[k] > 0 {
+				if packed[k] = ops.Packed.ChunkSize(owned[i], 0, n, sup, bit(i)); packed[k] > 0 {
 					body = 4 + packed[k]
 				}
 			}
@@ -304,7 +381,7 @@ func encodeOwned[V any](owned map[int]V, ops collective.Ops[V], draw func(n int)
 		switch v := owned[i]; {
 		case packed[k] > 0:
 			dst = binary.LittleEndian.AppendUint32(dst, uint32(ops.Elems(v)))
-			dst = ops.Packed.EncodeChunkTo(dst, v, 0, ops.Elems(v))
+			dst = ops.Packed.EncodeChunkTo(dst, v, 0, ops.Elems(v), sup, bit(i))
 		case stride > 0:
 			dst = ops.EncodeChunkTo(dst, v, 0, ops.Elems(v))
 		default:

@@ -102,6 +102,13 @@ var f64Ops = collective.F64Ops()
 // into one timeline. extra options (e.g. core.WithTenant) are appended
 // after the strategy options, so they may override any of them.
 func AggregateF64Ctx[T any](ctx context.Context, r *rdd.RDD[T], dim int, seqOp func(acc []float64, v T) []float64, s Strategy, depth, parallelism int, extra ...core.AggOption) ([]float64, error) {
+	return aggregateF64(ctx, r, dim, seqOp, nil, s, depth, parallelism, extra...)
+}
+
+// aggregateF64 is AggregateF64Ctx with the elements' supports
+// (core.AggFuncs.Support; nil when unknown), which let the ring encode
+// packed chunks in O(support).
+func aggregateF64[T any](ctx context.Context, r *rdd.RDD[T], dim int, seqOp func(acc []float64, v T) []float64, support func(T) []uint64, s Strategy, depth, parallelism int, extra ...core.AggOption) ([]float64, error) {
 	cs, err := s.CoreStrategy()
 	if err != nil {
 		return nil, err
@@ -123,8 +130,12 @@ func AggregateF64Ctx[T any](ctx context.Context, r *rdd.RDD[T], dim int, seqOp f
 		ConcatOp: core.ConcatSlices[float64],
 		Ops:      &f64Ops,
 		Recycle:  linalg.PutVec,
+		Support:  support,
 	}, opts...)
 }
+
+// partSupport is a packed partition's gradient support.
+func partSupport(pp packedPart) []uint64 { return pp.Support }
 
 // startTrainSpan opens the root "train" span for one optimizer run and
 // returns the context iteration spans derive from. Everything no-ops
@@ -263,8 +274,8 @@ func RunGradientDescent(data *rdd.RDD[LabeledPoint], grad Gradient, up Updater, 
 			// Packed plane: one fused kernel pass per partition, with
 			// in-kernel minibatch sampling over the same RNG stream
 			// sampleRDD would use.
-			agg, err = AggregateF64Ctx(ictx, plan.packed, dim+2,
-				packedGradSeqOp(kind, w, dim, cfg.MiniBatchFraction, cfg.Seed, iter),
+			agg, err = aggregateF64(ictx, plan.packed, dim+2,
+				packedGradSeqOp(kind, w, dim, cfg.MiniBatchFraction, cfg.Seed, iter), partSupport,
 				cfg.Strategy, cfg.Depth, cfg.Parallelism, extra...)
 		} else {
 			batch := data

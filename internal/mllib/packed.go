@@ -16,6 +16,7 @@ import (
 	"sync"
 	"time"
 
+	"sparker/internal/collective"
 	"sparker/internal/linalg"
 	"sparker/internal/metrics"
 	"sparker/internal/rdd"
@@ -116,10 +117,29 @@ func PackVectors(part, dim int, xs []linalg.SparseVector) (*linalg.CSRMatrix, er
 // packedPart is the single element of each packed-RDD partition: the
 // matrix plus the executor's registry for compute telemetry. One
 // element per partition means core.Aggregate's per-element fold fires
-// the fused kernel exactly once per partition.
+// the fused kernel exactly once per partition. Support, for labeled
+// partitions, is the support of the partition's gradient aggregator
+// (gradSupport); callers read it and never write it.
 type packedPart struct {
-	M   *linalg.CSRMatrix
-	Reg *metrics.Registry
+	M       *linalg.CSRMatrix
+	Reg     *metrics.Registry
+	Support []uint64
+}
+
+// gradSupport is the support of a gradient aggregator folded over m
+// (layout [0,dim) gradient, [dim] loss, [dim+1] count): every column a
+// row of m stores, plus the two tail elements — what packedGradSeqOp can
+// change, for a full pass or any sample of rows. One O(nnz) pass per
+// decoded block; m must be valid.
+func gradSupport(m *linalg.CSRMatrix) []uint64 {
+	sup := make([]uint64, collective.PackedWords(m.Dim+2))
+	for _, j := range m.Indices {
+		sup[j>>6] |= 1 << uint(j&63)
+	}
+	for j := m.Dim; j < m.Dim+2; j++ {
+		sup[j>>6] |= 1 << uint(j&63)
+	}
+	return sup
 }
 
 // packedPlan is one training run's handle on the packed dataset.
@@ -135,15 +155,17 @@ func csrBlockKey(dataID int64, dim, part int) string {
 	return fmt.Sprintf("csr/%d/%d/%d", dataID, dim, part)
 }
 
-// decodedViews caches the last zero-copy decode of each packed block.
-// DecodeCSR itself is cheap, but a stored block is validated in full
-// (Validate, O(nnz)) before the kernels may index by its column
-// indices, and a caller that runs one training run per step would pay
-// DecodeCSR + Validate over every partition every step. A hit is only
-// valid while the store still returns the very same backing array the
-// cached matrix aliases; an evicted-and-repacked block has a new array
-// and falls through to a fresh decode. Capped crudely: the cache
-// mirrors the block store's working set, so overflow just drops it.
+// decodedViews caches the last zero-copy decode of each packed block,
+// and the block's gradient support beside it. DecodeCSR itself is
+// cheap, but a stored block is validated in full (Validate, O(nnz))
+// before the kernels may index by its column indices, and a caller that
+// runs one training run per step would pay DecodeCSR + Validate (and
+// gradSupport) over every partition every step. A hit is only valid
+// while the store still returns the very same backing array the cached
+// matrix aliases; an evicted-and-repacked block has a new array and
+// falls through to a fresh decode, and its support goes with the old
+// entry. Capped crudely: the cache mirrors the block store's working
+// set, so overflow just drops it.
 var decodedViews struct {
 	mu sync.Mutex
 	m  map[string]decodedView
@@ -153,21 +175,22 @@ type decodedView struct {
 	data *byte // &wire[0] of the decoded bytes
 	n    int
 	mat  *linalg.CSRMatrix
+	sup  []uint64 // gradSupport(mat) for a labeled plan's block, else nil
 }
 
 const decodedViewsCap = 256
 
-func loadDecodedView(key string, wire []byte) (*linalg.CSRMatrix, bool) {
+func loadDecodedView(key string, wire []byte) (decodedView, bool) {
 	decodedViews.mu.Lock()
 	defer decodedViews.mu.Unlock()
 	v, ok := decodedViews.m[key]
 	if !ok || len(wire) != v.n || v.n == 0 || &wire[0] != v.data {
-		return nil, false
+		return decodedView{}, false
 	}
-	return v.mat, true
+	return v, true
 }
 
-func storeDecodedView(key string, wire []byte, m *linalg.CSRMatrix) {
+func storeDecodedView(key string, wire []byte, m *linalg.CSRMatrix, sup []uint64) {
 	if len(wire) == 0 {
 		return
 	}
@@ -176,7 +199,7 @@ func storeDecodedView(key string, wire []byte, m *linalg.CSRMatrix) {
 	if decodedViews.m == nil || len(decodedViews.m) >= decodedViewsCap {
 		decodedViews.m = make(map[string]decodedView)
 	}
-	decodedViews.m[key] = decodedView{data: &wire[0], n: len(wire), mat: m}
+	decodedViews.m[key] = decodedView{data: &wire[0], n: len(wire), mat: m, sup: sup}
 }
 
 // materializePacked resolves one packed partition on the executor:
@@ -186,18 +209,26 @@ func storeDecodedView(key string, wire []byte, m *linalg.CSRMatrix) {
 // bytes, and returns the zero-copy view of what was stored, so memory
 // holds a single arena copy either way. Repeat hits on an unchanged
 // block return the same *CSRMatrix without decoding or validating it
-// again.
-func materializePacked(ec *rdd.ExecContext, key string, pack func() (*linalg.CSRMatrix, error)) ([]packedPart, error) {
+// again. With withSupport the partition carries its gradSupport,
+// computed once per decoded block and cached with the view.
+func materializePacked(ec *rdd.ExecContext, key string, withSupport bool, pack func() (*linalg.CSRMatrix, error)) ([]packedPart, error) {
+	view := func(wire []byte, m *linalg.CSRMatrix) []packedPart {
+		var sup []uint64
+		if withSupport {
+			sup = gradSupport(m)
+		}
+		storeDecodedView(key, wire, m, sup)
+		return []packedPart{{M: m, Reg: ec.Registry, Support: sup}}
+	}
 	if wire, ok := ec.Store.GetLocal(key); ok {
-		if m, ok := loadDecodedView(key, wire); ok {
-			return []packedPart{{M: m, Reg: ec.Registry}}, nil
+		if v, ok := loadDecodedView(key, wire); ok && (v.sup != nil || !withSupport) {
+			return []packedPart{{M: v.mat, Reg: ec.Registry, Support: v.sup}}, nil
 		}
 		// Stored bytes are validated in full once per decode (the decoded
 		// view is cached): the kernels index the weight and accumulator
 		// vectors by the stored column indices.
 		if m, _, err := linalg.DecodeCSR(wire); err == nil && m.Validate() == nil {
-			storeDecodedView(key, wire, m)
-			return []packedPart{{M: m, Reg: ec.Registry}}, nil
+			return view(wire, m), nil
 		}
 		// Unusable bytes (corrupt or from an older layout): repack.
 	}
@@ -211,8 +242,7 @@ func materializePacked(ec *rdd.ExecContext, key string, pack func() (*linalg.CSR
 	if err != nil {
 		return nil, fmt.Errorf("mllib: re-decoding packed partition: %w", err)
 	}
-	storeDecodedView(key, wire, zc)
-	return []packedPart{{M: zc, Reg: ec.Registry}}, nil
+	return view(wire, zc), nil
 }
 
 // newPackedPlan derives the packed RDD for labeled training data. The
@@ -222,7 +252,7 @@ func materializePacked(ec *rdd.ExecContext, key string, pack func() (*linalg.CSR
 func newPackedPlan(data *rdd.RDD[LabeledPoint], dim int) *packedPlan {
 	id := data.ID()
 	packed := rdd.Derive(data, func(ec *rdd.ExecContext, part int, parent func() ([]LabeledPoint, error)) ([]packedPart, error) {
-		return materializePacked(ec, csrBlockKey(id, dim, part), func() (*linalg.CSRMatrix, error) {
+		return materializePacked(ec, csrBlockKey(id, dim, part), true, func() (*linalg.CSRMatrix, error) {
 			pts, err := parent()
 			if err != nil {
 				return nil, err
@@ -237,7 +267,7 @@ func newPackedPlan(data *rdd.RDD[LabeledPoint], dim int) *packedPlan {
 func newPackedVecPlan(points *rdd.RDD[linalg.SparseVector], dim int) *packedPlan {
 	id := points.ID()
 	packed := rdd.Derive(points, func(ec *rdd.ExecContext, part int, parent func() ([]linalg.SparseVector, error)) ([]packedPart, error) {
-		return materializePacked(ec, csrBlockKey(id, dim, part), func() (*linalg.CSRMatrix, error) {
+		return materializePacked(ec, csrBlockKey(id, dim, part), false, func() (*linalg.CSRMatrix, error) {
 			xs, err := parent()
 			if err != nil {
 				return nil, err

@@ -303,7 +303,7 @@ func TestPackedStoreHitValidates(t *testing.T) {
 	packs := 0
 	pack := func() (*linalg.CSRMatrix, error) { packs++; return good, nil }
 	for run := 1; run <= 2; run++ {
-		parts, err := materializePacked(ec, key, pack)
+		parts, err := materializePacked(ec, key, true, pack)
 		if err != nil {
 			t.Fatal(err)
 		}
