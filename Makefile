@@ -134,11 +134,14 @@ check: vet no-deprecated no-stale-refs test race test-chaos chaos-elastic overhe
 # and the packed chunk form's encode / decode-reduce rates by density
 # next to the dense kernels' (the evidence behind its ½ rule, §11),
 # with the encode from a support warm and cold in DRAM (the cold rows
-# cycle through 256 MB of aggregators);
+# cycle through 256 MB of aggregators); serde's []float64 encode and
+# decode of a wide aggregator, dense and 5.6 % sparse (the tag 7 wire
+# of every float vector off the ring);
 # the csrgrad/{wide,tall,tiny} rows are the fused gradient kernel on one
 # partition of each benchmark workload shape (DESIGN.md §16).
 bench:
 	$(GO) test -run xxx -bench 'RingReduceScatterHot|SerdeF64|PackedChunk' -benchmem ./internal/collective
+	$(GO) test -run xxx -bench 'SerdeF64' -benchmem ./internal/serde
 	$(GO) test -run xxx -bench 'LinalgKernels' -benchmem ./internal/linalg
 
 # The paired rule for a performance claim (benchmark/README.md): >= 10

@@ -322,41 +322,57 @@ func benchRingReduceScatter(b *testing.B, ranks, par, dim int) {
 
 // --- Figure 16: aggregation strategies (functional) ----------------------
 
+// The density axis matters because every float vector on the wire
+// packs when at most half of it is non-zero: the sparse arm's 1 024
+// samples touch at most 1 024 elements, so its tree rows ship a few KB
+// per block; the dense arm writes every element of every partition's
+// aggregator, which then ships whole.
 func BenchmarkFig16Aggregation(b *testing.B) {
 	for _, dim := range []int{1 << 10, 1 << 17, 1 << 20} { // 8KB, 1MB, 8MB
-		for _, strat := range []mllib.Strategy{mllib.StrategyTree, mllib.StrategyTreeIMM, mllib.StrategySplit} {
-			b.Run(fmt.Sprintf("bytes=%d/%v", dim*8, strat), func(b *testing.B) {
-				ctx, err := rdd.NewContext(rdd.Config{
-					Name:             fmt.Sprintf("bench-agg-%d-%v-%d", dim, strat, b.N),
-					NumExecutors:     4,
-					CoresPerExecutor: 2,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer ctx.Close()
-				samples := rdd.Generate(ctx, 16, func(part int) ([]int64, error) {
-					out := make([]int64, 64)
-					for i := range out {
-						out[i] = int64(part*64 + i)
-					}
-					return out, nil
-				}).Cache()
-				if _, err := rdd.Count(samples); err != nil {
-					b.Fatal(err)
-				}
-				seqOp := func(acc []float64, v int64) []float64 {
-					acc[int(v)%dim]++
-					return acc
-				}
-				b.SetBytes(int64(dim * 8))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := mllib.AggregateF64Ctx(context.Background(), samples, dim, seqOp, strat, 2, 4); err != nil {
+		for _, density := range []string{"sparse", "dense"} {
+			for _, strat := range []mllib.Strategy{mllib.StrategyTree, mllib.StrategyTreeIMM, mllib.StrategySplit} {
+				b.Run(fmt.Sprintf("bytes=%d/%s/%v", dim*8, density, strat), func(b *testing.B) {
+					ctx, err := rdd.NewContext(rdd.Config{
+						Name:             fmt.Sprintf("bench-agg-%d-%s-%v-%d", dim, density, strat, b.N),
+						NumExecutors:     4,
+						CoresPerExecutor: 2,
+					})
+					if err != nil {
 						b.Fatal(err)
 					}
-				}
-			})
+					defer ctx.Close()
+					samples := rdd.Generate(ctx, 16, func(part int) ([]int64, error) {
+						out := make([]int64, 64)
+						for i := range out {
+							out[i] = int64(part*64 + i)
+						}
+						return out, nil
+					}).Cache()
+					if _, err := rdd.Count(samples); err != nil {
+						b.Fatal(err)
+					}
+					seqOp := func(acc []float64, v int64) []float64 {
+						acc[int(v)%dim]++
+						return acc
+					}
+					if density == "dense" {
+						// A partition's 64 samples cover every element once.
+						seqOp = func(acc []float64, v int64) []float64 {
+							for j := int(v) % 64; j < dim; j += 64 {
+								acc[j]++
+							}
+							return acc
+						}
+					}
+					b.SetBytes(int64(dim * 8))
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if _, err := mllib.AggregateF64Ctx(context.Background(), samples, dim, seqOp, strat, 2, 4); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
 		}
 	}
 }

@@ -523,11 +523,11 @@ func (s *Store) FetchFrom(owner, id string) (block []byte, err error) {
 	if len(resp) < 1 || resp[0] != statusOK {
 		return nil, fmt.Errorf("blockmanager: block %s not found at %s", id, owner)
 	}
+	// The response frame is the caller's own — the serving store built it
+	// fresh and the transport hands each received frame over — so the
+	// block is returned in place.
 	b, _, err := readBytes(resp[1:])
-	if err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), b...), nil
+	return b, err
 }
 
 // Get resolves a block's location through the master, then fetches it.

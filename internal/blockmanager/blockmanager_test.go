@@ -11,7 +11,12 @@ import (
 
 func setup(t *testing.T, stores int) (*Master, []*Store, func()) {
 	t.Helper()
-	net := transport.NewMem()
+	return setupOn(t, transport.NewMem(), stores)
+}
+
+// setupOn is setup over net.
+func setupOn(t *testing.T, net transport.Network, stores int) (*Master, []*Store, func()) {
+	t.Helper()
 	m, err := NewMaster(net)
 	if err != nil {
 		t.Fatal(err)
@@ -92,6 +97,37 @@ func TestFetchFromDirect(t *testing.T) {
 	ss[0].PutLocal("local", []byte("x"))
 	if got, err := ss[0].FetchFrom("exec-0", "local"); err != nil || string(got) != "x" {
 		t.Fatalf("local FetchFrom = %q, %v", got, err)
+	}
+}
+
+// TestFetchedBlockIsPrivate: FetchFrom returns the fetched block in
+// place in the response frame, which is only sound if that frame is
+// memory the owner does not hold. Writing over a fetched block must
+// leave the owner's stored block, and the next fetch, as they were — on
+// the in-memory transport and on TCP.
+func TestFetchedBlockIsPrivate(t *testing.T) {
+	for name, net := range map[string]transport.Network{"mem": transport.NewMem(), "tcp": transport.NewTCP()} {
+		t.Run(name, func(t *testing.T) {
+			_, ss, done := setupOn(t, net, 2)
+			defer done()
+			want := []byte("resident block")
+			ss[1].PutLocal("blk", bytes.Clone(want))
+			for round := 0; round < 2; round++ {
+				got, err := ss[0].FetchFrom("exec-1", "blk")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("fetch %d = %q, want %q", round, got, want)
+				}
+				for i := range got {
+					got[i] = 0
+				}
+				if stored, _ := ss[1].GetLocal("blk"); !bytes.Equal(stored, want) {
+					t.Fatalf("writing a fetched block changed the owner's copy to %q", stored)
+				}
+			}
+		})
 	}
 }
 

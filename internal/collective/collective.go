@@ -329,14 +329,6 @@ func releaseIfAbandoned(drawn, out []byte) {
 	}
 }
 
-// f64Packed is F64Ops' packed form: its Reduce is float64 addition.
-var f64Packed = &PackedOps[[]float64]{
-	ChunkSize:             packedSizeF64,
-	EncodeChunkTo:         encodePackedF64,
-	DecodeReduceChunkInto: decodeReducePackedF64,
-	DecodeChunkInto:       decodePackedF64,
-}
-
 // F64Ops returns elementwise-sum Ops for []float64 segments — the
 // aggregator shape of every MLlib workload in the paper — with all
 // fast paths populated.

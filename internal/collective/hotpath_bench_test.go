@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"sparker/internal/comm"
+	"sparker/internal/serde"
 	"sparker/internal/transport"
 )
 
@@ -133,12 +134,12 @@ func BenchmarkSerdeF64FusedDecodeReduce(b *testing.B) {
 func BenchmarkPackedChunk(b *testing.B) {
 	const n = 62500
 	dense := make([]byte, 0, 8*n)
-	packed := make([]byte, 0, 8*(PackedWords(n)+n))
+	packed := make([]byte, 0, 8*(serde.PackedWords(n)+n))
 	acc := make([]float64, n)
 	for _, pct := range []int{1, 5, 20, 50, 100} {
 		rng := rand.New(rand.NewSource(int64(pct)))
 		v := make([]float64, n)
-		sup := make([]uint64, PackedWords(n))
+		sup := make([]uint64, serde.PackedWords(n))
 		for _, j := range rng.Perm(n)[:n*pct/100] {
 			v[j] = rng.NormFloat64()
 			sup[j>>6] |= 1 << uint(j&63)
@@ -151,15 +152,15 @@ func BenchmarkPackedChunk(b *testing.B) {
 				}
 			})
 		}
-		run("count", func() { sinkInt = packedSizeF64(v, 0, n, nil, 0) })
+		run("count", func() { sinkInt = serde.PackedSizeF64(v, 0, n, nil, 0) })
 		run("encode-dense", func() { dense = encodeChunkF64(dense[:0], v, 0, n) })
 		run("encode-packed", func() {
-			sinkInt = packedSizeF64(v, 0, n, nil, 0)
-			packed = encodePackedF64(packed[:0], v, 0, n, nil, 0)
+			sinkInt = serde.PackedSizeF64(v, 0, n, nil, 0)
+			packed = serde.EncodePackedF64(packed[:0], v, 0, n, nil, 0)
 		})
 		run("encode-support", func() {
-			sinkInt = packedSizeF64(v, 0, n, sup, 0)
-			packed = encodePackedF64(packed[:0], v, 0, n, sup, 0)
+			sinkInt = serde.PackedSizeF64(v, 0, n, sup, 0)
+			packed = serde.EncodePackedF64(packed[:0], v, 0, n, sup, 0)
 		})
 		run("reduce-dense", func() {
 			if err := decodeReduceChunkF64(acc, 0, dense); err != nil {
@@ -167,7 +168,7 @@ func BenchmarkPackedChunk(b *testing.B) {
 			}
 		})
 		run("reduce-packed", func() {
-			if err := decodeReducePackedF64(acc, 0, n, packed); err != nil {
+			if err := f64Packed.DecodeReduceChunkInto(acc, 0, n, packed); err != nil {
 				b.Fatal(err)
 			}
 		})

@@ -18,6 +18,7 @@ import (
 	"sparker/internal/comm"
 	"sparker/internal/metrics"
 	"sparker/internal/obsv"
+	"sparker/internal/serde"
 	"sparker/internal/trace"
 	"sparker/internal/transport"
 )
@@ -236,7 +237,7 @@ func TestPipelineOverheadPacked(t *testing.T) {
 	// support is one rank's bitmap over its p×4 segments of 1<<17
 	// elements: every 32nd element, as sparse fills them.
 	support := func(p int) []uint64 {
-		words := make([]uint64, PackedWords(p*4<<17))
+		words := make([]uint64, serde.PackedWords(p*4<<17))
 		for w := range words {
 			words[w] = 1 | 1<<32
 		}

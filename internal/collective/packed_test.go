@@ -18,6 +18,7 @@ import (
 
 	"sparker/internal/comm"
 	"sparker/internal/metrics"
+	"sparker/internal/serde"
 )
 
 // densePattern picks the density of element j of an L-element segment.
@@ -97,7 +98,7 @@ func countForms(ops Ops[[]float64], c *encodeCounts) Ops[[]float64] {
 // packAll returns the packed form of all of v, whether or not the ½
 // rule would have chosen it.
 func packAll(v []float64) []byte {
-	return encodePackedF64(make([]byte, 0, 8*(PackedWords(len(v))+len(v))), v, 0, len(v), nil, 0)
+	return serde.EncodePackedF64(make([]byte, 0, 8*(serde.PackedWords(len(v))+len(v))), v, 0, len(v), nil, 0)
 }
 
 // withoutPacked is F64Ops with the packed form taken away: the dense
@@ -259,7 +260,7 @@ func TestCheckTrainLosslessPair(t *testing.T) {
 // that settles it.
 func TestPackedHalfRule(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 3, 63, 64, 65, 128, 1000, 4096} {
-		words := PackedWords(n)
+		words := serde.PackedWords(n)
 		for _, nnz := range []int{0, 1, n/2 - words - 1, n/2 - words, n/2 - words + 1, n} {
 			if nnz < 0 || nnz > n {
 				continue
@@ -269,7 +270,7 @@ func TestPackedHalfRule(t *testing.T) {
 			for _, j := range rand.New(rand.NewSource(int64(n*7 + nnz))).Perm(n)[:nnz] {
 				v[1+j] = float64(j + 1)
 			}
-			size := packedSizeF64(v, 1, n, nil, 0)
+			size := serde.PackedSizeF64(v, 1, n, nil, 0)
 			want := 0
 			if n > 0 && 8*(words+nnz) <= 8*n/2 {
 				want = 8 * (words + nnz)
@@ -280,14 +281,14 @@ func TestPackedHalfRule(t *testing.T) {
 			if size == 0 {
 				continue
 			}
-			wire := encodePackedF64(make([]byte, 3, 3+size), v, 1, n, nil, 0)
+			wire := serde.EncodePackedF64(make([]byte, 3, 3+size), v, 1, n, nil, 0)
 			if len(wire) != 3+size {
 				t.Fatalf("n=%d nnz=%d: encoded %d bytes, sized %d", n, nnz, len(wire)-3, size)
 			}
 			// A zeroed range, as MakeSegment returns it, between guards.
 			out := make([]float64, n+2)
 			out[0], out[n+1] = -7, -7
-			if err := decodePackedF64(out, 1, n, wire[3:]); err != nil {
+			if err := f64Packed.DecodeChunkInto(out, 1, n, wire[3:]); err != nil {
 				t.Fatal(err)
 			}
 			if out[0] != -7 || out[n+1] != -7 {
@@ -308,8 +309,8 @@ func TestPackedNegativeZeroCorner(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	peer := make([]float64, 64) // all +0.0
 	peer[5] = negZero           // a −0.0 on the wire travels
-	size := packedSizeF64(peer, 0, 64, nil, 0)
-	wire := encodePackedF64(make([]byte, 0, size), peer, 0, 64, nil, 0)
+	size := serde.PackedSizeF64(peer, 0, 64, nil, 0)
+	wire := serde.EncodePackedF64(make([]byte, 0, size), peer, 0, 64, nil, 0)
 	if size != 16 || len(wire) != 16 {
 		t.Fatalf("a lone −0.0 in 64 elems must pack to bitmap + one word, got %d/%d bytes", size, len(wire))
 	}
@@ -317,7 +318,7 @@ func TestPackedNegativeZeroCorner(t *testing.T) {
 	packed := []float64{negZero, 1.5, 0, 0, 0, negZero}
 	packed = append(packed, make([]float64, 58)...)
 	dense := append([]float64(nil), packed...)
-	if err := decodeReducePackedF64(packed, 0, 64, wire); err != nil {
+	if err := f64Packed.DecodeReduceChunkInto(packed, 0, 64, wire); err != nil {
 		t.Fatal(err)
 	}
 	if err := decodeReduceChunkF64(dense, 0, encodeChunkF64(nil, peer, 0, 64)); err != nil {
@@ -425,7 +426,7 @@ func FuzzPackedChunk(f *testing.F) {
 			return acc
 		}
 		for name, decode := range map[string]func([]float64, int, int, []byte) error{
-			"reduce": decodeReducePackedF64, "set": decodePackedF64,
+			"reduce": f64Packed.DecodeReduceChunkInto, "set": f64Packed.DecodeChunkInto,
 		} {
 			acc := fresh()
 			err := decode(acc, off, n, payload)
@@ -439,7 +440,7 @@ func FuzzPackedChunk(f *testing.F) {
 			// "set" writes the marked elements only: its range is zeroed by
 			// MakeSegment, never by the decoder.
 			want := fresh()
-			vals := payload[8*PackedWords(n):]
+			vals := payload[8*serde.PackedWords(n):]
 			for i := 0; i < n; i++ {
 				if uint64At(payload, 8*(i/64))>>uint(i%64)&1 == 0 {
 					continue
@@ -459,19 +460,19 @@ func FuzzPackedChunk(f *testing.F) {
 			v[i] = float64At(payload, 8*i)
 		}
 		requireSupportMatchesScan(t, v, 0, len(v), supersetOf(v, off%131, extra), off%131)
-		size := packedSizeF64(v, 0, len(v), nil, 0)
+		size := serde.PackedSizeF64(v, 0, len(v), nil, 0)
 		if size == 0 {
 			return
 		}
 		if 2*size > 8*len(v) {
 			t.Fatalf("packed %d elems into %d bytes, more than half of dense", len(v), size)
 		}
-		wire := encodePackedF64(make([]byte, 0, size), v, 0, len(v), nil, 0)
+		wire := serde.EncodePackedF64(make([]byte, 0, size), v, 0, len(v), nil, 0)
 		if len(wire) != size {
 			t.Fatalf("encoded %d bytes, sized %d", len(wire), size)
 		}
 		out := make([]float64, len(v))
-		if err := decodePackedF64(out, 0, len(v), wire); err != nil {
+		if err := f64Packed.DecodeChunkInto(out, 0, len(v), wire); err != nil {
 			t.Fatalf("own encoding refused: %v", err)
 		}
 		requireBitwiseEqual(t, "round trip", out, v)

@@ -50,6 +50,7 @@ import (
 
 	"sparker/internal/comm"
 	"sparker/internal/linalg"
+	"sparker/internal/serde"
 	"sparker/internal/trace"
 )
 
@@ -533,10 +534,10 @@ func (rc *ringChan[V]) checkTrain(fr frame, got, need int) error {
 		return fmt.Errorf("collective: chunk [%d,%d) exceeds its declared segment of %d elems", fr.elemOff, fr.elemOff+fr.elemCnt, fr.elemAll)
 	case fr.form == formDense && len(fr.payload) != fr.elemCnt*rc.stride:
 		return fmt.Errorf("collective: chunk payload %d bytes, want %d (%d elems × stride %d)", len(fr.payload), fr.elemCnt*rc.stride, fr.elemCnt, rc.stride)
-	case fr.form == formPacked && len(fr.payload) < 8*PackedWords(fr.elemCnt):
+	case fr.form == formPacked && len(fr.payload) < 8*serde.PackedWords(fr.elemCnt):
 		// The rest of a packed payload's length depends on its popcount
 		// and is checked at decode.
-		return fmt.Errorf("%w: payload %d bytes, shorter than the %d-word bitmap of %d elems", ErrMalformedChunk, len(fr.payload), PackedWords(fr.elemCnt), fr.elemCnt)
+		return fmt.Errorf("%w: payload %d bytes, shorter than the %d-word bitmap of %d elems", ErrMalformedChunk, len(fr.payload), serde.PackedWords(fr.elemCnt), fr.elemCnt)
 	}
 	return nil
 }

@@ -7,8 +7,9 @@ package collective
 
 import (
 	"context"
-	"math/bits"
 	"sync"
+
+	"sparker/internal/serde"
 )
 
 // supportKey carries a support bitmap through a context.
@@ -31,23 +32,10 @@ func WithSupport(ctx context.Context, words []uint64) context.Context {
 // is none, the ops cannot pack, or its length does not fit segs.
 func supportFor[V any](ctx context.Context, ops Ops[V], segs []V) []uint64 {
 	s, _ := ctx.Value(supportKey{}).([]uint64)
-	if s == nil || !ops.CanPack() || len(s) != PackedWords(segsElems(ops, segs)) {
+	if s == nil || !ops.CanPack() || len(s) != serde.PackedWords(segsElems(ops, segs)) {
 		return nil
 	}
 	return s
-}
-
-// bitsAt returns the k ≤ 64 bits of sup starting at bit b, bit b in bit 0.
-func bitsAt(sup []uint64, b, k int) uint64 {
-	q, r := b>>6, uint(b&63)
-	m := sup[q] >> r
-	if r != 0 && int(r)+k > 64 {
-		m |= sup[q+1] << (64 - r)
-	}
-	if k < 64 {
-		m &= 1<<uint(k) - 1
-	}
-	return m
 }
 
 // orBitsAt ORs m into sup at bit b. The bits of m past the ones sup
@@ -69,15 +57,6 @@ func setBits(sup []uint64, b, k int) {
 	}
 }
 
-// candCount is the popcount of sup's bits [b, b+n).
-func candCount(sup []uint64, b, n int) int {
-	c := 0
-	for w := 0; 64*w < n; w++ {
-		c += bits.OnesCount64(bitsAt(sup, b+64*w, min(64, n-64*w)))
-	}
-	return c
-}
-
 // supportPool recycles the ring channels' private support copies.
 var supportPool = sync.Pool{New: func() any { return new([]uint64) }}
 
@@ -97,13 +76,13 @@ func segsElems[V any](ops Ops[V], segs []V) int {
 func (rc *ringChan[V]) loadSupport(mu *sync.Mutex, shared []uint64, lo int, block []V) {
 	elems := segsElems(rc.ops, block)
 	rc.supBuf = supportPool.Get().(*[]uint64)
-	if cap(*rc.supBuf) < PackedWords(elems) {
-		*rc.supBuf = make([]uint64, PackedWords(elems))
+	if cap(*rc.supBuf) < serde.PackedWords(elems) {
+		*rc.supBuf = make([]uint64, serde.PackedWords(elems))
 	}
-	own := (*rc.supBuf)[:PackedWords(elems)]
+	own := (*rc.supBuf)[:serde.PackedWords(elems)]
 	mu.Lock()
 	for w := range own {
-		own[w] = bitsAt(shared, lo+64*w, min(64, elems-64*w))
+		own[w] = serde.BitsAt(shared, lo+64*w, min(64, elems-64*w))
 	}
 	mu.Unlock()
 	rc.sup, rc.supLo = own, lo
@@ -131,7 +110,7 @@ func (rc *ringChan[V]) markSupport(acc V, fr frame) {
 		setBits(rc.sup, rc.inBit, rc.ops.Elems(acc))
 	case fr.form == formPacked:
 		// The decoder validated the bitmap: no bits past elemCnt.
-		for w := 0; w < PackedWords(fr.elemCnt); w++ {
+		for w := 0; w < serde.PackedWords(fr.elemCnt); w++ {
 			orBitsAt(rc.sup, rc.inBit+fr.elemOff+64*w, uint64At(fr.payload, 8*w))
 		}
 	default:

@@ -6,6 +6,7 @@ import (
 
 	"sparker/internal/collective"
 	"sparker/internal/data"
+	"sparker/internal/serde"
 )
 
 // BenchmarkPackedChunkCold is BenchmarkPackedChunk's encode rows with the
@@ -31,9 +32,9 @@ func BenchmarkPackedChunkCold(b *testing.B) {
 	for a := range vals {
 		vals[a] = make([]float64, dim)
 	}
-	sup := make([]uint64, collective.PackedWords(dim))
+	sup := make([]uint64, serde.PackedWords(dim))
 	packed := collective.F64Ops().Packed
-	buf := make([]byte, 0, 8*(collective.PackedWords(dim)+dim))
+	buf := make([]byte, 0, 8*(serde.PackedWords(dim)+dim))
 	for k := 1; k <= parts; k++ {
 		// Widen the support to the first k partitions: each aggregator
 		// gets a value wherever one of their rows stores a column.

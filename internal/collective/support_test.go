@@ -10,13 +10,14 @@ import (
 
 	"sparker/internal/comm"
 	"sparker/internal/metrics"
+	"sparker/internal/serde"
 )
 
 // supersetOf is a support for v placed at bit bit: every non-zero word
 // of v, plus element i wherever bit i of extra (cycled) is set, plus
 // every bit outside [bit, bit+len(v)), which the encoder must not read.
 func supersetOf(v []float64, bit int, extra []byte) []uint64 {
-	sup := make([]uint64, PackedWords(bit+len(v))+1)
+	sup := make([]uint64, serde.PackedWords(bit+len(v))+1)
 	for i := range sup {
 		sup[i] = ^uint64(0)
 	}
@@ -34,8 +35,8 @@ func supersetOf(v []float64, bit int, extra []byte) []uint64 {
 // scan's bytes, and stays within the size it promised.
 func requireSupportMatchesScan(t *testing.T, v []float64, off, n int, cand []uint64, bit int) {
 	t.Helper()
-	scan := packedSizeF64(v, off, n, nil, 0)
-	sized := packedSizeF64(v, off, n, cand, bit)
+	scan := serde.PackedSizeF64(v, off, n, nil, 0)
+	sized := serde.PackedSizeF64(v, off, n, cand, bit)
 	if (scan > 0) != (sized > 0) {
 		t.Fatalf("n=%d bit=%d: the scan sizes %d bytes, the support %d", n, bit, scan, sized)
 	}
@@ -45,9 +46,9 @@ func requireSupportMatchesScan(t *testing.T, v []float64, off, n int, cand []uin
 	if sized < scan {
 		t.Fatalf("n=%d bit=%d: the support sizes %d bytes, under the exact %d", n, bit, sized, scan)
 	}
-	want := encodePackedF64(make([]byte, 0, scan), v, off, n, nil, 0)
+	want := serde.EncodePackedF64(make([]byte, 0, scan), v, off, n, nil, 0)
 	// A capacity of exactly the promised size: writing past it panics.
-	got := encodePackedF64(make([]byte, 0, sized), v, off, n, cand, bit)
+	got := serde.EncodePackedF64(make([]byte, 0, sized), v, off, n, cand, bit)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("n=%d bit=%d: encoding from the support changed the bytes (%d vs %d)", n, bit, len(got), len(want))
 	}
@@ -105,7 +106,7 @@ func TestSupportEncodeMatchesScan(t *testing.T) {
 	// The ½ limit ±1 non-zero words, with the exact support and with one
 	// more candidate that holds +0.0.
 	for _, n := range []int{63, 64, 65, 1000, 4096} {
-		limit := n/packThreshold - PackedWords(n)
+		limit := n/2 - serde.PackedWords(n) // the ½ rule
 		for _, nnz := range []int{limit - 1, limit, limit + 1} {
 			for _, bit := range []int{0, 37} {
 				v := make([]float64, n+2)
@@ -124,10 +125,10 @@ func TestSupportEncodeMatchesScan(t *testing.T) {
 	// Non-zeros exactly where the probe looks: the scan calls the chunk
 	// dense at the probe although it would pack, and so must the support.
 	v := make([]float64, 4096)
-	for i := 0; i < len(v); i += probeStride {
+	for i := 0; i < len(v); i += 17 { // serde's probe stride
 		v[i] = 1
 	}
-	if packedSizeF64(v, 0, len(v), nil, 0) != 0 {
+	if serde.PackedSizeF64(v, 0, len(v), nil, 0) != 0 {
 		t.Fatal("the probe no longer fires on a stride-17 chunk; pick a chunk it does fire on")
 	}
 	requireSupportMatchesScan(t, v, 0, len(v), supersetOf(v, 5, nil), 5)
@@ -153,7 +154,7 @@ func TestRingSupportMatchesScan(t *testing.T) {
 				for _, s := range cp[e.Rank()] {
 					all = append(all, s...)
 				}
-				sups[e.Rank()] = supersetOf(all, 0, []byte{0, 0, 0, 0x10})[:PackedWords(len(all))]
+				sups[e.Rank()] = supersetOf(all, 0, []byte{0, 0, 0, 0x10})[:serde.PackedWords(len(all))]
 				ctx = WithSupport(ctx, sups[e.Rank()])
 			}
 			var err error

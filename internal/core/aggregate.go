@@ -490,7 +490,11 @@ func runRingStage[T, U, V any](ctx context.Context, rc *rdd.Context, opID int64,
 	sctx := collective.WithStepDeadline(collective.WithEpoch(ctx, uint32(opID)), o.StepDeadline)
 	// Ring size is the LIVE executor count of the installed epoch, not
 	// the slot-table width: dead slots hold no rank in the epoch's ring.
-	nExec := rc.NumLiveExecutors()
+	live := rc.LiveExecutors()
+	if err := requireHeld(held, live); err != nil {
+		return zv, err
+	}
+	nExec := len(live)
 	nSegs := o.Parallelism * nExec
 	ops := serdeOps[V](fns.ReduceOp)
 	if fns.Ops != nil {
@@ -519,7 +523,7 @@ func runRingStage[T, U, V any](ctx context.Context, rc *rdd.Context, opID int64,
 	// launched ring would deadlock against its unlaunched peers while
 	// burning slots. Gang stages are never speculated — a duplicate ring
 	// member would shift IMM state and corrupt the epoch.
-	payloads, err := rc.RunJob(rdd.JobSpec{
+	h, err := rc.SubmitJob(rdd.JobSpec{
 		Tenant:      o.Tenant,
 		Tasks:       nExec,
 		Policy:      rc.TopologyPolicy(),
@@ -587,6 +591,13 @@ func runRingStage[T, U, V any](ctx context.Context, rc *rdd.Context, opID int64,
 			return serde.Encode(nil, result)
 		},
 	})
+	if err != nil {
+		return zv, err
+	}
+	payloads, err := h.Wait()
+	if err == nil {
+		err = requireHeld(held, h.Executors())
+	}
 	if err != nil {
 		return zv, err
 	}

@@ -97,7 +97,7 @@ func (s *support) merge(o support) {
 // elems elements — all clear for an aggregator that is still Zero — or
 // nil when s is unknown or sized for something else.
 func (s *support) words(elems int) []uint64 {
-	n := collective.PackedWords(elems)
+	n := serde.PackedWords(elems)
 	switch {
 	case !s.known || s.bits != nil && len(s.bits) != n:
 		return nil
@@ -195,6 +195,21 @@ func takeAgg[T, U, V any](ec *rdd.ExecContext, key string, held map[int]bool, fn
 	return fns.Zero(), support{known: fns.Support != nil}, nil
 }
 
+// requireHeld fails with ErrMembershipChanged unless every executor in
+// held is in execs, the executors a second stage runs (or ran) on. A
+// holder that runs no second-stage task — gone with no replacement —
+// takes its share of the aggregate with it, and what the others return
+// would be a silent undercount. The driver checks before the stage
+// launches and again after it returns.
+func requireHeld(held map[int]bool, execs []int) error {
+	for e := range held {
+		if !slices.Contains(execs, e) {
+			return fmt.Errorf("core: executor %d holds an IMM aggregator but runs no task of the second stage: %w", e, ErrMembershipChanged)
+		}
+	}
+	return nil
+}
+
 // cleanupIMM drops a failed attempt's resident aggregators everywhere.
 // Only failure paths need it: the ring task and the IMM gather task
 // take their executor's aggregator when they start.
@@ -214,15 +229,32 @@ func cleanupIMM(ctx *rdd.Context, tenant string, parent trace.SpanContext, prefi
 // from one result per task to one per executor.
 func gatherIMM[T, U, V any](ctx *rdd.Context, tenant string, parent trace.SpanContext, key string, held map[int]bool, fns *AggFuncs[T, U, V]) (U, error) {
 	var zu U
-	payloads, err := ctx.RunOnLiveExecutors(tenant, parent, func(ec *rdd.ExecContext, task, attempt int) ([]byte, error) {
-		agg, _, err := takeAgg(ec, key, held, fns)
-		if err != nil {
-			return nil, err
-		}
-		wire, err := serde.Encode(nil, agg)
-		fns.recycle(agg)
-		return wire, err
+	live := slices.Clone(ctx.LiveExecutors())
+	if err := requireHeld(held, live); err != nil {
+		return zu, err
+	}
+	h, err := ctx.SubmitJob(rdd.JobSpec{
+		Tenant:      tenant,
+		Tasks:       len(live),
+		Placement:   live,
+		TraceParent: parent,
+		Fn: func(ec *rdd.ExecContext, task, attempt int) ([]byte, error) {
+			agg, _, err := takeAgg(ec, key, held, fns)
+			if err != nil {
+				return nil, err
+			}
+			wire, err := serde.Encode(nil, agg)
+			fns.recycle(agg)
+			return wire, err
+		},
 	})
+	if err != nil {
+		return zu, err
+	}
+	payloads, err := h.Wait()
+	if err == nil {
+		err = requireHeld(held, h.Executors())
+	}
 	if err != nil {
 		return zu, err
 	}
@@ -434,7 +466,7 @@ func parseOwned(p []byte, segs []ownedSeg) error {
 			seg.packed, seg.elems, seg.body = true, int(binary.LittleEndian.Uint32(seg.body)), seg.body[4:]
 			// The bitmap bounds the element count a frame can claim (and so
 			// what the decoder will allocate) by 8× its own bytes.
-			if len(seg.body) < 8*collective.PackedWords(seg.elems) {
+			if len(seg.body) < 8*serde.PackedWords(seg.elems) {
 				return fmt.Errorf("%w: packed segment %d claims %d elems in %d bytes", ErrMalformedFrame, idx, seg.elems, len(seg.body))
 			}
 		}

@@ -187,12 +187,14 @@ func TestChaosElasticRetryClassification(t *testing.T) {
 // churnBetweenStages is a span exporter that kills and replaces one
 // executor the moment the first reduced-result (IMM) stage span ends —
 // on the driver goroutine, after the stage's Wait returned and before
-// the aggregation submits its second stage.
+// the aggregation submits its second stage. With killOnly the victim
+// stays dead: nothing takes its slot.
 type churnBetweenStages struct {
-	ctx    *rdd.Context
-	victim int
-	once   sync.Once
-	err    error
+	ctx      *rdd.Context
+	victim   int
+	killOnly bool
+	once     sync.Once
+	err      error
 }
 
 func (c *churnBetweenStages) ExportSpan(s trace.Span) {
@@ -208,7 +210,9 @@ func (c *churnBetweenStages) ExportSpan(s trace.Span) {
 			c.err = errors.New("kill never installed a new epoch")
 			return
 		}
-		_, c.err = c.ctx.AddExecutor("replacement")
+		if !c.killOnly {
+			_, c.err = c.ctx.AddExecutor("replacement")
+		}
 	})
 }
 
@@ -248,5 +252,48 @@ func TestChaosElasticIMMReplaceBetweenStages(t *testing.T) {
 	}
 	if n := ctx.NumLiveExecutors(); n != 3 {
 		t.Fatalf("live executors = %d after replace, want 3", n)
+	}
+}
+
+// TestChaosElasticKillBetweenStages: an executor killed between the IMM
+// stage and the second stage, with no replacement, took its resident
+// aggregator with it, and no second-stage task runs where it was. The
+// driver must see that a holder is missing from the second stage and
+// re-run the aggregation on the survivors — for the ring (split,
+// allreduce) and the gather (IMM) alike — rather than return the others'
+// shares as the sum.
+func TestChaosElasticKillBetweenStages(t *testing.T) {
+	const samples, dim = 300, 97
+	for _, s := range []Strategy{StrategySplit, StrategyIMM, StrategyAllReduce} {
+		t.Run(s.String(), func(t *testing.T) {
+			churn := &churnBetweenStages{victim: 1, killOnly: true}
+			ctx, err := rdd.NewContext(rdd.Config{
+				Name: "core-kill-between-" + s.String(), NumExecutors: 3, CoresPerExecutor: 2, Tracer: trace.New(churn),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ctx.Close()
+			churn.ctx = ctx
+			r := vectorRDD(ctx, samples, 6)
+
+			got, err := Aggregate(context.Background(), r, vecFuncs(dim), WithStrategy(s))
+			if churn.err != nil {
+				t.Fatalf("kill: %v", churn.err)
+			}
+			if err != nil {
+				t.Fatalf("%v across a kill between stages: %v", s, err)
+			}
+			requireExact(t, got, expectedVector(samples, dim))
+			if n := ctx.Metrics().Count(metrics.CounterElasticRetry); n != 1 {
+				t.Fatalf("elastic-retry counter = %d, want 1", n)
+			}
+			if n := ctx.Metrics().Count(metrics.CounterRingFallback); n != 0 {
+				t.Fatalf("ring-fallback counter = %d, want 0 (nothing degraded)", n)
+			}
+			if n := ctx.NumLiveExecutors(); n != 2 {
+				t.Fatalf("live executors = %d after the kill, want 2", n)
+			}
+		})
 	}
 }

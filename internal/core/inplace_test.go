@@ -20,6 +20,7 @@ import (
 	"sparker/internal/collective"
 	"sparker/internal/metrics"
 	"sparker/internal/rdd"
+	"sparker/internal/serde"
 	"sparker/internal/trace"
 	"sparker/internal/transport"
 )
@@ -389,7 +390,7 @@ func f64Body(vals ...float64) []byte {
 // test.
 func packedSeg(vals ...float64) []byte {
 	b := binary.LittleEndian.AppendUint32(nil, uint32(len(vals)))
-	bitmap := make([]uint64, collective.PackedWords(len(vals)))
+	bitmap := make([]uint64, serde.PackedWords(len(vals)))
 	var nz []float64
 	for i, v := range vals {
 		if math.Float64bits(v) != 0 {
@@ -406,7 +407,7 @@ func packedSeg(vals ...float64) []byte {
 // unpackSeg is the reference expansion of a parsed packed segment.
 func unpackSeg(s ownedSeg) []float64 {
 	out := make([]float64, s.elems)
-	vals := s.body[8*collective.PackedWords(s.elems):]
+	vals := s.body[8*serde.PackedWords(s.elems):]
 	for i := range out {
 		if binary.LittleEndian.Uint64(s.body[8*(i/64):])>>uint(i%64)&1 != 0 {
 			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(vals))

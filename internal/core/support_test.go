@@ -10,11 +10,12 @@ import (
 	"testing"
 
 	"sparker/internal/collective"
+	"sparker/internal/serde"
 )
 
 // supportOver is the bitmap of vals' non-zero words.
 func supportOver(vals []float64) []uint64 {
-	sup := make([]uint64, collective.PackedWords(len(vals)))
+	sup := make([]uint64, serde.PackedWords(len(vals)))
 	for i, x := range vals {
 		if math.Float64bits(x) != 0 {
 			sup[i>>6] |= 1 << uint(i&63)

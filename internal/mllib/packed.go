@@ -16,10 +16,10 @@ import (
 	"sync"
 	"time"
 
-	"sparker/internal/collective"
 	"sparker/internal/linalg"
 	"sparker/internal/metrics"
 	"sparker/internal/rdd"
+	"sparker/internal/serde"
 )
 
 // PackedMode selects whether training folds through packed CSR
@@ -132,7 +132,7 @@ type packedPart struct {
 // change, for a full pass or any sample of rows. One O(nnz) pass per
 // decoded block; m must be valid.
 func gradSupport(m *linalg.CSRMatrix) []uint64 {
-	sup := make([]uint64, collective.PackedWords(m.Dim+2))
+	sup := make([]uint64, serde.PackedWords(m.Dim+2))
 	for _, j := range m.Indices {
 		sup[j>>6] |= 1 << uint(j&63)
 	}

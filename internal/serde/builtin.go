@@ -128,11 +128,55 @@ func (bytesCodec) Decode(src []byte) (any, int, error) {
 	return out, 4 + n, nil
 }
 
+// f64SliceCodec is tag 7, the wire of every float vector that is not a
+// ring chunk: a length word, then the elements in one of two forms,
+// chosen from the data by the packed form's ½ rule (packed.go):
+//
+//	n uint32              | n × 8 B element words              dense
+//	n | f64PackedBit uint32 | bitmap, ceil(n/64) × 8 B | non-zero words × 8 B
+//
+// A dense vector is settled by the probe, which reads one element in
+// 17, and its bytes are the dense form's as they always were; one that
+// packs is written once, at its exact size. Zero means bit pattern 0, so
+// the round trip is bit-exact for every input and a decoded vector is
+// the encoded one.
+//
+// Decode validates the whole payload before it allocates: a packed
+// header for n elements must carry 8·ceil(n/64) bitmap bytes, so Decode
+// allocates at most 64× its input.
 type f64SliceCodec struct{}
 
+// f64PackedBit marks a packed payload in a []float64's length word; n
+// itself stays below it (transport.MaxFrameBytes is 1 GiB).
+const f64PackedBit = 1 << 31
+
 func (f64SliceCodec) Encode(dst []byte, v any) ([]byte, error) {
-	s := v.([]float64)
-	dst = appendUint32(dst, uint32(len(s)))
+	return appendF64Slice(dst, false, v.([]float64))
+}
+
+// appendF64Slice appends s's tag 7 payload to dst, led by the type tag
+// when tagged, growing dst at most once to the exact size.
+func appendF64Slice(dst []byte, tagged bool, s []float64) ([]byte, error) {
+	n := len(s)
+	if n >= f64PackedBit {
+		return nil, fmt.Errorf("serde: []float64 of %d elements does not fit its length word", n)
+	}
+	word, body := uint32(n), 8*n
+	if size := PackedSizeF64(s, 0, n, nil, 0); size > 0 {
+		word, body = word|f64PackedBit, size
+	}
+	head := 4
+	if tagged {
+		head = 8
+	}
+	dst = grow(dst, head+body)
+	if tagged {
+		dst = appendUint32(dst, tagF64Slice)
+	}
+	dst = appendUint32(dst, word)
+	if word&f64PackedBit != 0 {
+		return EncodePackedF64(dst, s, 0, n, nil, 0), nil
+	}
 	return AppendFloat64s(dst, s), nil
 }
 
@@ -140,15 +184,37 @@ func (f64SliceCodec) Decode(src []byte) (any, int, error) {
 	if len(src) < 4 {
 		return nil, 0, fmt.Errorf("serde: short []float64 header")
 	}
-	n := int(binary.LittleEndian.Uint32(src))
-	if len(src) < 4+8*n {
-		return nil, 0, fmt.Errorf("serde: short []float64 body")
+	word := binary.LittleEndian.Uint32(src)
+	n, body := int(word&^f64PackedBit), src[4:]
+	if word&f64PackedBit == 0 {
+		if n > len(body)/8 {
+			return nil, 0, fmt.Errorf("serde: short []float64 body")
+		}
+		out := make([]float64, n)
+		if hostLittleEndian {
+			copy(f64Bytes(out), body)
+		} else {
+			for i := range out {
+				out[i] = Float64At(body, 8*i)
+			}
+		}
+		return out, 4 + 8*n, nil
+	}
+	words := PackedWords(n)
+	if len(body) < 8*words {
+		return nil, 0, fmt.Errorf("%w: %d elements need a %d-byte bitmap, %d bytes follow", ErrMalformedPacked, n, 8*words, len(body))
+	}
+	end := 8 * (words + setCount(body[:8*words]))
+	if len(body) < end {
+		return nil, 0, fmt.Errorf("%w: bitmap marks %d values, %d bytes follow it", ErrMalformedPacked, end/8-words, len(body)-8*words)
+	}
+	bitmap, vals, err := packedBody(body[:end], 0, n, n)
+	if err != nil {
+		return nil, 0, err
 	}
 	out := make([]float64, n)
-	for i := range out {
-		out[i] = Float64At(src, 4+8*i)
-	}
-	return out, 4 + 8*n, nil
+	setPacked(out, bitmap, vals)
+	return out, 4 + end, nil
 }
 
 type i64SliceCodec struct{}

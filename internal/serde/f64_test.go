@@ -1,0 +1,173 @@
+package serde
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// denseF64Wire is a []float64's tag 7 frame in the dense form, written
+// out by hand: the bytes every vector had before the packed form, and
+// the bytes a vector that does not pack must still have.
+func denseF64Wire(v []float64) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, tagF64Slice)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(v)))
+	for _, x := range v {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+	}
+	return b
+}
+
+// requireF64RoundTrip encodes v, checks the form against the shared size
+// rule — packed, at exactly 8 header bytes plus PackedSizeF64, iff the
+// rule packs it; otherwise the dense bytes — and checks that the frame
+// decodes, whole, to v bit for bit.
+func requireF64RoundTrip(t *testing.T, name string, v []float64) {
+	t.Helper()
+	wire, err := Encode(nil, v)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	size := PackedSizeF64(v, 0, len(v), nil, 0)
+	packed := binary.LittleEndian.Uint32(wire[4:])&f64PackedBit != 0
+	switch {
+	case packed != (size > 0):
+		t.Fatalf("%s: packed %v, but the size rule says %d", name, packed, size)
+	case packed && len(wire) != 8+size:
+		t.Fatalf("%s: packed frame of %d bytes, the rule sized %d", name, len(wire), 8+size)
+	case !packed && !bytes.Equal(wire, denseF64Wire(v)):
+		t.Fatalf("%s: a vector that does not pack left the dense bytes", name)
+	}
+	got, n, err := Decode(wire)
+	if err != nil {
+		t.Fatalf("%s: decode: %v", name, err)
+	}
+	if n != len(wire) {
+		t.Fatalf("%s: decode consumed %d of %d bytes", name, n, len(wire))
+	}
+	out := got.([]float64)
+	if len(out) != len(v) {
+		t.Fatalf("%s: %d elements back, want %d", name, len(out), len(v))
+	}
+	for i := range v {
+		if math.Float64bits(out[i]) != math.Float64bits(v[i]) {
+			t.Fatalf("%s: element %d is %#x, want %#x", name, i, math.Float64bits(out[i]), math.Float64bits(v[i]))
+		}
+	}
+}
+
+// TestF64SliceRoundTripBits: tag 7 round-trips every vector bit for bit
+// in whichever form the ½ rule picks — around the 64-element bitmap word
+// and at a wide aggregator's length; empty, 1 %, the wide workload's
+// 5.6 %, the ½ limit ±1 and full; with −0.0, NaN payloads and subnormals
+// among the values (set bits) and exact +0.0 everywhere else (clear
+// bits). A vector that does not pack is byte-identical to the dense
+// form.
+func TestF64SliceRoundTripBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	specials := []float64{math.Copysign(0, -1), math.Float64frombits(0x7ff8_0000_dead_beef),
+		math.Float64frombits(0xfff0_0000_0000_0001), math.SmallestNonzeroFloat64, -3 * math.SmallestNonzeroFloat64}
+	for _, n := range []int{0, 1, 63, 64, 65, 1_000_002} {
+		limit := n/packThreshold - PackedWords(n)
+		counts := map[string]int{
+			"0%": 0, "1%": n / 100, "5.6%": n * 56 / 1000,
+			"limit-1": limit - 1, "limit": limit, "limit+1": limit + 1, "100%": n,
+		}
+		for density, nnz := range counts {
+			if nnz < 0 || nnz > n {
+				continue
+			}
+			v := make([]float64, n)
+			for k, j := range rng.Perm(n)[:nnz] {
+				v[j] = rng.NormFloat64()
+				if k%7 == 0 {
+					v[j] = specials[k%len(specials)]
+				}
+			}
+			requireF64RoundTrip(t, fmt.Sprintf("n=%d/%s", n, density), v)
+		}
+	}
+}
+
+// TestF64SliceEncodeOneAlloc: a vector that packs is written once, into
+// one allocation of exactly its size — tag included.
+func TestF64SliceEncodeOneAlloc(t *testing.T) {
+	v := make([]float64, 1_000_002)
+	rng := rand.New(rand.NewSource(5))
+	for _, j := range rng.Perm(len(v))[:len(v)*56/1000] {
+		v[j] = rng.NormFloat64()
+	}
+	var x any = v
+	var wire []byte
+	if allocs := testing.AllocsPerRun(5, func() { wire, _ = Encode(nil, x) }); allocs != 1 {
+		t.Errorf("Encode(nil, v) made %v allocations, want 1", allocs)
+	}
+	if binary.LittleEndian.Uint32(wire[4:])&f64PackedBit == 0 {
+		t.Fatal("the 5.6 % vector did not pack")
+	}
+	if cap(wire) != len(wire) {
+		t.Errorf("encoded %d bytes into a buffer of %d", len(wire), cap(wire))
+	}
+}
+
+// FuzzF64SliceRoundTrip: any bytes, read as float64 words, encode and
+// decode back bit for bit in the form the size rule picks.
+func FuzzF64SliceRoundTrip(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(make([]byte, 8*200))
+	sparse := make([]byte, 8*300)
+	for _, i := range []int{3, 64, 65, 299} {
+		binary.LittleEndian.PutUint64(sparse[8*i:], 0x7ff8_0000_dead_beef)
+	}
+	binary.LittleEndian.PutUint64(sparse[8*100:], 1<<63) // −0.0
+	f.Add(sparse)
+	f.Add(bytes.Repeat([]byte{1, 0, 0, 0, 0, 0, 0, 0}, 70))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		v := make([]float64, len(data)/8)
+		for i := range v {
+			v[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+		}
+		requireF64RoundTrip(t, "fuzz", v)
+	})
+}
+
+// BenchmarkSerdeF64 is tag 7's encode and decode of a wide aggregator
+// (1 000 002 elements, 8 MB dense): a dense ramp, which the probe sends
+// dense, and the wide workload's 5.6 % gradient, which packs. MB/s is
+// over the dense 8·n bytes either way.
+func BenchmarkSerdeF64(b *testing.B) {
+	const n = 1_000_002
+	ramp := make([]float64, n)
+	for i := range ramp {
+		ramp[i] = float64(i) + 1
+	}
+	sparse := make([]float64, n)
+	rng := rand.New(rand.NewSource(56))
+	for _, j := range rng.Perm(n)[:n*56/1000] {
+		sparse[j] = rng.NormFloat64()
+	}
+	for _, c := range []struct {
+		name string
+		v    []float64
+	}{{"dense-ramp", ramp}, {"sparse-5.6%", sparse}} {
+		wire := MustEncode(nil, c.v)
+		b.Run("encode/"+c.name, func(b *testing.B) {
+			b.SetBytes(8 * n)
+			buf := make([]byte, 0, len(wire))
+			for i := 0; i < b.N; i++ {
+				buf = MustEncode(buf[:0], c.v)
+			}
+		})
+		b.Run("decode/"+c.name, func(b *testing.B) {
+			b.SetBytes(8 * n)
+			for i := 0; i < b.N; i++ {
+				if _, _, err := Decode(wire); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

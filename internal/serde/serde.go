@@ -19,6 +19,7 @@ import (
 	"math"
 	"reflect"
 	"sync"
+	"unsafe"
 )
 
 // Marshaler is implemented by types that know how to serialize
@@ -92,6 +93,10 @@ func registerBuiltin(tag uint32, sample any, codec Codec) {
 
 // Encode appends the framed binary form of v (type tag + payload) to dst.
 func Encode(dst []byte, v any) ([]byte, error) {
+	if s, ok := v.([]float64); ok {
+		// The aggregator's type: tag and payload sized together.
+		return appendF64Slice(dst, true, s)
+	}
 	if m, ok := v.(Marshaler); ok {
 		// Tag 1 = self-marshaling value; the concrete type must be
 		// recoverable by the caller (used for homogeneous streams).
@@ -268,16 +273,39 @@ func AppendFloat64(dst []byte, f float64) []byte {
 // per element — the aggregator-payload hot path.
 func AppendFloat64s(dst []byte, vals []float64) []byte {
 	need := 8 * len(vals)
+	dst = grow(dst, need)
+	off := len(dst)
+	dst = dst[:off+need]
+	if hostLittleEndian {
+		copy(dst[off:], f64Bytes(vals))
+		return dst
+	}
+	for _, f := range vals {
+		binary.LittleEndian.PutUint64(dst[off:], math.Float64bits(f))
+		off += 8
+	}
+	return dst
+}
+
+// hostLittleEndian reports whether the host stores a float64 as its
+// little-endian wire word: then a run of them is copied, not converted.
+var hostLittleEndian = func() bool {
+	x := uint16(1)
+	return *(*byte)(unsafe.Pointer(&x)) == 1
+}()
+
+// f64Bytes is v's memory as bytes.
+func f64Bytes(v []float64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), 8*len(v))
+}
+
+// grow returns dst with room for need more bytes, reallocating at most
+// once, to exactly len(dst)+need.
+func grow(dst []byte, need int) []byte {
 	if cap(dst)-len(dst) < need {
 		grown := make([]byte, len(dst), len(dst)+need)
 		copy(grown, dst)
 		dst = grown
-	}
-	off := len(dst)
-	dst = dst[:off+need]
-	for _, f := range vals {
-		binary.LittleEndian.PutUint64(dst[off:], math.Float64bits(f))
-		off += 8
 	}
 	return dst
 }

@@ -1,6 +1,7 @@
 package serde
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -80,6 +81,11 @@ func TestDecodeErrors(t *testing.T) {
 			if cut < len(full) {
 				t.Errorf("Decode of %d/%d bytes should fail", cut, len(full))
 			}
+		}
+	}
+	for i, b := range malformedPacked {
+		if _, _, err := Decode(b); !errors.Is(err, ErrMalformedPacked) {
+			t.Errorf("malformed packed frame %d: %v, want ErrMalformedPacked", i, err)
 		}
 	}
 }
