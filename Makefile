@@ -138,11 +138,15 @@ check: vet no-deprecated no-stale-refs test race test-chaos chaos-elastic overhe
 # decode of a wide aggregator, dense and 5.6 % sparse (the tag 7 wire
 # of every float vector off the ring);
 # the csrgrad/{wide,tall,tiny} rows are the fused gradient kernel on one
-# partition of each benchmark workload shape (DESIGN.md §16).
+# partition of each benchmark workload shape (DESIGN.md §16); the
+# RingChannels rows are the ring allreduce at P = 1, 2, 4 forced channels
+# by aggregator size and network, the sweep behind the ring's width rule
+# (DESIGN.md §11; repeat the target, not -count, to alternate P).
 bench:
 	$(GO) test -run xxx -bench 'RingReduceScatterHot|SerdeF64|PackedChunk' -benchmem ./internal/collective
 	$(GO) test -run xxx -bench 'SerdeF64' -benchmem ./internal/serde
 	$(GO) test -run xxx -bench 'LinalgKernels' -benchmem ./internal/linalg
+	$(GO) test -run xxx -bench 'RingChannels' -benchtime 10x .
 
 # The paired rule for a performance claim (benchmark/README.md): >= 10
 # alternating parent/change runs of one benchmark workload, per-side

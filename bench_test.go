@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"sparker/internal/blockmanager"
 	"sparker/internal/collective"
@@ -315,6 +316,89 @@ func benchRingReduceScatter(b *testing.B, ranks, par, dim int) {
 					b.Error(err)
 				}
 			}(ep)
+		}
+		wg.Wait()
+	}
+}
+
+// --- Ring width: how many PDR channels an aggregator's bytes can fill ---
+
+// BenchmarkRingChannels is the sweep behind collective.RingChannels: one
+// ring reduce-scatter plus allgather of a dense aggregator across 4
+// ranks, at each forced channel count P, aggregator size and network
+// (in-memory; the benchmark's 1 Gb/s shape, 100 µs + 125 MB/s per
+// message; loopback TCP). P is the innermost loop, so a cell's P values
+// run back to back; repeat the whole sweep rather than pass -count
+// (which repeats one cell in a row), so that they alternate in time:
+//
+//	for i in 1 2 3 4 5 6; do go test -run '^$' -bench RingChannels -benchtime 10x .; done
+//
+// The packed form is off, so every byte of the aggregator travels: the
+// rule counts the aggregator's dense bytes.
+func BenchmarkRingChannels(b *testing.B) {
+	const ranks = 4
+	nets := []struct {
+		name string
+		make func() transport.Network
+	}{
+		{"mem", func() transport.Network { return transport.NewMem() }},
+		{"1g", func() transport.Network {
+			return transport.NewMemShaped(transport.Shape{Latency: 100 * time.Microsecond, BytesPerSec: 125e6})
+		}},
+		{"tcp", func() transport.Network { return transport.NewTCP() }},
+	}
+	for _, nw := range nets {
+		for _, kb := range []int{4, 16, 64, 256, 1024, 2048, 8192} {
+			for _, p := range []int{1, 2, 4} {
+				b.Run(fmt.Sprintf("net=%s/agg=%dKB/P=%d", nw.name, kb, p), func(b *testing.B) {
+					benchRingChannels(b, nw.make(), ranks, kb<<10/8, p)
+				})
+			}
+		}
+	}
+}
+
+// benchRingChannels times b.N allreduces of an elems-element aggregator
+// per rank on p of the 4 channels each ring link has connected.
+func benchRingChannels(b *testing.B, net transport.Network, ranks, elems, p int) {
+	defer net.Close()
+	eps, err := comm.NewGroup(net, "ring-channels", ranks)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer comm.CloseGroup(eps)
+	for _, e := range eps {
+		if err := e.ConnectRing(4); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ops := collective.F64Ops()
+	ops.Packed = nil
+	ctx := collective.WithCores(context.Background(), 1)
+	segs := make([][][]float64, ranks)
+	for r := range segs {
+		agg := make([]float64, elems)
+		segs[r] = make([][]float64, p*ranks)
+		for i := range segs[r] {
+			segs[r][i] = agg[i*elems/(p*ranks) : (i+1)*elems/(p*ranks)]
+		}
+	}
+	b.SetBytes(int64(elems * 8))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var wg sync.WaitGroup
+		for _, e := range eps {
+			wg.Add(1)
+			go func(e *comm.Endpoint) {
+				defer wg.Done()
+				owned, err := collective.RingReduceScatter(ctx, e, segs[e.Rank()], p, ops)
+				if err == nil {
+					_, err = collective.RingAllGather(ctx, e, owned, p, ops)
+				}
+				if err != nil {
+					b.Error(err)
+				}
+			}(e)
 		}
 		wg.Wait()
 	}

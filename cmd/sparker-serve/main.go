@@ -71,7 +71,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
 	executors := flag.Int("executors", 4, "simulated executors")
 	cores := flag.Int("cores", 4, "cores per executor")
-	parallelism := flag.Int("parallelism", 4, "split-aggregation ring parallelism")
+	parallelism := flag.Int("parallelism", 4, "split-aggregation ring channels: at most P; the ring uses min(P, ⌈aggregator bytes ÷ chunk bytes⌉)")
 	maxJobs := flag.Int("max-jobs", 4, "max concurrently running training jobs")
 	drain := flag.Duration("drain", 30*time.Second, "shutdown drain timeout")
 	historyDir := flag.String("history-dir", "", "persist the event log and job outcomes to this directory and replay them on boot")

@@ -39,7 +39,7 @@ func main() {
 	cores := flag.Int("cores", 2, "cores per executor")
 	iters := flag.Int("iters", 10, "training iterations")
 	topics := flag.Int("topics", 10, "LDA topic count")
-	parallelism := flag.Int("parallelism", 4, "split-aggregation ring parallelism")
+	parallelism := flag.Int("parallelism", 4, "split-aggregation ring channels: at most P; the ring uses min(P, ⌈aggregator bytes ÷ chunk bytes⌉)")
 	seed := flag.Int64("seed", 1, "seed")
 	saveModel := flag.String("save-model", "", "write the trained model here (loadable by sparker-serve -model)")
 	eventLogPath := flag.String("eventlog", "", "write a history log (JSON lines) to this file")

@@ -221,7 +221,7 @@ func TestPackedNeedsTheHook(t *testing.T) {
 	requireSameResults(t, got, want)
 
 	hookless := &ringChan[[]float64]{stride: 8}
-	fr := frame{chunked: true, idx: 0, total: 1, elemCnt: 3, elemAll: 3, form: formPacked, payload: make([]byte, 8)}
+	fr := frame{chunkMeta: chunkMeta{chunked: true, idx: 0, total: 1, elemCnt: 3, elemAll: 3, form: formPacked}, payload: make([]byte, 8)}
 	if err := hookless.checkTrain(fr, 0, -1); err == nil {
 		t.Error("ops without the packed hook accepted a packed chunk")
 	}
@@ -233,7 +233,7 @@ func TestPackedNeedsTheHook(t *testing.T) {
 func TestCheckTrainLosslessPair(t *testing.T) {
 	rc := &ringChan[[]float64]{stride: 8, packs: true}
 	chunk := func(idx int, form chunkForm, payload int) frame {
-		return frame{chunked: true, idx: idx, total: 4, elemOff: 4 * idx, elemCnt: 4, elemAll: 16, form: form, payload: make([]byte, payload)}
+		return frame{chunkMeta: chunkMeta{chunked: true, idx: idx, total: 4, elemOff: 4 * idx, elemCnt: 4, elemAll: 16, form: form}, payload: make([]byte, payload)}
 	}
 	for _, train := range [][]frame{
 		{chunk(0, formDense, 32), chunk(1, formPacked, 8), chunk(2, formPacked, 16), chunk(3, formDense, 32)},

@@ -116,6 +116,28 @@ func resolveChunkBytes(ctx context.Context) int {
 	return defaultChunkBytes
 }
 
+// RingChannels is how many of p connected ring channels a collective
+// over an aggregator split into segs uses: min(p, ⌈elems × stride ÷
+// chunk bytes⌉), elems the segments' total, and at least one. A channel
+// whose share cannot fill one chunk buys no bandwidth and still pays the
+// ring's per-step latency, so a few-KB aggregator runs on one channel
+// and an 8 MB one on all p (EXPERIMENTS.md "Ring channels from the
+// bytes" has the sweep). Every rank derives the same count from the
+// aggregator length the ring already requires it to agree on. Ops
+// without a fixed stride, whose bytes are unknown before encoding, and
+// collectives run with chunking off keep p.
+func RingChannels[V any](ctx context.Context, p int, segs []V, ops Ops[V]) int {
+	stride, chunk := ops.ChunkStride(), resolveChunkBytes(ctx)
+	if stride <= 0 || chunk <= 0 {
+		return p
+	}
+	elems := 0
+	for _, s := range segs {
+		elems += ops.Elems(s)
+	}
+	return max(1, min(p, (elems*stride+chunk-1)/chunk))
+}
+
 // chunkCapable reports whether ops supplies the full chunk fast path.
 func chunkCapable[V any](ops Ops[V]) bool {
 	return ops.Elems != nil && ops.ChunkEncodedSize != nil &&
@@ -158,13 +180,9 @@ const (
 	chunkIdxMask = uint32(0xFFFFFF)
 )
 
-// frame is one parsed incoming ring frame: a whole-segment frame
-// (chunked=false) or one chunk of a pipelined train.
-type frame struct {
-	payload []byte
-	wire    []byte // full pooled buffer payload aliases; receiver releases or forwards
-	epoch   uint32 // masked epoch of the header word
-	span    uint64 // sender step-span ID, 0 when untraced
+// chunkMeta is what a frame's header says about its payload: a whole
+// segment (chunked=false, nothing else set) or one chunk of a train.
+type chunkMeta struct {
 	chunked bool
 	form    chunkForm
 	idx     int // chunk index within the train
@@ -174,19 +192,22 @@ type frame struct {
 	elemAll int // elements in the whole segment
 }
 
+// frame is one parsed incoming ring frame.
+type frame struct {
+	payload []byte
+	wire    []byte // full pooled buffer payload aliases; receiver releases or forwards
+	epoch   uint32 // masked epoch of the header word
+	span    uint64 // sender step-span ID, 0 when untraced
+	chunkMeta
+}
+
 // fwdFrame is a received allgather frame retained for cut-through
 // forwarding on the next step: the relay rewrites the header in place
 // and sends the payload bytes untouched.
 type fwdFrame struct {
 	wire       []byte
 	payloadOff int
-	chunked    bool
-	form       chunkForm
-	idx        int
-	total      int
-	elemOff    int
-	elemCnt    int
-	elemAll    int
+	chunkMeta
 }
 
 // ringChan is the per-channel transfer engine one collective goroutine
@@ -900,17 +921,7 @@ func (rc *ringChan[V]) transferGather(sctx context.Context, span *trace.ActiveSp
 				return nil, derr
 			}
 			if keep {
-				kept = append(kept, fwdFrame{
-					wire:       fr.wire,
-					payloadOff: len(fr.wire) - len(fr.payload),
-					chunked:    fr.chunked,
-					form:       fr.form,
-					idx:        fr.idx,
-					total:      fr.total,
-					elemOff:    fr.elemOff,
-					elemCnt:    fr.elemCnt,
-					elemAll:    fr.elemAll,
-				})
+				kept = append(kept, fwdFrame{wire: fr.wire, payloadOff: len(fr.wire) - len(fr.payload), chunkMeta: fr.chunkMeta})
 			} else {
 				rc.releaseFrame(fr)
 			}

@@ -347,13 +347,13 @@ func TestCheckTrainRejectsCorruptChunks(t *testing.T) {
 		fr        frame
 		got, need int
 	}{
-		{"whole frame mid-train", frame{chunked: false}, 1, 4},
-		{"negative index", frame{chunked: true, idx: -1, total: 2, elemCnt: 1, elemAll: 2, payload: ok8}, 0, -1},
-		{"zero total", frame{chunked: true, idx: 0, total: 0, elemCnt: 1, elemAll: 2, payload: ok8}, 0, -1},
-		{"out of order", frame{chunked: true, idx: 2, total: 4, elemCnt: 1, elemAll: 8, payload: ok8}, 1, 4},
-		{"train length changed", frame{chunked: true, idx: 1, total: 5, elemCnt: 1, elemAll: 8, payload: ok8}, 1, 4},
-		{"range overflow", frame{chunked: true, idx: 0, total: 2, elemOff: 3, elemCnt: 2, elemAll: 4, payload: make([]byte, 16)}, 0, -1},
-		{"payload size mismatch", frame{chunked: true, idx: 0, total: 2, elemCnt: 2, elemAll: 4, payload: ok8}, 0, -1},
+		{"whole frame mid-train", frame{chunkMeta: chunkMeta{chunked: false}}, 1, 4},
+		{"negative index", frame{chunkMeta: chunkMeta{chunked: true, idx: -1, total: 2, elemCnt: 1, elemAll: 2}, payload: ok8}, 0, -1},
+		{"zero total", frame{chunkMeta: chunkMeta{chunked: true, idx: 0, total: 0, elemCnt: 1, elemAll: 2}, payload: ok8}, 0, -1},
+		{"out of order", frame{chunkMeta: chunkMeta{chunked: true, idx: 2, total: 4, elemCnt: 1, elemAll: 8}, payload: ok8}, 1, 4},
+		{"train length changed", frame{chunkMeta: chunkMeta{chunked: true, idx: 1, total: 5, elemCnt: 1, elemAll: 8}, payload: ok8}, 1, 4},
+		{"range overflow", frame{chunkMeta: chunkMeta{chunked: true, idx: 0, total: 2, elemOff: 3, elemCnt: 2, elemAll: 4}, payload: make([]byte, 16)}, 0, -1},
+		{"payload size mismatch", frame{chunkMeta: chunkMeta{chunked: true, idx: 0, total: 2, elemCnt: 2, elemAll: 4}, payload: ok8}, 0, -1},
 	}
 	for _, tc := range cases {
 		if err := rc.checkTrain(tc.fr, tc.got, tc.need); err == nil {
@@ -361,12 +361,12 @@ func TestCheckTrainRejectsCorruptChunks(t *testing.T) {
 		}
 	}
 	// The happy path must pass.
-	if err := rc.checkTrain(frame{chunked: true, idx: 1, total: 4, elemOff: 1, elemCnt: 1, elemAll: 4, payload: ok8}, 1, 4); err != nil {
+	if err := rc.checkTrain(frame{chunkMeta: chunkMeta{chunked: true, idx: 1, total: 4, elemOff: 1, elemCnt: 1, elemAll: 4}, payload: ok8}, 1, 4); err != nil {
 		t.Errorf("valid chunk rejected: %v", err)
 	}
 	// A chunked frame against chunk-incapable ops must fail too.
 	bare := &ringChan[[]float64]{}
-	if err := bare.checkTrain(frame{chunked: true, total: 1, elemCnt: 1, elemAll: 1, payload: ok8}, 0, -1); err == nil {
+	if err := bare.checkTrain(frame{chunkMeta: chunkMeta{chunked: true, total: 1, elemCnt: 1, elemAll: 1}, payload: ok8}, 0, -1); err == nil {
 		t.Error("chunked frame accepted by ops with no chunk decoder")
 	}
 }
@@ -387,8 +387,8 @@ func TestCheckTrainRejectsUnknownForm(t *testing.T) {
 		{5, 8 * n}, {9, 8 * n}, {255, 8 * n},
 	} {
 		for _, at := range []struct{ got, need int }{{0, -1}, {1, 4}} {
-			fr := frame{chunked: true, idx: at.got, total: 4, elemOff: n * at.got, elemCnt: n, elemAll: 4 * n,
-				form: tc.form, payload: make([]byte, tc.payload)}
+			fr := frame{chunkMeta: chunkMeta{chunked: true, idx: at.got, total: 4, elemOff: n * at.got, elemCnt: n, elemAll: 4 * n,
+				form: tc.form}, payload: make([]byte, tc.payload)}
 			if err := rc.checkTrain(fr, at.got, at.need); !errors.Is(err, ErrMalformedChunk) {
 				t.Errorf("form %d, %d-byte payload, chunk %d: %v, want ErrMalformedChunk", tc.form, tc.payload, at.got, err)
 			}

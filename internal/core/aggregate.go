@@ -104,8 +104,10 @@ type AggOptions struct {
 	Strategy Strategy
 	// Depth is the tree depth for StrategyTree (default 2).
 	Depth int
-	// Parallelism is the PDR channel count for the ring strategies
-	// (default: the context's RingParallelism).
+	// Parallelism caps the PDR channel count for the ring strategies
+	// (default: the context's RingParallelism): at most P channels; the
+	// ring uses min(P, ⌈aggregator bytes ÷ B⌉), B the ring's chunk size
+	// (collective.RingChannels).
 	Parallelism int
 	// StepDeadline bounds each ring collective step. Non-positive
 	// values select DefaultStepDeadline.
@@ -134,9 +136,10 @@ func WithDepth(depth int) AggOption {
 	return func(o *AggOptions) { o.Depth = depth }
 }
 
-// WithParallelism sets the PDR channel count for the ring strategies.
-// Zero selects the context's RingParallelism; negative values are
-// rejected by Aggregate.
+// WithParallelism caps the PDR channel count for the ring strategies:
+// at most p channels; the ring uses min(p, ⌈aggregator bytes ÷ B⌉), B
+// the ring's chunk size (collective.RingChannels). Zero selects the
+// context's RingParallelism; negative values are rejected by Aggregate.
 func WithParallelism(p int) AggOption {
 	return func(o *AggOptions) { o.Parallelism = p }
 }
@@ -495,7 +498,6 @@ func runRingStage[T, U, V any](ctx context.Context, rc *rdd.Context, opID int64,
 		return zv, err
 	}
 	nExec := len(live)
-	nSegs := o.Parallelism * nExec
 	ops := serdeOps[V](fns.ReduceOp)
 	if fns.Ops != nil {
 		ops = *fns.Ops
@@ -556,7 +558,17 @@ func runRingStage[T, U, V any](ctx context.Context, rc *rdd.Context, opID int64,
 			if err != nil {
 				return nil, err
 			}
-			segs := splitParallel(u, nSegs, ec.Cores, fns.SplitOp)
+			// P is a cap: a fixed-stride aggregator too small to fill a
+			// chunk per channel rides fewer (collective.RingChannels), and
+			// is split again at that width — at most a few chunks' bytes,
+			// so an aggregator wide enough for all P is split once. Every
+			// rank's aggregator has the same length, so every rank picks
+			// the same width, and the driver reads it off the frames.
+			segs := splitParallel(u, o.Parallelism*nExec, ec.Cores, fns.SplitOp)
+			p := collective.RingChannels(cctx, o.Parallelism, segs, ops)
+			if p < o.Parallelism {
+				segs = splitParallel(u, p*nExec, ec.Cores, fns.SplitOp)
+			}
 			// The support goes to the ring, which ORs what it reduces in
 			// into it, and then to the owned frame; it dies with u.
 			var bits []uint64
@@ -565,7 +577,7 @@ func runRingStage[T, U, V any](ctx context.Context, rc *rdd.Context, opID int64,
 					cctx = collective.WithSupport(cctx, bits)
 				}
 			}
-			owned, err := collective.RingReduceScatter(cctx, ec.Comm, segs, o.Parallelism, ops)
+			owned, err := collective.RingReduceScatter(cctx, ec.Comm, segs, p, ops)
 			if err != nil {
 				return nil, err
 			}
@@ -574,7 +586,7 @@ func runRingStage[T, U, V any](ctx context.Context, rc *rdd.Context, opID int64,
 				fns.recycle(u)
 				return frame, nil
 			}
-			all, err := collective.RingAllGather(cctx, ec.Comm, owned, o.Parallelism, ops)
+			all, err := collective.RingAllGather(cctx, ec.Comm, owned, p, ops)
 			if err != nil {
 				return nil, err
 			}
@@ -617,7 +629,7 @@ func runRingStage[T, U, V any](ctx context.Context, rc *rdd.Context, opID int64,
 	}
 
 	// Gather: order the segments by global index and reassemble.
-	return decodeOwned(payloads, nSegs, ops, fns.ConcatOp)
+	return decodeOwned(payloads, ops, fns.ConcatOp)
 }
 
 // replicateResult pushes a degraded allreduce's result back onto every

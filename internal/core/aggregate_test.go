@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"sparker/internal/collective"
 	"sparker/internal/comm"
 	"sparker/internal/rdd"
 	"sparker/internal/sched"
@@ -74,6 +75,73 @@ func TestAggregateAutoSingleExecutor(t *testing.T) {
 	}
 	if !vecsClose(got, expectedVector(samples, dim), 1e-9) {
 		t.Fatal("wrong vector sum")
+	}
+}
+
+// TestRingChannelsFromBytes pins the ring's width rule. P, from
+// WithParallelism or else the context's RingParallelism, is a cap: a
+// fixed-stride aggregator rides min(P, ⌈bytes ÷ B⌉) channels, B the chunk
+// size in force, and stride-less ops, whose bytes are unknown before
+// encoding, keep P.
+func TestRingChannelsFromBytes(t *testing.T) {
+	const b = 512 << 10 // the default chunk size
+	f64, generic := collective.F64Ops(), serdeOps[[]float64](AddF64)
+	bg := context.Background()
+	for _, c := range []struct {
+		name  string
+		bytes int
+		want  [3]int // at P = 1, 2, 4
+	}{
+		{"1 element", 8, [3]int{1, 1, 1}},
+		{"4 KB", 4 << 10, [3]int{1, 1, 1}},
+		{"16 KB", 16 << 10, [3]int{1, 1, 1}},
+		{"B-8", b - 8, [3]int{1, 1, 1}},
+		{"B", b, [3]int{1, 1, 1}},
+		{"B+8", b + 8, [3]int{1, 2, 2}},
+		{"2 MB", 2 << 20, [3]int{1, 2, 4}},
+		{"8 MB", 8 << 20, [3]int{1, 2, 4}},
+	} {
+		agg := [][]float64{make([]float64, c.bytes/8)}
+		for k, p := range []int{1, 2, 4} {
+			if got := collective.RingChannels(bg, p, agg, f64); got != c.want[k] {
+				t.Errorf("%s, P=%d: %d channels, want %d", c.name, p, got, c.want[k])
+			}
+			if got := collective.RingChannels(bg, p, agg, generic); got != p {
+				t.Errorf("%s, P=%d, stride-less: %d channels, want P", c.name, p, got)
+			}
+			// With chunking off there is no chunk to fill.
+			if got := collective.RingChannels(collective.WithChunkBytes(bg, -1), p, agg, f64); got != p {
+				t.Errorf("%s, P=%d, chunking off: %d channels, want P", c.name, p, got)
+			}
+		}
+	}
+
+	// Through Aggregate, on 800-byte chunks: an explicit WithParallelism
+	// caps the width the bytes give and never raises it, and without one
+	// the context's RingParallelism (4) is the cap.
+	const execs = 3
+	ctx := testContext(t, execs, 1)
+	r := vectorRDD(ctx, 60, execs)
+	chunked := collective.WithChunkBytes(bg, 800)
+	for _, dim := range []int{100, 200, 400, 1000} { // 1, 2, 4 and 10 chunks
+		fromBytes := (8*dim + 799) / 800
+		for _, p := range []int{0, 1, 2, 4} {
+			f := vecFuncs(dim)
+			f.SplitOp, f.Ops = SplitSlice[float64], &f64
+			steps := ringSteps(ctx)
+			got, err := Aggregate(chunked, r, f, WithParallelism(p))
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireExact(t, got, expectedVector(60, dim))
+			want := min(fromBytes, 4)
+			if p > 0 {
+				want = min(fromBytes, p)
+			}
+			if n := ringSteps(ctx) - steps; n != int64(execs*want*(execs-1)) {
+				t.Errorf("dim %d, WithParallelism(%d): %d ring steps, want %d channels' %d", dim, p, n, want, execs*want*(execs-1))
+			}
+		}
 	}
 }
 

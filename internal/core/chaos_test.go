@@ -79,10 +79,14 @@ func TestChaosSplitKillFallsBack(t *testing.T) {
 			want := expectedVector(samples, dim)
 
 			for round := 1; round <= 2; round++ {
+				steps := ringSteps(ctx)
 				got, err := Aggregate(context.Background(), r, vecFuncs(dim),
 					WithDeadline(500*time.Millisecond))
 				if err != nil {
 					t.Fatalf("round %d: fallback should mask the kill: %v", round, err)
+				}
+				if n := ringSteps(ctx) - steps; n < int64(3*par) {
+					t.Fatalf("round %d: %d ring steps, want >= %d (every one of %d channels starts)", round, n, 3*par, par)
 				}
 				requireExact(t, got, want)
 				if n := ctx.Metrics().Count(metrics.CounterRingFallback); n != int64(round) {
@@ -117,6 +121,9 @@ func TestChaosSplitDropFallsBack(t *testing.T) {
 				WithDeadline(300*time.Millisecond))
 			if err != nil {
 				t.Fatalf("fallback should mask total message loss: %v", err)
+			}
+			if n := ringSteps(ctx); n < int64(3*par) {
+				t.Fatalf("%d ring steps, want >= %d (every one of %d channels starts)", n, 3*par, par)
 			}
 			requireExact(t, got, expectedVector(samples, dim))
 			if ctx.Metrics().Count(metrics.CounterRingFallback) == 0 {
@@ -154,6 +161,9 @@ func TestChaosSplitDelaySucceeds(t *testing.T) {
 			requireExact(t, got, expectedVector(samples, dim))
 			if n := ctx.Metrics().Count(metrics.CounterRingFallback); n != 0 {
 				t.Fatalf("delay must not trigger fallback, counter = %d", n)
+			}
+			if got, want := ringSteps(ctx), int64(3*par*2); got != want {
+				t.Fatalf("%d ring steps, want %d (%d channels)", got, want, par)
 			}
 		})
 	}
@@ -208,6 +218,9 @@ func TestChaosFallbackSpan(t *testing.T) {
 				t.Fatalf("fallback should mask the %s: %v", sc.tag, err)
 			}
 			requireExact(t, got, expectedVector(samples, dim))
+			if n := ringSteps(ctx); n < 3*2 {
+				t.Fatalf("%d ring steps, want >= 6 (every one of 2 channels starts)", n)
+			}
 
 			aggs := exp.Named("aggregate")
 			if len(aggs) != 1 {
@@ -265,6 +278,9 @@ func TestChaosAllReduceKillFallsBack(t *testing.T) {
 	requireExact(t, got, want)
 	if ctx.Metrics().Count(metrics.CounterRingFallback) == 0 {
 		t.Fatal("expected a recorded ring fallback")
+	}
+	if n := ringSteps(ctx); n < 3*2 {
+		t.Fatalf("%d ring steps, want >= 6 (every one of 2 channels starts)", n)
 	}
 	payloads, err := ctx.RunOnAllExecutors(func(ec *rdd.ExecContext, task, attempt int) ([]byte, error) {
 		obj := ec.MutObjs.Get("model/chaos")

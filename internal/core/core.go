@@ -14,8 +14,10 @@
 //   - StrategySplit — the full design (§3.1, Figure 6): IMM leaves one
 //     aggregator per executor, a statically placed stage (SpawnRDD,
 //     §4.3) splits each into P×N segments with SplitOp and runs ring
-//     reduce-scatter over the parallel directed ring, and the driver
-//     gathers the reduced segments and reassembles them with ConcatOp.
+//     reduce-scatter over the parallel directed ring (P channels, at most
+//     the configured count and no more than the aggregator's bytes can
+//     fill), and the driver gathers the reduced segments and reassembles
+//     them with ConcatOp.
 //   - StrategyAllReduce — split aggregation past the paper: §6 notes
 //     that once reduction is fixed, "the driver overhead becomes the new
 //     bottleneck" because every iteration still gathers the aggregator
@@ -341,8 +343,9 @@ func splitParallel[U, V any](agg U, nSegs, workers int, splitOp func(U, int, int
 // ownedPacked, in an entry's index word, marks a packed segment.
 const ownedPacked = 1 << 31
 
-// ErrMalformedFrame classifies an owned-segments frame the driver could
-// not accept: truncated, naming a segment twice or out of range, or
+// ErrMalformedFrame classifies a set of owned-segments frames the
+// driver could not accept: truncated, listing no segments or a different
+// number from another rank's, naming a segment twice or out of range, or
 // carrying a packed segment whose bitmap, value count and element count
 // disagree.
 var ErrMalformedFrame = errors.New("core: malformed owned-segments frame")
@@ -434,15 +437,28 @@ type ownedSeg struct {
 	elems  int
 }
 
+// ownedCount is the number of segments an owned-segments frame lists,
+// bounded by what its bytes can hold: every entry takes an 8-byte head.
+func ownedCount(p []byte) (int, error) {
+	if len(p) < 4 {
+		return 0, fmt.Errorf("%w: %d-byte frame", ErrMalformedFrame, len(p))
+	}
+	n := binary.LittleEndian.Uint32(p)
+	if uint64(n) > uint64(len(p)-4)/8 {
+		return 0, fmt.Errorf("%w: %d segments in a %d-byte frame", ErrMalformedFrame, n, len(p))
+	}
+	return int(n), nil
+}
+
 // parseOwned validates one owned-segments frame and records each
 // segment (aliasing p) in segs by global index.
 func parseOwned(p []byte, segs []ownedSeg) error {
-	if len(p) < 4 {
-		return fmt.Errorf("%w: %d-byte frame", ErrMalformedFrame, len(p))
+	n, err := ownedCount(p)
+	if err != nil {
+		return err
 	}
-	n := binary.LittleEndian.Uint32(p)
 	p = p[4:]
-	for k := uint32(0); k < n; k++ {
+	for k := 0; k < n; k++ {
 		if len(p) < 8 {
 			return fmt.Errorf("%w: truncated at entry %d of %d", ErrMalformedFrame, k, n)
 		}
@@ -477,15 +493,32 @@ func parseOwned(p []byte, segs []ownedSeg) error {
 }
 
 // decodeOwned reassembles the reduced aggregate from the ring tasks'
-// owned-segments frames. On the fixed-stride path every segment is
-// decoded once, into its slot of one result vector — by the chunk
-// contract that is the concatenation, so concatOp is not consulted —
-// and the frames, which the chunk decoders may not retain, go back to
-// the wire pool. Otherwise segments are decoded one by one and handed to
-// concatOp, and the frames are left to the garbage collector because a
-// generic Decode may alias them.
-func decodeOwned[V any](payloads [][]byte, nSegs int, ops collective.Ops[V], concatOp func([]V) V) (V, error) {
+// owned-segments frames. The ring's width is read off the frames: each
+// rank owns one segment per channel, so every frame must list the same
+// number k ≥ 1, and together they must name each of the k·N segments
+// once (k·N distinct indices below k·N leave none missing). On the
+// fixed-stride path every segment is decoded once, into its slot of one
+// result vector — by the chunk contract that is the concatenation, so
+// concatOp is not consulted — and the frames, which the chunk decoders
+// may not retain, go back to the wire pool. Otherwise segments are
+// decoded one by one and handed to concatOp, and the frames are left to
+// the garbage collector because a generic Decode may alias them.
+func decodeOwned[V any](payloads [][]byte, ops collective.Ops[V], concatOp func([]V) V) (V, error) {
 	var zv V
+	k := 0
+	for i, p := range payloads {
+		n, err := ownedCount(p)
+		switch {
+		case err != nil:
+			return zv, err
+		case n == 0:
+			return zv, fmt.Errorf("%w: frame %d lists no segment", ErrMalformedFrame, i)
+		case i > 0 && n != k:
+			return zv, fmt.Errorf("%w: frame %d lists %d segments, frame 0 lists %d", ErrMalformedFrame, i, n, k)
+		}
+		k = n
+	}
+	nSegs := k * len(payloads)
 	segs := make([]ownedSeg, nSegs)
 	for _, p := range payloads {
 		if err := parseOwned(p, segs); err != nil {
@@ -497,8 +530,6 @@ func decodeOwned[V any](payloads [][]byte, nSegs int, ops collective.Ops[V], con
 	for i := range segs {
 		s := &segs[i]
 		switch {
-		case s.body == nil:
-			return zv, fmt.Errorf("core: segment %d missing after reduce-scatter", i)
 		case s.packed:
 			if !ops.CanPack() {
 				return zv, fmt.Errorf("%w: segment %d is packed but the ops cannot unpack", ErrMalformedFrame, i)

@@ -9,6 +9,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"sparker/internal/collective"
+	"sparker/internal/metrics"
 	"sparker/internal/rdd"
 	"sparker/internal/serde"
 )
@@ -75,6 +77,31 @@ func vecsClose(a, b []float64, tol float64) bool {
 	return true
 }
 
+// fillChannels returns ctx with a ring chunk size small enough that a
+// dim-element float64 aggregator fills par channels
+// (collective.RingChannels), so a test with fixed-stride Ops runs the
+// channel count it names. Stride-less ops always run it.
+func fillChannels(ctx context.Context, dim, par int) context.Context {
+	return collective.WithChunkBytes(ctx, 8*dim/par)
+}
+
+// ringSteps is the number of ring steps the executors of ctx have run.
+// A healthy split aggregation over n executors on p channels runs
+// n·p·(n−1), allreduce twice that; a failed one runs at least n·p, since
+// every channel of every rank starts step 0.
+func ringSteps(ctx *rdd.Context) int64 {
+	return ctx.MergedMetrics().Histogram(metrics.HistRingStepNS).Count()
+}
+
+// phases is the number of ring passes a strategy makes: reduce-scatter,
+// plus the allgather for allreduce.
+func phases(s Strategy) int {
+	if s == StrategyAllReduce {
+		return 2
+	}
+	return 1
+}
+
 func TestSplitVectorSum(t *testing.T) {
 	const samples, dim = 300, 97 // dim deliberately not divisible by segments
 	for _, execs := range []int{1, 2, 3, 5} {
@@ -88,6 +115,10 @@ func TestSplitVectorSum(t *testing.T) {
 				}
 				if !vecsClose(got, expectedVector(samples, dim), 1e-9) {
 					t.Fatalf("split aggregate result mismatch")
+				}
+				// Serde ops have no stride: P is not narrowed.
+				if got, want := ringSteps(ctx), int64(execs*par*(execs-1)); got != want {
+					t.Fatalf("%d ring steps, want %d (%d channels)", got, want, par)
 				}
 			})
 		}

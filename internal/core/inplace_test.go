@@ -98,7 +98,7 @@ func bitsEqual(t *testing.T, name string, got, want []float64) {
 // checks exactly that against a sequential left fold, on one core,
 // where the arrival order on an executor is the partition order.
 func TestInPlaceSplitEquivalence(t *testing.T) {
-	const execs, samples, dim = 3, 240, 101
+	const execs, samples, dim, par = 3, 240, 101, 4 // par: the context's RingParallelism
 	f64 := collective.F64Ops()
 	for _, perExec := range []int{1, 3} {
 		for _, cores := range []int{1, 2} {
@@ -119,11 +119,20 @@ func TestInPlaceSplitEquivalence(t *testing.T) {
 				}
 				run := func(name string, f AggFuncs[int64, []float64, []float64], opts ...AggOption) []float64 {
 					t.Helper()
-					got, err := Aggregate(context.Background(), r, f, opts...)
+					got, err := Aggregate(fillChannels(context.Background(), dim, par), r, f, opts...)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
 					return got
+				}
+				// Every ring run, F64Ops ones included, rides all par channels.
+				wantSteps := int64(0)
+				checkSteps := func(name string, runs int) {
+					t.Helper()
+					wantSteps += int64(runs * execs * par * (execs - 1))
+					if got := ringSteps(ctx); got != wantSteps {
+						t.Fatalf("%s: %d ring steps, want %d (%d channels)", name, got, wantSteps, par)
+					}
 				}
 
 				tree := run("tree", funcs(vecSeqOp, SplitSliceCopy[float64], nil, nil), WithStrategy(StrategyTree))
@@ -141,6 +150,7 @@ func TestInPlaceSplitEquivalence(t *testing.T) {
 				} {
 					bitsEqual(t, c.name, run(c.name, funcs(vecSeqOp, c.split, c.ops, pool)), tree)
 					bitsEqual(t, c.name+"/allreduce", run(c.name, funcs(vecSeqOp, c.split, c.ops, pool), WithStrategy(StrategyAllReduce)), tree)
+					checkSteps(c.name, 1+phases(StrategyAllReduce))
 				}
 				bitsEqual(t, "imm", run("imm", funcs(vecSeqOp, SplitSlice[float64], nil, pool), WithStrategy(StrategyIMM)), tree)
 				// Per aggregation every partition's accumulator but the
@@ -179,6 +189,7 @@ func TestInPlaceSplitEquivalence(t *testing.T) {
 					run("copy", funcs(orderSensitiveSeqOp, SplitSliceCopy[float64], &f64, nil)), view)
 				bitsEqual(t, "order-sensitive serde vs f64 gather",
 					run("serde", funcs(orderSensitiveSeqOp, SplitSlice[float64], nil, pool)), view)
+				checkSteps("order-sensitive", 3)
 			})
 		}
 	}
@@ -423,7 +434,7 @@ func TestDecodeOwnedRejectsMalformedFrames(t *testing.T) {
 		ownedFrame(2, 0, f64Body(1, 2), 2, f64Body(5)),
 		ownedFrame(2, 1, f64Body(3, 4), 3, f64Body()),
 	}
-	got, err := decodeOwned(good, 4, ops, ConcatSlices[float64])
+	got, err := decodeOwned(good, ops, ConcatSlices[float64])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +445,7 @@ func TestDecodeOwnedRejectsMalformedFrames(t *testing.T) {
 	got, err = decodeOwned([][]byte{
 		ownedFrame(2, 0|ownedPacked, packedSeg(0, 0, negZero, 0, 7), 2, f64Body(5)),
 		ownedFrame(2, 1, f64Body(3, 4), 3|ownedPacked, packedSeg(0, tiny, 0, math.Inf(-1))),
-	}, 4, ops, ConcatSlices[float64])
+	}, ops, ConcatSlices[float64])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +474,11 @@ func TestDecodeOwnedRejectsMalformedFrames(t *testing.T) {
 		{"duplicate within a frame", [][]byte{ownedFrame(2, 0, f64Body(1), 0, f64Body(2))}, true},
 		{"duplicate across frames", [][]byte{ownedFrame(1, 0, f64Body(1)), ownedFrame(1, 0, f64Body(2))}, true},
 		{"body not a multiple of the stride", [][]byte{ownedFrame(4, 0, []byte{1, 2, 3}, 1, f64Body(), 2, f64Body(), 3, f64Body())}, true},
-		{"segment missing", [][]byte{ownedFrame(1, 0, f64Body(1))}, false},
+		{"ranks disagree on the count", [][]byte{ownedFrame(2, 0, f64Body(1), 2, f64Body(2)), ownedFrame(1, 1, f64Body(3))}, true},
+		{"a rank owns no segment", [][]byte{ownedFrame(1, 0, f64Body(1)), ownedFrame(0)}, true},
+		{"every rank owns no segment", [][]byte{ownedFrame(0), ownedFrame(0)}, true},
+		{"index past the implied total", [][]byte{ownedFrame(1, 0, f64Body(1)), ownedFrame(1, 2, f64Body(2))}, true},
+		{"segment missing: a gap and a duplicate", [][]byte{ownedFrame(2, 0, f64Body(1), 2, f64Body(2)), ownedFrame(2, 1, f64Body(3), 2, f64Body(4))}, true},
 		{"packed: shorter than its element count", corrupt(func(b []byte) []byte { return b[:3] }), true},
 		{"packed: bitmap shorter than ceil(elems/64) words", corrupt(func(b []byte) []byte { b[0] = 65; return b }), true},
 		{"packed: bitmap longer than ceil(elems/64) words", corrupt(func(b []byte) []byte { b[0] = 0; return b }), true},
@@ -472,7 +487,7 @@ func TestDecodeOwnedRejectsMalformedFrames(t *testing.T) {
 		{"packed: bit set past elems", corrupt(func(b []byte) []byte { b[4] = 0b1000; return b }), true},
 		{"packed: truncated value", corrupt(func(b []byte) []byte { return b[:len(b)-1] }), true},
 	} {
-		_, err := decodeOwned(c.payloads, 4, ops, ConcatSlices[float64])
+		_, err := decodeOwned(c.payloads, ops, ConcatSlices[float64])
 		if err == nil {
 			t.Errorf("%s: accepted", c.name)
 		} else if errors.Is(err, ErrMalformedFrame) != c.malformed {
@@ -483,16 +498,16 @@ func TestDecodeOwnedRejectsMalformedFrames(t *testing.T) {
 	// The generic (serde-framed) path shares the parser.
 	generic := serdeOps[[]float64](AddF64)
 	seg := func(vals ...float64) []byte { return generic.Encode(nil, vals) }
-	got, err = decodeOwned([][]byte{ownedFrame(2, 1, seg(3), 0, seg(1, 2))}, 2, generic, ConcatSlices[float64])
+	got, err = decodeOwned([][]byte{ownedFrame(2, 1, seg(3), 0, seg(1, 2))}, generic, ConcatSlices[float64])
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireExact(t, got, []float64{1, 2, 3})
-	if _, err := decodeOwned([][]byte{ownedFrame(2, 1, seg(3), 1, seg(1))}, 2, generic, ConcatSlices[float64]); !errors.Is(err, ErrMalformedFrame) {
+	if _, err := decodeOwned([][]byte{ownedFrame(2, 1, seg(3), 1, seg(1))}, generic, ConcatSlices[float64]); !errors.Is(err, ErrMalformedFrame) {
 		t.Errorf("generic path accepted a duplicate: %v", err)
 	}
 	// Ops that cannot pack refuse a packed segment instead of misreading it.
-	if _, err := decodeOwned([][]byte{ownedFrame(2, 1, seg(3), 0|ownedPacked, packedSeg(1, 2))}, 2, generic, ConcatSlices[float64]); !errors.Is(err, ErrMalformedFrame) {
+	if _, err := decodeOwned([][]byte{ownedFrame(2, 1, seg(3), 0|ownedPacked, packedSeg(1, 2))}, generic, ConcatSlices[float64]); !errors.Is(err, ErrMalformedFrame) {
 		t.Errorf("generic path accepted a packed segment: %v", err)
 	}
 }
@@ -529,9 +544,9 @@ func TestSplitPackedEquivalence(t *testing.T) {
 	plain := collective.F64Ops()
 	plain.Packed = nil
 
-	run := func(name string, ops *collective.Ops[[]float64], opts ...AggOption) []float64 {
+	run := func(name string, ops *collective.Ops[[]float64], par int, opts ...AggOption) []float64 {
 		t.Helper()
-		got, err := Aggregate(context.Background(), r, AggFuncs[int64, []float64, []float64]{
+		got, err := Aggregate(fillChannels(context.Background(), dim, par), r, AggFuncs[int64, []float64, []float64]{
 			Zero: vecZero(dim), SeqOp: sparseSeqOp, MergeOp: AddF64,
 			SplitOp: SplitSlice[float64], ReduceOp: AddF64, ConcatOp: ConcatSlices[float64], Ops: ops,
 		}, opts...)
@@ -540,7 +555,7 @@ func TestSplitPackedEquivalence(t *testing.T) {
 		}
 		return got
 	}
-	tree := run("tree", nil, WithStrategy(StrategyTree))
+	tree := run("tree", nil, 1, WithStrategy(StrategyTree))
 	want := make([]float64, dim)
 	for i := int64(0); i < samples; i++ {
 		want = sparseSeqOp(want, i)
@@ -550,13 +565,16 @@ func TestSplitPackedEquivalence(t *testing.T) {
 		for _, par := range []int{1, 4} {
 			name := fmt.Sprintf("%v/par=%d", strategy, par)
 			opts := []AggOption{WithStrategy(strategy), WithParallelism(par)}
-			before := packedEncodes.Load()
-			bitsEqual(t, name+"/packing", run(name, &counted, opts...), tree)
+			before, steps := packedEncodes.Load(), ringSteps(ctx)
+			bitsEqual(t, name+"/packing", run(name, &counted, par, opts...), tree)
 			if packedEncodes.Load() == before {
 				t.Errorf("%s: nothing travelled packed on a %d-of-%d non-zero aggregator", name, 3*samples, dim)
 			}
-			bitsEqual(t, name+"/hook removed", run(name, &plain, opts...), tree)
-			bitsEqual(t, name+"/serde ops", run(name, nil, opts...), tree)
+			bitsEqual(t, name+"/hook removed", run(name, &plain, par, opts...), tree)
+			bitsEqual(t, name+"/serde ops", run(name, nil, par, opts...), tree)
+			if n, want := ringSteps(ctx)-steps, int64(3*execs*par*(execs-1)*phases(strategy)); n != want {
+				t.Errorf("%s: %d ring steps over three runs, want %d (%d channels)", name, n, want, par)
+			}
 		}
 	}
 }
@@ -586,7 +604,7 @@ func TestOwnedFramePacksPerSegment(t *testing.T) {
 	if at := 4 + 8 + 4 + 8*(4+3); !bytes.Equal(frame[at:at+8+8*200], rawFrame[4:]) {
 		t.Error("a segment that does not pack is not byte-identical to the raw form")
 	}
-	got, err := decodeOwned([][]byte{frame}, 4, ops, ConcatSlices[float64])
+	got, err := decodeOwned([][]byte{frame}, ops, ConcatSlices[float64])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -632,7 +650,7 @@ func TestOwnedFrameOverhead(t *testing.T) {
 		frame := encodeOwned(owned(stride), ops, nil, nil, draw)
 		return testing.AllocsPerRun(50, func() {
 			// decodeOwned releases accepted frames to the wire pool.
-			if _, err := decodeOwned([][]byte{append([]byte(nil), frame...)}, 4, ops, ConcatSlices[float64]); err != nil {
+			if _, err := decodeOwned([][]byte{append([]byte(nil), frame...)}, ops, ConcatSlices[float64]); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -648,27 +666,41 @@ func TestOwnedFrameOverhead(t *testing.T) {
 // segments.
 func FuzzDecodeOwned(f *testing.F) {
 	ops := collective.F64Ops()
-	f.Add(ownedFrame(2, 0, f64Body(1, 2), 1, f64Body(3)), ownedFrame(1, 2, f64Body(4)))
-	f.Add(ownedFrame(1, 7, f64Body(1)), []byte{})
-	f.Add(ownedFrame(2, 0, f64Body(1), 0, f64Body(1)), ownedFrame(0))
+	// Both frames list the same count, so each seed gets past the
+	// width check to the entry it exercises: a good pair, an index out
+	// of range, a duplicate, and a count beyond the bytes.
+	f.Add(ownedFrame(2, 0, f64Body(1, 2), 1, f64Body(3)), ownedFrame(2, 2, f64Body(4), 3, f64Body()))
+	f.Add(ownedFrame(1, 7, f64Body(1)), ownedFrame(1, 1, f64Body()))
+	f.Add(ownedFrame(2, 0, f64Body(1), 0, f64Body(1)), ownedFrame(2, 1, f64Body(), 2, f64Body()))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff}, []byte{1})
 	// Packed segments: a good frame, then bitmap length ≠ ceil(elems/64),
 	// popcount ≠ value count, a bit past elems, and a truncated value.
 	pk := packedSeg(0, 9, 0, math.Copysign(0, -1))
 	mut := func(at int, v byte) []byte { b := append([]byte(nil), pk...); b[at] = v; return b }
-	f.Add(ownedFrame(2, 0|ownedPacked, pk, 1, f64Body(3)), ownedFrame(1, 2|ownedPacked, packedSeg(0, 0)))
-	f.Add(ownedFrame(2, 0|ownedPacked, mut(0, 65), 1, f64Body(3)), ownedFrame(1, 2, f64Body()))
-	f.Add(ownedFrame(2, 0|ownedPacked, mut(4, 0b0010), 1, f64Body(3)), ownedFrame(1, 2, f64Body()))
-	f.Add(ownedFrame(2, 0|ownedPacked, mut(4, 0b11010), 1, f64Body(3)), ownedFrame(1, 2, f64Body()))
-	f.Add(ownedFrame(2, 0|ownedPacked, pk[:len(pk)-3], 1, f64Body(3)), ownedFrame(1, 2, f64Body()))
+	f.Add(ownedFrame(2, 0|ownedPacked, pk, 1, f64Body(3)), ownedFrame(2, 2|ownedPacked, packedSeg(0, 0), 3, f64Body()))
+	f.Add(ownedFrame(2, 0|ownedPacked, mut(0, 65), 1, f64Body(3)), ownedFrame(2, 2, f64Body(), 3, f64Body()))
+	f.Add(ownedFrame(2, 0|ownedPacked, mut(4, 0b0010), 1, f64Body(3)), ownedFrame(2, 2, f64Body(), 3, f64Body()))
+	f.Add(ownedFrame(2, 0|ownedPacked, mut(4, 0b11010), 1, f64Body(3)), ownedFrame(2, 2, f64Body(), 3, f64Body()))
+	f.Add(ownedFrame(2, 0|ownedPacked, pk[:len(pk)-3], 1, f64Body(3)), ownedFrame(2, 2, f64Body(), 3, f64Body()))
+	// The ring's width comes from the frames: every rank lists the same
+	// count k ≥ 1 and together they name 0 … 2k−1 once. A good pair, then
+	// ranks that disagree on k, a gap in the indices, an index at the
+	// implied total, and ranks with no segment.
+	f.Add(ownedFrame(2, 0, f64Body(1, 2), 3|ownedPacked, packedSeg(0, 4)), ownedFrame(2, 1, f64Body(3), 2, f64Body()))
+	f.Add(ownedFrame(2, 0, f64Body(1), 3, f64Body(4)), ownedFrame(1, 1, f64Body(3)))
+	f.Add(ownedFrame(2, 0, f64Body(1), 2, f64Body(2)), ownedFrame(2, 1, f64Body(3), 2, f64Body(4)))
+	f.Add(ownedFrame(1, 0, f64Body(1)), ownedFrame(1, 2, f64Body(2)))
+	f.Add(ownedFrame(1, 0, f64Body(1)), ownedFrame(0))
+	f.Add(ownedFrame(0), ownedFrame(0))
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		// Private copies: an accepted frame is released to the wire pool.
 		payloads := [][]byte{append([]byte(nil), a...), append([]byte(nil), b...)}
-		got, err := decodeOwned(payloads, 3, ops, ConcatSlices[float64])
+		got, err := decodeOwned(payloads, ops, ConcatSlices[float64])
 		if err != nil {
 			return
 		}
-		segs := make([]ownedSeg, 3)
+		k, _ := ownedCount(a)
+		segs := make([]ownedSeg, 2*k)
 		if parseOwned(a, segs) != nil || parseOwned(b, segs) != nil {
 			t.Fatal("decodeOwned accepted frames parseOwned rejects")
 		}

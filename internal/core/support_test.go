@@ -69,8 +69,8 @@ func TestSplitSupportEquivalence(t *testing.T) {
 			for _, strategy := range []Strategy{StrategySplit, StrategyAllReduce} {
 				for _, par := range []int{1, 4} {
 					name := fmt.Sprintf("parts=%d/unknown=%v/%v/par=%d", parts, unknown, strategy, par)
-					before := fromSupport.Load()
-					got, err := Aggregate(context.Background(), r, AggFuncs[int64, []float64, []float64]{
+					before, steps := fromSupport.Load(), ringSteps(ctx)
+					got, err := Aggregate(fillChannels(context.Background(), dim, par), r, AggFuncs[int64, []float64, []float64]{
 						Zero: vecZero(dim), SeqOp: sparseSeqOp, MergeOp: AddF64,
 						SplitOp: SplitSlice[float64], ReduceOp: AddF64, ConcatOp: ConcatSlices[float64],
 						Ops: &ops, Support: support,
@@ -79,6 +79,9 @@ func TestSplitSupportEquivalence(t *testing.T) {
 						t.Fatalf("%s: %v", name, err)
 					}
 					bitsEqual(t, name, got, want)
+					if n, want := ringSteps(ctx)-steps, int64(execs*par*(execs-1)*phases(strategy)); n != want {
+						t.Errorf("%s: %d ring steps, want %d (%d channels)", name, n, want, par)
+					}
 					if used := fromSupport.Load() > before; used == (unknown && parts > execs) {
 						// An executor whose fold met an unknown support scans; with
 						// two partitions per executor every one of them does.

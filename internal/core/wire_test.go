@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -29,10 +30,11 @@ func lrPoint(i int64) (cols [5]int, vals [5]float64, label float64) {
 }
 
 // trainSparseLR runs four gradient-descent steps of logistic regression
-// over r with Aggregate(opts): the aggregator is the gradient sum, then
-// the loss sum and the sample count. l2 adds a squared-L2 term to the
-// update; frac < 1 samples a deterministic mini-batch per step.
-func trainSparseLR(t *testing.T, r *rdd.RDD[int64], l2 bool, frac float64, opts ...AggOption) (w, losses []float64) {
+// over r with Aggregate(ctx, opts): the aggregator is the gradient sum,
+// then the loss sum and the sample count, which tails returns per step.
+// l2 adds a squared-L2 term to the update; frac < 1 samples a
+// deterministic mini-batch per step.
+func trainSparseLR(t *testing.T, ctx context.Context, r *rdd.RDD[int64], l2 bool, frac float64, opts ...AggOption) (w, losses []float64, tails [][2]float64) {
 	t.Helper()
 	f64 := collective.F64Ops()
 	w = make([]float64, lrDim)
@@ -54,7 +56,7 @@ func trainSparseLR(t *testing.T, r *rdd.RDD[int64], l2 bool, frac float64, opts 
 			acc[lrDim+1]++
 			return acc
 		}
-		g, err := Aggregate(context.Background(), r, AggFuncs[int64, []float64, []float64]{
+		g, err := Aggregate(ctx, r, AggFuncs[int64, []float64, []float64]{
 			Zero: vecZero(lrDim + 2), SeqOp: seqOp, MergeOp: AddF64,
 			SplitOp: SplitSlice[float64], ReduceOp: AddF64, ConcatOp: ConcatSlices[float64], Ops: &f64,
 		}, opts...)
@@ -70,8 +72,9 @@ func trainSparseLR(t *testing.T, r *rdd.RDD[int64], l2 bool, frac float64, opts 
 			w[j] -= step * grad
 		}
 		losses = append(losses, g[lrDim]/count)
+		tails = append(tails, [2]float64{g[lrDim], count})
 	}
-	return w, losses
+	return w, losses, tails
 }
 
 // digest hashes the bit patterns of the weights and the loss history.
@@ -128,7 +131,7 @@ func TestSparseLRWireEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				w, losses := trainSparseLR(t, vectorRDD(ctx, samples, execs), l2, frac, WithStrategy(s))
+				w, losses, _ := trainSparseLR(t, context.Background(), vectorRDD(ctx, samples, execs), l2, frac, WithStrategy(s))
 				ctx.Close()
 				got[s.String()] = digest(w, losses)
 				switch s {
@@ -145,7 +148,7 @@ func TestSparseLRWireEquivalence(t *testing.T) {
 			ctx := chaosContext(t, name, execs, 1, 2, &transport.FaultRule{
 				Match: func(a transport.Addr) bool { return a == victim }, Kind: transport.FaultKill, AfterMsgs: 1,
 			})
-			w, losses := trainSparseLR(t, vectorRDD(ctx, samples, execs), l2, frac,
+			w, losses, _ := trainSparseLR(t, context.Background(), vectorRDD(ctx, samples, execs), l2, frac,
 				WithStrategy(StrategyAllReduce), WithKeepKey("lr/grad"), WithDeadline(500*time.Millisecond))
 			if n := ctx.Metrics().Count(metrics.CounterRingFallback); n != 4 {
 				t.Fatalf("%s: ring-fallback counter = %d, want one per step", name, n)
@@ -158,6 +161,68 @@ func TestSparseLRWireEquivalence(t *testing.T) {
 				if d != want[key] {
 					t.Errorf("%s: weights and losses hash to %#x, want %#x", key, d, want[key])
 				}
+			}
+		}
+	}
+}
+
+// TestSparseLRRingWidth states the arithmetic of narrowing the ring. The
+// 24 KB aggregator rides one channel by the bytes, or four when the
+// chunk size is forced down. Which segment, and so which ring order, an
+// element's sum takes depends on the width, so the weights may differ by
+// rounding; the test logs the largest difference in ULPs. The loss and
+// count elements sit in the last segment under both layouts and are
+// summed in the same order, so they, and the loss histories, must be
+// bit-identical.
+func TestSparseLRRingWidth(t *testing.T) {
+	const execs, samples = 3, 240
+	for _, s := range []Strategy{StrategySplit, StrategyAllReduce} {
+		for _, upd := range []string{"simple", "l2"} {
+			for _, batch := range []string{"full", "minibatch"} {
+				name := fmt.Sprintf("%v/%s/%s", s, upd, batch)
+				l2, frac := upd == "l2", 1.0
+				if batch == "minibatch" {
+					frac = 0.3
+				}
+				ctx, err := rdd.NewContext(rdd.Config{
+					Name: "width-" + strings.ReplaceAll(name, "/", "-"), NumExecutors: execs, CoresPerExecutor: 1,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				r := vectorRDD(ctx, samples, execs)
+				var w [2][]float64
+				var losses [2][]float64
+				var tails [2][][2]float64
+				for k, par := range []int{1, 4} {
+					run := context.Background()
+					if par > 1 {
+						run = fillChannels(run, lrDim+2, par)
+					}
+					steps := ringSteps(ctx)
+					w[k], losses[k], tails[k] = trainSparseLR(t, run, r, l2, frac, WithStrategy(s))
+					if n, want := ringSteps(ctx)-steps, int64(4*execs*par*(execs-1)*phases(s)); n != want {
+						t.Fatalf("%s: %d ring steps over 4 iterations, want %d (%d channels)", name, n, want, par)
+					}
+				}
+				ctx.Close()
+				bitsEqual(t, name+": losses", losses[1], losses[0])
+				for i := range tails[0] {
+					for j, what := range []string{"loss sum", "count"} {
+						if math.Float64bits(tails[0][i][j]) != math.Float64bits(tails[1][i][j]) {
+							t.Errorf("%s: step %d %s %v at P=1, %v at P=4", name, i+1, what, tails[0][i][j], tails[1][i][j])
+						}
+					}
+				}
+				maxULP, differ := uint64(0), 0
+				for i := range w[0] {
+					a, b := math.Float64bits(w[0][i]), math.Float64bits(w[1][i])
+					if a != b {
+						differ++
+						maxULP = max(maxULP, max(a, b)-min(a, b))
+					}
+				}
+				t.Logf("%s: %d of %d weights differ between P=1 and P=4, by at most %d ULP", name, differ, len(w[0]), maxULP)
 			}
 		}
 	}

@@ -175,8 +175,9 @@ type GDConfig struct {
 	Strategy Strategy
 	// Depth is the treeAggregate depth (default 2).
 	Depth int
-	// Parallelism is the split-aggregation ring parallelism (default:
-	// context setting).
+	// Parallelism caps the split-aggregation ring's channels (default:
+	// context setting): at most P channels; the ring uses min(P,
+	// ⌈aggregator bytes ÷ B⌉), B the ring's chunk size.
 	Parallelism int
 	// Seed drives mini-batch sampling.
 	Seed int64

@@ -44,8 +44,10 @@ type Config struct {
 	// Network carries all driver/executor and executor/executor bytes.
 	// Defaults to an unshaped in-memory network owned by the context.
 	Network transport.Network
-	// RingParallelism is the PDR channel count used by split
-	// aggregation (default 4, the paper's production setting).
+	// RingParallelism is the PDR channel count connected for split
+	// aggregation (default 4, the paper's production setting): at most P
+	// channels; the ring uses min(P, ⌈aggregator bytes ÷ B⌉), B the
+	// ring's chunk size (collective.RingChannels).
 	RingParallelism int
 	// Speculation enables the scheduler's straggler mitigation: a task
 	// running well past the stage's median task duration (the thresholds
