@@ -158,10 +158,14 @@ RUN_SECONDS ?= 20
 bench-pair:
 	scripts/bench-pair.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(SEED) $(RUN_SECONDS)
 
-# CPU profile of the wide-split-tcp step loop (20 000 × 1 000 000, 4
-# executors × 1 core, loopback TCP) as one command: the profile that
-# names the layer a perf PR spends (ROADMAP item 2) — benchmark/ itself
-# takes no profiling flag.
+# CPU profiles of the wide-split-tcp and wide-tree-tcp step loops
+# (20 000 × 1 000 000, 4 executors × 1 core, loopback TCP) as one
+# command, one profile and one top per strategy: the profiles that name
+# the layer a perf PR spends (ROADMAP item 2) — benchmark/ itself takes
+# no profiling flag.
 profile:
-	$(GO) test -run '^$$' -bench WideStepTCP -benchtime 100x -cpuprofile /tmp/sparker-wide-step.prof -o /tmp/sparker-wide-step.test ./internal/mllib
-	$(GO) tool pprof -top -nodecount 25 /tmp/sparker-wide-step.test /tmp/sparker-wide-step.prof
+	for s in split tree; do \
+		$(GO) test -run '^$$' -bench "WideStepTCP/$$s\$$" -benchtime 100x -cpuprofile /tmp/sparker-wide-step-$$s.prof -o /tmp/sparker-wide-step.test ./internal/mllib && \
+		echo "== $$s step" && \
+		$(GO) tool pprof -top -nodecount 25 /tmp/sparker-wide-step.test /tmp/sparker-wide-step-$$s.prof || exit 1; \
+	done

@@ -227,7 +227,7 @@ func TestConcurrentJobsOneContext(t *testing.T) {
 				func() int64 { return 0 },
 				func(a int64, v int64) int64 { return a + v },
 				func(a, b int64) int64 { return a + b },
-				rdd.AggregateOptions{})
+				rdd.AggregateOptions{}, nil)
 			if err != nil {
 				t.Errorf("job %d: %v", g, err)
 				return

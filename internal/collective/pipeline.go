@@ -178,6 +178,9 @@ const (
 
 	// chunkIdxMask masks the chunk index out of the header's index word.
 	chunkIdxMask = uint32(0xFFFFFF)
+	// maxTrainChunks is the longest train whose chunks the index word can
+	// number.
+	maxTrainChunks = int(chunkIdxMask) + 1
 )
 
 // chunkMeta is what a frame's header says about its payload: a whole
@@ -553,6 +556,12 @@ func (rc *ringChan[V]) checkTrain(fr frame, got, need int) error {
 		return fmt.Errorf("collective: chunk train length changed mid-step (%d vs %d)", fr.total, need)
 	case fr.elemOff+fr.elemCnt > fr.elemAll:
 		return fmt.Errorf("collective: chunk [%d,%d) exceeds its declared segment of %d elems", fr.elemOff, fr.elemOff+fr.elemCnt, fr.elemAll)
+	case got == 0 && (fr.total > maxTrainChunks || fr.elemAll > fr.total*fr.elemCnt):
+		// The plan cuts a segment into equal chunks but a shorter last one,
+		// so no chunk of a train carries more than its first. A first chunk
+		// declaring a segment its train cannot carry is refused before the
+		// gather sizes a segment from it (MakeSegment(elemAll)).
+		return fmt.Errorf("%w: a train of %d chunks of %d elems cannot carry a segment of %d", ErrMalformedChunk, fr.total, fr.elemCnt, fr.elemAll)
 	case fr.form == formDense && len(fr.payload) != fr.elemCnt*rc.stride:
 		return fmt.Errorf("collective: chunk payload %d bytes, want %d (%d elems × stride %d)", len(fr.payload), fr.elemCnt*rc.stride, fr.elemCnt, rc.stride)
 	case fr.form == formPacked && len(fr.payload) < 8*serde.PackedWords(fr.elemCnt):

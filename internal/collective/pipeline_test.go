@@ -396,6 +396,40 @@ func TestCheckTrainRejectsUnknownForm(t *testing.T) {
 	}
 }
 
+// TestGatherRefusesSegmentItsTrainCannotCarry: the allgather sizes the
+// segment it assembles from the first chunk's header. A one-chunk train
+// of 64 elements that declares a 2³²−1-element segment fails the step as
+// ErrMalformedChunk before anything is allocated from it.
+func TestGatherRefusesSegmentItsTrainCannotCarry(t *testing.T) {
+	net := transport.NewMem()
+	defer net.Close()
+	eps, err := comm.NewGroup(net, "gather-oversize", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer comm.CloseGroup(eps)
+	const epoch = 7
+	// Rank 0 plays a corrupt peer: one packed chunk, an all-clear bitmap.
+	corrupt := append(leWords(epoch|chunkFlag, uint32(formPacked)<<24, 1, 0, 64, 0xFFFFFFFF), make([]byte, 8)...)
+	if err := eps[0].SendNext(0, corrupt); err != nil {
+		t.Fatal(err)
+	}
+	ops := F64Ops()
+	var made atomic.Int64
+	ops.MakeSegment = func(n int) []float64 {
+		made.Store(int64(n))
+		return nil // nothing legitimate arrives, and nothing is allocated
+	}
+	owned := map[int][]float64{0: make([]float64, 64)}
+	_, err = RingAllGather(WithEpoch(context.Background(), epoch), eps[1], owned, 1, ops)
+	if !errors.Is(err, ErrMalformedChunk) {
+		t.Fatalf("gather over a train that cannot carry its segment: %v, want ErrMalformedChunk", err)
+	}
+	if n := made.Load(); n != 0 {
+		t.Fatalf("MakeSegment(%d) ran before the header was refused", n)
+	}
+}
+
 // leWords is the little-endian byte string of 32-bit words.
 func leWords(words ...uint32) []byte {
 	var out []byte
@@ -461,9 +495,9 @@ func FuzzRingFrame(f *testing.F) {
 	sparse[1], sparse[40], sparse[69] = 3, math.Copysign(0, -1), math.NaN()
 	dense8 := leFloats(1, 2, 3, 4, 5, 6, 7, 8)
 
-	f.Add(chunkFrame(formDense, 0, 2, 8, 8, 96, dense8), uint8(0), int8(-1))
+	f.Add(chunkFrame(formDense, 0, 12, 8, 8, 96, dense8), uint8(0), int8(-1))
 	f.Add(chunkFrame(formDense, 1, 2, 88, 8, 96, dense8), uint8(1), int8(2))
-	f.Add(chunkFrame(formPacked, 0, 1, 5, 70, 96, packAll(sparse)), uint8(0), int8(-1))
+	f.Add(chunkFrame(formPacked, 0, 2, 5, 70, 96, packAll(sparse)), uint8(0), int8(-1))
 	f.Add(append(leWords(7, 96), leFloats(make([]float64, 96)...)...), uint8(0), int8(-1)) // whole segment
 	f.Add(append(leWords(7, 96), leFloats(make([]float64, 96)...)...), uint8(2), int8(4))  // … inside a train
 	// Retired form bytes, each over the payload its old decoder would have
@@ -483,10 +517,14 @@ func FuzzRingFrame(f *testing.F) {
 	// Ranges: past the declared segment, past the local one, and a packed
 	// chunk whose bitmap is cut short.
 	f.Add(chunkFrame(formDense, 0, 2, 92, 8, 96, dense8), uint8(0), int8(-1))
-	f.Add(chunkFrame(formDense, 0, 2, 92, 8, 200, dense8), uint8(0), int8(-1))
-	f.Add(chunkFrame(formPacked, 0, 1, 40, 70, 200, packAll(sparse)), uint8(0), int8(-1))
-	f.Add(chunkFrame(formPacked, 0, 1, 0, 70, 96, packAll(sparse)[:12]), uint8(0), int8(-1))
+	f.Add(chunkFrame(formDense, 0, 25, 92, 8, 200, dense8), uint8(0), int8(-1))
+	f.Add(chunkFrame(formPacked, 0, 3, 40, 70, 200, packAll(sparse)), uint8(0), int8(-1))
+	f.Add(chunkFrame(formPacked, 0, 2, 0, 70, 96, packAll(sparse)[:12]), uint8(0), int8(-1))
 	f.Add(chunkFrame(formDense, 0, 1, 0xFFFFFFF0, 0x20, 0xFFFFFFFF, dense8), uint8(0), int8(-1))
+	// A first chunk declaring more than its train can carry: the segment
+	// the gather would size from it.
+	f.Add(chunkFrame(formPacked, 0, 1, 0, 64, 0xFFFFFFFF, make([]byte, 8)), uint8(0), int8(-1))
+	f.Add(chunkFrame(formDense, 0, 1<<24+1, 0, 1, 1<<24+1, dense8[:8]), uint8(0), int8(-1))
 
 	f.Fuzz(func(t *testing.T, in []byte, got uint8, need int8) {
 		fresh := func() []float64 {
@@ -513,6 +551,9 @@ func FuzzRingFrame(f *testing.F) {
 				t.Fatalf("form byte %d refused without the classification: %v", fr.form, err)
 			}
 			return
+		}
+		if fr.chunked && got == 0 && fr.elemAll > fr.total*fr.elemCnt {
+			t.Fatalf("first chunk of %d elems accepted for a %d-elem segment in a train of %d", fr.elemCnt, fr.elemAll, fr.total)
 		}
 		if !fr.chunked {
 			if got != 0 {

@@ -173,7 +173,8 @@ type AggFuncs[T, U, V any] struct {
 	// SeqOp folds one element into an aggregator.
 	SeqOp func(U, T) U
 	// MergeOp merges two aggregators (IMM intra-executor merge, driver
-	// merge of the tree strategies).
+	// merge of the tree strategies, which add a []float64 frame from the
+	// wire instead when Ops pack: f64Wire).
 	MergeOp func(U, U) U
 	// SplitOp returns segment i of n from an aggregator; all ranks must
 	// agree on the segmentation, and SplitOp(u, 0, 1) must be the whole
@@ -194,16 +195,19 @@ type AggFuncs[T, U, V any] struct {
 	// operations for the ring stage. Supplying ops with the chunked fast
 	// path (fixed stride, Fuse/Encoded hooks — e.g. collective.F64Ops for
 	// []float64 segments) enables zero-decode chunk reduction and the
-	// packed chunk form.
+	// packed chunk form. Ops that pack over a []float64 U also move the
+	// tree's and the IMM gather's frames (f64Wire): encoded from Support,
+	// added into the driver's accumulator from the wire in O(support).
 	Ops *collective.Ops[V]
 	// Recycle, when non-nil, receives every aggregator the engine made
-	// with Zero and is done with — a partition's accumulator once merged,
-	// an executor's resident aggregator once its segments are encoded or
-	// concatenated — so Zero can hand the memory out again. Supply it
-	// only if nothing SplitOp, ConcatOp or the serde encoding of U
-	// produced can still alias the aggregator at that point (ConcatSlices
-	// copies; identity callbacks do not qualify). Aggregators that reach
-	// the caller (the tree strategies' result) are never recycled.
+	// with Zero and is done with — a partition's accumulator once merged
+	// or its tree block encoded, an executor's resident aggregator once
+	// its segments or IMM frame are encoded or concatenated — so Zero can
+	// hand the memory out again. Supply it only if nothing SplitOp,
+	// ConcatOp or the serde encoding of U produced can still alias the
+	// aggregator at that point (ConcatSlices copies; identity callbacks
+	// do not qualify). Aggregators that reach the caller (the tree
+	// strategies' result) are never recycled.
 	Recycle func(U)
 	// Support, when non-nil, names the aggregator elements SeqOp(acc, t)
 	// may change: a bitmap over the concatenation of SplitOp's segments,
@@ -211,10 +215,10 @@ type AggFuncs[T, U, V any] struct {
 	// leaves that element's bits as Zero made them (+0.0); nil means
 	// unknown. The ring strategies fold it beside each executor's
 	// aggregator and encode packed chunks from it in O(support) when Ops
-	// can pack (collective.WithSupport); the bytes they send do not
-	// change. Core never writes a returned bitmap, and ORs each one in
-	// whole, so it suits a few large elements (a packed partition), not
-	// one per point.
+	// can pack (collective.WithSupport), as do the tree's and the IMM
+	// gather's frames (f64Wire); the bytes they send do not change. Core
+	// never writes a returned bitmap, and ORs each one in whole, so it
+	// suits a few large elements (a packed partition), not one per point.
 	Support func(T) []uint64
 }
 
@@ -296,7 +300,7 @@ func Aggregate[T, U, V any](ctx context.Context, r *rdd.RDD[T], fns AggFuncs[T, 
 		// Not IMM-based: nothing stays resident on the executors, and its
 		// stages retry task by task inside the engine.
 		u, err := rdd.TreeAggregate(r, fns.Zero, fns.SeqOp, fns.MergeOp,
-			rdd.AggregateOptions{Depth: o.Depth, Tenant: o.Tenant, TraceParent: span.Context()})
+			rdd.AggregateOptions{Depth: o.Depth, Tenant: o.Tenant, TraceParent: span.Context()}, fns.treeHooks())
 		if err != nil {
 			return zv, err
 		}
@@ -447,9 +451,9 @@ func runAttempt[T, U, V any](ctx context.Context, r *rdd.RDD[T], fns *AggFuncs[T
 
 	// Stage 1: reduced-result stage (IMM) → one aggregator per executor.
 	start := time.Now()
-	// Supports are folded only for the ring, and only ops that pack read
-	// them.
-	track := strategy != StrategyIMM && fns.Support != nil && fns.Ops != nil && fns.Ops.CanPack()
+	// Only ops that pack read the supports: the ring's, and the IMM
+	// gather's []float64 frames (f64Wire).
+	track := fns.Support != nil && fns.Ops != nil && fns.Ops.CanPack()
 	held, err := runIMMStage(r, key, aggSC, o.Tenant, fns, track)
 	if err != nil {
 		return zv, errors.Is(err, rdd.ErrStageCleanup), err

@@ -241,11 +241,11 @@ func gatherIMM[T, U, V any](ctx *rdd.Context, tenant string, parent trace.SpanCo
 		Placement:   live,
 		TraceParent: parent,
 		Fn: func(ec *rdd.ExecContext, task, attempt int) ([]byte, error) {
-			agg, _, err := takeAgg(ec, key, held, fns)
+			agg, sup, err := takeAgg(ec, key, held, fns)
 			if err != nil {
 				return nil, err
 			}
-			wire, err := serde.Encode(nil, agg)
+			wire, err := fns.encodeAgg(agg, sup)
 			fns.recycle(agg)
 			return wire, err
 		},
@@ -262,13 +262,59 @@ func gatherIMM[T, U, V any](ctx *rdd.Context, tenant string, parent trace.SpanCo
 	}
 	acc := fns.Zero()
 	for _, p := range payloads {
-		v, _, err := serde.Decode(p)
-		if err != nil {
+		if acc, err = fns.mergeWire(acc, p); err != nil {
 			return zu, err
 		}
-		acc = fns.MergeOp(acc, v.(U))
 	}
 	return acc, nil
+}
+
+// f64Wire reports whether the tree strategies' frames are []float64
+// sums: U and V are []float64 and Ops packs, which asserts IEEE addition
+// from +0.0 (collective.PackedOps). Adding a frame into the driver's
+// accumulator from the wire (serde.DecodeReduceF64) then gives the bits
+// of decode-then-MergeOp.
+func (f *AggFuncs[T, U, V]) f64Wire() bool {
+	_, ok := any(f).(*AggFuncs[T, []float64, []float64])
+	return ok && f.Ops != nil && f.Ops.CanPack()
+}
+
+// encodeAgg is u's tree frame (a block, or an IMM gather result),
+// encoded from sup when f64Wire.
+func (f *AggFuncs[T, U, V]) encodeAgg(u U, sup support) ([]byte, error) {
+	if f.f64Wire() {
+		s := any(u).([]float64)
+		return serde.EncodeF64(nil, s, sup.words(len(s)))
+	}
+	return serde.Encode(nil, u)
+}
+
+// mergeWire merges one tree frame into acc.
+func (f *AggFuncs[T, U, V]) mergeWire(acc U, wire []byte) (U, error) {
+	if f.f64Wire() {
+		return acc, serde.DecodeReduceF64(any(acc).([]float64), wire)
+	}
+	v, _, err := serde.Decode(wire)
+	if err != nil {
+		return acc, err
+	}
+	return f.MergeOp(acc, v.(U)), nil
+}
+
+// treeHooks are f's frames and Recycle as rdd.TreeAggregate takes them;
+// a stage-1 block is encoded from the support of its elements.
+func (f *AggFuncs[T, U, V]) treeHooks() *rdd.TreeHooks[T, U] {
+	return &rdd.TreeHooks[T, U]{
+		Encode: func(u U, elems []T) ([]byte, error) {
+			sup := support{known: f.Support != nil && elems != nil}
+			for i := 0; sup.known && i < len(elems); i++ {
+				sup.add(f.Support(elems[i]))
+			}
+			return f.encodeAgg(u, sup)
+		},
+		MergeWire: f.mergeWire,
+		Recycle:   f.recycle,
+	}
 }
 
 // serdeOps builds the collective callbacks for a serde-encodable

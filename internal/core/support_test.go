@@ -98,6 +98,57 @@ func TestSplitSupportEquivalence(t *testing.T) {
 	}
 }
 
+// TestTreeSupportEquivalence: the tree's stage-1 blocks and the IMM
+// gather's frames are encoded from AggFuncs.Support, and the driver adds
+// them into its accumulator from the wire: with true supports, some of
+// them unknown, both return the sequential sum bit for bit. A support
+// that claims nothing can be non-zero — a broken promise — gives zero
+// frames, which is how the test sees that the encoder read it.
+func TestTreeSupportEquivalence(t *testing.T) {
+	const execs, samples, dim = 3, 240, 6007
+	ctx := testContext(t, execs, 2)
+	elems := make([][]uint64, samples)
+	for v := range elems {
+		elems[v] = supportOver(sparseSeqOp(make([]float64, dim), int64(v)))
+	}
+	clear := make([]uint64, serde.PackedWords(dim))
+	want := make([]float64, dim)
+	for i := int64(0); i < samples; i++ {
+		want = sparseSeqOp(want, i)
+	}
+	ops := collective.F64Ops()
+	for _, parts := range []int{2, execs * 2, 16} {
+		r := vectorRDD(ctx, samples, parts)
+		for _, sup := range []string{"true", "unknown", "clear"} {
+			support := func(v int64) []uint64 {
+				switch {
+				case sup == "clear":
+					return clear
+				case sup == "unknown" && v%5 == 0:
+					return nil
+				}
+				return elems[v]
+			}
+			for _, strategy := range []Strategy{StrategyTree, StrategyIMM} {
+				name := fmt.Sprintf("parts=%d/%s/%v", parts, sup, strategy)
+				got, err := Aggregate(context.Background(), r, AggFuncs[int64, []float64, []float64]{
+					Zero: vecZero(dim), SeqOp: sparseSeqOp, MergeOp: AddF64,
+					SplitOp: SplitSlice[float64], ReduceOp: AddF64, ConcatOp: ConcatSlices[float64],
+					Ops: &ops, Support: support,
+				}, WithStrategy(strategy))
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if sup == "clear" {
+					bitsEqual(t, name, got, make([]float64, dim))
+				} else {
+					bitsEqual(t, name, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestOwnedFrameSupportMatchesScan: framing owned segments from a
 // support over the whole segment set gives the counted frame's bytes;
 // only the draw may be larger, by the candidates that hold +0.0.

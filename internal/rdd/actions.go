@@ -163,15 +163,33 @@ type AggregateOptions struct {
 	TraceParent trace.SpanContext
 }
 
+// TreeHooks are TreeAggregate's typed fast paths for an aggregator
+// whose block frames allow more than serde's decode-then-combOp. All
+// three are required; nil hooks are TreeAggregate as Spark has it:
+// serde.Encode, serde.Decode then combOp, nothing recycled.
+type TreeHooks[T, U any] struct {
+	// Encode returns u's block frame; elems are the elements a stage-1
+	// task folded into u, nil for a combine round's accumulator.
+	Encode func(u U, elems []T) ([]byte, error)
+	// MergeWire merges one block frame into acc and returns the result,
+	// as combOp(acc, decoded block) would, without a decoded value. An
+	// invalid frame is an error.
+	MergeWire func(acc U, wire []byte) (U, error)
+	// Recycle receives every accumulator a stage-1 or combine task made
+	// with zero once its block is encoded. The driver's never is: it is
+	// the result.
+	Recycle func(U)
+}
+
 // TreeAggregate is Spark's treeAggregate: per-partition seqOp folds,
 // then rounds of combOp merges through intermediate combiner tasks,
 // and a final serial combOp merge of the surviving aggregators in the
 // driver. Aggregators move between executors as shuffle blocks and
 // reach the driver serialized — the non-scalable reduction Sparker
-// replaces.
+// replaces. hooks, when non-nil, replaces the serde path (TreeHooks).
 //
 // U must be serde-encodable. zero must return a fresh value each call.
-func TreeAggregate[T, U any](r *RDD[T], zero func() U, seqOp func(U, T) U, combOp func(U, U) U, opts AggregateOptions) (U, error) {
+func TreeAggregate[T, U any](r *RDD[T], zero func() U, seqOp func(U, T) U, combOp func(U, U) U, opts AggregateOptions, hooks *TreeHooks[T, U]) (U, error) {
 	var zu U
 	depth := opts.Depth
 	if depth == 0 {
@@ -179,6 +197,19 @@ func TreeAggregate[T, U any](r *RDD[T], zero func() U, seqOp func(U, T) U, combO
 	}
 	if depth < 1 {
 		return zu, fmt.Errorf("rdd: Depth must be >= 1, got %d", depth)
+	}
+	if hooks == nil {
+		hooks = &TreeHooks[T, U]{
+			Encode: func(u U, _ []T) ([]byte, error) { return serde.Encode(nil, u) },
+			MergeWire: func(acc U, wire []byte) (U, error) {
+				v, _, err := serde.Decode(wire)
+				if err != nil {
+					return acc, err
+				}
+				return combOp(acc, v.(U)), nil
+			},
+			Recycle: func(U) {},
+		}
 	}
 	ctx := r.ctx
 	aggID := ctx.newJobID()
@@ -205,10 +236,11 @@ func TreeAggregate[T, U any](r *RDD[T], zero func() U, seqOp func(U, T) U, combO
 			for _, v := range data {
 				acc = seqOp(acc, v)
 			}
-			wire, err := serde.Encode(nil, acc)
+			wire, err := hooks.Encode(acc, data)
 			if err != nil {
 				return nil, err
 			}
+			hooks.Recycle(acc)
 			ec.Store.PutLocal(blockID(0, task), wire)
 			return nil, nil
 		},
@@ -257,16 +289,15 @@ func TreeAggregate[T, U any](r *RDD[T], zero func() U, seqOp func(U, T) U, combO
 						if err != nil {
 							return nil, err
 						}
-						v, _, err := serde.Decode(wire)
-						if err != nil {
+						if acc, err = hooks.MergeWire(acc, wire); err != nil {
 							return nil, err
 						}
-						acc = combOp(acc, v.(U))
 					}
-					out, err := serde.Encode(nil, acc)
+					out, err := hooks.Encode(acc, nil)
 					if err != nil {
 						return nil, err
 					}
+					hooks.Recycle(acc)
 					ec.Store.PutLocal(blockID(dstRound, task), out)
 					return nil, nil
 				},
@@ -283,8 +314,8 @@ func TreeAggregate[T, U any](r *RDD[T], zero func() U, seqOp func(U, T) U, combO
 	}
 
 	// Final serial merge in the driver: fetch each surviving block and
-	// deserialize + combine one by one. This serial chain is exactly
-	// what grows with scale in Figures 3–4.
+	// merge it into zero()'s accumulator one by one. This serial chain
+	// is exactly what grows with scale in Figures 3–4.
 	acc := zero()
 	for i := 0; i < cur; i++ {
 		owner := ctx.ExecutorStoreName(curPlace[i])
@@ -292,11 +323,9 @@ func TreeAggregate[T, U any](r *RDD[T], zero func() U, seqOp func(U, T) U, combO
 		if err != nil {
 			return zu, err
 		}
-		v, _, err := serde.Decode(wire)
-		if err != nil {
+		if acc, err = hooks.MergeWire(acc, wire); err != nil {
 			return zu, err
 		}
-		acc = combOp(acc, v.(U))
 	}
 	return acc, nil
 }

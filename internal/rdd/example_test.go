@@ -51,7 +51,7 @@ func ExampleTreeAggregate() {
 		func() int64 { return 0 },
 		func(acc int64, v int64) int64 { return acc + v },
 		func(a, b int64) int64 { return a + b },
-		rdd.AggregateOptions{Depth: 2})
+		rdd.AggregateOptions{Depth: 2}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

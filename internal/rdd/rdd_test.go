@@ -3,12 +3,14 @@ package rdd
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"sort"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
 
+	"sparker/internal/serde"
 	"sparker/internal/trace"
 )
 
@@ -414,7 +416,7 @@ func TestTreeAggregateSum(t *testing.T) {
 					func() int64 { return 0 },
 					func(acc int64, v int64) int64 { return acc + v },
 					func(a, b int64) int64 { return a + b },
-					AggregateOptions{Depth: depth})
+					AggregateOptions{Depth: depth}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -423,6 +425,65 @@ func TestTreeAggregateSum(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestTreeAggregateHooks: with hooks that encode the tag 7 frame and
+// merge blocks straight from the wire, a 16-partition aggregation at
+// depth 2 — stage 1, one combine round of four tasks, the driver merge —
+// gives the bits of the nil-hook serde path. The values are order
+// sensitive, and every block carries a −0.0 that the driver's +0.0 head
+// must still turn into +0.0. Every stage-1 and combine accumulator is
+// recycled, and stage 1 alone hands Encode its elements.
+func TestTreeAggregateHooks(t *testing.T) {
+	ctx := testContext(t, 3, 2)
+	const dim = 130
+	r := FromSlice(ctx, ints(200), 16)
+	zero := func() []float64 { return make([]float64, dim) }
+	seqOp := func(acc []float64, v int64) []float64 {
+		acc[int(v*7)%dim] += 1 / float64(v+3)
+		acc[5] = math.Copysign(0, -1)
+		return acc
+	}
+	combOp := func(a, b []float64) []float64 {
+		for i := range a {
+			a[i] += b[i]
+		}
+		return a
+	}
+	want, err := TreeAggregate(r, zero, seqOp, combOp, AggregateOptions{Depth: 2}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var withElems, withoutElems, recycled atomic.Int64
+	hooks := &TreeHooks[int64, []float64]{
+		Encode: func(u []float64, elems []int64) ([]byte, error) {
+			if elems != nil {
+				withElems.Add(1)
+			} else {
+				withoutElems.Add(1)
+			}
+			return serde.EncodeF64(nil, u, nil)
+		},
+		MergeWire: func(acc []float64, wire []byte) ([]float64, error) {
+			return acc, serde.DecodeReduceF64(acc, wire)
+		},
+		Recycle: func([]float64) { recycled.Add(1) },
+	}
+	got, err := TreeAggregate(r, zero, seqOp, combOp, AggregateOptions{Depth: 2}, hooks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("element %d: %#x with hooks, %#x without", i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+		}
+	}
+	if math.Signbit(got[5]) {
+		t.Fatal("the driver adopted a block's −0.0")
+	}
+	if a, b, c := withElems.Load(), withoutElems.Load(), recycled.Load(); a != 16 || b != 4 || c != 20 {
+		t.Fatalf("Encode saw elements %d times and none %d times, %d recycled; want 16, 4 and 20", a, b, c)
 	}
 }
 
@@ -446,7 +507,7 @@ func TestTreeAggregateVectorSum(t *testing.T) {
 			}
 			return a
 		},
-		AggregateOptions{})
+		AggregateOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +526,7 @@ func TestTreeAggregateCleansBlocks(t *testing.T) {
 		func() int64 { return 0 },
 		func(a int64, v int64) int64 { return a + v },
 		func(a, b int64) int64 { return a + b },
-		AggregateOptions{}); err != nil {
+		AggregateOptions{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	// No shuffle blocks may survive the action.
@@ -504,7 +565,7 @@ func TestQuickTreeAggregateEqualsSerialSum(t *testing.T) {
 			func() int64 { return 0 },
 			func(a int64, v int64) int64 { return a + v },
 			func(a, b int64) int64 { return a + b },
-			AggregateOptions{})
+			AggregateOptions{}, nil)
 		if err != nil {
 			return false
 		}

@@ -157,7 +157,7 @@ func TestKeyByComposesWithAggregation(t *testing.T) {
 		func() int64 { return 0 },
 		func(a int64, p Pair[int64, int64]) int64 { return a + p.Value },
 		func(a, b int64) int64 { return a + b },
-		AggregateOptions{})
+		AggregateOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

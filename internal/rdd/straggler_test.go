@@ -217,7 +217,7 @@ func TestStragglerTreeAggregate(t *testing.T) {
 		func() int64 { return 0 },
 		func(acc, v int64) int64 { return acc + v },
 		func(a, b int64) int64 { return a + b },
-		AggregateOptions{Depth: 2})
+		AggregateOptions{Depth: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -151,18 +151,26 @@ type f64SliceCodec struct{}
 const f64PackedBit = 1 << 31
 
 func (f64SliceCodec) Encode(dst []byte, v any) ([]byte, error) {
-	return appendF64Slice(dst, false, v.([]float64))
+	return appendF64Slice(dst, false, v.([]float64), nil)
+}
+
+// EncodeF64 is Encode(dst, s) with s's candidate bits (PackedSizeF64;
+// nil: unknown), so a vector whose support settles the form is encoded
+// reading only the support's elements. The bytes are Encode's.
+func EncodeF64(dst []byte, s []float64, cand []uint64) ([]byte, error) {
+	return appendF64Slice(dst, true, s, cand)
 }
 
 // appendF64Slice appends s's tag 7 payload to dst, led by the type tag
-// when tagged, growing dst at most once to the exact size.
-func appendF64Slice(dst []byte, tagged bool, s []float64) ([]byte, error) {
+// when tagged, growing dst at most once — to the exact size, or with
+// candidate bits to the bound they give.
+func appendF64Slice(dst []byte, tagged bool, s []float64, cand []uint64) ([]byte, error) {
 	n := len(s)
 	if n >= f64PackedBit {
 		return nil, fmt.Errorf("serde: []float64 of %d elements does not fit its length word", n)
 	}
 	word, body := uint32(n), 8*n
-	if size := PackedSizeF64(s, 0, n, nil, 0); size > 0 {
+	if size := PackedSizeF64(s, 0, n, cand, 0); size > 0 {
 		word, body = word|f64PackedBit, size
 	}
 	head := 4
@@ -175,46 +183,59 @@ func appendF64Slice(dst []byte, tagged bool, s []float64) ([]byte, error) {
 	}
 	dst = appendUint32(dst, word)
 	if word&f64PackedBit != 0 {
-		return EncodePackedF64(dst, s, 0, n, nil, 0), nil
+		return EncodePackedF64(dst, s, 0, n, cand, 0), nil
 	}
 	return AppendFloat64s(dst, s), nil
 }
 
 func (f64SliceCodec) Decode(src []byte) (any, int, error) {
-	if len(src) < 4 {
-		return nil, 0, fmt.Errorf("serde: short []float64 header")
-	}
-	word := binary.LittleEndian.Uint32(src)
-	n, body := int(word&^f64PackedBit), src[4:]
-	if word&f64PackedBit == 0 {
-		if n > len(body)/8 {
-			return nil, 0, fmt.Errorf("serde: short []float64 body")
-		}
-		out := make([]float64, n)
-		if hostLittleEndian {
-			copy(f64Bytes(out), body)
-		} else {
-			for i := range out {
-				out[i] = Float64At(body, 8*i)
-			}
-		}
-		return out, 4 + 8*n, nil
-	}
-	words := PackedWords(n)
-	if len(body) < 8*words {
-		return nil, 0, fmt.Errorf("%w: %d elements need a %d-byte bitmap, %d bytes follow", ErrMalformedPacked, n, 8*words, len(body))
-	}
-	end := 8 * (words + setCount(body[:8*words]))
-	if len(body) < end {
-		return nil, 0, fmt.Errorf("%w: bitmap marks %d values, %d bytes follow it", ErrMalformedPacked, end/8-words, len(body)-8*words)
-	}
-	bitmap, vals, err := packedBody(body[:end], 0, n, n)
+	n, packed, body, err := f64Payload(src)
 	if err != nil {
 		return nil, 0, err
 	}
 	out := make([]float64, n)
-	setPacked(out, bitmap, vals)
-	return out, 4 + end, nil
+	switch {
+	case packed:
+		bitmap, vals, err := packedBody(body, 0, n, n)
+		if err != nil {
+			return nil, 0, err
+		}
+		setPacked(out, bitmap, vals)
+	case hostLittleEndian:
+		copy(f64Bytes(out), body)
+	default:
+		for i := range out {
+			out[i] = Float64At(body, 8*i)
+		}
+	}
+	return out, 4 + len(body), nil
+}
+
+// f64Payload reads a tag 7 payload's length word and cuts its body, the
+// bytes after the word that belong to it; a packed body's bitmap and
+// value counts are checked against what follows before anything is
+// allocated from them.
+func f64Payload(src []byte) (n int, packed bool, body []byte, err error) {
+	if len(src) < 4 {
+		return 0, false, nil, fmt.Errorf("serde: short []float64 header")
+	}
+	word := binary.LittleEndian.Uint32(src)
+	n, packed, body = int(word&^f64PackedBit), word&f64PackedBit != 0, src[4:]
+	if !packed {
+		if n > len(body)/8 {
+			return 0, false, nil, fmt.Errorf("serde: short []float64 body")
+		}
+		return n, false, body[:8*n], nil
+	}
+	words := PackedWords(n)
+	if len(body) < 8*words {
+		return 0, false, nil, fmt.Errorf("%w: %d elements need a %d-byte bitmap, %d bytes follow", ErrMalformedPacked, n, 8*words, len(body))
+	}
+	end := 8 * (words + setCount(body[:8*words]))
+	if len(body) < end {
+		return 0, false, nil, fmt.Errorf("%w: bitmap marks %d values, %d bytes follow it", ErrMalformedPacked, end/8-words, len(body)-8*words)
+	}
+	return n, true, body[:end], nil
 }
 
 type i64SliceCodec struct{}

@@ -134,7 +134,144 @@ func FuzzF64SliceRoundTrip(f *testing.F) {
 	})
 }
 
-// BenchmarkSerdeF64 is tag 7's encode and decode of a wide aggregator
+// requireMergeMatchesDecodeAdd holds DecodeReduceF64(acc, wire) to
+// Decode-then-add bit for bit. acc must be a sum from +0.0. A frame
+// Decode refuses, or one that is not a []float64 of len(acc) elements,
+// must be refused with acc untouched; the merge's error is returned.
+func requireMergeMatchesDecodeAdd(t *testing.T, name string, acc []float64, wire []byte) error {
+	t.Helper()
+	want := append([]float64(nil), acc...)
+	v, _, derr := Decode(wire)
+	dv, ok := v.([]float64)
+	ok = derr == nil && ok && len(dv) == len(acc)
+	if ok {
+		for i, x := range dv {
+			want[i] += x
+		}
+	}
+	err := DecodeReduceF64(acc, wire)
+	if ok != (err == nil) {
+		t.Fatalf("%s: merge error %v, decode error %v", name, err, derr)
+	}
+	for i := range want {
+		if math.Float64bits(acc[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: element %d is %#x after the merge, want %#x", name, i, math.Float64bits(acc[i]), math.Float64bits(want[i]))
+		}
+	}
+	return err
+}
+
+// sumFromZero is +0.0 + v[i] per element: an accumulator the driver's
+// merge can hold, which is never −0.0 nor a signaling NaN.
+func sumFromZero(v []float64) []float64 {
+	acc := make([]float64, len(v))
+	for i, x := range v {
+		acc[i] += x
+	}
+	return acc
+}
+
+// TestF64MergeWire: the driver's merge adds a tag 7 frame into its
+// accumulator without a decoded vector, and gives the bits Decode-then-
+// add gives, for dense and packed frames, lengths around the bitmap word,
+// −0.0, NaN payloads and ±Inf among the values, into zero and non-zero
+// accumulators. Frames cut short, of another length or another type are
+// refused with acc untouched, and one with a flipped bitmap bit fares as
+// it does under Decode. The frame's bytes do not depend on the candidate
+// bits it is encoded from.
+func TestF64MergeWire(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	specials := []float64{math.Copysign(0, -1), math.NaN(), math.Float64frombits(0x7ff0_0000_0000_0001),
+		math.Inf(1), math.Inf(-1)}
+	for _, n := range []int{0, 1, 63, 64, 65, 130, 1000} {
+		for _, nnz := range []int{0, n / 20, n / 4, n} {
+			v := make([]float64, n)
+			cand := make([]uint64, PackedWords(n))
+			for k, j := range rng.Perm(n)[:nnz] {
+				v[j] = rng.NormFloat64()
+				if k%5 == 0 {
+					v[j] = specials[k%len(specials)]
+				}
+				cand[j/64] |= 1 << uint(j%64)
+			}
+			for j := 0; j < n; j += 7 { // candidates that hold +0.0
+				cand[j/64] |= 1 << uint(j%64)
+			}
+			wire := MustEncode(nil, v)
+			for _, c := range [][]uint64{nil, cand} {
+				if got, _ := EncodeF64(nil, v, c); !bytes.Equal(got, wire) {
+					t.Fatalf("n=%d nnz=%d: EncodeF64 with candidates %v left Encode's bytes", n, nnz, c != nil)
+				}
+			}
+			form := "dense"
+			if n > 0 && binary.LittleEndian.Uint32(wire[4:])&f64PackedBit != 0 {
+				form = "packed"
+			}
+			name := fmt.Sprintf("n=%d/nnz=%d/%s", n, nnz, form)
+			base := make([]float64, n)
+			for i := range base {
+				base[i] = rng.NormFloat64()
+			}
+			for _, acc := range [][]float64{make([]float64, n), sumFromZero(base), sumFromZero(v)} {
+				if err := requireMergeMatchesDecodeAdd(t, name, acc, wire); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				for _, bad := range []struct {
+					name string
+					acc  []float64
+					wire []byte
+				}{
+					{"truncated", acc, wire[:len(wire)-1]},
+					{"header only", acc, wire[:min(len(wire), 7)]},
+					{"one element more", append(acc, 0), wire},
+				} {
+					if requireMergeMatchesDecodeAdd(t, name+"/"+bad.name, bad.acc, bad.wire) == nil {
+						t.Fatalf("%s/%s: merged", name, bad.name)
+					}
+				}
+			}
+			if form == "packed" {
+				flipped := bytes.Clone(wire)
+				flipped[8] ^= 1
+				requireMergeMatchesDecodeAdd(t, name+"/flipped bit", sumFromZero(base), flipped)
+			}
+		}
+	}
+	for name, wire := range map[string][]byte{"[]int64": MustEncode(nil, []int64{1, 2}), "empty": nil} {
+		if requireMergeMatchesDecodeAdd(t, name, make([]float64, 2), wire) == nil {
+			t.Fatalf("%s: merged", name)
+		}
+	}
+}
+
+// FuzzF64MergeWire: whatever bytes reach the driver's merge, it adds
+// what Decode-then-add would, or refuses them with acc untouched.
+func FuzzF64MergeWire(f *testing.F) {
+	sparse := make([]float64, 130)
+	sparse[3], sparse[64], sparse[129] = math.Copysign(0, -1), math.NaN(), math.Inf(-1)
+	f.Add(MustEncode(nil, sparse), []byte(nil), uint8(0))
+	f.Add(MustEncode(nil, []float64{1, math.Inf(1), 3}), bytes.Repeat([]byte{0, 0, 0, 0, 0, 0, 0xf0, 0x3f}, 3), uint8(0))
+	f.Add(MustEncode(nil, sparse)[:40], []byte(nil), uint8(0))
+	f.Add(MustEncode(nil, []float64{1}), []byte(nil), uint8(1))
+	f.Add(MustEncode(nil, "x"), []byte(nil), uint8(0))
+	f.Fuzz(func(t *testing.T, wire, accBytes []byte, extra uint8) {
+		// The accumulator is as long as the frame says, give or take
+		// extra, and a sum from +0.0 of the words accBytes holds.
+		n := 0
+		if len(wire) >= 8 {
+			n = int(binary.LittleEndian.Uint32(wire[4:]) &^ f64PackedBit)
+		}
+		n = min(n+int(extra%3), 1<<16)
+		base := make([]float64, n)
+		for i := 0; i < n && 8*i+8 <= len(accBytes); i++ {
+			base[i] = math.Float64frombits(binary.LittleEndian.Uint64(accBytes[8*i:]))
+		}
+		requireMergeMatchesDecodeAdd(t, "fuzz", sumFromZero(base), wire)
+	})
+}
+
+// BenchmarkSerdeF64 is tag 7's encode, decode and merge (the driver's
+// decode-reduce into an accumulator) of a wide aggregator
 // (1 000 002 elements, 8 MB dense): a dense ramp, which the probe sends
 // dense, and the wide workload's 5.6 % gradient, which packs. MB/s is
 // over the dense 8·n bytes either way.
@@ -165,6 +302,15 @@ func BenchmarkSerdeF64(b *testing.B) {
 			b.SetBytes(8 * n)
 			for i := 0; i < b.N; i++ {
 				if _, _, err := Decode(wire); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run("merge/"+c.name, func(b *testing.B) {
+			b.SetBytes(8 * n)
+			acc := make([]float64, n)
+			for i := 0; i < b.N; i++ {
+				if err := DecodeReduceF64(acc, wire); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -280,6 +280,31 @@ func DecodeReducePackedF64(acc []float64, off, n int, payload []byte) error {
 	return nil
 }
 
+// DecodeReduceF64 adds the []float64 of a tagged tag 7 frame into acc
+// without decoding it: a packed frame ∝ non-zeros, a dense one from its
+// bytes. acc must be a sum from +0.0, which never holds −0.0, so the
+// +0.0 additions a packed frame skips change no bit. A frame Decode
+// refuses, or not a []float64 of len(acc) elements, is an error, with
+// acc untouched.
+func DecodeReduceF64(acc []float64, src []byte) error {
+	if len(src) < 4 || binary.LittleEndian.Uint32(src) != tagF64Slice {
+		return fmt.Errorf("serde: not a []float64 frame")
+	}
+	n, packed, body, err := f64Payload(src[4:])
+	switch {
+	case err != nil:
+		return err
+	case n != len(acc):
+		return fmt.Errorf("serde: a %d-element []float64 cannot be added into %d elements", n, len(acc))
+	case packed:
+		return DecodeReducePackedF64(acc, 0, n, body)
+	}
+	for i := range acc {
+		acc[i] += Float64At(body, 8*i)
+	}
+	return nil
+}
+
 // DecodePackedF64 is the assembly form: it sets the marked elements of
 // dst[off:off+n], a range that is zeroed already; the unmarked ones are
 // left alone.

@@ -95,7 +95,7 @@ func registerBuiltin(tag uint32, sample any, codec Codec) {
 func Encode(dst []byte, v any) ([]byte, error) {
 	if s, ok := v.([]float64); ok {
 		// The aggregator's type: tag and payload sized together.
-		return appendF64Slice(dst, true, s)
+		return appendF64Slice(dst, true, s, nil)
 	}
 	if m, ok := v.(Marshaler); ok {
 		// Tag 1 = self-marshaling value; the concrete type must be

@@ -25,11 +25,12 @@ package transport
 //                     executor that dies mid-collective.
 //
 // All counters are per-connection and all randomness (Prob < 1) derives
-// from the network seed, so a given (seed, rules, schedule) is
-// reproducible.
+// from the network seed and the connection's address, side and ordinal,
+// so a given (seed, rules, schedule) is reproducible.
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"sync"
 	"time"
@@ -111,8 +112,14 @@ type FaultyNetwork struct {
 	mu        sync.Mutex
 	conns     map[*faultConn]struct{}
 	listeners map[*faultListener]struct{}
-	killed    []func(Addr) bool // dial/listen to these fails
-	nextConn  int64
+	killed    []func(Addr) bool  // dial/listen to these fails
+	ordinals  map[connSide]int64 // connections wrapped so far, per side
+}
+
+// connSide is the dialed or the accepted side of a listener address.
+type connSide struct {
+	addr     Addr
+	accepted bool
 }
 
 // NewFaulty wraps inner with the given fault rules. seed drives every
@@ -124,6 +131,7 @@ func NewFaulty(inner Network, seed int64, rules ...*FaultRule) *FaultyNetwork {
 		rules:     rules,
 		conns:     map[*faultConn]struct{}{},
 		listeners: map[*faultListener]struct{}{},
+		ordinals:  map[connSide]int64{},
 	}
 }
 
@@ -194,7 +202,7 @@ func (n *FaultyNetwork) Dial(addr Addr) (Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return n.wrap(inner, addr), nil
+	return n.wrap(inner, connSide{addr: addr}), nil
 }
 
 // Close implements Network.
@@ -206,20 +214,23 @@ func (n *FaultyNetwork) Close() error {
 	return n.inner.Close()
 }
 
-// wrap registers and decorates one connection associated with the
-// listener address addr.
-func (n *FaultyNetwork) wrap(inner Conn, addr Addr) *faultConn {
+// wrap registers and decorates one connection. Its RNG is seeded from
+// its address, side and ordinal on that side, which every run of a
+// schedule shares, not from the order connections arrive in.
+func (n *FaultyNetwork) wrap(inner Conn, side connSide) *faultConn {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%s/%t", side.addr, side.accepted)
 	n.mu.Lock()
-	id := n.nextConn
-	n.nextConn++
+	ord := n.ordinals[side]
+	n.ordinals[side]++
 	c := &faultConn{
 		net:   n,
 		inner: inner,
-		addr:  addr,
-		rng:   rand.New(rand.NewSource(n.seed ^ (id+1)*-0x61C8864680B583EB)),
+		addr:  side.addr,
+		rng:   rand.New(rand.NewSource(n.seed ^ int64(h.Sum64()) ^ (ord+1)*-0x61C8864680B583EB)),
 	}
 	for _, r := range n.rules {
-		if r.matches(addr) {
+		if r.matches(side.addr) {
 			c.rules = append(c.rules, r)
 		}
 	}
@@ -256,7 +267,7 @@ func (l *faultListener) Accept() (Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return l.net.wrap(c, l.addr), nil
+	return l.net.wrap(c, connSide{addr: l.addr, accepted: true}), nil
 }
 
 func (l *faultListener) Addr() Addr { return l.addr }
