@@ -3,7 +3,7 @@
 # hide data races under the race detector; `make check` is the full
 # pre-merge gate (vet + no-deprecated + no-stale-refs + tests + race +
 # chaos + telemetry overhead + a few seconds of every fuzz target + the
-# traced-run, job-server and flight-recorder demos). Three measuring instruments with disjoint
+# traced-run and flight-recorder demos). Three measuring instruments with disjoint
 # jobs: `go run ./benchmark` is the engine's wall clock (gated by
 # BENCHMARK.json; `make bench-pair` is its paired form), `go run
 # ./cmd/sparkerbench` renders the paper's figures from the simulator,
@@ -11,7 +11,7 @@
 
 GO ?= go
 
-.PHONY: build vet no-deprecated no-stale-refs loc test race test-chaos chaos-elastic overhead fuzz-smoke trace-demo serve-demo obsv-demo check bench bench-pair profile
+.PHONY: build vet no-deprecated no-stale-refs loc test race test-chaos chaos-elastic overhead fuzz-smoke trace-demo obsv-demo check bench bench-pair profile
 
 build:
 	$(GO) build ./...
@@ -52,7 +52,7 @@ test: build
 # decoded-block cache), the telemetry instruments, and the span
 # exporters.
 race:
-	$(GO) test -race ./internal/collective ./internal/comm ./internal/rdd ./internal/sched ./internal/transport ./internal/metrics ./internal/trace ./internal/server ./internal/obsv ./internal/linalg ./internal/mllib
+	$(GO) test -race ./internal/collective ./internal/comm ./internal/rdd ./internal/sched ./internal/transport ./internal/metrics ./internal/trace ./internal/obsv ./internal/linalg ./internal/mllib
 
 # Fault-injection suites (see DESIGN.md "Fault model"): kill/drop/delay
 # matrices over the raw collectives, end-to-end core.Aggregate, and
@@ -107,13 +107,6 @@ trace-demo:
 		-validate /tmp/sparker-trace-demo.log
 	@echo "load /tmp/sparker-trace-demo.json in ui.perfetto.dev"
 
-# Job-server smoke (see DESIGN.md "Multi-tenant job server"): boots
-# sparker-serve in-process, submits a training job over HTTP, waits for
-# completion, and scores a prediction through the micro-batched serving
-# path. Exercises the whole client-visible surface in a few seconds.
-serve-demo:
-	$(GO) run ./cmd/sparker-serve -smoke
-
 # Flight-recorder demo (see DESIGN.md "Flight recorder"): a chaos run
 # that kills a ring link mid-train, which must trip the always-on
 # recorder into writing a postmortem bundle, which sparker-analyze
@@ -127,7 +120,7 @@ obsv-demo:
 	$(GO) run ./cmd/sparker-analyze -postmortem -validate \
 		"$$(ls -t /tmp/sparker-obsv-demo/bundle-*.json | head -n1)"
 
-check: vet no-deprecated no-stale-refs test race test-chaos chaos-elastic overhead fuzz-smoke trace-demo serve-demo obsv-demo
+check: vet no-deprecated no-stale-refs test race test-chaos chaos-elastic overhead fuzz-smoke trace-demo obsv-demo
 
 # Hot-path microbenchmarks: the before/after evidence for the
 # zero-allocation reduction work (see DESIGN.md "Performance notes"),

@@ -173,9 +173,6 @@ func describeRecord(r obsv.Record) string {
 		if r.D != 0 {
 			s += fmt.Sprintf("  job %d", r.D)
 		}
-		if r.Detail != "" {
-			s += "  tenant=" + r.Detail
-		}
 		return s
 	case obsv.KindPhase:
 		return fmt.Sprintf("%s  %v  %s", r.Name, time.Duration(r.A).Round(time.Microsecond), r.Detail)

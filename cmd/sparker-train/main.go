@@ -41,7 +41,7 @@ func main() {
 	topics := flag.Int("topics", 10, "LDA topic count")
 	parallelism := flag.Int("parallelism", 4, "split-aggregation ring channels: at most P; the ring uses min(P, ⌈aggregator bytes ÷ chunk bytes⌉)")
 	seed := flag.Int64("seed", 1, "seed")
-	saveModel := flag.String("save-model", "", "write the trained model here (loadable by sparker-serve -model)")
+	saveModel := flag.String("save-model", "", "write the trained model here (an SPKM file; mllib.LoadModel reads it)")
 	eventLogPath := flag.String("eventlog", "", "write a history log (JSON lines) to this file")
 	traceRun := flag.Bool("trace", false, "record spans to the event log (requires -eventlog); analyze with sparker-analyze -chrome-trace")
 	metricsAddr := flag.String("metrics", "", "serve Prometheus text metrics on this address (e.g. 127.0.0.1:9091) while training")

@@ -115,11 +115,6 @@ type AggOptions struct {
 	// KeepKey, for StrategyAllReduce, stores the reduced result in every
 	// executor's mutable object manager under this key.
 	KeepKey string
-	// Tenant names the scheduler fair-share account charged for the
-	// aggregation's stages (empty: the default tenant). Multi-tenant
-	// drivers tag each client's training loop so slot-time is split by
-	// the configured weights.
-	Tenant string
 }
 
 // AggOption mutates AggOptions.
@@ -154,13 +149,6 @@ func WithDeadline(d time.Duration) AggOption {
 // executor under key.
 func WithKeepKey(key string) AggOption {
 	return func(o *AggOptions) { o.KeepKey = key }
-}
-
-// WithTenant charges the aggregation's stages to the named scheduler
-// fair-share tenant (see sched.TenantConfig). Empty restores the
-// default account.
-func WithTenant(name string) AggOption {
-	return func(o *AggOptions) { o.Tenant = name }
 }
 
 // AggFuncs carries the user callbacks of the split aggregation
@@ -254,8 +242,14 @@ func (f *AggFuncs[T, U, V]) validate(s Strategy) error {
 // ctx bounds the communication of the ring strategies: it is the parent
 // of every per-step deadline context, so cancelling it aborts in-flight
 // collectives with a classified error. It does not preempt executor
-// compute.
+// compute. An aggregation that fails once ctx is done returns an error
+// that wraps ctx.Err(): the ring tasks report the cancellation as text.
 func Aggregate[T, U, V any](ctx context.Context, r *rdd.RDD[T], fns AggFuncs[T, U, V], opts ...AggOption) (res V, retErr error) {
+	defer func() {
+		if cerr := ctx.Err(); retErr != nil && cerr != nil && !errors.Is(retErr, cerr) {
+			retErr = fmt.Errorf("%w: %w", cerr, retErr)
+		}
+	}()
 	var zv V
 	rc := r.Context()
 	o := AggOptions{}
@@ -300,7 +294,7 @@ func Aggregate[T, U, V any](ctx context.Context, r *rdd.RDD[T], fns AggFuncs[T, 
 		// Not IMM-based: nothing stays resident on the executors, and its
 		// stages retry task by task inside the engine.
 		u, err := rdd.TreeAggregate(r, fns.Zero, fns.SeqOp, fns.MergeOp,
-			rdd.AggregateOptions{Depth: o.Depth, Tenant: o.Tenant, TraceParent: span.Context()}, fns.treeHooks())
+			rdd.AggregateOptions{Depth: o.Depth, TraceParent: span.Context()}, fns.treeHooks())
 		if err != nil {
 			return zv, err
 		}
@@ -329,7 +323,7 @@ func Aggregate[T, U, V any](ctx context.Context, r *rdd.RDD[T], fns AggFuncs[T, 
 		// planned against the still-stale view would fail the same way.
 		epochMoved := class != failOther && rc.AwaitReconfigured(epoch0, elasticRetryWait)
 		if leftovers {
-			cleanupIMM(rc, o.Tenant, span.Context(), prefix)
+			cleanupIMM(rc, span.Context(), prefix)
 		}
 
 		switch action := decide(class, epochMoved, attempt < maxElasticRetries); {
@@ -454,7 +448,7 @@ func runAttempt[T, U, V any](ctx context.Context, r *rdd.RDD[T], fns *AggFuncs[T
 	// Only ops that pack read the supports: the ring's, and the IMM
 	// gather's []float64 frames (f64Wire).
 	track := fns.Support != nil && fns.Ops != nil && fns.Ops.CanPack()
-	held, err := runIMMStage(r, key, aggSC, o.Tenant, fns, track)
+	held, err := runIMMStage(r, key, aggSC, fns, track)
 	if err != nil {
 		return zv, errors.Is(err, rdd.ErrStageCleanup), err
 	}
@@ -470,14 +464,14 @@ func runAttempt[T, U, V any](ctx context.Context, r *rdd.RDD[T], fns *AggFuncs[T
 		res, err = runRingStage(ctx, rc, opID, key, held, fns, o, strategy == StrategyAllReduce)
 		return res, true, err
 	}
-	u, err := gatherIMM(rc, o.Tenant, aggSC, key, held, fns)
+	u, err := gatherIMM(rc, aggSC, key, held, fns)
 	if err != nil {
 		return zv, true, err
 	}
 	res = fns.SplitOp(u, 0, 1)
 	if o.Strategy == StrategyAllReduce && o.KeepKey != "" {
 		// A degraded allreduce still owes every executor its copy.
-		if err := replicateResult(rc, o.Tenant, aggSC, o.KeepKey, res); err != nil {
+		if err := replicateResult(rc, aggSC, o.KeepKey, res); err != nil {
 			return zv, true, err
 		}
 	}
@@ -513,7 +507,6 @@ func runRingStage[T, U, V any](ctx context.Context, rc *rdd.Context, opID int64,
 	untrack := rc.TrackCollective(rdd.CollectiveInfo{
 		OpID:   opID,
 		Kind:   kind,
-		Tenant: o.Tenant,
 		Tasks:  nExec,
 		Epoch:  uint32(opID),
 		Detail: key,
@@ -530,7 +523,6 @@ func runRingStage[T, U, V any](ctx context.Context, rc *rdd.Context, opID int64,
 	// burning slots. Gang stages are never speculated — a duplicate ring
 	// member would shift IMM state and corrupt the epoch.
 	h, err := rc.SubmitJob(rdd.JobSpec{
-		Tenant:      o.Tenant,
 		Tasks:       nExec,
 		Policy:      rc.TopologyPolicy(),
 		Gang:        true,
@@ -639,12 +631,12 @@ func runRingStage[T, U, V any](ctx context.Context, rc *rdd.Context, opID int64,
 // replicateResult pushes a degraded allreduce's result back onto every
 // executor under key, round-tripping through serde so executors do not
 // alias one value.
-func replicateResult[V any](rc *rdd.Context, tenant string, parent trace.SpanContext, key string, result V) error {
+func replicateResult[V any](rc *rdd.Context, parent trace.SpanContext, key string, result V) error {
 	wire, err := serde.Encode(nil, result)
 	if err != nil {
 		return err
 	}
-	_, err = rc.RunOnLiveExecutors(tenant, parent, func(ec *rdd.ExecContext, task, attempt int) ([]byte, error) {
+	_, err = rc.RunOnLiveExecutors(parent, func(ec *rdd.ExecContext, task, attempt int) ([]byte, error) {
 		v, _, err := serde.Decode(wire)
 		if err != nil {
 			return nil, err

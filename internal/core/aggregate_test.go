@@ -252,14 +252,14 @@ func TestDecideTable(t *testing.T) {
 	}
 }
 
-// TestTreeStrategyCarriesTenantAndTraceParent: every stage of a
-// StrategyTree aggregation — fold, combine round, block cleanup — is
-// charged to the aggregation's tenant and parented on its span.
-func TestTreeStrategyCarriesTenantAndTraceParent(t *testing.T) {
+// TestTreeStrategyCarriesTraceParent: every stage of a StrategyTree
+// aggregation — fold, combine round, block cleanup — is parented on the
+// aggregation's span.
+func TestTreeStrategyCarriesTraceParent(t *testing.T) {
 	const samples, dim = 200, 16
 	exp := &trace.MemExporter{}
 	ctx, err := rdd.NewContext(rdd.Config{
-		Name: "core-tree-tenant", NumExecutors: 2, CoresPerExecutor: 2, Tracer: trace.New(exp),
+		Name: "core-tree-parent", NumExecutors: 2, CoresPerExecutor: 2, Tracer: trace.New(exp),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -267,9 +267,7 @@ func TestTreeStrategyCarriesTenantAndTraceParent(t *testing.T) {
 	defer ctx.Close()
 	r := vectorRDD(ctx, samples, 16) // 16 partitions at depth 2: one combine round
 
-	before := ctx.TenantStats()
-	got, err := Aggregate(context.Background(), r, vecFuncs(dim),
-		WithStrategy(StrategyTree), WithTenant("t"))
+	got, err := Aggregate(context.Background(), r, vecFuncs(dim), WithStrategy(StrategyTree))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,14 +276,6 @@ func TestTreeStrategyCarriesTenantAndTraceParent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	after := ctx.TenantStats()
-	// 16 folds + 4 combiners + 2 cleanup tasks.
-	if n := after["t"].Completed; n < 22 {
-		t.Fatalf("tenant t was charged %d attempts, want >= 22", n)
-	}
-	if n := after[""].Completed - before[""].Completed; n != 0 {
-		t.Fatalf("default tenant was charged %d attempts of tenant t's aggregation", n)
-	}
 	aggs := exp.Named("aggregate")
 	if len(aggs) != 1 {
 		t.Fatalf("%d aggregate spans, want 1", len(aggs))

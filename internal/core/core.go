@@ -122,9 +122,8 @@ func (s *support) words(elems int) []uint64 {
 // aggregator under key; held reports which executors those are. With
 // track, each executor's support (AggFuncs.Support) is folded beside its
 // aggregator.
-func runIMMStage[T, U, V any](r *rdd.RDD[T], key string, parent trace.SpanContext, tenant string, fns *AggFuncs[T, U, V], track bool) (held map[int]bool, err error) {
+func runIMMStage[T, U, V any](r *rdd.RDD[T], key string, parent trace.SpanContext, fns *AggFuncs[T, U, V], track bool) (held map[int]bool, err error) {
 	h, err := r.Context().SubmitJob(rdd.JobSpec{
-		Tenant:      tenant,
 		Tasks:       r.NumPartitions(),
 		TraceParent: parent,
 		Fn: func(ec *rdd.ExecContext, task, attempt int) ([]byte, error) {
@@ -215,10 +214,10 @@ func requireHeld(held map[int]bool, execs []int) error {
 // cleanupIMM drops a failed attempt's resident aggregators everywhere.
 // Only failure paths need it: the ring task and the IMM gather task
 // take their executor's aggregator when they start.
-func cleanupIMM(ctx *rdd.Context, tenant string, parent trace.SpanContext, prefix string) {
+func cleanupIMM(ctx *rdd.Context, parent trace.SpanContext, prefix string) {
 	// Best effort: an executor the job cannot reach is being evicted,
 	// and its objects go with it.
-	_, _ = ctx.RunOnLiveExecutors(tenant, parent, func(ec *rdd.ExecContext, task, attempt int) ([]byte, error) {
+	_, _ = ctx.RunOnLiveExecutors(parent, func(ec *rdd.ExecContext, task, attempt int) ([]byte, error) {
 		ec.MutObjs.ClearPrefix(prefix)
 		return nil, nil
 	})
@@ -229,14 +228,13 @@ func cleanupIMM(ctx *rdd.Context, tenant string, parent trace.SpanContext, prefi
 // merges them serially in executor order. The reduction remains
 // tree-shaped (driver-bound); only the serialization volume shrinks
 // from one result per task to one per executor.
-func gatherIMM[T, U, V any](ctx *rdd.Context, tenant string, parent trace.SpanContext, key string, held map[int]bool, fns *AggFuncs[T, U, V]) (U, error) {
+func gatherIMM[T, U, V any](ctx *rdd.Context, parent trace.SpanContext, key string, held map[int]bool, fns *AggFuncs[T, U, V]) (U, error) {
 	var zu U
 	live := slices.Clone(ctx.LiveExecutors())
 	if err := requireHeld(held, live); err != nil {
 		return zu, err
 	}
 	h, err := ctx.SubmitJob(rdd.JobSpec{
-		Tenant:      tenant,
 		Tasks:       len(live),
 		Placement:   live,
 		TraceParent: parent,

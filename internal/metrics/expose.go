@@ -111,7 +111,7 @@ func Handler(src Source) http.Handler {
 }
 
 // HealthzHandler answers liveness probes: 200 with a tiny JSON body.
-// Mounted at /healthz on the metrics server and on sparker-serve.
+// Mounted at /healthz by NewMuxServer.
 func HealthzHandler() http.Handler {
 	start := time.Now()
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -92,6 +92,28 @@ func TestServerServesAndCloses(t *testing.T) {
 	if _, err := http.Get(fmt.Sprintf("http://%s/metrics", srv.Addr())); err == nil {
 		t.Fatal("server still serving after Close")
 	}
+
+	// The operations plane answers probes beside the exposition.
+	mux, err := NewMuxServer("127.0.0.1:0", func() (*Registry, *Recorder) { return reg, rec }, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mux.Close()
+	for path, want := range map[string]string{
+		"/":          "sparker_ring_step_ns_count 1",
+		"/healthz":   `"status":"ok"`,
+		"/buildinfo": `"go_version": "go`,
+	} {
+		resp, err := http.Get(fmt.Sprintf("http://%s%s", mux.Addr(), path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), want) {
+			t.Fatalf("%s: code %d, body %q, want it to contain %q", path, resp.StatusCode, body, want)
+		}
+	}
 }
 
 // TestServerNoGoroutineLeak is the HTTP-handler half of the shutdown

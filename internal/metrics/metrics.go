@@ -47,12 +47,6 @@ const (
 	// CounterSpecMigrated counts queued tasks re-placed from a busy
 	// executor to an idle one by the straggler scan.
 	CounterSpecMigrated = "spec-migrated"
-	// CounterJobFailed counts server jobs that reached a terminal
-	// error state.
-	CounterJobFailed = "job-failed"
-	// CounterJobCancelled counts server jobs cancelled by a client
-	// (DELETE /api/v1/jobs/{id}) or by server shutdown.
-	CounterJobCancelled = "job-cancelled"
 	// CounterExecutorJoin counts executors admitted into the membership
 	// (dead-slot adoption and table growth alike).
 	CounterExecutorJoin = "executor-join"

@@ -26,9 +26,6 @@ type KMeansConfig struct {
 	Strategy    Strategy
 	Depth       int
 	Parallelism int
-	// Tenant charges the run's aggregation stages to the named
-	// scheduler fair-share account (empty: default tenant).
-	Tenant string
 	// Ctx, when non-nil, bounds the run: each Lloyd iteration checks
 	// it and the per-iteration aggregations derive from it, so
 	// cancelling Ctx aborts training promptly with context.Canceled.
@@ -80,14 +77,6 @@ func (m *KMeansModel) NearestCenter(x linalg.SparseVector) int {
 // want the index as an int use NearestCenter.
 func (m *KMeansModel) Predict(x linalg.SparseVector) float64 {
 	return float64(m.NearestCenter(x))
-}
-
-// PredictBatch fills out[i] with the cluster id of xs[i]; len(out)
-// must equal len(xs). Part of the unified Model interface.
-func (m *KMeansModel) PredictBatch(xs []linalg.SparseVector, out []float64) {
-	for i, x := range xs {
-		out[i] = float64(m.NearestCenter(x))
-	}
 }
 
 // Kind identifies the model type for the unified Model interface.
@@ -194,7 +183,7 @@ func TrainKMeans(points *rdd.RDD[linalg.SparseVector], cfg KMeansConfig) (*KMean
 			linalg.CSRKMeansCenterNorms(flat, k, dim, cNorms)
 			agg, err = AggregateF64Ctx(ictx, plan.packed, aggDim,
 				packedKMeansSeqOp(flat, cNorms, k, dim),
-				cfg.Strategy, cfg.Depth, cfg.Parallelism, tenantOptions(cfg.Tenant)...)
+				cfg.Strategy, cfg.Depth, cfg.Parallelism)
 		} else {
 			agg, err = AggregateF64Ctx(ictx, points, aggDim, func(acc []float64, x linalg.SparseVector) []float64 {
 				best, bestDist := 0, math.Inf(1)
@@ -207,7 +196,7 @@ func TrainKMeans(points *rdd.RDD[linalg.SparseVector], cfg KMeansConfig) (*KMean
 				acc[k*dim+best]++
 				acc[k*dim+k] += bestDist
 				return acc
-			}, cfg.Strategy, cfg.Depth, cfg.Parallelism, tenantOptions(cfg.Tenant)...)
+			}, cfg.Strategy, cfg.Depth, cfg.Parallelism)
 		}
 		if err != nil {
 			it.EndErr(err)

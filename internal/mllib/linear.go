@@ -29,9 +29,9 @@ func (m *LinearModel) NumFeatures() int { return len(m.Weights) }
 
 // Margin returns wᵀx.
 //
-// Model-family specific: interface-generic callers (serving layers)
-// should use Predict/PredictBatch via the unified Model interface;
-// Margin only means something for linear families.
+// Model-family specific: interface-generic callers should use Predict
+// via the unified Model interface; Margin only means something for
+// linear families.
 func (m *LinearModel) Margin(x linalg.SparseVector) float64 {
 	return linalg.Dot(m.Weights, x)
 }
@@ -57,14 +57,6 @@ func (m *LinearModel) Predict(x linalg.SparseVector) float64 {
 			return 1
 		}
 		return 0
-	}
-}
-
-// PredictBatch fills out[i] with the class of xs[i]; len(out) must
-// equal len(xs). Part of the unified Model interface.
-func (m *LinearModel) PredictBatch(xs []linalg.SparseVector, out []float64) {
-	for i, x := range xs {
-		out[i] = m.Predict(x)
 	}
 }
 

@@ -20,14 +20,6 @@ func (m *RegressionModel) Predict(x linalg.SparseVector) float64 {
 	return linalg.Dot(m.Weights, x)
 }
 
-// PredictBatch fills out[i] with the response for xs[i]; len(out) must
-// equal len(xs). Part of the unified Model interface.
-func (m *RegressionModel) PredictBatch(xs []linalg.SparseVector, out []float64) {
-	for i, x := range xs {
-		out[i] = linalg.Dot(m.Weights, x)
-	}
-}
-
 // Kind identifies the model family for the unified Model interface.
 func (m *RegressionModel) Kind() string { return "linear-regression" }
 

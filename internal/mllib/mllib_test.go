@@ -2,8 +2,10 @@ package mllib
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"sparker/internal/linalg"
@@ -404,5 +406,62 @@ func TestParseStrategy(t *testing.T) {
 	}
 	if _, err := ParseStrategy("bogus"); err == nil {
 		t.Error("unknown strategy should fail")
+	}
+}
+
+// cancelOnCompute cancels the run's context from inside the gradient of
+// iteration 2's aggregation, on an executor, while that aggregation runs.
+type cancelOnCompute struct {
+	Gradient
+	updates *atomic.Int32
+	cancel  context.CancelFunc
+}
+
+func (g cancelOnCompute) Compute(x linalg.SparseVector, label float64, w, cum []float64) float64 {
+	if g.updates.Load() == 1 {
+		g.cancel()
+	}
+	return g.Gradient.Compute(x, label, w, cum)
+}
+
+// TestGDCancelStopsWithinOneIteration: cancelling GDConfig.Ctx mid-run
+// ends training with an error that is context.Canceled, and no later
+// than the iteration after the one it interrupted: a cancel between
+// iterations 2 and 3 stops before iteration 3 aggregates, and a cancel
+// during iteration 2's aggregation stops before iteration 3 updates.
+func TestGDCancelStopsWithinOneIteration(t *testing.T) {
+	const n, dim, nnz, iters = 400, 64, 4, 10
+	ctx := testContext(t, 3, 1)
+	train := rdd.FromSlice(ctx, churnPoints(t, n, dim, nnz), 6).Cache()
+	for _, s := range []Strategy{StrategySplit, StrategyTree} {
+		for _, during := range []bool{false, true} {
+			name := fmt.Sprintf("%v/between", s)
+			if during {
+				name = fmt.Sprintf("%v/during", s)
+			}
+			t.Run(name, func(t *testing.T) {
+				runCtx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				var updates atomic.Int32
+				var grad Gradient = LogisticGradient{}
+				hook := func(iter int) {
+					updates.Add(1)
+					if !during && iter == 2 {
+						cancel()
+					}
+				}
+				if during {
+					grad = cancelOnCompute{LogisticGradient{}, &updates, cancel}
+				}
+				_, _, err := RunGradientDescent(train, grad, afterUpdate{SimpleUpdater{}, hook},
+					make([]float64, dim), GDConfig{Iterations: iters, Strategy: s, Ctx: runCtx})
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("training returned %v, want context.Canceled", err)
+				}
+				if u := updates.Load(); u != 2 && !(during && u == 1) {
+					t.Fatalf("%d updates ran, want 2 (1 or 2 when the cancel lands mid-aggregation)", u)
+				}
+			})
+		}
 	}
 }

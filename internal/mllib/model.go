@@ -1,15 +1,11 @@
 package mllib
 
-import (
-	"sparker/internal/core"
-	"sparker/internal/linalg"
-)
+import "sparker/internal/linalg"
 
-// Model is the unified prediction interface every trained mllib model
-// implements. Serving layers (sparker-serve's prediction endpoint, the
-// batch scorer) dispatch through it exclusively, so adding a model
-// family to the repo makes it servable by implementing these four
-// methods — no per-type switches in the serving path.
+// Model is the interface every trained mllib model except LDA
+// implements: what sparker-train hands to SaveModelFile and what
+// LoadModel returns. A new model family implements these three methods
+// and adds its case to SaveModel and LoadModel.
 //
 // Predictions are float64 across the board: classifiers return the 0/1
 // class, regressors the response, clusterers the cluster id as a
@@ -22,10 +18,6 @@ type Model interface {
 	NumFeatures() int
 	// Predict scores one point.
 	Predict(x linalg.SparseVector) float64
-	// PredictBatch scores xs into out; len(out) must equal len(xs).
-	// Implementations are pure per-element, so callers may shard a
-	// batch across cores (linalg.ParallelFor over aligned subslices).
-	PredictBatch(xs []linalg.SparseVector, out []float64)
 }
 
 // Interface conformance of every trained model type.
@@ -34,12 +26,3 @@ var (
 	_ Model = (*RegressionModel)(nil)
 	_ Model = (*KMeansModel)(nil)
 )
-
-// tenantOptions converts a config Tenant field into aggregation
-// options (empty name: none).
-func tenantOptions(tenant string) []core.AggOption {
-	if tenant == "" {
-		return nil
-	}
-	return []core.AggOption{core.WithTenant(tenant)}
-}

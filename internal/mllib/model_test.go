@@ -3,6 +3,7 @@ package mllib
 import (
 	"bytes"
 	"math/rand"
+	"os"
 	"testing"
 
 	"sparker/internal/linalg"
@@ -78,8 +79,8 @@ func TestModelRoundTripAllKinds(t *testing.T) {
 	}
 }
 
-// TestModelFileRoundTrip exercises the file helpers used by
-// sparker-train -save-model / sparker-serve -model.
+// TestModelFileRoundTrip exercises SaveModelFile, the sparker-train
+// -save-model sink, read back through LoadModel.
 func TestModelFileRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, m := range randModels(rng) {
@@ -87,30 +88,18 @@ func TestModelFileRoundTrip(t *testing.T) {
 		if err := SaveModelFile(path, m); err != nil {
 			t.Fatalf("SaveModelFile(%s): %v", m.Kind(), err)
 		}
-		got, err := LoadModelFile(path)
+		f, err := os.Open(path)
 		if err != nil {
-			t.Fatalf("LoadModelFile(%s): %v", m.Kind(), err)
+			t.Fatal(err)
+		}
+		got, err := LoadModel(f)
+		f.Close()
+		if err != nil {
+			t.Fatalf("LoadModel(%s): %v", m.Kind(), err)
 		}
 		x := randPoints(rng, m.NumFeatures(), 1)[0]
 		if got.Predict(x) != m.Predict(x) {
 			t.Fatalf("%s: file round trip diverged", m.Kind())
-		}
-	}
-}
-
-// TestPredictBatchMatchesPredict checks the batch path agrees with the
-// scalar path for every model family — the invariant the sharded
-// serving batcher relies on.
-func TestPredictBatchMatchesPredict(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, m := range randModels(rng) {
-		xs := randPoints(rng, m.NumFeatures(), 64)
-		out := make([]float64, len(xs))
-		m.PredictBatch(xs, out)
-		for i, x := range xs {
-			if want := m.Predict(x); out[i] != want {
-				t.Fatalf("%s: PredictBatch[%d]=%v, Predict=%v", m.Kind(), i, out[i], want)
-			}
 		}
 	}
 }

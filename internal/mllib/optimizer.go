@@ -99,8 +99,8 @@ var f64Ops = collective.F64Ops()
 // failure handling. Cancelling ctx bounds the ring collectives, and a
 // trace span carried in ctx (an iteration span, typically) becomes the
 // parent of the per-call "aggregate" span so whole training runs stitch
-// into one timeline. extra options (e.g. core.WithTenant) are appended
-// after the strategy options, so they may override any of them.
+// into one timeline. extra options (e.g. core.WithDeadline) are
+// appended after the strategy options, so they may override any of them.
 func AggregateF64Ctx[T any](ctx context.Context, r *rdd.RDD[T], dim int, seqOp func(acc []float64, v T) []float64, s Strategy, depth, parallelism int, extra ...core.AggOption) ([]float64, error) {
 	return aggregateF64(ctx, r, dim, seqOp, nil, s, depth, parallelism, extra...)
 }
@@ -184,14 +184,10 @@ type GDConfig struct {
 	// ConvergenceTol stops early when the relative weight change drops
 	// below it (0 disables, matching fixed-iteration benchmarks).
 	ConvergenceTol float64
-	// Tenant charges the run's aggregation stages to the named
-	// scheduler fair-share account (empty: default tenant). Set by
-	// multi-tenant drivers such as sparker-serve.
-	Tenant string
 	// Ctx, when non-nil, bounds the run: each iteration checks it
 	// before launching work and the per-iteration aggregations derive
 	// from it, so cancelling Ctx aborts the run promptly with
-	// context.Canceled (the server's DELETE /api/v1/jobs path).
+	// context.Canceled.
 	Ctx context.Context
 	// StepDeadline bounds each ring collective step (core.WithDeadline
 	// semantics: non-positive keeps the core default). Short
@@ -261,9 +257,6 @@ func RunGradientDescent(data *rdd.RDD[LabeledPoint], grad Gradient, up Updater, 
 
 		it, ictx := startIteration(tr, root, tctx, iter)
 		var extra []core.AggOption
-		if cfg.Tenant != "" {
-			extra = append(extra, core.WithTenant(cfg.Tenant))
-		}
 		if cfg.StepDeadline != 0 {
 			extra = append(extra, core.WithDeadline(cfg.StepDeadline))
 		}

@@ -65,6 +65,11 @@ func writeF64s(w io.Writer, vs []float64) error {
 	return nil
 }
 
+// readBatch bounds how many elements a loader reads, and so allocates,
+// ahead of the bytes behind them: a length word only says how many
+// batches to try, so a corrupt one fails at the first short read.
+const readBatch = 4096
+
 func readF64s(r io.Reader) ([]float64, error) {
 	var b [8]byte
 	if _, err := io.ReadFull(r, b[:]); err != nil {
@@ -74,12 +79,17 @@ func readF64s(r io.Reader) ([]float64, error) {
 	if n > 1<<32 {
 		return nil, fmt.Errorf("mllib: implausible vector length %d", n)
 	}
-	out := make([]float64, n)
-	for i := range out {
-		if _, err := io.ReadFull(r, b[:]); err != nil {
+	batch := make([]byte, 8*min(n, readBatch))
+	out := make([]float64, 0, min(n, readBatch))
+	for n > 0 {
+		c := batch[:8*min(n, readBatch)]
+		if _, err := io.ReadFull(r, c); err != nil {
 			return nil, err
 		}
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
+		for i := 0; i < len(c); i += 8 {
+			out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(c[i:])))
+		}
+		n -= uint64(len(c) / 8)
 	}
 	return out, nil
 }
@@ -103,9 +113,13 @@ func readString(r io.Reader) (string, error) {
 	if n > 1<<20 {
 		return "", fmt.Errorf("mllib: implausible string length %d", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	// ReadAll grows with the bytes that arrive, not with n.
+	buf, err := io.ReadAll(io.LimitReader(r, int64(n)))
+	if err != nil {
 		return "", err
+	}
+	if uint64(len(buf)) != n {
+		return "", io.ErrUnexpectedEOF
 	}
 	return string(buf), nil
 }
@@ -212,16 +226,18 @@ func loadKMeansPayload(br *bufio.Reader) (*KMeansModel, error) {
 	if k == 0 || k > 1<<20 {
 		return nil, fmt.Errorf("mllib: implausible center count %d", k)
 	}
-	m := &KMeansModel{Centers: make([][]float64, k)}
-	var err error
-	for i := range m.Centers {
-		if m.Centers[i], err = readF64s(br); err != nil {
+	m := &KMeansModel{}
+	for ; k > 0; k-- {
+		c, err := readF64s(br)
+		if err != nil {
 			return nil, err
 		}
-		if len(m.Centers[i]) != len(m.Centers[0]) {
-			return nil, fmt.Errorf("mllib: ragged centers (%d vs %d)", len(m.Centers[i]), len(m.Centers[0]))
+		if len(m.Centers) > 0 && len(c) != len(m.Centers[0]) {
+			return nil, fmt.Errorf("mllib: ragged centers (%d vs %d)", len(c), len(m.Centers[0]))
 		}
+		m.Centers = append(m.Centers, c)
 	}
+	var err error
 	if m.CostHistory, err = readF64s(br); err != nil {
 		return nil, err
 	}
@@ -279,21 +295,6 @@ func SaveModelFile(path string, m Model) error {
 	return f.Close()
 }
 
-// LoadModelFile reads a model from path (the sparker-serve -model
-// source).
-func LoadModelFile(path string) (Model, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	m, err := LoadModel(f)
-	if err != nil {
-		return nil, fmt.Errorf("mllib: loading %s: %w", path, err)
-	}
-	return m, nil
-}
-
 // Save writes the LDA model.
 func (m *LDAModel) Save(w io.Writer) error {
 	bw := bufio.NewWriter(w)
@@ -338,8 +339,7 @@ func LoadLDAModel(r io.Reader) (*LDAModel, error) {
 	if m.K <= 0 || m.Vocab <= 0 || m.K > 1<<20 {
 		return nil, fmt.Errorf("mllib: corrupt LDA dimensions %d×%d", m.K, m.Vocab)
 	}
-	m.Lambda = make([][]float64, m.K)
-	for k := range m.Lambda {
+	for k := 0; k < m.K; k++ {
 		row, err := readF64s(br)
 		if err != nil {
 			return nil, err
@@ -347,7 +347,7 @@ func LoadLDAModel(r io.Reader) (*LDAModel, error) {
 		if len(row) != m.Vocab {
 			return nil, fmt.Errorf("mllib: lambda row %d has %d entries, want %d", k, len(row), m.Vocab)
 		}
-		m.Lambda[k] = row
+		m.Lambda = append(m.Lambda, row)
 	}
 	if m.Bounds, err = readF64s(br); err != nil {
 		return nil, err

@@ -2,8 +2,11 @@ package mllib
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"sparker/internal/linalg"
@@ -87,6 +90,112 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := LoadModel(bytes.NewReader(trunc)); err == nil {
 		t.Fatal("truncated file should fail")
 	}
+}
+
+// unbacked is a model header of the given kind followed by length words
+// that no bytes back.
+func unbacked(kind modelKind, words ...uint64) []byte {
+	var b bytes.Buffer
+	if err := writeHeader(&b, kind); err != nil {
+		panic(err)
+	}
+	for _, w := range words {
+		b.Write(binary.LittleEndian.AppendUint64(nil, w))
+	}
+	return b.Bytes()
+}
+
+// TestLoadModelRefusesUnbackedLength: a loader allocates as the bytes
+// arrive, never ahead of them from a length word, so a short file with
+// a huge length fails with an error instead of exhausting memory.
+func TestLoadModelRefusesUnbackedLength(t *testing.T) {
+	cases := []struct {
+		name string
+		in   []byte
+		lda  bool
+	}{
+		{"linear", unbacked(kindLinear, 1<<32), false},
+		{"regression", unbacked(kindRegression, 1<<32), false},
+		{"kmeans", unbacked(kindKMeans, 1<<32), false},
+		{"lda", unbacked(kindLDA, 1<<32), true},
+		// The largest counts the loaders accept, still with nothing
+		// behind them.
+		{"linear-kind", unbacked(kindLinear, 1<<20), false},
+		{"kmeans-centers", unbacked(kindKMeans, 1<<20), false},
+		{"lda-topics", unbacked(kindLDA, 1<<20, 1<<20), true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			var err error
+			if c.lda {
+				_, err = LoadLDAModel(bytes.NewReader(c.in))
+			} else {
+				_, err = LoadModel(bytes.NewReader(c.in))
+			}
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatalf("loaded a %d-byte file whose lengths nothing backs", len(c.in))
+			}
+			if n := after.TotalAlloc - before.TotalAlloc; n > 4<<20 {
+				t.Fatalf("allocated %d bytes for a %d-byte input", n, len(c.in))
+			}
+		})
+	}
+}
+
+// FuzzLoadModel feeds arbitrary bytes to both SPKM loaders: every input
+// loads or returns an error, never panics, and any model that loads
+// survives a save and a second load bit-for-bit.
+func FuzzLoadModel(f *testing.F) {
+	for _, m := range randModels(rand.New(rand.NewSource(5))) {
+		var b bytes.Buffer
+		if err := SaveModel(&b, m); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b.Bytes())
+	}
+	var lda bytes.Buffer
+	if err := (&LDAModel{K: 2, Vocab: 3, Lambda: [][]float64{{1, 2, 3}, {4, 5, 6}}, Bounds: []float64{-1}}).Save(&lda); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(lda.Bytes())
+	f.Add(unbacked(kindRegression, 1<<32))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if m, err := LoadModel(bytes.NewReader(in)); err == nil {
+			var b1, b2 bytes.Buffer
+			if err := SaveModel(&b1, m); err != nil {
+				t.Fatalf("saving a loaded %s: %v", m.Kind(), err)
+			}
+			again, err := LoadModel(bytes.NewReader(b1.Bytes()))
+			if err != nil {
+				t.Fatalf("reloading a saved %s: %v", m.Kind(), err)
+			}
+			if err := SaveModel(&b2, again); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(b1.Bytes(), b2.Bytes()) || again.Kind() != m.Kind() {
+				t.Fatalf("%s changed across save and load", m.Kind())
+			}
+		}
+		if m, err := LoadLDAModel(bytes.NewReader(in)); err == nil {
+			var b1, b2 bytes.Buffer
+			if err := m.Save(&b1); err != nil {
+				t.Fatalf("saving a loaded LDA model: %v", err)
+			}
+			again, err := LoadLDAModel(bytes.NewReader(b1.Bytes()))
+			if err != nil {
+				t.Fatalf("reloading a saved LDA model: %v", err)
+			}
+			if err := again.Save(&b2); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
+				t.Fatal("LDA model changed across save and load")
+			}
+		}
+	})
 }
 
 func TestLinearRegressionLearns(t *testing.T) {

@@ -29,8 +29,6 @@ func DefaultTriggers() []string {
 		metrics.CounterRingFallback,
 		metrics.CounterPeerFailure,
 		metrics.CounterSpecLaunched,
-		metrics.CounterJobFailed,
-		metrics.CounterJobCancelled,
 		metrics.CounterExecutorEvict,
 		TriggerP99Regression,
 	}

@@ -35,7 +35,7 @@ func TestRingNilSafe(t *testing.T) {
 	r.Marker("m", "")
 	r.Phase("p", time.Second, "")
 	r.Span(trace.Span{})
-	r.Profile("pr", "", 0, 0, 0, 0)
+	r.Profile("pr", 0, 0, 0, 0)
 	if d := r.Snapshot(); d.Total != 0 || len(d.Records) != 0 {
 		t.Fatalf("nil ring snapshot not empty: %+v", d)
 	}

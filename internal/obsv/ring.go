@@ -166,12 +166,11 @@ func (r *Ring) Span(s trace.Span) {
 }
 
 // Profile records a profiling sample (per-stage delta or periodic).
-func (r *Ring) Profile(name, detail string, heap, cumAlloc int64, goroutines int, jobID int64) {
+func (r *Ring) Profile(name string, heap, cumAlloc int64, goroutines int, jobID int64) {
 	r.put(Record{
 		TimeNS: time.Now().UnixNano(),
 		Kind:   KindProfile,
 		Name:   name,
-		Detail: detail,
 		A:      heap,
 		B:      cumAlloc,
 		C:      int64(goroutines),

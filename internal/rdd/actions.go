@@ -157,9 +157,7 @@ type AggregateOptions struct {
 	// Depth is the aggregation tree depth (Spark default 2). Depth 1
 	// sends every partition aggregator straight to the driver.
 	Depth int
-	// Tenant and TraceParent are carried into every stage's JobSpec
-	// (see those fields there).
-	Tenant      string
+	// TraceParent parents every stage's span (see JobSpec).
 	TraceParent trace.SpanContext
 }
 
@@ -214,7 +212,7 @@ func TreeAggregate[T, U any](r *RDD[T], zero func() U, seqOp func(U, T) U, combO
 	ctx := r.ctx
 	aggID := ctx.newJobID()
 	prefix := fmt.Sprintf("agg/%d/", aggID)
-	defer cleanupBlocks(ctx, opts.Tenant, opts.TraceParent, prefix)
+	defer cleanupBlocks(ctx, opts.TraceParent, prefix)
 
 	// Stage 1 (agg-compute): fold each partition, leave the aggregator
 	// in the executor's block store, return only the block id size ack.
@@ -223,7 +221,6 @@ func TreeAggregate[T, U any](r *RDD[T], zero func() U, seqOp func(U, T) U, combO
 	}
 	start := time.Now()
 	h, err := ctx.SubmitJob(JobSpec{
-		Tenant:      opts.Tenant,
 		TraceParent: opts.TraceParent,
 		Tasks:       r.parts,
 		Policy:      r.placementPolicy(),
@@ -278,7 +275,6 @@ func TreeAggregate[T, U any](r *RDD[T], zero func() U, seqOp func(U, T) U, combO
 			round++
 			dstRound := round
 			rh, err := ctx.SubmitJob(JobSpec{
-				Tenant:      opts.Tenant,
 				TraceParent: opts.TraceParent,
 				Tasks:       numCombiners,
 				Fn: func(ec *ExecContext, task, attempt int) ([]byte, error) {
@@ -355,8 +351,8 @@ func pow(b, e int) int {
 
 // cleanupBlocks drops a job's shuffle blocks on every executor,
 // best-effort.
-func cleanupBlocks(ctx *Context, tenant string, parent trace.SpanContext, prefix string) {
-	_, _ = ctx.RunOnLiveExecutors(tenant, parent, func(ec *ExecContext, _, _ int) ([]byte, error) {
+func cleanupBlocks(ctx *Context, parent trace.SpanContext, prefix string) {
+	_, _ = ctx.RunOnLiveExecutors(parent, func(ec *ExecContext, _, _ int) ([]byte, error) {
 		ec.Store.DeletePrefix(prefix)
 		return nil, nil
 	})

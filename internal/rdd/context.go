@@ -80,8 +80,8 @@ const (
 	// taskConnStripes is the number of task-channel connections the
 	// driver opens per executor. On latency-shaped transports a single
 	// connection caps launch/result throughput at one frame per network
-	// latency; striping lets concurrent jobs' task traffic overlap,
-	// which is what the multi-tenant job server leans on. Executors
+	// latency; striping lets concurrent jobs' task traffic overlap
+	// (core's async stages, Context.SubmitJob from many goroutines). Executors
 	// accept any number of task connections and reply on the one each
 	// task arrived on, so this is driver-only.
 	taskConnStripes = 4

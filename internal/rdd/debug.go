@@ -1,11 +1,11 @@
 package rdd
 
 // Live cluster introspection: Context.DebugHandler serves the
-// /debug/sparker/* plane (scheduler slots and gang queues, per-tenant
-// WFQ state, ring topology with current epochs, block-manager
-// residency, in-flight collectives, flight-recorder status) plus the
-// standard /debug/pprof/* profiling endpoints. sparker-serve and the
-// sparker-train -metrics server both mount it. Everything here reads
+// /debug/sparker/* plane (scheduler slots and gang queues, ring
+// topology with current epochs, block-manager residency, in-flight
+// collectives, flight-recorder status) plus the standard
+// /debug/pprof/* profiling endpoints. The sparker-train -metrics server
+// mounts it. Everything here reads
 // live state through the same synchronized paths the engine itself
 // uses (scheduler snapshots run on the event loop), so scraping the
 // debug plane is safe while jobs run.
@@ -29,7 +29,6 @@ import (
 type CollectiveInfo struct {
 	OpID    int64  `json:"op"`
 	Kind    string `json:"kind"` // e.g. "ring-allreduce", "ring-aggregate"
-	Tenant  string `json:"tenant,omitempty"`
 	Tasks   int    `json:"tasks"`
 	Epoch   uint32 `json:"epoch"`
 	StartNS int64  `json:"start_ns"`
@@ -296,9 +295,6 @@ func (ctx *Context) DebugHandler() http.Handler {
 		}
 		writeJSON(w, snap)
 	})
-	mux.HandleFunc("GET /debug/sparker/tenants", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, ctx.TenantStats())
-	})
 	mux.HandleFunc("GET /debug/sparker/topology", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, ctx.topologyView())
 	})
@@ -320,7 +316,7 @@ func (ctx *Context) DebugHandler() http.Handler {
 		writeJSON(w, ctx.conf.Obsv.Status())
 	})
 	// Continuous profiling: the standard pprof surface. CPU profiles
-	// taken here carry the sparker_job/sparker_tenant/sparker_exec
+	// taken here carry the sparker_job/sparker_exec
 	// labels runTask applies around task bodies.
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

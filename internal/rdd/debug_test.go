@@ -63,3 +63,48 @@ func TestComputeDebugEndpoint(t *testing.T) {
 		t.Fatalf("cluster view = %+v, want passes 2, total 3000ns, 1500 points/s", cv.Cluster)
 	}
 }
+
+// TestDebugHandlerServesLiveState: the scheduler snapshot, the topology
+// and the pprof index answer on a running context.
+func TestDebugHandlerServesLiveState(t *testing.T) {
+	ctx, err := NewContext(Config{Name: "debug-live", NumExecutors: 2, CoresPerExecutor: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctx.Close()
+	srv := httptest.NewServer(ctx.DebugHandler())
+	defer srv.Close()
+	get := func(path string, into any) {
+		t.Helper()
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: code %d", path, resp.StatusCode)
+		}
+		if into != nil {
+			if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
+				t.Fatalf("%s: %v", path, err)
+			}
+		}
+	}
+	var sched struct {
+		TotalSlots int `json:"total_slots"`
+	}
+	get("/debug/sparker/sched", &sched)
+	if sched.TotalSlots != 4 {
+		t.Fatalf("sched snapshot reports %d slots, want 4", sched.TotalSlots)
+	}
+	var topo struct {
+		Executors []struct {
+			Exec int `json:"exec"`
+		} `json:"executors"`
+	}
+	get("/debug/sparker/topology", &topo)
+	if len(topo.Executors) != 2 {
+		t.Fatalf("topology reports %d executors, want 2", len(topo.Executors))
+	}
+	get("/debug/pprof/cmdline", nil)
+}

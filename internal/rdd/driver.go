@@ -202,17 +202,10 @@ func decodeResultFrame(b []byte) (jobID int64, task, attempt int, payload []byte
 type job struct {
 	id int64
 	fn func(ec *ExecContext, task, attempt int) ([]byte, error)
-	// tenant rides along for the executor-side profiling labels
-	// (pprof tags per job/tenant when the flight recorder is on).
-	tenant string
 }
 
 // JobSpec describes one stage submitted to the cluster.
 type JobSpec struct {
-	// Tenant names the scheduler fair-share account charged for this
-	// stage's slot-time (empty: the default tenant). Long-lived multi-
-	// tenant drivers set it per submitting client; see sched.TenantConfig.
-	Tenant string
 	// Tasks is the number of tasks in the stage.
 	Tasks int
 	// Placement maps task index -> executor index. Nil defers to Policy
@@ -453,7 +446,7 @@ func (ctx *Context) submitTaskRetry(spec JobSpec, policy sched.PlacementPolicy) 
 		maxAttempts = spec.MaxAttempts
 	}
 	id := ctx.newJobID()
-	ctx.jobs.Store(id, &job{id: id, fn: spec.Fn, tenant: spec.Tenant})
+	ctx.jobs.Store(id, &job{id: id, fn: spec.Fn})
 	allocBefore := ctx.profileStageStart()
 
 	stage := ctx.conf.Tracer.StartSpan("stage", spec.TraceParent)
@@ -463,7 +456,6 @@ func (ctx *Context) submitTaskRetry(spec JobSpec, policy sched.PlacementPolicy) 
 
 	sh, err := ctx.sched.Submit(sched.StageSpec{
 		JobID:       id,
-		Tenant:      spec.Tenant,
 		Tasks:       spec.Tasks,
 		Policy:      policy,
 		Gang:        spec.Gang,
@@ -493,14 +485,14 @@ func (ctx *Context) submitTaskRetry(spec JobSpec, policy sched.PlacementPolicy) 
 			werr = fmt.Errorf("%w: %w", ErrJobFailed, werr)
 		}
 		stage.EndErr(werr)
-		ctx.profileStageEnd(id, spec.Tenant, allocBefore)
+		ctx.profileStageEnd(id, allocBefore)
 		return out, sh.Executors(), werr
 	}}, nil
 }
 
 // profileStageStart samples cumulative allocation before a stage when
 // the flight recorder is on; profileStageEnd records the per-stage
-// CPU/heap delta into the driver ring tagged with job and tenant —
+// CPU/heap delta into the driver ring tagged with its job —
 // the "per-stage profile" rows of a postmortem bundle.
 func (ctx *Context) profileStageStart() uint64 {
 	if ctx.conf.Obsv == nil {
@@ -511,14 +503,14 @@ func (ctx *Context) profileStageStart() uint64 {
 	return ms.TotalAlloc
 }
 
-func (ctx *Context) profileStageEnd(id int64, tenant string, allocBefore uint64) {
+func (ctx *Context) profileStageEnd(id int64, allocBefore uint64) {
 	obs := ctx.conf.Obsv
 	if obs == nil {
 		return
 	}
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	obs.DriverRing().Profile("stage", tenant,
+	obs.DriverRing().Profile("stage",
 		int64(ms.HeapAlloc), int64(ms.TotalAlloc-allocBefore), runtime.NumGoroutine(), id)
 }
 
@@ -560,7 +552,7 @@ func (ctx *Context) submitWholeRetry(spec JobSpec, policy sched.PlacementPolicy)
 			// whole-stage attempt number (attempt-dependent behaviour such
 			// as "succeed on retry" keys off it), so rebind it here.
 			att := stageAttempt
-			ctx.jobs.Store(id, &job{id: id, tenant: spec.Tenant, fn: func(ec *ExecContext, task, _ int) ([]byte, error) {
+			ctx.jobs.Store(id, &job{id: id, fn: func(ec *ExecContext, task, _ int) ([]byte, error) {
 				return spec.Fn(ec, task, att)
 			}})
 			// MaxAttempts 1 + WaitAll: any failure aborts the whole
@@ -569,7 +561,6 @@ func (ctx *Context) submitWholeRetry(spec JobSpec, policy sched.PlacementPolicy)
 			// out speculation — a duplicate would double-merge.
 			sh, err := ctx.sched.Submit(sched.StageSpec{
 				JobID:         id,
-				Tenant:        spec.Tenant,
 				Tasks:         spec.Tasks,
 				Policy:        policy,
 				MaxAttempts:   1,
@@ -591,7 +582,7 @@ func (ctx *Context) submitWholeRetry(spec JobSpec, policy sched.PlacementPolicy)
 				return
 			}
 			lastErr = werr
-			if _, err := ctx.RunOnLiveExecutors(spec.Tenant, tc, func(ec *ExecContext, _, _ int) ([]byte, error) {
+			if _, err := ctx.RunOnLiveExecutors(tc, func(ec *ExecContext, _, _ int) ([]byte, error) {
 				return nil, spec.StageCleanup(ec)
 			}); err != nil {
 				resCh <- result{err: fmt.Errorf("%w: %w", ErrStageCleanup, err)}
@@ -610,22 +601,22 @@ func (ctx *Context) submitWholeRetry(spec JobSpec, policy sched.PlacementPolicy)
 }
 
 // RunOnLiveExecutors is the engine's one spelling of "one task per live
-// executor": a placed job charged to the fair-share tenant and parented
-// on parent's span (both may be zero). It returns the payloads dense,
+// executor": a placed job parented on parent's span (which may be
+// zero). It returns the payloads dense,
 // in ascending order of live executor ID.
-func (ctx *Context) RunOnLiveExecutors(tenant string, parent trace.SpanContext, fn func(ec *ExecContext, task, attempt int) ([]byte, error)) ([][]byte, error) {
-	out, _, err := ctx.runOnLive(tenant, parent, fn)
+func (ctx *Context) RunOnLiveExecutors(parent trace.SpanContext, fn func(ec *ExecContext, task, attempt int) ([]byte, error)) ([][]byte, error) {
+	out, _, err := ctx.runOnLive(parent, fn)
 	return out, err
 }
 
 // runOnLive is RunOnLiveExecutors beside the placement (the live
 // executor IDs, ascending) the payloads came from.
-func (ctx *Context) runOnLive(tenant string, parent trace.SpanContext, fn func(ec *ExecContext, task, attempt int) ([]byte, error)) ([][]byte, []int, error) {
+func (ctx *Context) runOnLive(parent trace.SpanContext, fn func(ec *ExecContext, task, attempt int) ([]byte, error)) ([][]byte, []int, error) {
 	placement := append([]int(nil), ctx.LiveExecutors()...)
 	if len(placement) == 0 {
 		return nil, nil, nil
 	}
-	out, err := ctx.RunJob(JobSpec{Tenant: tenant, Tasks: len(placement), Placement: placement, TraceParent: parent, Fn: fn})
+	out, err := ctx.RunJob(JobSpec{Tasks: len(placement), Placement: placement, TraceParent: parent, Fn: fn})
 	return out, placement, err
 }
 
@@ -635,7 +626,7 @@ func (ctx *Context) runOnLive(tenant string, parent trace.SpanContext, fn func(e
 // working across membership change.
 func (ctx *Context) RunOnAllExecutors(fn func(ec *ExecContext, task, attempt int) ([]byte, error)) ([][]byte, error) {
 	res := make([][]byte, ctx.NumExecutors())
-	out, placement, err := ctx.runOnLive("", trace.SpanContext{}, fn)
+	out, placement, err := ctx.runOnLive(trace.SpanContext{}, fn)
 	if err != nil {
 		return nil, err
 	}

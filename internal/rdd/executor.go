@@ -388,11 +388,10 @@ func (e *Executor) runTask(ec *ExecContext, tm taskMsg) (payload []byte, taskErr
 	jb := j.(*job)
 	if e.ctx.conf.Obsv != nil {
 		// Continuous-profiling tags: CPU samples taken while this task
-		// runs carry its job/tenant/executor labels, so a pprof profile
+		// runs carry its job/executor labels, so a pprof profile
 		// scraped from /debug/pprof attributes hot code per stage.
 		pprof.Do(context.Background(), pprof.Labels(
 			"sparker_job", strconv.FormatInt(tm.jobID, 10),
-			"sparker_tenant", jb.tenant,
 			"sparker_exec", strconv.Itoa(e.id),
 		), func(context.Context) {
 			payload, taskErr = jb.fn(ec, tm.task, tm.attempt)

@@ -3,15 +3,12 @@ package rdd
 import (
 	"fmt"
 	"time"
-
-	"sparker/internal/sched"
 )
 
-// Long-lived driver lifecycle. A Context that serves many jobs (the
-// sparker-serve front door) must not tear the transport down under a
-// tenant's in-flight stage: Close alone severs the task connections
-// first, which strands whatever was running into ErrSchedulerClosed.
-// Stop is the graceful path — drain, then close.
+// Driver lifecycle. A Context with jobs still running must not have its
+// transport torn down under them: Close alone severs the task
+// connections first, which strands whatever was running into
+// ErrSchedulerClosed. Stop is the graceful path — drain, then close.
 
 // jobStarted/jobFinished bracket one submitted job's engine-side
 // lifetime (from accepted by the scheduler to handle resolvable).
@@ -24,8 +21,7 @@ func (ctx *Context) ActiveJobs() int64 { return ctx.inflightJobs.Load() }
 
 // Drain blocks until every in-flight job has completed, or the timeout
 // passes. New submissions during a drain are not rejected — callers
-// that want a barrier stop submitting first (the server's admission
-// gate does exactly that).
+// that want a barrier stop submitting first.
 func (ctx *Context) Drain(timeout time.Duration) error {
 	if ctx.inflightJobs.Load() == 0 {
 		return nil
@@ -58,16 +54,4 @@ func (ctx *Context) Stop(drainTimeout time.Duration) error {
 		return derr
 	}
 	return cerr
-}
-
-// ConfigureTenant sets the fair-share weight and core-slot cap of one
-// scheduler tenant (see sched.TenantConfig). Safe from any goroutine.
-func (ctx *Context) ConfigureTenant(name string, cfg sched.TenantConfig) error {
-	return ctx.sched.ConfigureTenant(name, cfg)
-}
-
-// TenantStats snapshots per-tenant scheduler accounting: slots in use,
-// queued attempts, cumulative slot-time. Nil after Close.
-func (ctx *Context) TenantStats() map[string]sched.TenantStats {
-	return ctx.sched.TenantStats()
 }

@@ -1,14 +1,11 @@
 package rdd
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
-
-	"sparker/internal/sched"
 )
 
 // TestStopDrainsInflightJobs: Stop must let running jobs finish before
@@ -110,87 +107,60 @@ func TestStopLeavesNoGoroutines(t *testing.T) {
 	t.Fatalf("goroutines leaked across Stop cycles: before=%d after=%d", before, runtime.NumGoroutine())
 }
 
-// TestConcurrentSubmitJobTenants races N tenants x M jobs through
-// SubmitJob from separate goroutines; every handle must resolve
-// exactly once with correct per-task payloads and the scheduler's
-// per-tenant slot accounting must return to zero.
-func TestConcurrentSubmitJobTenants(t *testing.T) {
+// TestConcurrentSubmitJob races many submitters through SubmitJob from
+// separate goroutines; every handle must resolve exactly once with
+// correct per-task payloads, and the scheduler must drain to empty.
+func TestConcurrentSubmitJob(t *testing.T) {
 	ctx, err := NewContext(Config{Name: "t-multi", NumExecutors: 3, CoresPerExecutor: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ctx.Close()
-	const tenants, jobsPer = 4, 12
-	for i := 0; i < tenants; i++ {
-		if err := ctx.ConfigureTenant(fmt.Sprintf("t%d", i), sched.TenantConfig{Weight: float64(1 + i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	const submitters, jobsPer = 4, 12
 	var wg sync.WaitGroup
-	for ti := 0; ti < tenants; ti++ {
+	for si := 0; si < submitters; si++ {
 		for ji := 0; ji < jobsPer; ji++ {
 			wg.Add(1)
-			go func(ti, ji int) {
+			go func(si, ji int) {
 				defer wg.Done()
-				want := byte(ti*16 + ji%16)
+				want := byte(si*16 + ji%16)
 				h, err := ctx.SubmitJob(JobSpec{
-					Tenant: fmt.Sprintf("t%d", ti),
-					Tasks:  3,
+					Tasks: 3,
 					Fn: func(ec *ExecContext, task, attempt int) ([]byte, error) {
 						time.Sleep(time.Millisecond)
 						return []byte{want, byte(task)}, nil
 					},
 				})
 				if err != nil {
-					t.Errorf("tenant %d job %d submit: %v", ti, ji, err)
+					t.Errorf("submitter %d job %d submit: %v", si, ji, err)
 					return
 				}
 				out, err := h.Wait()
 				if err != nil {
-					t.Errorf("tenant %d job %d: %v", ti, ji, err)
+					t.Errorf("submitter %d job %d: %v", si, ji, err)
 					return
 				}
 				for task, p := range out {
 					if len(p) != 2 || p[0] != want || p[1] != byte(task) {
-						t.Errorf("tenant %d job %d task %d: payload %v", ti, ji, task, p)
+						t.Errorf("submitter %d job %d task %d: payload %v", si, ji, task, p)
 					}
 				}
 				out2, err2 := h.Wait()
 				if err2 != nil || len(out2) != len(out) {
-					t.Errorf("tenant %d job %d: second Wait diverged", ti, ji)
+					t.Errorf("submitter %d job %d: second Wait diverged", si, ji)
 				}
-			}(ti, ji)
+			}(si, ji)
 		}
 	}
 	wg.Wait()
 	if err := ctx.Drain(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	stats := ctx.TenantStats()
-	var completed int64
-	for name, ts := range stats {
-		if ts.InUse != 0 || ts.Queued != 0 {
-			t.Fatalf("tenant %s: InUse=%d Queued=%d after drain", name, ts.InUse, ts.Queued)
-		}
-		completed += ts.Completed
-	}
-	if want := int64(tenants * jobsPer * 3); completed < want {
-		t.Fatalf("tenant accounting shows %d completed attempts, want >= %d", completed, want)
-	}
-}
-
-// TestTenantAPIAfterClose: the tenant APIs degrade cleanly on a closed
-// context.
-func TestTenantAPIAfterClose(t *testing.T) {
-	ctx, err := NewContext(Config{Name: "t-closed", NumExecutors: 1, CoresPerExecutor: 1})
+	snap, err := ctx.sched.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx.Close()
-	if err := ctx.ConfigureTenant("x", sched.TenantConfig{Weight: 1}); !errors.Is(err, sched.ErrSchedulerClosed) {
-		t.Fatalf("ConfigureTenant after Close: %v", err)
-	}
-	if st := ctx.TenantStats(); st != nil {
-		t.Fatalf("TenantStats after Close: %v", st)
+	if len(snap.QueuedStages)+len(snap.RunningStages)+len(snap.Inflight) != 0 {
+		t.Fatalf("scheduler not drained: %+v", snap)
 	}
 }

@@ -8,7 +8,6 @@ import (
 // StageInfo is one stage's scheduling state as seen by Snapshot.
 type StageInfo struct {
 	JobID       int64  `json:"job"`
-	Tenant      string `json:"tenant,omitempty"`
 	Tasks       int    `json:"tasks"`
 	Remaining   int    `json:"remaining"`
 	Inflight    int    `json:"inflight"`
@@ -45,7 +44,6 @@ type Snapshot struct {
 func stageInfo(st *stage, now time.Time) StageInfo {
 	return StageInfo{
 		JobID:       st.spec.JobID,
-		Tenant:      st.spec.Tenant,
 		Tasks:       st.spec.Tasks,
 		Remaining:   st.remaining,
 		Inflight:    st.inflight,
@@ -57,7 +55,7 @@ func stageInfo(st *stage, now time.Time) StageInfo {
 }
 
 // Snapshot captures the scheduler's live state. It runs on the event
-// loop (like TenantStats), so it never races the state it reads;
+// loop (like the membership calls), so it never races the state it reads;
 // ErrSchedulerClosed after Close.
 func (s *Scheduler) Snapshot() (Snapshot, error) {
 	var out Snapshot

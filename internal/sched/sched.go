@@ -88,11 +88,6 @@ type StageSpec struct {
 	// JobID tags every launch and result of this stage; the caller owns
 	// uniqueness (the rdd driver allocates them).
 	JobID int64
-	// Tenant names the fair-share account this stage's slot-time is
-	// charged to. Empty is the default tenant; see tenant.go for the
-	// queueing model. Single-tenant workloads keep the exact FIFO
-	// dispatch order of a tenant-less scheduler.
-	Tenant string
 	// Tasks is the stage's task count.
 	Tasks int
 	// Policy places the stage's tasks (nil: the scheduler default).
@@ -183,12 +178,10 @@ type runInfo struct {
 
 // stage is the loop-owned state of one submitted stage.
 type stage struct {
-	spec   StageSpec
-	h      *StageHandle
-	view   StageView
-	place  []int        // resolved base placement, task -> executor
-	tenant *tenantState // resolved on the loop at admission
-	seq    int64        // loop-assigned submission order
+	spec  StageSpec
+	h     *StageHandle
+	view  StageView
+	place []int // resolved base placement, task -> executor
 
 	pending    []pendItem
 	out        [][]byte
@@ -232,7 +225,7 @@ type Scheduler struct {
 	conf    Config
 	submits chan *stage
 	results chan resultEv
-	ops     chan func() // tenant config/stats closures, run on the loop
+	ops     chan func() // snapshot and membership closures, run on the loop
 	quit    chan struct{}
 	done    chan struct{}
 
@@ -254,8 +247,6 @@ type Scheduler struct {
 	queue    []*stage
 	stages   map[int64]*stage
 	inflight map[akey]runInfo
-	tenants  map[string]*tenantState
-	seqCtr   int64
 
 	// liveView is the off-loop snapshot of the slot table; Submit reads
 	// it to resolve placement without touching loop state.
@@ -287,7 +278,6 @@ func New(conf Config) (*Scheduler, error) {
 		free:       make([]int, conf.NumExecutors),
 		stages:     map[int64]*stage{},
 		inflight:   map[akey]runInfo{},
-		tenants:    map[string]*tenantState{},
 		gaugeQueue: conf.Metrics.Gauge(metrics.GaugeSchedQueue),
 		histTask:   conf.Metrics.Histogram(metrics.HistSchedTaskNS),
 		histStage:  conf.Metrics.Histogram(metrics.HistSchedStageNS),
@@ -429,6 +419,25 @@ func (s *Scheduler) Deliver(jobID int64, task, attempt int, payload []byte, err 
 	}
 }
 
+// onLoop runs f on the scheduler loop (where all stage and slot state
+// lives) and waits for it to finish.
+func (s *Scheduler) onLoop(f func()) error {
+	done := make(chan struct{})
+	wrapped := func() { f(); close(done) }
+	select {
+	case s.ops <- wrapped:
+	case <-s.done:
+		return ErrSchedulerClosed
+	}
+	select {
+	case <-done:
+		return nil
+	case <-s.done:
+		// Accepted but the loop quit before executing it.
+		return ErrSchedulerClosed
+	}
+}
+
 // Close shuts the scheduler down: queued and undelivered stages fail
 // with ErrSchedulerClosed. Idempotent.
 func (s *Scheduler) Close() {
@@ -487,9 +496,6 @@ func (s *Scheduler) run() {
 		case <-s.quit:
 			return
 		case st := <-s.submits:
-			s.seqCtr++
-			st.seq = s.seqCtr
-			st.tenant = s.tenantFor(st.spec.Tenant)
 			s.stages[st.spec.JobID] = st
 			s.queue = append(s.queue, st)
 			// The submitter resolved placement against a liveView snapshot
@@ -520,40 +526,34 @@ func (s *Scheduler) queueDepth() int {
 	return n
 }
 
-// trySchedule dispatches pending attempts onto free slots. Queued
-// stages are grouped per tenant (FIFO within each); the tenant with
-// the lowest virtual time launches one attempt at a time, so
-// contended slots split proportionally to tenant weights while a lone
-// tenant sees the classic FIFO-greedy walk. A gang stage that cannot
+// trySchedule dispatches pending attempts onto free slots, walking the
+// queue FIFO-greedy: each stage, oldest first, launches every pending
+// attempt whose executor has a free slot. A gang stage that cannot
 // fully launch reserves the slots it could take, so younger stages
 // cannot starve it indefinitely; non-gang stages are work-conserving
 // on whatever the reservations leave over.
 func (s *Scheduler) trySchedule() {
 	avail := make([]int, len(s.free))
 	copy(avail, s.free)
-	tqs := s.groupByTenant()
-	if len(tqs) > 0 {
-		s.catchUpIdle(tqs)
-		handled := map[*stage]bool{}
-		for {
-			var best *tenantQueue
-			for _, q := range tqs {
-				if q.blocked {
-					continue
-				}
-				if best == nil || q.before(best) {
-					best = q
-				}
-			}
-			if best == nil {
-				break
-			}
-			// Launching only consumes slots, so a tenant that could not
-			// dispatch stays blocked for the rest of this pass.
-			if !s.dispatchOne(best, avail, handled) {
-				best.blocked = true
+	for _, st := range s.queue {
+		if st.doomed {
+			st.clearPending()
+			continue
+		}
+		if st.spec.Gang {
+			s.tryGang(st, avail)
+			continue
+		}
+		kept := st.pending[:0]
+		for _, p := range st.pending {
+			if avail[p.exec] > 0 {
+				avail[p.exec]--
+				s.launch(st, p)
+			} else {
+				kept = append(kept, p)
 			}
 		}
+		st.pending = kept
 	}
 	// Close the wait span of any stage that just fully dispatched, open
 	// one for stages this pass left queued.
@@ -620,9 +620,6 @@ func (s *Scheduler) launch(st *stage, p pendItem) {
 	s.inflight[akey{job: st.spec.JobID, task: p.task, att: p.att}] =
 		runInfo{st: st, exec: p.exec, start: now}
 	st.inflight++
-	if st.tenant != nil {
-		st.tenant.inUse++
-	}
 	s.histWait.Observe(now.Sub(p.since).Nanoseconds())
 	s.launchers[p.exec] <- launchReq{
 		fn: st.spec.Launch, job: st.spec.JobID, task: p.task, att: p.att, exec: p.exec,
@@ -681,12 +678,6 @@ func (s *Scheduler) handleResult(ev resultEv) {
 	st := ri.st
 	st.inflight--
 	dur := time.Since(ri.start)
-	if st.tenant != nil {
-		// The attempt held a slot for dur regardless of outcome; charge
-		// the tenant's fair-share account either way.
-		st.tenant.inUse--
-		st.tenant.charge(dur)
-	}
 
 	defer s.maybeRetire(st)
 
@@ -814,9 +805,6 @@ func (s *Scheduler) speculate() {
 		e := s.freeExecutorNot(ri.exec)
 		if e < 0 {
 			continue
-		}
-		if st.tenant != nil && st.tenant.capLeft() == 0 {
-			continue // a duplicate must not burst the tenant's slot cap
 		}
 		st.speculated[t] = true
 		// Attempt IDs continue past the retry budget so a duplicate can

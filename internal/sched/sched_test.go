@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -510,6 +511,13 @@ func TestSubmitAfterCloseFails(t *testing.T) {
 	if !errors.Is(err, ErrSchedulerClosed) {
 		t.Fatalf("submit after close: %v, want ErrSchedulerClosed", err)
 	}
+	// The calls that run on the loop fail cleanly instead of blocking.
+	if _, err := s.Snapshot(); !errors.Is(err, ErrSchedulerClosed) {
+		t.Fatalf("Snapshot after close: %v, want ErrSchedulerClosed", err)
+	}
+	if err := s.RemoveExecutor(0); !errors.Is(err, ErrSchedulerClosed) {
+		t.Fatalf("RemoveExecutor after close: %v, want ErrSchedulerClosed", err)
+	}
 	s.Close() // idempotent
 }
 
@@ -761,5 +769,186 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := s.Submit(StageSpec{JobID: 1, Tasks: 1, Gang: true, MaxAttempts: 2,
 		Launch: func(int, int, int) error { return nil }}); err == nil {
 		t.Fatal("gang with retries must be rejected")
+	}
+}
+
+// TestFIFODispatchOrder pins the dispatch order: queued stages launch
+// oldest first, each stage's pending attempts in task order, and a gang
+// that cannot fully launch holds its slots ahead of a younger stage.
+func TestFIFODispatchOrder(t *testing.T) {
+	t.Run("non-gang", func(t *testing.T) {
+		s := newTestSched(t, Config{NumExecutors: 1, CoresPerExecutor: 1})
+		rec := &recorder{}
+		hold, err := s.Submit(StageSpec{JobID: 1, Tasks: 1, Launch: rec.hook(1, nil)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec.waitCount(t, 1)
+		var hs []*StageHandle
+		for job := int64(2); job <= 4; job++ {
+			job := job
+			h, err := s.Submit(StageSpec{
+				JobID: job,
+				Tasks: 2,
+				Launch: rec.hook(job, func(task, att, exec int) error {
+					s.Deliver(job, task, att, nil, nil)
+					return nil
+				}),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			hs = append(hs, h)
+		}
+		s.Deliver(1, 0, 0, nil, nil)
+		if _, err := hold.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		for _, h := range hs {
+			if _, err := h.Wait(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := []launchRec{{1, 0, 0, 0}, {2, 0, 0, 0}, {2, 1, 0, 0}, {3, 0, 0, 0}, {3, 1, 0, 0}, {4, 0, 0, 0}, {4, 1, 0, 0}}
+		got := rec.snapshot()
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("launch order %v, want %v", got, want)
+		}
+	})
+	t.Run("gang-reserves", func(t *testing.T) {
+		s := newTestSched(t, Config{NumExecutors: 2, CoresPerExecutor: 1})
+		rec := &recorder{}
+		hold, err := s.Submit(StageSpec{JobID: 10, Tasks: 1, Policy: Fixed([]int{0}), Launch: rec.hook(10, nil)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec.waitCount(t, 1)
+		gang, err := s.Submit(StageSpec{
+			JobID: 11, Tasks: 2, Gang: true,
+			Launch: rec.hook(11, func(task, att, exec int) error {
+				s.Deliver(11, task, att, nil, nil)
+				return nil
+			}),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		late, err := s.Submit(StageSpec{
+			JobID: 12, Tasks: 1, Policy: Fixed([]int{1}),
+			Launch: rec.hook(12, func(task, att, exec int) error {
+				s.Deliver(12, task, att, nil, nil)
+				return nil
+			}),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Executor 1 is free, but the older gang reserved it.
+		time.Sleep(50 * time.Millisecond)
+		if n := rec.count(); n != 1 {
+			t.Fatalf("%d launches while the gang waits, want only the holder: %v", n, rec.snapshot())
+		}
+		s.Deliver(10, 0, 0, nil, nil)
+		for _, h := range []*StageHandle{hold, gang, late} {
+			if _, err := h.Wait(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Executor 1's launches are recorded by one sender goroutine, in
+		// dispatch order: the gang's task there, then the younger stage.
+		var onOne []int64
+		for _, l := range rec.snapshot() {
+			if l.exec == 1 {
+				onOne = append(onOne, l.job)
+			}
+		}
+		if fmt.Sprint(onOne) != "[11 12]" {
+			t.Fatalf("executor 1 ran jobs %v, want [11 12]", onOne)
+		}
+	})
+}
+
+// TestConcurrentSubmit races many submitters against one scheduler:
+// every stage resolves exactly once with its own payloads, and no
+// executor ever runs more attempts than it has cores.
+func TestConcurrentSubmit(t *testing.T) {
+	const (
+		execs, cores = 3, 2
+		submitters   = 4
+		jobsPer      = 25
+	)
+	s := newTestSched(t, Config{NumExecutors: execs, CoresPerExecutor: cores})
+
+	// perExec counts concurrently running launches; the scheduler only
+	// launches while holding a slot, so exceeding cores is a lost slot.
+	var perExec [execs]atomic.Int32
+	var overSub atomic.Int32
+	var wg sync.WaitGroup
+	for si := 0; si < submitters; si++ {
+		for ji := 0; ji < jobsPer; ji++ {
+			wg.Add(1)
+			go func(si, ji int) {
+				defer wg.Done()
+				job := int64(si*1000 + ji + 1)
+				tasks := 1 + (ji % 3)
+				h, err := s.Submit(StageSpec{
+					JobID: job,
+					Tasks: tasks,
+					Launch: func(task, att, exec int) error {
+						if n := perExec[exec].Add(1); n > cores {
+							overSub.Add(1)
+						}
+						go func() {
+							time.Sleep(200 * time.Microsecond)
+							// Decrement before delivering: the slot is only
+							// freed once the loop consumes the result, so the
+							// counter can undercount but never overcount.
+							perExec[exec].Add(-1)
+							s.Deliver(job, task, att, []byte{byte(task), byte(si)}, nil)
+						}()
+						return nil
+					},
+				})
+				if err != nil {
+					t.Errorf("submitter %d job %d: %v", si, ji, err)
+					return
+				}
+				out, err := h.Wait()
+				if err != nil {
+					t.Errorf("submitter %d job %d: %v", si, ji, err)
+					return
+				}
+				if len(out) != tasks {
+					t.Errorf("submitter %d job %d: %d payloads, want %d", si, ji, len(out), tasks)
+					return
+				}
+				for task, p := range out {
+					if len(p) != 2 || p[0] != byte(task) || p[1] != byte(si) {
+						t.Errorf("submitter %d job %d task %d: bad payload %v", si, ji, task, p)
+					}
+				}
+				// Second Wait must return the identical resolution.
+				out2, err2 := h.Wait()
+				if err2 != nil || len(out2) != len(out) {
+					t.Errorf("submitter %d job %d: second Wait diverged: %v %v", si, ji, out2, err2)
+				}
+			}(si, ji)
+		}
+	}
+	wg.Wait()
+	if n := overSub.Load(); n > 0 {
+		t.Fatalf("%d launches observed more than %d concurrent tasks on one executor", n, cores)
+	}
+	snap, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.QueuedStages)+len(snap.RunningStages)+len(snap.Inflight) != 0 {
+		t.Fatalf("scheduler not drained after every stage resolved: %+v", snap)
+	}
+	for e, f := range snap.FreeSlots {
+		if f != cores {
+			t.Fatalf("executor %d has %d free slots after drain, want %d", e, f, cores)
+		}
 	}
 }

@@ -10,7 +10,9 @@
 # column histogram — or names the column view, the shard cuts and lane
 # scatter over it, or the two-phase kernel path, all deleted when the
 # fused single pass became the only CSR kernel (one task runs on one
-# core; DESIGN.md §16).
+# core; DESIGN.md §16) — or names the job server, its binary, demo and
+# auth variable, or the scheduler tenancy API, all deleted when the
+# serving plane was retired (DESIGN.md §14).
 # CHANGES.md, ROADMAP.md and ISSUE.md record history and are exempt, as
 # is benchmark/, which a PR other than its own may not edit;
 # EXPERIMENTS.md is exempt from the last rule only, because its pprof
@@ -46,6 +48,10 @@ if grep -nE 'cscView|colView|colSegments|cscLaneScatter|laneLoad|csrParallelMinR
 	echo "the fused single pass is the only CSR kernel: no column view, no shard cuts, no within-task workers (DESIGN.md §16)"
 	bad=1
 fi
+if grep -nE 'sparker-serve|serve-demo|internal/server|WithTenant|ConfigureTenant|SPARKER_AUTH_TOKEN' $own; then
+	echo "the serving plane is retired: no job server, no tenants, one FIFO scheduler (DESIGN.md §14)"
+	bad=1
+fi
 while IFS=: read -r file line id; do
 	if [[ "$ids" != *" $id "* ]]; then
 		echo "$file:$line: sparkerbench -only $id: no such report id"
@@ -54,6 +60,6 @@ while IFS=: read -r file line id; do
 done < <(grep -noE 'sparkerbench -only [a-z0-9-]+' $files | sed 's/sparkerbench -only //')
 
 if [ "$bad" -ne 0 ]; then
-	echo "no-stale-refs: the references above name the retired bench harness (see EXPERIMENTS.md \"Settled single-layer claims\"), the deleted chunk controller, the retired codecs and MPI baselines, or the deleted column view and kernel sharding" >&2
+	echo "no-stale-refs: the references above name the retired bench harness (see EXPERIMENTS.md \"Settled single-layer claims\"), the deleted chunk controller, the retired codecs and MPI baselines, the deleted column view and kernel sharding, or the retired serving plane" >&2
 	exit 1
 fi
