@@ -64,9 +64,7 @@ func benchHotRingData(t *testing.T, p int, name string, ctxFor func(rank int) co
 		for r := range ctxs {
 			ctxs[r] = ctxFor(r)
 		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
+		op := func() {
 			var wg sync.WaitGroup
 			for _, e := range eps {
 				wg.Add(1)
@@ -79,8 +77,19 @@ func benchHotRingData(t *testing.T, p int, name string, ctxFor func(rank int) co
 			}
 			wg.Wait()
 		}
+		// One untimed op dials the group's links and fills the pools, so
+		// the counts are the steady state's: the one-off cost of the dial,
+		// divided by a b.N the clock picks, would read higher the busier
+		// the host is.
+		op()
+		warm := eps[0].Stats().BytesSent
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			op()
+		}
 		b.StopTimer()
-		b.ReportMetric(float64(eps[0].Stats().BytesSent)/float64(b.N), "wireB/op")
+		b.ReportMetric(float64(eps[0].Stats().BytesSent-warm)/float64(b.N), "wireB/op")
 	})
 	if failed != nil {
 		t.Fatal(failed)

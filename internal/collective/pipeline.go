@@ -839,31 +839,49 @@ func (rc *ringChan[V]) decodeChunk(dst V, fr frame) error {
 	return rc.ops.DecodeChunkInto(dst, fr.elemOff, fr.payload)
 }
 
+// assembleTrain decodes a complete chunk train, whose chunks cover
+// [0, n) in order, into a fresh n-element segment. The segment is sized
+// once its chunks have arrived, from the elements they carried, never
+// from a header's elemAll alone: no header makes the gather allocate
+// more than its train's bytes can fill (8 B per element dense, one bit
+// packed).
+func (rc *ringChan[V]) assembleTrain(train []fwdFrame, n int) (V, error) {
+	if last := train[len(train)-1]; n != last.elemAll {
+		var zero V
+		return zero, fmt.Errorf("%w: a train covering %d elements of a %d-element segment", ErrMalformedChunk, n, last.elemAll)
+	}
+	seg := rc.ops.MakeSegment(n)
+	for _, f := range train {
+		if err := rc.decodeChunk(seg, frame{payload: f.wire[f.payloadOff:], chunkMeta: f.chunkMeta}); err != nil {
+			return seg, err
+		}
+	}
+	return seg, nil
+}
+
 // gatherAbort cleans up a failed allgather step: drain the send window
-// and return every frame this rank still owns (unsent forwards and kept
-// receives) to the pool.
+// and return every frame this rank still owns (unsent forwards, and the
+// receives it kept or holds for a train's assembly) to the pool.
 func (rc *ringChan[V]) gatherAbort(fwd, kept []fwdFrame) {
 	rc.abortSends()
-	if !rc.releasable {
-		return
+	for _, f := range kept {
+		rc.releaseFrame(frame{wire: f.wire, chunkMeta: f.chunkMeta})
 	}
-	if rc.sent < len(fwd) {
+	if rc.releasable && rc.sent < len(fwd) {
 		for _, f := range fwd[rc.sent:] {
 			comm.Release(f.wire)
 		}
-	}
-	for _, f := range kept {
-		comm.Release(f.wire)
 	}
 }
 
 // transferGather runs one allgather step on this channel: relay the
 // frames gathered last step (fwd; step 0 encodes all[sendSlot] instead)
-// while assembling the predecessor's frames into all[recvSlot]. When
-// keep is set the received frames are retained and returned for the
-// next step's relay — cut-through forwarding, re-framed header only —
-// otherwise they are released. parity selects the recycled backing
-// array for the returned list.
+// while receiving the predecessor's frames for all[recvSlot]. A chunk
+// train is held as it arrives and assembled once complete
+// (assembleTrain). When keep is set the received frames are retained and
+// returned for the next step's relay — cut-through forwarding,
+// re-framed header only — otherwise they are released. parity selects
+// the recycled backing array for the held and returned list.
 func (rc *ringChan[V]) transferGather(sctx context.Context, span *trace.ActiveSpan, all []V, sendSlot, recvSlot int, fwd []fwdFrame, keep bool, parity int) ([]fwdFrame, error) {
 	spanID := span.ID()
 	outTotal, elems, per := len(fwd), 0, 0
@@ -872,11 +890,8 @@ func (rc *ringChan[V]) transferGather(sctx context.Context, span *trace.ActiveSp
 	}
 	rc.beginStep(sctx)
 
-	var kept []fwdFrame
-	if keep {
-		kept = rc.fwdBufs[parity][:0]
-	}
-	inNeed, inGot := -1, 0
+	kept := rc.fwdBufs[parity][:0]
+	inNeed, inGot, inEnd := -1, 0, 0
 	for {
 		if rc.sent < outTotal && rc.inflight() < 2 {
 			if len(fwd) > 0 {
@@ -905,34 +920,38 @@ func (rc *ringChan[V]) transferGather(sctx context.Context, span *trace.ActiveSp
 				start = time.Now()
 			}
 			var derr error
-			if fr.chunked {
-				if inGot == 0 {
-					all[recvSlot] = rc.ops.MakeSegment(fr.elemAll)
-				}
-				inNeed = fr.total
-				inGot++
-				derr = rc.decodeChunk(all[recvSlot], fr)
-			} else {
+			held := false // fr is in kept, which owns it from here
+			switch {
+			case !fr.chunked:
 				inNeed, inGot = 1, 1
 				var v V
-				v, derr = rc.ops.Decode(fr.payload)
-				if derr == nil {
+				if v, derr = rc.ops.Decode(fr.payload); derr == nil {
 					all[recvSlot] = v
 				}
+				held = keep
+			case fr.elemOff != inEnd:
+				derr = fmt.Errorf("%w: chunk %d starts at element %d, its train is at %d", ErrMalformedChunk, fr.idx, fr.elemOff, inEnd)
+			default:
+				inNeed = fr.total
+				inGot++
+				inEnd += fr.elemCnt
+				held = true
+			}
+			if held {
+				kept = append(kept, fwdFrame{wire: fr.wire, payloadOff: len(fr.wire) - len(fr.payload), chunkMeta: fr.chunkMeta})
+			} else {
+				rc.releaseFrame(fr)
+			}
+			if fr.chunked && derr == nil && inGot == inNeed {
+				all[recvSlot], derr = rc.assembleTrain(kept, inEnd)
 			}
 			if rc.tel.on {
 				active := rc.inflight() > 0 || rc.sent < outTotal || inGot < inNeed
 				rc.observeReduce(time.Since(start), active)
 			}
 			if derr != nil {
-				rc.releaseFrame(fr)
 				rc.gatherAbort(fwd, kept)
 				return nil, derr
-			}
-			if keep {
-				kept = append(kept, fwdFrame{wire: fr.wire, payloadOff: len(fr.wire) - len(fr.payload), chunkMeta: fr.chunkMeta})
-			} else {
-				rc.releaseFrame(fr)
 			}
 			if err := rc.reapSends(); err != nil {
 				rc.gatherAbort(fwd, kept)
@@ -949,8 +968,12 @@ func (rc *ringChan[V]) transferGather(sctx context.Context, span *trace.ActiveSp
 		}
 		break
 	}
-	if keep {
-		rc.fwdBufs[parity] = kept // persist growth for the next lap
+	rc.fwdBufs[parity] = kept // persist growth for the next lap
+	if !keep {
+		for _, f := range kept {
+			rc.releaseFrame(frame{wire: f.wire, chunkMeta: f.chunkMeta})
+		}
+		kept = nil
 	}
 	rc.finishStep(span, outTotal)
 	return kept, nil

@@ -22,6 +22,7 @@ import (
 
 	"sparker/internal/comm"
 	"sparker/internal/metrics"
+	"sparker/internal/serde"
 	"sparker/internal/transport"
 )
 
@@ -396,9 +397,8 @@ func TestCheckTrainRejectsUnknownForm(t *testing.T) {
 	}
 }
 
-// TestGatherRefusesSegmentItsTrainCannotCarry: the allgather sizes the
-// segment it assembles from the first chunk's header. A one-chunk train
-// of 64 elements that declares a 2³²−1-element segment fails the step as
+// TestGatherRefusesSegmentItsTrainCannotCarry: a one-chunk train of 64
+// elements that declares a 2³²−1-element segment fails the step as
 // ErrMalformedChunk before anything is allocated from it.
 func TestGatherRefusesSegmentItsTrainCannotCarry(t *testing.T) {
 	net := transport.NewMem()
@@ -427,6 +427,55 @@ func TestGatherRefusesSegmentItsTrainCannotCarry(t *testing.T) {
 	}
 	if n := made.Load(); n != 0 {
 		t.Fatalf("MakeSegment(%d) ran before the header was refused", n)
+	}
+}
+
+// TestGatherSizesSegmentFromArrivedBytes: a first chunk whose header its
+// train could carry — 65 536 chunks of 65 536 elements, a segment of
+// 2³²−1 — passes checkTrain, and its 8 KB all-clear bitmap is all that
+// arrives before a chunk that does not start where it ended; a two-chunk
+// train that ends short of its declared segment follows. The gather
+// sizes a segment from the chunks that have arrived, once they cover it,
+// never from a header (2³²−1 elements are 34 GB), so neither train asks
+// MakeSegment for anything, and each fails the step as ErrMalformedChunk.
+func TestGatherSizesSegmentFromArrivedBytes(t *testing.T) {
+	const epoch, cnt = 7, 1 << 16
+	chunk := func(idx, total, off, n, all uint32) []byte {
+		return append(leWords(epoch|chunkFlag, uint32(formPacked)<<24|idx, total, off, n, all), make([]byte, 8*serde.PackedWords(int(n)))...)
+	}
+	for _, tc := range []struct {
+		name   string
+		frames [][]byte
+	}{
+		{"restarted train", [][]byte{chunk(0, cnt, 0, cnt, 0xFFFFFFFF), chunk(1, cnt, 0, cnt, 0xFFFFFFFF)}},
+		{"short train", [][]byte{chunk(0, 2, 0, 64, 128), chunk(1, 2, 64, 32, 128)}},
+	} {
+		net := transport.NewMem()
+		eps, err := comm.NewGroup(net, "gather-arrived", 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, frame := range tc.frames {
+			if err := eps[0].SendNext(0, frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ops := F64Ops()
+		var made atomic.Int64
+		ops.MakeSegment = func(n int) []float64 {
+			made.Store(int64(n))
+			return nil // nothing legitimate arrives, and nothing is allocated
+		}
+		owned := map[int][]float64{0: make([]float64, 64)}
+		_, err = RingAllGather(WithEpoch(context.Background(), epoch), eps[1], owned, 1, ops)
+		comm.CloseGroup(eps)
+		net.Close()
+		if !errors.Is(err, ErrMalformedChunk) {
+			t.Fatalf("%s: %v, want ErrMalformedChunk", tc.name, err)
+		}
+		if n := made.Load(); n != 0 {
+			t.Fatalf("%s: MakeSegment(%d) before the train covered its segment", tc.name, n)
+		}
 	}
 }
 
@@ -525,6 +574,10 @@ func FuzzRingFrame(f *testing.F) {
 	// the gather would size from it.
 	f.Add(chunkFrame(formPacked, 0, 1, 0, 64, 0xFFFFFFFF, make([]byte, 8)), uint8(0), int8(-1))
 	f.Add(chunkFrame(formDense, 0, 1<<24+1, 0, 1, 1<<24+1, dense8[:8]), uint8(0), int8(-1))
+	// … and one its train could carry, which only the chunks that arrive
+	// may size: 65 536 chunks of 65 536 elements, an 8 KB all-clear bitmap.
+	f.Add(chunkFrame(formPacked, 0, 1<<16, 0, 1<<16, 0xFFFFFFFF, make([]byte, 8<<10)), uint8(0), int8(-1))
+	f.Add(chunkFrame(formPacked, 0, 1, 0, 64, 64, make([]byte, 8)), uint8(0), int8(-1))
 
 	f.Fuzz(func(t *testing.T, in []byte, got uint8, need int8) {
 		fresh := func() []float64 {
@@ -567,6 +620,17 @@ func FuzzRingFrame(f *testing.F) {
 		}
 		if fr.form != formDense && fr.form != formPacked {
 			t.Fatalf("form byte %d accepted", fr.form)
+		}
+		if got == 0 && fr.elemOff == 0 {
+			// The gather assembles a train once its chunks cover the
+			// segment: as a one-chunk train, this chunk sizes it alone.
+			made := -1
+			rc.ops.MakeSegment = func(n int) []float64 { made = n; return make([]float64, n) }
+			_, err := rc.assembleTrain([]fwdFrame{{wire: fr.payload, chunkMeta: fr.chunkMeta}}, fr.elemCnt)
+			if made > fr.elemCnt || err == nil && made != fr.elemCnt {
+				t.Fatalf("a %d-element chunk declaring %d sized a segment of %d (err %v)", fr.elemCnt, fr.elemAll, made, err)
+			}
+			rc.ops.MakeSegment = F64Ops().MakeSegment
 		}
 		for name, apply := range map[string]func([]float64, frame) error{
 			"reduce": rc.reduceChunk, "set": rc.decodeChunk,

@@ -208,6 +208,15 @@ type AggFuncs[T, U, V any] struct {
 	// never writes a returned bitmap, and ORs each one in whole, so it
 	// suits a few large elements (a packed partition), not one per point.
 	Support func(T) []uint64
+	// Fold, when non-nil, folds a tree stage-1 task's elements straight
+	// to the task's block frame, skipping Zero, SeqOp, the frame's
+	// encoding and Recycle: ok true promises the frame holds the bytes
+	// Zero, then SeqOp over elems in order, then the tree's encoding of
+	// the result would (from Support, when f64Wire). ok false declines,
+	// and the task folds as it would without Fold; an error fails the
+	// task. Only StrategyTree calls it, once per stage-1 task; the IMM and
+	// ring strategies fold with SeqOp into aggregators they keep.
+	Fold func(elems []T) (frame []byte, ok bool, err error)
 }
 
 // recycle hands u to Recycle when the caller supplied one.

@@ -299,10 +299,11 @@ func (f *AggFuncs[T, U, V]) mergeWire(acc U, wire []byte) (U, error) {
 	return f.MergeOp(acc, v.(U)), nil
 }
 
-// treeHooks are f's frames and Recycle as rdd.TreeAggregate takes them;
-// a stage-1 block is encoded from the support of its elements.
+// treeHooks are f's frames, Recycle and Fold as rdd.TreeAggregate takes
+// them; a stage-1 block is encoded from the support of its elements.
 func (f *AggFuncs[T, U, V]) treeHooks() *rdd.TreeHooks[T, U] {
 	return &rdd.TreeHooks[T, U]{
+		Fold: f.Fold,
 		Encode: func(u U, elems []T) ([]byte, error) {
 			sup := support{known: f.Support != nil && elems != nil}
 			for i := 0; sup.known && i < len(elems); i++ {

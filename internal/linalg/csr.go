@@ -17,6 +17,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"unsafe"
 
 	"sparker/internal/serde"
@@ -111,6 +112,44 @@ func (m *CSRMatrix) Validate() error {
 		return fmt.Errorf("linalg: csr offsets end at %d, want %d", m.RowOffsets[rows], len(m.Indices))
 	}
 	return nil
+}
+
+// CompactColumns re-indexes m into the columns sup names (bit j%64 of
+// word j/64 for column j): cols lists sup's set bits below m.Dim in
+// ascending order, and local is m over len(cols) columns, every stored
+// column j replaced by its rank among cols. local shares m's row
+// offsets, values and labels, so a kernel pass over local against w
+// gathered at cols computes, column for column, the bits the same pass
+// over m against w computes. Every column m stores must be a set bit of
+// sup. O(nnz + Dim/64): a rank is the set bits of the words before j's
+// plus those of j's own word below it.
+func CompactColumns(m *CSRMatrix, sup []uint64) (local *CSRMatrix, cols []int32) {
+	words := serde.PackedWords(m.Dim)
+	base := make([]int32, words)
+	n := 0
+	for w := range base {
+		base[w] = int32(n)
+		n += bits.OnesCount64(columnWord(sup, w, m.Dim))
+	}
+	cols = make([]int32, 0, n)
+	for w := range base {
+		for b := columnWord(sup, w, m.Dim); b != 0; b &= b - 1 {
+			cols = append(cols, int32(64*w+bits.TrailingZeros64(b)))
+		}
+	}
+	idx := make([]int32, len(m.Indices))
+	for k, j := range m.Indices {
+		idx[k] = base[j>>6] + int32(bits.OnesCount64(sup[j>>6]&(1<<uint(j&63)-1)))
+	}
+	return &CSRMatrix{Part: m.Part, Dim: n, RowOffsets: m.RowOffsets, Indices: idx, Values: m.Values, Labels: m.Labels}, cols
+}
+
+// columnWord is word w of sup with the bits at or past dim cleared.
+func columnWord(sup []uint64, w, dim int) uint64 {
+	if tail := dim - 64*w; tail < 64 {
+		return sup[w] & (1<<uint(tail) - 1)
+	}
+	return sup[w]
 }
 
 // PackRows packs unlabeled sparse rows into a CSR matrix. Rows must

@@ -421,3 +421,68 @@ func FuzzDecodeCSR(f *testing.F) {
 		run("CSRKMeans", m.Dim+2, func(acc []float64) { CSRKMeans(m, w, []float64{0}, 1, m.Dim, acc) })
 	})
 }
+
+// TestCompactColumns: the dictionary lists the support's set bits below
+// Dim in order, and the re-indexed matrix stores each entry at its
+// column's rank, over the original offsets, values and labels — so a
+// pass over it against w gathered at the dictionary accumulates, column
+// for column, the bits the pass over the original accumulates.
+func TestCompactColumns(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, dim := range []int{1, 63, 64, 65, 1000, 4099} {
+		m := randCSR(rng, 60, dim, 0.01)
+		sup := make([]uint64, (dim+2+63)/64)
+		for _, j := range m.Indices {
+			sup[j>>6] |= 1 << uint(j&63)
+		}
+		for j := dim; j < 64*len(sup); j++ { // bits past Dim are no columns
+			sup[j>>6] |= 1 << uint(j&63)
+		}
+		for k := 0; k < 5; k++ { // a few columns no row stores
+			j := rng.Intn(dim)
+			sup[j>>6] |= 1 << uint(j&63)
+		}
+		local, cols := CompactColumns(m, sup)
+		var want []int32
+		for j := 0; j < dim; j++ {
+			if sup[j>>6]>>uint(j&63)&1 != 0 {
+				want = append(want, int32(j))
+			}
+		}
+		if len(cols) != len(want) || local.Dim != len(cols) || local.Part != m.Part {
+			t.Fatalf("dim %d: %d columns over Dim %d, want %d", dim, len(cols), local.Dim, len(want))
+		}
+		for i := range want {
+			if cols[i] != want[i] {
+				t.Fatalf("dim %d: column %d is %d, want %d", dim, i, cols[i], want[i])
+			}
+		}
+		for k, j := range m.Indices {
+			if cols[local.Indices[k]] != j {
+				t.Fatalf("dim %d: entry %d at local column %d, which is %d, not %d", dim, k, local.Indices[k], cols[local.Indices[k]], j)
+			}
+		}
+		if err := local.Validate(); err != nil {
+			t.Fatalf("dim %d: %v", dim, err)
+		}
+		w := make([]float64, dim)
+		for i := range w {
+			w[i] = rng.NormFloat64()
+		}
+		lw := make([]float64, len(cols))
+		for k, j := range cols {
+			lw[k] = w[j]
+		}
+		cum, lcum := make([]float64, dim), make([]float64, len(cols))
+		loss, _ := CSRGrad(CSRLogistic, m, nil, w, cum, 1)
+		lloss, _ := CSRGrad(CSRLogistic, local, nil, lw, lcum, 1)
+		if math.Float64bits(loss) != math.Float64bits(lloss) {
+			t.Fatalf("dim %d: loss %v in the column space, %v in the original", dim, lloss, loss)
+		}
+		for k, j := range cols {
+			if math.Float64bits(lcum[k]) != math.Float64bits(cum[j]) {
+				t.Fatalf("dim %d: column %d accumulated %v in the column space, %v in the original", dim, j, lcum[k], cum[j])
+			}
+		}
+	}
+}

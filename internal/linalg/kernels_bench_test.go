@@ -2,7 +2,8 @@ package linalg_test
 
 // BenchmarkLinalgKernels measures the dense BLAS-1 kernels MLlib's
 // gradient inner loop hits millions of times per pass, and the fused
-// gradient kernel on one partition of each benchmark workload shape.
+// gradient kernel on one partition of each benchmark workload shape, and
+// on the wide one in its own column space (CompactColumns).
 // Run with
 //
 //	go test -bench LinalgKernels -benchmem ./internal/linalg
@@ -95,6 +96,39 @@ func BenchmarkLinalgKernels(b *testing.B) {
 			sinkF64 = sum
 		})
 	}
+	// The wide row as a tree task folds it: wide-tree-tcp's first
+	// partition at seed 2 (5 000 of its 20 000 rows, ~55 k distinct
+	// columns) in its own column space — w gathered at the block's column
+	// dictionary, then the pass into a compact accumulator cleared first.
+	b.Run("csrgrad/wide-local", func(b *testing.B) {
+		const features = 1_000_000
+		pts := data.GenClassification(data.ClassificationSpec{
+			Samples: 20_000, Features: features, NNZPerSample: 15, NNZAlpha: 1.5, Seed: 2,
+		})
+		m, err := mllib.PackPoints(0, features, pts[:5_000])
+		if err != nil {
+			b.Fatal(err)
+		}
+		sup := make([]uint64, (features+63)/64)
+		for _, j := range m.Indices {
+			sup[j>>6] |= 1 << uint(j&63)
+		}
+		local, cols := linalg.CompactColumns(m, sup)
+		w := make([]float64, features)
+		lw, acc := make([]float64, len(cols)), make([]float64, len(cols)+2)
+		b.ReportAllocs()
+		b.ResetTimer()
+		var sum float64
+		for i := 0; i < b.N; i++ {
+			for k, j := range cols {
+				lw[k] = w[j]
+			}
+			clear(acc)
+			loss, _ := linalg.CSRGrad(linalg.CSRLogistic, local, nil, lw, acc, 1)
+			sum += loss
+		}
+		sinkF64 = sum
+	})
 }
 
 var sinkF64 float64

@@ -84,9 +84,8 @@ func RunLBFGS(data *rdd.RDD[LabeledPoint], grad Gradient, initial []float64, cfg
 		var agg []float64
 		var err error
 		if plan != nil {
-			agg, err = aggregateF64(ictx, plan.packed, dim+2,
-				packedGradSeqOp(kind, snapshot, dim, 1, 0, 0), partSupport,
-				cfg.Strategy, cfg.Depth, cfg.Parallelism)
+			g := packedGrad{kind: kind, w: snapshot, dim: dim, frac: 1}
+			agg, err = g.aggregate(ictx, plan, cfg.Strategy, cfg.Depth, cfg.Parallelism)
 		} else {
 			agg, err = AggregateF64Ctx(ictx, data, dim+2, func(acc []float64, p LabeledPoint) []float64 {
 				loss := grad.Compute(p.Features, p.Label, snapshot, acc[:dim])

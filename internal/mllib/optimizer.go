@@ -102,13 +102,14 @@ var f64Ops = collective.F64Ops()
 // into one timeline. extra options (e.g. core.WithDeadline) are
 // appended after the strategy options, so they may override any of them.
 func AggregateF64Ctx[T any](ctx context.Context, r *rdd.RDD[T], dim int, seqOp func(acc []float64, v T) []float64, s Strategy, depth, parallelism int, extra ...core.AggOption) ([]float64, error) {
-	return aggregateF64(ctx, r, dim, seqOp, nil, s, depth, parallelism, extra...)
+	return aggregateF64(ctx, r, dim, seqOp, nil, nil, s, depth, parallelism, extra...)
 }
 
 // aggregateF64 is AggregateF64Ctx with the elements' supports
 // (core.AggFuncs.Support; nil when unknown), which let the ring encode
-// packed chunks in O(support).
-func aggregateF64[T any](ctx context.Context, r *rdd.RDD[T], dim int, seqOp func(acc []float64, v T) []float64, support func(T) []uint64, s Strategy, depth, parallelism int, extra ...core.AggOption) ([]float64, error) {
+// packed chunks in O(support), and a tree task's fold straight to its
+// block (core.AggFuncs.Fold; nil: none).
+func aggregateF64[T any](ctx context.Context, r *rdd.RDD[T], dim int, seqOp func(acc []float64, v T) []float64, support func(T) []uint64, fold func([]T) ([]byte, bool, error), s Strategy, depth, parallelism int, extra ...core.AggOption) ([]float64, error) {
 	cs, err := s.CoreStrategy()
 	if err != nil {
 		return nil, err
@@ -131,11 +132,16 @@ func aggregateF64[T any](ctx context.Context, r *rdd.RDD[T], dim int, seqOp func
 		Ops:      &f64Ops,
 		Recycle:  linalg.PutVec,
 		Support:  support,
+		Fold:     fold,
 	}, opts...)
 }
 
-// partSupport is a packed partition's gradient support.
-func partSupport(pp packedPart) []uint64 { return pp.Support }
+// aggregate reduces g over plan under strategy s: seqOp on every path,
+// and on the tree's stage 1 fold.
+func (g packedGrad) aggregate(ctx context.Context, plan *packedPlan, s Strategy, depth, parallelism int, extra ...core.AggOption) ([]float64, error) {
+	support := func(pp packedPart) []uint64 { return pp.Support }
+	return aggregateF64(ctx, plan.packed, g.dim+2, g.seqOp, support, g.fold, s, depth, parallelism, extra...)
+}
 
 // startTrainSpan opens the root "train" span for one optimizer run and
 // returns the context iteration spans derive from. Everything no-ops
@@ -268,9 +274,8 @@ func RunGradientDescent(data *rdd.RDD[LabeledPoint], grad Gradient, up Updater, 
 			// Packed plane: one fused kernel pass per partition, with
 			// in-kernel minibatch sampling over the same RNG stream
 			// sampleRDD would use.
-			agg, err = aggregateF64(ictx, plan.packed, dim+2,
-				packedGradSeqOp(kind, w, dim, cfg.MiniBatchFraction, cfg.Seed, iter), partSupport,
-				cfg.Strategy, cfg.Depth, cfg.Parallelism, extra...)
+			g := packedGrad{kind: kind, w: w, dim: dim, frac: cfg.MiniBatchFraction, seed: cfg.Seed, iter: iter}
+			agg, err = g.aggregate(ictx, plan, cfg.Strategy, cfg.Depth, cfg.Parallelism, extra...)
 		} else {
 			batch := data
 			if cfg.MiniBatchFraction < 1.0 {

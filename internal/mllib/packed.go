@@ -12,6 +12,7 @@ package mllib
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sync"
 	"time"
@@ -124,11 +125,41 @@ type packedPart struct {
 	M       *linalg.CSRMatrix
 	Reg     *metrics.Registry
 	Support []uint64
+	Cols    *colDict // with Support: the block's column dictionary, built on demand
+}
+
+// colDict is a labeled block's column dictionary: the support's columns
+// (gradSupport's set bits below dim) and the block re-indexed into them
+// (linalg.CompactColumns), the column space a tree task folds the block
+// in (packedGrad.fold). It is built by the first fold that asks, and
+// kept with the decoded view, so a block pays its O(nnz + dim/64) once;
+// a split run never asks. A block storing more than half of dim's
+// columns gets none (the ½ rule of the packed form, which a frame
+// encoded from its support could not meet) and folds densely.
+type colDict struct {
+	once  sync.Once
+	local *linalg.CSRMatrix // nil: not built, or the block does not qualify
+	cols  []int32
+}
+
+// get returns the dictionary of block m with gradient support sup,
+// building it on the first call; local is nil when m does not qualify.
+func (d *colDict) get(m *linalg.CSRMatrix, sup []uint64) (local *linalg.CSRMatrix, cols []int32) {
+	d.once.Do(func() {
+		distinct := -2 // sup's two tail bits are no columns
+		for _, w := range sup {
+			distinct += bits.OnesCount64(w)
+		}
+		if 2*distinct <= m.Dim {
+			d.local, d.cols = linalg.CompactColumns(m, sup)
+		}
+	})
+	return d.local, d.cols
 }
 
 // gradSupport is the support of a gradient aggregator folded over m
 // (layout [0,dim) gradient, [dim] loss, [dim+1] count): every column a
-// row of m stores, plus the two tail elements — what packedGradSeqOp can
+// row of m stores, plus the two tail elements — what packedGrad.seqOp can
 // change, for a full pass or any sample of rows. One O(nnz) pass per
 // decoded block; m must be valid.
 func gradSupport(m *linalg.CSRMatrix) []uint64 {
@@ -156,16 +187,17 @@ func csrBlockKey(dataID int64, dim, part int) string {
 }
 
 // decodedViews caches the last zero-copy decode of each packed block,
-// and the block's gradient support beside it. DecodeCSR itself is
-// cheap, but a stored block is validated in full (Validate, O(nnz))
-// before the kernels may index by its column indices, and a caller that
-// runs one training run per step would pay DecodeCSR + Validate (and
-// gradSupport) over every partition every step. A hit is only valid
-// while the store still returns the very same backing array the cached
-// matrix aliases; an evicted-and-repacked block has a new array and
-// falls through to a fresh decode, and its support goes with the old
-// entry. Capped crudely: the cache mirrors the block store's working
-// set, so overflow just drops it.
+// and the block's gradient support and column dictionary beside it.
+// DecodeCSR itself is cheap, but a stored block is validated in full
+// (Validate, O(nnz)) before the kernels may index by its column
+// indices, and a caller that runs one training run per step would pay
+// DecodeCSR + Validate (and gradSupport) over every partition every
+// step. A hit is only valid while the store still returns the very same
+// backing array the cached matrix aliases; an evicted-and-repacked
+// block has a new array and falls through to a fresh decode, and its
+// support and dictionary go with the old entry. Capped crudely: the
+// cache mirrors the block store's working set, so overflow just drops
+// it.
 var decodedViews struct {
 	mu sync.Mutex
 	m  map[string]decodedView
@@ -176,6 +208,7 @@ type decodedView struct {
 	n    int
 	mat  *linalg.CSRMatrix
 	sup  []uint64 // gradSupport(mat) for a labeled plan's block, else nil
+	cols *colDict // with sup
 }
 
 const decodedViewsCap = 256
@@ -190,7 +223,7 @@ func loadDecodedView(key string, wire []byte) (decodedView, bool) {
 	return v, true
 }
 
-func storeDecodedView(key string, wire []byte, m *linalg.CSRMatrix, sup []uint64) {
+func storeDecodedView(key string, wire []byte, m *linalg.CSRMatrix, sup []uint64, cols *colDict) {
 	if len(wire) == 0 {
 		return
 	}
@@ -199,7 +232,7 @@ func storeDecodedView(key string, wire []byte, m *linalg.CSRMatrix, sup []uint64
 	if decodedViews.m == nil || len(decodedViews.m) >= decodedViewsCap {
 		decodedViews.m = make(map[string]decodedView)
 	}
-	decodedViews.m[key] = decodedView{data: &wire[0], n: len(wire), mat: m, sup: sup}
+	decodedViews.m[key] = decodedView{data: &wire[0], n: len(wire), mat: m, sup: sup, cols: cols}
 }
 
 // materializePacked resolves one packed partition on the executor:
@@ -210,19 +243,21 @@ func storeDecodedView(key string, wire []byte, m *linalg.CSRMatrix, sup []uint64
 // holds a single arena copy either way. Repeat hits on an unchanged
 // block return the same *CSRMatrix without decoding or validating it
 // again. With withSupport the partition carries its gradSupport,
-// computed once per decoded block and cached with the view.
+// computed once per decoded block and cached with the view, and the
+// block's column dictionary, cached with it and built on demand.
 func materializePacked(ec *rdd.ExecContext, key string, withSupport bool, pack func() (*linalg.CSRMatrix, error)) ([]packedPart, error) {
 	view := func(wire []byte, m *linalg.CSRMatrix) []packedPart {
 		var sup []uint64
+		var cols *colDict
 		if withSupport {
-			sup = gradSupport(m)
+			sup, cols = gradSupport(m), new(colDict)
 		}
-		storeDecodedView(key, wire, m, sup)
-		return []packedPart{{M: m, Reg: ec.Registry, Support: sup}}
+		storeDecodedView(key, wire, m, sup, cols)
+		return []packedPart{{M: m, Reg: ec.Registry, Support: sup, Cols: cols}}
 	}
 	if wire, ok := ec.Store.GetLocal(key); ok {
 		if v, ok := loadDecodedView(key, wire); ok && (v.sup != nil || !withSupport) {
-			return []packedPart{{M: v.mat, Reg: ec.Registry, Support: v.sup}}, nil
+			return []packedPart{{M: v.mat, Reg: ec.Registry, Support: v.sup, Cols: v.cols}}, nil
 		}
 		// Stored bytes are validated in full once per decode (the decoded
 		// view is cached): the kernels index the weight and accumulator
@@ -329,33 +364,110 @@ func observeCompute(reg *metrics.Registry, elapsed time.Duration, points float64
 	}
 }
 
-// packedGradSeqOp builds the packed seqOp for one gradient iteration:
-// sample rows (when frac < 1), run the fused kernel into the gradient
-// prefix, and fold loss and count into the aggregator tail exactly as
-// the per-point path does. The kernel's lossSum accumulates in row
-// order starting from zero and every per-point loss is non-negative,
-// so acc[dim] += lossSum lands bit-for-bit where the per-point
-// acc[dim] += loss chain would.
-func packedGradSeqOp(kind linalg.CSRGradKind, w []float64, dim int, frac float64, seed int64, iter int) func(acc []float64, pp packedPart) []float64 {
-	return func(acc []float64, pp packedPart) []float64 {
-		var rows []int32
-		var rp *[]int32
-		if frac < 1 {
-			rp = samplePackedRows(pp.M, frac, seed, iter)
-			rows = *rp
-			if rows == nil {
-				rows = []int32{}
-			}
+// packedGrad is one gradient evaluation over a packed plan: the
+// weights it is taken at, and the minibatch it folds (frac < 1: the rows
+// samplePackedRows draws for iter). Aggregator layout: [0,dim) gradient
+// sum, [dim] loss sum, [dim+1] sample count.
+type packedGrad struct {
+	kind linalg.CSRGradKind
+	w    []float64
+	dim  int
+	frac float64
+	seed int64
+	iter int
+}
+
+// pass runs the fused kernel over pp's rows — all of them, or the
+// minibatch samplePackedRows draws from pp.M — as stored in m (pp.M, or
+// its re-indexing) against w into cum, and records it in pp's registry.
+func (g packedGrad) pass(pp packedPart, m *linalg.CSRMatrix, w, cum []float64) (lossSum, count float64) {
+	var rows []int32
+	if g.frac < 1 {
+		rp := samplePackedRows(pp.M, g.frac, g.seed, g.iter)
+		defer putSampledRows(rp)
+		if rows = *rp; rows == nil {
+			rows = []int32{} // an empty sample is not "all rows"
 		}
-		start := time.Now()
-		lossSum, count := linalg.CSRGrad(kind, pp.M, rows, w, acc[:dim], 1)
-		observeCompute(pp.Reg, time.Since(start), count)
-		if rp != nil {
-			putSampledRows(rp)
+	}
+	start := time.Now()
+	lossSum, count = linalg.CSRGrad(g.kind, m, rows, w, cum, 1)
+	observeCompute(pp.Reg, time.Since(start), count)
+	return lossSum, count
+}
+
+// seqOp runs the fused kernel into the gradient prefix and folds loss
+// and count into the aggregator tail exactly as the per-point path
+// does. The kernel's lossSum accumulates in row order starting from
+// zero and every per-point loss is non-negative, so acc[dim] += lossSum
+// lands bit-for-bit where the per-point acc[dim] += loss chain would.
+func (g packedGrad) seqOp(acc []float64, pp packedPart) []float64 {
+	lossSum, count := g.pass(pp, pp.M, g.w, acc[:g.dim])
+	acc[g.dim] += lossSum
+	acc[g.dim+1] += count
+	return acc
+}
+
+// fold is seqOp from Zero for a tree task's one packed partition,
+// encoded straight to its block (core.AggFuncs.Fold), in the block's own
+// column space: w gathered at the column dictionary, the same kernel over
+// the re-indexed block into a compact accumulator of the support's
+// len(cols)+2 elements — in support order, the values the dense
+// accumulator holds at its set bits — and the tag 7 frame written from
+// them (serde.EncodeF64Support). Every element sees the same operations
+// in the same order as in seqOp, and the frame's bytes are those of the
+// dense accumulator encoded from the support. It declines, and the task
+// folds densely, for a partition without a dictionary (the ½ rule) or
+// whose support does not settle the packed form.
+func (g packedGrad) fold(elems []packedPart) ([]byte, bool, error) {
+	if len(elems) != 1 || elems[0].Cols == nil {
+		return nil, false, nil
+	}
+	pp := elems[0]
+	local, cols := pp.Cols.get(pp.M, pp.Support)
+	if local == nil {
+		return nil, false, nil
+	}
+	n := len(cols)
+	w := getLocalVec(n)
+	for k, j := range cols {
+		w[k] = g.w[j]
+	}
+	acc := getLocalVec(n + 2)
+	clear(acc)
+	lossSum, count := g.pass(pp, local, w, acc[:n])
+	acc[n] += lossSum
+	acc[n+1] += count
+	frame, ok := serde.EncodeF64Support(nil, g.dim+2, pp.Support, acc)
+	putLocalVec(w)
+	putLocalVec(acc)
+	return frame, ok, nil
+}
+
+// localVecs parks the compact fold's gathered weights and accumulators
+// between steps — a free list for linalg's vecFree reason (a GC'd pool
+// would hand back fresh memory most steps). Its vectors hold a block's
+// column count, which differs a little from block to block, so any
+// vector long enough serves, and each is made with some headroom. The
+// list holds the two vectors of each of four concurrent tasks.
+var localVecs = make(chan []float64, 8)
+
+// getLocalVec returns a vector of length n, not cleared.
+func getLocalVec(n int) []float64 {
+	select {
+	case v := <-localVecs:
+		if cap(v) >= n {
+			return v[:n]
 		}
-		acc[dim] += lossSum
-		acc[dim+1] += count
-		return acc
+	default:
+	}
+	return make([]float64, n, n+n/8)
+}
+
+// putLocalVec parks v for a later getLocalVec.
+func putLocalVec(v []float64) {
+	select {
+	case localVecs <- v:
+	default:
 	}
 }
 

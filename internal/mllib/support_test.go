@@ -66,7 +66,7 @@ func supportShapes(rng *rand.Rand) []struct {
 }
 
 // TestGradSupportCoversWrites holds the promise mllib makes to core at its
-// source: every aggregator element packedGradSeqOp changes — from Zero,
+// source: every aggregator element packedGrad.seqOp changes — from Zero,
 // and from an accumulator already holding values — is set in the
 // partition's gradSupport, for every fused gradient family, full and
 // sampled passes, on the hypersparse shapes and a zero-multiplier hinge
@@ -102,7 +102,7 @@ func TestGradSupportCoversWrites(t *testing.T) {
 						}
 					}
 					before := slices.Clone(acc)
-					acc = packedGradSeqOp(kind.k, w, sh.dim, frac, 7, 3)(acc, packedPart{M: m, Support: sup})
+					acc = packedGrad{kind: kind.k, w: w, dim: sh.dim, frac: frac, seed: 7, iter: 3}.seqOp(acc, packedPart{M: m, Support: sup})
 					changed := 0
 					for i := range acc {
 						if math.Float64bits(acc[i]) == math.Float64bits(before[i]) {

@@ -162,10 +162,18 @@ type AggregateOptions struct {
 }
 
 // TreeHooks are TreeAggregate's typed fast paths for an aggregator
-// whose block frames allow more than serde's decode-then-combOp. All
-// three are required; nil hooks are TreeAggregate as Spark has it:
-// serde.Encode, serde.Decode then combOp, nothing recycled.
+// whose block frames allow more than serde's decode-then-combOp. Encode,
+// MergeWire and Recycle are required, Fold is optional; nil hooks are
+// TreeAggregate as Spark has it: serde.Encode, serde.Decode then combOp,
+// nothing recycled.
 type TreeHooks[T, U any] struct {
+	// Fold, when non-nil, folds a stage-1 task's elements straight to
+	// their block frame. ok true promises the frame holds Encode's bytes
+	// for the accumulator zero and seqOp over elems would make; the task
+	// stores it and calls none of zero, seqOp, Encode and Recycle. ok
+	// false declines, and the task folds as it would without Fold; an
+	// error fails the task. Combine rounds and the driver never call it.
+	Fold func(elems []T) (frame []byte, ok bool, err error)
 	// Encode returns u's block frame; elems are the elements a stage-1
 	// task folded into u, nil for a combine round's accumulator.
 	Encode func(u U, elems []T) ([]byte, error)
@@ -228,6 +236,16 @@ func TreeAggregate[T, U any](r *RDD[T], zero func() U, seqOp func(U, T) U, combO
 			data, err := r.Materialize(ec, task)
 			if err != nil {
 				return nil, err
+			}
+			if hooks.Fold != nil {
+				wire, ok, err := hooks.Fold(data)
+				if err != nil {
+					return nil, err
+				}
+				if ok {
+					ec.Store.PutLocal(blockID(0, task), wire)
+					return nil, nil
+				}
 			}
 			acc := zero()
 			for _, v := range data {

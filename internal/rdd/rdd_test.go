@@ -434,7 +434,8 @@ func TestTreeAggregateSum(t *testing.T) {
 // gives the bits of the nil-hook serde path. The values are order
 // sensitive, and every block carries a −0.0 that the driver's +0.0 head
 // must still turn into +0.0. Every stage-1 and combine accumulator is
-// recycled, and stage 1 alone hands Encode its elements.
+// recycled, and stage 1 alone hands Encode its elements — except where
+// a Fold accepts, whose task stores Fold's frame and runs nothing else.
 func TestTreeAggregateHooks(t *testing.T) {
 	ctx := testContext(t, 3, 2)
 	const dim = 130
@@ -484,6 +485,39 @@ func TestTreeAggregateHooks(t *testing.T) {
 	}
 	if a, b, c := withElems.Load(), withoutElems.Load(), recycled.Load(); a != 16 || b != 4 || c != 20 {
 		t.Fatalf("Encode saw elements %d times and none %d times, %d recycled; want 16, 4 and 20", a, b, c)
+	}
+
+	// A Fold that takes the partitions whose first element is even and
+	// declines the rest: a folded task stores Fold's frame and runs
+	// neither seqOp, Encode nor Recycle; a declined one folds as before.
+	withElems.Store(0)
+	withoutElems.Store(0)
+	recycled.Store(0)
+	var folded atomic.Int64
+	hooks.Fold = func(elems []int64) ([]byte, bool, error) {
+		if len(elems) == 0 || elems[0]%2 != 0 {
+			return nil, false, nil
+		}
+		folded.Add(1)
+		acc := zero()
+		for _, v := range elems {
+			acc = seqOp(acc, v)
+		}
+		wire, err := serde.EncodeF64(nil, acc, nil)
+		return wire, true, err
+	}
+	got, err = TreeAggregate(r, zero, seqOp, combOp, AggregateOptions{Depth: 2}, hooks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("element %d: %#x with Fold, %#x without hooks", i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+		}
+	}
+	f := folded.Load()
+	if a, b, c := withElems.Load(), withoutElems.Load(), recycled.Load(); f == 0 || f == 16 || a != 16-f || b != 4 || c != 20-f {
+		t.Fatalf("%d of 16 tasks folded; Encode saw elements %d times and none %d times, %d recycled; want %d, 4 and %d", f, a, b, c, 16-f, 20-f)
 	}
 }
 

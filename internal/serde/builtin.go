@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Built-in codecs for the primitive and slice types that flow through
@@ -159,6 +160,47 @@ func (f64SliceCodec) Encode(dst []byte, v any) ([]byte, error) {
 // reading only the support's elements. The bytes are Encode's.
 func EncodeF64(dst []byte, s []float64, cand []uint64) ([]byte, error) {
 	return appendF64Slice(dst, true, s, cand)
+}
+
+// EncodeF64Support appends the tagged tag 7 frame of the n-element
+// vector that holds vals at the set bits of sup below n, in bit order,
+// and +0.0 everywhere else: the bytes EncodeF64(dst, v, sup) gives for
+// that vector v, written from its support without v. vals must hold one
+// value per set bit, and sup at least PackedWords(n) words. It declines
+// (ok false, dst as it was) when the support does not settle the packed
+// form, where EncodeF64 would read the vector itself (PackedSizeF64).
+func EncodeF64Support(dst []byte, n int, sup []uint64, vals []float64) (frame []byte, ok bool) {
+	if n <= 0 || n >= f64PackedBit {
+		return dst, false
+	}
+	words, c := PackedWords(n), candCount(sup, 0, n)
+	if c != len(vals) {
+		panic(fmt.Sprintf("serde: %d values for a support of %d elements", len(vals), c))
+	}
+	if c > n/packThreshold-words || !probeCannotFire(sup, 0, n) {
+		return dst, false
+	}
+	dst = grow(dst, 8+8*(words+c))
+	dst = appendUint32(dst, tagF64Slice)
+	dst = appendUint32(dst, uint32(n)|f64PackedBit)
+	bm := len(dst)
+	vo := bm + 8*words
+	dst = dst[:cap(dst)]
+	k := 0
+	for w := 0; w < words; w++ {
+		// As EncodePackedF64 from candidates: a +0.0 stays out of the mask.
+		var m uint64
+		for b := BitsAt(sup, 64*w, min(64, n-64*w)); b != 0; b &= b - 1 {
+			if x := math.Float64bits(vals[k]); x != 0 {
+				m |= 1 << uint(bits.TrailingZeros64(b))
+				binary.LittleEndian.PutUint64(dst[vo:], x)
+				vo += 8
+			}
+			k++
+		}
+		binary.LittleEndian.PutUint64(dst[bm+8*w:], m)
+	}
+	return dst[:vo], true
 }
 
 // appendF64Slice appends s's tag 7 payload to dst, led by the type tag

@@ -134,6 +134,66 @@ func FuzzF64SliceRoundTrip(f *testing.F) {
 	})
 }
 
+// FuzzEncodeF64Support: a vector given as a support and the values at
+// its set bits encodes, when the support settles the packed form, to the
+// bytes EncodeF64 writes for the expanded vector with that support —
+// whatever the values' bits (+0.0, −0.0, NaN payloads, subnormals) and
+// whatever the support holds past n. A declined call leaves dst as it was.
+func FuzzEncodeF64Support(f *testing.F) {
+	for _, s := range []struct {
+		n       uint32
+		density uint8
+		seed    int64
+	}{
+		{0, 10, 1}, {1, 255, 2}, {63, 40, 3}, {64, 20, 4}, {65, 20, 5},
+		{1000, 128, 6}, {1000, 120, 7}, {4097, 14, 8}, {70_000, 14, 9}, {3000, 0, 10},
+	} {
+		f.Add(s.n, s.density, s.seed)
+	}
+	specials := []uint64{0, 1 << 63, 0x7ff8_0000_dead_beef, 1, math.Float64bits(2.5)}
+	f.Fuzz(func(t *testing.T, n uint32, density uint8, seed int64) {
+		size := int(n % (1 << 18))
+		rng := rand.New(rand.NewSource(seed))
+		// One spare word, with random bits past n in it and the last word.
+		sup := make([]uint64, PackedWords(size)+1)
+		v := make([]float64, size)
+		var vals []float64
+		for i := range 64 * len(sup) {
+			if rng.Intn(256) >= int(density) {
+				continue
+			}
+			sup[i/64] |= 1 << uint(i%64)
+			if i >= size {
+				continue
+			}
+			x := rng.NormFloat64()
+			if rng.Intn(2) == 0 {
+				x = math.Float64frombits(specials[rng.Intn(len(specials))])
+			}
+			v[i] = x
+			vals = append(vals, x)
+		}
+		dst := []byte{0xAB}
+		got, ok := EncodeF64Support(dst, size, sup, vals)
+		if !ok {
+			if len(got) != 1 || got[0] != 0xAB {
+				t.Fatalf("n=%d: a declined encode left %x", size, got)
+			}
+			return
+		}
+		want, err := EncodeF64([]byte{0xAB}, v, sup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if binary.LittleEndian.Uint32(want[5:])&f64PackedBit == 0 {
+			t.Fatalf("n=%d: encoded from a support EncodeF64 writes dense", size)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("n=%d, %d values: %d bytes from the support, EncodeF64 wrote %d", size, len(vals), len(got), len(want))
+		}
+	})
+}
+
 // requireMergeMatchesDecodeAdd holds DecodeReduceF64(acc, wire) to
 // Decode-then-add bit for bit. acc must be a sum from +0.0. A frame
 // Decode refuses, or one that is not a []float64 of len(acc) elements,
