@@ -16,8 +16,10 @@ GO ?= go
 build:
 	$(GO) build ./...
 
+# vet also fails on any file gofmt would rewrite.
 vet:
 	$(GO) vet ./...
+	@test -z "$$(gofmt -l .)" || { echo "vet: gofmt -l lists these files; run gofmt -w:" >&2; gofmt -l . >&2; exit 1; }
 
 # core.Aggregate is the only aggregation entry point and mllib.LoadModel
 # the only loader: a deprecated wrapper beside them is a second way in.
@@ -85,7 +87,7 @@ chaos-elastic:
 # executor→driver gather frame.
 overhead:
 	$(GO) test -run 'TelemetryOverhead|PipelineOverhead' -v ./internal/collective
-	$(GO) test -run 'OwnedFrameOverhead' -v ./internal/core
+	$(GO) test -run 'OwnedFrameOverhead|CompactRingOverhead' -v ./internal/core
 	$(GO) test -run 'PackedKernelOverhead' -v ./internal/linalg
 	$(GO) test -run 'AllocBudget' -v ./internal/mllib
 
@@ -155,7 +157,10 @@ bench-pair:
 # (20 000 × 1 000 000, 4 executors × 1 core, loopback TCP) as one
 # command, one profile and one top per strategy: the profiles that name
 # the layer a perf PR spends (ROADMAP item 2) — benchmark/ itself takes
-# no profiling flag.
+# no profiling flag. Each benchmark line also reports the step's
+# compute-ms/op and reduce-ms/op (the IMM stage and the ring, or the
+# tree's stage 1 and its merge), so the phase split prints beside its
+# top.
 profile:
 	for s in split tree; do \
 		$(GO) test -run '^$$' -bench "WideStepTCP/$$s\$$" -benchtime 100x -cpuprofile /tmp/sparker-wide-step-$$s.prof -o /tmp/sparker-wide-step.test ./internal/mllib && \

@@ -265,7 +265,7 @@ type Ops[V any] struct {
 }
 
 // PackedOps is the zero-suppressed packed chunk form (packed.go,
-// DESIGN.md §11); all four callbacks are required. Supplying it asserts
+// DESIGN.md §11); all six callbacks are required. Supplying it asserts
 // that Reduce is IEEE addition of element words and that segments are
 // summed up from +0.0 — the only algebra under which not shipping a zero
 // word is value-exact. Ops without it never send a packed frame and fail
@@ -294,6 +294,13 @@ type PackedOps[V any] struct {
 	// the marked elements and leaves the rest alone, with the same
 	// validate-first, non-retaining contract.
 	DecodeChunkInto func(dst V, off, n int, payload []byte) error
+	// TakeChunkTo is EncodeChunkTo, the same bytes, for a range that is
+	// sent for the last time: it leaves elements [off, off+n) of v +0.0,
+	// as Zero made them. ClearChunk does the same after a dense encode.
+	// They let RingReduceScatterFrom hand each segment back to its source
+	// clean without another pass over it.
+	TakeChunkTo func(dst []byte, v V, off, n int, cand []uint64, bit int) []byte
+	ClearChunk  func(v V, off, n int)
 }
 
 // sizeHint picks the pooled-buffer size for the next encode: the exact
@@ -524,7 +531,9 @@ func decodeReduce[V any](ops Ops[V], acc V, wire []byte) (V, bool, error) {
 // RingReduceScatter reduces P×N segments held by each of N ranks so
 // that afterwards every rank owns P fully-reduced segments (one per
 // parallel channel). segs must have length P×N; segment j of channel p
-// is segs[p*N + j], and all ranks must agree on this layout.
+// is segs[p*N + j], and all ranks must agree on this layout. The ring
+// reduces in place in segs' elements (Ops.Reduce and the chunk hooks
+// write their accumulator).
 //
 // The returned map is globalSegmentIndex -> reduced value. Rank r ends
 // up owning, for each channel p, global segment p*N + (r+1)%N — the
@@ -538,20 +547,87 @@ func decodeReduce[V any](ops Ops[V], acc V, wire []byte) (V, bool, error) {
 // its block's share and ORs it back when it finishes, under the lock
 // that guards owned.
 func RingReduceScatter[V any](ctx context.Context, e *comm.Endpoint, segs []V, parallelism int, ops Ops[V]) (map[int]V, error) {
+	if p := parallelism; p > 0 && len(segs) != p*e.Size() {
+		return nil, fmt.Errorf("collective: need %d segments (P=%d × N=%d), got %d", p*e.Size(), p, e.Size(), len(segs))
+	}
+	return reduceScatter(ctx, e, sliceSegments[V]{segs, ops.Elems}, parallelism, ops, false)
+}
+
+// Segments is where RingReduceScatterFrom reads the P×N segments it
+// reduces, segment by segment, so that a caller whose aggregator is not
+// laid out as P×N vectors (core's compact aggregator) can build each one
+// just before the ring first uses it, into a buffer it gets back:
+//
+//   - Elems(i) is segment i's element count; the ring asks only when
+//     Ops has a fixed stride (ChunkStride > 0).
+//   - Take(i, ch) returns segment i to channel ch just before its first
+//     use: the channel's first send, or the first receive reduced into
+//     it. The ring then owns it and reduces into it in place.
+//   - Give(i, ch, v) returns segment i, as v, once its last chunk is
+//     encoded for its one send. When Ops can pack (CanPack), the ring
+//     encodes that send with PackedOps.TakeChunkTo or ClearChunk, so v
+//     comes back all +0.0 and the source can hand it out again without
+//     clearing it. A step whose send fits the two-chunk send window
+//     gives its segment back before it takes the one it reduces into,
+//     so a source can reuse one buffer a channel.
+//
+// Each segment is taken once and given back at most once; the P
+// segments the caller ends up owning are never given back (they are in
+// the returned map), and a ring that fails gives back nothing more.
+// Channels call Take and Give from their own goroutines, each only for
+// segments of its own block (p*N ≤ i < (p+1)*N), so a source keeps
+// per-channel state apart and needs no lock for it.
+type Segments[V any] interface {
+	Elems(i int) int
+	Take(i, ch int) V
+	Give(i, ch int, v V)
+}
+
+// sliceSegments is the trivial source behind RingReduceScatter: segment
+// i is segs[i], taken as it is (the ring reduces in the caller's
+// memory), and giving it back does nothing. Its segments are not
+// cleared as they are sent.
+type sliceSegments[V any] struct {
+	segs  []V
+	elems func(V) int
+}
+
+func (s sliceSegments[V]) Elems(i int) int  { return s.elems(s.segs[i]) }
+func (s sliceSegments[V]) Take(i, _ int) V  { return s.segs[i] }
+func (s sliceSegments[V]) Give(int, int, V) {}
+
+// srcElems is the element count of segments [lo, hi) of src.
+func srcElems[V any, S Segments[V]](src S, lo, hi int) int {
+	n := 0
+	for i := lo; i < hi; i++ {
+		n += src.Elems(i)
+	}
+	return n
+}
+
+// RingReduceScatterFrom is RingReduceScatter over the P×N segments src
+// hands out (Segments): the same schedule, frames and result, with each
+// segment taken just before its first use and given back after its last
+// send — all +0.0 when ops can pack. A WithSupport bitmap covers the
+// concatenation of src's segments.
+func RingReduceScatterFrom[V any, S Segments[V]](ctx context.Context, e *comm.Endpoint, src S, parallelism int, ops Ops[V]) (map[int]V, error) {
+	return reduceScatter(ctx, e, src, parallelism, ops, ops.CanPack())
+}
+
+// reduceScatter is the one reduce-scatter; with take, every send of a
+// segment — in reduce-scatter its only one — also leaves it +0.0.
+func reduceScatter[V any, S Segments[V]](ctx context.Context, e *comm.Endpoint, src S, parallelism int, ops Ops[V], take bool) (map[int]V, error) {
 	n := e.Size()
 	p := parallelism
 	if p <= 0 {
 		return nil, fmt.Errorf("collective: parallelism must be positive, got %d", p)
 	}
-	if len(segs) != p*n {
-		return nil, fmt.Errorf("collective: need %d segments (P=%d × N=%d), got %d", p*n, p, n, len(segs))
-	}
 
 	owned := make(map[int]V, p)
 	if n == 1 {
 		// Single rank: everything is already reduced.
-		for i, s := range segs {
-			owned[i] = s
+		for i := 0; i < p; i++ {
+			owned[i] = src.Take(i, i)
 		}
 		return owned, nil
 	}
@@ -579,7 +655,7 @@ func RingReduceScatter[V any](ctx context.Context, e *comm.Endpoint, segs []V, p
 	cores := CoresFrom(ctx)
 	// Assigned once: a variable the goroutines capture and that is written
 	// after its declaration would move to the heap.
-	sup := supportFor(ctx, ops, segs)
+	sup := supportFor(ctx, ops, src, p*n)
 	r := e.Rank()
 	for ch := 0; ch < p; ch++ {
 		wg.Add(1)
@@ -592,20 +668,20 @@ func RingReduceScatter[V any](ctx context.Context, e *comm.Endpoint, segs []V, p
 					setErr(fmt.Errorf("collective: rank %d ch %d panic: %v", r, ch, p))
 				}
 			}()
-			block := segs[ch*n : (ch+1)*n]
+			// cur fills as the steps take the block's segments.
 			cur := make([]V, n)
-			copy(cur, block)
 			// One transfer engine per channel goroutine: its completion
 			// channels, size hint and chunk plan persist across the
 			// k-step loop, cycling pooled buffers instead of allocating
 			// N-1 times.
 			var rc ringChan[V]
 			rc.init(e, ops, ch, epoch, tel, chunkBytes, cores)
+			rc.take = take
 			if sup != nil {
-				rc.loadSupport(&mu, sup, segsElems(ops, segs[:ch*n]), block)
+				rc.loadSupport(&mu, sup, srcElems[V](src, 0, ch*n), srcElems[V](src, ch*n, (ch+1)*n))
 			}
 			for k := 0; k < n-1; k++ {
-				if err := ringStepRS(ctx, &rc, cur, r, n, k); err != nil {
+				if err := ringStepRS(ctx, &rc, src, cur, r, n, k); err != nil {
 					setErr(err)
 					return
 				}
@@ -626,8 +702,10 @@ func RingReduceScatter[V any](ctx context.Context, e *comm.Endpoint, segs []V, p
 
 // ringStepRS runs one reduce-scatter step on one channel: open the step
 // span, derive the step context, stream segment sendIdx to the
-// successor while reducing the predecessor's segment into recvIdx.
-func ringStepRS[V any](ctx context.Context, rc *ringChan[V], cur []V, r, n, k int) (err error) {
+// successor while reducing the predecessor's segment into recvIdx
+// (transferReduce takes recvIdx from src and gives sendIdx back: this is
+// its one send). cur is the channel's block of segments as taken so far.
+func ringStepRS[V any, S Segments[V]](ctx context.Context, rc *ringChan[V], src S, cur []V, r, n, k int) (err error) {
 	var span *trace.ActiveSpan
 	if rc.tel.on {
 		start := time.Now()
@@ -641,12 +719,19 @@ func ringStepRS[V any](ctx context.Context, rc *ringChan[V], cur []V, r, n, k in
 	}
 	sctx, cancel := stepContext(ctx)
 	defer cancel()
+	base := rc.ch * n
 	sendIdx := ((r-k)%n + n) % n
 	recvIdx := ((r-k-1)%n + n) % n
-	if rc.sup != nil {
-		rc.outBit, rc.inBit = segsElems(rc.ops, cur[:sendIdx]), segsElems(rc.ops, cur[:recvIdx])
+	// Step 0 sends the rank's own segment; every later step sends the
+	// one the step before reduced into. Each step reduces into a segment
+	// no step has used yet.
+	if k == 0 {
+		cur[sendIdx] = src.Take(base+sendIdx, rc.ch)
 	}
-	acc, err := rc.transferReduce(sctx, span, cur[sendIdx], cur[recvIdx])
+	if rc.sup != nil {
+		rc.outBit, rc.inBit = srcElems[V](src, base, base+sendIdx), srcElems[V](src, base, base+recvIdx)
+	}
+	acc, err := transferReduce(rc, sctx, span, src, cur[sendIdx], base+sendIdx, base+recvIdx)
 	if err != nil {
 		return fmt.Errorf("collective: rank %d ch %d step %d: %w", r, rc.ch, k, err)
 	}

@@ -40,6 +40,10 @@ func (ops Ops[V]) CanPack() bool {
 var f64Packed = &PackedOps[[]float64]{
 	ChunkSize:     serde.PackedSizeF64,
 	EncodeChunkTo: serde.EncodePackedF64,
+	TakeChunkTo:   serde.TakePackedF64,
+	ClearChunk: func(v []float64, off, n int) {
+		clear(v[off : off+n])
+	},
 	DecodeReduceChunkInto: func(acc []float64, off, n int, payload []byte) error {
 		return malformedChunk(serde.DecodeReducePackedF64(acc, off, n, payload))
 	},

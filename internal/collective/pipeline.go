@@ -117,23 +117,19 @@ func resolveChunkBytes(ctx context.Context) int {
 }
 
 // RingChannels is how many of p connected ring channels a collective
-// over an aggregator split into segs uses: min(p, ⌈elems × stride ÷
-// chunk bytes⌉), elems the segments' total, and at least one. A channel
-// whose share cannot fill one chunk buys no bandwidth and still pays the
-// ring's per-step latency, so a few-KB aggregator runs on one channel
-// and an 8 MB one on all p (EXPERIMENTS.md "Ring channels from the
-// bytes" has the sweep). Every rank derives the same count from the
-// aggregator length the ring already requires it to agree on. Ops
-// without a fixed stride, whose bytes are unknown before encoding, and
+// over an aggregator of elems elements uses: min(p, ⌈elems × stride ÷
+// chunk bytes⌉), and at least one. A channel whose share cannot fill
+// one chunk buys no bandwidth and still pays the ring's per-step
+// latency, so a few-KB aggregator runs on one channel and an 8 MB one on
+// all p (EXPERIMENTS.md "Ring channels from the bytes" has the sweep).
+// Every rank derives the same count from the aggregator length the ring
+// already requires it to agree on. Ops without a fixed stride, whose
+// bytes are unknown before encoding (elems is not read), and
 // collectives run with chunking off keep p.
-func RingChannels[V any](ctx context.Context, p int, segs []V, ops Ops[V]) int {
+func RingChannels[V any](ctx context.Context, p, elems int, ops Ops[V]) int {
 	stride, chunk := ops.ChunkStride(), resolveChunkBytes(ctx)
 	if stride <= 0 || chunk <= 0 {
 		return p
-	}
-	elems := 0
-	for _, s := range segs {
-		elems += ops.Elems(s)
 	}
 	return max(1, min(p, (elems*stride+chunk-1)/chunk))
 }
@@ -230,6 +226,7 @@ type ringChan[V any] struct {
 	chunkBytes int  // target chunk payload bytes; 0 = chunking off
 	stride     int  // payload bytes per element (0 when ops lack chunk support)
 	packs      bool // ops supply the packed chunk form
+	take       bool // reduce-scatter leaves what it sends +0.0 (packs only)
 
 	// The reduce-scatter channel's private support copy (support.go):
 	// nil means scan. supLo is its bit in the shared bitmap; outBit and
@@ -403,6 +400,9 @@ func (rc *ringChan[V]) encodeChunkFrame(spanID uint64, v V, idx, total, elemOff,
 	wire := rc.ops.EncodeChunkTo(buf[:hs], v, elemOff, elemCnt)
 	releaseIfAbandoned(buf, wire)
 	rc.stampChunk(wire, spanID, idx, total, elemOff, elemCnt, elemAll, formDense)
+	if rc.take {
+		rc.ops.Packed.ClearChunk(v, elemOff, elemCnt)
+	}
 	return wire
 }
 
@@ -421,7 +421,11 @@ func (rc *ringChan[V]) encodePackedFrame(spanID uint64, v V, idx, total, elemOff
 	}
 	hs := chunkHeaderSize(spanID)
 	buf := comm.GetBuffer(hs + size)
-	wire := rc.ops.Packed.EncodeChunkTo(buf[:hs], v, elemOff, elemCnt, rc.sup, bit)
+	encode := rc.ops.Packed.EncodeChunkTo
+	if rc.take {
+		encode = rc.ops.Packed.TakeChunkTo
+	}
+	wire := encode(buf[:hs], v, elemOff, elemCnt, rc.sup, bit)
 	releaseIfAbandoned(buf, wire)
 	rc.stampChunk(wire, spanID, idx, total, elemOff, elemCnt, elemAll, formPacked)
 	rc.lastRaw = int64(hs + rc.stride*elemCnt)
@@ -457,6 +461,9 @@ func (rc *ringChan[V]) encodeNext(spanID uint64, v V, total, elems, per int) []b
 	buf := comm.GetBuffer(sizeHint(rc.ops, rc.hint, v) + frameHeaderSize(spanID))
 	wire := encodeFrame(rc.ops, rc.epoch, spanID, buf, v)
 	rc.hint = len(wire)
+	if rc.take {
+		rc.ops.Packed.ClearChunk(v, 0, elems)
+	}
 	return wire
 }
 
@@ -681,32 +688,45 @@ func (rc *ringChan[V]) finishStep(span *trace.ActiveSpan, chunks int) {
 	}
 }
 
-// transferReduce runs one reduce-scatter step on this channel: stream
-// segment out to the successor while receiving the predecessor's
-// segment and reducing it into acc. Returns the updated accumulator.
+// transferReduce runs one reduce-scatter step on channel rc: stream
+// segment out (segment sendSeg of src) to the successor while receiving
+// the predecessor's share of segment recvSeg and reducing it into the
+// local one. Returns the updated accumulator.
 //
 // The schedule keeps the send window full first (two chunks in flight),
 // then alternates receives — each received chunk decode-reduces while
 // the window drains on the wire — and retires completions
 // opportunistically, so encode, wire and reduce overlap within the step
-// instead of running back to back.
-func (rc *ringChan[V]) transferReduce(sctx context.Context, span *trace.ActiveSpan, out V, acc V) (V, error) {
+// instead of running back to back. out goes back to src as soon as its
+// last chunk is encoded, and recvSeg is taken from src just before the
+// first receive: a train that fits the window is given back first, so a
+// source can hand the same buffer out again for the segment reduced
+// into, while it is still in cache.
+func transferReduce[V any, S Segments[V]](rc *ringChan[V], sctx context.Context, span *trace.ActiveSpan, src S, out V, sendSeg, recvSeg int) (V, error) {
 	spanID := span.ID()
 	outTotal, elems, per := rc.outPlan(out)
 	rc.beginStep(sctx)
 
+	var acc V
+	taken := false
 	inNeed, inGot := -1, 0
 	for {
 		// Keep the double buffer full: encode and launch the next chunk
 		// whenever fewer than two frames are in flight.
 		if rc.sent < outTotal && rc.inflight() < 2 {
 			rc.sendFrame(rc.encodeNext(spanID, out, outTotal, elems, per))
+			if rc.sent == outTotal {
+				src.Give(sendSeg, rc.ch, out)
+			}
 			continue
 		}
 		// Receive while the window is full (or everything is sent): the
 		// reduce below runs while both in-flight chunks traverse the
 		// wire — this interleaving is the pipeline.
 		if inNeed < 0 || inGot < inNeed {
+			if !taken {
+				acc, taken = src.Take(recvSeg, rc.ch), true
+			}
 			fr, err := rc.recvAny()
 			if err != nil {
 				rc.abortSends()

@@ -28,11 +28,12 @@ func WithSupport(ctx context.Context, words []uint64) context.Context {
 	return context.WithValue(ctx, supportKey{}, words)
 }
 
-// supportFor returns the support ctx carries for segs, or nil when there
-// is none, the ops cannot pack, or its length does not fit segs.
-func supportFor[V any](ctx context.Context, ops Ops[V], segs []V) []uint64 {
+// supportFor returns the support ctx carries for src's first nSegs
+// segments, or nil when there is none, the ops cannot pack, or its
+// length does not fit them.
+func supportFor[V any, S Segments[V]](ctx context.Context, ops Ops[V], src S, nSegs int) []uint64 {
 	s, _ := ctx.Value(supportKey{}).([]uint64)
-	if s == nil || !ops.CanPack() || len(s) != serde.PackedWords(segsElems(ops, segs)) {
+	if s == nil || !ops.CanPack() || len(s) != serde.PackedWords(srcElems[V](src, 0, nSegs)) {
 		return nil
 	}
 	return s
@@ -60,21 +61,11 @@ func setBits(sup []uint64, b, k int) {
 // supportPool recycles the ring channels' private support copies.
 var supportPool = sync.Pool{New: func() any { return new([]uint64) }}
 
-// segsElems is the element count of segs.
-func segsElems[V any](ops Ops[V], segs []V) int {
-	n := 0
-	for _, s := range segs {
-		n += ops.Elems(s)
-	}
-	return n
-}
-
 // loadSupport gives the channel its private copy of its block's share
-// of shared, which starts at bit lo: bit 0 of the copy is the block's
-// first element, so the channel's writes never share a word with
-// another channel's. mu serializes every access to shared.
-func (rc *ringChan[V]) loadSupport(mu *sync.Mutex, shared []uint64, lo int, block []V) {
-	elems := segsElems(rc.ops, block)
+// of shared, the elems bits from bit lo: bit 0 of the copy is the
+// block's first element, so the channel's writes never share a word
+// with another channel's. mu serializes every access to shared.
+func (rc *ringChan[V]) loadSupport(mu *sync.Mutex, shared []uint64, lo, elems int) {
 	rc.supBuf = supportPool.Get().(*[]uint64)
 	if cap(*rc.supBuf) < serde.PackedWords(elems) {
 		*rc.supBuf = make([]uint64, serde.PackedWords(elems))

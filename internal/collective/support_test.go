@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"sparker/internal/comm"
@@ -32,7 +34,9 @@ func supersetOf(v []float64, bit int, extra []byte) []uint64 {
 
 // requireSupportMatchesScan: sizing and encoding v[off:off+n] from the
 // candidates cand (at bit) chooses what the scan chooses, produces the
-// scan's bytes, and stays within the size it promised.
+// scan's bytes, and stays within the size it promised; so does the
+// taking encoder (serde.TakePackedF64), which also leaves the range, and
+// nothing else, +0.0.
 func requireSupportMatchesScan(t *testing.T, v []float64, off, n int, cand []uint64, bit int) {
 	t.Helper()
 	scan := serde.PackedSizeF64(v, off, n, nil, 0)
@@ -51,6 +55,19 @@ func requireSupportMatchesScan(t *testing.T, v []float64, off, n int, cand []uin
 	got := serde.EncodePackedF64(make([]byte, 0, sized), v, off, n, cand, bit)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("n=%d bit=%d: encoding from the support changed the bytes (%d vs %d)", n, bit, len(got), len(want))
+	}
+	taken := slices.Clone(v)
+	if got := serde.TakePackedF64(make([]byte, 0, sized), taken, off, n, cand, bit); !bytes.Equal(got, want) {
+		t.Fatalf("n=%d bit=%d: the taking encoder changed the bytes (%d vs %d)", n, bit, len(got), len(want))
+	}
+	for i := range v {
+		want := math.Float64bits(v[i])
+		if i >= off && i < off+n {
+			want = 0
+		}
+		if math.Float64bits(taken[i]) != want {
+			t.Fatalf("n=%d bit=%d: the taking encoder left element %d as %#x", n, bit, i, math.Float64bits(taken[i]))
+		}
 	}
 }
 
@@ -178,6 +195,125 @@ func TestRingSupportMatchesScan(t *testing.T) {
 			for j, x := range got[r][i] {
 				if b := i*segLen + j; math.Float64bits(x) != 0 && sups[r][b>>6]>>uint(b&63)&1 == 0 {
 					t.Fatalf("rank %d: element %d of owned segment %d is non-zero outside the support", r, j, i)
+				}
+			}
+		}
+	}
+}
+
+// denseSource is a Segments over a rank's segments as a compact
+// aggregator holds them — the values at the set bits of sup, +0.0
+// elsewhere — built into a fresh buffer when the ring takes a segment.
+// It checks the ring's side of the contract: each segment taken once by
+// its own block's channel, given back once after it was taken, and all
+// +0.0 (F64Ops pack, so the ring's send cleared it).
+type denseSource struct {
+	segs   [][]float64
+	n      int
+	mu     sync.Mutex
+	taken  map[int]bool
+	given  map[int]bool
+	failed string
+}
+
+func (s *denseSource) Elems(i int) int { return len(s.segs[i]) }
+
+func (s *denseSource) Take(i, ch int) []float64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.taken[i] || i/s.n != ch {
+		s.failed = fmt.Sprintf("segment %d taken twice or by channel %d", i, ch)
+	}
+	s.taken[i] = true
+	return slices.Clone(s.segs[i])
+}
+
+func (s *denseSource) Give(i, ch int, v []float64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.taken[i] || s.given[i] || i/s.n != ch {
+		s.failed = fmt.Sprintf("segment %d given back twice, untaken, or by channel %d", i, ch)
+	}
+	s.given[i] = true
+	for j, x := range v {
+		if math.Float64bits(x) != 0 {
+			s.failed = fmt.Sprintf("segment %d given back with element %d not +0.0", i, j)
+		}
+	}
+}
+
+// TestRingSourceMatchesSlice: reduce-scatter from a source that builds
+// each segment when the ring takes it returns what the []V call returns
+// over the same segments — the same owned segments, bit for bit, the
+// same support left in the caller's bitmap, and the same frames (wire
+// bytes, dense equivalent and step count) — and takes and gives back
+// the segments as Segments promises: every segment once, the owned ones
+// never given back, the rest given back once and all +0.0 — with dense
+// and packed chunks in every train (headDense), and −0.0 and NaN
+// payloads among the values.
+func TestRingSourceMatchesSlice(t *testing.T) {
+	const n, segLen = 4, 3001
+	for _, p := range []int{1, 3} {
+		inputs := makeSparseInputs(rand.New(rand.NewSource(int64(41+p))), n, p*n, segLen, headDense, true)
+		run := func(name string, fromSource bool) ([]map[int][]float64, [][]uint64, [3]int64, []*denseSource) {
+			cp := deepCopySegs(inputs)
+			sups := make([][]uint64, n)
+			owned := make([]map[int][]float64, n)
+			regs := make([]*metrics.Registry, n)
+			srcs := make([]*denseSource, n)
+			runGroup(t, n, name, func(e *comm.Endpoint) error {
+				r := e.Rank()
+				regs[r] = metrics.NewRegistry()
+				ctx := metrics.NewContext(WithChunkBytes(context.Background(), 8000), regs[r]) // 1000-element chunks
+				var all []float64
+				for _, s := range cp[r] {
+					all = append(all, s...)
+				}
+				sups[r] = supersetOf(all, 0, []byte{0, 0, 0, 0x10})[:serde.PackedWords(len(all))]
+				ctx = WithSupport(ctx, sups[r])
+				var err error
+				if fromSource {
+					srcs[r] = &denseSource{segs: cp[r], n: n, taken: map[int]bool{}, given: map[int]bool{}}
+					owned[r], err = RingReduceScatterFrom(ctx, e, srcs[r], p, F64Ops())
+				} else {
+					owned[r], err = RingReduceScatter(ctx, e, cp[r], p, F64Ops())
+				}
+				return err
+			})
+			var frames [3]int64
+			for _, reg := range regs {
+				frames[0] += reg.Histogram(metrics.HistRingStepBytes).Sum()
+				frames[1] += reg.Histogram(metrics.HistRingStepRawBytes).Sum()
+				frames[2] += reg.Histogram(metrics.HistRingStepNS).Count()
+			}
+			return owned, sups, frames, srcs
+		}
+		want, wantSups, wantFrames := func() ([]map[int][]float64, [][]uint64, [3]int64) {
+			o, s, f, _ := run(fmt.Sprintf("src-slice-%d", p), false)
+			return o, s, f
+		}()
+		got, gotSups, gotFrames, srcs := run(fmt.Sprintf("src-source-%d", p), true)
+		if gotFrames != wantFrames {
+			t.Errorf("P=%d: frames (wire B, raw B, steps) %v from the source, %v from the slice", p, gotFrames, wantFrames)
+		}
+		for r := range want {
+			if len(got[r]) != p {
+				t.Fatalf("P=%d rank %d: owns %d segments from the source, want %d", p, r, len(got[r]), p)
+			}
+			for i, seg := range want[r] {
+				requireBitwiseEqual(t, fmt.Sprintf("P=%d rank %d segment %d", p, r, i), got[r][i], seg)
+			}
+			if !slices.Equal(gotSups[r], wantSups[r]) {
+				t.Errorf("P=%d rank %d: the ring left a different support", p, r)
+			}
+			s := srcs[r]
+			if s.failed != "" {
+				t.Fatalf("P=%d rank %d: %s", p, r, s.failed)
+			}
+			for i := range s.segs {
+				_, owns := got[r][i]
+				if !s.taken[i] || s.given[i] == owns {
+					t.Fatalf("P=%d rank %d segment %d: taken %v, given back %v, owned %v", p, r, i, s.taken[i], s.given[i], owns)
 				}
 			}
 		}

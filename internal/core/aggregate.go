@@ -208,15 +208,20 @@ type AggFuncs[T, U, V any] struct {
 	// never writes a returned bitmap, and ORs each one in whole, so it
 	// suits a few large elements (a packed partition), not one per point.
 	Support func(T) []uint64
-	// Fold, when non-nil, folds a tree stage-1 task's elements straight
-	// to the task's block frame, skipping Zero, SeqOp, the frame's
-	// encoding and Recycle: ok true promises the frame holds the bytes
-	// Zero, then SeqOp over elems in order, then the tree's encoding of
-	// the result would (from Support, when f64Wire). ok false declines,
-	// and the task folds as it would without Fold; an error fails the
-	// task. Only StrategyTree calls it, once per stage-1 task; the IMM and
-	// ring strategies fold with SeqOp into aggregators they keep.
-	Fold func(elems []T) (frame []byte, ok bool, err error)
+	// Fold, when non-nil, folds one task's elements in their support: it
+	// appends to dst the values Zero, then SeqOp over elems in order,
+	// would leave at the set bits of the elements' Support (ORed), in bit
+	// order, and returns them with the aggregator's element count n — a
+	// compact accumulator. ok false declines, and the task folds with
+	// Zero and SeqOp; an error fails the task. Core calls it only when U
+	// and V are []float64 and Ops pack (what lets a frame be written from
+	// a support), passes a dst from its own free list and takes the
+	// values back when it is done with them (never through Recycle). A
+	// tree stage-1 task writes its block from them; an IMM-stage task
+	// keeps them as its executor's aggregator, which the ring then reduces
+	// segment by segment, cut at SplitSlice's bounds — SplitOp must be
+	// SplitSlice. With no Support, Fold is never called.
+	Fold func(dst U, elems []T) (vals U, n int, ok bool, err error)
 }
 
 // recycle hands u to Recycle when the caller supplied one.
@@ -556,47 +561,33 @@ func runRingStage[T, U, V any](ctx context.Context, rc *rdd.Context, opID int64,
 					nExec, got, ErrMembershipChanged)
 			}
 			// The task owns the executor's aggregator from here on: the
-			// ring reduces in place in whatever SplitOp returns, and on
-			// success the memory goes back through Recycle. A failed ring
-			// leaves it partly reduced, so it is simply dropped.
-			u, sup, err := takeAgg(ec, key, held, fns)
+			// ring reduces in place in its segments, and on success the
+			// memory goes back (AggFuncs.release). A failed ring leaves
+			// it partly reduced, so it is simply dropped.
+			u, sup, n, err := takeAgg(ec, key, held, fns)
 			if err != nil {
 				return nil, err
 			}
-			// P is a cap: a fixed-stride aggregator too small to fill a
-			// chunk per channel rides fewer (collective.RingChannels), and
-			// is split again at that width — at most a few chunks' bytes,
-			// so an aggregator wide enough for all P is split once. Every
-			// rank's aggregator has the same length, so every rank picks
-			// the same width, and the driver reads it off the frames.
-			segs := splitParallel(u, o.Parallelism*nExec, ec.Cores, fns.SplitOp)
-			p := collective.RingChannels(cctx, o.Parallelism, segs, ops)
-			if p < o.Parallelism {
-				segs = splitParallel(u, p*nExec, ec.Cores, fns.SplitOp)
+			var run ringRun[V]
+			if n > 0 {
+				run, err = reduceCompact(cctx, ec, u, sup, n, nExec, o.Parallelism, ops)
+			} else {
+				run, err = reduceDense(cctx, ec, u, sup, nExec, o.Parallelism, ops, fns)
 			}
-			// The support goes to the ring, which ORs what it reduces in
-			// into it, and then to the owned frame; it dies with u.
-			var bits []uint64
-			if ops.CanPack() {
-				if bits = sup.words(segsElems(ops, segs)); bits != nil {
-					cctx = collective.WithSupport(cctx, bits)
-				}
-			}
-			owned, err := collective.RingReduceScatter(cctx, ec.Comm, segs, p, ops)
 			if err != nil {
 				return nil, err
 			}
 			if !allGather {
-				frame := encodeOwned(owned, ops, bits, segs, ec.ResultBuf)
-				fns.recycle(u)
+				frame := encodeOwned(run.owned, ops, run.bits, run.first, ec.ResultBuf)
+				fns.release(&run, u)
 				return frame, nil
 			}
-			all, err := collective.RingAllGather(cctx, ec.Comm, owned, p, ops)
+			all, err := collective.RingAllGather(cctx, ec.Comm, run.owned, run.p, ops)
 			if err != nil {
 				return nil, err
 			}
 			result := fns.ConcatOp(all)
-			fns.recycle(u)
+			fns.release(&run, u)
 			if keepKey != "" {
 				ec.MutObjs.GetOrCreate(keepKey, func() any { return result }).
 					Update(func(any) any { return result })
@@ -635,6 +626,79 @@ func runRingStage[T, U, V any](ctx context.Context, rc *rdd.Context, opID int64,
 
 	// Gather: order the segments by global index and reassemble.
 	return decodeOwned(payloads, ops, fns.ConcatOp)
+}
+
+// ringRun is one executor's reduce-scatter as the ring task finishes
+// it: the segments it owns, the support the ring left over its segments
+// (nil: none), the channel count it ran at, and what it reduced — a
+// dense aggregator's segments, or a compact one's source.
+type ringRun[V any] struct {
+	owned map[int]V
+	bits  []uint64
+	p     int
+	ops   collective.Ops[V]
+	segs  []V
+	src   *compactSegs
+}
+
+// first is segment i's first element.
+func (r *ringRun[V]) first(i int) int {
+	if r.src != nil {
+		return r.src.first(i)
+	}
+	return segsElems(r.ops, r.segs[:i])
+}
+
+// release gives the aggregator's memory back once nothing reads the
+// owned segments: a compact one's buffers and values to core's free
+// lists, a dense one, u, through Recycle.
+func (fns *AggFuncs[T, U, V]) release(run *ringRun[V], u U) {
+	if run.src != nil {
+		run.src.release(any(run.owned).(map[int][]float64))
+		return
+	}
+	fns.recycle(u)
+}
+
+// reduceDense reduce-scatters a dense aggregator u, split by SplitOp.
+// P is a cap: a fixed-stride aggregator too small to fill a chunk per
+// channel rides fewer (collective.RingChannels), and is split again at
+// that width — at most a few chunks' bytes, so an aggregator wide
+// enough for all P is split once. Every rank's aggregator has the same
+// length, so every rank picks the same width, and the driver reads it
+// off the frames. The support goes to the ring, which ORs what it
+// reduces in into it, and then to the owned frame; it dies with u.
+func reduceDense[T, U, V any](ctx context.Context, ec *rdd.ExecContext, u U, sup support, nExec, parallelism int, ops collective.Ops[V], fns *AggFuncs[T, U, V]) (ringRun[V], error) {
+	segs := splitParallel(u, parallelism*nExec, ec.Cores, fns.SplitOp)
+	elems := 0
+	if ops.ChunkStride() > 0 {
+		elems = segsElems(ops, segs)
+	}
+	p := collective.RingChannels(ctx, parallelism, elems, ops)
+	if p < parallelism {
+		segs = splitParallel(u, p*nExec, ec.Cores, fns.SplitOp)
+	}
+	var bits []uint64
+	if ops.CanPack() {
+		if bits = sup.words(elems); bits != nil {
+			ctx = collective.WithSupport(ctx, bits)
+		}
+	}
+	owned, err := collective.RingReduceScatter(ctx, ec.Comm, segs, p, ops)
+	return ringRun[V]{owned: owned, bits: bits, p: p, ops: ops, segs: segs}, err
+}
+
+// reduceCompact reduce-scatters a compact aggregator (compact.go) of n
+// elements through a compactSegs source, at the width and SplitSlice
+// bounds a dense one of n elements would ride: the same segments, reduced
+// in buffers that go back to segBufs, and the same frames. Only f64Wire
+// aggregators are compact, so V is []float64.
+func reduceCompact[U, V any](ctx context.Context, ec *rdd.ExecContext, u U, sup support, n, nExec, parallelism int, ops collective.Ops[V]) (ringRun[V], error) {
+	f64 := any(ops).(collective.Ops[[]float64])
+	p := collective.RingChannels(ctx, parallelism, n, f64)
+	src := newCompactSegs(any(u).([]float64), sup.bits, n, p*nExec)
+	owned, err := collective.RingReduceScatterFrom(collective.WithSupport(ctx, src.ring), ec.Comm, src, p, f64)
+	return ringRun[V]{owned: any(owned).(map[int]V), bits: src.ring, p: p, src: src}, err
 }
 
 // replicateResult pushes a degraded allreduce's result back onto every

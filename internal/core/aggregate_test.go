@@ -103,14 +103,14 @@ func TestRingChannelsFromBytes(t *testing.T) {
 	} {
 		agg := [][]float64{make([]float64, c.bytes/8)}
 		for k, p := range []int{1, 2, 4} {
-			if got := collective.RingChannels(bg, p, agg, f64); got != c.want[k] {
+			if got := collective.RingChannels(bg, p, len(agg[0]), f64); got != c.want[k] {
 				t.Errorf("%s, P=%d: %d channels, want %d", c.name, p, got, c.want[k])
 			}
-			if got := collective.RingChannels(bg, p, agg, generic); got != p {
+			if got := collective.RingChannels(bg, p, len(agg[0]), generic); got != p {
 				t.Errorf("%s, P=%d, stride-less: %d channels, want P", c.name, p, got)
 			}
 			// With chunking off there is no chunk to fill.
-			if got := collective.RingChannels(collective.WithChunkBytes(bg, -1), p, agg, f64); got != p {
+			if got := collective.RingChannels(collective.WithChunkBytes(bg, -1), p, len(agg[0]), f64); got != p {
 				t.Errorf("%s, P=%d, chunking off: %d channels, want P", c.name, p, got)
 			}
 		}

@@ -57,20 +57,23 @@ import (
 type immState[U any] struct {
 	agg   U
 	sup   support // of agg, when the ring will use it
+	n     int     // > 0: agg is compact (compact.go), the values at sup's set bits of n elements
 	tasks int     // number of task results merged in
 }
 
 // support is what core knows of an aggregator's possibly non-zero
 // elements (AggFuncs.Support): a bitmap over SplitOp's concatenated
-// segments, bit i%64 of word i/64 for element i, that core owns. The
-// zero value knows nothing, so the ring scans; known with nil bits means
-// every element is still +0.0.
+// segments, bit i%64 of word i/64 for element i. The zero value knows
+// nothing, so the ring scans; known with nil bits means every element is
+// still +0.0. borrowed bits are an element's own bitmap, which core only
+// reads; core copies them before the first write (add, words).
 type support struct {
-	bits  []uint64
-	known bool
+	bits     []uint64
+	known    bool
+	borrowed bool
 }
 
-// add ORs one element's support into s — a copy of it, the first time.
+// add ORs one element's support into s — borrowing it, the first time.
 // A nil support, or one whose length disagrees, makes s unknown.
 func (s *support) add(b []uint64) {
 	switch {
@@ -78,11 +81,19 @@ func (s *support) add(b []uint64) {
 	case b == nil || s.bits != nil && len(b) != len(s.bits):
 		*s = support{}
 	case s.bits == nil:
-		s.bits = slices.Clone(b)
+		s.bits, s.borrowed = b, true
 	default:
+		s.own()
 		for i, w := range b {
 			s.bits[i] |= w
 		}
+	}
+}
+
+// own makes s's bits its own copy.
+func (s *support) own() {
+	if s.borrowed {
+		s.bits, s.borrowed = slices.Clone(s.bits), false
 	}
 }
 
@@ -95,10 +106,10 @@ func (s *support) merge(o support) {
 	}
 }
 
-// words is the bitmap the ring may read and write for an aggregator of
-// elems elements — all clear for an aggregator that is still Zero — or
-// nil when s is unknown or sized for something else.
-func (s *support) words(elems int) []uint64 {
+// view is the bitmap of an aggregator of elems elements, for reading —
+// all clear for an aggregator that is still Zero — or nil when s is
+// unknown or sized for something else.
+func (s *support) view(elems int) []uint64 {
 	n := serde.PackedWords(elems)
 	switch {
 	case !s.known || s.bits != nil && len(s.bits) != n:
@@ -109,6 +120,15 @@ func (s *support) words(elems int) []uint64 {
 	return s.bits
 }
 
+// words is view's bitmap as one the ring may also write: s's own copy.
+func (s *support) words(elems int) []uint64 {
+	if s.view(elems) == nil {
+		return nil
+	}
+	s.own()
+	return s.bits
+}
+
 // runIMMStage executes the reduced-result stage: every partition is
 // folded with seqOp into its own accumulator; the first accumulator to
 // finish on an executor is adopted as that executor's resident
@@ -116,12 +136,14 @@ func (s *support) words(elems int) []uint64 {
 // handed back through recycle. Adoption replaces merging the first
 // accumulator into a fresh zero(): the association order of the
 // accumulators is unchanged (arrival order), only the identity element
-// at its head is gone. On any task failure the stage's shared values
-// are cleared on every executor and the whole stage re-submitted
-// (§3.2). Afterwards each executor that ran a task holds exactly one
-// aggregator under key; held reports which executors those are. With
-// track, each executor's support (AggFuncs.Support) is folded beside its
-// aggregator.
+// at its head is gone. A task whose Fold accepts (compactFold) leaves a
+// compact accumulator; a merge expands a compact one into zero() first,
+// which is exact, so the merges are the dense path's. On any task
+// failure the stage's shared values are cleared on every executor and
+// the whole stage re-submitted (§3.2). Afterwards each executor that ran
+// a task holds exactly one aggregator under key; held reports which
+// executors those are. With track, each executor's support
+// (AggFuncs.Support) is folded beside its aggregator.
 func runIMMStage[T, U, V any](r *rdd.RDD[T], key string, parent trace.SpanContext, fns *AggFuncs[T, U, V], track bool) (held map[int]bool, err error) {
 	h, err := r.Context().SubmitJob(rdd.JobSpec{
 		Tasks:       r.NumPartitions(),
@@ -133,19 +155,34 @@ func runIMMStage[T, U, V any](r *rdd.RDD[T], key string, parent trace.SpanContex
 			}
 			// Fold locally first so executor cores compute in parallel;
 			// only the final merge serializes on the shared object.
-			acc := fns.Zero()
 			sup := support{known: track}
-			for _, v := range data {
-				acc = fns.SeqOp(acc, v)
-				if track {
-					sup.add(fns.Support(v))
+			for i := 0; track && i < len(data); i++ {
+				sup.add(fns.Support(data[i]))
+			}
+			vals, n, compact, err := fns.compactFold(data, sup.bits)
+			if err != nil {
+				return nil, err
+			}
+			var acc U
+			if compact {
+				acc = any(vals).(U)
+			} else {
+				acc = fns.Zero()
+				for _, v := range data {
+					acc = fns.SeqOp(acc, v)
 				}
 			}
 			ec.MutObjs.GetOrCreate(key, func() any { return &immState[U]{} }).Update(func(v any) any {
 				st := v.(*immState[U])
 				if st.tasks == 0 {
-					st.agg, st.sup = acc, sup
+					st.agg, st.sup, st.n = acc, sup, n
 				} else {
+					if st.n > 0 {
+						st.agg, st.n = fns.expand(st.agg, st.sup, st.n), 0
+					}
+					if n > 0 {
+						acc = fns.expand(acc, sup, n)
+					}
 					st.agg = fns.MergeOp(st.agg, acc)
 					st.sup.merge(sup)
 					fns.recycle(acc)
@@ -182,18 +219,19 @@ func runIMMStage[T, U, V any](r *rdd.RDD[T], key string, parent trace.SpanContex
 // that did (held) and has no aggregator has lost it — it was already
 // taken, or the executor was replaced since — which must fail the task
 // rather than pass a zero off as its contribution. The aggregator's
-// support comes with it; a Zero() aggregator's is known and empty.
-func takeAgg[T, U, V any](ec *rdd.ExecContext, key string, held map[int]bool, fns *AggFuncs[T, U, V]) (U, support, error) {
+// support comes with it; a Zero() aggregator's is known and empty. n > 0
+// marks a compact aggregator of n elements (immState).
+func takeAgg[T, U, V any](ec *rdd.ExecContext, key string, held map[int]bool, fns *AggFuncs[T, U, V]) (U, support, int, error) {
 	if obj := ec.MutObjs.Get(key); obj != nil {
 		ec.MutObjs.Remove(key)
 		st := obj.Value().(*immState[U])
-		return st.agg, st.sup, nil
+		return st.agg, st.sup, st.n, nil
 	}
 	if held[ec.ID] {
 		var zu U
-		return zu, support{}, fmt.Errorf("core: executor %d no longer holds aggregator %s: %w", ec.ID, key, ErrMembershipChanged)
+		return zu, support{}, 0, fmt.Errorf("core: executor %d no longer holds aggregator %s: %w", ec.ID, key, ErrMembershipChanged)
 	}
-	return fns.Zero(), support{known: fns.Support != nil}, nil
+	return fns.Zero(), support{known: fns.Support != nil}, 0, nil
 }
 
 // requireHeld fails with ErrMembershipChanged unless every executor in
@@ -239,9 +277,20 @@ func gatherIMM[T, U, V any](ctx *rdd.Context, parent trace.SpanContext, key stri
 		Placement:   live,
 		TraceParent: parent,
 		Fn: func(ec *rdd.ExecContext, task, attempt int) ([]byte, error) {
-			agg, sup, err := takeAgg(ec, key, held, fns)
+			agg, sup, n, err := takeAgg(ec, key, held, fns)
 			if err != nil {
 				return nil, err
+			}
+			if n > 0 {
+				// A compact aggregator's frame is written from its values
+				// when its support settles the packed form; otherwise the
+				// aggregator is expanded and encoded as a dense one is.
+				vals := any(agg).([]float64)
+				if frame, ok := serde.EncodeF64Support(nil, n, sup.bits, vals); ok {
+					compactVals.put(vals)
+					return frame, nil
+				}
+				agg = fns.expand(agg, sup, n)
 			}
 			wire, err := fns.encodeAgg(agg, sup)
 			fns.recycle(agg)
@@ -282,7 +331,7 @@ func (f *AggFuncs[T, U, V]) f64Wire() bool {
 func (f *AggFuncs[T, U, V]) encodeAgg(u U, sup support) ([]byte, error) {
 	if f.f64Wire() {
 		s := any(u).([]float64)
-		return serde.EncodeF64(nil, s, sup.words(len(s)))
+		return serde.EncodeF64(nil, s, sup.view(len(s)))
 	}
 	return serde.Encode(nil, u)
 }
@@ -300,20 +349,37 @@ func (f *AggFuncs[T, U, V]) mergeWire(acc U, wire []byte) (U, error) {
 }
 
 // treeHooks are f's frames, Recycle and Fold as rdd.TreeAggregate takes
-// them; a stage-1 block is encoded from the support of its elements.
+// them; a stage-1 block is encoded from the support of its elements,
+// and a compact fold (compactFold) is written straight to its block
+// when that support settles the packed form.
 func (f *AggFuncs[T, U, V]) treeHooks() *rdd.TreeHooks[T, U] {
-	return &rdd.TreeHooks[T, U]{
-		Fold: f.Fold,
+	supportOf := func(elems []T) support {
+		sup := support{known: f.Support != nil && elems != nil}
+		for i := 0; sup.known && i < len(elems); i++ {
+			sup.add(f.Support(elems[i]))
+		}
+		return sup
+	}
+	h := &rdd.TreeHooks[T, U]{
 		Encode: func(u U, elems []T) ([]byte, error) {
-			sup := support{known: f.Support != nil && elems != nil}
-			for i := 0; sup.known && i < len(elems); i++ {
-				sup.add(f.Support(elems[i]))
-			}
-			return f.encodeAgg(u, sup)
+			return f.encodeAgg(u, supportOf(elems))
 		},
 		MergeWire: f.mergeWire,
 		Recycle:   f.recycle,
 	}
+	if f.Fold != nil && f.Support != nil {
+		h.Fold = func(elems []T) ([]byte, bool, error) {
+			sup := supportOf(elems)
+			vals, n, ok, err := f.compactFold(elems, sup.bits)
+			if !ok {
+				return nil, false, err
+			}
+			frame, ok := serde.EncodeF64Support(nil, n, sup.bits, vals)
+			compactVals.put(vals)
+			return frame, ok, nil
+		}
+	}
+	return h
 }
 
 // serdeOps builds the collective callbacks for a serde-encodable
@@ -407,11 +473,12 @@ func segsElems[V any](ops collective.Ops[V], segs []V) int {
 // encodeOwned frames a rank's owned segments. With fixed-stride ops the
 // frame's size is known up front — one counting pass per segment when
 // the ops can pack, or a read of the segment's share of sup, the
-// support over segs the ring left (nil: count) — and it is encoded once,
-// straight into the buffer draw(size) returns (the task's pooled result
-// frame); otherwise it grows by append. A size read from sup may
-// overstate: the frame is then shorter than its draw.
-func encodeOwned[V any](owned map[int]V, ops collective.Ops[V], sup []uint64, segs []V, draw func(n int) []byte) []byte {
+// support over the ring's segments it left (nil: count), segment i's
+// first bit being first(i) — and it is encoded once, straight into the
+// buffer draw(size) returns (the task's pooled result frame); otherwise
+// it grows by append. A size read from sup may overstate: the frame is
+// then shorter than its draw.
+func encodeOwned[V any](owned map[int]V, ops collective.Ops[V], sup []uint64, first func(i int) int, draw func(n int) []byte) []byte {
 	// A rank owns one segment per ring channel; the arrays keep the
 	// usual case off the heap.
 	var idxBuf, packedBuf [16]int
@@ -432,7 +499,7 @@ func encodeOwned[V any](owned map[int]V, ops collective.Ops[V], sup []uint64, se
 		if sup == nil {
 			return 0
 		}
-		return segsElems(ops, segs[:i])
+		return first(i)
 	}
 	var dst []byte
 	if stride > 0 {

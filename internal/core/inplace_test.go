@@ -637,12 +637,12 @@ func TestOwnedFrameOverhead(t *testing.T) {
 	}{{"raw", 1, false}, {"packed", 20, false}, {"packed from a support", 20, true}} {
 		segs := owned(c.stride)
 		var sup []uint64
-		var list [][]float64
+		var first func(int) int
 		if c.support {
-			list = [][]float64{segs[0], segs[1], segs[2], segs[3]}
-			sup = supportOver(ConcatSlices(list))
+			list := [][]float64{segs[0], segs[1], segs[2], segs[3]}
+			sup, first = supportOver(ConcatSlices(list)), firstOf(list)
 		}
-		if a := testing.AllocsPerRun(50, func() { encodeOwned(segs, ops, sup, list, draw) }); a != 0 {
+		if a := testing.AllocsPerRun(50, func() { encodeOwned(segs, ops, sup, first, draw) }); a != 0 {
 			t.Errorf("%s: encodeOwned allocates %v times per frame, want 0", c.name, a)
 		}
 	}

@@ -167,11 +167,23 @@ func TestOwnedFrameSupportMatchesScan(t *testing.T) {
 	sup[(200+200+5)>>6] |= 1 << ((200 + 200 + 5) & 63) // a candidate holding +0.0
 	var counted, supported int
 	want := encodeOwned(owned, ops, nil, nil, func(n int) []byte { counted = n; return make([]byte, 0, n) })
-	got := encodeOwned(owned, ops, sup, segs, func(n int) []byte { supported = n; return make([]byte, 0, n) })
+	got := encodeOwned(owned, ops, sup, firstOf(segs), func(n int) []byte { supported = n; return make([]byte, 0, n) })
 	if !bytes.Equal(got, want) {
 		t.Fatal("the frame encoded from the support differs from the counted one")
 	}
 	if supported != counted+8 {
 		t.Errorf("drew %d bytes from the support, %d counted: want the one zero candidate's 8 more", supported, counted)
+	}
+}
+
+// firstOf is encodeOwned's first over segs: segment i's first element
+// in their concatenation.
+func firstOf(segs [][]float64) func(i int) int {
+	return func(i int) int {
+		n := 0
+		for _, s := range segs[:i] {
+			n += len(s)
+		}
+		return n
 	}
 }

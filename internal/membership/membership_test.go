@@ -137,8 +137,8 @@ func TestJoinEpochTracksIncarnations(t *testing.T) {
 	if got := r.View().JoinEpochOf(0); got != 1 {
 		t.Fatalf("boot JoinEpoch = %d, want 1", got)
 	}
-	r.Evict(1, "killed")             // epoch 2
-	_, v := r.Join("h1b")            // epoch 3, adopts slot 1
+	r.Evict(1, "killed")  // epoch 2
+	_, v := r.Join("h1b") // epoch 3, adopts slot 1
 	if got := v.JoinEpochOf(1); got != 3 {
 		t.Fatalf("adopted slot JoinEpoch = %d, want 3", got)
 	}

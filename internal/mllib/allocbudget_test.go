@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"sparker/internal/data"
+	"sparker/internal/metrics"
 	"sparker/internal/mllib"
 	"sparker/internal/rdd"
 	"sparker/internal/transport"
@@ -23,8 +24,9 @@ import (
 // wideStepCluster boots the wide shape of the benchmark (20 000 samples
 // × 1 M features, 4 executors × 1 core, ring parallelism 4) on net and
 // returns a function running one RunGradientDescent{Iterations: 1} step
-// under strategy s, fed the previous step's weights.
-func wideStepCluster(tb testing.TB, net transport.Network, s mllib.Strategy) (step func(), aggBytes uint64) {
+// under strategy s, fed the previous step's weights, and the cluster's
+// context.
+func wideStepCluster(tb testing.TB, net transport.Network, s mllib.Strategy) (step func(), aggBytes uint64, ctx *rdd.Context) {
 	tb.Helper()
 	const samples, features = 20_000, 1_000_000
 	points := data.GenClassification(data.ClassificationSpec{
@@ -49,7 +51,7 @@ func wideStepCluster(tb testing.TB, net transport.Network, s mllib.Strategy) (st
 			tb.Fatal(err)
 		}
 		wts = next
-	}, 8 * (features + 2)
+	}, 8 * (features + 2), ctx
 }
 
 // wideStrategies are the steps the budget and the profile cover: the
@@ -74,7 +76,7 @@ func TestAllocBudgetWideStep(t *testing.T) {
 	}
 	for _, s := range wideStrategies {
 		t.Run(fmt.Sprint(s), func(t *testing.T) {
-			step, aggBytes := wideStepCluster(t, transport.NewMem(), s)
+			step, aggBytes, _ := wideStepCluster(t, transport.NewMem(), s)
 			for i := 0; i < 3; i++ { // pack the partitions, fill the pools and free lists
 				step()
 			}
@@ -100,19 +102,31 @@ func TestAllocBudgetWideStep(t *testing.T) {
 
 // BenchmarkWideStepTCP is the wide-split-tcp and wide-tree-tcp step
 // loops as profiling targets: go test -run '^$' -bench 'WideStepTCP/tree'
-// -cpuprofile … ./internal/mllib
+// -cpuprofile … ./internal/mllib. Beside ns/op it reports the step's two
+// aggregation phases from the context's recorder: compute-ms/op (the
+// IMM stage, or the tree's stage 1) and reduce-ms/op (the ring stage and
+// gather, or the tree's combine and driver merge).
 func BenchmarkWideStepTCP(b *testing.B) {
 	for _, s := range wideStrategies {
 		b.Run(fmt.Sprint(s), func(b *testing.B) {
-			step, aggBytes := wideStepCluster(b, transport.NewTCP(), s)
+			step, aggBytes, ctx := wideStepCluster(b, transport.NewTCP(), s)
 			for i := 0; i < 3; i++ {
 				step()
 			}
 			b.SetBytes(int64(aggBytes))
 			b.ReportAllocs()
+			before := ctx.Metrics().Snapshot()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				step()
+			}
+			b.StopTimer()
+			after := ctx.Metrics().Snapshot()
+			for _, ph := range []struct{ phase, unit string }{
+				{metrics.PhaseAggCompute, "compute-ms/op"},
+				{metrics.PhaseAggReduce, "reduce-ms/op"},
+			} {
+				b.ReportMetric(float64(after[ph.phase]-before[ph.phase])/1e6/float64(b.N), ph.unit)
 			}
 		})
 	}

@@ -7,21 +7,26 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"sparker/internal/collective"
 	"sparker/internal/linalg"
+	"sparker/internal/metrics"
 	"sparker/internal/serde"
 )
 
 // TestTreeFoldMatchesSeqOp holds packedGrad.fold to the contract of
 // core.AggFuncs.Fold. On random sparse partitions, for every fused
 // gradient family, full and half minibatches: a partition storing at
-// most half of dim's columns folds to exactly the bytes of seqOp from
-// Zero encoded from its support, and one storing more declines, as does
-// one whose dictionary qualifies but whose support the packed form's
-// size rule refuses. Then end to end: tree training gives the same
-// weights and losses, bit for bit, with the fold and without it; a split
-// run builds no dictionary, and a tree run builds one per partition.
+// most half of dim's columns folds to exactly the values seqOp from Zero
+// leaves at its support's set bits, appended after what dst held, and
+// the frame written from them is the bytes of that accumulator encoded
+// from its support — unless the packed form's size rule refuses the
+// support, which the frame writer reports; one storing more declines.
+// Then end to end: tree training gives the same weights and losses, bit
+// for bit, with the fold and without it; a split run builds a dictionary
+// for every qualifying block, as a tree run does.
 func TestTreeFoldMatchesSeqOp(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	// part is a random labeled partition of rows rows over dim columns,
@@ -55,8 +60,8 @@ func TestTreeFoldMatchesSeqOp(t *testing.T) {
 		name      string
 		dim       int
 		col       func(dim int) int32
-		dict      bool // the block gets a column dictionary
-		folds     bool
+		dict      bool // the block gets a column dictionary, and folds
+		frames    bool // the support settles the frame's packed form
 		rows, nnz int
 	}{
 		{"≤ ½ columns", 50_000, func(dim int) int32 { return rng.Int31n(int32(dim)) }, true, true, 400, 12},
@@ -79,18 +84,40 @@ func TestTreeFoldMatchesSeqOp(t *testing.T) {
 					name := fmt.Sprintf("%s/%d/%s/frac=%v", sh.name, trial, kind.name, frac)
 					pp := packedPart{M: m, Support: sup, Cols: cols}
 					g := packedGrad{kind: kind.k, w: w, dim: sh.dim, frac: frac, seed: 11, iter: trial + 1}
-					want, err := serde.EncodeF64(nil, g.seqOp(make([]float64, sh.dim+2), pp), sup)
+					dense := g.seqOp(make([]float64, sh.dim+2), pp)
+					want, err := serde.EncodeF64(nil, dense, sup)
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, ok, err := g.fold([]packedPart{pp})
-					switch {
-					case err != nil:
+					head := []float64{-1, 2}
+					got, n, ok, err := g.fold(slices.Clone(head), []packedPart{pp})
+					if err != nil {
 						t.Fatalf("%s: %v", name, err)
-					case ok != sh.folds:
-						t.Fatalf("%s: folded %v, want %v", name, ok, sh.folds)
-					case ok && !bytes.Equal(got, want):
-						t.Fatalf("%s: the fold's %d-byte frame is not seqOp's %d bytes", name, len(got), len(want))
+					}
+					if ok != sh.dict {
+						t.Fatalf("%s: folded %v, want %v", name, ok, sh.dict)
+					}
+					if !ok {
+						continue
+					}
+					if n != sh.dim+2 {
+						t.Fatalf("%s: fold reports %d elements, want %d", name, n, sh.dim+2)
+					}
+					bitsEqualSlices(t, name+": dst's head", head, got[:len(head)])
+					got = got[len(head):]
+					var atSup []float64
+					for j := 0; j < n; j++ {
+						if sup[j>>6]&(1<<uint(j&63)) != 0 {
+							atSup = append(atSup, dense[j])
+						}
+					}
+					bitsEqualSlices(t, name+": compact values", atSup, got)
+					frame, settles := serde.EncodeF64Support(nil, n, sup, got)
+					switch {
+					case settles != sh.frames:
+						t.Fatalf("%s: frame written %v, want %v", name, settles, sh.frames)
+					case settles && !bytes.Equal(frame, want):
+						t.Fatalf("%s: the fold's %d-byte frame is not seqOp's %d bytes", name, len(frame), len(want))
 					}
 				}
 			}
@@ -129,8 +156,8 @@ func TestTreeFoldMatchesSeqOp(t *testing.T) {
 		return w, losses
 	}
 	gd(StrategySplit)
-	if views, dicts := built(); views != parts || dicts != 0 {
-		t.Fatalf("after a split run: %d of %d cached blocks have a dictionary, want none of %d", dicts, views, parts)
+	if views, dicts := built(); views != parts || dicts != parts {
+		t.Fatalf("after a split run: %d of %d cached blocks have a dictionary, want all %d", dicts, views, parts)
 	}
 	foldW, foldLosses := gd(StrategyTree)
 	if views, dicts := built(); views != parts || dicts != parts {
@@ -156,4 +183,88 @@ func TestTreeFoldMatchesSeqOp(t *testing.T) {
 	}
 	bitsEqualSlices(t, "tree weights with the fold and without", foldW, w)
 	bitsEqualSlices(t, "tree losses with the fold and without", foldLosses, losses)
+}
+
+// TestSplitCompactMatchesDense holds the IMM-based strategies' compact
+// path to the dense one: {split, allreduce, IMM} × {logistic,
+// least-squares, hinge} × {full, minibatch ½} × {one partition per
+// executor, two} × {≤ ½ of dim's columns, > ½}, each trained with the
+// fold and with Fold nil, over four ring channels. Weights, losses and
+// the ring's wire bytes must be identical. With one partition per
+// executor the IMM stage keeps compact aggregators and the ring reduces
+// them through the compact source; with two it expands them into Zero.
+// A partition storing more than half of dim's columns — every
+// partition of the tall and tiny benchmark shapes — never folds, so its
+// task keeps a dense aggregator.
+func TestSplitCompactMatchesDense(t *testing.T) {
+	const n, iters, execs, par = 600, 3, 3, 4
+	kinds := []struct {
+		name string
+		k    linalg.CSRGradKind
+	}{{"logistic", linalg.CSRLogistic}, {"leastsquares", linalg.CSRLeastSquares}, {"hinge", linalg.CSRHinge}}
+	support := func(pp packedPart) []uint64 { return pp.Support }
+	for _, sh := range []struct {
+		name    string
+		dim     int
+		compact bool
+	}{{"≤ ½ columns", 4_000, true}, {"> ½ columns", 120, false}} {
+		for _, perExec := range []int{1, 2} {
+			ctx := testContext(t, execs, 1)
+			parts := execs * perExec
+			plan := newPackedPlan(sparseSet(ctx, n, sh.dim, parts), sh.dim)
+			// Chunks of 256 elements: the 4 000-column aggregator rides
+			// all four channels.
+			cctx := collective.WithChunkBytes(context.Background(), 2<<10)
+			wire := func() int64 { return ctx.MergedMetrics().Histogram(metrics.HistRingStepBytes).Sum() }
+			for _, s := range []Strategy{StrategySplit, StrategyAllReduce, StrategyTreeIMM} {
+				for _, kind := range kinds {
+					for _, frac := range []float64{1, 0.5} {
+						name := fmt.Sprintf("%s/%d per executor/%v/%s/frac=%v", sh.name, perExec, s, kind.name, frac)
+						train := func(withFold bool) (w, losses []float64, bytes, folds int64) {
+							var accepted atomic.Int64
+							w = make([]float64, sh.dim)
+							before := wire()
+							for iter := 1; iter <= iters; iter++ {
+								g := packedGrad{kind: kind.k, w: w, dim: sh.dim, frac: frac, seed: 5, iter: iter}
+								var fold func([]float64, []packedPart) ([]float64, int, bool, error)
+								if withFold {
+									fold = func(dst []float64, elems []packedPart) ([]float64, int, bool, error) {
+										vals, n, ok, err := g.fold(dst, elems)
+										if ok {
+											accepted.Add(1)
+										}
+										return vals, n, ok, err
+									}
+								}
+								agg, err := aggregateF64(cctx, plan.packed, sh.dim+2, g.seqOp, support, fold, s, 2, par)
+								if err != nil {
+									t.Fatalf("%s: %v", name, err)
+								}
+								count := agg[sh.dim+1]
+								next, reg := updateMean(SimpleUpdater{}, w, agg[:sh.dim], count, 1, iter, 0)
+								losses = append(losses, agg[sh.dim]/count+reg)
+								w = next
+							}
+							return w, losses, wire() - before, accepted.Load()
+						}
+						w, losses, bytes, folds := train(true)
+						denseW, denseLosses, denseBytes, _ := train(false)
+						bitsEqualSlices(t, name+": weights", w, denseW)
+						bitsEqualSlices(t, name+": losses", losses, denseLosses)
+						if bytes != denseBytes || (bytes == 0) != (s == StrategyTreeIMM) {
+							t.Fatalf("%s: %d wire bytes with the fold, %d without", name, bytes, denseBytes)
+						}
+						if want := int64(0); sh.compact {
+							if want = int64(iters * parts); folds != want {
+								t.Fatalf("%s: %d compact folds, want one per task (%d)", name, folds, want)
+							}
+						} else if folds != 0 {
+							t.Fatalf("%s: %d compact folds, want none: every partition stores more than half of the columns", name, folds)
+						}
+					}
+				}
+			}
+			plan.release()
+		}
+	}
 }

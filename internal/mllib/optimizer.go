@@ -107,9 +107,9 @@ func AggregateF64Ctx[T any](ctx context.Context, r *rdd.RDD[T], dim int, seqOp f
 
 // aggregateF64 is AggregateF64Ctx with the elements' supports
 // (core.AggFuncs.Support; nil when unknown), which let the ring encode
-// packed chunks in O(support), and a tree task's fold straight to its
-// block (core.AggFuncs.Fold; nil: none).
-func aggregateF64[T any](ctx context.Context, r *rdd.RDD[T], dim int, seqOp func(acc []float64, v T) []float64, support func(T) []uint64, fold func([]T) ([]byte, bool, error), s Strategy, depth, parallelism int, extra ...core.AggOption) ([]float64, error) {
+// packed chunks in O(support), and a task's fold in its partition's
+// column space (core.AggFuncs.Fold; nil: none).
+func aggregateF64[T any](ctx context.Context, r *rdd.RDD[T], dim int, seqOp func(acc []float64, v T) []float64, support func(T) []uint64, fold func([]float64, []T) ([]float64, int, bool, error), s Strategy, depth, parallelism int, extra ...core.AggOption) ([]float64, error) {
 	cs, err := s.CoreStrategy()
 	if err != nil {
 		return nil, err

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -130,12 +131,12 @@ type packedPart struct {
 
 // colDict is a labeled block's column dictionary: the support's columns
 // (gradSupport's set bits below dim) and the block re-indexed into them
-// (linalg.CompactColumns), the column space a tree task folds the block
-// in (packedGrad.fold). It is built by the first fold that asks, and
-// kept with the decoded view, so a block pays its O(nnz + dim/64) once;
-// a split run never asks. A block storing more than half of dim's
-// columns gets none (the ½ rule of the packed form, which a frame
-// encoded from its support could not meet) and folds densely.
+// (linalg.CompactColumns), the column space a task of any strategy
+// folds the block in (packedGrad.fold). It is built by the first fold
+// that asks, and kept with the decoded view, so a block pays its
+// O(nnz + dim/64) once. A block storing more than half of dim's columns
+// gets none (the ½ rule of the packed form, which a frame encoded from
+// its support could not meet) and folds densely.
 type colDict struct {
 	once  sync.Once
 	local *linalg.CSRMatrix // nil: not built, or the block does not qualify
@@ -407,49 +408,45 @@ func (g packedGrad) seqOp(acc []float64, pp packedPart) []float64 {
 	return acc
 }
 
-// fold is seqOp from Zero for a tree task's one packed partition,
-// encoded straight to its block (core.AggFuncs.Fold), in the block's own
-// column space: w gathered at the column dictionary, the same kernel over
-// the re-indexed block into a compact accumulator of the support's
-// len(cols)+2 elements — in support order, the values the dense
-// accumulator holds at its set bits — and the tag 7 frame written from
-// them (serde.EncodeF64Support). Every element sees the same operations
-// in the same order as in seqOp, and the frame's bytes are those of the
-// dense accumulator encoded from the support. It declines, and the task
-// folds densely, for a partition without a dictionary (the ½ rule) or
-// whose support does not settle the packed form.
-func (g packedGrad) fold(elems []packedPart) ([]byte, bool, error) {
+// fold is seqOp from Zero for a task's one packed partition
+// (core.AggFuncs.Fold), in the block's own column space: w gathered at
+// the column dictionary, the same kernel over the re-indexed block into a
+// compact accumulator of the support's len(cols)+2 elements, appended to
+// dst — in support order, the values the dense accumulator holds at its
+// set bits, loss and count last. Every element sees the same operations
+// in the same order as in seqOp. It declines, and the task folds
+// densely, for a partition without a dictionary (the ½ rule).
+func (g packedGrad) fold(dst []float64, elems []packedPart) ([]float64, int, bool, error) {
 	if len(elems) != 1 || elems[0].Cols == nil {
-		return nil, false, nil
+		return dst, 0, false, nil
 	}
 	pp := elems[0]
 	local, cols := pp.Cols.get(pp.M, pp.Support)
 	if local == nil {
-		return nil, false, nil
+		return dst, 0, false, nil
 	}
 	n := len(cols)
 	w := getLocalVec(n)
 	for k, j := range cols {
 		w[k] = g.w[j]
 	}
-	acc := getLocalVec(n + 2)
-	clear(acc)
-	lossSum, count := g.pass(pp, local, w, acc[:n])
-	acc[n] += lossSum
-	acc[n+1] += count
-	frame, ok := serde.EncodeF64Support(nil, g.dim+2, pp.Support, acc)
+	at := len(dst)
+	acc := slices.Grow(dst, n+2)[:at+n+2]
+	clear(acc[at:])
+	lossSum, count := g.pass(pp, local, w, acc[at:at+n])
+	acc[at+n] += lossSum
+	acc[at+n+1] += count
 	putLocalVec(w)
-	putLocalVec(acc)
-	return frame, ok, nil
+	return acc, g.dim + 2, true, nil
 }
 
-// localVecs parks the compact fold's gathered weights and accumulators
-// between steps — a free list for linalg's vecFree reason (a GC'd pool
-// would hand back fresh memory most steps). Its vectors hold a block's
-// column count, which differs a little from block to block, so any
-// vector long enough serves, and each is made with some headroom. The
-// list holds the two vectors of each of four concurrent tasks.
-var localVecs = make(chan []float64, 8)
+// localVecs parks the compact fold's gathered weights between steps — a
+// free list for linalg's vecFree reason (a GC'd pool would hand back
+// fresh memory most steps). Its vectors hold a block's column count,
+// which differs a little from block to block, so any vector long enough
+// serves, and each is made with some headroom. The list holds the
+// vector of each of four concurrent tasks.
+var localVecs = make(chan []float64, 4)
 
 // getLocalVec returns a vector of length n, not cleared.
 func getLocalVec(n int) []float64 {

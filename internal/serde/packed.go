@@ -173,6 +173,18 @@ func candCount(sup []uint64, b, n int) int {
 // Candidate bits that hold at most the limit are gathered from;
 // otherwise every element is tested. The bytes are the same either way.
 func EncodePackedF64(dst []byte, v []float64, off, n int, cand []uint64, bit int) []byte {
+	return encodePackedF64(dst, v, off, n, cand, bit, false)
+}
+
+// TakePackedF64 is EncodePackedF64 for a range its caller is done with:
+// the same bytes, and v[off:off+n] left all +0.0 — the candidates' pass
+// writes +0.0 over each element it reads (a clear bit already promises
+// +0.0), the full test clears the range after.
+func TakePackedF64(dst []byte, v []float64, off, n int, cand []uint64, bit int) []byte {
+	return encodePackedF64(dst, v, off, n, cand, bit, true)
+}
+
+func encodePackedF64(dst []byte, v []float64, off, n int, cand []uint64, bit int, take bool) []byte {
 	s := v[off : off+n]
 	words := PackedWords(n)
 	bm := len(dst)
@@ -186,7 +198,11 @@ func EncodePackedF64(dst []byte, v []float64, off, n int, cand []uint64, bit int
 			var m uint64
 			for c := BitsAt(cand, bit+64*w, len(blk)); c != 0; c &= c - 1 {
 				j := bits.TrailingZeros64(c)
-				if x := math.Float64bits(blk[j]); x != 0 {
+				x := math.Float64bits(blk[j])
+				if take {
+					blk[j] = 0
+				}
+				if x != 0 {
 					m |= 1 << uint(j)
 					binary.LittleEndian.PutUint64(dst[vo:], x)
 					vo += 8
@@ -207,6 +223,9 @@ func EncodePackedF64(dst []byte, v []float64, off, n int, cand []uint64, bit int
 			binary.LittleEndian.PutUint64(dst[vo:], math.Float64bits(blk[bits.TrailingZeros64(m)]))
 			vo += 8
 		}
+	}
+	if take {
+		clear(s)
 	}
 	return dst[:vo]
 }
