@@ -101,13 +101,16 @@ fuzz-smoke:
 
 # End-to-end tracing demo: a traced LR run whose event log must convert
 # to a Perfetto-loadable Chrome trace with >= 2 executor tracks,
-# ring-step spans, and cross-track parent stitches.
+# ring-step spans, and cross-track parent stitches. Each demo and the
+# profile write under a fresh `mktemp -d` directory, printed first, so
+# runs never collide.
 trace-demo:
+	d=$$(mktemp -d) && echo "trace-demo: writing under $$d" && \
 	$(GO) run ./cmd/sparker-train -model lr -profile avazu -scale 100000 -iters 3 \
-		-executors 4 -cores 2 -strategy split -eventlog /tmp/sparker-trace-demo.log -trace
-	$(GO) run ./cmd/sparker-analyze -percentiles -chrome-trace /tmp/sparker-trace-demo.json \
-		-validate /tmp/sparker-trace-demo.log
-	@echo "load /tmp/sparker-trace-demo.json in ui.perfetto.dev"
+		-executors 4 -cores 2 -strategy split -eventlog $$d/trace-demo.log -trace && \
+	$(GO) run ./cmd/sparker-analyze -percentiles -chrome-trace $$d/trace-demo.json \
+		-validate $$d/trace-demo.log && \
+	echo "load $$d/trace-demo.json in ui.perfetto.dev"
 
 # Flight-recorder demo (see DESIGN.md "Flight recorder"): a chaos run
 # that kills a ring link mid-train, which must trip the always-on
@@ -115,12 +118,12 @@ trace-demo:
 # must render and validate. Proves the whole anomaly->bundle->report
 # path end to end in a couple of seconds.
 obsv-demo:
-	rm -rf /tmp/sparker-obsv-demo && mkdir -p /tmp/sparker-obsv-demo
+	d=$$(mktemp -d) && echo "obsv-demo: writing under $$d" && \
 	$(GO) run ./cmd/sparker-train -model lr -scale 200000 -iters 3 \
 		-executors 3 -cores 2 -strategy split -step-deadline 500ms \
-		-obsv /tmp/sparker-obsv-demo -chaos ring-kill
+		-obsv $$d -chaos ring-kill && \
 	$(GO) run ./cmd/sparker-analyze -postmortem -validate \
-		"$$(ls -t /tmp/sparker-obsv-demo/bundle-*.json | head -n1)"
+		"$$(ls -t $$d/bundle-*.json | head -n1)"
 
 check: vet no-deprecated no-stale-refs test race test-chaos chaos-elastic overhead fuzz-smoke trace-demo obsv-demo
 
@@ -162,8 +165,9 @@ bench-pair:
 # tree's stage 1 and its merge), so the phase split prints beside its
 # top.
 profile:
+	d=$$(mktemp -d) && echo "profile: writing under $$d" && \
 	for s in split tree; do \
-		$(GO) test -run '^$$' -bench "WideStepTCP/$$s\$$" -benchtime 100x -cpuprofile /tmp/sparker-wide-step-$$s.prof -o /tmp/sparker-wide-step.test ./internal/mllib && \
+		$(GO) test -run '^$$' -bench "WideStepTCP/$$s\$$" -benchtime 100x -cpuprofile $$d/wide-step-$$s.prof -o $$d/wide-step.test ./internal/mllib && \
 		echo "== $$s step" && \
-		$(GO) tool pprof -top -nodecount 25 /tmp/sparker-wide-step.test /tmp/sparker-wide-step-$$s.prof || exit 1; \
+		$(GO) tool pprof -top -nodecount 25 $$d/wide-step.test $$d/wide-step-$$s.prof || exit 1; \
 	done

@@ -292,7 +292,7 @@ func gatherIMM[T, U, V any](ctx *rdd.Context, parent trace.SpanContext, key stri
 				}
 				agg = fns.expand(agg, sup, n)
 			}
-			wire, err := fns.encodeAgg(agg, sup)
+			wire, err := fns.encodeAgg(agg, sup, nil)
 			fns.recycle(agg)
 			return wire, err
 		},
@@ -327,11 +327,11 @@ func (f *AggFuncs[T, U, V]) f64Wire() bool {
 }
 
 // encodeAgg is u's tree frame (a block, or an IMM gather result),
-// encoded from sup when f64Wire.
-func (f *AggFuncs[T, U, V]) encodeAgg(u U, sup support) ([]byte, error) {
+// encoded from sup when f64Wire, into draw's buffer (nil: a fresh one).
+func (f *AggFuncs[T, U, V]) encodeAgg(u U, sup support, draw func(int) []byte) ([]byte, error) {
 	if f.f64Wire() {
 		s := any(u).([]float64)
-		return serde.EncodeF64(nil, s, sup.view(len(s)))
+		return serde.EncodeF64(draw, s, sup.view(len(s)))
 	}
 	return serde.Encode(nil, u)
 }
@@ -351,7 +351,12 @@ func (f *AggFuncs[T, U, V]) mergeWire(acc U, wire []byte) (U, error) {
 // treeHooks are f's frames, Recycle and Fold as rdd.TreeAggregate takes
 // them; a stage-1 block is encoded from the support of its elements,
 // and a compact fold (compactFold) is written straight to its block
-// when that support settles the packed form.
+// when that support settles the packed form. An f64Wire frame is
+// written into the buffer TreeAggregate draws, so a last-round frame
+// leaves as its task's result as it is. The driver recycles those frames
+// once merged, so mergeWire keeps nothing of them: the f64 path adds
+// from the bytes, and serde's built-in codecs copy out of their input
+// (a codec registered for a tree aggregator must too).
 func (f *AggFuncs[T, U, V]) treeHooks() *rdd.TreeHooks[T, U] {
 	supportOf := func(elems []T) support {
 		sup := support{known: f.Support != nil && elems != nil}
@@ -361,20 +366,20 @@ func (f *AggFuncs[T, U, V]) treeHooks() *rdd.TreeHooks[T, U] {
 		return sup
 	}
 	h := &rdd.TreeHooks[T, U]{
-		Encode: func(u U, elems []T) ([]byte, error) {
-			return f.encodeAgg(u, supportOf(elems))
+		Encode: func(u U, elems []T, draw func(int) []byte) ([]byte, error) {
+			return f.encodeAgg(u, supportOf(elems), draw)
 		},
 		MergeWire: f.mergeWire,
 		Recycle:   f.recycle,
 	}
 	if f.Fold != nil && f.Support != nil {
-		h.Fold = func(elems []T) ([]byte, bool, error) {
+		h.Fold = func(elems []T, draw func(int) []byte) ([]byte, bool, error) {
 			sup := supportOf(elems)
 			vals, n, ok, err := f.compactFold(elems, sup.bits)
 			if !ok {
 				return nil, false, err
 			}
-			frame, ok := serde.EncodeF64Support(nil, n, sup.bits, vals)
+			frame, ok := serde.EncodeF64Support(draw, n, sup.bits, vals)
 			compactVals.put(vals)
 			return frame, ok, nil
 		}

@@ -8,6 +8,7 @@ import (
 	"sparker/internal/metrics"
 	"sparker/internal/serde"
 	"sparker/internal/trace"
+	"sparker/internal/transport"
 )
 
 // Actions materialize RDDs. Every result crosses the executor→driver
@@ -166,33 +167,40 @@ type AggregateOptions struct {
 // MergeWire and Recycle are required, Fold is optional; nil hooks are
 // TreeAggregate as Spark has it: serde.Encode, serde.Decode then combOp,
 // nothing recycled.
+//
+// draw, passed to Fold and Encode, returns an empty buffer with room for
+// n bytes; a last-round frame built in one draw leaves without a copy.
 type TreeHooks[T, U any] struct {
 	// Fold, when non-nil, folds a stage-1 task's elements straight to
 	// their block frame. ok true promises the frame holds Encode's bytes
 	// for the accumulator zero and seqOp over elems would make; the task
-	// stores it and calls none of zero, seqOp, Encode and Recycle. ok
+	// sends it on and calls none of zero, seqOp, Encode and Recycle. ok
 	// false declines, and the task folds as it would without Fold; an
 	// error fails the task. Combine rounds and the driver never call it.
-	Fold func(elems []T) (frame []byte, ok bool, err error)
+	Fold func(elems []T, draw func(n int) []byte) (frame []byte, ok bool, err error)
 	// Encode returns u's block frame; elems are the elements a stage-1
 	// task folded into u, nil for a combine round's accumulator.
-	Encode func(u U, elems []T) ([]byte, error)
+	Encode func(u U, elems []T, draw func(n int) []byte) ([]byte, error)
 	// MergeWire merges one block frame into acc and returns the result,
 	// as combOp(acc, decoded block) would, without a decoded value. An
-	// invalid frame is an error.
+	// invalid frame is an error. It keeps nothing of wire: the driver
+	// gives each frame of the last round back to the wire pool once it
+	// is merged.
 	MergeWire func(acc U, wire []byte) (U, error)
 	// Recycle receives every accumulator a stage-1 or combine task made
-	// with zero once its block is encoded. The driver's never is: it is
+	// with zero once Encode has returned. The driver's never is: it is
 	// the result.
 	Recycle func(U)
 }
 
 // TreeAggregate is Spark's treeAggregate: per-partition seqOp folds,
 // then rounds of combOp merges through intermediate combiner tasks,
-// and a final serial combOp merge of the surviving aggregators in the
-// driver. Aggregators move between executors as shuffle blocks and
-// reach the driver serialized — the non-scalable reduction Sparker
-// replaces. hooks, when non-nil, replaces the serde path (TreeHooks).
+// and a final serial combOp merge in the driver. Each round but the
+// last leaves its aggregators in the executors' block stores for the
+// next to fetch; the last round's come home as its task results, of
+// any size (Spark's 1 MiB switch to fetched results is not modelled).
+// Aggregators reach the driver serialized — the non-scalable reduction
+// Sparker replaces. hooks, when non-nil, replaces the serde path.
 //
 // U must be serde-encodable. zero must return a fresh value each call.
 func TreeAggregate[T, U any](r *RDD[T], zero func() U, seqOp func(U, T) U, combOp func(U, U) U, opts AggregateOptions, hooks *TreeHooks[T, U]) (U, error) {
@@ -204,9 +212,10 @@ func TreeAggregate[T, U any](r *RDD[T], zero func() U, seqOp func(U, T) U, combO
 	if depth < 1 {
 		return zu, fmt.Errorf("rdd: Depth must be >= 1, got %d", depth)
 	}
+	release := hooks != nil // a value serde decodes may alias its frame
 	if hooks == nil {
 		hooks = &TreeHooks[T, U]{
-			Encode: func(u U, _ []T) ([]byte, error) { return serde.Encode(nil, u) },
+			Encode: func(u U, _ []T, _ func(int) []byte) ([]byte, error) { return serde.Encode(nil, u) },
 			MergeWire: func(acc U, wire []byte) (U, error) {
 				v, _, err := serde.Decode(wire)
 				if err != nil {
@@ -218,15 +227,43 @@ func TreeAggregate[T, U any](r *RDD[T], zero func() U, seqOp func(U, T) U, combO
 		}
 	}
 	ctx := r.ctx
-	aggID := ctx.newJobID()
-	prefix := fmt.Sprintf("agg/%d/", aggID)
-	defer cleanupBlocks(ctx, opts.TraceParent, prefix)
-
-	// Stage 1 (agg-compute): fold each partition, leave the aggregator
-	// in the executor's block store, return only the block id size ack.
+	prefix := fmt.Sprintf("agg/%d/", ctx.newJobID())
+	// The round plan, fixed before stage 1: Spark computes scale =
+	// max(2, ceil(parts^(1/depth))) and adds a round of ceil(cur/scale)
+	// combiners while that keeps shrinking the count.
+	var combiners []int
+	for cur, scale := r.parts, max(2, intRoot(r.parts, depth)); depth > 1 && cur > scale+cur/scale; {
+		cur = (cur + scale - 1) / scale
+		combiners = append(combiners, cur)
+	}
+	last := len(combiners)
+	if last > 0 {
+		// Best effort: an unreachable executor's blocks go with it.
+		defer ctx.RunOnLiveExecutors(opts.TraceParent, func(ec *ExecContext, _, _ int) ([]byte, error) {
+			ec.Store.DeletePrefix(prefix)
+			return nil, nil
+		})
+	}
 	blockID := func(round, idx int) string {
 		return fmt.Sprintf("%sr%d/%d", prefix, round, idx)
 	}
+	// The last round's frames are built in the task's result buffer and
+	// returned; an earlier round's are stored for the next round's fetches.
+	draw := func(ec *ExecContext, round int) func(int) []byte {
+		if round == last {
+			return ec.ResultBuf
+		}
+		return func(n int) []byte { return make([]byte, 0, n) }
+	}
+	seal := func(ec *ExecContext, round, task int, frame []byte, err error) ([]byte, error) {
+		if err != nil || round == last {
+			return frame, err
+		}
+		ec.Store.PutLocal(blockID(round, task), frame)
+		return nil, nil
+	}
+
+	// Stage 1 (agg-compute): fold each partition to its frame.
 	start := time.Now()
 	h, err := ctx.SubmitJob(JobSpec{
 		TraceParent: opts.TraceParent,
@@ -238,107 +275,80 @@ func TreeAggregate[T, U any](r *RDD[T], zero func() U, seqOp func(U, T) U, combO
 				return nil, err
 			}
 			if hooks.Fold != nil {
-				wire, ok, err := hooks.Fold(data)
-				if err != nil {
-					return nil, err
-				}
-				if ok {
-					ec.Store.PutLocal(blockID(0, task), wire)
-					return nil, nil
+				if wire, ok, err := hooks.Fold(data, draw(ec, 0)); ok || err != nil {
+					return seal(ec, 0, task, wire, err)
 				}
 			}
 			acc := zero()
 			for _, v := range data {
 				acc = seqOp(acc, v)
 			}
-			wire, err := hooks.Encode(acc, data)
-			if err != nil {
-				return nil, err
-			}
+			wire, err := hooks.Encode(acc, data, draw(ec, 0))
 			hooks.Recycle(acc)
-			ec.Store.PutLocal(blockID(0, task), wire)
-			return nil, nil
+			return seal(ec, 0, task, wire, err)
 		},
 	})
+	var payloads [][]byte
 	if err == nil {
-		_, err = h.Wait()
+		payloads, err = h.Wait()
 	}
 	ctx.RecordPhase(metrics.PhaseAggCompute, time.Since(start), "treeAggregate stage 1")
 	if err != nil {
 		return zu, err
 	}
 	// Where each block actually landed: the winning executor of each
-	// stage-1 task. Speculation or cache-aware placement can move a
-	// task off i %% NumExecutors, so combine rounds must follow the
-	// recorded owners rather than recompute the round-robin formula.
+	// task. Speculation or cache-aware placement can move a task off
+	// i %% NumExecutors, so combine rounds must follow the recorded
+	// owners rather than recompute the round-robin formula.
 	curPlace := h.Executors()
 
-	// Combine rounds (agg-reduce): Spark computes
-	// scale = max(2, ceil(parts^(1/depth))) and repartitions by
-	// part % numCombiners while it keeps shrinking the count.
+	// Combine rounds (agg-reduce), each repartitioning the previous
+	// round's blocks by part % numCombiners.
 	start = time.Now()
 	defer func() { ctx.RecordPhase(metrics.PhaseAggReduce, time.Since(start), "treeAggregate combine+driver") }()
-
 	cur := r.parts
-	round := 0
-	if depth > 1 && cur > 1 {
-		scale := intRoot(cur, depth)
-		if scale < 2 {
-			scale = 2
-		}
-		for cur > scale+cur/scale {
-			numCombiners := (cur + scale - 1) / scale
-			srcRound, srcCount := round, cur
-			srcPlace := curPlace
-			round++
-			dstRound := round
-			rh, err := ctx.SubmitJob(JobSpec{
-				TraceParent: opts.TraceParent,
-				Tasks:       numCombiners,
-				Fn: func(ec *ExecContext, task, attempt int) ([]byte, error) {
-					acc := zero()
-					for p := task; p < srcCount; p += numCombiners {
-						owner := ctx.ExecutorStoreName(srcPlace[p])
-						wire, err := ec.Store.FetchFrom(owner, blockID(srcRound, p))
-						if err != nil {
-							return nil, err
-						}
-						if acc, err = hooks.MergeWire(acc, wire); err != nil {
-							return nil, err
-						}
-					}
-					out, err := hooks.Encode(acc, nil)
+	for i, numCombiners := range combiners {
+		srcRound, srcCount, srcPlace, round := i, cur, curPlace, i+1
+		rh, err := ctx.SubmitJob(JobSpec{
+			TraceParent: opts.TraceParent,
+			Tasks:       numCombiners,
+			Fn: func(ec *ExecContext, task, attempt int) ([]byte, error) {
+				acc := zero()
+				for p := task; p < srcCount; p += numCombiners {
+					owner := ctx.ExecutorStoreName(srcPlace[p])
+					wire, err := ec.Store.FetchFrom(owner, blockID(srcRound, p))
 					if err != nil {
 						return nil, err
 					}
-					hooks.Recycle(acc)
-					ec.Store.PutLocal(blockID(dstRound, task), out)
-					return nil, nil
-				},
-			})
-			if err == nil {
-				_, err = rh.Wait()
-			}
-			if err != nil {
-				return zu, err
-			}
-			curPlace = rh.Executors()
-			cur = numCombiners
+					if acc, err = hooks.MergeWire(acc, wire); err != nil {
+						return nil, err
+					}
+				}
+				out, err := hooks.Encode(acc, nil, draw(ec, round))
+				hooks.Recycle(acc)
+				return seal(ec, round, task, out, err)
+			},
+		})
+		if err == nil {
+			payloads, err = rh.Wait()
 		}
-	}
-
-	// Final serial merge in the driver: fetch each surviving block and
-	// merge it into zero()'s accumulator one by one. This serial chain
-	// is exactly what grows with scale in Figures 3–4.
-	acc := zero()
-	for i := 0; i < cur; i++ {
-		owner := ctx.ExecutorStoreName(curPlace[i])
-		wire, err := ctx.driverStore.FetchFrom(owner, blockID(round, i))
 		if err != nil {
 			return zu, err
 		}
-		if acc, err = hooks.MergeWire(acc, wire); err != nil {
+		curPlace = rh.Executors()
+		cur = numCombiners
+	}
+
+	// Final serial merge in the driver, in task order, of the frames the
+	// last round returned. This serial chain is exactly what grows with
+	// scale in Figures 3–4.
+	acc := zero()
+	for _, p := range payloads {
+		if acc, err = hooks.MergeWire(acc, p); err != nil {
 			return zu, err
+		}
+		if release {
+			transport.PutBuf(p)
 		}
 	}
 	return acc, nil
@@ -365,14 +375,4 @@ func pow(b, e int) int {
 		}
 	}
 	return p
-}
-
-// cleanupBlocks drops a job's shuffle blocks on every executor,
-// best-effort.
-func cleanupBlocks(ctx *Context, parent trace.SpanContext, prefix string) {
-	_, _ = ctx.RunOnLiveExecutors(parent, func(ec *ExecContext, _, _ int) ([]byte, error) {
-		ec.Store.DeletePrefix(prefix)
-		return nil, nil
-	})
-	ctx.driverStore.DeletePrefix(prefix)
 }

@@ -325,10 +325,6 @@ func (ctx *Context) RecordMarker(name, detail string) {
 // Observer returns the configured flight recorder (nil when disabled).
 func (ctx *Context) Observer() *obsv.Observer { return ctx.conf.Obsv }
 
-// DriverStore returns the driver-side block store, used to fetch final
-// aggregators from executors.
-func (ctx *Context) DriverStore() *blockmanager.Store { return ctx.driverStore }
-
 // ExecutorStoreName returns the block store name of executor i.
 func (ctx *Context) ExecutorStoreName(i int) string {
 	return fmt.Sprintf("%s/exec-%d", ctx.conf.Name, i)

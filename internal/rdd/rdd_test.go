@@ -10,6 +10,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"sparker/internal/metrics"
 	"sparker/internal/serde"
 	"sparker/internal/trace"
 )
@@ -428,18 +429,18 @@ func TestTreeAggregateSum(t *testing.T) {
 	}
 }
 
-// TestTreeAggregateHooks: with hooks that encode the tag 7 frame and
-// merge blocks straight from the wire, a 16-partition aggregation at
-// depth 2 — stage 1, one combine round of four tasks, the driver merge —
-// gives the bits of the nil-hook serde path. The values are order
+// TestTreeAggregateHooks: with hooks that encode the tag 7 frame into
+// the buffer TreeAggregate draws and merge blocks straight from the
+// wire, an aggregation at depth 2 gives the bits of the nil-hook serde
+// path — at 4 partitions, where stage 1 is the last round, and at 16,
+// where one combine round of four tasks is. The values are order
 // sensitive, and every block carries a −0.0 that the driver's +0.0 head
 // must still turn into +0.0. Every stage-1 and combine accumulator is
 // recycled, and stage 1 alone hands Encode its elements — except where
-// a Fold accepts, whose task stores Fold's frame and runs nothing else.
+// a Fold accepts, whose task sends Fold's frame and runs nothing else.
 func TestTreeAggregateHooks(t *testing.T) {
 	ctx := testContext(t, 3, 2)
 	const dim = 130
-	r := FromSlice(ctx, ints(200), 16)
 	zero := func() []float64 { return make([]float64, dim) }
 	seqOp := func(acc []float64, v int64) []float64 {
 		acc[int(v*7)%dim] += 1 / float64(v+3)
@@ -452,72 +453,73 @@ func TestTreeAggregateHooks(t *testing.T) {
 		}
 		return a
 	}
-	want, err := TreeAggregate(r, zero, seqOp, combOp, AggregateOptions{Depth: 2}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var withElems, withoutElems, recycled atomic.Int64
-	hooks := &TreeHooks[int64, []float64]{
-		Encode: func(u []float64, elems []int64) ([]byte, error) {
-			if elems != nil {
-				withElems.Add(1)
-			} else {
-				withoutElems.Add(1)
+	for _, g := range []struct{ parts, combiners int64 }{{4, 0}, {16, 4}} {
+		r := FromSlice(ctx, ints(200), int(g.parts))
+		want, err := TreeAggregate(r, zero, seqOp, combOp, AggregateOptions{Depth: 2}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var withElems, withoutElems, recycled atomic.Int64
+		hooks := &TreeHooks[int64, []float64]{
+			Encode: func(u []float64, elems []int64, draw func(int) []byte) ([]byte, error) {
+				if elems != nil {
+					withElems.Add(1)
+				} else {
+					withoutElems.Add(1)
+				}
+				return serde.EncodeF64(draw, u, nil)
+			},
+			MergeWire: func(acc []float64, wire []byte) ([]float64, error) {
+				return acc, serde.DecodeReduceF64(acc, wire)
+			},
+			Recycle: func([]float64) { recycled.Add(1) },
+		}
+		var folded atomic.Int64
+		check := func(how string) {
+			t.Helper()
+			folded.Store(0)
+			got, err := TreeAggregate(r, zero, seqOp, combOp, AggregateOptions{Depth: 2}, hooks)
+			if err != nil {
+				t.Fatal(err)
 			}
-			return serde.EncodeF64(nil, u, nil)
-		},
-		MergeWire: func(acc []float64, wire []byte) ([]float64, error) {
-			return acc, serde.DecodeReduceF64(acc, wire)
-		},
-		Recycle: func([]float64) { recycled.Add(1) },
-	}
-	got, err := TreeAggregate(r, zero, seqOp, combOp, AggregateOptions{Depth: 2}, hooks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("element %d: %#x with hooks, %#x without", i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%d parts, element %d: %#x %s, %#x without hooks", g.parts, i, math.Float64bits(got[i]), how, math.Float64bits(want[i]))
+				}
+			}
+			if math.Signbit(got[5]) {
+				t.Fatalf("%d parts %s: the driver adopted a block's −0.0", g.parts, how)
+			}
+			a, b, c, f := withElems.Load(), withoutElems.Load(), recycled.Load(), folded.Load()
+			if a != g.parts-f || b != g.combiners || c != g.parts+g.combiners-f {
+				t.Fatalf("%d parts %s, %d folded: Encode saw elements %d times and none %d times, %d recycled; want %d, %d and %d",
+					g.parts, how, f, a, b, c, g.parts-f, g.combiners, g.parts+g.combiners-f)
+			}
+			withElems.Store(0)
+			withoutElems.Store(0)
+			recycled.Store(0)
 		}
-	}
-	if math.Signbit(got[5]) {
-		t.Fatal("the driver adopted a block's −0.0")
-	}
-	if a, b, c := withElems.Load(), withoutElems.Load(), recycled.Load(); a != 16 || b != 4 || c != 20 {
-		t.Fatalf("Encode saw elements %d times and none %d times, %d recycled; want 16, 4 and 20", a, b, c)
-	}
+		check("with hooks")
 
-	// A Fold that takes the partitions whose first element is even and
-	// declines the rest: a folded task stores Fold's frame and runs
-	// neither seqOp, Encode nor Recycle; a declined one folds as before.
-	withElems.Store(0)
-	withoutElems.Store(0)
-	recycled.Store(0)
-	var folded atomic.Int64
-	hooks.Fold = func(elems []int64) ([]byte, bool, error) {
-		if len(elems) == 0 || elems[0]%2 != 0 {
-			return nil, false, nil
+		// A Fold that takes the partitions whose first element is a
+		// multiple of four and declines the rest: a folded task sends Fold's frame and runs
+		// neither seqOp, Encode nor Recycle; a declined one folds as before.
+		hooks.Fold = func(elems []int64, draw func(int) []byte) ([]byte, bool, error) {
+			if len(elems) == 0 || elems[0]%4 != 0 {
+				return nil, false, nil
+			}
+			folded.Add(1)
+			acc := zero()
+			for _, v := range elems {
+				acc = seqOp(acc, v)
+			}
+			wire, err := serde.EncodeF64(draw, acc, nil)
+			return wire, true, err
 		}
-		folded.Add(1)
-		acc := zero()
-		for _, v := range elems {
-			acc = seqOp(acc, v)
+		check("with Fold")
+		if f := folded.Load(); f == 0 || f == g.parts {
+			t.Fatalf("%d parts: %d tasks folded, want some but not all", g.parts, f)
 		}
-		wire, err := serde.EncodeF64(nil, acc, nil)
-		return wire, true, err
-	}
-	got, err = TreeAggregate(r, zero, seqOp, combOp, AggregateOptions{Depth: 2}, hooks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("element %d: %#x with Fold, %#x without hooks", i, math.Float64bits(got[i]), math.Float64bits(want[i]))
-		}
-	}
-	f := folded.Load()
-	if a, b, c := withElems.Load(), withoutElems.Load(), recycled.Load(); f == 0 || f == 16 || a != 16-f || b != 4 || c != 20-f {
-		t.Fatalf("%d of 16 tasks folded; Encode saw elements %d times and none %d times, %d recycled; want %d, 4 and %d", f, a, b, c, 16-f, 20-f)
 	}
 }
 
@@ -553,27 +555,42 @@ func TestTreeAggregateVectorSum(t *testing.T) {
 	}
 }
 
+// TestTreeAggregateCleansBlocks: no block survives a tree aggregation,
+// and the cleanup job runs exactly when some round stored one — at 4
+// partitions stage 1 is the last round and stores nothing; at 9 and 16
+// it stores a block per partition for the one combine round.
 func TestTreeAggregateCleansBlocks(t *testing.T) {
 	ctx := testContext(t, 2, 1)
-	r := FromSlice(ctx, ints(10), 4)
-	if _, err := TreeAggregate(r,
-		func() int64 { return 0 },
-		func(a int64, v int64) int64 { return a + v },
-		func(a, b int64) int64 { return a + b },
-		AggregateOptions{}, nil); err != nil {
-		t.Fatal(err)
-	}
-	// No shuffle blocks may survive the action.
-	out, err := ctx.RunOnAllExecutors(func(ec *ExecContext, task, attempt int) ([]byte, error) {
-		n := ec.Store.DeletePrefix("agg/")
-		return []byte{byte(n)}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range out {
-		if p[0] != 0 {
-			t.Fatalf("executor %d leaked %d shuffle blocks", i, p[0])
+	stages := ctx.Registry().Histogram(metrics.HistSchedStageNS)
+	for _, g := range []struct{ parts, rounds int }{{4, 0}, {9, 1}, {16, 1}} {
+		r := FromSlice(ctx, ints(10), g.parts)
+		before := stages.Count()
+		if _, err := TreeAggregate(r,
+			func() int64 { return 0 },
+			func(a int64, v int64) int64 { return a + v },
+			func(a, b int64) int64 { return a + b },
+			AggregateOptions{}, nil); err != nil {
+			t.Fatal(err)
+		}
+		want := int64(1 + g.rounds) // stage 1 and the combine rounds
+		if g.rounds > 0 {
+			want++ // the cleanup job
+		}
+		if got := stages.Count() - before; got != want {
+			t.Fatalf("%d parts: %d stages ran, want %d", g.parts, got, want)
+		}
+		// No shuffle blocks may survive the action.
+		out, err := ctx.RunOnAllExecutors(func(ec *ExecContext, task, attempt int) ([]byte, error) {
+			n := ec.Store.DeletePrefix("agg/")
+			return []byte{byte(n)}, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range out {
+			if p[0] != 0 {
+				t.Fatalf("%d parts: executor %d leaked %d shuffle blocks", g.parts, i, p[0])
+			}
 		}
 	}
 }
@@ -759,7 +776,7 @@ func TestContextAccessors(t *testing.T) {
 	if ctx.RingParallelism() != 4 {
 		t.Fatalf("RingParallelism = %d", ctx.RingParallelism())
 	}
-	if ctx.Metrics() == nil || ctx.DriverStore() == nil {
+	if ctx.Metrics() == nil {
 		t.Fatal("nil accessors")
 	}
 	if a, b := ctx.NewOpID(), ctx.NewOpID(); a == b {

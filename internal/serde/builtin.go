@@ -152,35 +152,38 @@ type f64SliceCodec struct{}
 const f64PackedBit = 1 << 31
 
 func (f64SliceCodec) Encode(dst []byte, v any) ([]byte, error) {
-	return appendF64Slice(dst, false, v.([]float64), nil)
+	return appendF64Slice(dst, nil, false, v.([]float64), nil)
 }
 
-// EncodeF64 is Encode(dst, s) with s's candidate bits (PackedSizeF64;
+// EncodeF64 is Encode(nil, s) with s's candidate bits (PackedSizeF64;
 // nil: unknown), so a vector whose support settles the form is encoded
-// reading only the support's elements. The bytes are Encode's.
-func EncodeF64(dst []byte, s []float64, cand []uint64) ([]byte, error) {
-	return appendF64Slice(dst, true, s, cand)
+// reading only the support's elements. The bytes are Encode's. The frame
+// is written into the empty buffer draw returns, called once with its
+// size (a bound with candidate bits); a nil draw allocates it.
+func EncodeF64(draw func(n int) []byte, s []float64, cand []uint64) ([]byte, error) {
+	return appendF64Slice(nil, draw, true, s, cand)
 }
 
-// EncodeF64Support appends the tagged tag 7 frame of the n-element
+// EncodeF64Support writes the tagged tag 7 frame of the n-element
 // vector that holds vals at the set bits of sup below n, in bit order,
-// and +0.0 everywhere else: the bytes EncodeF64(dst, v, sup) gives for
-// that vector v, written from its support without v. vals must hold one
+// and +0.0 everywhere else: the bytes EncodeF64(draw, v, sup) gives for
+// that vector v, written from its support without v, into a buffer from
+// draw, called once with a bound on its size (a nil draw allocates). vals must hold one
 // value per set bit, and sup at least PackedWords(n) words. It declines
-// (ok false, dst as it was) when the support does not settle the packed
+// (ok false, nothing drawn) when the support does not settle the packed
 // form, where EncodeF64 would read the vector itself (PackedSizeF64).
-func EncodeF64Support(dst []byte, n int, sup []uint64, vals []float64) (frame []byte, ok bool) {
+func EncodeF64Support(draw func(n int) []byte, n int, sup []uint64, vals []float64) (frame []byte, ok bool) {
 	if n <= 0 || n >= f64PackedBit {
-		return dst, false
+		return nil, false
 	}
 	words, c := PackedWords(n), candCount(sup, 0, n)
 	if c != len(vals) {
 		panic(fmt.Sprintf("serde: %d values for a support of %d elements", len(vals), c))
 	}
 	if c > n/packThreshold-words || !probeCannotFire(sup, 0, n) {
-		return dst, false
+		return nil, false
 	}
-	dst = grow(dst, 8+8*(words+c))
+	dst := reserve(nil, draw, 8+8*(words+c))
 	dst = appendUint32(dst, tagF64Slice)
 	dst = appendUint32(dst, uint32(n)|f64PackedBit)
 	bm := len(dst)
@@ -203,10 +206,11 @@ func EncodeF64Support(dst []byte, n int, sup []uint64, vals []float64) (frame []
 	return dst[:vo], true
 }
 
-// appendF64Slice appends s's tag 7 payload to dst, led by the type tag
-// when tagged, growing dst at most once — to the exact size, or with
-// candidate bits to the bound they give.
-func appendF64Slice(dst []byte, tagged bool, s []float64, cand []uint64) ([]byte, error) {
+// appendF64Slice appends s's tag 7 payload to dst, or to draw's buffer
+// when draw is set, led by the type tag when tagged, growing dst at most
+// once — to the exact size, or with candidate bits to the bound they
+// give.
+func appendF64Slice(dst []byte, draw func(int) []byte, tagged bool, s []float64, cand []uint64) ([]byte, error) {
 	n := len(s)
 	if n >= f64PackedBit {
 		return nil, fmt.Errorf("serde: []float64 of %d elements does not fit its length word", n)
@@ -219,7 +223,7 @@ func appendF64Slice(dst []byte, tagged bool, s []float64, cand []uint64) ([]byte
 	if tagged {
 		head = 8
 	}
-	dst = grow(dst, head+body)
+	dst = reserve(dst, draw, head+body)
 	if tagged {
 		dst = appendUint32(dst, tagF64Slice)
 	}
@@ -238,11 +242,8 @@ func (f64SliceCodec) Decode(src []byte) (any, int, error) {
 	out := make([]float64, n)
 	switch {
 	case packed:
-		bitmap, vals, err := packedBody(body, 0, n, n)
-		if err != nil {
-			return nil, 0, err
-		}
-		setPacked(out, bitmap, vals)
+		words := PackedWords(n)
+		setPacked(out, body[:8*words], body[8*words:])
 	case hostLittleEndian:
 		copy(f64Bytes(out), body)
 	default:
@@ -254,9 +255,10 @@ func (f64SliceCodec) Decode(src []byte) (any, int, error) {
 }
 
 // f64Payload reads a tag 7 payload's length word and cuts its body, the
-// bytes after the word that belong to it; a packed body's bitmap and
-// value counts are checked against what follows before anything is
-// allocated from them.
+// bytes after the word that belong to it. A packed body is validated
+// whole, once, before anything is allocated from it: the bitmap's
+// length and tail bits, and a value for every set bit; its callers store
+// through it without a further check.
 func f64Payload(src []byte) (n int, packed bool, body []byte, err error) {
 	if len(src) < 4 {
 		return 0, false, nil, fmt.Errorf("serde: short []float64 header")
@@ -273,7 +275,11 @@ func f64Payload(src []byte) (n int, packed bool, body []byte, err error) {
 	if len(body) < 8*words {
 		return 0, false, nil, fmt.Errorf("%w: %d elements need a %d-byte bitmap, %d bytes follow", ErrMalformedPacked, n, 8*words, len(body))
 	}
-	end := 8 * (words + setCount(body[:8*words]))
+	set, err := bitmapSet(body[:8*words], n)
+	if err != nil {
+		return 0, false, nil, err
+	}
+	end := 8 * (words + set)
 	if len(body) < end {
 		return 0, false, nil, fmt.Errorf("%w: bitmap marks %d values, %d bytes follow it", ErrMalformedPacked, end/8-words, len(body)-8*words)
 	}

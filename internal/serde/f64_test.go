@@ -138,7 +138,8 @@ func FuzzF64SliceRoundTrip(f *testing.F) {
 // its set bits encodes, when the support settles the packed form, to the
 // bytes EncodeF64 writes for the expanded vector with that support —
 // whatever the values' bits (+0.0, −0.0, NaN payloads, subnormals) and
-// whatever the support holds past n. A declined call leaves dst as it was.
+// whatever the support holds past n, in the one buffer it draws. A
+// declined call draws nothing.
 func FuzzEncodeF64Support(f *testing.F) {
 	for _, s := range []struct {
 		n       uint32
@@ -173,19 +174,22 @@ func FuzzEncodeF64Support(f *testing.F) {
 			v[i] = x
 			vals = append(vals, x)
 		}
-		dst := []byte{0xAB}
-		got, ok := EncodeF64Support(dst, size, sup, vals)
+		drawn := -1
+		got, ok := EncodeF64Support(func(n int) []byte { drawn = n; return make([]byte, 0, n) }, size, sup, vals)
 		if !ok {
-			if len(got) != 1 || got[0] != 0xAB {
-				t.Fatalf("n=%d: a declined encode left %x", size, got)
+			if got != nil || drawn >= 0 {
+				t.Fatalf("n=%d: a declined encode drew %d bytes and returned %x", size, drawn, got)
 			}
 			return
 		}
-		want, err := EncodeF64([]byte{0xAB}, v, sup)
+		if len(got) > drawn || cap(got) != drawn {
+			t.Fatalf("n=%d: a %d-byte frame written outside its %d-byte draw", size, len(got), drawn)
+		}
+		want, err := EncodeF64(nil, v, sup)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if binary.LittleEndian.Uint32(want[5:])&f64PackedBit == 0 {
+		if binary.LittleEndian.Uint32(want[4:])&f64PackedBit == 0 {
 			t.Fatalf("n=%d: encoded from a support EncodeF64 writes dense", size)
 		}
 		if !bytes.Equal(got, want) {

@@ -270,13 +270,24 @@ func packedBody(payload []byte, off, n, seg int) (bitmap, vals []byte, err error
 		return nil, nil, fmt.Errorf("%w: %d payload bytes cannot hold a %d-word bitmap plus whole values", ErrMalformedPacked, len(payload), words)
 	}
 	bitmap, vals = payload[:8*words], payload[8*words:]
-	if set := setCount(bitmap); set != len(vals)/8 {
+	set, err := bitmapSet(bitmap, n)
+	if err != nil {
+		return nil, nil, err
+	}
+	if set != len(vals)/8 {
 		return nil, nil, fmt.Errorf("%w: bitmap marks %d elements, %d values follow", ErrMalformedPacked, set, len(vals)/8)
 	}
-	if tail := n % 64; tail != 0 && binary.LittleEndian.Uint64(bitmap[8*(words-1):])>>uint(tail) != 0 {
-		return nil, nil, fmt.Errorf("%w: bits set past element %d", ErrMalformedPacked, n)
-	}
 	return bitmap, vals, nil
+}
+
+// bitmapSet counts the set bits of an n-element range's bitmap, which
+// holds PackedWords(n) whole words, and refuses one with a bit set past
+// element n.
+func bitmapSet(bitmap []byte, n int) (int, error) {
+	if tail := n % 64; tail != 0 && binary.LittleEndian.Uint64(bitmap[len(bitmap)-8:])>>uint(tail) != 0 {
+		return 0, fmt.Errorf("%w: bits set past element %d", ErrMalformedPacked, n)
+	}
+	return setCount(bitmap), nil
 }
 
 // DecodeReducePackedF64 is the packed fused decode-reduce: it walks the
@@ -288,15 +299,21 @@ func DecodeReducePackedF64(acc []float64, off, n int, payload []byte) error {
 	if err != nil {
 		return err
 	}
+	addPacked(acc[off:], bitmap, vals)
+	return nil
+}
+
+// addPacked adds the values of a validated packed body through its set
+// bits into dst.
+func addPacked(dst []float64, bitmap, vals []byte) {
 	k := 0
 	for w := 0; 8*w < len(bitmap); w++ {
-		dst := acc[off+64*w:]
+		out := dst[64*w:]
 		for m := binary.LittleEndian.Uint64(bitmap[8*w:]); m != 0; m &= m - 1 {
-			dst[bits.TrailingZeros64(m)] += Float64At(vals, k)
+			out[bits.TrailingZeros64(m)] += Float64At(vals, k)
 			k += 8
 		}
 	}
-	return nil
 }
 
 // DecodeReduceF64 adds the []float64 of a tagged tag 7 frame into acc
@@ -316,7 +333,10 @@ func DecodeReduceF64(acc []float64, src []byte) error {
 	case n != len(acc):
 		return fmt.Errorf("serde: a %d-element []float64 cannot be added into %d elements", n, len(acc))
 	case packed:
-		return DecodeReducePackedF64(acc, 0, n, body)
+		// f64Payload validated the body: bitmap, tail bits and values.
+		words := PackedWords(n)
+		addPacked(acc, body[:8*words], body[8*words:])
+		return nil
 	}
 	for i := range acc {
 		acc[i] += Float64At(body, 8*i)

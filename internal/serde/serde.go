@@ -95,7 +95,7 @@ func registerBuiltin(tag uint32, sample any, codec Codec) {
 func Encode(dst []byte, v any) ([]byte, error) {
 	if s, ok := v.([]float64); ok {
 		// The aggregator's type: tag and payload sized together.
-		return appendF64Slice(dst, true, s, nil)
+		return appendF64Slice(dst, nil, true, s, nil)
 	}
 	if m, ok := v.(Marshaler); ok {
 		// Tag 1 = self-marshaling value; the concrete type must be
@@ -308,6 +308,14 @@ func grow(dst []byte, need int) []byte {
 		dst = grown
 	}
 	return dst
+}
+
+// reserve is grow(dst, need), or draw(need) when draw is set.
+func reserve(dst []byte, draw func(int) []byte, need int) []byte {
+	if draw != nil {
+		return draw(need)
+	}
+	return grow(dst, need)
 }
 
 // Float64At reads a float64 at offset i.
