@@ -94,8 +94,9 @@ overhead:
 # Every Fuzz* target for a few seconds (seed corpus plus a few thousand
 # mutations): the decoders that take bytes off a socket or a disk —
 # serde, the two data readers, the packed partition block, the
-# owned-segments frame, the ring frame and its packed chunk form — must
-# not panic on the first odd input.
+# owned-segments frame, the driver's reader of the gathered frames, the
+# ring frame and its packed chunk form — must not panic on the first
+# odd input.
 fuzz-smoke:
 	scripts/fuzz-smoke.sh
 
@@ -156,17 +157,18 @@ RUN_SECONDS ?= 20
 bench-pair:
 	scripts/bench-pair.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(SEED) $(RUN_SECONDS)
 
-# CPU profiles of the wide-split-tcp and wide-tree-tcp step loops
-# (20 000 × 1 000 000, 4 executors × 1 core, loopback TCP) as one
-# command, one profile and one top per strategy: the profiles that name
-# the layer a perf PR spends (ROADMAP item 2) — benchmark/ itself takes
-# no profiling flag. Each benchmark line also reports the step's
-# compute-ms/op and reduce-ms/op (the IMM stage and the ring, or the
-# tree's stage 1 and its merge), so the phase split prints beside its
-# top.
+# CPU profiles of the wide-split-tcp and wide-tree-tcp step loops, and
+# the tree+IMM one (20 000 × 1 000 000, 4 executors × 1 core, loopback
+# TCP), as one command, one profile and one top per strategy: the
+# profiles that name the layer a perf PR spends (ROADMAP item 2) —
+# benchmark/ itself takes no profiling flag. Each benchmark line also
+# reports the step's compute-ms/op and reduce-ms/op (the IMM stage, or
+# the tree's stage 1; then the ring or gather, or the combine round,
+# and the driver's pass to the new weights), so the phase split prints
+# beside its top. tree.imm is the -bench pattern of the tree+imm step.
 profile:
 	d=$$(mktemp -d) && echo "profile: writing under $$d" && \
-	for s in split tree; do \
+	for s in split tree tree.imm; do \
 		$(GO) test -run '^$$' -bench "WideStepTCP/$$s\$$" -benchtime 100x -cpuprofile $$d/wide-step-$$s.prof -o $$d/wide-step.test ./internal/mllib && \
 		echo "== $$s step" && \
 		$(GO) tool pprof -top -nodecount 25 $$d/wide-step.test $$d/wide-step-$$s.prof || exit 1; \

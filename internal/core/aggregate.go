@@ -36,6 +36,7 @@ import (
 	"sparker/internal/sched"
 	"sparker/internal/serde"
 	"sparker/internal/trace"
+	"sparker/internal/transport"
 )
 
 // ErrMembershipChanged classifies a stage failure whose cause was a
@@ -175,9 +176,9 @@ type AggFuncs[T, U, V any] struct {
 	// ReduceOp merges two aggregator segments.
 	ReduceOp func(V, V) V
 	// ConcatOp reassembles the ordered reduced segments. It must be plain
-	// concatenation when Ops has a fixed stride: the driver then decodes
-	// the gathered segments straight into one MakeSegment'ed vector and
-	// does not call it.
+	// concatenation when Ops has a fixed stride, which only []float64
+	// words have (collective.F64Ops): the driver then reads the gathered
+	// segments, end to end, from their frames and does not call it.
 	ConcatOp func([]V) V
 	// Ops, when non-nil, replaces the generic serde-backed collective
 	// operations for the ring stage. Supplying ops with the chunked fast
@@ -222,6 +223,17 @@ type AggFuncs[T, U, V any] struct {
 	// segment by segment, cut at SplitSlice's bounds — SplitOp must be
 	// SplitSlice. With no Support, Fold is never called.
 	Fold func(dst U, elems []T) (vals U, n int, ok bool, err error)
+	// Finish, when non-nil, ends the aggregation on the driver in place of
+	// assembling the aggregate: it reads the reduced aggregate from the
+	// frames it came home in — the split gather's owned segments, the IMM
+	// gather's or the tree's last round's frames, allreduce's rank-0 copy
+	// — through agg, valid only during the call, and returns what
+	// Aggregate returns. It runs inside the reduce phase, after every frame
+	// was validated, once per attempt that gets that far; an error fails
+	// the aggregation. Core accepts it only when U and V are []float64 and
+	// Ops pack (the frames are then []float64 words); with Finish nil core
+	// assembles the dense aggregate through the same reader.
+	Finish func(agg *serde.F64Frames) (V, error)
 }
 
 // recycle hands u to Recycle when the caller supplied one.
@@ -245,6 +257,9 @@ func (f *AggFuncs[T, U, V]) validate(s Strategy) error {
 		if f.ReduceOp == nil || f.ConcatOp == nil {
 			return fmt.Errorf("core: Aggregate(%v) requires ReduceOp and ConcatOp", s)
 		}
+	}
+	if f.Finish != nil && !f.f64Wire() {
+		return fmt.Errorf("core: Aggregate(%v): Finish requires []float64 U and V and Ops that pack", s)
 	}
 	return nil
 }
@@ -312,7 +327,7 @@ func Aggregate[T, U, V any](ctx context.Context, r *rdd.RDD[T], fns AggFuncs[T, 
 		if err != nil {
 			return zv, err
 		}
-		return fns.SplitOp(u, 0, 1), nil
+		return fns.result(u), nil
 	}
 
 	// The one recovery rule of the IMM-based strategies: an attempt that
@@ -478,18 +493,20 @@ func runAttempt[T, U, V any](ctx context.Context, r *rdd.RDD[T], fns *AggFuncs[T
 		res, err = runRingStage(ctx, rc, opID, key, held, fns, o, strategy == StrategyAllReduce)
 		return res, true, err
 	}
-	u, err := gatherIMM(rc, aggSC, key, held, fns)
+	frames, err := gatherIMM(rc, aggSC, key, held, fns)
 	if err != nil {
 		return zv, true, err
 	}
-	res = fns.SplitOp(u, 0, 1)
+	var keep func(U) error
 	if o.Strategy == StrategyAllReduce && o.KeepKey != "" {
 		// A degraded allreduce still owes every executor its copy.
-		if err := replicateResult(rc, aggSC, o.KeepKey, res); err != nil {
-			return zv, true, err
-		}
+		keep = func(u U) error { return replicateResult(rc, aggSC, o.KeepKey, fns.SplitOp(u, 0, 1)) }
 	}
-	return res, false, nil
+	u, err := fns.reduceFrames(frames, keep)
+	if err != nil {
+		return zv, false, err
+	}
+	return fns.result(u), false, nil
 }
 
 // runRingStage submits the collective stage: one gang-scheduled task
@@ -615,17 +632,27 @@ func runRingStage[T, U, V any](ctx context.Context, rc *rdd.Context, opID int64,
 			if len(p) == 0 {
 				continue
 			}
-			v, _, err := serde.Decode(p)
-			if err != nil {
+			if !fns.f64Wire() {
+				v, _, err := serde.Decode(p)
+				if err != nil {
+					return zv, err
+				}
+				return v.(V), nil
+			}
+			agg := serde.ConcatF64()
+			defer agg.Release()
+			if err := agg.AppendFrame(p); err != nil {
 				return zv, err
 			}
-			return v.(V), nil
+			v, err := finishF64(agg, fns.Finish)
+			transport.PutBuf(p)
+			return v, err
 		}
 		return zv, fmt.Errorf("core: allreduce produced no driver copy")
 	}
 
 	// Gather: order the segments by global index and reassemble.
-	return decodeOwned(payloads, ops, fns.ConcatOp)
+	return decodeOwned(payloads, ops, fns.ConcatOp, fns.Finish)
 }
 
 // ringRun is one executor's reduce-scatter as the ring task finishes

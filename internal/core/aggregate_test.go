@@ -11,6 +11,7 @@ import (
 	"sparker/internal/comm"
 	"sparker/internal/rdd"
 	"sparker/internal/sched"
+	"sparker/internal/serde"
 	"sparker/internal/trace"
 )
 
@@ -160,6 +161,12 @@ func TestAggregateValidation(t *testing.T) {
 	}
 	if _, err := Aggregate(context.Background(), r, AggFuncs[int64, []float64, []float64]{}); err == nil {
 		t.Fatal("empty AggFuncs should fail")
+	}
+	// Finish reads []float64 frames: ops that cannot pack have none.
+	fns = vecFuncs(8)
+	fns.Finish = func(agg *serde.F64Frames) ([]float64, error) { return agg.Dense(), nil }
+	if _, err := Aggregate(context.Background(), r, fns, WithStrategy(StrategyTree)); err == nil {
+		t.Fatal("Finish without Ops that pack should fail")
 	}
 }
 

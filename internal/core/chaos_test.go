@@ -11,8 +11,10 @@ import (
 	"testing"
 	"time"
 
+	"sparker/internal/collective"
 	"sparker/internal/metrics"
 	"sparker/internal/rdd"
+	"sparker/internal/serde"
 	"sparker/internal/trace"
 	"sparker/internal/transport"
 )
@@ -256,55 +258,82 @@ func TestChaosFallbackSpan(t *testing.T) {
 
 // TestChaosAllReduceKillFallsBack: the allreduce strategy degrades the
 // same way, and the KeepKey result replicated by the fallback matches
-// the driver copy on every executor.
+// the driver copy on every executor — with the serde ops, and with
+// F64Ops and a Finish, whose result the driver returns while the
+// executors still get the aggregate itself.
 func TestChaosAllReduceKillFallsBack(t *testing.T) {
 	const samples, dim = 200, 48
-	name := "chaos-ar-kill"
-	victim := transport.Addr(fmt.Sprintf("comm/%s/ring/%d", name, 2))
-	ctx := chaosContext(t, name, 3, 2, 2, &transport.FaultRule{
-		Match:     func(a transport.Addr) bool { return a == victim },
-		Kind:      transport.FaultKill,
-		AfterMsgs: 1,
-	})
-	r := vectorRDD(ctx, samples, 6)
-	want := expectedVector(samples, dim)
+	doubled := vecFuncs(dim)
+	ops := collective.F64Ops()
+	doubled.Ops = &ops
+	doubled.Finish = func(agg *serde.F64Frames) ([]float64, error) {
+		v := agg.Dense()
+		for i := range v {
+			v[i] *= 2
+		}
+		return v, nil
+	}
+	// F64Ops ride one channel: 48 elements fill no chunk of their own
+	// (collective.RingChannels).
+	for _, c := range []struct {
+		name     string
+		fns      AggFuncs[int64, []float64, []float64]
+		scale    float64
+		channels int64
+	}{{"serde ops", vecFuncs(dim), 1, 2}, {"F64Ops and Finish", doubled, 2, 1}} {
+		t.Run(c.name, func(t *testing.T) {
+			name := "chaos-ar-kill-" + strings.ReplaceAll(c.name, " ", "-")
+			victim := transport.Addr(fmt.Sprintf("comm/%s/ring/%d", name, 2))
+			ctx := chaosContext(t, name, 3, 2, 2, &transport.FaultRule{
+				Match:     func(a transport.Addr) bool { return a == victim },
+				Kind:      transport.FaultKill,
+				AfterMsgs: 1,
+			})
+			r := vectorRDD(ctx, samples, 6)
+			want := expectedVector(samples, dim)
 
-	got, err := Aggregate(context.Background(), r, vecFuncs(dim),
-		WithStrategy(StrategyAllReduce), WithKeepKey("model/chaos"),
-		WithDeadline(500*time.Millisecond))
-	if err != nil {
-		t.Fatalf("fallback should mask the kill: %v", err)
-	}
-	requireExact(t, got, want)
-	if ctx.Metrics().Count(metrics.CounterRingFallback) == 0 {
-		t.Fatal("expected a recorded ring fallback")
-	}
-	if n := ringSteps(ctx); n < 3*2 {
-		t.Fatalf("%d ring steps, want >= 6 (every one of 2 channels starts)", n)
-	}
-	payloads, err := ctx.RunOnAllExecutors(func(ec *rdd.ExecContext, task, attempt int) ([]byte, error) {
-		obj := ec.MutObjs.Get("model/chaos")
-		if obj == nil {
-			return []byte{0}, nil
-		}
-		var resident []float64
-		obj.Read(func(v any) { resident, _ = v.([]float64) })
-		if len(resident) != len(want) {
-			return []byte{0}, nil
-		}
-		for i := range resident {
-			if resident[i] != want[i] {
-				return []byte{0}, nil
+			got, err := Aggregate(context.Background(), r, c.fns,
+				WithStrategy(StrategyAllReduce), WithKeepKey("model/chaos"),
+				WithDeadline(500*time.Millisecond))
+			if err != nil {
+				t.Fatalf("fallback should mask the kill: %v", err)
 			}
-		}
-		return []byte{1}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range payloads {
-		if len(p) != 1 || p[0] != 1 {
-			t.Fatalf("executor %d: replicated KeepKey result missing or wrong", i)
-		}
+			scaled := make([]float64, len(want))
+			for i := range want {
+				scaled[i] = c.scale * want[i]
+			}
+			requireExact(t, got, scaled)
+			if ctx.Metrics().Count(metrics.CounterRingFallback) == 0 {
+				t.Fatal("expected a recorded ring fallback")
+			}
+			if n := ringSteps(ctx); n < 3*c.channels {
+				t.Fatalf("%d ring steps, want >= %d (every one of %d channels starts)", n, 3*c.channels, c.channels)
+			}
+			payloads, err := ctx.RunOnAllExecutors(func(ec *rdd.ExecContext, task, attempt int) ([]byte, error) {
+				obj := ec.MutObjs.Get("model/chaos")
+				if obj == nil {
+					return []byte{0}, nil
+				}
+				var resident []float64
+				obj.Read(func(v any) { resident, _ = v.([]float64) })
+				if len(resident) != len(want) {
+					return []byte{0}, nil
+				}
+				for i := range resident {
+					if resident[i] != want[i] {
+						return []byte{0}, nil
+					}
+				}
+				return []byte{1}, nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range payloads {
+				if len(p) != 1 || p[0] != 1 {
+					t.Fatalf("executor %d: replicated KeepKey result missing or wrong", i)
+				}
+			}
+		})
 	}
 }

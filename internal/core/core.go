@@ -262,15 +262,15 @@ func cleanupIMM(ctx *rdd.Context, parent trace.SpanContext, prefix string) {
 }
 
 // gatherIMM is StrategyIMM's second stage: every executor serializes
-// the one aggregator the reduced-result stage left it, and the driver
-// merges them serially in executor order. The reduction remains
-// tree-shaped (driver-bound); only the serialization volume shrinks
-// from one result per task to one per executor.
-func gatherIMM[T, U, V any](ctx *rdd.Context, parent trace.SpanContext, key string, held map[int]bool, fns *AggFuncs[T, U, V]) (U, error) {
-	var zu U
+// the one aggregator the reduced-result stage left it into its result
+// frame, and the driver receives the frames in executor order, for
+// reduceFrames to merge serially. The reduction remains tree-shaped
+// (driver-bound); only the serialization volume shrinks from one result
+// per task to one per executor.
+func gatherIMM[T, U, V any](ctx *rdd.Context, parent trace.SpanContext, key string, held map[int]bool, fns *AggFuncs[T, U, V]) ([][]byte, error) {
 	live := slices.Clone(ctx.LiveExecutors())
 	if err := requireHeld(held, live); err != nil {
-		return zu, err
+		return nil, err
 	}
 	h, err := ctx.SubmitJob(rdd.JobSpec{
 		Tasks:       len(live),
@@ -286,34 +286,28 @@ func gatherIMM[T, U, V any](ctx *rdd.Context, parent trace.SpanContext, key stri
 				// when its support settles the packed form; otherwise the
 				// aggregator is expanded and encoded as a dense one is.
 				vals := any(agg).([]float64)
-				if frame, ok := serde.EncodeF64Support(nil, n, sup.bits, vals); ok {
+				if frame, ok := serde.EncodeF64Support(ec.ResultBuf, n, sup.bits, vals); ok {
 					compactVals.put(vals)
 					return frame, nil
 				}
 				agg = fns.expand(agg, sup, n)
 			}
-			wire, err := fns.encodeAgg(agg, sup, nil)
+			wire, err := fns.encodeAgg(agg, sup, ec.ResultBuf)
 			fns.recycle(agg)
 			return wire, err
 		},
 	})
 	if err != nil {
-		return zu, err
+		return nil, err
 	}
 	payloads, err := h.Wait()
 	if err == nil {
 		err = requireHeld(held, h.Executors())
 	}
 	if err != nil {
-		return zu, err
+		return nil, err
 	}
-	acc := fns.Zero()
-	for _, p := range payloads {
-		if acc, err = fns.mergeWire(acc, p); err != nil {
-			return zu, err
-		}
-	}
-	return acc, nil
+	return payloads, nil
 }
 
 // f64Wire reports whether the tree strategies' frames are []float64
@@ -336,7 +330,7 @@ func (f *AggFuncs[T, U, V]) encodeAgg(u U, sup support, draw func(int) []byte) (
 	return serde.Encode(nil, u)
 }
 
-// mergeWire merges one tree frame into acc.
+// mergeWire merges one tree frame into acc (a combine task's).
 func (f *AggFuncs[T, U, V]) mergeWire(acc U, wire []byte) (U, error) {
 	if f.f64Wire() {
 		return acc, serde.DecodeReduceF64(any(acc).([]float64), wire)
@@ -348,15 +342,77 @@ func (f *AggFuncs[T, U, V]) mergeWire(acc U, wire []byte) (U, error) {
 	return f.MergeOp(acc, v.(U)), nil
 }
 
-// treeHooks are f's frames, Recycle and Fold as rdd.TreeAggregate takes
-// them; a stage-1 block is encoded from the support of its elements,
-// and a compact fold (compactFold) is written straight to its block
-// when that support settles the packed form. An f64Wire frame is
-// written into the buffer TreeAggregate draws, so a last-round frame
-// leaves as its task's result as it is. The driver recycles those frames
-// once merged, so mergeWire keeps nothing of them: the f64 path adds
-// from the bytes, and serde's built-in codecs copy out of their input
-// (a codec registered for a tree aggregator must too).
+// reduceFrames is the driver's end of the tree strategies: frames are
+// the tree's last round or the IMM gather, in task order, and the
+// result is their serial merge from Zero in that order. An f64Wire
+// aggregate is not assembled but read from its frames (serde.SumF64),
+// by Finish or, with Finish nil, into a dense vector; otherwise each
+// frame is decoded and merged with MergeOp. keep, when set, is handed
+// the dense aggregate first (a degraded allreduce replicates it). The
+// frames go back to the wire pool once read: the f64 path adds from the
+// bytes, and serde's built-in codecs copy out of their input (a codec
+// registered for a tree aggregator must too).
+func (f *AggFuncs[T, U, V]) reduceFrames(frames [][]byte, keep func(U) error) (U, error) {
+	var zu U
+	defer func() {
+		for _, p := range frames {
+			transport.PutBuf(p)
+		}
+	}()
+	if !f.f64Wire() {
+		acc := f.Zero()
+		for _, p := range frames {
+			var err error
+			if acc, err = f.mergeWire(acc, p); err != nil {
+				return zu, err
+			}
+		}
+		if keep != nil {
+			return acc, keep(acc)
+		}
+		return acc, nil
+	}
+	agg, err := serde.SumF64(frames)
+	if err != nil {
+		return zu, err
+	}
+	defer agg.Release()
+	if keep != nil {
+		u := any(agg.Dense()).(U)
+		if err := keep(u); err != nil || f.Finish == nil {
+			return u, err
+		}
+	}
+	v, err := finishF64(agg, f.Finish)
+	return any(v).(U), err
+}
+
+// result is what Aggregate returns for the tree strategies' aggregate
+// u: Finish's result as it is, or the aggregate viewed as a segment.
+func (f *AggFuncs[T, U, V]) result(u U) V {
+	if f.Finish != nil {
+		return any(u).(V)
+	}
+	return f.SplitOp(u, 0, 1)
+}
+
+// finishF64 ends a reduction read from its frames: finish reads it, or
+// with finish nil the dense aggregate is assembled from it. V is
+// []float64.
+func finishF64[V any](agg *serde.F64Frames, finish func(*serde.F64Frames) (V, error)) (V, error) {
+	if finish != nil {
+		return finish(agg)
+	}
+	return any(agg.Dense()).(V), nil
+}
+
+// treeHooks are f's frames, Recycle, Fold and the driver's end as
+// rdd.TreeAggregate takes them; a stage-1 block is encoded from the
+// support of its elements, and a compact fold (compactFold) is written
+// straight to its block when that support settles the packed form. An
+// f64Wire frame is written into the buffer TreeAggregate draws, so a
+// last-round frame leaves as its task's result as it is, and
+// reduceFrames reads it there.
 func (f *AggFuncs[T, U, V]) treeHooks() *rdd.TreeHooks[T, U] {
 	supportOf := func(elems []T) support {
 		sup := support{known: f.Support != nil && elems != nil}
@@ -371,6 +427,7 @@ func (f *AggFuncs[T, U, V]) treeHooks() *rdd.TreeHooks[T, U] {
 		},
 		MergeWire: f.mergeWire,
 		Recycle:   f.recycle,
+		Finish:    func(frames [][]byte) (U, error) { return f.reduceFrames(frames, nil) },
 	}
 	if f.Fold != nil && f.Support != nil {
 		h.Fold = func(elems []T, draw func(int) []byte) ([]byte, bool, error) {
@@ -613,14 +670,16 @@ func parseOwned(p []byte, segs []ownedSeg) error {
 // owned-segments frames. The ring's width is read off the frames: each
 // rank owns one segment per channel, so every frame must list the same
 // number k ≥ 1, and together they must name each of the k·N segments
-// once (k·N distinct indices below k·N leave none missing). On the
-// fixed-stride path every segment is decoded once, into its slot of one
-// result vector — by the chunk contract that is the concatenation, so
-// concatOp is not consulted — and the frames, which the chunk decoders
-// may not retain, go back to the wire pool. Otherwise segments are
-// decoded one by one and handed to concatOp, and the frames are left to
-// the garbage collector because a generic Decode may alias them.
-func decodeOwned[V any](payloads [][]byte, ops collective.Ops[V], concatOp func([]V) V) (V, error) {
+// once (k·N distinct indices below k·N leave none missing). Fixed-stride
+// ops are F64Ops' []float64 words: the segments, in index order, are the
+// ranges of one serde.F64Frames reader — by the chunk contract that is
+// the concatenation, so concatOp is not consulted — which finish reads
+// (nil: the dense vector is assembled from it), and the frames, which
+// the reader validated whole before finish saw an element and keeps
+// nothing of, go back to the wire pool. Otherwise segments are decoded
+// one by one and handed to concatOp, and the frames are left to the
+// garbage collector because a generic Decode may alias them.
+func decodeOwned[V any](payloads [][]byte, ops collective.Ops[V], concatOp func([]V) V, finish func(*serde.F64Frames) (V, error)) (V, error) {
 	var zv V
 	k := 0
 	for i, p := range payloads {
@@ -642,26 +701,12 @@ func decodeOwned[V any](payloads [][]byte, ops collective.Ops[V], concatOp func(
 			return zv, err
 		}
 	}
-	stride := ops.ChunkStride()
-	total := 0
-	for i := range segs {
-		s := &segs[i]
-		switch {
-		case s.packed:
-			if !ops.CanPack() {
-				return zv, fmt.Errorf("%w: segment %d is packed but the ops cannot unpack", ErrMalformedFrame, i)
-			}
-		case stride > 0:
-			if len(s.body)%stride != 0 {
-				return zv, fmt.Errorf("%w: segment %d is %d bytes, stride %d", ErrMalformedFrame, i, len(s.body), stride)
-			}
-			s.elems = len(s.body) / stride
-		}
-		total += s.elems
-	}
-	if stride == 0 {
+	if ops.ChunkStride() == 0 {
 		vals := make([]V, nSegs)
 		for i, s := range segs {
+			if s.packed {
+				return zv, fmt.Errorf("%w: segment %d is packed but the ops cannot unpack", ErrMalformedFrame, i)
+			}
 			v, err := ops.Decode(s.body)
 			if err != nil {
 				return zv, err
@@ -670,20 +715,28 @@ func decodeOwned[V any](payloads [][]byte, ops collective.Ops[V], concatOp func(
 		}
 		return concatOp(vals), nil
 	}
-	out := ops.MakeSegment(total)
-	off := 0
-	for i, s := range segs {
-		if s.packed {
-			if err := ops.Packed.DecodeChunkInto(out, off, s.elems, s.body); err != nil {
-				return zv, fmt.Errorf("%w: segment %d: %w", ErrMalformedFrame, i, err)
-			}
-		} else if err := ops.DecodeChunkInto(out, off, s.body); err != nil {
-			return zv, err
-		}
-		off += s.elems
+	if _, ok := any(zv).([]float64); !ok || ops.ChunkStride() != 8 {
+		return zv, fmt.Errorf("core: fixed-stride ops over %T are not []float64 words", zv)
 	}
+	agg := serde.ConcatF64()
+	defer agg.Release()
+	for i, s := range segs {
+		var err error
+		switch {
+		case s.packed && !ops.CanPack():
+			err = errors.New("packed but the ops cannot unpack")
+		case s.packed:
+			err = agg.AppendPacked(s.elems, s.body)
+		default:
+			err = agg.AppendRaw(s.body)
+		}
+		if err != nil {
+			return zv, fmt.Errorf("%w: segment %d: %w", ErrMalformedFrame, i, err)
+		}
+	}
+	v, err := finishF64(agg, finish)
 	for _, p := range payloads {
 		transport.PutBuf(p)
 	}
-	return out, nil
+	return v, err
 }

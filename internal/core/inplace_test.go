@@ -434,7 +434,7 @@ func TestDecodeOwnedRejectsMalformedFrames(t *testing.T) {
 		ownedFrame(2, 0, f64Body(1, 2), 2, f64Body(5)),
 		ownedFrame(2, 1, f64Body(3, 4), 3, f64Body()),
 	}
-	got, err := decodeOwned(good, ops, ConcatSlices[float64])
+	got, err := decodeOwned(good, ops, ConcatSlices[float64], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +445,7 @@ func TestDecodeOwnedRejectsMalformedFrames(t *testing.T) {
 	got, err = decodeOwned([][]byte{
 		ownedFrame(2, 0|ownedPacked, packedSeg(0, 0, negZero, 0, 7), 2, f64Body(5)),
 		ownedFrame(2, 1, f64Body(3, 4), 3|ownedPacked, packedSeg(0, tiny, 0, math.Inf(-1))),
-	}, ops, ConcatSlices[float64])
+	}, ops, ConcatSlices[float64], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,7 +487,7 @@ func TestDecodeOwnedRejectsMalformedFrames(t *testing.T) {
 		{"packed: bit set past elems", corrupt(func(b []byte) []byte { b[4] = 0b1000; return b }), true},
 		{"packed: truncated value", corrupt(func(b []byte) []byte { return b[:len(b)-1] }), true},
 	} {
-		_, err := decodeOwned(c.payloads, ops, ConcatSlices[float64])
+		_, err := decodeOwned(c.payloads, ops, ConcatSlices[float64], nil)
 		if err == nil {
 			t.Errorf("%s: accepted", c.name)
 		} else if errors.Is(err, ErrMalformedFrame) != c.malformed {
@@ -498,16 +498,16 @@ func TestDecodeOwnedRejectsMalformedFrames(t *testing.T) {
 	// The generic (serde-framed) path shares the parser.
 	generic := serdeOps[[]float64](AddF64)
 	seg := func(vals ...float64) []byte { return generic.Encode(nil, vals) }
-	got, err = decodeOwned([][]byte{ownedFrame(2, 1, seg(3), 0, seg(1, 2))}, generic, ConcatSlices[float64])
+	got, err = decodeOwned([][]byte{ownedFrame(2, 1, seg(3), 0, seg(1, 2))}, generic, ConcatSlices[float64], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireExact(t, got, []float64{1, 2, 3})
-	if _, err := decodeOwned([][]byte{ownedFrame(2, 1, seg(3), 1, seg(1))}, generic, ConcatSlices[float64]); !errors.Is(err, ErrMalformedFrame) {
+	if _, err := decodeOwned([][]byte{ownedFrame(2, 1, seg(3), 1, seg(1))}, generic, ConcatSlices[float64], nil); !errors.Is(err, ErrMalformedFrame) {
 		t.Errorf("generic path accepted a duplicate: %v", err)
 	}
 	// Ops that cannot pack refuse a packed segment instead of misreading it.
-	if _, err := decodeOwned([][]byte{ownedFrame(2, 1, seg(3), 0|ownedPacked, packedSeg(1, 2))}, generic, ConcatSlices[float64]); !errors.Is(err, ErrMalformedFrame) {
+	if _, err := decodeOwned([][]byte{ownedFrame(2, 1, seg(3), 0|ownedPacked, packedSeg(1, 2))}, generic, ConcatSlices[float64], nil); !errors.Is(err, ErrMalformedFrame) {
 		t.Errorf("generic path accepted a packed segment: %v", err)
 	}
 }
@@ -604,7 +604,7 @@ func TestOwnedFramePacksPerSegment(t *testing.T) {
 	if at := 4 + 8 + 4 + 8*(4+3); !bytes.Equal(frame[at:at+8+8*200], rawFrame[4:]) {
 		t.Error("a segment that does not pack is not byte-identical to the raw form")
 	}
-	got, err := decodeOwned([][]byte{frame}, ops, ConcatSlices[float64])
+	got, err := decodeOwned([][]byte{frame}, ops, ConcatSlices[float64], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -650,7 +650,7 @@ func TestOwnedFrameOverhead(t *testing.T) {
 		frame := encodeOwned(owned(stride), ops, nil, nil, draw)
 		return testing.AllocsPerRun(50, func() {
 			// decodeOwned releases accepted frames to the wire pool.
-			if _, err := decodeOwned([][]byte{append([]byte(nil), frame...)}, ops, ConcatSlices[float64]); err != nil {
+			if _, err := decodeOwned([][]byte{append([]byte(nil), frame...)}, ops, ConcatSlices[float64], nil); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -662,8 +662,10 @@ func TestOwnedFrameOverhead(t *testing.T) {
 
 // FuzzDecodeOwned: the owned-segments decoder takes bytes off a socket.
 // Whatever arrives, it returns a vector or an error — no panic, no
-// out-of-range write — and what it accepts re-encodes to the same
-// segments.
+// out-of-range write. What it accepts, the reader hands Finish whole:
+// its dense result equals the old per-segment decode of every segment.
+// A refused set writes nothing: Finish never sees it, and its frames
+// are left as they came.
 func FuzzDecodeOwned(f *testing.F) {
 	ops := collective.F64Ops()
 	// Both frames list the same count, so each seed gets past the
@@ -695,9 +697,19 @@ func FuzzDecodeOwned(f *testing.F) {
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		// Private copies: an accepted frame is released to the wire pool.
 		payloads := [][]byte{append([]byte(nil), a...), append([]byte(nil), b...)}
-		got, err := decodeOwned(payloads, ops, ConcatSlices[float64])
+		finished := false
+		got, err := decodeOwned(payloads, ops, ConcatSlices[float64], func(agg *serde.F64Frames) ([]float64, error) {
+			finished = true
+			return agg.Dense(), nil
+		})
 		if err != nil {
+			if finished || !bytes.Equal(payloads[0], a) || !bytes.Equal(payloads[1], b) {
+				t.Fatalf("a refused set reached Finish (%v) or had its frames written: %v", finished, err)
+			}
 			return
+		}
+		if !finished {
+			t.Fatal("an accepted set never reached Finish")
 		}
 		k, _ := ownedCount(a)
 		segs := make([]ownedSeg, 2*k)

@@ -55,21 +55,22 @@ func wideStepCluster(tb testing.TB, net transport.Network, s mllib.Strategy) (st
 }
 
 // wideStrategies are the steps the budget and the profile cover: the
-// split step, and Spark's tree, whose stage-1 tasks recycle their
-// accumulators and whose driver adds the packed blocks into its one
-// accumulator.
-var wideStrategies = []mllib.Strategy{mllib.StrategySplit, mllib.StrategyTree}
+// split step, Spark's tree, whose stage-1 tasks recycle their
+// accumulators, and the tree with in-memory merge, whose executors
+// gather one frame each. The driver reads each step's reduced aggregate
+// from its frames.
+var wideStrategies = []mllib.Strategy{mllib.StrategySplit, mllib.StrategyTree, mllib.StrategyTreeIMM}
 
 // TestAllocBudgetWideStep holds the steady-state step to 2× the
-// aggregator's bytes: the driver's gathered (split) or merged (tree)
-// vector is the one aggregator-sized allocation a step makes — the
-// updater returns the new weights in its storage — and the rest is
-// frames, blocks, closures and pool refills (at the parent of the
-// change that introduced this test a split step allocated ≈ 25×; the
-// tree step ≈ 9.6× before its driver merged from the wire). Under -race
-// the wire pool's double-park guard is armed, so the same run also
-// proves the result-frame hand-off (executor → transport → driver
-// waiter → pool) parks every frame once.
+// aggregator's bytes: the new-weights vector, which the update writes
+// straight from the gathered frames, is the one aggregator-sized
+// allocation a step makes — no gathered or merged vector is assembled
+// — and the rest is frames, blocks, closures and pool refills (at the
+// parent of the change that introduced this test a split step allocated
+// ≈ 25×; the tree step ≈ 9.6× before its driver merged from the wire).
+// Under -race the wire pool's double-park guard is armed, so the same
+// run also proves the result-frame hand-off (executor → transport →
+// driver waiter → reader → pool) parks every frame once.
 func TestAllocBudgetWideStep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1M-feature cluster")
@@ -101,11 +102,13 @@ func TestAllocBudgetWideStep(t *testing.T) {
 }
 
 // BenchmarkWideStepTCP is the wide-split-tcp and wide-tree-tcp step
-// loops as profiling targets: go test -run '^$' -bench 'WideStepTCP/tree'
-// -cpuprofile … ./internal/mllib. Beside ns/op it reports the step's two
-// aggregation phases from the context's recorder: compute-ms/op (the
-// IMM stage, or the tree's stage 1) and reduce-ms/op (the ring stage and
-// gather, or the tree's combine and driver merge).
+// loops, and the tree+IMM one, as profiling targets: go test -run '^$'
+// -bench 'WideStepTCP/tree$' -cpuprofile … ./internal/mllib. Beside
+// ns/op it reports the step's two aggregation phases from the context's
+// recorder: compute-ms/op (the IMM stage, or the tree's stage 1) and
+// reduce-ms/op (the ring stage or the IMM gather, or the tree's combine
+// round, and on every strategy the driver's one pass from the frames to
+// the new weights).
 func BenchmarkWideStepTCP(b *testing.B) {
 	for _, s := range wideStrategies {
 		b.Run(fmt.Sprint(s), func(b *testing.B) {

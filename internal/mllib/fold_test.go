@@ -172,7 +172,7 @@ func TestTreeFoldMatchesSeqOp(t *testing.T) {
 	var losses []float64
 	for iter := 1; iter <= iters; iter++ {
 		g := packedGrad{kind: linalg.CSRLogistic, w: w, dim: dim, frac: 0.5, seed: 3, iter: iter}
-		agg, err := aggregateF64(context.Background(), plan.packed, dim+2, g.seqOp, support, nil, StrategyTree, 2, 0)
+		agg, err := aggregateF64(context.Background(), plan.packed, dim+2, g.seqOp, support, nil, nil, StrategyTree, 2, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,7 +236,7 @@ func TestSplitCompactMatchesDense(t *testing.T) {
 										return vals, n, ok, err
 									}
 								}
-								agg, err := aggregateF64(cctx, plan.packed, sh.dim+2, g.seqOp, support, fold, s, 2, par)
+								agg, err := aggregateF64(cctx, plan.packed, sh.dim+2, g.seqOp, support, fold, nil, s, 2, par)
 								if err != nil {
 									t.Fatalf("%s: %v", name, err)
 								}

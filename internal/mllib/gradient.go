@@ -77,56 +77,36 @@ func (SimpleUpdater) Update(w, g []float64, stepSize float64, iter int, _ float6
 	return out, 0
 }
 
-// meanUpdater is implemented by updaters that can take the gradient
-// sum and the sample count and divide on the fly, sparing the optimizer
-// a separate pass over the gradient. The result must be bit-identical
-// to Update on the divided gradient.
+// meanUpdater is implemented by the updaters whose step is elementwise
+// decay·w − step·(gradSum/count): RunGradientDescent then computes the
+// new weights straight from the aggregate's frames (meanStep), with the
+// bits of Update on the divided gradient.
 type meanUpdater interface {
-	updateMean(weights, gradSum []float64, count, stepSize float64, iter int, regParam float64) ([]float64, float64)
+	// meanStep is iteration iter's decay and step.
+	meanStep(stepSize float64, iter int, regParam float64) (decay, step float64)
+	// regVal is the regularization value of the new weights w.
+	regVal(w []float64, regParam float64) float64
 }
 
-// updateMean steps up with the mean gradient gradSum/count. gradSum is
-// consumed: the fused updaters return the new weights in its storage,
-// updaters without the fused form get it divided in place.
-func updateMean(up Updater, weights, gradSum []float64, count, stepSize float64, iter int, regParam float64) ([]float64, float64) {
-	if mu, ok := up.(meanUpdater); ok {
-		return mu.updateMean(weights, gradSum, count, stepSize, iter, regParam)
-	}
-	for i := range gradSum {
-		gradSum[i] /= count
-	}
-	return up.Update(weights, gradSum, stepSize, iter, regParam)
-}
-
-// decayStepMean returns decay·w − step·(gradSum/count) elementwise, each
-// element rounded exactly as the separate passes (divide, scale w, axpy)
-// would round it (the conversion keeps a fusing compiler from folding
-// the decay product into the sum). The result is written over gradSum's
-// first len(w) elements — updateMean consumes gradSum, and element i is
-// read before it is written — so a step allocates no second
-// aggregator-sized vector; w is only read.
-func decayStepMean(w, gradSum []float64, decay, step, count float64) []float64 {
-	out := gradSum[:len(w):len(w)]
-	for i, wi := range w {
-		out[i] = float64(wi*decay) + -step*(out[i]/count)
-	}
-	return out
-}
-
-func (SimpleUpdater) updateMean(w, gradSum []float64, count, stepSize float64, iter int, _ float64) ([]float64, float64) {
+func (SimpleUpdater) meanStep(stepSize float64, iter int, _ float64) (float64, float64) {
 	// decay 1 multiplies exactly.
-	return decayStepMean(w, gradSum, 1, stepSize/math.Sqrt(float64(iter)), count), 0
+	return 1, stepSize / math.Sqrt(float64(iter))
 }
+
+func (SimpleUpdater) regVal([]float64, float64) float64 { return 0 }
 
 // SquaredL2Updater adds L2 regularization via weight decay (the
 // paper's SVM setting: regParam=0.01).
 type SquaredL2Updater struct{}
 
-func (SquaredL2Updater) updateMean(w, gradSum []float64, count, stepSize float64, iter int, regParam float64) ([]float64, float64) {
+func (SquaredL2Updater) meanStep(stepSize float64, iter int, regParam float64) (float64, float64) {
 	step := stepSize / math.Sqrt(float64(iter))
-	out := decayStepMean(w, gradSum, 1-step*regParam, step, count)
-	norm := linalg.Norm2(out)
-	return out, 0.5 * regParam * norm * norm
+	return 1 - step*regParam, step
+}
+
+func (SquaredL2Updater) regVal(w []float64, regParam float64) float64 {
+	norm := linalg.Norm2(w)
+	return 0.5 * regParam * norm * norm
 }
 
 // Update implements Updater.

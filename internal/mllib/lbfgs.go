@@ -85,7 +85,7 @@ func RunLBFGS(data *rdd.RDD[LabeledPoint], grad Gradient, initial []float64, cfg
 		var err error
 		if plan != nil {
 			g := packedGrad{kind: kind, w: snapshot, dim: dim, frac: 1}
-			agg, err = g.aggregate(ictx, plan, cfg.Strategy, cfg.Depth, cfg.Parallelism)
+			agg, err = g.aggregate(ictx, plan, nil, cfg.Strategy, cfg.Depth, cfg.Parallelism)
 		} else {
 			agg, err = AggregateF64Ctx(ictx, data, dim+2, func(acc []float64, p LabeledPoint) []float64 {
 				loss := grad.Compute(p.Features, p.Label, snapshot, acc[:dim])

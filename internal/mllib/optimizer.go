@@ -11,6 +11,7 @@ import (
 	"sparker/internal/core"
 	"sparker/internal/linalg"
 	"sparker/internal/rdd"
+	"sparker/internal/serde"
 	"sparker/internal/trace"
 )
 
@@ -102,14 +103,16 @@ var f64Ops = collective.F64Ops()
 // into one timeline. extra options (e.g. core.WithDeadline) are
 // appended after the strategy options, so they may override any of them.
 func AggregateF64Ctx[T any](ctx context.Context, r *rdd.RDD[T], dim int, seqOp func(acc []float64, v T) []float64, s Strategy, depth, parallelism int, extra ...core.AggOption) ([]float64, error) {
-	return aggregateF64(ctx, r, dim, seqOp, nil, nil, s, depth, parallelism, extra...)
+	return aggregateF64(ctx, r, dim, seqOp, nil, nil, nil, s, depth, parallelism, extra...)
 }
 
 // aggregateF64 is AggregateF64Ctx with the elements' supports
 // (core.AggFuncs.Support; nil when unknown), which let the ring encode
-// packed chunks in O(support), and a task's fold in its partition's
-// column space (core.AggFuncs.Fold; nil: none).
-func aggregateF64[T any](ctx context.Context, r *rdd.RDD[T], dim int, seqOp func(acc []float64, v T) []float64, support func(T) []uint64, fold func([]float64, []T) ([]float64, int, bool, error), s Strategy, depth, parallelism int, extra ...core.AggOption) ([]float64, error) {
+// packed chunks in O(support), a task's fold in its partition's column
+// space (core.AggFuncs.Fold; nil: none), and the driver's reading of the
+// reduced aggregate from its frames (core.AggFuncs.Finish; nil: the
+// dense aggregate is returned).
+func aggregateF64[T any](ctx context.Context, r *rdd.RDD[T], dim int, seqOp func(acc []float64, v T) []float64, support func(T) []uint64, fold func([]float64, []T) ([]float64, int, bool, error), finish func(*serde.F64Frames) ([]float64, error), s Strategy, depth, parallelism int, extra ...core.AggOption) ([]float64, error) {
 	cs, err := s.CoreStrategy()
 	if err != nil {
 		return nil, err
@@ -133,14 +136,16 @@ func aggregateF64[T any](ctx context.Context, r *rdd.RDD[T], dim int, seqOp func
 		Recycle:  linalg.PutVec,
 		Support:  support,
 		Fold:     fold,
+		Finish:   finish,
 	}, opts...)
 }
 
 // aggregate reduces g over plan under strategy s: seqOp on every path,
-// and on the tree's stage 1 fold.
-func (g packedGrad) aggregate(ctx context.Context, plan *packedPlan, s Strategy, depth, parallelism int, extra ...core.AggOption) ([]float64, error) {
+// and on the tree's stage 1 fold; finish (nil: none) is the driver's
+// Finish.
+func (g packedGrad) aggregate(ctx context.Context, plan *packedPlan, finish func(*serde.F64Frames) ([]float64, error), s Strategy, depth, parallelism int, extra ...core.AggOption) ([]float64, error) {
 	support := func(pp packedPart) []uint64 { return pp.Support }
-	return aggregateF64(ctx, plan.packed, g.dim+2, g.seqOp, support, g.fold, s, depth, parallelism, extra...)
+	return aggregateF64(ctx, plan.packed, g.dim+2, g.seqOp, support, g.fold, finish, s, depth, parallelism, extra...)
 }
 
 // startTrainSpan opens the root "train" span for one optimizer run and
@@ -224,8 +229,9 @@ func (c *GDConfig) fill() {
 // RunGradientDescent is MLlib's GradientDescent.runMiniBatchSGD: per
 // iteration one aggregation computes (gradientSum, lossSum, count) over
 // the (sampled) data against the current weights, then the updater
-// steps. It returns the final weights and the per-iteration loss
-// history.
+// steps — for SimpleUpdater and SquaredL2Updater inside the aggregation,
+// straight from the reduced aggregate's frames (meanStep). It returns
+// the final weights and the per-iteration loss history.
 func RunGradientDescent(data *rdd.RDD[LabeledPoint], grad Gradient, up Updater, initial []float64, cfg GDConfig) (finalW []float64, lossHist []float64, retErr error) {
 	cfg.fill()
 	dim := len(initial)
@@ -253,6 +259,15 @@ func RunGradientDescent(data *rdd.RDD[LabeledPoint], grad Gradient, up Updater, 
 	}
 	root.SetAttr("packed", fmt.Sprint(plan != nil))
 
+	// A mean updater steps as the aggregation's Finish; any other gets
+	// the dense aggregate and divides it for Update.
+	var ms *meanStep
+	var finish func(*serde.F64Frames) ([]float64, error)
+	if mu, ok := up.(meanUpdater); ok {
+		ms = &meanStep{up: mu, regParam: cfg.RegParam}
+		finish = ms.finish
+	}
+
 	for iter := 1; iter <= cfg.Iterations; iter++ {
 		if cfg.Ctx != nil {
 			if err := cfg.Ctx.Err(); err != nil {
@@ -266,6 +281,10 @@ func RunGradientDescent(data *rdd.RDD[LabeledPoint], grad Gradient, up Updater, 
 		if cfg.StepDeadline != 0 {
 			extra = append(extra, core.WithDeadline(cfg.StepDeadline))
 		}
+		if ms != nil {
+			ms.w = w
+			ms.decay, ms.step = ms.up.meanStep(cfg.StepSize, iter, cfg.RegParam)
+		}
 		// Aggregator layout: [0,dim) gradient sum, [dim] loss sum,
 		// [dim+1] sample count.
 		var agg []float64
@@ -275,31 +294,42 @@ func RunGradientDescent(data *rdd.RDD[LabeledPoint], grad Gradient, up Updater, 
 			// in-kernel minibatch sampling over the same RNG stream
 			// sampleRDD would use.
 			g := packedGrad{kind: kind, w: w, dim: dim, frac: cfg.MiniBatchFraction, seed: cfg.Seed, iter: iter}
-			agg, err = g.aggregate(ictx, plan, cfg.Strategy, cfg.Depth, cfg.Parallelism, extra...)
+			agg, err = g.aggregate(ictx, plan, finish, cfg.Strategy, cfg.Depth, cfg.Parallelism, extra...)
 		} else {
 			batch := data
 			if cfg.MiniBatchFraction < 1.0 {
 				batch = sampleRDD(data, cfg.MiniBatchFraction, cfg.Seed, iter)
 			}
-			agg, err = AggregateF64Ctx(ictx, batch, dim+2, func(acc []float64, p LabeledPoint) []float64 {
+			agg, err = aggregateF64(ictx, batch, dim+2, func(acc []float64, p LabeledPoint) []float64 {
 				loss := grad.Compute(p.Features, p.Label, w, acc[:dim])
 				acc[dim] += loss
 				acc[dim+1]++
 				return acc
-			}, cfg.Strategy, cfg.Depth, cfg.Parallelism, extra...)
+			}, nil, nil, finish, cfg.Strategy, cfg.Depth, cfg.Parallelism, extra...)
 		}
 		if err != nil {
 			it.EndErr(err)
 			return nil, nil, fmt.Errorf("mllib: iteration %d: %w", iter, err)
 		}
-		count := agg[dim+1]
+		newW, loss, count := agg, 0.0, 0.0
+		if ms != nil {
+			count = ms.count
+			loss = ms.loss/count + ms.reg
+		} else if count = agg[dim+1]; count != 0 {
+			g := agg[:dim]
+			for i := range g {
+				g[i] /= count
+			}
+			var regVal float64
+			newW, regVal = up.Update(weights, g, cfg.StepSize, iter, cfg.RegParam)
+			loss = agg[dim]/count + regVal
+		}
 		if count == 0 {
 			losses = append(losses, math.NaN())
 			it.End()
 			continue
 		}
-		newW, regVal := updateMean(up, weights, agg[:dim], count, cfg.StepSize, iter, cfg.RegParam)
-		losses = append(losses, agg[dim]/count+regVal)
+		losses = append(losses, loss)
 		it.End()
 
 		if cfg.ConvergenceTol > 0 && converged(weights, newW, cfg.ConvergenceTol) {
@@ -314,6 +344,50 @@ func RunGradientDescent(data *rdd.RDD[LabeledPoint], grad Gradient, up Updater, 
 		weights = append([]float64(nil), initial...)
 	}
 	return weights, losses, nil
+}
+
+// meanStep is one iteration of a mean updater as core.AggFuncs.Finish.
+// It reads the loss sum and sample count from the aggregate's tail, then
+// writes decay·w − step·(gradSum/count) in one pass over w and the
+// aggregate's frames into a fresh vector: the new weights, and the one
+// aggregator-sized allocation of a step. A count of 0 writes nothing
+// and returns nil weights.
+type meanStep struct {
+	up          meanUpdater
+	regParam    float64
+	w           []float64
+	decay, step float64
+	// Read from the aggregate by the last finish: its loss sum and
+	// sample count, and the new weights' regularization value.
+	loss, count, reg float64
+}
+
+func (m *meanStep) finish(agg *serde.F64Frames) ([]float64, error) {
+	dim := len(m.w)
+	if agg.Len() != dim+2 {
+		return nil, fmt.Errorf("mllib: a %d-element aggregate for %d weights", agg.Len(), dim)
+	}
+	agg.Read(dim, dim+2, func(_ int, t []float64) { m.loss, m.count = t[0], t[1] })
+	if m.count == 0 {
+		return nil, nil
+	}
+	out := make([]float64, dim)
+	agg.Read(0, dim, func(off int, g []float64) {
+		decayStepMean(out[off:off+len(g)], m.w[off:off+len(g)], g, m.decay, m.step, m.count)
+	})
+	m.reg = m.up.regVal(out, m.regParam)
+	return out, nil
+}
+
+// decayStepMean writes decay·w − step·(gradSum/count) elementwise into
+// out, each element rounded exactly as the separate passes (divide,
+// scale w, axpy) would round it (the conversion keeps a fusing compiler
+// from folding the decay product into the sum).
+func decayStepMean(out, w, gradSum []float64, decay, step, count float64) {
+	out, gradSum = out[:len(w)], gradSum[:len(w)]
+	for i, wi := range w {
+		out[i] = float64(wi*decay) + -step*(gradSum[i]/count)
+	}
 }
 
 // converged tests relative weight movement against tol.

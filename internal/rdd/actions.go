@@ -8,7 +8,6 @@ import (
 	"sparker/internal/metrics"
 	"sparker/internal/serde"
 	"sparker/internal/trace"
-	"sparker/internal/transport"
 )
 
 // Actions materialize RDDs. Every result crosses the executor→driver
@@ -164,9 +163,9 @@ type AggregateOptions struct {
 
 // TreeHooks are TreeAggregate's typed fast paths for an aggregator
 // whose block frames allow more than serde's decode-then-combOp. Encode,
-// MergeWire and Recycle are required, Fold is optional; nil hooks are
-// TreeAggregate as Spark has it: serde.Encode, serde.Decode then combOp,
-// nothing recycled.
+// MergeWire, Recycle and Finish are required, Fold is optional; nil
+// hooks are TreeAggregate as Spark has it: serde.Encode, serde.Decode
+// then combOp, nothing recycled, and the driver's serial merge.
 //
 // draw, passed to Fold and Encode, returns an empty buffer with room for
 // n bytes; a last-round frame built in one draw leaves without a copy.
@@ -181,26 +180,31 @@ type TreeHooks[T, U any] struct {
 	// Encode returns u's block frame; elems are the elements a stage-1
 	// task folded into u, nil for a combine round's accumulator.
 	Encode func(u U, elems []T, draw func(n int) []byte) ([]byte, error)
-	// MergeWire merges one block frame into acc and returns the result,
-	// as combOp(acc, decoded block) would, without a decoded value. An
-	// invalid frame is an error. It keeps nothing of wire: the driver
-	// gives each frame of the last round back to the wire pool once it
-	// is merged.
+	// MergeWire merges one block frame into a combine task's acc and
+	// returns the result, as combOp(acc, decoded block) would, without a
+	// decoded value. An invalid frame is an error.
 	MergeWire func(acc U, wire []byte) (U, error)
 	// Recycle receives every accumulator a stage-1 or combine task made
-	// with zero once Encode has returned. The driver's never is: it is
-	// the result.
+	// with zero once Encode has returned.
 	Recycle func(U)
+	// Finish is the driver's end: it takes the last round's frames in
+	// task order and returns their serial merge from zero in that order,
+	// which TreeAggregate returns. The frames are its own, to give back
+	// to the wire pool once read.
+	Finish func(frames [][]byte) (U, error)
 }
 
 // TreeAggregate is Spark's treeAggregate: per-partition seqOp folds,
 // then rounds of combOp merges through intermediate combiner tasks,
-// and a final serial combOp merge in the driver. Each round but the
-// last leaves its aggregators in the executors' block stores for the
-// next to fetch; the last round's come home as its task results, of
+// and a final serial merge in the driver, in task order. Each round but
+// the last leaves its aggregators in the executors' block stores for
+// the next to fetch; the last round's come home as its task results, of
 // any size (Spark's 1 MiB switch to fetched results is not modelled).
 // Aggregators reach the driver serialized — the non-scalable reduction
-// Sparker replaces. hooks, when non-nil, replaces the serde path.
+// Sparker replaces. hooks, when non-nil, replaces the serde path, and
+// the driver hands the last round's frames to hooks.Finish: core reads
+// a []float64 sum from them in one tile-wise pass, still a serial merge
+// in task order, and the caller's update can consume it in that pass.
 //
 // U must be serde-encodable. zero must return a fresh value each call.
 func TreeAggregate[T, U any](r *RDD[T], zero func() U, seqOp func(U, T) U, combOp func(U, U) U, opts AggregateOptions, hooks *TreeHooks[T, U]) (U, error) {
@@ -212,18 +216,30 @@ func TreeAggregate[T, U any](r *RDD[T], zero func() U, seqOp func(U, T) U, combO
 	if depth < 1 {
 		return zu, fmt.Errorf("rdd: Depth must be >= 1, got %d", depth)
 	}
-	release := hooks != nil // a value serde decodes may alias its frame
 	if hooks == nil {
+		mergeWire := func(acc U, wire []byte) (U, error) {
+			v, _, err := serde.Decode(wire)
+			if err != nil {
+				return acc, err
+			}
+			return combOp(acc, v.(U)), nil
+		}
 		hooks = &TreeHooks[T, U]{
-			Encode: func(u U, _ []T, _ func(int) []byte) ([]byte, error) { return serde.Encode(nil, u) },
-			MergeWire: func(acc U, wire []byte) (U, error) {
-				v, _, err := serde.Decode(wire)
-				if err != nil {
-					return acc, err
+			Encode:    func(u U, _ []T, _ func(int) []byte) ([]byte, error) { return serde.Encode(nil, u) },
+			MergeWire: mergeWire,
+			Recycle:   func(U) {},
+			// A value serde decodes may alias its frame: no frame goes
+			// back to the wire pool.
+			Finish: func(frames [][]byte) (U, error) {
+				acc := zero()
+				for _, p := range frames {
+					var err error
+					if acc, err = mergeWire(acc, p); err != nil {
+						return zu, err
+					}
 				}
-				return combOp(acc, v.(U)), nil
+				return acc, nil
 			},
-			Recycle: func(U) {},
 		}
 	}
 	ctx := r.ctx
@@ -342,16 +358,7 @@ func TreeAggregate[T, U any](r *RDD[T], zero func() U, seqOp func(U, T) U, combO
 	// Final serial merge in the driver, in task order, of the frames the
 	// last round returned. This serial chain is exactly what grows with
 	// scale in Figures 3–4.
-	acc := zero()
-	for _, p := range payloads {
-		if acc, err = hooks.MergeWire(acc, p); err != nil {
-			return zu, err
-		}
-		if release {
-			transport.PutBuf(p)
-		}
-	}
-	return acc, nil
+	return hooks.Finish(payloads)
 }
 
 // intRoot returns ceil(n^(1/k)) computed in integers.

@@ -473,6 +473,15 @@ func TestTreeAggregateHooks(t *testing.T) {
 				return acc, serde.DecodeReduceF64(acc, wire)
 			},
 			Recycle: func([]float64) { recycled.Add(1) },
+			Finish: func(frames [][]byte) ([]float64, error) {
+				acc := zero()
+				for _, p := range frames {
+					if err := serde.DecodeReduceF64(acc, p); err != nil {
+						return nil, err
+					}
+				}
+				return acc, nil
+			},
 		}
 		var folded atomic.Int64
 		check := func(how string) {
