@@ -52,9 +52,11 @@ test: build
 # fused decode-reduce) plus the rdd engine that drives it, the packed
 # compute plane (pooled accumulators, the ParallelFor pool, the
 # decoded-block cache), the telemetry instruments, and the span
-# exporters.
+# exporters; and allreduce steps whose rank-0 frames cross the wire pool
+# (core runs its own -race suites in test-chaos and chaos-elastic).
 race:
 	$(GO) test -race ./internal/collective ./internal/comm ./internal/rdd ./internal/sched ./internal/transport ./internal/metrics ./internal/trace ./internal/obsv ./internal/linalg ./internal/mllib
+	$(GO) test -race -run 'AllReduceFrameOverhead' ./internal/core
 
 # Fault-injection suites (see DESIGN.md "Fault model"): kill/drop/delay
 # matrices over the raw collectives, end-to-end core.Aggregate, and
@@ -84,10 +86,11 @@ chaos-elastic:
 # same budgets: PipelineOverheadDense (which also pins Ops at <= 128
 # bytes, what lets the collectives capture it by value) and
 # PipelineOverheadPacked on the ring, OwnedFrameOverhead on the
-# executor→driver gather frame.
+# executor→driver gather frame, AllReduceFrameOverhead on allreduce rank
+# 0's frame.
 overhead:
 	$(GO) test -run 'TelemetryOverhead|PipelineOverhead' -v ./internal/collective
-	$(GO) test -run 'OwnedFrameOverhead|CompactRingOverhead' -v ./internal/core
+	$(GO) test -run 'OwnedFrameOverhead|CompactRingOverhead|AllReduceFrameOverhead' -v ./internal/core
 	$(GO) test -run 'PackedKernelOverhead' -v ./internal/linalg
 	$(GO) test -run 'AllocBudget' -v ./internal/mllib
 
@@ -96,7 +99,8 @@ overhead:
 # serde, the two data readers, the packed partition block, the
 # owned-segments frame, the driver's reader of the gathered frames, the
 # ring frame and its packed chunk form — must not panic on the first
-# odd input.
+# odd input; and the packed partition block's writer must refuse and
+# write what the builder it replaced refuses and writes (14 targets).
 fuzz-smoke:
 	scripts/fuzz-smoke.sh
 
@@ -137,14 +141,15 @@ check: vet no-deprecated no-stale-refs test race test-chaos chaos-elastic overhe
 # decode of a wide aggregator, dense and 5.6 % sparse (the tag 7 wire
 # of every float vector off the ring);
 # the csrgrad/{wide,tall,tiny} rows are the fused gradient kernel on one
-# partition of each benchmark workload shape (DESIGN.md §16); the
+# partition of each benchmark workload shape, and the PackPoints/{tall,wide}
+# rows the packing of one such partition into its block (DESIGN.md §16); the
 # RingChannels rows are the ring allreduce at P = 1, 2, 4 forced channels
 # by aggregator size and network, the sweep behind the ring's width rule
 # (DESIGN.md §11; repeat the target, not -count, to alternate P).
 bench:
 	$(GO) test -run xxx -bench 'RingReduceScatterHot|SerdeF64|PackedChunk' -benchmem ./internal/collective
 	$(GO) test -run xxx -bench 'SerdeF64' -benchmem ./internal/serde
-	$(GO) test -run xxx -bench 'LinalgKernels' -benchmem ./internal/linalg
+	$(GO) test -run xxx -bench 'LinalgKernels|PackPoints' -benchmem ./internal/linalg
 	$(GO) test -run xxx -bench 'RingChannels' -benchtime 10x .
 
 # The paired rule for a performance claim (benchmark/README.md): >= 10

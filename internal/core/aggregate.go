@@ -613,7 +613,7 @@ func runRingStage[T, U, V any](ctx context.Context, rc *rdd.Context, opID int64,
 			if ec.Rank != 0 {
 				return nil, nil
 			}
-			return serde.Encode(nil, result)
+			return fns.encodeResult(result, ec.ResultBuf)
 		},
 	})
 	if err != nil {

@@ -330,6 +330,15 @@ func (f *AggFuncs[T, U, V]) encodeAgg(u U, sup support, draw func(int) []byte) (
 	return serde.Encode(nil, u)
 }
 
+// encodeResult is allreduce rank 0's frame of the reduced v, written
+// into draw's buffer (the task's pooled result frame) when f64Wire.
+func (f *AggFuncs[T, U, V]) encodeResult(v V, draw func(int) []byte) ([]byte, error) {
+	if f.f64Wire() {
+		return serde.EncodeF64(draw, any(v).([]float64), nil)
+	}
+	return serde.Encode(nil, v)
+}
+
 // mergeWire merges one tree frame into acc (a combine task's).
 func (f *AggFuncs[T, U, V]) mergeWire(acc U, wire []byte) (U, error) {
 	if f.f64Wire() {

@@ -660,6 +660,49 @@ func TestOwnedFrameOverhead(t *testing.T) {
 	}
 }
 
+// TestAllReduceFrameOverhead is the allreduce row of `make overhead`:
+// ring rank 0 frames the reduced vector in serde's bytes, packed or not,
+// straight into the frame the task draws, allocating nothing. Then
+// allreduce steps over F64Ops, whose rank-0 frames go from the task's
+// draw through the transport to the driver's reader and back to the
+// pool, must come out exact; `make race` runs this under -race, where
+// the wire pool's double-park guard is armed.
+func TestAllReduceFrameOverhead(t *testing.T) {
+	const dim = 1 << 12
+	fns := vecFuncs(dim)
+	ops := collective.F64Ops()
+	fns.Ops = &ops
+	buf := make([]byte, 0, 8+8*dim)
+	draw := func(int) []byte { return buf }
+	for _, stride := range []int{1, 20} { // dense, then packed
+		v := make([]float64, dim)
+		for j := 0; j < dim; j += stride {
+			v[j] = float64(j + 1)
+		}
+		got, err := fns.encodeResult(v, draw)
+		if err != nil || !bytes.Equal(got, serde.MustEncode(nil, v)) {
+			t.Fatalf("stride %d: rank 0's frame is not serde's bytes (%v)", stride, err)
+		}
+		if a := testing.AllocsPerRun(50, func() { fns.encodeResult(v, draw) }); a != 0 {
+			t.Errorf("stride %d: encodeResult allocates %v times per frame, want 0", stride, a)
+		}
+	}
+	const samples = 300
+	ctx := testContext(t, 3, 2)
+	r := vectorRDD(ctx, samples, 6).Cache()
+	want := expectedVector(samples, dim)
+	for step := 0; step < 5; step++ {
+		got, err := Aggregate(context.Background(), r, fns, WithStrategy(StrategyAllReduce))
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireExact(t, got, want)
+	}
+	if n := ctx.Metrics().Count(metrics.CounterRingFallback); n != 0 {
+		t.Fatalf("%d ring fallbacks: no step reached rank 0's frame", n)
+	}
+}
+
 // FuzzDecodeOwned: the owned-segments decoder takes bytes off a socket.
 // Whatever arrives, it returns a vector or an error — no panic, no
 // out-of-range write. What it accepts, the reader hands Finish whole:

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"unsafe"
 
 	"sparker/internal/serde"
@@ -152,29 +153,15 @@ func columnWord(sup []uint64, w, dim int) uint64 {
 	return sup[w]
 }
 
-// PackRows packs unlabeled sparse rows into a CSR matrix. Rows must
-// already satisfy the SparseVector invariants against dim.
-func PackRows(dim int, rows []SparseVector) (*CSRMatrix, error) {
-	b := NewCSRBuilder(dim, len(rows), 0)
-	for _, r := range rows {
-		if err := b.AppendRow(0, r.Indices, r.Values); err != nil {
-			return nil, err
-		}
-	}
-	m, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-	m.Labels = nil
-	return m, nil
-}
-
 // --- builder ----------------------------------------------------------
 
-// CSRBuilder accumulates rows into the packed arenas. It supports both
-// whole-row appends (AppendRow) and a streaming per-entry protocol
-// (StartRow + AppendEntry) that lets parsers feed the arenas directly
-// without materializing intermediate per-row slices. dim 0 defers the
+// CSRBuilder accumulates rows into the packed arenas, for a reader that
+// learns the row and entry counts only at the end (the streaming libsvm
+// parser); a caller that knows them writes the block itself
+// (PackCSRBlock). It supports both whole-row appends (AppendRow) and a
+// streaming per-entry protocol (StartRow + AppendEntry) that lets
+// parsers feed the arenas directly without materializing intermediate
+// per-row slices. dim 0 defers the
 // dimensionality to Build, inferring max(index)+1.
 type CSRBuilder struct {
 	dim     int // 0: infer at Build
@@ -254,9 +241,6 @@ func (b *CSRBuilder) AppendRow(label float64, indices []int32, values []float64)
 	return nil
 }
 
-// Rows returns the number of rows appended so far.
-func (b *CSRBuilder) Rows() int { return len(b.labels) }
-
 // Build finalizes the matrix. With dim 0 the dimensionality is
 // inferred as max(index)+1 (minimum 1, matching the libsvm reader's
 // convention for empty inputs).
@@ -304,13 +288,36 @@ const (
 
 // EncodedSize returns the exact AppendCSR output size.
 func (m *CSRMatrix) EncodedSize() int {
-	sz := csrHeaderSize + 8*len(m.RowOffsets) + 4*len(m.Indices)
-	sz = (sz + 7) &^ 7
-	sz += 8 * len(m.Values)
-	if m.Labels != nil {
-		sz += 8 * len(m.Labels)
+	return csrLayout(len(m.RowOffsets), len(m.Indices), len(m.Values), len(m.Labels)).size
+}
+
+// csrOffsets are the byte offsets of a block's arenas.
+type csrOffsets struct {
+	idx, val, lab, size int
+}
+
+// csrLayout places the arenas of a block holding offs row offsets, nnz
+// indices, vals values and labels labels.
+func csrLayout(offs, nnz, vals, labels int) csrOffsets {
+	idx := csrHeaderSize + 8*offs
+	val := (idx + 4*nnz + 7) &^ 7
+	return csrOffsets{idx: idx, val: val, lab: val + 8*vals, size: val + 8*vals + 8*labels}
+}
+
+// putCSRHeader writes a block's header and zeroes the pad between its
+// indices and values: the bytes of the block no arena covers.
+func putCSRHeader(buf []byte, o csrOffsets, part, dim, rows, nnz int, labels bool) {
+	binary.LittleEndian.PutUint32(buf[0:], csrMagic)
+	var flags uint32
+	if labels {
+		flags |= csrFlagLabels
 	}
-	return sz
+	binary.LittleEndian.PutUint32(buf[4:], flags)
+	binary.LittleEndian.PutUint64(buf[8:], uint64(int64(part)))
+	binary.LittleEndian.PutUint64(buf[16:], uint64(int64(dim)))
+	binary.LittleEndian.PutUint64(buf[24:], uint64(int64(rows)))
+	binary.LittleEndian.PutUint64(buf[32:], uint64(int64(nnz)))
+	clear(buf[o.idx+4*nnz : o.val])
 }
 
 func int64Bytes(v []int64) []byte {
@@ -335,52 +342,97 @@ func float64Bytes(v []float64) []byte {
 }
 
 // AppendCSR appends m's wire form to dst and returns the extended
-// slice. On little-endian hosts the arenas are bulk-copied; the
+// slice, growing dst at most once and writing each byte of the form
+// once: on little-endian hosts the arenas are bulk-copied; the
 // big-endian fallback serializes element-wise.
 func AppendCSR(dst []byte, m *CSRMatrix) []byte {
-	base := len(dst)
-	need := m.EncodedSize()
-	dst = append(dst, make([]byte, need)...)
+	base, nnz := len(dst), len(m.Indices)
+	o := csrLayout(len(m.RowOffsets), nnz, len(m.Values), len(m.Labels))
+	dst = slices.Grow(dst, o.size)[:base+o.size]
 	buf := dst[base:]
-	binary.LittleEndian.PutUint32(buf[0:], csrMagic)
-	var flags uint32
-	if m.Labels != nil {
-		flags |= csrFlagLabels
-	}
-	binary.LittleEndian.PutUint32(buf[4:], flags)
-	binary.LittleEndian.PutUint64(buf[8:], uint64(int64(m.Part)))
-	binary.LittleEndian.PutUint64(buf[16:], uint64(int64(m.Dim)))
-	binary.LittleEndian.PutUint64(buf[24:], uint64(int64(m.Rows())))
-	binary.LittleEndian.PutUint64(buf[32:], uint64(int64(len(m.Indices))))
-	off := csrHeaderSize
+	putCSRHeader(buf, o, m.Part, m.Dim, m.Rows(), nnz, m.Labels != nil)
+	putEntries(buf, o, 0, m.Indices, m.Values)
 	if hostLittleEndian {
-		off += copy(buf[off:], int64Bytes(m.RowOffsets))
-		off += copy(buf[off:], int32Bytes(m.Indices))
-		off = (off + 7) &^ 7
-		off += copy(buf[off:], float64Bytes(m.Values))
-		if m.Labels != nil {
-			copy(buf[off:], float64Bytes(m.Labels))
-		}
+		copy(buf[csrHeaderSize:], int64Bytes(m.RowOffsets))
+		copy(buf[o.lab:], float64Bytes(m.Labels))
 		return dst
 	}
-	for _, v := range m.RowOffsets {
-		binary.LittleEndian.PutUint64(buf[off:], uint64(v))
-		off += 8
+	for i, v := range m.RowOffsets {
+		binary.LittleEndian.PutUint64(buf[csrHeaderSize+8*i:], uint64(v))
 	}
-	for _, v := range m.Indices {
-		binary.LittleEndian.PutUint32(buf[off:], uint32(v))
-		off += 4
-	}
-	off = (off + 7) &^ 7
-	for _, v := range m.Values {
-		binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(v))
-		off += 8
-	}
-	for _, v := range m.Labels {
-		binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(v))
-		off += 8
+	for i, v := range m.Labels {
+		binary.LittleEndian.PutUint64(buf[o.lab+8*i:], math.Float64bits(v))
 	}
 	return dst
+}
+
+// putEntries writes entries k, k+1, … of a block with layout o from
+// indices and values.
+func putEntries(buf []byte, o csrOffsets, k int, indices []int32, values []float64) {
+	if hostLittleEndian {
+		copy(buf[o.idx+4*k:], int32Bytes(indices))
+		copy(buf[o.val+8*k:], float64Bytes(values))
+		return
+	}
+	for i, j := range indices {
+		binary.LittleEndian.PutUint32(buf[o.idx+4*(k+i):], uint32(j))
+	}
+	for i, v := range values {
+		binary.LittleEndian.PutUint64(buf[o.val+8*(k+i):], math.Float64bits(v))
+	}
+}
+
+// PackCSRBlock writes the wire block of a partition of rows rows, nnz
+// entries in all, row r being row(r) (its label read only when labeled),
+// straight from the rows: one allocation at the exact size, each entry
+// written once, into its place. It refuses the first row that
+// CSRBuilder.AppendRow refuses, returned as bad with AppendRow's error.
+// Its bytes are AppendCSR's of the matrix a CSRBuilder builds from the
+// same rows, Part set: an empty partition carries no labels, and dim 0
+// is the largest index plus one (at least 1).
+func PackCSRBlock(part, dim, rows, nnz int, labeled bool, row func(r int) (label float64, indices []int32, values []float64)) (block []byte, bad int, err error) {
+	labels := 0
+	if labeled = labeled && rows > 0; labeled {
+		labels = rows
+	}
+	o := csrLayout(rows+1, nnz, nnz, labels)
+	block = make([]byte, o.size)
+	limit, last := int64(dim), int32(-1)
+	if dim <= 0 {
+		limit = math.MaxInt64
+	}
+	k := 0
+	for r := 0; r < rows; r++ {
+		label, indices, values := row(r)
+		if len(indices) != len(values) {
+			return nil, r, fmt.Errorf("linalg: %d indices but %d values", len(indices), len(values))
+		}
+		prev := int32(-1)
+		for _, j := range indices {
+			if j <= prev {
+				return nil, r, fmt.Errorf("linalg: indices not strictly increasing at %d", j)
+			}
+			if int64(j) >= limit {
+				return nil, r, fmt.Errorf("linalg: index %d out of dim %d", j, dim)
+			}
+			prev = j
+		}
+		last = max(last, prev)
+		putEntries(block, o, k, indices, values)
+		k += len(indices)
+		binary.LittleEndian.PutUint64(block[csrHeaderSize+8*(r+1):], uint64(k))
+		if labeled {
+			binary.LittleEndian.PutUint64(block[o.lab+8*r:], math.Float64bits(label))
+		}
+	}
+	if k != nnz {
+		panic(fmt.Sprintf("linalg: rows hold %d of the %d entries of the block", k, nnz))
+	}
+	if dim <= 0 {
+		dim = max(int(last)+1, 1)
+	}
+	putCSRHeader(block, o, part, dim, rows, nnz, labeled)
+	return block, -1, nil
 }
 
 // DecodeCSR decodes a matrix from src. When the host is little-endian

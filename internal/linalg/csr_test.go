@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"math/rand"
@@ -485,4 +486,84 @@ func TestCompactColumns(t *testing.T) {
 			}
 		}
 	}
+}
+
+// fuzzRows reads rows from b: each row is a head byte h — h&7 entries,
+// one value more than indices when h&8 is set, label h>>4 — then one
+// byte per entry, an int8 step from the previous index (from −1), so a
+// step ≤ 0 breaks the strict order. Values are the steps over 3.
+func fuzzRows(b []byte) (labels []float64, idx [][]int32, vals [][]float64) {
+	for len(b) > 0 {
+		h := b[0]
+		n := min(int(h&7), len(b)-1)
+		ix, vs := make([]int32, n), make([]float64, n, n+1)
+		prev := int32(-1)
+		for k, c := range b[1 : 1+n] {
+			prev += int32(int8(c))
+			ix[k], vs[k] = prev, float64(int8(c))/3
+		}
+		if h&8 != 0 {
+			vs = append(vs, 1)
+		}
+		labels, idx, vals = append(labels, float64(h>>4)), append(idx, ix), append(vals, vs)
+		b = b[1+n:]
+	}
+	return labels, idx, vals
+}
+
+// FuzzPackCSRBlock: PackCSRBlock against the CSRBuilder it replaces on
+// the pack path. Whatever rows arrive, the writer refuses exactly the
+// rows AppendRow refuses, first row first, with AppendRow's error, and
+// otherwise writes AppendCSR's bytes of the builder's matrix — dim 0
+// inferred, an empty partition unlabeled — which AppendCSR writes the
+// same over a dirty buffer.
+func FuzzPackCSRBlock(f *testing.F) {
+	f.Add(uint8(8), uint8(3), true, []byte{0x12, 3, 2, 0x20, 0x01, 5})
+	f.Add(uint8(8), uint8(0), false, []byte{0x02, 1, 1, 0x00})
+	f.Add(uint8(0), uint8(1), true, []byte{0x13, 9, 1, 1})
+	f.Add(uint8(1), uint8(0), true, []byte{0x01, 1, 0x01, 2})       // dim 1; then index 1
+	f.Add(uint8(4), uint8(2), true, []byte{0x02, 1, 0, 0x01, 0xff}) // a repeat, a negative step
+	f.Add(uint8(4), uint8(2), true, []byte{0x09, 1})                // one value too many
+	f.Add(uint8(4), uint8(7), true, []byte{})                       // no rows
+	f.Fuzz(func(t *testing.T, dim, part uint8, labeled bool, b []byte) {
+		labels, idx, vals := fuzzRows(b)
+		nnz := 0
+		for _, ix := range idx {
+			nnz += len(ix)
+		}
+		bd := NewCSRBuilder(int(dim), len(idx), nnz)
+		wantBad, wantErr := -1, error(nil)
+		for r := range idx {
+			if wantErr = bd.AppendRow(labels[r], idx[r], vals[r]); wantErr != nil {
+				wantBad = r
+				break
+			}
+		}
+		got, bad, err := PackCSRBlock(int(part), int(dim), len(idx), nnz, labeled, func(r int) (float64, []int32, []float64) {
+			return labels[r], idx[r], vals[r]
+		})
+		if wantErr != nil || err != nil {
+			if wantErr == nil || err == nil || bad != wantBad || err.Error() != wantErr.Error() {
+				t.Fatalf("writer refuses row %d (%v), builder row %d (%v)", bad, err, wantBad, wantErr)
+			}
+			return
+		}
+		m, err := bd.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Part = int(part)
+		if !labeled {
+			m.Labels = nil
+		}
+		want := AppendCSR(nil, m)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("block differs from AppendCSR of the builder's matrix:\n got %x\nwant %x", got, want)
+		}
+		// AppendCSR writes every byte of the form, pad included, over
+		// whatever dst's spare capacity held.
+		if dirty := AppendCSR(bytes.Repeat([]byte{0xff}, len(want))[:0], m); !bytes.Equal(dirty, want) {
+			t.Fatalf("AppendCSR over a dirty buffer:\n got %x\nwant %x", dirty, want)
+		}
+	})
 }

@@ -131,4 +131,34 @@ func BenchmarkLinalgKernels(b *testing.B) {
 	})
 }
 
+// BenchmarkPackPoints packs one executor's partition of the tall and wide
+// benchmark shapes (the rows csrgrad/tall and csrgrad/wide fold) into
+// the block the executor stores, as a training run's first task does.
+// Run with
+//
+//	go test -run xxx -bench PackPoints -benchmem ./internal/linalg
+func BenchmarkPackPoints(b *testing.B) {
+	for _, s := range []struct {
+		name                string
+		rows, features, nnz int
+		alpha               float64
+	}{
+		{"tall", 100_000, 2_000, 30, 0},
+		{"wide", 5_000, 1_000_000, 15, 1.5},
+	} {
+		b.Run(s.name, func(b *testing.B) {
+			pts := data.GenClassification(data.ClassificationSpec{
+				Samples: s.rows, Features: s.features, NNZPerSample: s.nnz, NNZAlpha: s.alpha, Seed: 1,
+			})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := mllib.PackPoints(0, s.features, pts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 var sinkF64 float64

@@ -74,46 +74,44 @@ func packedKind(g Gradient) (linalg.CSRGradKind, bool) {
 // PackPoints packs one partition of labeled points into a CSR matrix
 // with column dimensionality dim (the weight vector's length — packing
 // validates every feature index against it up front, once, instead of
-// every kernel pass).
+// every kernel pass): the zero-copy view of packPoints' block.
 func PackPoints(part, dim int, pts []LabeledPoint) (*linalg.CSRMatrix, error) {
-	nnz := 0
-	for i := range pts {
-		nnz += len(pts[i].Features.Indices)
-	}
-	b := linalg.NewCSRBuilder(dim, len(pts), nnz)
-	for i := range pts {
-		if err := b.AppendRow(pts[i].Label, pts[i].Features.Indices, pts[i].Features.Values); err != nil {
-			return nil, fmt.Errorf("mllib: packing partition %d point %d: %w", part, i, err)
-		}
-	}
-	m, err := b.Build()
+	block, err := packPoints(part, dim, pts)
 	if err != nil {
 		return nil, err
 	}
-	m.Part = part
-	return m, nil
+	m, _, err := linalg.DecodeCSR(block)
+	return m, err
 }
 
-// PackVectors packs one partition of unlabeled points (KMeans input)
-// into a CSR matrix.
-func PackVectors(part, dim int, xs []linalg.SparseVector) (*linalg.CSRMatrix, error) {
+// packPoints writes one partition of labeled points straight into the
+// block the executor stores (linalg.PackCSRBlock).
+func packPoints(part, dim int, pts []LabeledPoint) ([]byte, error) {
+	return packBlock(part, dim, len(pts), true, func(r int) (float64, []int32, []float64) {
+		return pts[r].Label, pts[r].Features.Indices, pts[r].Features.Values
+	})
+}
+
+// packVectors is packPoints for unlabeled points (KMeans input).
+func packVectors(part, dim int, xs []linalg.SparseVector) ([]byte, error) {
+	return packBlock(part, dim, len(xs), false, func(r int) (float64, []int32, []float64) {
+		return 0, xs[r].Indices, xs[r].Values
+	})
+}
+
+// packBlock counts the rows' entries and packs them with
+// linalg.PackCSRBlock, naming the point it refuses.
+func packBlock(part, dim, rows int, labeled bool, row func(int) (float64, []int32, []float64)) ([]byte, error) {
 	nnz := 0
-	for i := range xs {
-		nnz += len(xs[i].Indices)
+	for r := 0; r < rows; r++ {
+		_, indices, _ := row(r)
+		nnz += len(indices)
 	}
-	b := linalg.NewCSRBuilder(dim, len(xs), nnz)
-	for i := range xs {
-		if err := b.AppendRow(0, xs[i].Indices, xs[i].Values); err != nil {
-			return nil, fmt.Errorf("mllib: packing partition %d point %d: %w", part, i, err)
-		}
-	}
-	m, err := b.Build()
+	block, bad, err := linalg.PackCSRBlock(part, dim, rows, nnz, labeled, row)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("mllib: packing partition %d point %d: %w", part, bad, err)
 	}
-	m.Labels = nil
-	m.Part = part
-	return m, nil
+	return block, nil
 }
 
 // packedPart is the single element of each packed-RDD partition: the
@@ -239,14 +237,14 @@ func storeDecodedView(key string, wire []byte, m *linalg.CSRMatrix, sup []uint64
 // materializePacked resolves one packed partition on the executor:
 // block-store hit decodes zero-copy (the matrix arenas alias the stored
 // bytes — safe because the store holds blocks by reference and never
-// mutates them); miss packs from the parent partition, stores the wire
-// bytes, and returns the zero-copy view of what was stored, so memory
-// holds a single arena copy either way. Repeat hits on an unchanged
-// block return the same *CSRMatrix without decoding or validating it
-// again. With withSupport the partition carries its gradSupport,
+// mutates them); miss packs the parent partition straight into a block
+// (pack), stores it, and returns the zero-copy view of what was stored,
+// so memory holds a single arena copy either way. Repeat hits on an
+// unchanged block return the same *CSRMatrix without decoding or
+// validating it again. With withSupport the partition carries its gradSupport,
 // computed once per decoded block and cached with the view, and the
 // block's column dictionary, cached with it and built on demand.
-func materializePacked(ec *rdd.ExecContext, key string, withSupport bool, pack func() (*linalg.CSRMatrix, error)) ([]packedPart, error) {
+func materializePacked(ec *rdd.ExecContext, key string, withSupport bool, pack func() ([]byte, error)) ([]packedPart, error) {
 	view := func(wire []byte, m *linalg.CSRMatrix) []packedPart {
 		var sup []uint64
 		var cols *colDict
@@ -268,11 +266,10 @@ func materializePacked(ec *rdd.ExecContext, key string, withSupport bool, pack f
 		}
 		// Unusable bytes (corrupt or from an older layout): repack.
 	}
-	m, err := pack()
+	wire, err := pack()
 	if err != nil {
 		return nil, err
 	}
-	wire := linalg.AppendCSR(make([]byte, 0, m.EncodedSize()), m)
 	ec.Store.PutLocal(key, wire)
 	zc, _, err := linalg.DecodeCSR(wire)
 	if err != nil {
@@ -288,12 +285,12 @@ func materializePacked(ec *rdd.ExecContext, key string, withSupport bool, pack f
 func newPackedPlan(data *rdd.RDD[LabeledPoint], dim int) *packedPlan {
 	id := data.ID()
 	packed := rdd.Derive(data, func(ec *rdd.ExecContext, part int, parent func() ([]LabeledPoint, error)) ([]packedPart, error) {
-		return materializePacked(ec, csrBlockKey(id, dim, part), true, func() (*linalg.CSRMatrix, error) {
+		return materializePacked(ec, csrBlockKey(id, dim, part), true, func() ([]byte, error) {
 			pts, err := parent()
 			if err != nil {
 				return nil, err
 			}
-			return PackPoints(part, dim, pts)
+			return packPoints(part, dim, pts)
 		})
 	})
 	return &packedPlan{packed: packed.Cache()}
@@ -303,12 +300,12 @@ func newPackedPlan(data *rdd.RDD[LabeledPoint], dim int) *packedPlan {
 func newPackedVecPlan(points *rdd.RDD[linalg.SparseVector], dim int) *packedPlan {
 	id := points.ID()
 	packed := rdd.Derive(points, func(ec *rdd.ExecContext, part int, parent func() ([]linalg.SparseVector, error)) ([]packedPart, error) {
-		return materializePacked(ec, csrBlockKey(id, dim, part), false, func() (*linalg.CSRMatrix, error) {
+		return materializePacked(ec, csrBlockKey(id, dim, part), false, func() ([]byte, error) {
 			xs, err := parent()
 			if err != nil {
 				return nil, err
 			}
-			return PackVectors(part, dim, xs)
+			return packVectors(part, dim, xs)
 		})
 	})
 	return &packedPlan{packed: packed.Cache()}

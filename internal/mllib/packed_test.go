@@ -7,8 +7,10 @@ package mllib
 // ring→tree fallback under chaos.
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -281,6 +283,122 @@ func TestPackedBlocksPersistAcrossRuns(t *testing.T) {
 	bitsEqualSlices(t, "weights", w2, w1)
 }
 
+// builderPack is the pack path the block writer replaced: the points
+// through a CSRBuilder sized (dim, rows, nnz), its matrix encoded by
+// AppendCSR; unlabeled drops the labels, as KMeans packing did.
+func builderPack(part, dim int, pts []LabeledPoint, labeled bool) ([]byte, error) {
+	nnz := 0
+	for _, p := range pts {
+		nnz += len(p.Features.Indices)
+	}
+	b := linalg.NewCSRBuilder(dim, len(pts), nnz)
+	for i, p := range pts {
+		if err := b.AppendRow(p.Label, p.Features.Indices, p.Features.Values); err != nil {
+			return nil, fmt.Errorf("mllib: packing partition %d point %d: %w", part, i, err)
+		}
+	}
+	m, err := b.Build()
+	if err != nil {
+		return nil, err
+	}
+	m.Part = part
+	if !labeled {
+		m.Labels = nil
+	}
+	return linalg.AppendCSR(nil, m), nil
+}
+
+// randPackPoints draws up to 12 points over dim columns: zero-entry
+// rows, rows holding column dim−1, and random subsets; with corrupt, one
+// point breaks a rule AppendRow enforces.
+func randPackPoints(rng *rand.Rand, dim int, corrupt bool) []LabeledPoint {
+	pts := make([]LabeledPoint, rng.Intn(13))
+	for i := range pts {
+		var idx []int32
+		switch rng.Intn(3) {
+		case 0: // no entries
+		case 1:
+			idx = []int32{int32(dim - 1)}
+			if dim > 1 && rng.Intn(2) == 0 {
+				idx = []int32{int32(rng.Intn(dim - 1)), int32(dim - 1)}
+			}
+		default:
+			for j := 0; j < dim; j++ {
+				if rng.Intn(4) == 0 {
+					idx = append(idx, int32(j))
+				}
+			}
+		}
+		vals := make([]float64, len(idx))
+		for k := range vals {
+			vals[k] = rng.NormFloat64()
+		}
+		pts[i] = LabeledPoint{Label: float64(rng.Intn(3)) - 1, Features: linalg.SparseVector{Dim: dim, Indices: idx, Values: vals}}
+	}
+	if corrupt && len(pts) > 0 {
+		f := &pts[rng.Intn(len(pts))].Features
+		switch rng.Intn(5) {
+		case 0:
+			f.Values = append(f.Values, 1)
+		case 1:
+			f.Indices, f.Values = append(f.Indices, int32(dim)), append(f.Values, 1)
+		case 2:
+			f.Indices, f.Values = append([]int32{-1}, f.Indices...), append([]float64{1}, f.Values...)
+		case 3:
+			f.Indices, f.Values = append(f.Indices, 0), append(f.Values, 1)
+			if len(f.Indices) == 1 {
+				f.Indices, f.Values = append(f.Indices, 0), append(f.Values, 1)
+			}
+		default:
+			f.Indices, f.Values = append([]int32{int32(dim)}, f.Indices...), append([]float64{1}, f.Values...)
+		}
+	}
+	return pts
+}
+
+// TestPackBlockMatchesBuilder: the block packPoints and packVectors
+// write straight from the points is, byte for byte, the builder's matrix
+// encoded by AppendCSR — an empty partition, zero-entry rows, dim 1 and
+// column dim−1 included — and what the builder refuses the writer
+// refuses, naming the same partition and point with the same error.
+func TestPackBlockMatchesBuilder(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	vectors := func(pts []LabeledPoint) []linalg.SparseVector {
+		xs := make([]linalg.SparseVector, len(pts))
+		for i := range pts {
+			xs[i] = pts[i].Features
+		}
+		return xs
+	}
+	for trial := 0; trial < 400; trial++ {
+		dim := []int{1, 2, 7, 64, 65, 300}[rng.Intn(6)]
+		part, corrupt := rng.Intn(8), trial%2 == 1
+		pts := randPackPoints(rng, dim, corrupt)
+		for _, labeled := range []bool{true, false} {
+			want, wantErr := builderPack(part, dim, pts, labeled)
+			var got []byte
+			var err error
+			if labeled {
+				got, err = packPoints(part, dim, pts)
+			} else {
+				got, err = packVectors(part, dim, vectors(pts))
+			}
+			switch {
+			case wantErr != nil || err != nil:
+				if wantErr == nil || err == nil || err.Error() != wantErr.Error() {
+					t.Fatalf("trial %d labeled=%v: writer says %v, builder %v", trial, labeled, err, wantErr)
+				}
+			case !bytes.Equal(got, want):
+				t.Fatalf("trial %d labeled=%v: %d rows at dim %d: block differs from the builder's", trial, labeled, len(pts), dim)
+			}
+		}
+	}
+	m, err := PackPoints(3, 5, nil)
+	if err != nil || m.Rows() != 0 || m.Labels != nil || m.Part != 3 {
+		t.Fatalf("empty partition: %+v, %v; want 0 rows, no labels, part 3", m, err)
+	}
+}
+
 // TestPackedStoreHitValidates: a stored block that decodes structurally
 // but holds an index no Dim-sized vector can take (the decoder checks
 // offsets only) must be repacked, not handed to the kernels.
@@ -293,7 +411,11 @@ func TestPackedStoreHitValidates(t *testing.T) {
 	}
 	defer st.Close()
 	ec := &rdd.ExecContext{Store: st, Cores: 1}
-	good, err := PackPoints(0, 8, []LabeledPoint{{Label: 1, Features: linalg.SparseVector{Dim: 8, Indices: []int32{2, 7}, Values: []float64{1, 2}}}})
+	block, err := packPoints(0, 8, []LabeledPoint{{Label: 1, Features: linalg.SparseVector{Dim: 8, Indices: []int32{2, 7}, Values: []float64{1, 2}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, _, err := linalg.DecodeCSR(block)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +423,7 @@ func TestPackedStoreHitValidates(t *testing.T) {
 	const key = "csr/test/8/0"
 	st.PutLocal(key, linalg.AppendCSR(nil, bad))
 	packs := 0
-	pack := func() (*linalg.CSRMatrix, error) { packs++; return good, nil }
+	pack := func() ([]byte, error) { packs++; return block, nil }
 	for run := 1; run <= 2; run++ {
 		parts, err := materializePacked(ec, key, true, pack)
 		if err != nil {
