@@ -36,8 +36,12 @@ no-deprecated:
 # §11), or name the retired lossy wire codecs and MPI baselines of
 # internal/collective, or the deleted column histogram, or the deleted
 # column view and within-task kernel sharding (one task runs one fused
-# pass on one core, DESIGN.md §16). The script names the history files
-# it exempts, and exempts EXPERIMENTS.md from the last rule only.
+# pass on one core, DESIGN.md §16), or the deleted job server and
+# tenancy API, or the rdd operators no training path ran (the hash
+# shuffle, the join, the set operators, the per-RDD placement knob),
+# the linear-regression trainer, or the five examples deleted with them
+# (DESIGN.md §1). The script names the history files it exempts, and
+# exempts EXPERIMENTS.md from the column-view rule only.
 no-stale-refs:
 	@scripts/no-stale-refs.sh
 

@@ -25,7 +25,7 @@ import (
 )
 
 // TestTrainingOverRealTCP runs logistic regression end-to-end with the
-// whole engine — task dispatch, shuffle blocks, ring reduce-scatter —
+// whole engine — task dispatch, tree-round blocks, ring reduce-scatter —
 // over real loopback sockets, and checks tree and split produce the
 // same model.
 func TestTrainingOverRealTCP(t *testing.T) {
@@ -160,8 +160,12 @@ func TestBroadcastDrivenIteration(t *testing.T) {
 		}
 		// Tasks read the broadcast weights through the executor cache
 		// and fold them into the aggregate.
-		scored := rdd.MapPartitionsWithContext(base, func(ec *rdd.ExecContext, part int, in []int64) ([]int64, error) {
+		scored := rdd.Derive(base, func(ec *rdd.ExecContext, part int, parent func() ([]int64, error)) ([]int64, error) {
 			w, err := b.Value(ec)
+			if err != nil {
+				return nil, err
+			}
+			in, err := parent()
 			if err != nil {
 				return nil, err
 			}

@@ -434,7 +434,7 @@ func (s *Store) Put(id string, payload []byte) error {
 }
 
 // PutLocal stores a block without registering it (used for blocks whose
-// location the scheduler already knows, e.g. shuffle outputs).
+// location the scheduler already knows, e.g. tree-round outputs).
 func (s *Store) PutLocal(id string, payload []byte) {
 	if inst := s.inst.Load(); inst != nil {
 		start := time.Now()
@@ -484,7 +484,7 @@ func (s *Store) Delete(id string) {
 
 // DeletePrefix removes every local block whose id starts with prefix,
 // returning how many were removed. Stage cleanup uses it to drop a
-// job's shuffle outputs.
+// job's tree-round outputs.
 func (s *Store) DeletePrefix(prefix string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -223,8 +223,9 @@ func chaosKillAndReplace(t *testing.T, packed PackedMode, timed bool) {
 	// Elasticity costs iteration time only inside the reconfiguration
 	// window. The bound holds per point, where a moved partition costs a
 	// re-fold; on the packed plane the move also re-packs the partition,
-	// about a cold first iteration (4× mean, 9–11× worst measured), so
-	// there the window is logged and not gated.
+	// about a cold first iteration (1.86–2.50× mean, 3.72–5.86× worst
+	// measured, EXPERIMENTS.md "PR 42"), so there the window is logged
+	// and not gated.
 	var steady []time.Duration
 	var reconfSum, reconfMax time.Duration
 	reconfN := 0

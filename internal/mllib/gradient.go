@@ -47,8 +47,9 @@ func (HingeGradient) Compute(x linalg.SparseVector, label float64, w, cum []floa
 	return 0
 }
 
-// LeastSquaresGradient is the squared loss (for linear regression —
-// not in the paper's workload set but part of MLlib's gradient family).
+// LeastSquaresGradient is the squared loss — not in the paper's
+// workload set but part of MLlib's gradient family; RunGradientDescent
+// with it fits a least-squares regression.
 type LeastSquaresGradient struct{}
 
 // Compute implements Gradient.

@@ -8,11 +8,11 @@ import "sparker/internal/linalg"
 // and adds its case to SaveModel and LoadModel.
 //
 // Predictions are float64 across the board: classifiers return the 0/1
-// class, regressors the response, clusterers the cluster id as a
-// float64 (use KMeansModel.NearestCenter for the int form).
+// class, clusterers the cluster id as a float64 (use
+// KMeansModel.NearestCenter for the int form).
 type Model interface {
 	// Kind identifies the model family ("logistic-regression", "svm",
-	// "linear-regression", "kmeans").
+	// "kmeans").
 	Kind() string
 	// NumFeatures is the input dimensionality the model expects.
 	NumFeatures() int
@@ -23,6 +23,5 @@ type Model interface {
 // Interface conformance of every trained model type.
 var (
 	_ Model = (*LinearModel)(nil)
-	_ Model = (*RegressionModel)(nil)
 	_ Model = (*KMeansModel)(nil)
 )

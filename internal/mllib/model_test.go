@@ -22,13 +22,12 @@ func randModels(rng *rand.Rand) []Model {
 	}
 	lr := &LinearModel{Weights: randVec(dim), Losses: randVec(3), Threshold: 0.5, kind: "logistic-regression"}
 	svm := &LinearModel{Weights: randVec(dim), Losses: randVec(4), Threshold: 0, kind: "svm"}
-	reg := &RegressionModel{Weights: randVec(dim), Losses: randVec(2)}
 	k := 2 + rng.Intn(4)
 	km := &KMeansModel{Centers: make([][]float64, k), CostHistory: randVec(3)}
 	for i := range km.Centers {
 		km.Centers[i] = randVec(dim)
 	}
-	return []Model{lr, svm, reg, km}
+	return []Model{lr, svm, km}
 }
 
 func randPoints(rng *rand.Rand, dim, n int) []linalg.SparseVector {

@@ -22,6 +22,8 @@ type modelKind uint8
 
 const (
 	kindLinear modelKind = iota + 1
+	// kindRegression marked linear-regression models, which are no longer
+	// trained; LoadModel refuses the byte and no new kind may reuse it.
 	kindRegression
 	kindLDA
 	kindKMeans
@@ -166,34 +168,6 @@ func loadLinearPayload(br *bufio.Reader) (*LinearModel, error) {
 	return m, nil
 }
 
-// Save writes the regression model.
-func (m *RegressionModel) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if err := writeHeader(bw, kindRegression); err != nil {
-		return err
-	}
-	if err := writeF64s(bw, m.Weights); err != nil {
-		return err
-	}
-	if err := writeF64s(bw, m.Losses); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// loadRegressionPayload reads a regression body (header consumed).
-func loadRegressionPayload(br *bufio.Reader) (*RegressionModel, error) {
-	m := &RegressionModel{}
-	var err error
-	if m.Weights, err = readF64s(br); err != nil {
-		return nil, err
-	}
-	if m.Losses, err = readF64s(br); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
 // Save writes the kmeans model.
 func (m *KMeansModel) Save(w io.Writer) error {
 	bw := bufio.NewWriter(w)
@@ -251,8 +225,6 @@ func SaveModel(w io.Writer, m Model) error {
 	switch t := m.(type) {
 	case *LinearModel:
 		return t.Save(w)
-	case *RegressionModel:
-		return t.Save(w)
 	case *KMeansModel:
 		return t.Save(w)
 	default:
@@ -272,7 +244,7 @@ func LoadModel(r io.Reader) (Model, error) {
 	case kindLinear:
 		return loadLinearPayload(br)
 	case kindRegression:
-		return loadRegressionPayload(br)
+		return nil, fmt.Errorf("mllib: linear-regression models are no longer supported (model kind %d is retired)", kind)
 	case kindKMeans:
 		return loadKMeansPayload(br)
 	case kindLDA:

@@ -7,10 +7,10 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"sparker/internal/linalg"
-	"sparker/internal/rdd"
 )
 
 func TestLinearModelSaveLoad(t *testing.T) {
@@ -105,6 +105,34 @@ func unbacked(kind modelKind, words ...uint64) []byte {
 	return b.Bytes()
 }
 
+// retiredRegressionFile is a linear-regression model file as SaveModel
+// wrote it before that family was retired: the header, then the weight
+// and loss vectors.
+func retiredRegressionFile(weights, losses []float64) []byte {
+	var b bytes.Buffer
+	if err := writeHeader(&b, kindRegression); err != nil {
+		panic(err)
+	}
+	if err := writeF64s(&b, weights); err != nil {
+		panic(err)
+	}
+	if err := writeF64s(&b, losses); err != nil {
+		panic(err)
+	}
+	return b.Bytes()
+}
+
+// TestLoadModelRefusesRetiredKind: a linear-regression file, well formed
+// or truncated, is refused by its kind byte before any payload is read.
+func TestLoadModelRefusesRetiredKind(t *testing.T) {
+	for _, in := range [][]byte{retiredRegressionFile([]float64{2, -1}, []float64{0.5}), unbacked(kindRegression, 1<<32)} {
+		_, err := LoadModel(bytes.NewReader(in))
+		if err == nil || !strings.Contains(err.Error(), "retired") {
+			t.Fatalf("LoadModel of a linear-regression file: %v, want the retired-kind error", err)
+		}
+	}
+}
+
 // TestLoadModelRefusesUnbackedLength: a loader allocates as the bytes
 // arrive, never ahead of them from a length word, so a short file with
 // a huge length fails with an error instead of exhausting memory.
@@ -115,7 +143,6 @@ func TestLoadModelRefusesUnbackedLength(t *testing.T) {
 		lda  bool
 	}{
 		{"linear", unbacked(kindLinear, 1<<32), false},
-		{"regression", unbacked(kindRegression, 1<<32), false},
 		{"kmeans", unbacked(kindKMeans, 1<<32), false},
 		{"lda", unbacked(kindLDA, 1<<32), true},
 		// The largest counts the loaders accept, still with nothing
@@ -161,6 +188,7 @@ func FuzzLoadModel(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(lda.Bytes())
+	f.Add(retiredRegressionFile([]float64{2, -1}, []float64{0.5}))
 	f.Add(unbacked(kindRegression, 1<<32))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		if m, err := LoadModel(bytes.NewReader(in)); err == nil {
@@ -198,28 +226,6 @@ func FuzzLoadModel(f *testing.F) {
 	})
 }
 
-func TestLinearRegressionLearns(t *testing.T) {
-	ctx := testContext(t, 2, 2)
-	// Target: y = 2*x0 - x1.
-	train := regressionSet(ctx, 300, 2)
-	m, err := TrainLinearRegression(train, LinearRegressionConfig{
-		NumFeatures: 2,
-		GD:          GDConfig{Iterations: 150, StepSize: 8, Strategy: StrategySplit},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(m.Weights[0]-2) > 0.2 || math.Abs(m.Weights[1]+1) > 0.2 {
-		t.Fatalf("weights %v, want ≈ [2, -1]", m.Weights)
-	}
-	if m.Losses[len(m.Losses)-1] >= m.Losses[0] {
-		t.Fatal("loss did not decrease")
-	}
-	if _, err := TrainLinearRegression(train, LinearRegressionConfig{NumFeatures: 0}); err == nil {
-		t.Fatal("zero features should fail")
-	}
-}
-
 func TestAllReduceStrategyTrains(t *testing.T) {
 	ctx := testContext(t, 3, 2)
 	train := trainingSet(ctx, 300, 2, 6)
@@ -245,23 +251,4 @@ func TestAllReduceStrategyTrains(t *testing.T) {
 	if StrategyAllReduce.String() != "allreduce" {
 		t.Fatal("strategy name wrong")
 	}
-}
-
-// regressionSet builds y = 2*x0 - x1 samples on a lattice.
-func regressionSet(ctx *rdd.Context, n, dim int) *rdd.RDD[LabeledPoint] {
-	return rdd.Generate(ctx, 4, func(part int) ([]LabeledPoint, error) {
-		lo := part * n / 4
-		hi := (part + 1) * n / 4
-		out := make([]LabeledPoint, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			x0 := float64(i%11)/11 - 0.5
-			x1 := float64(i%7)/7 - 0.5
-			sv, err := linalg.NewSparse(dim, []int32{0, 1}, []float64{x0, x1})
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, LabeledPoint{Label: 2*x0 - x1, Features: sv})
-		}
-		return out, nil
-	}).Cache()
 }

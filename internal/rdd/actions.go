@@ -103,50 +103,42 @@ func Count[T any](r *RDD[T]) (int64, error) {
 	return total, nil
 }
 
-// Reduce folds all elements with f. It errors on an empty RDD.
-func Reduce[T any](r *RDD[T], f func(T, T) T) (T, error) {
-	var zero T
-	payloads, err := r.ctx.RunJob(JobSpec{
-		Tasks:  r.parts,
-		Policy: r.placementPolicy(),
-		Fn: func(ec *ExecContext, task, attempt int) ([]byte, error) {
-			data, err := r.Materialize(ec, task)
-			if err != nil {
-				return nil, err
-			}
-			if len(data) == 0 {
-				return []byte{0}, nil
-			}
-			acc := data[0]
-			for _, v := range data[1:] {
-				acc = f(acc, v)
-			}
-			return serde.Encode([]byte{1}, acc)
-		},
-	})
-	if err != nil {
-		return zero, err
+// Take returns the first n elements in partition order. It collects
+// partition by partition, stopping as soon as n elements are gathered.
+func Take[T any](r *RDD[T], n int) ([]T, error) {
+	if n <= 0 {
+		return nil, nil
 	}
-	have := false
-	var acc T
-	for _, p := range payloads {
-		if len(p) < 1 || p[0] == 0 {
-			continue
-		}
-		v, _, err := serde.Decode(p[1:])
+	var out []T
+	for part := 0; part < r.parts && len(out) < n; part++ {
+		p := part
+		payloads, err := r.ctx.RunJob(JobSpec{
+			Tasks:     1,
+			Placement: []int{r.PlacementOf(p)},
+			Fn: func(ec *ExecContext, task, attempt int) ([]byte, error) {
+				data, err := r.Materialize(ec, p)
+				if err != nil {
+					return nil, err
+				}
+				if len(data) > n {
+					data = data[:n]
+				}
+				return encodeSlice(data)
+			},
+		})
 		if err != nil {
-			return zero, err
+			return nil, err
 		}
-		if !have {
-			acc, have = v.(T), true
-		} else {
-			acc = f(acc, v.(T))
+		vs, err := decodeSlice[T](payloads[0])
+		if err != nil {
+			return nil, err
 		}
+		out = append(out, vs...)
 	}
-	if !have {
-		return zero, fmt.Errorf("rdd: Reduce of empty RDD")
+	if len(out) > n {
+		out = out[:n]
 	}
-	return acc, nil
+	return out, nil
 }
 
 // AggregateOptions tunes TreeAggregate. Most callers should use

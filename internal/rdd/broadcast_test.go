@@ -113,41 +113,16 @@ func TestBroadcastUnencodableValue(t *testing.T) {
 	}
 }
 
-func TestSampleDeterministic(t *testing.T) {
-	ctx := testContext(t, 2, 2)
-	r := FromSlice(ctx, ints(1000), 4)
-	s := Sample(r, 0.5, 99)
-	a, err := Collect(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bWire, err := Collect(Sample(r, 0.5, 99))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, bWire) {
-		t.Fatal("same seed should sample identically")
-	}
-	if len(a) < 300 || len(a) > 700 {
-		t.Fatalf("0.5 sample kept %d of 1000", len(a))
-	}
-	c, err := Collect(Sample(r, 0.5, 100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reflect.DeepEqual(a, c) {
-		t.Fatal("different seeds should differ")
-	}
-	// fraction >= 1 is the identity.
-	if s := Sample(r, 1.0, 1); s != r {
-		t.Fatal("fraction 1.0 should return the receiver")
-	}
-}
-
-func TestMapPartitionsWithContext(t *testing.T) {
+// TestDeriveSeesExecutorContext: Derive's f runs executor-side with
+// that executor's context and materializes the parent only on request.
+func TestDeriveSeesExecutorContext(t *testing.T) {
 	ctx := testContext(t, 3, 1)
 	r := FromSlice(ctx, ints(9), 3)
-	tagged := MapPartitionsWithContext(r, func(ec *ExecContext, part int, in []int64) ([]int64, error) {
+	tagged := Derive(r, func(ec *ExecContext, part int, parent func() ([]int64, error)) ([]int64, error) {
+		in, err := parent()
+		if err != nil {
+			return nil, err
+		}
 		out := make([]int64, len(in))
 		for i, v := range in {
 			out[i] = v*100 + int64(ec.ID)
@@ -167,9 +142,23 @@ func TestMapPartitionsWithContext(t *testing.T) {
 			t.Fatalf("bad executor id %d", execID)
 		}
 	}
+	var computed atomic.Int64
+	counted := Generate(ctx, 3, func(part int) ([]int64, error) {
+		computed.Add(1)
+		return []int64{int64(part)}, nil
+	})
+	skipped := Derive(counted, func(ec *ExecContext, part int, _ func() ([]int64, error)) ([]int64, error) {
+		return []int64{int64(part)}, nil
+	})
+	if n, err := Count(skipped); err != nil || n != 3 {
+		t.Fatalf("Count = %d, %v", n, err)
+	}
+	if n := computed.Load(); n != 0 {
+		t.Fatalf("parent computed %d times though f never asked for it", n)
+	}
 }
 
-func TestTakeAndFirst(t *testing.T) {
+func TestTake(t *testing.T) {
 	ctx := testContext(t, 2, 1)
 	r := FromSlice(ctx, ints(50), 5)
 	got, err := Take(r, 12)
@@ -185,13 +174,5 @@ func TestTakeAndFirst(t *testing.T) {
 	big, err := Take(r, 500)
 	if err != nil || len(big) != 50 {
 		t.Fatalf("Take beyond size = %d elems, %v", len(big), err)
-	}
-	f, err := First(r)
-	if err != nil || f != 0 {
-		t.Fatalf("First = %v, %v", f, err)
-	}
-	empty := FromSlice(ctx, []int64{}, 2)
-	if _, err := First(empty); err == nil {
-		t.Fatal("First of empty RDD should fail")
 	}
 }

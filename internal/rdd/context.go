@@ -9,8 +9,9 @@
 // The engine intentionally mirrors the pieces of Spark the paper
 // touches: ResultStage-style jobs (RunJob), a reduced-result stage with
 // whole-stage retry for in-memory merge (JobSpec.StageCleanup),
-// statically placed tasks for SpawnRDD (JobSpec.Placement), block-based
-// shuffle for treeAggregate, and MEMORY_ONLY caching.
+// statically placed tasks for SpawnRDD (JobSpec.Placement), tree
+// combine rounds that exchange partial aggregates as blocks, and
+// MEMORY_ONLY caching.
 package rdd
 
 import (
@@ -422,5 +423,5 @@ func (ctx *Context) Close() error {
 func (ctx *Context) newJobID() int64 { return ctx.nextID.Add(1) }
 
 // NewOpID allocates a unique id for operations layered on the engine
-// (aggregation state keys, shuffle block prefixes).
+// (aggregation state keys and block prefixes).
 func (ctx *Context) NewOpID() int64 { return ctx.newJobID() }

@@ -8,8 +8,9 @@ import (
 	"time"
 )
 
-// TestStopDrainsInflightJobs: Stop must let running jobs finish before
-// the transport closes, where a bare Close would strand them.
+// TestStopDrainsInflightJobs: stopping with Drain, then Close, lets
+// running jobs finish before the transport closes, where a bare Close
+// would strand them.
 func TestStopDrainsInflightJobs(t *testing.T) {
 	ctx, err := NewContext(Config{Name: "t-stop", NumExecutors: 2, CoresPerExecutor: 2})
 	if err != nil {
@@ -30,24 +31,28 @@ func TestStopDrainsInflightJobs(t *testing.T) {
 		}
 		handles[i] = h
 	}
-	if n := ctx.ActiveJobs(); n == 0 {
+	if n := ctx.inflightJobs.Load(); n == 0 {
 		t.Fatal("no jobs tracked in flight")
 	}
-	if err := ctx.Stop(5 * time.Second); err != nil {
-		t.Fatalf("Stop: %v", err)
+	if err := ctx.Drain(5 * time.Second); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	if err := ctx.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
 	for i, h := range handles {
 		if _, err := h.Wait(); err != nil {
-			t.Fatalf("job %d stranded by Stop: %v", i, err)
+			t.Fatalf("job %d stranded by Drain and Close: %v", i, err)
 		}
 	}
-	if n := ctx.ActiveJobs(); n != 0 {
-		t.Fatalf("%d jobs still tracked after Stop", n)
+	if n := ctx.inflightJobs.Load(); n != 0 {
+		t.Fatalf("%d jobs still tracked after Drain and Close", n)
 	}
 }
 
-// TestStopDrainDeadline: a job outliving the drain budget fails (it is
-// the straggler Close would have failed anyway), and Stop reports it.
+// TestStopDrainDeadline: Drain reports a job outliving its budget, and
+// the job fails once Close lands (it is the straggler a bare Close
+// would have failed anyway).
 func TestStopDrainDeadline(t *testing.T) {
 	ctx, err := NewContext(Config{Name: "t-deadline", NumExecutors: 1, CoresPerExecutor: 1})
 	if err != nil {
@@ -65,17 +70,18 @@ func TestStopDrainDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ctx.Stop(30 * time.Millisecond); err == nil {
-		t.Fatal("Stop returned nil with a job past the drain deadline")
+	if err := ctx.Drain(30 * time.Millisecond); err == nil {
+		t.Fatal("Drain returned nil with a job past the drain deadline")
 	}
+	ctx.Close()
 	if _, err := h.Wait(); err == nil {
 		t.Fatal("job past the drain deadline should fail once Close lands")
 	}
 }
 
 // TestStopLeavesNoGoroutines is the leak check: a serve-style cycle of
-// jobs followed by Stop must return the process to its baseline
-// goroutine count (executor pools, senders, watchers all gone).
+// jobs followed by Drain and Close must return the process to its
+// baseline goroutine count (executor pools, senders, watchers all gone).
 func TestStopLeavesNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for cycle := 0; cycle < 3; cycle++ {
@@ -93,7 +99,10 @@ func TestStopLeavesNoGoroutines(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := ctx.Stop(5 * time.Second); err != nil {
+		if err := ctx.Drain(5 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if err := ctx.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -104,7 +113,7 @@ func TestStopLeavesNoGoroutines(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	t.Fatalf("goroutines leaked across Stop cycles: before=%d after=%d", before, runtime.NumGoroutine())
+	t.Fatalf("goroutines leaked across Drain and Close cycles: before=%d after=%d", before, runtime.NumGoroutine())
 }
 
 // TestConcurrentSubmitJob races many submitters through SubmitJob from

@@ -12,14 +12,14 @@ import (
 // RDD is a partitioned, immutable, lazily evaluated dataset. Like
 // Spark's, it is a driver-side recipe: Compute materializes one
 // partition on an executor. Transformations are package functions
-// (Map, Filter, …) because Go methods cannot introduce type
-// parameters.
+// (Map, MapPartitions, Derive) because Go methods cannot introduce
+// type parameters.
 //
 // By default partition p is computed on executor p % NumExecutors (the
 // scheduler's round-robin policy). Cached RDDs upgrade to sticky
-// cache-aware placement, and WithPlacement installs any policy; jobs
-// that need a partition off its home executor (speculation, explicit
-// placement) still work — blocks are fetched over the transport.
+// cache-aware placement; jobs that need a partition off its home
+// executor (speculation, explicit placement) still work — blocks are
+// fetched over the transport.
 type RDD[T any] struct {
 	ctx          *Context
 	id           int64
@@ -27,9 +27,9 @@ type RDD[T any] struct {
 	compute      func(ec *ExecContext, part int) ([]T, error)
 	cached       atomic.Bool
 	checkpointed atomic.Bool
-	// policy, when set, overrides the scheduler's default placement for
-	// this RDD's action stages (boxed: atomic.Pointer needs one concrete
-	// pointee type for the interface value).
+	// policy, set by Cache, overrides the scheduler's default placement
+	// for this RDD's action stages (boxed: atomic.Pointer needs one
+	// concrete pointee type for the interface value).
 	policy atomic.Pointer[policyBox]
 	// ckptOwners records, per partition, the executor whose block store
 	// holds the checkpoint bytes — the winner placement of the
@@ -88,17 +88,6 @@ func (r *RDD[T]) locateCached(part int) (int, bool) {
 		}
 	}
 	return 0, false
-}
-
-// WithPlacement installs a placement policy for this RDD's action
-// stages (nil restores the scheduler default). Returns r for chaining.
-func (r *RDD[T]) WithPlacement(p sched.PlacementPolicy) *RDD[T] {
-	if p == nil {
-		r.policy.Store(nil)
-	} else {
-		r.policy.Store(&policyBox{p: p})
-	}
-	return r
 }
 
 // placementPolicy returns the RDD's effective policy; nil means the
@@ -301,38 +290,6 @@ func Map[T, U any](r *RDD[T], f func(T) U) *RDD[U] {
 	})
 }
 
-// Filter keeps the elements for which f is true.
-func Filter[T any](r *RDD[T], f func(T) bool) *RDD[T] {
-	return newRDD(r.ctx, r.parts, func(ec *ExecContext, part int) ([]T, error) {
-		in, err := r.Materialize(ec, part)
-		if err != nil {
-			return nil, err
-		}
-		out := in[:0:0]
-		for _, v := range in {
-			if f(v) {
-				out = append(out, v)
-			}
-		}
-		return out, nil
-	})
-}
-
-// FlatMap applies f and concatenates the results.
-func FlatMap[T, U any](r *RDD[T], f func(T) []U) *RDD[U] {
-	return newRDD(r.ctx, r.parts, func(ec *ExecContext, part int) ([]U, error) {
-		in, err := r.Materialize(ec, part)
-		if err != nil {
-			return nil, err
-		}
-		var out []U
-		for _, v := range in {
-			out = append(out, f(v)...)
-		}
-		return out, nil
-	})
-}
-
 // Derive builds a partition-preserving RDD whose compute function
 // sees the executor context and materializes the parent lazily. It is
 // the hook for executor-aware transformations — f can consult the
@@ -354,18 +311,5 @@ func MapPartitions[T, U any](r *RDD[T], f func(part int, in []T) ([]U, error)) *
 			return nil, err
 		}
 		return f(part, in)
-	})
-}
-
-// Union concatenates two RDDs' partitions.
-func Union[T any](a, b *RDD[T]) *RDD[T] {
-	if a.ctx != b.ctx {
-		panic("rdd: Union across contexts")
-	}
-	return newRDD(a.ctx, a.parts+b.parts, func(ec *ExecContext, part int) ([]T, error) {
-		if part < a.parts {
-			return a.Materialize(ec, part)
-		}
-		return b.Materialize(ec, part-a.parts)
 	})
 }

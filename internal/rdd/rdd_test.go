@@ -74,22 +74,16 @@ func TestCollectEmptyPartitions(t *testing.T) {
 	}
 }
 
-func TestMapFilterFlatMap(t *testing.T) {
+func TestMap(t *testing.T) {
 	ctx := testContext(t, 2, 2)
 	r := FromSlice(ctx, ints(20), 4)
-	doubled := Map(r, func(v int64) int64 { return v * 2 })
-	evens := Filter(doubled, func(v int64) bool { return v%4 == 0 })
-	expanded := FlatMap(evens, func(v int64) []int64 { return []int64{v, v + 1} })
-	got, err := Collect(expanded)
+	got, err := Collect(Map(r, func(v int64) int64 { return v * 2 }))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want []int64
 	for i := int64(0); i < 20; i++ {
-		d := i * 2
-		if d%4 == 0 {
-			want = append(want, d, d+1)
-		}
+		want = append(want, i*2)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("got %v want %v", got, want)
@@ -122,19 +116,6 @@ func TestMapPartitions(t *testing.T) {
 	}
 }
 
-func TestUnion(t *testing.T) {
-	ctx := testContext(t, 2, 1)
-	a := FromSlice(ctx, []int64{1, 2}, 2)
-	b := FromSlice(ctx, []int64{3, 4, 5}, 2)
-	got, err := Collect(Union(a, b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, []int64{1, 2, 3, 4, 5}) {
-		t.Fatalf("got %v", got)
-	}
-}
-
 func TestCount(t *testing.T) {
 	ctx := testContext(t, 3, 1)
 	r := FromSlice(ctx, ints(137), 10)
@@ -144,38 +125,6 @@ func TestCount(t *testing.T) {
 	}
 	if n != 137 {
 		t.Fatalf("Count = %d", n)
-	}
-}
-
-func TestReduce(t *testing.T) {
-	ctx := testContext(t, 3, 2)
-	r := FromSlice(ctx, ints(100), 9)
-	sum, err := Reduce(r, func(a, b int64) int64 { return a + b })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum != 4950 {
-		t.Fatalf("sum = %d", sum)
-	}
-}
-
-func TestReduceWithEmptyPartitions(t *testing.T) {
-	ctx := testContext(t, 2, 1)
-	r := FromSlice(ctx, []int64{5, 7}, 6)
-	sum, err := Reduce(r, func(a, b int64) int64 { return a + b })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum != 12 {
-		t.Fatalf("sum = %d", sum)
-	}
-}
-
-func TestReduceEmptyRDD(t *testing.T) {
-	ctx := testContext(t, 2, 1)
-	r := FromSlice(ctx, []int64{}, 3)
-	if _, err := Reduce(r, func(a, b int64) int64 { return a + b }); err == nil {
-		t.Fatal("Reduce of empty RDD should fail")
 	}
 }
 
@@ -588,7 +537,7 @@ func TestTreeAggregateCleansBlocks(t *testing.T) {
 		if got := stages.Count() - before; got != want {
 			t.Fatalf("%d parts: %d stages ran, want %d", g.parts, got, want)
 		}
-		// No shuffle blocks may survive the action.
+		// No tree-round blocks may survive the action.
 		out, err := ctx.RunOnAllExecutors(func(ec *ExecContext, task, attempt int) ([]byte, error) {
 			n := ec.Store.DeletePrefix("agg/")
 			return []byte{byte(n)}, nil
@@ -598,7 +547,7 @@ func TestTreeAggregateCleansBlocks(t *testing.T) {
 		}
 		for i, p := range out {
 			if p[0] != 0 {
-				t.Fatalf("%d parts: executor %d leaked %d shuffle blocks", g.parts, i, p[0])
+				t.Fatalf("%d parts: executor %d leaked %d tree-round blocks", g.parts, i, p[0])
 			}
 		}
 	}
@@ -710,10 +659,13 @@ func TestCheckpointTruncatesLineage(t *testing.T) {
 		t.Fatalf("checkpointed data wrong: %v", want)
 	}
 	// Downstream transforms still work.
-	sum, err := Reduce(Map(derived, func(v int64) int64 { return v * 2 }),
-		func(a, b int64) int64 { return a + b })
+	doubled, err := Collect(Map(derived, func(v int64) int64 { return v * 2 }))
 	if err != nil {
 		t.Fatal(err)
+	}
+	var sum int64
+	for _, v := range doubled {
+		sum += v
 	}
 	if sum != 128 {
 		t.Fatalf("sum = %d, want 128", sum)

@@ -8,7 +8,7 @@ import (
 )
 
 // Built-in codecs for the primitive and slice types that flow through
-// the engine: task counters, aggregator arrays, shuffle keys.
+// the engine: task counters, aggregator arrays, broadcast values.
 
 const (
 	tagInt64     = 2

@@ -1,7 +1,7 @@
 // Package serde provides the serialization framework used by the rdd
 // engine, the block manager and the scalable communicator.
 //
-// Every value that crosses an executor boundary — task results, shuffle
+// Every value that crosses an executor boundary — task results, stored
 // blocks, aggregator segments — is encoded to bytes through this package,
 // so serialization cost in the functional layer is real, mirroring the
 // role of JavaSerializer/Kryo in Spark. Sparker's in-memory merge (IMM)
@@ -167,22 +167,6 @@ var (
 	selfFactory        = map[uint32]func() Unmarshaler{}
 	selfNext    uint32 = 1
 )
-
-// RegisterSelfOnce is RegisterSelf that tolerates duplicate
-// registration — needed for generic instantiations (e.g. rdd.Pair[K,V])
-// that register themselves from multiple call sites.
-func RegisterSelfOnce(sample Marshaler, factory func() Unmarshaler) {
-	selfMu.Lock()
-	defer selfMu.Unlock()
-	t := reflect.TypeOf(sample)
-	if _, dup := selfByType[t]; dup {
-		return
-	}
-	id := selfNext
-	selfNext++
-	selfByType[t] = id
-	selfFactory[id] = factory
-}
 
 // RegisterSelf registers a factory for a self-marshaling type. sample
 // must implement Marshaler and the value returned by factory must

@@ -219,18 +219,6 @@ func TestRegisteredCodecRoundTrip(t *testing.T) {
 	MustEncode(nil, nope{})
 }
 
-func TestRegisterSelfOnceIdempotent(t *testing.T) {
-	// Registering the same self-marshaling type repeatedly must not
-	// panic and must keep decoding working.
-	for i := 0; i < 3; i++ {
-		RegisterSelfOnce(pointPair{}, func() Unmarshaler { return new(pointPair) })
-	}
-	got := roundTrip(t, pointPair{9, -9})
-	if got != (pointPair{9, -9}) {
-		t.Fatalf("roundtrip after re-registration = %v", got)
-	}
-}
-
 func TestIntHelpers(t *testing.T) {
 	b := AppendInt(nil, -42)
 	if got := IntAt(b, 0); got != -42 {

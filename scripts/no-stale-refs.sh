@@ -12,11 +12,15 @@
 # fused single pass became the only CSR kernel (one task runs on one
 # core; DESIGN.md §16) — or names the job server, its binary, demo and
 # auth variable, or the scheduler tenancy API, all deleted when the
-# serving plane was retired (DESIGN.md §14).
+# serving plane was retired (DESIGN.md §14) — or names the rdd surface
+# no training path ran (the hash shuffle, join, Distinct,
+# MapPartitionsWithContext, per-RDD placement), linear regression's
+# trainer, or the examples deleted with them (wordcount, logreg, lda,
+# strategies, allreduce; `cmd/sparker-train` covers the last four).
 # CHANGES.md, ROADMAP.md and ISSUE.md record history and are exempt, as
 # is benchmark/, which a PR other than its own may not edit;
-# EXPERIMENTS.md is exempt from the last rule only, because its pprof
-# dumps name the deleted functions.
+# EXPERIMENTS.md is exempt from the column-view rule only, because its
+# pprof dumps name the deleted functions.
 #
 #   scripts/no-stale-refs.sh      (or: make no-stale-refs)
 set -euo pipefail
@@ -52,6 +56,10 @@ if grep -nE 'sparker-serve|serve-demo|internal/server|WithTenant|ConfigureTenant
 	echo "the serving plane is retired: no job server, no tenants, one FIFO scheduler (DESIGN.md §14)"
 	bad=1
 fi
+if grep -nE 'ReduceByKey|CountByKey|KeyBy|rdd\.Join|Distinct|MapPartitionsWithContext|TrainLinearRegression|WithPlacement|examples/(wordcount|logreg|lda|strategies|allreduce)' $own; then
+	echo "the rdd engine keeps only the surface training runs (DESIGN.md §1): no shuffle, join or Distinct, no per-RDD placement knob, no linear-regression trainer; run training through cmd/sparker-train"
+	bad=1
+fi
 while IFS=: read -r file line id; do
 	if [[ "$ids" != *" $id "* ]]; then
 		echo "$file:$line: sparkerbench -only $id: no such report id"
@@ -60,6 +68,6 @@ while IFS=: read -r file line id; do
 done < <(grep -noE 'sparkerbench -only [a-z0-9-]+' $files | sed 's/sparkerbench -only //')
 
 if [ "$bad" -ne 0 ]; then
-	echo "no-stale-refs: the references above name the retired bench harness (see EXPERIMENTS.md \"Settled single-layer claims\"), the deleted chunk controller, the retired codecs and MPI baselines, the deleted column view and kernel sharding, or the retired serving plane" >&2
+	echo "no-stale-refs: the references above name the retired bench harness (see EXPERIMENTS.md \"Settled single-layer claims\"), the deleted chunk controller, the retired codecs and MPI baselines, the deleted column view and kernel sharding, the retired serving plane, or the deleted rdd surface and examples" >&2
 	exit 1
 fi
