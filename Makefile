@@ -56,11 +56,16 @@ test: build
 # fused decode-reduce) plus the rdd engine that drives it, the packed
 # compute plane (pooled accumulators, the ParallelFor pool, the
 # decoded-block cache), the telemetry instruments, and the span
-# exporters; and allreduce steps whose rank-0 frames cross the wire pool
-# (core runs its own -race suites in test-chaos and chaos-elastic).
+# exporters; allreduce steps whose rank-0 frames cross the wire pool;
+# and core's compact ring (TestCompactRingOverhead and the
+# FuzzCompactSegments seeds beside the packages' TestSplitCompactMatchesDense
+# and TestRingSourceMatchesSlice), whose segment bodies are parked and
+# unparked across ring goroutines under the free lists' double-park
+# guard (core runs its other -race suites in test-chaos and
+# chaos-elastic).
 race:
 	$(GO) test -race ./internal/collective ./internal/comm ./internal/rdd ./internal/sched ./internal/transport ./internal/metrics ./internal/trace ./internal/obsv ./internal/linalg ./internal/mllib
-	$(GO) test -race -run 'AllReduceFrameOverhead' ./internal/core
+	$(GO) test -race -run 'AllReduceFrameOverhead|CompactRingOverhead|FuzzCompactSegments' ./internal/core
 
 # Fault-injection suites (see DESIGN.md "Fault model"): kill/drop/delay
 # matrices over the raw collectives, end-to-end core.Aggregate, and
@@ -168,17 +173,21 @@ bench-pair:
 
 # CPU profiles of the wide-split-tcp and wide-tree-tcp step loops, and
 # the tree+IMM one (20 000 × 1 000 000, 4 executors × 1 core, loopback
-# TCP), as one command, one profile and one top per strategy: the
+# TCP), then of the tall-split-mem and tiny-split-mem ones (mem
+# transport), as one command, one profile and one top per step: the
 # profiles that name the layer a perf PR spends (ROADMAP item 2) —
 # benchmark/ itself takes no profiling flag. Each benchmark line also
 # reports the step's compute-ms/op and reduce-ms/op (the IMM stage, or
 # the tree's stage 1; then the ring or gather, or the combine round,
-# and the driver's pass to the new weights), so the phase split prints
-# beside its top. tree.imm is the -bench pattern of the tree+imm step.
+# and the driver's pass to the new weights) and cpu-ms/op (the process's
+# CPU time a step, the benchmark's cpu_ms_per_iter), so the phase split
+# prints beside its top. tree.imm is the -bench pattern of the tree+imm
+# step.
 profile:
 	d=$$(mktemp -d) && echo "profile: writing under $$d" && \
-	for s in split tree tree.imm; do \
-		$(GO) test -run '^$$' -bench "WideStepTCP/$$s\$$" -benchtime 100x -cpuprofile $$d/wide-step-$$s.prof -o $$d/wide-step.test ./internal/mllib && \
+	for s in WideStepTCP/split WideStepTCP/tree WideStepTCP/tree.imm MemStep/tall MemStep/tiny; do \
+		f=$$(echo $$s | tr '/.' '--') && \
+		$(GO) test -run '^$$' -bench "$$s\$$" -benchtime 100x -cpuprofile $$d/$$f.prof -o $$d/step.test ./internal/mllib && \
 		echo "== $$s step" && \
-		$(GO) tool pprof -top -nodecount 25 $$d/wide-step.test $$d/wide-step-$$s.prof || exit 1; \
+		$(GO) tool pprof -top -nodecount 25 $$d/step.test $$d/$$f.prof || exit 1; \
 	done

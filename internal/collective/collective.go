@@ -265,7 +265,7 @@ type Ops[V any] struct {
 }
 
 // PackedOps is the zero-suppressed packed chunk form (packed.go,
-// DESIGN.md §11); all six callbacks are required. Supplying it asserts
+// DESIGN.md §11); the first four callbacks are required. Supplying it asserts
 // that Reduce is IEEE addition of element words and that segments are
 // summed up from +0.0 — the only algebra under which not shipping a zero
 // word is value-exact. Ops without it never send a packed frame and fail
@@ -297,8 +297,8 @@ type PackedOps[V any] struct {
 	// TakeChunkTo is EncodeChunkTo, the same bytes, for a range that is
 	// sent for the last time: it leaves elements [off, off+n) of v +0.0,
 	// as Zero made them. ClearChunk does the same after a dense encode.
-	// They let RingReduceScatterFrom hand each segment back to its source
-	// clean without another pass over it.
+	// When set (both or neither), they let RingReduceScatterFrom hand
+	// each segment back to its source clean without another pass over it.
 	TakeChunkTo func(dst []byte, v V, off, n int, cand []uint64, bit int) []byte
 	ClearChunk  func(v V, off, n int)
 }
@@ -564,8 +564,8 @@ func RingReduceScatter[V any](ctx context.Context, e *comm.Endpoint, segs []V, p
 //     use: the channel's first send, or the first receive reduced into
 //     it. The ring then owns it and reduces into it in place.
 //   - Give(i, ch, v) returns segment i, as v, once its last chunk is
-//     encoded for its one send. When Ops can pack (CanPack), the ring
-//     encodes that send with PackedOps.TakeChunkTo or ClearChunk, so v
+//     encoded for its one send. When Ops take (PackedOps.TakeChunkTo),
+//     the ring encodes that send with TakeChunkTo or ClearChunk, so v
 //     comes back all +0.0 and the source can hand it out again without
 //     clearing it. A step whose send fits the two-chunk send window
 //     gives its segment back before it takes the one it reduces into,
@@ -608,10 +608,10 @@ func srcElems[V any, S Segments[V]](src S, lo, hi int) int {
 // RingReduceScatterFrom is RingReduceScatter over the P×N segments src
 // hands out (Segments): the same schedule, frames and result, with each
 // segment taken just before its first use and given back after its last
-// send — all +0.0 when ops can pack. A WithSupport bitmap covers the
+// send — all +0.0 when ops take. A WithSupport bitmap covers the
 // concatenation of src's segments.
 func RingReduceScatterFrom[V any, S Segments[V]](ctx context.Context, e *comm.Endpoint, src S, parallelism int, ops Ops[V]) (map[int]V, error) {
-	return reduceScatter(ctx, e, src, parallelism, ops, ops.CanPack())
+	return reduceScatter(ctx, e, src, parallelism, ops, ops.CanPack() && ops.Packed.TakeChunkTo != nil)
 }
 
 // reduceScatter is the one reduce-scatter; with take, every send of a

@@ -16,6 +16,7 @@ package collective
 // without it never send a packed frame and refuse one they are sent.
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -58,4 +59,69 @@ func malformedChunk(err error) error {
 		return fmt.Errorf("%w: %w", ErrMalformedChunk, err)
 	}
 	return nil
+}
+
+// bodyPacked is BodyOps' packed form: a packed body's range is copied
+// out of its bitmap and values, and a chunk is merged into it (the
+// candidates are not read: a body's bitmap is the range's presence).
+var bodyPacked = &PackedOps[*serde.Body]{
+	ChunkSize: func(b *serde.Body, off, n int, _ []uint64, _ int) int { return b.PackedSize(off, n) },
+	EncodeChunkTo: func(dst []byte, b *serde.Body, off, n int, _ []uint64, _ int) []byte {
+		return b.AppendPacked(dst, off, n)
+	},
+	DecodeReduceChunkInto: func(acc *serde.Body, off, n int, payload []byte) error {
+		return malformedChunk(acc.MergePacked(off, n, payload))
+	},
+	DecodeChunkInto: func(dst *serde.Body, off, n int, payload []byte) error {
+		return malformedChunk(serde.DecodePackedF64(dst.Vals, off, n, payload))
+	},
+}
+
+// BodyOps are F64Ops over segments held as serde.Body, for the
+// reduce-scatter of a compact aggregator (RingReduceScatterFrom): the
+// same chunk plan, forms and bytes as F64Ops over the dense segments,
+// from a send that copies a packed body and a receive that merges into
+// it. A chunk is merged into a body on its channel's goroutine, never
+// sharded, and a body is not cleared as it is sent (no TakeChunkTo): its
+// source recycles it whole. MakeSegment and Decode make dense bodies.
+func BodyOps() Ops[*serde.Body] {
+	return Ops[*serde.Body]{
+		Reduce: func(a, b *serde.Body) *serde.Body {
+			if err := a.MergeDense(0, b.AppendDense(nil, 0, b.N)); err != nil {
+				panic(err)
+			}
+			return a
+		},
+		Encode: func(dst []byte, b *serde.Body) []byte {
+			return b.AppendDense(binary.LittleEndian.AppendUint32(dst, uint32(b.N)), 0, b.N)
+		},
+		Decode: func(src []byte) (*serde.Body, error) {
+			v, err := decodeF64(src)
+			return &serde.Body{N: len(v), Dense: true, Vals: v}, err
+		},
+		DecodeReduceInto: func(acc *serde.Body, wire []byte) (*serde.Body, error) {
+			n, body, err := f64WireBody(wire)
+			if err == nil && n != acc.N {
+				err = fmt.Errorf("collective: segment length mismatch %d vs %d", acc.N, n)
+			}
+			if err == nil {
+				err = acc.MergeDense(0, body[:8*n])
+			}
+			return acc, err
+		},
+		EncodedSize: func(b *serde.Body) int { return 4 + 8*b.N },
+
+		Elems:            func(b *serde.Body) int { return b.N },
+		ChunkEncodedSize: func(n int) int { return 8 * n },
+		EncodeChunkTo:    func(dst []byte, b *serde.Body, off, n int) []byte { return b.AppendDense(dst, off, n) },
+		DecodeReduceChunkInto: func(acc *serde.Body, off int, payload []byte) error {
+			return acc.MergeDense(off, payload)
+		},
+		MakeSegment: func(n int) *serde.Body { return &serde.Body{N: n, Dense: true, Vals: make([]float64, n)} },
+		DecodeChunkInto: func(dst *serde.Body, off int, payload []byte) error {
+			return decodeChunkF64(dst.Vals, off, payload)
+		},
+
+		Packed: bodyPacked,
+	}
 }

@@ -267,6 +267,9 @@ func (rc *ringChan[V]) init(e *comm.Endpoint, ops Ops[V], ch int, epoch uint32, 
 	rc.releasable = ops.DecodeReduceInto != nil
 	rc.tel = tel
 	rc.cores = cores
+	if any(ops.Packed) == any(bodyPacked) {
+		rc.cores = 1 // a chunk merges into a body in one ordered pass
+	}
 	rc.next = e.Next()
 	// Without a fixed stride the channel falls back to whole-segment
 	// frames.
@@ -709,7 +712,7 @@ func transferReduce[V any, S Segments[V]](rc *ringChan[V], sctx context.Context,
 
 	var acc V
 	taken := false
-	inNeed, inGot := -1, 0
+	inNeed, inGot, inEnd := -1, 0, 0
 	for {
 		// Keep the double buffer full: encode and launch the next chunk
 		// whenever fewer than two frames are in flight.
@@ -749,8 +752,14 @@ func transferReduce[V any, S Segments[V]](rc *ringChan[V], sctx context.Context,
 			if fr.chunked {
 				inNeed = fr.total
 				inGot++
-				rerr = rc.reduceChunk(acc, fr)
 				canRelease = true
+				// A train covers the segment it reduces into, in element order.
+				if inEnd += fr.elemCnt; fr.elemOff+fr.elemCnt != inEnd || (inGot == inNeed && inEnd != rc.ops.Elems(acc)) {
+					rerr = fmt.Errorf("%w: chunk %d covers [%d,%d) of a %d-element segment, its train is at %d",
+						ErrMalformedChunk, fr.idx, fr.elemOff, fr.elemOff+fr.elemCnt, rc.ops.Elems(acc), inEnd-fr.elemCnt)
+				} else {
+					rerr = rc.reduceChunk(acc, fr)
+				}
 			} else {
 				inNeed, inGot = 1, 1
 				acc, canRelease, rerr = decodeReduce(rc.ops, acc, fr.payload)

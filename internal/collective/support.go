@@ -39,21 +39,11 @@ func supportFor[V any, S Segments[V]](ctx context.Context, ops Ops[V], src S, nS
 	return s
 }
 
-// orBitsAt ORs m into sup at bit b. The bits of m past the ones sup
-// covers must be clear.
-func orBitsAt(sup []uint64, b int, m uint64) {
-	q, r := b>>6, uint(b&63)
-	sup[q] |= m << r
-	if r != 0 && m>>(64-r) != 0 {
-		sup[q+1] |= m >> (64 - r)
-	}
-}
-
 // setBits sets bits [b, b+k) of sup.
 func setBits(sup []uint64, b, k int) {
 	for k > 0 {
 		n := min(64, k)
-		orBitsAt(sup, b, ^uint64(0)>>uint(64-n))
+		serde.OrBitsAt(sup, b, ^uint64(0)>>uint(64-n))
 		b, k = b+n, k-n
 	}
 }
@@ -86,7 +76,7 @@ func (rc *ringChan[V]) storeSupport(shared []uint64) {
 		return
 	}
 	for w, m := range rc.sup {
-		orBitsAt(shared, rc.supLo+64*w, m)
+		serde.OrBitsAt(shared, rc.supLo+64*w, m)
 	}
 	supportPool.Put(rc.supBuf)
 	rc.sup, rc.supBuf = nil, nil
@@ -102,7 +92,7 @@ func (rc *ringChan[V]) markSupport(acc V, fr frame) {
 	case fr.form == formPacked:
 		// The decoder validated the bitmap: no bits past elemCnt.
 		for w := 0; w < serde.PackedWords(fr.elemCnt); w++ {
-			orBitsAt(rc.sup, rc.inBit+fr.elemOff+64*w, uint64At(fr.payload, 8*w))
+			serde.OrBitsAt(rc.sup, rc.inBit+fr.elemOff+64*w, uint64At(fr.payload, 8*w))
 		}
 	default:
 		setBits(rc.sup, rc.inBit+fr.elemOff, fr.elemCnt)

@@ -587,7 +587,7 @@ func runRingStage[T, U, V any](ctx context.Context, rc *rdd.Context, opID int64,
 			}
 			var run ringRun[V]
 			if n > 0 {
-				run, err = reduceCompact(cctx, ec, u, sup, n, nExec, o.Parallelism, ops)
+				run, err = reduceCompact[V](cctx, ec, any(u).([]float64), sup, n, nExec, o.Parallelism)
 			} else {
 				run, err = reduceDense(cctx, ec, u, sup, nExec, o.Parallelism, ops, fns)
 			}
@@ -595,11 +595,11 @@ func runRingStage[T, U, V any](ctx context.Context, rc *rdd.Context, opID int64,
 				return nil, err
 			}
 			if !allGather {
-				frame := encodeOwned(run.owned, ops, run.bits, run.first, ec.ResultBuf)
+				frame := run.frame(ec.ResultBuf)
 				fns.release(&run, u)
 				return frame, nil
 			}
-			all, err := collective.RingAllGather(cctx, ec.Comm, run.owned, run.p, ops)
+			all, err := collective.RingAllGather(cctx, ec.Comm, run.dense(), run.p, ops)
 			if err != nil {
 				return nil, err
 			}
@@ -658,30 +658,44 @@ func runRingStage[T, U, V any](ctx context.Context, rc *rdd.Context, opID int64,
 // ringRun is one executor's reduce-scatter as the ring task finishes
 // it: the segments it owns, the support the ring left over its segments
 // (nil: none), the channel count it ran at, and what it reduced — a
-// dense aggregator's segments, or a compact one's source.
+// dense aggregator's segments, or a compact one's source and the bodies
+// it owns.
 type ringRun[V any] struct {
-	owned map[int]V
-	bits  []uint64
-	p     int
-	ops   collective.Ops[V]
-	segs  []V
-	src   *compactSegs
+	owned  map[int]V
+	bits   []uint64
+	p      int
+	ops    collective.Ops[V]
+	segs   []V
+	src    *compactSegs
+	bodies map[int]*serde.Body
 }
 
-// first is segment i's first element.
-func (r *ringRun[V]) first(i int) int {
+// frame is the owned-segments frame (encodeOwned) of the run.
+func (r *ringRun[V]) frame(draw func(n int) []byte) []byte {
 	if r.src != nil {
-		return r.src.first(i)
+		return encodeOwned(r.bodies, collective.BodyOps(), nil, nil, draw)
 	}
-	return segsElems(r.ops, r.segs[:i])
+	return encodeOwned(r.owned, r.ops, r.bits, func(i int) int { return segsElems(r.ops, r.segs[:i]) }, draw)
+}
+
+// dense is the owned segments laid out dense, for the allgather: a
+// compact run's bodies are densified once, in place.
+func (r *ringRun[V]) dense() map[int]V {
+	if r.src != nil {
+		r.owned = make(map[int]V, len(r.bodies))
+		for i, b := range r.bodies {
+			r.owned[i] = any(b.Densify()).(V)
+		}
+	}
+	return r.owned
 }
 
 // release gives the aggregator's memory back once nothing reads the
-// owned segments: a compact one's buffers and values to core's free
+// owned segments: a compact one's bodies and values to core's free
 // lists, a dense one, u, through Recycle.
 func (fns *AggFuncs[T, U, V]) release(run *ringRun[V], u U) {
 	if run.src != nil {
-		run.src.release(any(run.owned).(map[int][]float64))
+		run.src.release(run.bodies)
 		return
 	}
 	fns.recycle(u)
@@ -717,15 +731,15 @@ func reduceDense[T, U, V any](ctx context.Context, ec *rdd.ExecContext, u U, sup
 
 // reduceCompact reduce-scatters a compact aggregator (compact.go) of n
 // elements through a compactSegs source, at the width and SplitSlice
-// bounds a dense one of n elements would ride: the same segments, reduced
-// in buffers that go back to segBufs, and the same frames. Only f64Wire
+// bounds a dense one of n elements would ride: the same segments, held
+// as bodies (collective.BodyOps), and the same frames. Only f64Wire
 // aggregators are compact, so V is []float64.
-func reduceCompact[U, V any](ctx context.Context, ec *rdd.ExecContext, u U, sup support, n, nExec, parallelism int, ops collective.Ops[V]) (ringRun[V], error) {
-	f64 := any(ops).(collective.Ops[[]float64])
-	p := collective.RingChannels(ctx, parallelism, n, f64)
-	src := newCompactSegs(any(u).([]float64), sup.bits, n, p*nExec)
-	owned, err := collective.RingReduceScatterFrom(collective.WithSupport(ctx, src.ring), ec.Comm, src, p, f64)
-	return ringRun[V]{owned: any(owned).(map[int]V), bits: src.ring, p: p, src: src}, err
+func reduceCompact[V any](ctx context.Context, ec *rdd.ExecContext, vals []float64, sup support, n, nExec, parallelism int) (ringRun[V], error) {
+	ops := collective.BodyOps()
+	p := collective.RingChannels(ctx, parallelism, n, ops)
+	src := newCompactSegs(vals, sup.bits, n, p*nExec)
+	bodies, err := collective.RingReduceScatterFrom(ctx, ec.Comm, src, p, ops)
+	return ringRun[V]{p: p, src: src, bodies: bodies}, err
 }
 
 // replicateResult pushes a degraded allreduce's result back onto every

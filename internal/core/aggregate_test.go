@@ -279,9 +279,6 @@ func TestTreeStrategyCarriesTraceParent(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireExact(t, got, expectedVector(samples, dim))
-	if err := ctx.Drain(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
 
 	aggs := exp.Named("aggregate")
 	if len(aggs) != 1 {

@@ -6,9 +6,9 @@ package core
 // n-element []float64 aggregator that is +0.0 everywhere else. The IMM
 // stage keeps it so when it is the only task on its executor, the IMM
 // gather encodes the frame straight from it, and the ring reads it
-// through compactSegs, which builds each segment in a reusable buffer
-// just before the ring first uses it. No executor then holds the dense
-// n-element vector.
+// through compactSegs, which holds each segment as a packed body from
+// the fold to its owner's gather frame. No executor then holds the
+// dense n-element vector.
 
 import (
 	"fmt"
@@ -25,22 +25,15 @@ import (
 // fresh memory most steps.
 type vecList chan []float64
 
-// compactVals holds Fold's compact accumulators between steps, and
-// segBufs the ring's segment buffers (compactSegs), all +0.0 while
-// parked, so a get needs no clearing. Neither goes through
+// compactVals holds Fold's compact accumulators between steps, one per
+// task slot of a few in-process executors. It does not go through
 // AggFuncs.Recycle: linalg's free list drops vectors of another size.
-// compactVals holds one accumulator per task slot of a few in-process
-// executors; segBufs the buffers the channels run in (one each, two
-// when a segment spans more than the send window) of four executors at
-// P = 4, and headroom.
-var (
-	compactVals = make(vecList, 16)
-	segBufs     = make(vecList, 64)
-)
+var compactVals = make(vecList, 16)
 
-// parkedVecs is the race-build guard of both lists: parking a backing
-// array that is already parked panics, as the wire pool's guard does.
-var parkedVecs sync.Map // *float64 -> struct{}
+// parkedVecs is the race-build guard of compactVals and bodies: parking
+// a backing array or a body that is already parked panics, as the wire
+// pool's guard does.
+var parkedVecs sync.Map // *float64 or *serde.Body -> struct{}
 
 // get returns a buffer of length n — a parked one whose capacity fits n
 // without wasting more than half, else a fresh one with a little
@@ -59,7 +52,7 @@ func (l vecList) get(n int) []float64 {
 	return make([]float64, n, n+n/16+1)
 }
 
-// put parks v; on segBufs, v must be all +0.0.
+// put parks v.
 func (l vecList) put(v []float64) {
 	if cap(v) == 0 {
 		return
@@ -89,19 +82,6 @@ func onesBelow(sup []uint64, b int) int {
 		n += bits.OnesCount64(sup[b>>6] & (1<<uint(r) - 1))
 	}
 	return n
-}
-
-// scatterVals writes vals, one per set bit of sup in [lo, lo+len(dst)),
-// to those bits' elements of dst (element lo+i is dst[i]). Elements at
-// clear bits are not touched.
-func scatterVals(dst []float64, sup []uint64, lo int, vals []float64) {
-	k := 0
-	for w := 0; w < len(dst); w += 64 {
-		for m := serde.BitsAt(sup, lo+w, min(64, len(dst)-w)); m != 0; m &= m - 1 {
-			dst[w+bits.TrailingZeros64(m)] = vals[k]
-			k++
-		}
-	}
 }
 
 // compactFold is the compact fold of one task's elems, whose support is
@@ -138,42 +118,44 @@ func (f *AggFuncs[T, U, V]) expand(vals U, sup support, n int) U {
 		panic(fmt.Sprintf("core: Fold's aggregator has %d elements, Zero's %d", n, len(dense)))
 	}
 	c := any(vals).([]float64)
-	scatterVals(dense, sup.bits, 0, c)
+	serde.ScatterF64(dense, sup.bits, c)
 	compactVals.put(c)
 	return u
 }
 
 // compactSegs is a compact aggregator as the ring's segment source
-// (collective.Segments): the n-element aggregator holding vals at the
-// set bits of sup and +0.0 elsewhere, cut into nSegs segments at
-// SplitSlice's bounds. Take writes segment i's values into a clean
-// buffer — the channel's spare, else one from segBufs — and Give keeps
-// the buffer, which the ring's send of the segment left all +0.0
-// (collective.PackedOps.TakeChunkTo), as the channel's spare. The ring
-// gives a one-chunk segment back before it takes the next, so a channel
-// runs in one buffer. giveBack clears what the ring owned at the end,
-// and returns it and the spares to segBufs.
+// (collective.Segments over collective.BodyOps): the n-element
+// aggregator holding vals at the set bits of sup and +0.0 elsewhere,
+// cut into nSegs segments at SplitSlice's bounds. Take loads segment i
+// into a body from the bodies list — its bitmap and its values, read
+// straight from vals — and Give parks a sent body there again; the ring
+// merges what it receives into bodies and sends them by copying them,
+// so no segment is ever laid out at its dense length unless it passes
+// the ½ rule (serde.Body). release parks the owned bodies and hands
+// vals on to compactVals.
 //
-// Ownership: vals and sup are read-only while the ring runs, and
-// release hands vals on to compactVals; ring is the support the ring
-// may write (WithSupport), the source's own copy of sup. A buffer
-// belongs to the ring from Take to Give, to the channel's spare slot or
-// to segBufs otherwise, and is all +0.0 whenever the ring does not hold
-// it.
+// Ownership: vals and sup are read-only while the ring runs. A body
+// belongs to the ring from Take to Give, to the caller once the ring
+// returns it owned, and to the bodies list otherwise; after a failed
+// ring nothing is parked, and what the ring held is left to the
+// collector.
 type compactSegs struct {
 	vals     []float64
 	sup      []uint64
-	ring     []uint64
 	n, nSegs int
 	// rank[i] is the index in vals of segment i's first value: the set
 	// bits of sup below the segment.
-	rank  []int
-	spare [][]float64 // by channel
+	rank []int
 }
 
-// compactSources recycles compactSegs, and their ring support, between
-// ring tasks.
-var compactSources = sync.Pool{New: func() any { return new(compactSegs) }}
+// compactSources recycles compactSegs between ring tasks; bodies holds
+// the ring's segment bodies between steps — for vecList's reason a
+// channel — a few for each channel of four executors at P = 4, and
+// headroom.
+var (
+	compactSources = sync.Pool{New: func() any { return new(compactSegs) }}
+	bodies         = make(chan *serde.Body, 64)
+)
 
 // newCompactSegs returns the source of the compact aggregator vals over
 // sup, of n elements, cut into nSegs segments.
@@ -189,18 +171,7 @@ func newCompactSegs(vals []float64, sup []uint64, n, nSegs int) *compactSegs {
 			k += bits.OnesCount64(serde.BitsAt(sup, w, min(64, hi-w)))
 		}
 	}
-	c.spare = c.spare[:0]
-	for range nSegs {
-		c.spare = append(c.spare, nil)
-	}
-	c.reset()
 	return c
-}
-
-// reset readies c for another ring over the same aggregator: the ring's
-// support back to sup, in place.
-func (c *compactSegs) reset() {
-	c.ring = append(c.ring[:0], c.sup...)
 }
 
 // bounds is segment i's element range, as SplitSlice cuts it.
@@ -214,51 +185,45 @@ func (c *compactSegs) Elems(i int) int {
 	return hi - lo
 }
 
-// Take materializes segment i for channel ch.
-func (c *compactSegs) Take(i, ch int) []float64 {
+// Take loads segment i into a body.
+func (c *compactSegs) Take(i, _ int) *serde.Body {
+	var b *serde.Body
+	select {
+	case b = <-bodies:
+		if comm.RaceGuard {
+			parkedVecs.Delete(b)
+		}
+	default:
+		b = new(serde.Body)
+	}
 	lo, hi := c.bounds(i)
-	buf := c.spare[ch]
-	c.spare[ch] = nil
-	if cap(buf) < hi-lo {
-		segBufs.put(buf)
-		buf = segBufs.get(hi - lo)
+	b.Load(hi-lo, c.sup, lo, c.vals[c.rank[i]:])
+	return b
+}
+
+// Give parks segment i's body, which the ring has sent.
+func (c *compactSegs) Give(_, _ int, b *serde.Body) {
+	if comm.RaceGuard {
+		if _, dup := parkedVecs.LoadOrStore(b, struct{}{}); dup {
+			panic(fmt.Sprintf("core: a %d-element segment body is parked twice", b.N))
+		}
 	}
-	buf = buf[:hi-lo]
-	scatterVals(buf, c.sup, lo, c.vals[c.rank[i]:])
-	return buf
-}
-
-// Give keeps segment i's buffer, which the ring cleared as it sent it,
-// as channel ch's spare.
-func (c *compactSegs) Give(i, ch int, v []float64) {
-	segBufs.put(c.spare[ch])
-	c.spare[ch] = v
-}
-
-// first is segment i's first element.
-func (c *compactSegs) first(i int) int {
-	lo, _ := c.bounds(i)
-	return lo
-}
-
-// giveBack ends a ring that succeeded: the owned segments, cleared,
-// and every spare go back to segBufs. After a failed ring nothing goes
-// back: what the ring held is left to the collector.
-func (c *compactSegs) giveBack(owned map[int][]float64) {
-	for _, v := range owned {
-		clear(v)
-		segBufs.put(v)
-	}
-	for ch, v := range c.spare {
-		segBufs.put(v)
-		c.spare[ch] = nil
+	select {
+	case bodies <- b:
+	default:
+		if comm.RaceGuard {
+			parkedVecs.Delete(b)
+		}
 	}
 }
 
-// release is giveBack, the values back to compactVals and c to its
-// pool.
-func (c *compactSegs) release(owned map[int][]float64) {
-	c.giveBack(owned)
+// release ends a ring that succeeded, once nothing reads the owned
+// bodies: they go back to the bodies list, the values to compactVals
+// and c to its pool.
+func (c *compactSegs) release(owned map[int]*serde.Body) {
+	for i, b := range owned {
+		c.Give(i, 0, b)
+	}
 	compactVals.put(c.vals)
 	c.vals, c.sup = nil, nil
 	compactSources.Put(c)

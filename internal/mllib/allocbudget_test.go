@@ -12,7 +12,9 @@ package mllib_test
 import (
 	"fmt"
 	"runtime"
+	"syscall"
 	"testing"
+	"time"
 
 	"sparker/internal/data"
 	"sparker/internal/metrics"
@@ -21,19 +23,33 @@ import (
 	"sparker/internal/transport"
 )
 
-// wideStepCluster boots the wide shape of the benchmark (20 000 samples
-// × 1 M features, 4 executors × 1 core, ring parallelism 4) on net and
-// returns a function running one RunGradientDescent{Iterations: 1} step
-// under strategy s, fed the previous step's weights, and the cluster's
-// context.
-func wideStepCluster(tb testing.TB, net transport.Network, s mllib.Strategy) (step func(), aggBytes uint64, ctx *rdd.Context) {
+// stepShape is one benchmark workload's data: samples × features, nnz
+// per sample and its power-law exponent (data.ClassificationSpec).
+type stepShape struct {
+	name                   string
+	samples, features, nnz int
+	alpha                  float64
+}
+
+// The shapes of the benchmark's workloads: wide (wide-split-tcp,
+// wide-tree-tcp), tall (tall-split-mem) and tiny (tiny-split-mem).
+var (
+	wideShape = stepShape{"wide", 20_000, 1_000_000, 15, 1.5}
+	tallShape = stepShape{"tall", 400_000, 2_000, 30, 0}
+	tinyShape = stepShape{"tiny", 8_000, 512, 15, 0}
+)
+
+// stepCluster boots shape as the benchmark does (4 executors × 1 core,
+// ring parallelism 4) on net and returns a function running one
+// RunGradientDescent{Iterations: 1} step under strategy s, fed the
+// previous step's weights, and the cluster's context.
+func stepCluster(tb testing.TB, net transport.Network, s mllib.Strategy, sh stepShape) (step func(), aggBytes uint64, ctx *rdd.Context) {
 	tb.Helper()
-	const samples, features = 20_000, 1_000_000
 	points := data.GenClassification(data.ClassificationSpec{
-		Samples: samples, Features: features, NNZPerSample: 15, NNZAlpha: 1.5, Seed: 1,
+		Samples: sh.samples, Features: sh.features, NNZPerSample: sh.nnz, NNZAlpha: sh.alpha, Seed: 1,
 	})
 	ctx, err := rdd.NewContext(rdd.Config{
-		Name: "wide-" + tb.Name(), NumExecutors: 4, CoresPerExecutor: 1, RingParallelism: 4, Network: net,
+		Name: sh.name + "-" + tb.Name(), NumExecutors: 4, CoresPerExecutor: 1, RingParallelism: 4, Network: net,
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -43,7 +59,7 @@ func wideStepCluster(tb testing.TB, net transport.Network, s mllib.Strategy) (st
 		net.Close()
 	})
 	train := rdd.FromSlice(ctx, points, ctx.TotalCores()).Cache()
-	wts := make([]float64, features)
+	wts := make([]float64, sh.features)
 	cfg := mllib.GDConfig{Iterations: 1, Strategy: s, Parallelism: 4}
 	return func() {
 		next, _, err := mllib.RunGradientDescent(train, mllib.LogisticGradient{}, mllib.SimpleUpdater{}, wts, cfg)
@@ -51,7 +67,12 @@ func wideStepCluster(tb testing.TB, net transport.Network, s mllib.Strategy) (st
 			tb.Fatal(err)
 		}
 		wts = next
-	}, 8 * (features + 2), ctx
+	}, uint64(8 * (sh.features + 2)), ctx
+}
+
+// wideStepCluster is stepCluster of the wide shape.
+func wideStepCluster(tb testing.TB, net transport.Network, s mllib.Strategy) (func(), uint64, *rdd.Context) {
+	return stepCluster(tb, net, s, wideShape)
 }
 
 // wideStrategies are the steps the budget and the profile cover: the
@@ -108,29 +129,58 @@ func TestAllocBudgetWideStep(t *testing.T) {
 // recorder: compute-ms/op (the IMM stage, or the tree's stage 1) and
 // reduce-ms/op (the ring stage or the IMM gather, or the tree's combine
 // round, and on every strategy the driver's one pass from the frames to
-// the new weights).
+// the new weights); and cpu-ms/op, the process's user + system CPU time
+// a step (getrusage over the timed loop).
 func BenchmarkWideStepTCP(b *testing.B) {
 	for _, s := range wideStrategies {
 		b.Run(fmt.Sprint(s), func(b *testing.B) {
-			step, aggBytes, ctx := wideStepCluster(b, transport.NewTCP(), s)
-			for i := 0; i < 3; i++ {
-				step()
-			}
-			b.SetBytes(int64(aggBytes))
-			b.ReportAllocs()
-			before := ctx.Metrics().Snapshot()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				step()
-			}
-			b.StopTimer()
-			after := ctx.Metrics().Snapshot()
-			for _, ph := range []struct{ phase, unit string }{
-				{metrics.PhaseAggCompute, "compute-ms/op"},
-				{metrics.PhaseAggReduce, "reduce-ms/op"},
-			} {
-				b.ReportMetric(float64(after[ph.phase]-before[ph.phase])/1e6/float64(b.N), ph.unit)
-			}
+			benchStep(b, transport.NewTCP(), s, wideShape)
 		})
 	}
+}
+
+// BenchmarkMemStep is the tall-split-mem and tiny-split-mem step loops
+// on the mem transport, with BenchmarkWideStepTCP's metrics.
+func BenchmarkMemStep(b *testing.B) {
+	for _, sh := range []stepShape{tallShape, tinyShape} {
+		b.Run(sh.name, func(b *testing.B) {
+			benchStep(b, transport.NewMem(), mllib.StrategySplit, sh)
+		})
+	}
+}
+
+// benchStep times the steps of shape sh under strategy s on net, after
+// three untimed ones.
+func benchStep(b *testing.B, net transport.Network, s mllib.Strategy, sh stepShape) {
+	step, aggBytes, ctx := stepCluster(b, net, s, sh)
+	for i := 0; i < 3; i++ {
+		step()
+	}
+	b.SetBytes(int64(aggBytes))
+	b.ReportAllocs()
+	before, cpu := ctx.Metrics().Snapshot(), processCPU(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+	b.StopTimer()
+	cpu = processCPU(b) - cpu
+	after := ctx.Metrics().Snapshot()
+	for _, ph := range []struct{ phase, unit string }{
+		{metrics.PhaseAggCompute, "compute-ms/op"},
+		{metrics.PhaseAggReduce, "reduce-ms/op"},
+	} {
+		b.ReportMetric(float64(after[ph.phase]-before[ph.phase])/1e6/float64(b.N), ph.unit)
+	}
+	b.ReportMetric(cpu.Seconds()*1e3/float64(b.N), "cpu-ms/op")
+}
+
+// processCPU is the process's user + system CPU time so far
+// (getrusage), what the benchmark's cpu_ms_per_iter reads per step.
+func processCPU(tb testing.TB) time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		tb.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }

@@ -153,10 +153,6 @@ type Context struct {
 	collectives sync.Map // int64 -> CollectiveInfo
 	trackSeq    atomic.Int64
 
-	// inflightJobs counts submitted-but-unfinished JobHandles so a
-	// long-lived driver can Drain before closing the transport.
-	inflightJobs atomic.Int64
-
 	connMu sync.Mutex
 	conns  [][]*lockedConn // driver -> executor task connections, striped
 	connRR []uint32        // round-robin stripe cursor per executor (under connMu)

@@ -473,11 +473,6 @@ func (ctx *Context) submitTaskRetry(spec JobSpec, policy sched.PlacementPolicy) 
 		stage.EndErr(err)
 		return nil, err
 	}
-	ctx.jobStarted()
-	go func() {
-		<-sh.Done()
-		ctx.jobFinished()
-	}()
 	return &JobHandle{fetch: func() ([][]byte, []int, error) {
 		out, werr := sh.Wait()
 		ctx.jobs.Delete(id)
@@ -541,9 +536,7 @@ func (ctx *Context) submitWholeRetry(spec JobSpec, policy sched.PlacementPolicy)
 	tc := stage.Context()
 
 	resCh := make(chan result, 1)
-	ctx.jobStarted()
 	go func() {
-		defer ctx.jobFinished()
 		var lastErr error
 		for stageAttempt := 0; stageAttempt < maxAttempts; stageAttempt++ {
 			id := ctx.newJobID()

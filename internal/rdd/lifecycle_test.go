@@ -8,80 +8,10 @@ import (
 	"time"
 )
 
-// TestStopDrainsInflightJobs: stopping with Drain, then Close, lets
-// running jobs finish before the transport closes, where a bare Close
-// would strand them.
-func TestStopDrainsInflightJobs(t *testing.T) {
-	ctx, err := NewContext(Config{Name: "t-stop", NumExecutors: 2, CoresPerExecutor: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const jobs = 6
-	handles := make([]*JobHandle, jobs)
-	for i := range handles {
-		h, err := ctx.SubmitJob(JobSpec{
-			Tasks: 2,
-			Fn: func(ec *ExecContext, task, attempt int) ([]byte, error) {
-				time.Sleep(10 * time.Millisecond)
-				return []byte{byte(task)}, nil
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		handles[i] = h
-	}
-	if n := ctx.inflightJobs.Load(); n == 0 {
-		t.Fatal("no jobs tracked in flight")
-	}
-	if err := ctx.Drain(5 * time.Second); err != nil {
-		t.Fatalf("Drain: %v", err)
-	}
-	if err := ctx.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	for i, h := range handles {
-		if _, err := h.Wait(); err != nil {
-			t.Fatalf("job %d stranded by Drain and Close: %v", i, err)
-		}
-	}
-	if n := ctx.inflightJobs.Load(); n != 0 {
-		t.Fatalf("%d jobs still tracked after Drain and Close", n)
-	}
-}
-
-// TestStopDrainDeadline: Drain reports a job outliving its budget, and
-// the job fails once Close lands (it is the straggler a bare Close
-// would have failed anyway).
-func TestStopDrainDeadline(t *testing.T) {
-	ctx, err := NewContext(Config{Name: "t-deadline", NumExecutors: 1, CoresPerExecutor: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := ctx.SubmitJob(JobSpec{
-		Tasks: 1,
-		Fn: func(ec *ExecContext, task, attempt int) ([]byte, error) {
-			// Far longer than the drain budget, short enough that Close
-			// (which waits out executor workers) finishes promptly after.
-			time.Sleep(500 * time.Millisecond)
-			return nil, nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ctx.Drain(30 * time.Millisecond); err == nil {
-		t.Fatal("Drain returned nil with a job past the drain deadline")
-	}
-	ctx.Close()
-	if _, err := h.Wait(); err == nil {
-		t.Fatal("job past the drain deadline should fail once Close lands")
-	}
-}
-
 // TestStopLeavesNoGoroutines is the leak check: a serve-style cycle of
-// jobs followed by Drain and Close must return the process to its
-// baseline goroutine count (executor pools, senders, watchers all gone).
+// jobs, each run to completion, followed by Close must return the
+// process to its baseline goroutine count (executor pools, senders,
+// watchers all gone).
 func TestStopLeavesNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for cycle := 0; cycle < 3; cycle++ {
@@ -99,9 +29,6 @@ func TestStopLeavesNoGoroutines(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := ctx.Drain(5 * time.Second); err != nil {
-			t.Fatal(err)
-		}
 		if err := ctx.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +40,7 @@ func TestStopLeavesNoGoroutines(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	t.Fatalf("goroutines leaked across Drain and Close cycles: before=%d after=%d", before, runtime.NumGoroutine())
+	t.Fatalf("goroutines leaked across run-and-Close cycles: before=%d after=%d", before, runtime.NumGoroutine())
 }
 
 // TestConcurrentSubmitJob races many submitters through SubmitJob from
@@ -161,10 +88,7 @@ func TestConcurrentSubmitJob(t *testing.T) {
 			}(si, ji)
 		}
 	}
-	wg.Wait()
-	if err := ctx.Drain(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	wg.Wait() // every handle has been waited
 	snap, err := ctx.sched.Snapshot()
 	if err != nil {
 		t.Fatal(err)
