@@ -19,14 +19,14 @@ import (
 // bit past N) and Vals holds those elements in bit order — the payload
 // of the range's packed form, word for word, so a send copies it and
 // scans nothing. A +0.0 never enters Vals, whether a fold or a sum that
-// cancels made it. Dense, Vals holds all N elements; a body becomes
-// dense once (densify) when a merge leaves more values than its packed
-// form would pack (the ½ rule), and stays dense.
+// cancels made it. Dense, Vals holds all N elements: a body densifies
+// once, when a merge may leave more values than the packed form holds
+// (the ½ rule) or a dense chunk arrives, and stays dense.
 //
-// A merge (MergePacked, MergeDense) takes a chunk train in element
-// order, writes the sum into the second pair of buffers and swaps them
-// in after the last chunk; the buffers are kept for the next merge, so
-// a recycled Body allocates nothing at steady state.
+// A merge (MergePacked) takes a chunk train in element order, writes
+// the sum into the spare buffers and swaps them in after the last
+// chunk; a recycled Body keeps its buffers and allocates nothing at
+// steady state.
 type Body struct {
 	N     int
 	Dense bool
@@ -193,10 +193,7 @@ func (b *Body) valsAt(off, n int) (k, c int) {
 // words.
 func (b *Body) AppendDense(dst []byte, off, n int) []byte {
 	if b.Dense {
-		for _, x := range b.Vals[off : off+n] {
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
-		}
-		return dst
+		return AppendFloat64s(dst, b.Vals[off:off+n])
 	}
 	o := len(dst)
 	dst = append(dst, make([]byte, 8*n)...)
@@ -223,11 +220,18 @@ func (b *Body) MergePacked(off, n int, payload []byte) error {
 	if err != nil {
 		return err
 	}
+	most := 0 // the most values the sum can hold
 	if !b.Dense {
 		if err := b.begin(off); err != nil {
 			return err
 		}
-		if len(b.sumVals)+len(b.Vals)-b.k+len(vals)/8 > packLimit(b.N) {
+		// Those merged so far, the union in this chunk, b's after it.
+		most = len(b.sumVals) + len(b.Vals) - b.k
+		for w := 0; 64*w < n; w++ {
+			mine := BitsAt(b.Bits, off+64*w, min(64, n-64*w))
+			most += bits.OnesCount64(mine|binary.LittleEndian.Uint64(bitmap[8*w:])) - bits.OnesCount64(mine)
+		}
+		if most > packLimit(b.N) {
 			b.densify() // the sum may pass ½: it is made in place
 		}
 	}
@@ -235,21 +239,36 @@ func (b *Body) MergePacked(off, n int, payload []byte) error {
 		addPacked(b.Vals[off:], bitmap, vals)
 		return nil
 	}
-	out := slices.Grow(b.sumVals, len(b.Vals)-b.k+len(vals)/8)
+	out := slices.Grow(b.sumVals, most-len(b.sumVals))
 	var zero float64 // +0.0, the dense range where b holds no value
 	k, i := b.k, 0
 	for w := 0; 64*w < n; w++ {
 		mine := BitsAt(b.Bits, off+64*w, min(64, n-64*w))
 		c := bits.OnesCount64(mine)
 		in := binary.LittleEndian.Uint64(bitmap[8*w:])
-		if in == 0 {
+		u, o := mine|in, len(out)
+		switch {
+		case u == 0:
+			continue
+		case in == 0:
 			out = append(out, b.Vals[k:k+c]...)
 			k += c
 			OrBitsAt(b.sumBits, off+64*w, mine)
 			continue
+		case mine == 0:
+			z := 0
+			for m := in; m != 0; m &= m - 1 {
+				x := zero + Float64At(vals, i)
+				out = append(out, x)
+				z |= 1 - nonZero(math.Float64bits(x))
+				i += 8
+			}
+			if z != 0 {
+				out, u = dropZeros(out, o, u)
+			}
+			OrBitsAt(b.sumBits, off+64*w, u)
+			continue
 		}
-		u := mine | in
-		o := len(out)
 		out = out[:o+bits.OnesCount64(u)]
 		sum := out[o:]
 		for m, v := mine, b.Vals[k:k+c]; m != 0; m &= m - 1 {
