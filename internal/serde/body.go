@@ -248,14 +248,12 @@ func (b *Body) MergePacked(off, n int, payload []byte) error {
 		in := binary.LittleEndian.Uint64(bitmap[8*w:])
 		u, o := mine|in, len(out)
 		switch {
-		case u == 0:
-			continue
 		case in == 0:
 			out = append(out, b.Vals[k:k+c]...)
 			k += c
 			OrBitsAt(b.sumBits, off+64*w, mine)
 			continue
-		case mine == 0:
+		case mine == 0: // incoming only: the sums are in order
 			z := 0
 			for m := in; m != 0; m &= m - 1 {
 				x := zero + Float64At(vals, i)
@@ -356,7 +354,7 @@ func (b *Body) begin(off int) error {
 }
 
 // end records a merge's progress to element at; at N the sum becomes
-// b, dense if it passes the ½ rule.
+// b (MergePacked densified b before a sum past the ½ rule).
 func (b *Body) end(at int) {
 	if b.at = at; at < b.N {
 		return
@@ -364,9 +362,6 @@ func (b *Body) end(at int) {
 	b.Bits, b.sumBits = b.sumBits, b.Bits
 	b.Vals, b.sumVals = b.sumVals, b.Vals
 	b.at = 0
-	if len(b.Vals) > packLimit(b.N) {
-		b.densify()
-	}
 }
 
 // OrBitsAt ORs m into sup at bit b. The bits of m past the ones sup
