@@ -182,12 +182,13 @@ bench-pair:
 # and the driver's pass to the new weights) and cpu-ms/op (the process's
 # CPU time a step, the benchmark's cpu_ms_per_iter), so the phase split
 # prints beside its top. tree.imm is the -bench pattern of the tree+imm
-# step.
+# step; the 1 ms tiny step runs 3 000 times, so its profile is its
+# steps', not its setup's.
 profile:
 	d=$$(mktemp -d) && echo "profile: writing under $$d" && \
-	for s in WideStepTCP/split WideStepTCP/tree WideStepTCP/tree.imm MemStep/tall MemStep/tiny; do \
-		f=$$(echo $$s | tr '/.' '--') && \
-		$(GO) test -run '^$$' -bench "$$s\$$" -benchtime 100x -cpuprofile $$d/$$f.prof -o $$d/step.test ./internal/mllib && \
+	for s in WideStepTCP/split:100 WideStepTCP/tree:100 WideStepTCP/tree.imm:100 MemStep/tall:100 MemStep/tiny:3000; do \
+		n=$${s#*:} && s=$${s%:*} && f=$$(echo $$s | tr '/.' '--') && \
+		$(GO) test -run '^$$' -bench "$$s\$$" -benchtime $${n}x -cpuprofile $$d/$$f.prof -o $$d/step.test ./internal/mllib && \
 		echo "== $$s step" && \
 		$(GO) tool pprof -top -nodecount 25 $$d/step.test $$d/$$f.prof || exit 1; \
 	done

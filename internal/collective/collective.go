@@ -196,7 +196,8 @@ func drainSend(ctx context.Context, done chan error) {
 }
 
 // Ops supplies the type-specific callbacks for a collective over
-// segments of type V. Reduce, Encode and Decode are required; the
+// segments of type V. Reduce, Encode and Decode are required (BodyOps,
+// whose every receive is fused, leave out Reduce and Decode); the
 // remaining callbacks are optional fast paths the collectives use when
 // present.
 type Ops[V any] struct {
@@ -228,8 +229,9 @@ type Ops[V any] struct {
 	EncodedSize func(v V) int
 
 	// The six callbacks below enable the pipelined chunk fast path
-	// (DESIGN.md §11) and must be set together; with any missing the
-	// collectives fall back to whole-segment frames. A chunk payload is
+	// (DESIGN.md §11): the first four the reduce-scatter's, all six the
+	// allgather's. With any of the four missing the collectives fall
+	// back to whole-segment frames. A chunk payload is
 	// a fixed-stride array of element words with no per-chunk length
 	// prefix — counts ride in the frame's chunk header — so byte ranges
 	// map linearly onto element ranges and a segment can be resegmented
@@ -265,7 +267,8 @@ type Ops[V any] struct {
 }
 
 // PackedOps is the zero-suppressed packed chunk form (packed.go,
-// DESIGN.md §11); the first four callbacks are required. Supplying it asserts
+// DESIGN.md §11); the first three callbacks are required, and the
+// allgather also decodes with DecodeChunkInto. Supplying it asserts
 // that Reduce is IEEE addition of element words and that segments are
 // summed up from +0.0 — the only algebra under which not shipping a zero
 // word is value-exact. Ops without it never send a packed frame and fail

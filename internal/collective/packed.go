@@ -72,32 +72,20 @@ var bodyPacked = &PackedOps[*serde.Body]{
 	DecodeReduceChunkInto: func(acc *serde.Body, off, n int, payload []byte) error {
 		return malformedChunk(acc.MergePacked(off, n, payload))
 	},
-	DecodeChunkInto: func(dst *serde.Body, off, n int, payload []byte) error {
-		return malformedChunk(serde.DecodePackedF64(dst.Vals, off, n, payload))
-	},
 }
 
 // BodyOps are F64Ops over segments held as serde.Body, for the
-// reduce-scatter of a compact aggregator (RingReduceScatterFrom): the
-// same chunk plan, forms and bytes as F64Ops over the dense segments,
-// from a send that copies a packed body and a receive that merges into
-// it. A chunk is merged into a body on its channel's goroutine, never
-// sharded, and a body is not cleared as it is sent (no TakeChunkTo): its
-// source recycles it whole. MakeSegment and Decode make dense bodies.
+// reduce-scatter of a compact aggregator (RingReduceScatterFrom) only:
+// the same chunk plan, forms and bytes as F64Ops over the dense
+// segments, from a send that copies a packed body and a receive that
+// merges into it. A chunk is merged into a body on its channel's
+// goroutine, never sharded, and a body is not cleared as it is sent (no
+// TakeChunkTo): its source recycles it whole. They have no Reduce or
+// Decode (every receive is fused) and no allgather assembly.
 func BodyOps() Ops[*serde.Body] {
 	return Ops[*serde.Body]{
-		Reduce: func(a, b *serde.Body) *serde.Body {
-			if err := a.MergeDense(0, b.AppendDense(nil, 0, b.N)); err != nil {
-				panic(err)
-			}
-			return a
-		},
 		Encode: func(dst []byte, b *serde.Body) []byte {
 			return b.AppendDense(binary.LittleEndian.AppendUint32(dst, uint32(b.N)), 0, b.N)
-		},
-		Decode: func(src []byte) (*serde.Body, error) {
-			v, err := decodeF64(src)
-			return &serde.Body{N: len(v), Dense: true, Vals: v}, err
 		},
 		DecodeReduceInto: func(acc *serde.Body, wire []byte) (*serde.Body, error) {
 			n, body, err := f64WireBody(wire)
@@ -116,10 +104,6 @@ func BodyOps() Ops[*serde.Body] {
 		EncodeChunkTo:    func(dst []byte, b *serde.Body, off, n int) []byte { return b.AppendDense(dst, off, n) },
 		DecodeReduceChunkInto: func(acc *serde.Body, off int, payload []byte) error {
 			return acc.MergeDense(off, payload)
-		},
-		MakeSegment: func(n int) *serde.Body { return &serde.Body{N: n, Dense: true, Vals: make([]float64, n)} },
-		DecodeChunkInto: func(dst *serde.Body, off int, payload []byte) error {
-			return decodeChunkF64(dst.Vals, off, payload)
 		},
 
 		Packed: bodyPacked,

@@ -134,20 +134,22 @@ func RingChannels[V any](ctx context.Context, p, elems int, ops Ops[V]) int {
 	return max(1, min(p, (elems*stride+chunk-1)/chunk))
 }
 
-// chunkCapable reports whether ops supplies the full chunk fast path.
+// chunkCapable reports whether ops supplies the chunk fast path of a
+// reduce-scatter; the allgather also assembles with MakeSegment and
+// DecodeChunkInto.
 func chunkCapable[V any](ops Ops[V]) bool {
 	return ops.Elems != nil && ops.ChunkEncodedSize != nil &&
-		ops.EncodeChunkTo != nil && ops.DecodeReduceChunkInto != nil &&
-		ops.MakeSegment != nil && ops.DecodeChunkInto != nil
+		ops.EncodeChunkTo != nil && ops.DecodeReduceChunkInto != nil
 }
 
 // ChunkStride returns the chunk payload bytes per element when ops
-// supplies the full chunk fast path with a linear encoding, else 0. A
-// positive stride means any element range of a segment has a raw wire
-// form of stride × elements bytes (EncodeChunkTo) that decodes in place
-// at any element offset of a MakeSegment'ed segment (DecodeChunkInto) —
-// what the pipelined ring cuts its trains from, and what lets a gather
-// assemble segments into one vector without intermediate values.
+// supply the chunk fast path with a linear encoding, else 0. A positive
+// stride means any element range of a segment has a raw wire form of
+// stride × elements bytes (EncodeChunkTo) that reduces in place at any
+// element offset — what the pipelined ring cuts its trains from — and,
+// for ops that gather, decodes into a MakeSegment'ed segment
+// (DecodeChunkInto), which lets a gather assemble segments into one
+// vector without intermediate values.
 func (ops Ops[V]) ChunkStride() int {
 	if !chunkCapable(ops) {
 		return 0

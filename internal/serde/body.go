@@ -77,21 +77,14 @@ func (b *Body) Load(n int, sup []uint64, lo int, vals []float64) {
 	for _, x := range b.Vals {
 		z |= 1 - nonZero(math.Float64bits(x))
 	}
-	if z != 0 {
-		// A fold can leave +0.0 at a set bit of its support.
-		o, k := 0, 0
+	if z != 0 { // a fold can leave +0.0 at a set bit of its support
+		all, o := b.Vals, 0
+		b.Vals = b.Vals[:0]
 		for w, m := range b.Bits {
-			for ; m != 0; m &= m - 1 {
-				if x := b.Vals[o]; math.Float64bits(x) == 0 {
-					b.Bits[w] &^= m & -m
-				} else {
-					b.Vals[k] = x
-					k++
-				}
-				o++
-			}
+			c := bits.OnesCount64(m)
+			b.Vals, b.Bits[w] = dropZeros(append(b.Vals, all[o:o+c]...), len(b.Vals), m)
+			o += c
 		}
-		b.Vals = b.Vals[:k]
 	}
 	if len(b.Vals) > packLimit(n) {
 		b.densify()
