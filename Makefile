@@ -61,11 +61,12 @@ test: build
 # FuzzCompactSegments seeds beside the packages' TestSplitCompactMatchesDense
 # and TestRingSourceMatchesSlice), whose segment bodies are parked and
 # unparked across ring goroutines under the free lists' double-park
-# guard (core runs its other -race suites in test-chaos and
-# chaos-elastic).
+# guard; and core's tree (TestTreeRounds and TestStragglerTree), whose
+# blocks are put and fetched across executor goroutines (core runs its
+# other -race suites in test-chaos and chaos-elastic).
 race:
 	$(GO) test -race ./internal/collective ./internal/comm ./internal/rdd ./internal/sched ./internal/transport ./internal/metrics ./internal/trace ./internal/obsv ./internal/linalg ./internal/mllib
-	$(GO) test -race -run 'AllReduceFrameOverhead|CompactRingOverhead|FuzzCompactSegments' ./internal/core
+	$(GO) test -race -run 'AllReduceFrameOverhead|CompactRingOverhead|FuzzCompactSegments|TreeRounds|StragglerTree' ./internal/core
 
 # Fault-injection suites (see DESIGN.md "Fault model"): kill/drop/delay
 # matrices over the raw collectives, end-to-end core.Aggregate, and

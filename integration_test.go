@@ -227,11 +227,12 @@ func TestConcurrentJobsOneContext(t *testing.T) {
 				}
 				return out, nil
 			})
-			sum, err := rdd.TreeAggregate(r,
-				func() int64 { return 0 },
-				func(a int64, v int64) int64 { return a + v },
-				func(a, b int64) int64 { return a + b },
-				rdd.AggregateOptions{}, nil)
+			sum, err := core.Aggregate(context.Background(), r, core.AggFuncs[int64, int64, int64]{
+				Zero:    func() int64 { return 0 },
+				SeqOp:   func(a int64, v int64) int64 { return a + v },
+				MergeOp: func(a, b int64) int64 { return a + b },
+				SplitOp: func(u int64, _, _ int) int64 { return u },
+			}, core.WithStrategy(core.StrategyTree))
 			if err != nil {
 				t.Errorf("job %d: %v", g, err)
 				return

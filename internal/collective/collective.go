@@ -297,13 +297,6 @@ type PackedOps[V any] struct {
 	// the marked elements and leaves the rest alone, with the same
 	// validate-first, non-retaining contract.
 	DecodeChunkInto func(dst V, off, n int, payload []byte) error
-	// TakeChunkTo is EncodeChunkTo, the same bytes, for a range that is
-	// sent for the last time: it leaves elements [off, off+n) of v +0.0,
-	// as Zero made them. ClearChunk does the same after a dense encode.
-	// When set (both or neither), they let RingReduceScatterFrom hand
-	// each segment back to its source clean without another pass over it.
-	TakeChunkTo func(dst []byte, v V, off, n int, cand []uint64, bit int) []byte
-	ClearChunk  func(v V, off, n int)
 }
 
 // sizeHint picks the pooled-buffer size for the next encode: the exact
@@ -553,7 +546,7 @@ func RingReduceScatter[V any](ctx context.Context, e *comm.Endpoint, segs []V, p
 	if p := parallelism; p > 0 && len(segs) != p*e.Size() {
 		return nil, fmt.Errorf("collective: need %d segments (P=%d × N=%d), got %d", p*e.Size(), p, e.Size(), len(segs))
 	}
-	return reduceScatter(ctx, e, sliceSegments[V]{segs, ops.Elems}, parallelism, ops, false)
+	return RingReduceScatterFrom(ctx, e, sliceSegments[V]{segs, ops.Elems}, parallelism, ops)
 }
 
 // Segments is where RingReduceScatterFrom reads the P×N segments it
@@ -567,12 +560,9 @@ func RingReduceScatter[V any](ctx context.Context, e *comm.Endpoint, segs []V, p
 //     use: the channel's first send, or the first receive reduced into
 //     it. The ring then owns it and reduces into it in place.
 //   - Give(i, ch, v) returns segment i, as v, once its last chunk is
-//     encoded for its one send. When Ops take (PackedOps.TakeChunkTo),
-//     the ring encodes that send with TakeChunkTo or ClearChunk, so v
-//     comes back all +0.0 and the source can hand it out again without
-//     clearing it. A step whose send fits the two-chunk send window
-//     gives its segment back before it takes the one it reduces into,
-//     so a source can reuse one buffer a channel.
+//     encoded for its one send. A step whose send fits the two-chunk
+//     send window gives its segment back before it takes the one it
+//     reduces into, so a source can reuse one buffer a channel.
 //
 // Each segment is taken once and given back at most once; the P
 // segments the caller ends up owning are never given back (they are in
@@ -588,8 +578,7 @@ type Segments[V any] interface {
 
 // sliceSegments is the trivial source behind RingReduceScatter: segment
 // i is segs[i], taken as it is (the ring reduces in the caller's
-// memory), and giving it back does nothing. Its segments are not
-// cleared as they are sent.
+// memory), and giving it back does nothing.
 type sliceSegments[V any] struct {
 	segs  []V
 	elems func(V) int
@@ -611,15 +600,8 @@ func srcElems[V any, S Segments[V]](src S, lo, hi int) int {
 // RingReduceScatterFrom is RingReduceScatter over the P×N segments src
 // hands out (Segments): the same schedule, frames and result, with each
 // segment taken just before its first use and given back after its last
-// send — all +0.0 when ops take. A WithSupport bitmap covers the
-// concatenation of src's segments.
+// send. A WithSupport bitmap covers the concatenation of src's segments.
 func RingReduceScatterFrom[V any, S Segments[V]](ctx context.Context, e *comm.Endpoint, src S, parallelism int, ops Ops[V]) (map[int]V, error) {
-	return reduceScatter(ctx, e, src, parallelism, ops, ops.CanPack() && ops.Packed.TakeChunkTo != nil)
-}
-
-// reduceScatter is the one reduce-scatter; with take, every send of a
-// segment — in reduce-scatter its only one — also leaves it +0.0.
-func reduceScatter[V any, S Segments[V]](ctx context.Context, e *comm.Endpoint, src S, parallelism int, ops Ops[V], take bool) (map[int]V, error) {
 	n := e.Size()
 	p := parallelism
 	if p <= 0 {
@@ -679,7 +661,6 @@ func reduceScatter[V any, S Segments[V]](ctx context.Context, e *comm.Endpoint, 
 			// N-1 times.
 			var rc ringChan[V]
 			rc.init(e, ops, ch, epoch, tel, chunkBytes, cores)
-			rc.take = take
 			if sup != nil {
 				rc.loadSupport(&mu, sup, srcElems[V](src, 0, ch*n), srcElems[V](src, ch*n, (ch+1)*n))
 			}

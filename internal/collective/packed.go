@@ -41,10 +41,6 @@ func (ops Ops[V]) CanPack() bool {
 var f64Packed = &PackedOps[[]float64]{
 	ChunkSize:     serde.PackedSizeF64,
 	EncodeChunkTo: serde.EncodePackedF64,
-	TakeChunkTo:   serde.TakePackedF64,
-	ClearChunk: func(v []float64, off, n int) {
-		clear(v[off : off+n])
-	},
 	DecodeReduceChunkInto: func(acc []float64, off, n int, payload []byte) error {
 		return malformedChunk(serde.DecodeReducePackedF64(acc, off, n, payload))
 	},
@@ -79,9 +75,9 @@ var bodyPacked = &PackedOps[*serde.Body]{
 // the same chunk plan, forms and bytes as F64Ops over the dense
 // segments, from a send that copies a packed body and a receive that
 // merges into it. A chunk is merged into a body on its channel's
-// goroutine, never sharded, and a body is not cleared as it is sent (no
-// TakeChunkTo): its source recycles it whole. They have no Reduce or
-// Decode (every receive is fused) and no allgather assembly.
+// goroutine, never sharded, and a body is not cleared as it is sent:
+// its source recycles it whole. They have no Reduce or Decode (every
+// receive is fused) and no allgather assembly.
 func BodyOps() Ops[*serde.Body] {
 	return Ops[*serde.Body]{
 		Encode: func(dst []byte, b *serde.Body) []byte {

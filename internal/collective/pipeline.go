@@ -228,7 +228,6 @@ type ringChan[V any] struct {
 	chunkBytes int  // target chunk payload bytes; 0 = chunking off
 	stride     int  // payload bytes per element (0 when ops lack chunk support)
 	packs      bool // ops supply the packed chunk form
-	take       bool // reduce-scatter leaves what it sends +0.0 (packs only)
 
 	// The reduce-scatter channel's private support copy (support.go):
 	// nil means scan. supLo is its bit in the shared bitmap; outBit and
@@ -405,9 +404,6 @@ func (rc *ringChan[V]) encodeChunkFrame(spanID uint64, v V, idx, total, elemOff,
 	wire := rc.ops.EncodeChunkTo(buf[:hs], v, elemOff, elemCnt)
 	releaseIfAbandoned(buf, wire)
 	rc.stampChunk(wire, spanID, idx, total, elemOff, elemCnt, elemAll, formDense)
-	if rc.take {
-		rc.ops.Packed.ClearChunk(v, elemOff, elemCnt)
-	}
 	return wire
 }
 
@@ -426,11 +422,7 @@ func (rc *ringChan[V]) encodePackedFrame(spanID uint64, v V, idx, total, elemOff
 	}
 	hs := chunkHeaderSize(spanID)
 	buf := comm.GetBuffer(hs + size)
-	encode := rc.ops.Packed.EncodeChunkTo
-	if rc.take {
-		encode = rc.ops.Packed.TakeChunkTo
-	}
-	wire := encode(buf[:hs], v, elemOff, elemCnt, rc.sup, bit)
+	wire := rc.ops.Packed.EncodeChunkTo(buf[:hs], v, elemOff, elemCnt, rc.sup, bit)
 	releaseIfAbandoned(buf, wire)
 	rc.stampChunk(wire, spanID, idx, total, elemOff, elemCnt, elemAll, formPacked)
 	rc.lastRaw = int64(hs + rc.stride*elemCnt)
@@ -466,9 +458,6 @@ func (rc *ringChan[V]) encodeNext(spanID uint64, v V, total, elems, per int) []b
 	buf := comm.GetBuffer(sizeHint(rc.ops, rc.hint, v) + frameHeaderSize(spanID))
 	wire := encodeFrame(rc.ops, rc.epoch, spanID, buf, v)
 	rc.hint = len(wire)
-	if rc.take {
-		rc.ops.Packed.ClearChunk(v, 0, elems)
-	}
 	return wire
 }
 

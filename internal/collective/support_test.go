@@ -34,9 +34,7 @@ func supersetOf(v []float64, bit int, extra []byte) []uint64 {
 
 // requireSupportMatchesScan: sizing and encoding v[off:off+n] from the
 // candidates cand (at bit) chooses what the scan chooses, produces the
-// scan's bytes, and stays within the size it promised; so does the
-// taking encoder (serde.TakePackedF64), which also leaves the range, and
-// nothing else, +0.0.
+// scan's bytes, and stays within the size it promised.
 func requireSupportMatchesScan(t *testing.T, v []float64, off, n int, cand []uint64, bit int) {
 	t.Helper()
 	scan := serde.PackedSizeF64(v, off, n, nil, 0)
@@ -55,19 +53,6 @@ func requireSupportMatchesScan(t *testing.T, v []float64, off, n int, cand []uin
 	got := serde.EncodePackedF64(make([]byte, 0, sized), v, off, n, cand, bit)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("n=%d bit=%d: encoding from the support changed the bytes (%d vs %d)", n, bit, len(got), len(want))
-	}
-	taken := slices.Clone(v)
-	if got := serde.TakePackedF64(make([]byte, 0, sized), taken, off, n, cand, bit); !bytes.Equal(got, want) {
-		t.Fatalf("n=%d bit=%d: the taking encoder changed the bytes (%d vs %d)", n, bit, len(got), len(want))
-	}
-	for i := range v {
-		want := math.Float64bits(v[i])
-		if i >= off && i < off+n {
-			want = 0
-		}
-		if math.Float64bits(taken[i]) != want {
-			t.Fatalf("n=%d bit=%d: the taking encoder left element %d as %#x", n, bit, i, math.Float64bits(taken[i]))
-		}
 	}
 }
 
@@ -205,8 +190,7 @@ func TestRingSupportMatchesScan(t *testing.T) {
 // aggregator holds them — the values at the set bits of sup, +0.0
 // elsewhere — built into a fresh buffer when the ring takes a segment.
 // It checks the ring's side of the contract: each segment taken once by
-// its own block's channel, given back once after it was taken, and all
-// +0.0 (F64Ops pack, so the ring's send cleared it).
+// its own block's channel, and given back once after it was taken.
 type denseSource struct {
 	segs   [][]float64
 	n      int
@@ -235,11 +219,6 @@ func (s *denseSource) Give(i, ch int, v []float64) {
 		s.failed = fmt.Sprintf("segment %d given back twice, untaken, or by channel %d", i, ch)
 	}
 	s.given[i] = true
-	for j, x := range v {
-		if math.Float64bits(x) != 0 {
-			s.failed = fmt.Sprintf("segment %d given back with element %d not +0.0", i, j)
-		}
-	}
 }
 
 // TestRingSourceMatchesSlice: reduce-scatter from a source that builds
@@ -248,9 +227,9 @@ func (s *denseSource) Give(i, ch int, v []float64) {
 // same support left in the caller's bitmap, and the same frames (wire
 // bytes, dense equivalent and step count) — and takes and gives back
 // the segments as Segments promises: every segment once, the owned ones
-// never given back, the rest given back once and all +0.0 — with dense
-// and packed chunks in every train (headDense), and −0.0 and NaN
-// payloads among the values.
+// never given back, the rest given back once — with dense and packed
+// chunks in every train (headDense), and −0.0 and NaN payloads among
+// the values.
 func TestRingSourceMatchesSlice(t *testing.T) {
 	const n, segLen = 4, 3001
 	for _, p := range []int{1, 3} {

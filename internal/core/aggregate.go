@@ -322,8 +322,7 @@ func Aggregate[T, U, V any](ctx context.Context, r *rdd.RDD[T], fns AggFuncs[T, 
 	if strategy == StrategyTree {
 		// Not IMM-based: nothing stays resident on the executors, and its
 		// stages retry task by task inside the engine.
-		u, err := rdd.TreeAggregate(r, fns.Zero, fns.SeqOp, fns.MergeOp,
-			rdd.AggregateOptions{Depth: o.Depth, TraceParent: span.Context()}, fns.treeHooks())
+		u, err := runTree(r, span.Context(), &fns, o.Depth)
 		if err != nil {
 			return zv, err
 		}
@@ -474,10 +473,7 @@ func runAttempt[T, U, V any](ctx context.Context, r *rdd.RDD[T], fns *AggFuncs[T
 
 	// Stage 1: reduced-result stage (IMM) → one aggregator per executor.
 	start := time.Now()
-	// Only ops that pack read the supports: the ring's, and the IMM
-	// gather's []float64 frames (f64Wire).
-	track := fns.Support != nil && fns.Ops != nil && fns.Ops.CanPack()
-	held, err := runIMMStage(r, key, aggSC, fns, track)
+	held, err := runIMMStage(r, key, aggSC, fns)
 	if err != nil {
 		return zv, errors.Is(err, rdd.ErrStageCleanup), err
 	}

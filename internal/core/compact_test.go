@@ -315,14 +315,14 @@ type sparsePart struct {
 }
 
 // sparseRDD is parts partitions of one sparsePart each over a
-// dim-element aggregator: about one element in 16, small integers, so
+// dim-element aggregator: about per16 elements in 16, small integers, so
 // any order of additions gives the same sum.
-func sparseRDD(ctx *rdd.Context, parts, dim int) *rdd.RDD[sparsePart] {
+func sparseRDD(ctx *rdd.Context, parts, dim, per16 int) *rdd.RDD[sparsePart] {
 	return rdd.Generate(ctx, parts, func(part int) ([]sparsePart, error) {
 		rng := rand.New(rand.NewSource(int64(part) + 1))
 		sp := sparsePart{sup: make([]uint64, serde.PackedWords(dim))}
 		for j := 0; j < dim; j++ {
-			if rng.Intn(16) == 0 {
+			if rng.Intn(16) < per16 {
 				sp.idx = append(sp.idx, j)
 				sp.vals = append(sp.vals, float64(rng.Intn(9)+1))
 				sp.sup[j>>6] |= 1 << uint(j&63)
@@ -333,12 +333,12 @@ func sparseRDD(ctx *rdd.Context, parts, dim int) *rdd.RDD[sparsePart] {
 }
 
 // sparseWant is the sum sparseRDD's partitions add up to.
-func sparseWant(parts, dim int) []float64 {
+func sparseWant(parts, dim, per16 int) []float64 {
 	want := make([]float64, dim)
 	for part := 0; part < parts; part++ {
 		rng := rand.New(rand.NewSource(int64(part) + 1))
 		for j := 0; j < dim; j++ {
-			if rng.Intn(16) == 0 {
+			if rng.Intn(16) < per16 {
 				want[j] += float64(rng.Intn(9) + 1)
 			}
 		}
@@ -386,7 +386,7 @@ func sparseFuncs(dim int, folds *atomic.Int64) AggFuncs[sparsePart, []float64, [
 // twice.
 func TestChaosCompactKillBetweenStages(t *testing.T) {
 	const parts, dim, par = 3, 40_000, 4
-	want := sparseWant(parts, dim)
+	want := sparseWant(parts, dim, 1)
 	for _, s := range []Strategy{StrategySplit, StrategyAllReduce} {
 		t.Run(s.String(), func(t *testing.T) {
 			churn := &churnBetweenStages{victim: 1, killOnly: true}
@@ -399,7 +399,7 @@ func TestChaosCompactKillBetweenStages(t *testing.T) {
 			defer ctx.Close()
 			churn.ctx = ctx
 			var folds atomic.Int64
-			got, err := Aggregate(fillChannels(context.Background(), dim, par), sparseRDD(ctx, parts, dim), sparseFuncs(dim, &folds),
+			got, err := Aggregate(fillChannels(context.Background(), dim, par), sparseRDD(ctx, parts, dim, 1), sparseFuncs(dim, &folds),
 				WithStrategy(s), WithParallelism(par))
 			if churn.err != nil {
 				t.Fatalf("kill: %v", churn.err)
@@ -415,7 +415,7 @@ func TestChaosCompactKillBetweenStages(t *testing.T) {
 				t.Fatalf("%d compact folds, want %d: both attempts fold every partition", n, 2*parts)
 			}
 			// The next aggregation, on the two survivors, is exact too.
-			if got, err = Aggregate(fillChannels(context.Background(), dim, par), sparseRDD(ctx, parts, dim), sparseFuncs(dim, &folds),
+			if got, err = Aggregate(fillChannels(context.Background(), dim, par), sparseRDD(ctx, parts, dim, 1), sparseFuncs(dim, &folds),
 				WithStrategy(s), WithParallelism(par)); err != nil {
 				t.Fatal(err)
 			}
@@ -435,7 +435,7 @@ func TestCompactFoldContract(t *testing.T) {
 	f.Fold = func(dst []float64, elems []sparsePart) ([]float64, int, bool, error) {
 		return append(dst, 1), dim, true, nil
 	}
-	_, err := Aggregate(context.Background(), sparseRDD(ctx, parts, dim), f, WithStrategy(StrategySplit))
+	_, err := Aggregate(context.Background(), sparseRDD(ctx, parts, dim, 1), f, WithStrategy(StrategySplit))
 	if err == nil {
 		t.Fatal("a Fold with one value for a wide support was accepted")
 	}

@@ -5,8 +5,8 @@
 // Aggregate is the one entry point; its Strategy option selects among
 // the reductions of the paper's Figure 16 comparison:
 //
-//   - StrategyTree — the Spark baseline (rdd.TreeAggregate): per-task
-//     serialized results, combiner stages, serial driver merge.
+//   - StrategyTree — the Spark baseline, treeAggregate (runTree):
+//     per-task serialized results, combiner stages, serial driver merge.
 //   - StrategyIMM — tree aggregation with in-memory merge: tasks on the
 //     same executor merge into a shared aggregator inside the mutable
 //     object manager before anything is serialized, so only one result
@@ -45,8 +45,10 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"time"
 
 	"sparker/internal/collective"
+	"sparker/internal/metrics"
 	"sparker/internal/rdd"
 	"sparker/internal/serde"
 	"sparker/internal/trace"
@@ -129,6 +131,52 @@ func (s *support) words(elems int) []uint64 {
 	return s.bits
 }
 
+// foldPartition is one task's fold of its partition, the IMM stage's
+// and the tree's stage 1's: the support of its elements ORed
+// (AggFuncs.Support) when Ops pack — only they read it: the ring, and
+// the []float64 frames (f64Wire) — then the compact fold (compactFold),
+// or Zero and SeqOp over data when that declines. n > 0 marks a compact
+// accumulator of n elements (immState).
+func (f *AggFuncs[T, U, V]) foldPartition(data []T) (acc U, sup support, n int, err error) {
+	track := f.Support != nil && f.Ops != nil && f.Ops.CanPack()
+	sup = support{known: track}
+	for i := 0; track && i < len(data); i++ {
+		sup.add(f.Support(data[i]))
+	}
+	vals, n, compact, err := f.compactFold(data, sup.bits)
+	switch {
+	case err != nil:
+		return acc, sup, 0, err
+	case compact:
+		return any(vals).(U), sup, n, nil
+	}
+	acc = f.Zero()
+	for _, v := range data {
+		acc = f.SeqOp(acc, v)
+	}
+	return acc, sup, 0, nil
+}
+
+// encodeFrame is the tree frame of an accumulator that the caller is
+// done with (a tree block, or an IMM gather result), into draw's
+// buffer: a compact one (n > 0) is written from its values when its
+// support settles the packed form, and is otherwise expanded — exact,
+// by Fold's contract — and encoded as a dense one is (encodeAgg). The
+// accumulator's memory goes back to its free list.
+func (f *AggFuncs[T, U, V]) encodeFrame(u U, sup support, n int, draw func(int) []byte) ([]byte, error) {
+	if n > 0 {
+		vals := any(u).([]float64)
+		if frame, ok := serde.EncodeF64Support(draw, n, sup.bits, vals); ok {
+			compactVals.put(vals)
+			return frame, nil
+		}
+		u = f.expand(u, sup, n)
+	}
+	wire, err := f.encodeAgg(u, sup, draw)
+	f.recycle(u)
+	return wire, err
+}
+
 // runIMMStage executes the reduced-result stage: every partition is
 // folded with seqOp into its own accumulator; the first accumulator to
 // finish on an executor is adopted as that executor's resident
@@ -142,9 +190,9 @@ func (s *support) words(elems int) []uint64 {
 // failure the stage's shared values are cleared on every executor and
 // the whole stage re-submitted (§3.2). Afterwards each executor that ran
 // a task holds exactly one aggregator under key; held reports which
-// executors those are. With track, each executor's support
-// (AggFuncs.Support) is folded beside its aggregator.
-func runIMMStage[T, U, V any](r *rdd.RDD[T], key string, parent trace.SpanContext, fns *AggFuncs[T, U, V], track bool) (held map[int]bool, err error) {
+// executors those are. Each executor's support (foldPartition) is
+// folded beside its aggregator.
+func runIMMStage[T, U, V any](r *rdd.RDD[T], key string, parent trace.SpanContext, fns *AggFuncs[T, U, V]) (held map[int]bool, err error) {
 	h, err := r.Context().SubmitJob(rdd.JobSpec{
 		Tasks:       r.NumPartitions(),
 		TraceParent: parent,
@@ -155,22 +203,9 @@ func runIMMStage[T, U, V any](r *rdd.RDD[T], key string, parent trace.SpanContex
 			}
 			// Fold locally first so executor cores compute in parallel;
 			// only the final merge serializes on the shared object.
-			sup := support{known: track}
-			for i := 0; track && i < len(data); i++ {
-				sup.add(fns.Support(data[i]))
-			}
-			vals, n, compact, err := fns.compactFold(data, sup.bits)
+			acc, sup, n, err := fns.foldPartition(data)
 			if err != nil {
 				return nil, err
-			}
-			var acc U
-			if compact {
-				acc = any(vals).(U)
-			} else {
-				acc = fns.Zero()
-				for _, v := range data {
-					acc = fns.SeqOp(acc, v)
-				}
 			}
 			ec.MutObjs.GetOrCreate(key, func() any { return &immState[U]{} }).Update(func(v any) any {
 				st := v.(*immState[U])
@@ -281,20 +316,7 @@ func gatherIMM[T, U, V any](ctx *rdd.Context, parent trace.SpanContext, key stri
 			if err != nil {
 				return nil, err
 			}
-			if n > 0 {
-				// A compact aggregator's frame is written from its values
-				// when its support settles the packed form; otherwise the
-				// aggregator is expanded and encoded as a dense one is.
-				vals := any(agg).([]float64)
-				if frame, ok := serde.EncodeF64Support(ec.ResultBuf, n, sup.bits, vals); ok {
-					compactVals.put(vals)
-					return frame, nil
-				}
-				agg = fns.expand(agg, sup, n)
-			}
-			wire, err := fns.encodeAgg(agg, sup, ec.ResultBuf)
-			fns.recycle(agg)
-			return wire, err
+			return fns.encodeFrame(agg, sup, n, ec.ResultBuf)
 		},
 	})
 	if err != nil {
@@ -308,6 +330,140 @@ func gatherIMM[T, U, V any](ctx *rdd.Context, parent trace.SpanContext, key stri
 		return nil, err
 	}
 	return payloads, nil
+}
+
+// runTree is StrategyTree, Spark's treeAggregate: stage 1 folds each
+// partition to its frame under the RDD's placement policy, rounds of
+// combine tasks merge the previous round's frames from the wire, and
+// the driver merges the last round's serially in task order
+// (reduceFrames) — the non-scalable reduction Sparker replaces. The
+// round plan is fixed before stage 1: Spark computes scale = max(2,
+// ⌈parts^(1/depth)⌉) and adds a round of ⌈cur/scale⌉ combiners while
+// that keeps shrinking the count. Each round but the last stores its
+// frames in the executors' block stores for the next to fetch, and a
+// cleanup job drops them; the last round's are built in the task's
+// result buffer and come home as its results, of any size (Spark's
+// 1 MiB switch to fetched results is not modelled).
+func runTree[T, U, V any](r *rdd.RDD[T], parent trace.SpanContext, fns *AggFuncs[T, U, V], depth int) (U, error) {
+	var zu U
+	rc := r.Context()
+	prefix := fmt.Sprintf("agg/%d/", rc.NewOpID())
+	var combiners []int
+	for cur, scale := r.NumPartitions(), max(2, intRoot(r.NumPartitions(), depth)); depth > 1 && cur > scale+cur/scale; {
+		cur = (cur + scale - 1) / scale
+		combiners = append(combiners, cur)
+	}
+	last := len(combiners)
+	if last > 0 {
+		// Best effort: an unreachable executor's blocks go with it.
+		defer rc.RunOnLiveExecutors(parent, func(ec *rdd.ExecContext, _, _ int) ([]byte, error) {
+			ec.Store.DeletePrefix(prefix)
+			return nil, nil
+		})
+	}
+	blockID := func(round, idx int) string {
+		return fmt.Sprintf("%sr%d/%d", prefix, round, idx)
+	}
+	// seal ends a round's task with its accumulator's frame: the last
+	// round's is its result, an earlier round's is stored.
+	seal := func(ec *rdd.ExecContext, round, task int, u U, sup support, n int) ([]byte, error) {
+		if round == last {
+			return fns.encodeFrame(u, sup, n, ec.ResultBuf)
+		}
+		frame, err := fns.encodeFrame(u, sup, n, nil)
+		if err == nil {
+			ec.Store.PutLocal(blockID(round, task), frame)
+		}
+		return nil, err
+	}
+
+	// Stage 1 (agg-compute).
+	start := time.Now()
+	h, err := rc.SubmitJob(rdd.JobSpec{
+		TraceParent: parent,
+		Tasks:       r.NumPartitions(),
+		Policy:      r.PlacementPolicy(),
+		Fn: func(ec *rdd.ExecContext, task, attempt int) ([]byte, error) {
+			data, err := r.Materialize(ec, task)
+			if err != nil {
+				return nil, err
+			}
+			acc, sup, n, err := fns.foldPartition(data)
+			if err != nil {
+				return nil, err
+			}
+			return seal(ec, 0, task, acc, sup, n)
+		},
+	})
+	var payloads [][]byte
+	if err == nil {
+		payloads, err = h.Wait()
+	}
+	rc.RecordPhase(metrics.PhaseAggCompute, time.Since(start), "treeAggregate stage 1")
+	if err != nil {
+		return zu, err
+	}
+	// Where each block actually landed: the winning executor of each
+	// task. Speculation or cache-aware placement can move a task off
+	// i % NumExecutors, so combine rounds follow the recorded owners.
+	place := h.Executors()
+
+	// Combine rounds (agg-reduce), each repartitioning the previous
+	// round's blocks by part % numCombiners.
+	start = time.Now()
+	defer func() { rc.RecordPhase(metrics.PhaseAggReduce, time.Since(start), "treeAggregate combine+driver") }()
+	cur := r.NumPartitions()
+	for i, numCombiners := range combiners {
+		srcCount, srcPlace, round := cur, place, i+1
+		h, err := rc.SubmitJob(rdd.JobSpec{
+			TraceParent: parent,
+			Tasks:       numCombiners,
+			Fn: func(ec *rdd.ExecContext, task, attempt int) ([]byte, error) {
+				acc := fns.Zero()
+				for p := task; p < srcCount; p += numCombiners {
+					wire, err := ec.Store.FetchFrom(rc.ExecutorStoreName(srcPlace[p]), blockID(round-1, p))
+					if err != nil {
+						return nil, err
+					}
+					if acc, err = fns.mergeWire(acc, wire); err != nil {
+						return nil, err
+					}
+				}
+				return seal(ec, round, task, acc, support{}, 0)
+			},
+		})
+		if err == nil {
+			payloads, err = h.Wait()
+		}
+		if err != nil {
+			return zu, err
+		}
+		place, cur = h.Executors(), numCombiners
+	}
+	return fns.reduceFrames(payloads, nil)
+}
+
+// intRoot returns ⌈n^(1/k)⌉ computed in integers.
+func intRoot(n, k int) int {
+	if n <= 1 {
+		return 1
+	}
+	r := 1
+	for pow(r, k) < n {
+		r++
+	}
+	return r
+}
+
+func pow(b, e int) int {
+	p := 1
+	for i := 0; i < e; i++ {
+		p *= b
+		if p < 0 { // overflow guard; callers use tiny exponents
+			return 1 << 62
+		}
+	}
+	return p
 }
 
 // f64Wire reports whether the tree strategies' frames are []float64
@@ -413,44 +569,6 @@ func finishF64[V any](agg *serde.F64Frames, finish func(*serde.F64Frames) (V, er
 		return finish(agg)
 	}
 	return any(agg.Dense()).(V), nil
-}
-
-// treeHooks are f's frames, Recycle, Fold and the driver's end as
-// rdd.TreeAggregate takes them; a stage-1 block is encoded from the
-// support of its elements, and a compact fold (compactFold) is written
-// straight to its block when that support settles the packed form. An
-// f64Wire frame is written into the buffer TreeAggregate draws, so a
-// last-round frame leaves as its task's result as it is, and
-// reduceFrames reads it there.
-func (f *AggFuncs[T, U, V]) treeHooks() *rdd.TreeHooks[T, U] {
-	supportOf := func(elems []T) support {
-		sup := support{known: f.Support != nil && elems != nil}
-		for i := 0; sup.known && i < len(elems); i++ {
-			sup.add(f.Support(elems[i]))
-		}
-		return sup
-	}
-	h := &rdd.TreeHooks[T, U]{
-		Encode: func(u U, elems []T, draw func(int) []byte) ([]byte, error) {
-			return f.encodeAgg(u, supportOf(elems), draw)
-		},
-		MergeWire: f.mergeWire,
-		Recycle:   f.recycle,
-		Finish:    func(frames [][]byte) (U, error) { return f.reduceFrames(frames, nil) },
-	}
-	if f.Fold != nil && f.Support != nil {
-		h.Fold = func(elems []T, draw func(int) []byte) ([]byte, bool, error) {
-			sup := supportOf(elems)
-			vals, n, ok, err := f.compactFold(elems, sup.bits)
-			if !ok {
-				return nil, false, err
-			}
-			frame, ok := serde.EncodeF64Support(draw, n, sup.bits, vals)
-			compactVals.put(vals)
-			return frame, ok, nil
-		}
-	}
-	return h
 }
 
 // serdeOps builds the collective callbacks for a serde-encodable

@@ -38,6 +38,30 @@ func ExampleAggregate() {
 	// Output: [4 6 8 10]
 }
 
+// Spark's treeAggregate: per-partition folds, combiner rounds and a
+// serial merge in the driver.
+func ExampleAggregate_tree() {
+	ctx, err := rdd.NewContext(rdd.Config{Name: "ex-tree", NumExecutors: 2, CoresPerExecutor: 2})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer ctx.Close()
+
+	add := func(a, b int64) int64 { return a + b }
+	samples := rdd.FromSlice(ctx, []int64{1, 2, 3, 4, 5}, 3)
+	sum, err := core.Aggregate(context.Background(), samples, core.AggFuncs[int64, int64, int64]{
+		Zero:    func() int64 { return 0 },
+		SeqOp:   add,
+		MergeOp: add,
+		SplitOp: func(u int64, _, _ int) int64 { return u },
+	}, core.WithStrategy(core.StrategyTree), core.WithDepth(2))
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println(sum)
+	// Output: 15
+}
+
 // Derived callbacks: the same aggregation with splitOp/reduceOp/
 // concatOp synthesized from the aggregator's structure.
 func ExampleDerivedFuncs() {

@@ -1,66 +1,202 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"testing/quick"
+	"time"
 
 	"sparker/internal/metrics"
 	"sparker/internal/rdd"
+	"sparker/internal/transport"
 )
 
-// TestTreeRounds: the tree's rounds over 4, 9 and 16 partitions at
-// depth 2 — stage 1 is the last round at 4, a combine round of 3 or 4
-// tasks is at 9 and 16 — with serde's nil hooks and with core's (frames
-// from the support, the compact Fold, the driver adding each frame from
-// the wire). Every run returns the sequential fold bit for bit. A block
-// is put, and fetched, for each stage-1 partition only when a combine
-// round follows; the cleanup job runs only then; and no block survives.
+// TestTreeRounds: the tree's round plan at depths 1–3 over 1 to 16
+// partitions, each row naming its combine rounds, with the sparse
+// aggregator on core's serde path (Ops nil) and on its []float64 one
+// (frames from the support, the compact Fold, a combine task and the
+// driver adding each frame from the wire). Every run returns the
+// sequential fold bit for bit. Every round but the last puts a block
+// per task, and the next round fetches each once; the cleanup job runs
+// only then; and no block survives. The packed Fold runs instead of
+// SeqOp on every stage-1 task, also where the partition's support
+// passes ½ of dim (the dense rows): its packed encode declines there,
+// and the compact accumulator is expanded rather than folded again.
+// Every dense accumulator goes to Recycle once its frame is encoded: a
+// combine task's, and a stage-1 task's unless it stayed compact.
 func TestTreeRounds(t *testing.T) {
 	const dim = 3001
 	ctx := testContext(t, 3, 2)
 	count := func(name string) int64 { return ctx.MergedMetrics().Histogram(name).Count() }
-	for _, g := range []struct{ parts, combiners int }{{4, 0}, {9, 3}, {16, 4}} {
-		want := sparseWant(g.parts, dim)
-		r := sparseRDD(ctx, g.parts, dim)
-		stored, stages := 0, int64(1)
-		if g.combiners > 0 {
-			stored, stages = g.parts, 3 // stage 1, the combine round, the cleanup job
+	for _, g := range []struct {
+		depth, parts int
+		rounds       []int // the combine rounds' task counts
+		dense        bool  // about 12 elements in 16 per partition, not 1
+	}{
+		{depth: 1, parts: 1}, {depth: 1, parts: 3}, {depth: 1, parts: 8}, {depth: 1, parts: 16},
+		{depth: 2, parts: 1}, {depth: 2, parts: 3}, {depth: 2, parts: 4},
+		{depth: 2, parts: 8, rounds: []int{3}}, {depth: 2, parts: 9, rounds: []int{3}},
+		{depth: 2, parts: 12, rounds: []int{3}}, {depth: 2, parts: 16, rounds: []int{4}},
+		{depth: 3, parts: 1}, {depth: 3, parts: 3},
+		{depth: 3, parts: 8, rounds: []int{4}}, {depth: 3, parts: 16, rounds: []int{6, 2}},
+		{depth: 2, parts: 4, dense: true}, {depth: 2, parts: 9, rounds: []int{3}, dense: true},
+	} {
+		name := fmt.Sprintf("depth=%d/parts=%d", g.depth, g.parts)
+		per16 := 1
+		if g.dense {
+			name, per16 = name+"/dense", 12
 		}
-		for _, hooked := range []bool{false, true} {
-			name := fmt.Sprintf("parts=%d/hooks=%v", g.parts, hooked)
-			var folds atomic.Int64
-			fns := sparseFuncs(dim, &folds)
-			var hooks *rdd.TreeHooks[sparsePart, []float64]
-			if hooked {
-				hooks = fns.treeHooks()
-			}
-			puts, gets, ran := count(metrics.HistBlockPutBytes), count(metrics.HistBlockGetBytes), count(metrics.HistSchedStageNS)
-			got, err := rdd.TreeAggregate(r, fns.Zero, fns.SeqOp, fns.MergeOp, rdd.AggregateOptions{Depth: 2}, hooks)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			bitsEqual(t, name, got, want)
-			if p, q := count(metrics.HistBlockPutBytes)-puts, count(metrics.HistBlockGetBytes)-gets; p != int64(stored) || q != int64(stored) {
-				t.Errorf("%s: %d blocks put and %d fetched, want %d", name, p, q, stored)
-			}
-			if n := count(metrics.HistSchedStageNS) - ran; n != stages {
-				t.Errorf("%s: %d stages ran, want %d", name, n, stages)
-			}
-			if f, want := folds.Load(), int64(g.parts); hooked && f != want {
-				t.Errorf("%s: %d partitions folded compact, want %d", name, f, want)
-			}
-			left, err := ctx.RunOnAllExecutors(func(ec *rdd.ExecContext, task, attempt int) ([]byte, error) {
-				return []byte{byte(ec.Store.DeletePrefix("agg/"))}, nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, p := range left {
-				if p[0] != 0 {
-					t.Errorf("%s: executor %d kept %d blocks", name, i, p[0])
+		t.Run(name, func(t *testing.T) {
+			want := sparseWant(g.parts, dim, per16)
+			r := sparseRDD(ctx, g.parts, dim, per16)
+			stored, stages := 0, int64(1)
+			if n := len(g.rounds); n > 0 {
+				stored, stages = g.parts, int64(n+2) // stage 1, the combine rounds, the cleanup job
+				for _, c := range g.rounds[:n-1] {
+					stored += c
 				}
 			}
+			for _, packs := range []bool{false, true} {
+				var folds, seqOps, recycled atomic.Int64
+				fns := sparseFuncs(dim, &folds)
+				fns.Recycle = func([]float64) { recycled.Add(1) }
+				seqOp := fns.SeqOp
+				fns.SeqOp = func(acc []float64, sp sparsePart) []float64 {
+					seqOps.Add(1)
+					return seqOp(acc, sp)
+				}
+				if !packs {
+					fns.Ops = nil
+				}
+				puts, gets, ran := count(metrics.HistBlockPutBytes), count(metrics.HistBlockGetBytes), count(metrics.HistSchedStageNS)
+				got, err := Aggregate(context.Background(), r, fns, WithStrategy(StrategyTree), WithDepth(g.depth))
+				if err != nil {
+					t.Fatalf("packs=%v: %v", packs, err)
+				}
+				bitsEqual(t, fmt.Sprintf("packs=%v", packs), got, want)
+				if p, q := count(metrics.HistBlockPutBytes)-puts, count(metrics.HistBlockGetBytes)-gets; p != int64(stored) || q != int64(stored) {
+					t.Errorf("packs=%v: %d blocks put and %d fetched, want %d", packs, p, q, stored)
+				}
+				if n := count(metrics.HistSchedStageNS) - ran; n != stages {
+					t.Errorf("packs=%v: %d stages ran, want %d", packs, n, stages)
+				}
+				wantFolds, wantSeqOps, wantRecycled := int64(g.parts), int64(0), int64(0)
+				if !packs {
+					wantFolds, wantSeqOps = 0, int64(g.parts)
+				}
+				if !packs || g.dense {
+					wantRecycled = int64(g.parts)
+				}
+				for _, c := range g.rounds {
+					wantRecycled += int64(c)
+				}
+				if f, s, c := folds.Load(), seqOps.Load(), recycled.Load(); f != wantFolds || s != wantSeqOps || c != wantRecycled {
+					t.Errorf("packs=%v: %d partitions folded compact, %d elements by SeqOp and %d accumulators recycled, want %d, %d and %d",
+						packs, f, s, c, wantFolds, wantSeqOps, wantRecycled)
+				}
+				left, err := ctx.RunOnAllExecutors(func(ec *rdd.ExecContext, task, attempt int) ([]byte, error) {
+					return []byte{byte(ec.Store.DeletePrefix("agg/"))}, nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, p := range left {
+					if p[0] != 0 {
+						t.Errorf("packs=%v: executor %d kept %d blocks", packs, i, p[0])
+					}
+				}
+			}
+		})
+	}
+}
+
+func TestIntRoot(t *testing.T) {
+	cases := []struct{ n, k, want int }{
+		{1, 2, 1}, {2, 2, 2}, {4, 2, 2}, {5, 2, 3}, {9, 2, 3}, {10, 2, 4},
+		{8, 3, 2}, {27, 3, 3}, {28, 3, 4}, {100, 1, 100},
+	}
+	for _, c := range cases {
+		if got := intRoot(c.n, c.k); got != c.want {
+			t.Errorf("intRoot(%d,%d) = %d, want %d", c.n, c.k, got, c.want)
 		}
+	}
+}
+
+// sumFuncs sums int64 elements: a scalar aggregator, on core's serde
+// path.
+func sumFuncs() AggFuncs[int64, int64, int64] {
+	add := func(a, b int64) int64 { return a + b }
+	return AggFuncs[int64, int64, int64]{
+		Zero:    func() int64 { return 0 },
+		SeqOp:   add,
+		MergeOp: add,
+		SplitOp: func(u int64, _, _ int) int64 { return u },
+	}
+}
+
+func TestQuickTreeEqualsSerialSum(t *testing.T) {
+	ctx := testContext(t, 3, 2)
+	f := func(vals []int64, partsRaw uint8) bool {
+		parts := int(partsRaw%6) + 1
+		r := rdd.FromSlice(ctx, vals, parts)
+		got, err := Aggregate(context.Background(), r, sumFuncs(), WithStrategy(StrategyTree))
+		if err != nil {
+			return false
+		}
+		var want int64
+		for _, v := range vals {
+			want += v
+		}
+		return got == want
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestStragglerTree: combine rounds follow the recorded owners. Every
+// task message to executor 0 is delayed, so speculation moves stage-1
+// tasks, and their blocks, off their round-robin home. Nine partitions
+// at depth 2 give one combine round of three tasks, which must fetch
+// each block from the executor that won its task: a fetch from the
+// round-robin home of a moved block would fail the aggregate.
+func TestStragglerTree(t *testing.T) {
+	const name = "core-strag-tree"
+	slow := transport.Addr("exec/" + name + "/0/tasks") // executor 0's task channel
+	net := transport.NewFaulty(transport.NewMem(), 1,
+		transport.StragglerRule(func(a transport.Addr) bool { return a == slow }, 200*time.Millisecond, 0))
+	ctx, err := rdd.NewContext(rdd.Config{Name: name, NumExecutors: 4, CoresPerExecutor: 1, Network: net, Speculation: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctx.Close()
+	vals := make([]int64, 512)
+	var want int64
+	for i := range vals {
+		vals[i] = int64(i)
+		want += int64(i)
+	}
+	slowed := rdd.Map(rdd.FromSlice(ctx, vals, 9), func(v int64) int64 {
+		time.Sleep(time.Millisecond)
+		return v
+	})
+	got, err := Aggregate(context.Background(), slowed, sumFuncs(), WithStrategy(StrategyTree), WithDepth(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("sum %d, want %d", got, want)
+	}
+	rec := ctx.Metrics()
+	if rec.Count(metrics.CounterSpecWon) == 0 && rec.Count(metrics.CounterSpecMigrated) == 0 {
+		t.Fatal("no task left the straggler: the combine round read no moved block")
+	}
+	if got := ctx.MergedMetrics().Histogram(metrics.HistBlockGetBytes).Count(); got != 9 {
+		t.Fatalf("the combine round fetched %d blocks, want 9", got)
+	}
+	if n := rec.Count(metrics.CounterResultDropped); n != 0 {
+		t.Fatalf("%d results were dropped on the floor", n)
 	}
 }

@@ -9,9 +9,9 @@
 // The engine intentionally mirrors the pieces of Spark the paper
 // touches: ResultStage-style jobs (RunJob), a reduced-result stage with
 // whole-stage retry for in-memory merge (JobSpec.StageCleanup),
-// statically placed tasks for SpawnRDD (JobSpec.Placement), tree
-// combine rounds that exchange partial aggregates as blocks, and
-// MEMORY_ONLY caching.
+// statically placed tasks for SpawnRDD (JobSpec.Placement), a block
+// store per executor that the tree's combine rounds (core) exchange
+// partial aggregates through, and MEMORY_ONLY caching.
 package rdd
 
 import (

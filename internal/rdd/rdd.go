@@ -67,7 +67,7 @@ func (r *RDD[T]) ID() int64 { return r.id }
 // for partitions not yet materialized. Returns r for chaining.
 func (r *RDD[T]) Cache() *RDD[T] {
 	r.cached.Store(true)
-	fallback := r.placementPolicy()
+	fallback := r.PlacementPolicy()
 	r.policy.Store(&policyBox{p: sched.NewCacheAware(r.locateCached, fallback)})
 	return r
 }
@@ -90,9 +90,10 @@ func (r *RDD[T]) locateCached(part int) (int, bool) {
 	return 0, false
 }
 
-// placementPolicy returns the RDD's effective policy; nil means the
-// scheduler default (round-robin).
-func (r *RDD[T]) placementPolicy() sched.PlacementPolicy {
+// PlacementPolicy returns the RDD's effective policy, for a job over
+// its partitions (JobSpec.Policy); nil means the scheduler default
+// (round-robin).
+func (r *RDD[T]) PlacementPolicy() sched.PlacementPolicy {
 	if b := r.policy.Load(); b != nil {
 		return b.p
 	}
@@ -155,7 +156,7 @@ func (r *RDD[T]) Materialize(ec *ExecContext, part int) ([]T, error) {
 // exactly p % NumExecutors, with dead slots it cycles over survivors.
 func (r *RDD[T]) PlacementOf(p int) int {
 	slots := r.ctx.NumExecutors()
-	if pol := r.placementPolicy(); pol != nil {
+	if pol := r.PlacementPolicy(); pol != nil {
 		view := sched.StageView{Tasks: r.parts, NumExecutors: slots, Alive: r.ctx.LiveExecutors()}
 		if e := pol.Place(view, p); e >= 0 && e < slots {
 			return e
@@ -176,7 +177,7 @@ func (r *RDD[T]) checkpointBlockID(part int) string {
 func (r *RDD[T]) Checkpoint() error {
 	h, err := r.ctx.SubmitJob(JobSpec{
 		Tasks:  r.parts,
-		Policy: r.placementPolicy(),
+		Policy: r.PlacementPolicy(),
 		Fn: func(ec *ExecContext, task, attempt int) ([]byte, error) {
 			data, err := r.Materialize(ec, task)
 			if err != nil {

@@ -3,15 +3,11 @@ package rdd
 import (
 	"errors"
 	"fmt"
-	"math"
 	"reflect"
 	"sort"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 
-	"sparker/internal/metrics"
-	"sparker/internal/serde"
 	"sparker/internal/trace"
 )
 
@@ -353,239 +349,6 @@ func TestRunOnAllExecutors(t *testing.T) {
 		if int(p[0]) != i {
 			t.Fatalf("slot %d got executor %d", i, p[0])
 		}
-	}
-}
-
-func TestTreeAggregateSum(t *testing.T) {
-	for _, depth := range []int{1, 2, 3} {
-		for _, parts := range []int{1, 3, 8, 16} {
-			t.Run(fmt.Sprintf("depth=%d/parts=%d", depth, parts), func(t *testing.T) {
-				ctx := testContext(t, 3, 2)
-				r := FromSlice(ctx, ints(200), parts)
-				got, err := TreeAggregate(r,
-					func() int64 { return 0 },
-					func(acc int64, v int64) int64 { return acc + v },
-					func(a, b int64) int64 { return a + b },
-					AggregateOptions{Depth: depth}, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != 19900 {
-					t.Fatalf("sum = %d, want 19900", got)
-				}
-			})
-		}
-	}
-}
-
-// TestTreeAggregateHooks: with hooks that encode the tag 7 frame into
-// the buffer TreeAggregate draws and merge blocks straight from the
-// wire, an aggregation at depth 2 gives the bits of the nil-hook serde
-// path — at 4 partitions, where stage 1 is the last round, and at 16,
-// where one combine round of four tasks is. The values are order
-// sensitive, and every block carries a −0.0 that the driver's +0.0 head
-// must still turn into +0.0. Every stage-1 and combine accumulator is
-// recycled, and stage 1 alone hands Encode its elements — except where
-// a Fold accepts, whose task sends Fold's frame and runs nothing else.
-func TestTreeAggregateHooks(t *testing.T) {
-	ctx := testContext(t, 3, 2)
-	const dim = 130
-	zero := func() []float64 { return make([]float64, dim) }
-	seqOp := func(acc []float64, v int64) []float64 {
-		acc[int(v*7)%dim] += 1 / float64(v+3)
-		acc[5] = math.Copysign(0, -1)
-		return acc
-	}
-	combOp := func(a, b []float64) []float64 {
-		for i := range a {
-			a[i] += b[i]
-		}
-		return a
-	}
-	for _, g := range []struct{ parts, combiners int64 }{{4, 0}, {16, 4}} {
-		r := FromSlice(ctx, ints(200), int(g.parts))
-		want, err := TreeAggregate(r, zero, seqOp, combOp, AggregateOptions{Depth: 2}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var withElems, withoutElems, recycled atomic.Int64
-		hooks := &TreeHooks[int64, []float64]{
-			Encode: func(u []float64, elems []int64, draw func(int) []byte) ([]byte, error) {
-				if elems != nil {
-					withElems.Add(1)
-				} else {
-					withoutElems.Add(1)
-				}
-				return serde.EncodeF64(draw, u, nil)
-			},
-			MergeWire: func(acc []float64, wire []byte) ([]float64, error) {
-				return acc, serde.DecodeReduceF64(acc, wire)
-			},
-			Recycle: func([]float64) { recycled.Add(1) },
-			Finish: func(frames [][]byte) ([]float64, error) {
-				acc := zero()
-				for _, p := range frames {
-					if err := serde.DecodeReduceF64(acc, p); err != nil {
-						return nil, err
-					}
-				}
-				return acc, nil
-			},
-		}
-		var folded atomic.Int64
-		check := func(how string) {
-			t.Helper()
-			folded.Store(0)
-			got, err := TreeAggregate(r, zero, seqOp, combOp, AggregateOptions{Depth: 2}, hooks)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range want {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("%d parts, element %d: %#x %s, %#x without hooks", g.parts, i, math.Float64bits(got[i]), how, math.Float64bits(want[i]))
-				}
-			}
-			if math.Signbit(got[5]) {
-				t.Fatalf("%d parts %s: the driver adopted a block's −0.0", g.parts, how)
-			}
-			a, b, c, f := withElems.Load(), withoutElems.Load(), recycled.Load(), folded.Load()
-			if a != g.parts-f || b != g.combiners || c != g.parts+g.combiners-f {
-				t.Fatalf("%d parts %s, %d folded: Encode saw elements %d times and none %d times, %d recycled; want %d, %d and %d",
-					g.parts, how, f, a, b, c, g.parts-f, g.combiners, g.parts+g.combiners-f)
-			}
-			withElems.Store(0)
-			withoutElems.Store(0)
-			recycled.Store(0)
-		}
-		check("with hooks")
-
-		// A Fold that takes the partitions whose first element is a
-		// multiple of four and declines the rest: a folded task sends Fold's frame and runs
-		// neither seqOp, Encode nor Recycle; a declined one folds as before.
-		hooks.Fold = func(elems []int64, draw func(int) []byte) ([]byte, bool, error) {
-			if len(elems) == 0 || elems[0]%4 != 0 {
-				return nil, false, nil
-			}
-			folded.Add(1)
-			acc := zero()
-			for _, v := range elems {
-				acc = seqOp(acc, v)
-			}
-			wire, err := serde.EncodeF64(draw, acc, nil)
-			return wire, true, err
-		}
-		check("with Fold")
-		if f := folded.Load(); f == 0 || f == g.parts {
-			t.Fatalf("%d parts: %d tasks folded, want some but not all", g.parts, f)
-		}
-	}
-}
-
-func TestTreeAggregateVectorSum(t *testing.T) {
-	ctx := testContext(t, 4, 2)
-	const dim = 64
-	r := Generate(ctx, 12, func(part int) ([]int64, error) {
-		return ints(10), nil
-	})
-	got, err := TreeAggregate(r,
-		func() []float64 { return make([]float64, dim) },
-		func(acc []float64, v int64) []float64 {
-			for i := range acc {
-				acc[i] += float64(v)
-			}
-			return acc
-		},
-		func(a, b []float64) []float64 {
-			for i := range a {
-				a[i] += b[i]
-			}
-			return a
-		},
-		AggregateOptions{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := float64(12 * 45)
-	for i, v := range got {
-		if v != want {
-			t.Fatalf("component %d = %v, want %v", i, v, want)
-		}
-	}
-}
-
-// TestTreeAggregateCleansBlocks: no block survives a tree aggregation,
-// and the cleanup job runs exactly when some round stored one — at 4
-// partitions stage 1 is the last round and stores nothing; at 9 and 16
-// it stores a block per partition for the one combine round.
-func TestTreeAggregateCleansBlocks(t *testing.T) {
-	ctx := testContext(t, 2, 1)
-	stages := ctx.Registry().Histogram(metrics.HistSchedStageNS)
-	for _, g := range []struct{ parts, rounds int }{{4, 0}, {9, 1}, {16, 1}} {
-		r := FromSlice(ctx, ints(10), g.parts)
-		before := stages.Count()
-		if _, err := TreeAggregate(r,
-			func() int64 { return 0 },
-			func(a int64, v int64) int64 { return a + v },
-			func(a, b int64) int64 { return a + b },
-			AggregateOptions{}, nil); err != nil {
-			t.Fatal(err)
-		}
-		want := int64(1 + g.rounds) // stage 1 and the combine rounds
-		if g.rounds > 0 {
-			want++ // the cleanup job
-		}
-		if got := stages.Count() - before; got != want {
-			t.Fatalf("%d parts: %d stages ran, want %d", g.parts, got, want)
-		}
-		// No tree-round blocks may survive the action.
-		out, err := ctx.RunOnAllExecutors(func(ec *ExecContext, task, attempt int) ([]byte, error) {
-			n := ec.Store.DeletePrefix("agg/")
-			return []byte{byte(n)}, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, p := range out {
-			if p[0] != 0 {
-				t.Fatalf("%d parts: executor %d leaked %d tree-round blocks", g.parts, i, p[0])
-			}
-		}
-	}
-}
-
-func TestIntRoot(t *testing.T) {
-	cases := []struct{ n, k, want int }{
-		{1, 2, 1}, {2, 2, 2}, {4, 2, 2}, {5, 2, 3}, {9, 2, 3}, {10, 2, 4},
-		{8, 3, 2}, {27, 3, 3}, {28, 3, 4}, {100, 1, 100},
-	}
-	for _, c := range cases {
-		if got := intRoot(c.n, c.k); got != c.want {
-			t.Errorf("intRoot(%d,%d) = %d, want %d", c.n, c.k, got, c.want)
-		}
-	}
-}
-
-func TestQuickTreeAggregateEqualsSerialSum(t *testing.T) {
-	ctx := testContext(t, 3, 2)
-	f := func(vals []int64, partsRaw uint8) bool {
-		parts := int(partsRaw%6) + 1
-		r := FromSlice(ctx, vals, parts)
-		got, err := TreeAggregate(r,
-			func() int64 { return 0 },
-			func(a int64, v int64) int64 { return a + v },
-			func(a, b int64) int64 { return a + b },
-			AggregateOptions{}, nil)
-		if err != nil {
-			return false
-		}
-		var want int64
-		for _, v := range vals {
-			want += v
-		}
-		return got == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -2,7 +2,6 @@ package rdd
 
 import (
 	"bytes"
-	"fmt"
 	"sort"
 	"testing"
 	"time"
@@ -200,45 +199,5 @@ func TestStragglerSpeculationPipeline(t *testing.T) {
 		if want[i] != got[i] {
 			t.Fatalf("element %d: %d != %d", i, got[i], want[i])
 		}
-	}
-}
-
-// TestStragglerTreeAggregate checks combine rounds follow recorded
-// winner placements: a speculated stage-1 task's block lands off its
-// round-robin home, and the next round must fetch from the winner. Nine
-// partitions at depth 2 give one combine round of three tasks, so
-// stage 1 stores blocks and a combine task reads them; a fetch from the
-// round-robin home of a moved block would fail the aggregate.
-func TestStragglerTreeAggregate(t *testing.T) {
-	ctx := stragglerContext(t, "t-strag-tree", 1, 200*time.Millisecond, true)
-	r := FromSlice(ctx, ints(512), 9)
-	slowed := Map(r, func(v int64) int64 {
-		time.Sleep(time.Millisecond)
-		return v
-	})
-	got, err := TreeAggregate(slowed,
-		func() int64 { return 0 },
-		func(acc, v int64) int64 { return acc + v },
-		func(a, b int64) int64 { return a + b },
-		AggregateOptions{Depth: 2}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want int64
-	for _, v := range ints(512) {
-		want += v
-	}
-	if got != want {
-		t.Fatalf("sum %d, want %d", got, want)
-	}
-	rec := ctx.Metrics()
-	if rec.Count(metrics.CounterSpecWon) == 0 && rec.Count(metrics.CounterSpecMigrated) == 0 {
-		t.Fatal("no task left the straggler: the combine round read no moved block")
-	}
-	if got := ctx.MergedMetrics().Histogram(metrics.HistBlockGetBytes).Count(); got != 9 {
-		t.Fatalf("the combine round fetched %d blocks, want 9", got)
-	}
-	if fmt.Sprint(ctx.Metrics().Count(metrics.CounterResultDropped)) != "0" {
-		t.Fatal("results were dropped on the floor")
 	}
 }

@@ -16,11 +16,14 @@
 # no training path ran (the hash shuffle, join, Distinct,
 # MapPartitionsWithContext, per-RDD placement), linear regression's
 # trainer, or the examples deleted with them (wordcount, logreg, lda,
-# strategies, allreduce; `cmd/sparker-train` covers the last four).
+# strategies, allreduce; `cmd/sparker-train` covers the last four) — or
+# names rdd's tree aggregation and its hook set, deleted when core took
+# the tree over, or the ring's take path (the clearing encoders),
+# deleted with it.
 # CHANGES.md, ROADMAP.md and ISSUE.md record history and are exempt, as
 # is benchmark/, which a PR other than its own may not edit;
-# EXPERIMENTS.md is exempt from the column-view rule only, because its
-# pprof dumps name the deleted functions.
+# EXPERIMENTS.md is exempt from the column-view and tree rules only,
+# because its pprof dumps and records name the deleted functions.
 #
 #   scripts/no-stale-refs.sh      (or: make no-stale-refs)
 set -euo pipefail
@@ -60,6 +63,10 @@ if grep -nE 'ReduceByKey|CountByKey|KeyBy|rdd\.Join|Distinct|MapPartitionsWithCo
 	echo "the rdd engine keeps only the surface training runs (DESIGN.md §1): no shuffle, join or Distinct, no per-RDD placement knob, no linear-regression trainer; run training through cmd/sparker-train"
 	bad=1
 fi
+if grep -nE 'rdd\.TreeAggregate|TreeHooks|rdd\.AggregateOptions|treeHooks|TakeChunkTo|TakePackedF64|ClearChunk' $(grep -vx 'EXPERIMENTS\.md' <<<"$own"); then
+	echo "core owns the tree (DESIGN.md §18): rdd has no TreeAggregate, AggregateOptions or TreeHooks; and the ring's take path is gone (no TakeChunkTo, ClearChunk or TakePackedF64)"
+	bad=1
+fi
 while IFS=: read -r file line id; do
 	if [[ "$ids" != *" $id "* ]]; then
 		echo "$file:$line: sparkerbench -only $id: no such report id"
@@ -68,6 +75,6 @@ while IFS=: read -r file line id; do
 done < <(grep -noE 'sparkerbench -only [a-z0-9-]+' $files | sed 's/sparkerbench -only //')
 
 if [ "$bad" -ne 0 ]; then
-	echo "no-stale-refs: the references above name the retired bench harness (see EXPERIMENTS.md \"Settled single-layer claims\"), the deleted chunk controller, the retired codecs and MPI baselines, the deleted column view and kernel sharding, the retired serving plane, or the deleted rdd surface and examples" >&2
+	echo "no-stale-refs: the references above name the retired bench harness (see EXPERIMENTS.md \"Settled single-layer claims\"), the deleted chunk controller, the retired codecs and MPI baselines, the deleted column view and kernel sharding, the retired serving plane, the deleted rdd surface and examples, or rdd's deleted tree and the ring's take path" >&2
 	exit 1
 fi
