@@ -11,7 +11,7 @@
 
 GO ?= go
 
-.PHONY: build vet no-deprecated no-stale-refs loc test race test-chaos chaos-elastic overhead fuzz-smoke trace-demo obsv-demo check bench bench-pair profile
+.PHONY: build vet no-deprecated no-stale-refs loc test race test-chaos chaos-elastic overhead fuzz-smoke trace-demo obsv-demo check bench bench-pair same-bits profile
 
 build:
 	$(GO) build ./...
@@ -40,8 +40,10 @@ no-deprecated:
 # tenancy API, or the rdd operators no training path ran (the hash
 # shuffle, the join, the set operators, the per-RDD placement knob),
 # the linear-regression trainer, or the five examples deleted with them
-# (DESIGN.md §1). The script names the history files it exempts, and
-# exempts EXPERIMENTS.md from the column-view rule only.
+# (DESIGN.md §1), or rdd's deleted tree, the ring's take path and the
+# f64-only AggFuncs hooks (DESIGN.md §18). The script names the history
+# files it exempts, and exempts EXPERIMENTS.md from the column-view,
+# tree and f64-plane rules only.
 no-stale-refs:
 	@scripts/no-stale-refs.sh
 
@@ -171,6 +173,13 @@ SEED ?= 2
 RUN_SECONDS ?= 20
 bench-pair:
 	scripts/bench-pair.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(SEED) $(RUN_SECONDS)
+
+# The same-bits rule for a refactor (ROADMAP item 18): one traced seed-1
+# run a side on every workload, and a diff of the exact counts — ring
+# steps, wire bytes, loss error and block-manager bytes per iteration.
+#   make same-bits PARENT=HEAD~1
+same-bits:
+	scripts/bench-pair.sh --same-bits $(PARENT)
 
 # CPU profiles of the wide-split-tcp and wide-tree-tcp step loops, and
 # the tree+IMM one (20 000 × 1 000 000, 4 executors × 1 core, loopback

@@ -18,6 +18,7 @@ import (
 	"sparker/internal/blockmanager"
 	"sparker/internal/collective"
 	"sparker/internal/comm"
+	"sparker/internal/core"
 	"sparker/internal/data"
 	"sparker/internal/mllib"
 	"sparker/internal/rdd"
@@ -451,7 +452,7 @@ func BenchmarkFig16Aggregation(b *testing.B) {
 					b.SetBytes(int64(dim * 8))
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						if _, err := mllib.AggregateF64Ctx(context.Background(), samples, dim, seqOp, strat, 2, 4); err != nil {
+						if _, err := mllib.AggregateF64(context.Background(), samples, core.F64Funcs[int64]{Dim: dim, SeqOp: seqOp}, strat, 2, 4); err != nil {
 							b.Fatal(err)
 						}
 					}

@@ -1,6 +1,6 @@
 package core
 
-// Aggregate is the one aggregation entry point: a single call that
+// Aggregate (and AggregateF64) is the aggregation entry point: a call that
 // selects the reduction strategy (tree, tree+IMM, split, allreduce),
 // carries per-step communication deadlines into the ring collectives,
 // and owns the one failure rule of the IMM-based strategies — re-run
@@ -31,12 +31,12 @@ import (
 
 	"sparker/internal/collective"
 	"sparker/internal/comm"
+	"sparker/internal/linalg"
 	"sparker/internal/metrics"
 	"sparker/internal/rdd"
 	"sparker/internal/sched"
 	"sparker/internal/serde"
 	"sparker/internal/trace"
-	"sparker/internal/transport"
 )
 
 // ErrMembershipChanged classifies a stage failure whose cause was a
@@ -155,15 +155,15 @@ func WithKeepKey(key string) AggOption {
 // AggFuncs carries the user callbacks of the split aggregation
 // interface (Figure 6). T is the element type, U the aggregator, V the
 // aggregator segment; U and V must be serde-encodable where they cross
-// executor boundaries.
+// executor boundaries. A []float64 sum has its own entry, AggregateF64,
+// whose callbacks are fixed.
 type AggFuncs[T, U, V any] struct {
 	// Zero returns a fresh aggregator (must not alias previous calls).
 	Zero func() U
 	// SeqOp folds one element into an aggregator.
 	SeqOp func(U, T) U
-	// MergeOp merges two aggregators (IMM intra-executor merge, driver
-	// merge of the tree strategies, which add a []float64 frame from the
-	// wire instead when Ops pack: f64Wire).
+	// MergeOp merges two aggregators (IMM intra-executor merge, the tree's
+	// combine tasks and driver merge).
 	MergeOp func(U, U) U
 	// SplitOp returns segment i of n from an aggregator; all ranks must
 	// agree on the segmentation, and SplitOp(u, 0, 1) must be the whole
@@ -184,84 +184,42 @@ type AggFuncs[T, U, V any] struct {
 	// operations for the ring stage. Supplying ops with the chunked fast
 	// path (fixed stride, Fuse/Encoded hooks — e.g. collective.F64Ops for
 	// []float64 segments) enables zero-decode chunk reduction and the
-	// packed chunk form. Ops that pack over a []float64 U also move the
-	// tree's and the IMM gather's frames (f64Wire): encoded from Support,
-	// added into the driver's accumulator from the wire in O(support).
+	// packed chunk form.
 	Ops *collective.Ops[V]
-	// Recycle, when non-nil, receives every aggregator the engine made
-	// with Zero and is done with — a partition's accumulator once merged
-	// or its tree block encoded, an executor's resident aggregator once
-	// its segments or IMM frame are encoded or concatenated — so Zero can
-	// hand the memory out again. Supply it only if nothing SplitOp,
-	// ConcatOp or the serde encoding of U produced can still alias the
-	// aggregator at that point (ConcatSlices copies; identity callbacks
-	// do not qualify). Aggregators that reach the caller (the tree
-	// strategies' result) are never recycled.
-	Recycle func(U)
+}
+
+// F64Funcs carries the callbacks of AggregateF64's []float64 sum of Dim
+// elements over elements of type T. The rest is fixed: +0.0 from
+// linalg.GetVec (and back through PutVec), AddF64 to merge and reduce,
+// SplitSlice, ConcatSlices, and collective.F64Ops on the ring.
+type F64Funcs[T any] struct {
+	// Dim is the aggregator's element count.
+	Dim int
+	// SeqOp folds one element into an aggregator and returns it.
+	SeqOp func(acc []float64, t T) []float64
 	// Support, when non-nil, names the aggregator elements SeqOp(acc, t)
-	// may change: a bitmap over the concatenation of SplitOp's segments,
-	// bit i%64 of word i/64 for element i. A clear bit promises SeqOp
-	// leaves that element's bits as Zero made them (+0.0); nil means
-	// unknown. The ring strategies fold it beside each executor's
-	// aggregator and encode packed chunks from it in O(support) when Ops
-	// can pack (collective.WithSupport), as do the tree's and the IMM
-	// gather's frames (f64Wire); the bytes they send do not change. Core
-	// never writes a returned bitmap, and ORs each one in whole, so it
-	// suits a few large elements (a packed partition), not one per point.
+	// may change: a bitmap of PackedWords(Dim) words, bit i%64 of word
+	// i/64 for element i; a clear bit promises SeqOp leaves the element
+	// +0.0, and nil means unknown. Every frame and ring chunk is encoded
+	// from it in O(support), in the same bytes. Core never writes a
+	// returned bitmap and ORs each in whole, so it suits a few large
+	// elements (a packed partition), not one per point.
 	Support func(T) []uint64
 	// Fold, when non-nil, folds one task's elements in their support: it
 	// appends to dst the values Zero, then SeqOp over elems in order,
 	// would leave at the set bits of the elements' Support (ORed), in bit
-	// order, and returns them with the aggregator's element count n — a
-	// compact accumulator. ok false declines, and the task folds with
-	// Zero and SeqOp; an error fails the task. Core calls it only when U
-	// and V are []float64 and Ops pack (what lets a frame be written from
-	// a support), passes a dst from its own free list and takes the
-	// values back when it is done with them (never through Recycle). A
-	// tree stage-1 task writes its block from them; an IMM-stage task
-	// keeps them as its executor's aggregator, which the ring then reduces
-	// segment by segment, cut at SplitSlice's bounds — SplitOp must be
-	// SplitSlice. With no Support, Fold is never called.
-	Fold func(dst U, elems []T) (vals U, n int, ok bool, err error)
-	// Finish, when non-nil, ends the aggregation on the driver in place of
-	// assembling the aggregate: it reads the reduced aggregate from the
-	// frames it came home in — the split gather's owned segments, the IMM
-	// gather's or the tree's last round's frames, allreduce's rank-0 copy
-	// — through agg, valid only during the call, and returns what
-	// Aggregate returns. It runs inside the reduce phase, after every frame
-	// was validated, once per attempt that gets that far; an error fails
-	// the aggregation. Core accepts it only when U and V are []float64 and
-	// Ops pack (the frames are then []float64 words); with Finish nil core
-	// assembles the dense aggregate through the same reader.
-	Finish func(agg *serde.F64Frames) (V, error)
-}
-
-// recycle hands u to Recycle when the caller supplied one.
-func (f *AggFuncs[T, U, V]) recycle(u U) {
-	if f.Recycle != nil {
-		f.Recycle(u)
-	}
-}
-
-func (f *AggFuncs[T, U, V]) validate(s Strategy) error {
-	if s < StrategySplit || s > StrategyAllReduce {
-		return fmt.Errorf("core: unknown strategy %v", s)
-	}
-	if f.Zero == nil || f.SeqOp == nil || f.MergeOp == nil {
-		return fmt.Errorf("core: Aggregate(%v) requires Zero, SeqOp and MergeOp", s)
-	}
-	if f.SplitOp == nil {
-		return fmt.Errorf("core: Aggregate(%v) requires SplitOp", s)
-	}
-	if s == StrategySplit || s == StrategyAllReduce {
-		if f.ReduceOp == nil || f.ConcatOp == nil {
-			return fmt.Errorf("core: Aggregate(%v) requires ReduceOp and ConcatOp", s)
-		}
-	}
-	if f.Finish != nil && !f.f64Wire() {
-		return fmt.Errorf("core: Aggregate(%v): Finish requires []float64 U and V and Ops that pack", s)
-	}
-	return nil
+	// order — a compact accumulator, which a tree stage-1 task writes its
+	// block from and an IMM-stage task keeps for the ring. ok false
+	// declines (the task folds with SeqOp); an error fails the task. dst
+	// is from core's free list, which takes the values back. With no
+	// Support, Fold is never called.
+	Fold func(dst []float64, elems []T) (vals []float64, ok bool, err error)
+	// Finish, when non-nil, is what AggregateF64 returns in place of the
+	// dense aggregate: it reads the reduced aggregate through agg from
+	// the frames it came home in, valid only during the call. It runs in
+	// the reduce phase, after every frame was validated, once per attempt
+	// that gets that far; an error fails the aggregation.
+	Finish func(agg *serde.F64Frames) ([]float64, error)
 }
 
 // Aggregate reduces r with fns under the chosen options and returns the
@@ -273,7 +231,18 @@ func (f *AggFuncs[T, U, V]) validate(s Strategy) error {
 // collectives with a classified error. It does not preempt executor
 // compute. An aggregation that fails once ctx is done returns an error
 // that wraps ctx.Err(): the ring tasks report the cancellation as text.
-func Aggregate[T, U, V any](ctx context.Context, r *rdd.RDD[T], fns AggFuncs[T, U, V], opts ...AggOption) (res V, retErr error) {
+func Aggregate[T, U, V any](ctx context.Context, r *rdd.RDD[T], fns AggFuncs[T, U, V], opts ...AggOption) (V, error) {
+	return aggregate[T, U, V](ctx, r, &fns, opts)
+}
+
+// AggregateF64 is Aggregate for a []float64 sum (F64Funcs): it returns
+// the reduced aggregate, or what Finish returns.
+func AggregateF64[T any](ctx context.Context, r *rdd.RDD[T], fns F64Funcs[T], opts ...AggOption) ([]float64, error) {
+	return aggregate[T, f64Acc, []float64](ctx, r, &f64Plane[T]{F64Funcs: fns, get: linalg.GetVec, put: linalg.PutVec}, opts)
+}
+
+// aggregate is both entries' one body over the plane pl.
+func aggregate[T, A, V any](ctx context.Context, r *rdd.RDD[T], pl plane[T, A, V], opts []AggOption) (res V, retErr error) {
 	defer func() {
 		if cerr := ctx.Err(); retErr != nil && cerr != nil && !errors.Is(retErr, cerr) {
 			retErr = fmt.Errorf("%w: %w", cerr, retErr)
@@ -305,7 +274,10 @@ func Aggregate[T, U, V any](ctx context.Context, r *rdd.RDD[T], fns AggFuncs[T, 
 			strategy = StrategySplit
 		}
 	}
-	if err := fns.validate(strategy); err != nil {
+	if strategy < StrategySplit || strategy > StrategyAllReduce {
+		return zv, fmt.Errorf("core: unknown strategy %v", strategy)
+	}
+	if err := pl.validate(strategy); err != nil {
 		return zv, err
 	}
 
@@ -322,11 +294,7 @@ func Aggregate[T, U, V any](ctx context.Context, r *rdd.RDD[T], fns AggFuncs[T, 
 	if strategy == StrategyTree {
 		// Not IMM-based: nothing stays resident on the executors, and its
 		// stages retry task by task inside the engine.
-		u, err := runTree(r, span.Context(), &fns, o.Depth)
-		if err != nil {
-			return zv, err
-		}
-		return fns.result(u), nil
+		return runTree(r, span.Context(), pl, o.Depth)
 	}
 
 	// The one recovery rule of the IMM-based strategies: an attempt that
@@ -338,7 +306,7 @@ func Aggregate[T, U, V any](ctx context.Context, r *rdd.RDD[T], fns AggFuncs[T, 
 		epoch0 := rc.MembershipEpoch()
 		opID := rc.NewOpID()
 		prefix := fmt.Sprintf("%s/%d/", strategy, opID)
-		res, leftovers, err := runAttempt(ctx, r, &fns, o, strategy, opID, prefix+"agg")
+		res, leftovers, err := runAttempt(ctx, r, pl, o, strategy, opID, prefix+"agg")
 		if err == nil {
 			fallback.SetAttr("recovered", "true")
 			fallback.End()
@@ -466,14 +434,14 @@ func decide(class failure, epochMoved, attemptsLeft bool) recovery {
 // stage leaves them with the tasks that never ran, while a failed IMM
 // stage already ran its own StageCleanup after every attempt (unless
 // that cleanup is what failed).
-func runAttempt[T, U, V any](ctx context.Context, r *rdd.RDD[T], fns *AggFuncs[T, U, V], o AggOptions, strategy Strategy, opID int64, key string) (res V, leftovers bool, err error) {
+func runAttempt[T, A, V any](ctx context.Context, r *rdd.RDD[T], pl plane[T, A, V], o AggOptions, strategy Strategy, opID int64, key string) (res V, leftovers bool, err error) {
 	var zv V
 	rc := r.Context()
 	_, aggSC := trace.FromContext(ctx)
 
 	// Stage 1: reduced-result stage (IMM) → one aggregator per executor.
 	start := time.Now()
-	held, err := runIMMStage(r, key, aggSC, fns)
+	held, err := runIMMStage(r, key, aggSC, pl)
 	if err != nil {
 		return zv, errors.Is(err, rdd.ErrStageCleanup), err
 	}
@@ -486,23 +454,20 @@ func runAttempt[T, U, V any](ctx context.Context, r *rdd.RDD[T], fns *AggFuncs[T
 	if strategy != StrategyIMM {
 		// Stage 2: SpawnRDD — exactly one task per executor, statically
 		// placed, running the ring collective with per-step deadlines.
-		res, err = runRingStage(ctx, rc, opID, key, held, fns, o, strategy == StrategyAllReduce)
+		res, err = runRingStage(ctx, rc, opID, key, held, pl, o, strategy == StrategyAllReduce)
 		return res, true, err
 	}
-	frames, err := gatherIMM(rc, aggSC, key, held, fns)
+	frames, err := gatherIMM(rc, aggSC, key, held, pl)
 	if err != nil {
 		return zv, true, err
 	}
-	var keep func(U) error
+	var keep func(V) error
 	if o.Strategy == StrategyAllReduce && o.KeepKey != "" {
 		// A degraded allreduce still owes every executor its copy.
-		keep = func(u U) error { return replicateResult(rc, aggSC, o.KeepKey, fns.SplitOp(u, 0, 1)) }
+		keep = func(v V) error { return replicateResult(rc, aggSC, o.KeepKey, v) }
 	}
-	u, err := fns.reduceFrames(frames, keep)
-	if err != nil {
-		return zv, false, err
-	}
-	return fns.result(u), false, nil
+	res, err = pl.read(frames, keep)
+	return res, false, err
 }
 
 // runRingStage submits the collective stage: one gang-scheduled task
@@ -513,7 +478,7 @@ func runAttempt[T, U, V any](ctx context.Context, r *rdd.RDD[T], fns *AggFuncs[T
 // for allreduce) under the configured per-step deadline. The op id
 // tags every ring frame as this collective's epoch, so residue from an
 // earlier aborted collective is discarded instead of reduced.
-func runRingStage[T, U, V any](ctx context.Context, rc *rdd.Context, opID int64, key string, held map[int]bool, fns *AggFuncs[T, U, V], o AggOptions, allGather bool) (V, error) {
+func runRingStage[T, A, V any](ctx context.Context, rc *rdd.Context, opID int64, key string, held map[int]bool, pl plane[T, A, V], o AggOptions, allGather bool) (V, error) {
 	var zv V
 	sctx := collective.WithStepDeadline(collective.WithEpoch(ctx, uint32(opID)), o.StepDeadline)
 	// Ring size is the LIVE executor count of the installed epoch, not
@@ -523,10 +488,6 @@ func runRingStage[T, U, V any](ctx context.Context, rc *rdd.Context, opID int64,
 		return zv, err
 	}
 	nExec := len(live)
-	ops := serdeOps[V](fns.ReduceOp)
-	if fns.Ops != nil {
-		ops = *fns.Ops
-	}
 	kind := "ring-reduce-scatter"
 	if allGather {
 		kind = "ring-allreduce"
@@ -575,32 +536,27 @@ func runRingStage[T, U, V any](ctx context.Context, rc *rdd.Context, opID int64,
 			}
 			// The task owns the executor's aggregator from here on: the
 			// ring reduces in place in its segments, and on success the
-			// memory goes back (AggFuncs.release). A failed ring leaves
-			// it partly reduced, so it is simply dropped.
-			u, sup, n, err := takeAgg(ec, key, held, fns)
+			// memory goes back (plane.release). A failed ring leaves it
+			// partly reduced, so it is simply dropped.
+			a, err := takeAgg(ec, key, held, pl)
 			if err != nil {
 				return nil, err
 			}
-			var run ringRun[V]
-			if n > 0 {
-				run, err = reduceCompact[V](cctx, ec, any(u).([]float64), sup, n, nExec, o.Parallelism)
-			} else {
-				run, err = reduceDense(cctx, ec, u, sup, nExec, o.Parallelism, ops, fns)
-			}
+			run, err := pl.reduce(cctx, ec, a, nExec, o.Parallelism, allGather)
 			if err != nil {
 				return nil, err
 			}
 			if !allGather {
 				frame := run.frame(ec.ResultBuf)
-				fns.release(&run, u)
+				pl.release(&run, a)
 				return frame, nil
 			}
-			all, err := collective.RingAllGather(cctx, ec.Comm, run.dense(), run.p, ops)
+			all, err := collective.RingAllGather(cctx, ec.Comm, run.owned, run.p, run.ops)
 			if err != nil {
 				return nil, err
 			}
-			result := fns.ConcatOp(all)
-			fns.release(&run, u)
+			result := pl.concat(all)
+			pl.release(&run, a)
 			if keepKey != "" {
 				ec.MutObjs.GetOrCreate(keepKey, func() any { return result }).
 					Update(func(any) any { return result })
@@ -609,7 +565,7 @@ func runRingStage[T, U, V any](ctx context.Context, rc *rdd.Context, opID int64,
 			if ec.Rank != 0 {
 				return nil, nil
 			}
-			return fns.encodeResult(result, ec.ResultBuf)
+			return pl.encodeResult(result, ec.ResultBuf)
 		},
 	})
 	if err != nil {
@@ -625,37 +581,22 @@ func runRingStage[T, U, V any](ctx context.Context, rc *rdd.Context, opID int64,
 
 	if allGather {
 		for _, p := range payloads {
-			if len(p) == 0 {
-				continue
+			if len(p) != 0 {
+				return pl.readResult(p)
 			}
-			if !fns.f64Wire() {
-				v, _, err := serde.Decode(p)
-				if err != nil {
-					return zv, err
-				}
-				return v.(V), nil
-			}
-			agg := serde.ConcatF64()
-			defer agg.Release()
-			if err := agg.AppendFrame(p); err != nil {
-				return zv, err
-			}
-			v, err := finishF64(agg, fns.Finish)
-			transport.PutBuf(p)
-			return v, err
 		}
 		return zv, fmt.Errorf("core: allreduce produced no driver copy")
 	}
-
 	// Gather: order the segments by global index and reassemble.
-	return decodeOwned(payloads, ops, fns.ConcatOp, fns.Finish)
+	return pl.readOwned(payloads)
 }
 
 // ringRun is one executor's reduce-scatter as the ring task finishes
 // it: the segments it owns, the support the ring left over its segments
-// (nil: none), the channel count it ran at, and what it reduced — a
-// dense aggregator's segments, or a compact one's source and the bodies
-// it owns.
+// (nil: none), the channel count it ran at, the ops of the segments it
+// owns, and what it reduced — a dense aggregator's segments, or a
+// compact one's source and the bodies it owns (then owned holds them
+// dense only for the allgather).
 type ringRun[V any] struct {
 	owned  map[int]V
 	bits   []uint64
@@ -674,30 +615,7 @@ func (r *ringRun[V]) frame(draw func(n int) []byte) []byte {
 	return encodeOwned(r.owned, r.ops, r.bits, func(i int) int { return segsElems(r.ops, r.segs[:i]) }, draw)
 }
 
-// dense is the owned segments laid out dense, for the allgather: a
-// compact run's bodies are densified once, in place.
-func (r *ringRun[V]) dense() map[int]V {
-	if r.src != nil {
-		r.owned = make(map[int]V, len(r.bodies))
-		for i, b := range r.bodies {
-			r.owned[i] = any(b.Densify()).(V)
-		}
-	}
-	return r.owned
-}
-
-// release gives the aggregator's memory back once nothing reads the
-// owned segments: a compact one's bodies and values to core's free
-// lists, a dense one, u, through Recycle.
-func (fns *AggFuncs[T, U, V]) release(run *ringRun[V], u U) {
-	if run.src != nil {
-		run.src.release(run.bodies)
-		return
-	}
-	fns.recycle(u)
-}
-
-// reduceDense reduce-scatters a dense aggregator u, split by SplitOp.
+// reduceDense reduce-scatters a dense aggregator u, split by split.
 // P is a cap: a fixed-stride aggregator too small to fill a chunk per
 // channel rides fewer (collective.RingChannels), and is split again at
 // that width — at most a few chunks' bytes, so an aggregator wide
@@ -705,15 +623,15 @@ func (fns *AggFuncs[T, U, V]) release(run *ringRun[V], u U) {
 // length, so every rank picks the same width, and the driver reads it
 // off the frames. The support goes to the ring, which ORs what it
 // reduces in into it, and then to the owned frame; it dies with u.
-func reduceDense[T, U, V any](ctx context.Context, ec *rdd.ExecContext, u U, sup support, nExec, parallelism int, ops collective.Ops[V], fns *AggFuncs[T, U, V]) (ringRun[V], error) {
-	segs := splitParallel(u, parallelism*nExec, ec.Cores, fns.SplitOp)
+func reduceDense[U, V any](ctx context.Context, ec *rdd.ExecContext, u U, sup support, nExec, parallelism int, ops collective.Ops[V], split func(U, int, int) V) (ringRun[V], error) {
+	segs := splitParallel(u, parallelism*nExec, ec.Cores, split)
 	elems := 0
 	if ops.ChunkStride() > 0 {
 		elems = segsElems(ops, segs)
 	}
 	p := collective.RingChannels(ctx, parallelism, elems, ops)
 	if p < parallelism {
-		segs = splitParallel(u, p*nExec, ec.Cores, fns.SplitOp)
+		segs = splitParallel(u, p*nExec, ec.Cores, split)
 	}
 	var bits []uint64
 	if ops.CanPack() {
@@ -723,19 +641,6 @@ func reduceDense[T, U, V any](ctx context.Context, ec *rdd.ExecContext, u U, sup
 	}
 	owned, err := collective.RingReduceScatter(ctx, ec.Comm, segs, p, ops)
 	return ringRun[V]{owned: owned, bits: bits, p: p, ops: ops, segs: segs}, err
-}
-
-// reduceCompact reduce-scatters a compact aggregator (compact.go) of n
-// elements through a compactSegs source, at the width and SplitSlice
-// bounds a dense one of n elements would ride: the same segments, held
-// as bodies (collective.BodyOps), and the same frames. Only f64Wire
-// aggregators are compact, so V is []float64.
-func reduceCompact[V any](ctx context.Context, ec *rdd.ExecContext, vals []float64, sup support, n, nExec, parallelism int) (ringRun[V], error) {
-	ops := collective.BodyOps()
-	p := collective.RingChannels(ctx, parallelism, n, ops)
-	src := newCompactSegs(vals, sup.bits, n, p*nExec)
-	bodies, err := collective.RingReduceScatterFrom(ctx, ec.Comm, src, p, ops)
-	return ringRun[V]{p: p, src: src, bodies: bodies}, err
 }
 
 // replicateResult pushes a degraded allreduce's result back onto every

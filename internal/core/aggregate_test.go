@@ -11,7 +11,6 @@ import (
 	"sparker/internal/comm"
 	"sparker/internal/rdd"
 	"sparker/internal/sched"
-	"sparker/internal/serde"
 	"sparker/internal/trace"
 )
 
@@ -27,7 +26,11 @@ func vecFuncs(dim int) AggFuncs[int64, []float64, []float64] {
 }
 
 // TestAggregateStrategiesAgree runs every strategy through the unified
-// entry point and checks they all produce the same vector sum.
+// entry point and checks they all produce the same vector sum. Then the
+// benchmark's core probe — generic callbacks over F64Ops with a copying
+// split, one element per partition adding a constant vector — and the
+// same callbacks over two partitions per executor: on every strategy
+// each returns AggregateF64's bits on the same data.
 func TestAggregateStrategiesAgree(t *testing.T) {
 	const samples, dim = 300, 97
 	ctx := testContext(t, 3, 2)
@@ -41,6 +44,39 @@ func TestAggregateStrategiesAgree(t *testing.T) {
 		}
 		if !vecsClose(got, want, 1e-9) {
 			t.Fatalf("strategy %v: wrong vector sum", s)
+		}
+	}
+
+	constant := make([]float64, dim)
+	for i := range constant {
+		constant[i] = float64(i)/3 + 0.1
+	}
+	f64 := collective.F64Ops()
+	probe := func(seqOp func([]float64, int64) []float64) AggFuncs[int64, []float64, []float64] {
+		return AggFuncs[int64, []float64, []float64]{
+			Zero: vecZero(dim), SeqOp: seqOp, MergeOp: AddF64, SplitOp: SplitSliceCopy[float64],
+			ReduceOp: AddF64, ConcatOp: ConcatSlices[float64], Ops: &f64,
+		}
+	}
+	for _, row := range []struct {
+		name  string
+		r     *rdd.RDD[int64]
+		seqOp func([]float64, int64) []float64
+	}{
+		{"probe", rdd.FromSlice(ctx, make([]int64, 3), 3), func(acc []float64, _ int64) []float64 { return AddF64(acc, constant) }},
+		{"two per executor", r, vecSeqOp},
+	} {
+		for _, s := range []Strategy{StrategySplit, StrategyTree, StrategyIMM, StrategyAllReduce} {
+			name := fmt.Sprintf("%s/%v", row.name, s)
+			got, err := Aggregate(context.Background(), row.r, probe(row.seqOp), WithStrategy(s))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			want, err := AggregateF64(context.Background(), row.r, F64Funcs[int64]{Dim: dim, SeqOp: row.seqOp}, WithStrategy(s))
+			if err != nil {
+				t.Fatalf("%s, AggregateF64: %v", name, err)
+			}
+			bitsEqual(t, name, got, want)
 		}
 	}
 }
@@ -162,11 +198,10 @@ func TestAggregateValidation(t *testing.T) {
 	if _, err := Aggregate(context.Background(), r, AggFuncs[int64, []float64, []float64]{}); err == nil {
 		t.Fatal("empty AggFuncs should fail")
 	}
-	// Finish reads []float64 frames: ops that cannot pack have none.
-	fns = vecFuncs(8)
-	fns.Finish = func(agg *serde.F64Frames) ([]float64, error) { return agg.Dense(), nil }
-	if _, err := Aggregate(context.Background(), r, fns, WithStrategy(StrategyTree)); err == nil {
-		t.Fatal("Finish without Ops that pack should fail")
+	for _, f := range []F64Funcs[int64]{{SeqOp: vecSeqOp}, {Dim: 8}} {
+		if _, err := AggregateF64(context.Background(), r, f, WithStrategy(StrategyTree)); err == nil {
+			t.Fatalf("AggregateF64 with Dim %d and SeqOp %v should fail", f.Dim, f.SeqOp != nil)
+		}
 	}
 }
 

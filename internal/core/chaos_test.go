@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"sparker/internal/collective"
 	"sparker/internal/metrics"
 	"sparker/internal/rdd"
 	"sparker/internal/serde"
@@ -258,29 +257,30 @@ func TestChaosFallbackSpan(t *testing.T) {
 
 // TestChaosAllReduceKillFallsBack: the allreduce strategy degrades the
 // same way, and the KeepKey result replicated by the fallback matches
-// the driver copy on every executor — with the serde ops, and with
-// F64Ops and a Finish, whose result the driver returns while the
+// the driver copy on every executor — with the serde ops, and on the
+// f64 plane with a Finish, whose result the driver returns while the
 // executors still get the aggregate itself.
 func TestChaosAllReduceKillFallsBack(t *testing.T) {
 	const samples, dim = 200, 48
-	doubled := vecFuncs(dim)
-	ops := collective.F64Ops()
-	doubled.Ops = &ops
-	doubled.Finish = func(agg *serde.F64Frames) ([]float64, error) {
+	doubled := F64Funcs[int64]{Dim: dim, SeqOp: vecSeqOp, Finish: func(agg *serde.F64Frames) ([]float64, error) {
 		v := agg.Dense()
 		for i := range v {
 			v[i] *= 2
 		}
 		return v, nil
-	}
+	}}
 	// F64Ops ride one channel: 48 elements fill no chunk of their own
 	// (collective.RingChannels).
 	for _, c := range []struct {
 		name     string
-		fns      AggFuncs[int64, []float64, []float64]
+		agg      func(context.Context, *rdd.RDD[int64], ...AggOption) ([]float64, error)
 		scale    float64
 		channels int64
-	}{{"serde ops", vecFuncs(dim), 1, 2}, {"F64Ops and Finish", doubled, 2, 1}} {
+	}{{"serde ops", func(ctx context.Context, r *rdd.RDD[int64], opts ...AggOption) ([]float64, error) {
+		return Aggregate(ctx, r, vecFuncs(dim), opts...)
+	}, 1, 2}, {"F64Ops and Finish", func(ctx context.Context, r *rdd.RDD[int64], opts ...AggOption) ([]float64, error) {
+		return AggregateF64(ctx, r, doubled, opts...)
+	}, 2, 1}} {
 		t.Run(c.name, func(t *testing.T) {
 			name := "chaos-ar-kill-" + strings.ReplaceAll(c.name, " ", "-")
 			victim := transport.Addr(fmt.Sprintf("comm/%s/ring/%d", name, 2))
@@ -292,7 +292,7 @@ func TestChaosAllReduceKillFallsBack(t *testing.T) {
 			r := vectorRDD(ctx, samples, 6)
 			want := expectedVector(samples, dim)
 
-			got, err := Aggregate(context.Background(), r, c.fns,
+			got, err := c.agg(context.Background(), r,
 				WithStrategy(StrategyAllReduce), WithKeepKey("model/chaos"),
 				WithDeadline(500*time.Millisecond))
 			if err != nil {

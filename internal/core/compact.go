@@ -26,8 +26,8 @@ import (
 type vecList chan []float64
 
 // compactVals holds Fold's compact accumulators between steps, one per
-// task slot of a few in-process executors. It does not go through
-// AggFuncs.Recycle: linalg's free list drops vectors of another size.
+// task slot of a few in-process executors. It is not linalg's free
+// list, which drops vectors of another size.
 var compactVals = make(vecList, 16)
 
 // parkedVecs is the race-build guard of compactVals and bodies: parking
@@ -82,45 +82,6 @@ func onesBelow(sup []uint64, b int) int {
 		n += bits.OnesCount64(sup[b>>6] & (1<<uint(r) - 1))
 	}
 	return n
-}
-
-// compactFold is the compact fold of one task's elems, whose support is
-// sup, and whether Fold accepted: the values, in a buffer from
-// compactVals, and the dense aggregator's element count. Only
-// []float64 aggregators whose Ops pack (f64Wire) fold compactly, and
-// only from a known support; an accepted fold must hold one value per
-// set bit of sup, a bitmap of PackedWords(n) words.
-func (f *AggFuncs[T, U, V]) compactFold(elems []T, sup []uint64) (vals []float64, n int, ok bool, err error) {
-	if f.Fold == nil || !f.f64Wire() || sup == nil {
-		return nil, 0, false, nil
-	}
-	buf := compactVals.get(onesBelow(sup, 64*len(sup)))[:0]
-	u, n, ok, err := f.Fold(any(buf).(U), elems)
-	vals = any(u).([]float64)
-	switch {
-	case err != nil || !ok:
-		compactVals.put(buf)
-		return nil, 0, false, err
-	case len(sup) != serde.PackedWords(n) || len(vals) != onesBelow(sup, n):
-		return nil, 0, false, fmt.Errorf("core: Fold returned %d values of a %d-element aggregator, for a support of %d words",
-			len(vals), n, len(sup))
-	}
-	return vals, n, true, nil
-}
-
-// expand is the dense aggregator the compact vals stand for: Zero()
-// with vals written at sup's set bits — bit for bit the aggregator Zero
-// and SeqOp would have made. vals goes back to compactVals.
-func (f *AggFuncs[T, U, V]) expand(vals U, sup support, n int) U {
-	u := f.Zero()
-	dense := any(u).([]float64)
-	if len(dense) != n {
-		panic(fmt.Sprintf("core: Fold's aggregator has %d elements, Zero's %d", n, len(dense)))
-	}
-	c := any(vals).([]float64)
-	serde.ScatterF64(dense, sup.bits, c)
-	compactVals.put(c)
-	return u
 }
 
 // compactSegs is a compact aggregator as the ring's segment source

@@ -346,32 +346,45 @@ func sparseWant(parts, dim, per16 int) []float64 {
 	return want
 }
 
-// sparseFuncs aggregates sparseRDD through F64Ops with its supports, and
-// with a Fold that writes one partition's values straight out, counting
-// the folds it accepts in folds.
-func sparseFuncs(dim int, folds *atomic.Int64) AggFuncs[sparsePart, []float64, []float64] {
-	ops := collective.F64Ops()
-	return AggFuncs[sparsePart, []float64, []float64]{
-		Zero: vecZero(dim),
+// sparseFuncs aggregates sparseRDD on the f64 plane with its supports,
+// and with a Fold that writes one partition's values straight out,
+// counting the folds it accepts in folds.
+func sparseFuncs(dim int, folds *atomic.Int64) F64Funcs[sparsePart] {
+	return F64Funcs[sparsePart]{
+		Dim: dim,
 		SeqOp: func(acc []float64, sp sparsePart) []float64 {
 			for k, j := range sp.idx {
 				acc[j] += sp.vals[k]
 			}
 			return acc
 		},
-		MergeOp:  AddF64,
-		SplitOp:  SplitSlice[float64],
-		ReduceOp: AddF64,
-		ConcatOp: ConcatSlices[float64],
-		Ops:      &ops,
-		Support:  func(sp sparsePart) []uint64 { return sp.sup },
-		Fold: func(dst []float64, elems []sparsePart) ([]float64, int, bool, error) {
+		Support: func(sp sparsePart) []uint64 { return sp.sup },
+		Fold: func(dst []float64, elems []sparsePart) ([]float64, bool, error) {
 			if len(elems) != 1 {
-				return dst, 0, false, nil
+				return dst, false, nil
 			}
 			folds.Add(1)
-			return append(dst, elems[0].vals...), dim, true, nil
+			return append(dst, elems[0].vals...), true, nil
 		},
+	}
+}
+
+// aggregateWith is AggregateF64 with get and put as the plane's vector
+// free list in place of linalg's.
+func aggregateWith[T any](ctx context.Context, r *rdd.RDD[T], fns F64Funcs[T], get func(int) []float64, put func([]float64), opts ...AggOption) ([]float64, error) {
+	return aggregate[T, f64Acc, []float64](ctx, r, &f64Plane[T]{F64Funcs: fns, get: get, put: put}, opts)
+}
+
+// makeVec is a fresh +0.0 vector of n elements, a free list that
+// never reuses.
+func makeVec(n int) []float64 { return make([]float64, n) }
+
+// genericOf is fns as generic callbacks — SplitSlice's view split, and
+// ops (nil: serde's) in the ring — the one other way to sum []float64.
+func genericOf[T any](fns F64Funcs[T], ops *collective.Ops[[]float64]) AggFuncs[T, []float64, []float64] {
+	return AggFuncs[T, []float64, []float64]{
+		Zero: vecZero(fns.Dim), SeqOp: fns.SeqOp, MergeOp: AddF64,
+		SplitOp: SplitSlice[float64], ReduceOp: AddF64, ConcatOp: ConcatSlices[float64], Ops: ops,
 	}
 }
 
@@ -399,7 +412,7 @@ func TestChaosCompactKillBetweenStages(t *testing.T) {
 			defer ctx.Close()
 			churn.ctx = ctx
 			var folds atomic.Int64
-			got, err := Aggregate(fillChannels(context.Background(), dim, par), sparseRDD(ctx, parts, dim, 1), sparseFuncs(dim, &folds),
+			got, err := AggregateF64(fillChannels(context.Background(), dim, par), sparseRDD(ctx, parts, dim, 1), sparseFuncs(dim, &folds),
 				WithStrategy(s), WithParallelism(par))
 			if churn.err != nil {
 				t.Fatalf("kill: %v", churn.err)
@@ -415,7 +428,7 @@ func TestChaosCompactKillBetweenStages(t *testing.T) {
 				t.Fatalf("%d compact folds, want %d: both attempts fold every partition", n, 2*parts)
 			}
 			// The next aggregation, on the two survivors, is exact too.
-			if got, err = Aggregate(fillChannels(context.Background(), dim, par), sparseRDD(ctx, parts, dim, 1), sparseFuncs(dim, &folds),
+			if got, err = AggregateF64(fillChannels(context.Background(), dim, par), sparseRDD(ctx, parts, dim, 1), sparseFuncs(dim, &folds),
 				WithStrategy(s), WithParallelism(par)); err != nil {
 				t.Fatal(err)
 			}
@@ -432,10 +445,10 @@ func TestCompactFoldContract(t *testing.T) {
 	ctx := testContext(t, 2, 1)
 	var folds atomic.Int64
 	f := sparseFuncs(dim, &folds)
-	f.Fold = func(dst []float64, elems []sparsePart) ([]float64, int, bool, error) {
-		return append(dst, 1), dim, true, nil
+	f.Fold = func(dst []float64, elems []sparsePart) ([]float64, bool, error) {
+		return append(dst, 1), true, nil
 	}
-	_, err := Aggregate(context.Background(), sparseRDD(ctx, parts, dim, 1), f, WithStrategy(StrategySplit))
+	_, err := AggregateF64(context.Background(), sparseRDD(ctx, parts, dim, 1), f, WithStrategy(StrategySplit))
 	if err == nil {
 		t.Fatal("a Fold with one value for a wide support was accepted")
 	}

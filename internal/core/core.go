@@ -2,8 +2,8 @@
 // Aggregation Interface (SAI) and In-Memory Merge (IMM) on top of the
 // rdd engine.
 //
-// Aggregate is the one entry point; its Strategy option selects among
-// the reductions of the paper's Figure 16 comparison:
+// Aggregate is the entry point (AggregateF64 for a []float64 sum); its
+// Strategy option selects among the paper's Figure 16 reductions:
 //
 //   - StrategyTree — the Spark baseline, treeAggregate (runTree):
 //     per-task serialized results, combiner stages, serial driver merge.
@@ -40,6 +40,7 @@
 package core
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -55,144 +56,61 @@ import (
 	"sparker/internal/transport"
 )
 
+// plane is where the generic plane (AggFuncs) and the f64 plane
+// (F64Funcs, f64.go) differ. The stage code — the IMM stage, the ring
+// stage, the IMM gather, the tree's rounds and Aggregate's retry loop —
+// is written once over it, and each method runs once per task or stage,
+// never per element. A is the accumulator a task holds, V the segment.
+type plane[T, A, V any] interface {
+	// validate rejects callbacks strategy s cannot run with.
+	validate(s Strategy) error
+	// fold is one task's fold of its partition (the IMM stage's and the
+	// tree's stage 1's); fold(nil) is an empty accumulator.
+	fold(data []T) (A, error)
+	// merge merges acc into a (the IMM merge) and is done with acc.
+	merge(a, acc A) A
+	// encode is a's tree frame in draw's buffer (nil: a fresh one), and
+	// is done with a.
+	encode(a A, draw func(int) []byte) ([]byte, error)
+	// mergeWire merges one tree frame into a (a combine task's).
+	mergeWire(a A, wire []byte) (A, error)
+	// read is the driver's end of the tree strategies: the serial merge
+	// from Zero of frames (the tree's last round or the IMM gather) in
+	// task order; keep, when set, is handed the dense aggregate first (a
+	// degraded allreduce replicates it). The frames go back to the pool.
+	read(frames [][]byte, keep func(V) error) (V, error)
+	// reduce reduce-scatters a, the owned segments dense for allGather.
+	reduce(ctx context.Context, ec *rdd.ExecContext, a A, nExec, p int, allGather bool) (ringRun[V], error)
+	// concat is the allgather's reassembly of the ordered segments.
+	concat(segs []V) V
+	// release gives a's memory back once nothing reads run's segments.
+	release(run *ringRun[V], a A)
+	// encodeResult is allreduce rank 0's frame of v, in draw's buffer
+	// where it can be; readResult is the driver's reading of it.
+	encodeResult(v V, draw func(int) []byte) ([]byte, error)
+	readResult(p []byte) (V, error)
+	// readOwned is the driver's reading of the owned-segments frames.
+	readOwned(payloads [][]byte) (V, error)
+}
+
 // immState is the per-executor shared aggregator for one aggregation.
-type immState[U any] struct {
-	agg   U
-	sup   support // of agg, when the ring will use it
-	n     int     // > 0: agg is compact (compact.go), the values at sup's set bits of n elements
-	tasks int     // number of task results merged in
-}
-
-// support is what core knows of an aggregator's possibly non-zero
-// elements (AggFuncs.Support): a bitmap over SplitOp's concatenated
-// segments, bit i%64 of word i/64 for element i. The zero value knows
-// nothing, so the ring scans; known with nil bits means every element is
-// still +0.0. borrowed bits are an element's own bitmap, which core only
-// reads; core copies them before the first write (add, words).
-type support struct {
-	bits     []uint64
-	known    bool
-	borrowed bool
-}
-
-// add ORs one element's support into s — borrowing it, the first time.
-// A nil support, or one whose length disagrees, makes s unknown.
-func (s *support) add(b []uint64) {
-	switch {
-	case !s.known:
-	case b == nil || s.bits != nil && len(b) != len(s.bits):
-		*s = support{}
-	case s.bits == nil:
-		s.bits, s.borrowed = b, true
-	default:
-		s.own()
-		for i, w := range b {
-			s.bits[i] |= w
-		}
-	}
-}
-
-// own makes s's bits its own copy.
-func (s *support) own() {
-	if s.borrowed {
-		s.bits, s.borrowed = slices.Clone(s.bits), false
-	}
-}
-
-// merge folds another aggregator's support into s (MergeOp).
-func (s *support) merge(o support) {
-	if !o.known {
-		*s = support{}
-	} else if o.bits != nil {
-		s.add(o.bits)
-	}
-}
-
-// view is the bitmap of an aggregator of elems elements, for reading —
-// all clear for an aggregator that is still Zero — or nil when s is
-// unknown or sized for something else.
-func (s *support) view(elems int) []uint64 {
-	n := serde.PackedWords(elems)
-	switch {
-	case !s.known || s.bits != nil && len(s.bits) != n:
-		return nil
-	case s.bits == nil:
-		s.bits = make([]uint64, n)
-	}
-	return s.bits
-}
-
-// words is view's bitmap as one the ring may also write: s's own copy.
-func (s *support) words(elems int) []uint64 {
-	if s.view(elems) == nil {
-		return nil
-	}
-	s.own()
-	return s.bits
-}
-
-// foldPartition is one task's fold of its partition, the IMM stage's
-// and the tree's stage 1's: the support of its elements ORed
-// (AggFuncs.Support) when Ops pack — only they read it: the ring, and
-// the []float64 frames (f64Wire) — then the compact fold (compactFold),
-// or Zero and SeqOp over data when that declines. n > 0 marks a compact
-// accumulator of n elements (immState).
-func (f *AggFuncs[T, U, V]) foldPartition(data []T) (acc U, sup support, n int, err error) {
-	track := f.Support != nil && f.Ops != nil && f.Ops.CanPack()
-	sup = support{known: track}
-	for i := 0; track && i < len(data); i++ {
-		sup.add(f.Support(data[i]))
-	}
-	vals, n, compact, err := f.compactFold(data, sup.bits)
-	switch {
-	case err != nil:
-		return acc, sup, 0, err
-	case compact:
-		return any(vals).(U), sup, n, nil
-	}
-	acc = f.Zero()
-	for _, v := range data {
-		acc = f.SeqOp(acc, v)
-	}
-	return acc, sup, 0, nil
-}
-
-// encodeFrame is the tree frame of an accumulator that the caller is
-// done with (a tree block, or an IMM gather result), into draw's
-// buffer: a compact one (n > 0) is written from its values when its
-// support settles the packed form, and is otherwise expanded — exact,
-// by Fold's contract — and encoded as a dense one is (encodeAgg). The
-// accumulator's memory goes back to its free list.
-func (f *AggFuncs[T, U, V]) encodeFrame(u U, sup support, n int, draw func(int) []byte) ([]byte, error) {
-	if n > 0 {
-		vals := any(u).([]float64)
-		if frame, ok := serde.EncodeF64Support(draw, n, sup.bits, vals); ok {
-			compactVals.put(vals)
-			return frame, nil
-		}
-		u = f.expand(u, sup, n)
-	}
-	wire, err := f.encodeAgg(u, sup, draw)
-	f.recycle(u)
-	return wire, err
+type immState[A any] struct {
+	agg   A
+	tasks int // number of task results merged in
 }
 
 // runIMMStage executes the reduced-result stage: every partition is
-// folded with seqOp into its own accumulator; the first accumulator to
+// folded (plane.fold) into its own accumulator; the first accumulator to
 // finish on an executor is adopted as that executor's resident
-// aggregator and the later ones are merged into it with mergeOp and
-// handed back through recycle. Adoption replaces merging the first
-// accumulator into a fresh zero(): the association order of the
-// accumulators is unchanged (arrival order), only the identity element
-// at its head is gone. A task whose Fold accepts (compactFold) leaves a
-// compact accumulator; a merge expands a compact one into zero() first,
-// which is exact, so the merges are the dense path's. On any task
+// aggregator and the later ones are merged into it (plane.merge).
+// Adoption replaces merging the first accumulator into a fresh zero():
+// the association order of the accumulators is unchanged (arrival
+// order), only the identity element at its head is gone. On any task
 // failure the stage's shared values are cleared on every executor and
 // the whole stage re-submitted (§3.2). Afterwards each executor that ran
 // a task holds exactly one aggregator under key; held reports which
-// executors those are. Each executor's support (foldPartition) is
-// folded beside its aggregator.
-func runIMMStage[T, U, V any](r *rdd.RDD[T], key string, parent trace.SpanContext, fns *AggFuncs[T, U, V]) (held map[int]bool, err error) {
+// executors those are.
+func runIMMStage[T, A, V any](r *rdd.RDD[T], key string, parent trace.SpanContext, pl plane[T, A, V]) (held map[int]bool, err error) {
 	h, err := r.Context().SubmitJob(rdd.JobSpec{
 		Tasks:       r.NumPartitions(),
 		TraceParent: parent,
@@ -203,24 +121,16 @@ func runIMMStage[T, U, V any](r *rdd.RDD[T], key string, parent trace.SpanContex
 			}
 			// Fold locally first so executor cores compute in parallel;
 			// only the final merge serializes on the shared object.
-			acc, sup, n, err := fns.foldPartition(data)
+			acc, err := pl.fold(data)
 			if err != nil {
 				return nil, err
 			}
-			ec.MutObjs.GetOrCreate(key, func() any { return &immState[U]{} }).Update(func(v any) any {
-				st := v.(*immState[U])
+			ec.MutObjs.GetOrCreate(key, func() any { return &immState[A]{} }).Update(func(v any) any {
+				st := v.(*immState[A])
 				if st.tasks == 0 {
-					st.agg, st.sup, st.n = acc, sup, n
+					st.agg = acc
 				} else {
-					if st.n > 0 {
-						st.agg, st.n = fns.expand(st.agg, st.sup, st.n), 0
-					}
-					if n > 0 {
-						acc = fns.expand(acc, sup, n)
-					}
-					st.agg = fns.MergeOp(st.agg, acc)
-					st.sup.merge(sup)
-					fns.recycle(acc)
+					st.agg = pl.merge(st.agg, acc)
 				}
 				st.tasks++
 				return st
@@ -250,23 +160,20 @@ func runIMMStage[T, U, V any](r *rdd.RDD[T], key string, parent trace.SpanContex
 // takeAgg removes the executor's resident aggregator from the mutable
 // object manager and returns it: the calling task now holds the only
 // reference, and nothing is left behind for a cleanup stage. An
-// executor that ran no task of the IMM stage contributes zero(); one
+// executor that ran no task of the IMM stage contributes fold(nil); one
 // that did (held) and has no aggregator has lost it — it was already
 // taken, or the executor was replaced since — which must fail the task
-// rather than pass a zero off as its contribution. The aggregator's
-// support comes with it; a Zero() aggregator's is known and empty. n > 0
-// marks a compact aggregator of n elements (immState).
-func takeAgg[T, U, V any](ec *rdd.ExecContext, key string, held map[int]bool, fns *AggFuncs[T, U, V]) (U, support, int, error) {
+// rather than pass a zero off as its contribution.
+func takeAgg[T, A, V any](ec *rdd.ExecContext, key string, held map[int]bool, pl plane[T, A, V]) (A, error) {
 	if obj := ec.MutObjs.Get(key); obj != nil {
 		ec.MutObjs.Remove(key)
-		st := obj.Value().(*immState[U])
-		return st.agg, st.sup, st.n, nil
+		return obj.Value().(*immState[A]).agg, nil
 	}
 	if held[ec.ID] {
-		var zu U
-		return zu, support{}, 0, fmt.Errorf("core: executor %d no longer holds aggregator %s: %w", ec.ID, key, ErrMembershipChanged)
+		var za A
+		return za, fmt.Errorf("core: executor %d no longer holds aggregator %s: %w", ec.ID, key, ErrMembershipChanged)
 	}
-	return fns.Zero(), support{known: fns.Support != nil}, 0, nil
+	return pl.fold(nil)
 }
 
 // requireHeld fails with ErrMembershipChanged unless every executor in
@@ -299,10 +206,10 @@ func cleanupIMM(ctx *rdd.Context, parent trace.SpanContext, prefix string) {
 // gatherIMM is StrategyIMM's second stage: every executor serializes
 // the one aggregator the reduced-result stage left it into its result
 // frame, and the driver receives the frames in executor order, for
-// reduceFrames to merge serially. The reduction remains tree-shaped
+// plane.read to merge serially. The reduction remains tree-shaped
 // (driver-bound); only the serialization volume shrinks from one result
 // per task to one per executor.
-func gatherIMM[T, U, V any](ctx *rdd.Context, parent trace.SpanContext, key string, held map[int]bool, fns *AggFuncs[T, U, V]) ([][]byte, error) {
+func gatherIMM[T, A, V any](ctx *rdd.Context, parent trace.SpanContext, key string, held map[int]bool, pl plane[T, A, V]) ([][]byte, error) {
 	live := slices.Clone(ctx.LiveExecutors())
 	if err := requireHeld(held, live); err != nil {
 		return nil, err
@@ -312,11 +219,11 @@ func gatherIMM[T, U, V any](ctx *rdd.Context, parent trace.SpanContext, key stri
 		Placement:   live,
 		TraceParent: parent,
 		Fn: func(ec *rdd.ExecContext, task, attempt int) ([]byte, error) {
-			agg, sup, n, err := takeAgg(ec, key, held, fns)
+			a, err := takeAgg(ec, key, held, pl)
 			if err != nil {
 				return nil, err
 			}
-			return fns.encodeFrame(agg, sup, n, ec.ResultBuf)
+			return pl.encode(a, ec.ResultBuf)
 		},
 	})
 	if err != nil {
@@ -336,7 +243,7 @@ func gatherIMM[T, U, V any](ctx *rdd.Context, parent trace.SpanContext, key stri
 // partition to its frame under the RDD's placement policy, rounds of
 // combine tasks merge the previous round's frames from the wire, and
 // the driver merges the last round's serially in task order
-// (reduceFrames) — the non-scalable reduction Sparker replaces. The
+// (plane.read) — the non-scalable reduction Sparker replaces. The
 // round plan is fixed before stage 1: Spark computes scale = max(2,
 // ⌈parts^(1/depth)⌉) and adds a round of ⌈cur/scale⌉ combiners while
 // that keeps shrinking the count. Each round but the last stores its
@@ -344,8 +251,8 @@ func gatherIMM[T, U, V any](ctx *rdd.Context, parent trace.SpanContext, key stri
 // cleanup job drops them; the last round's are built in the task's
 // result buffer and come home as its results, of any size (Spark's
 // 1 MiB switch to fetched results is not modelled).
-func runTree[T, U, V any](r *rdd.RDD[T], parent trace.SpanContext, fns *AggFuncs[T, U, V], depth int) (U, error) {
-	var zu U
+func runTree[T, A, V any](r *rdd.RDD[T], parent trace.SpanContext, pl plane[T, A, V], depth int) (V, error) {
+	var zv V
 	rc := r.Context()
 	prefix := fmt.Sprintf("agg/%d/", rc.NewOpID())
 	var combiners []int
@@ -366,11 +273,11 @@ func runTree[T, U, V any](r *rdd.RDD[T], parent trace.SpanContext, fns *AggFuncs
 	}
 	// seal ends a round's task with its accumulator's frame: the last
 	// round's is its result, an earlier round's is stored.
-	seal := func(ec *rdd.ExecContext, round, task int, u U, sup support, n int) ([]byte, error) {
+	seal := func(ec *rdd.ExecContext, round, task int, a A) ([]byte, error) {
 		if round == last {
-			return fns.encodeFrame(u, sup, n, ec.ResultBuf)
+			return pl.encode(a, ec.ResultBuf)
 		}
-		frame, err := fns.encodeFrame(u, sup, n, nil)
+		frame, err := pl.encode(a, nil)
 		if err == nil {
 			ec.Store.PutLocal(blockID(round, task), frame)
 		}
@@ -388,11 +295,11 @@ func runTree[T, U, V any](r *rdd.RDD[T], parent trace.SpanContext, fns *AggFuncs
 			if err != nil {
 				return nil, err
 			}
-			acc, sup, n, err := fns.foldPartition(data)
+			acc, err := pl.fold(data)
 			if err != nil {
 				return nil, err
 			}
-			return seal(ec, 0, task, acc, sup, n)
+			return seal(ec, 0, task, acc)
 		},
 	})
 	var payloads [][]byte
@@ -401,7 +308,7 @@ func runTree[T, U, V any](r *rdd.RDD[T], parent trace.SpanContext, fns *AggFuncs
 	}
 	rc.RecordPhase(metrics.PhaseAggCompute, time.Since(start), "treeAggregate stage 1")
 	if err != nil {
-		return zu, err
+		return zv, err
 	}
 	// Where each block actually landed: the winning executor of each
 	// task. Speculation or cache-aware placement can move a task off
@@ -419,28 +326,28 @@ func runTree[T, U, V any](r *rdd.RDD[T], parent trace.SpanContext, fns *AggFuncs
 			TraceParent: parent,
 			Tasks:       numCombiners,
 			Fn: func(ec *rdd.ExecContext, task, attempt int) ([]byte, error) {
-				acc := fns.Zero()
+				acc, _ := pl.fold(nil) // empty, so it cannot fail
 				for p := task; p < srcCount; p += numCombiners {
 					wire, err := ec.Store.FetchFrom(rc.ExecutorStoreName(srcPlace[p]), blockID(round-1, p))
 					if err != nil {
 						return nil, err
 					}
-					if acc, err = fns.mergeWire(acc, wire); err != nil {
+					if acc, err = pl.mergeWire(acc, wire); err != nil {
 						return nil, err
 					}
 				}
-				return seal(ec, round, task, acc, support{}, 0)
+				return seal(ec, round, task, acc)
 			},
 		})
 		if err == nil {
 			payloads, err = h.Wait()
 		}
 		if err != nil {
-			return zu, err
+			return zv, err
 		}
 		place, cur = h.Executors(), numCombiners
 	}
-	return fns.reduceFrames(payloads, nil)
+	return pl.read(payloads, nil)
 }
 
 // intRoot returns ⌈n^(1/k)⌉ computed in integers.
@@ -466,109 +373,103 @@ func pow(b, e int) int {
 	return p
 }
 
-// f64Wire reports whether the tree strategies' frames are []float64
-// sums: U and V are []float64 and Ops packs, which asserts IEEE addition
-// from +0.0 (collective.PackedOps). Adding a frame into the driver's
-// accumulator from the wire (serde.DecodeReduceF64) then gives the bits
-// of decode-then-MergeOp.
-func (f *AggFuncs[T, U, V]) f64Wire() bool {
-	_, ok := any(f).(*AggFuncs[T, []float64, []float64])
-	return ok && f.Ops != nil && f.Ops.CanPack()
+// The generic plane: AggFuncs' own callbacks, every frame serde's
+// encoding of U or V, and memory the collector's.
+
+func (f *AggFuncs[T, U, V]) validate(s Strategy) error {
+	if f.Zero == nil || f.SeqOp == nil || f.MergeOp == nil || f.SplitOp == nil {
+		return fmt.Errorf("core: Aggregate(%v) requires Zero, SeqOp, MergeOp and SplitOp", s)
+	}
+	if (s == StrategySplit || s == StrategyAllReduce) && (f.ReduceOp == nil || f.ConcatOp == nil) {
+		return fmt.Errorf("core: Aggregate(%v) requires ReduceOp and ConcatOp", s)
+	}
+	return nil
 }
 
-// encodeAgg is u's tree frame (a block, or an IMM gather result),
-// encoded from sup when f64Wire, into draw's buffer (nil: a fresh one).
-func (f *AggFuncs[T, U, V]) encodeAgg(u U, sup support, draw func(int) []byte) ([]byte, error) {
-	if f.f64Wire() {
-		s := any(u).([]float64)
-		return serde.EncodeF64(draw, s, sup.view(len(s)))
+func (f *AggFuncs[T, U, V]) fold(data []T) (U, error) {
+	acc := f.Zero()
+	for _, v := range data {
+		acc = f.SeqOp(acc, v)
 	}
+	return acc, nil
+}
+
+func (f *AggFuncs[T, U, V]) merge(a, acc U) U               { return f.MergeOp(a, acc) }
+func (f *AggFuncs[T, U, V]) concat(segs []V) V              { return f.ConcatOp(segs) }
+func (f *AggFuncs[T, U, V]) release(*ringRun[V], U)         {}
+func (f *AggFuncs[T, U, V]) readResult(p []byte) (V, error) { return decode[V](p) }
+
+func (f *AggFuncs[T, U, V]) encode(u U, _ func(int) []byte) ([]byte, error) {
 	return serde.Encode(nil, u)
 }
 
-// encodeResult is allreduce rank 0's frame of the reduced v, written
-// into draw's buffer (the task's pooled result frame) when f64Wire.
-func (f *AggFuncs[T, U, V]) encodeResult(v V, draw func(int) []byte) ([]byte, error) {
-	if f.f64Wire() {
-		return serde.EncodeF64(draw, any(v).([]float64), nil)
-	}
+func (f *AggFuncs[T, U, V]) encodeResult(v V, _ func(int) []byte) ([]byte, error) {
 	return serde.Encode(nil, v)
 }
 
-// mergeWire merges one tree frame into acc (a combine task's).
 func (f *AggFuncs[T, U, V]) mergeWire(acc U, wire []byte) (U, error) {
-	if f.f64Wire() {
-		return acc, serde.DecodeReduceF64(any(acc).([]float64), wire)
-	}
-	v, _, err := serde.Decode(wire)
+	u, err := decode[U](wire)
 	if err != nil {
 		return acc, err
 	}
-	return f.MergeOp(acc, v.(U)), nil
+	return f.MergeOp(acc, u), nil
 }
 
-// reduceFrames is the driver's end of the tree strategies: frames are
-// the tree's last round or the IMM gather, in task order, and the
-// result is their serial merge from Zero in that order. An f64Wire
-// aggregate is not assembled but read from its frames (serde.SumF64),
-// by Finish or, with Finish nil, into a dense vector; otherwise each
-// frame is decoded and merged with MergeOp. keep, when set, is handed
-// the dense aggregate first (a degraded allreduce replicates it). The
-// frames go back to the wire pool once read: the f64 path adds from the
-// bytes, and serde's built-in codecs copy out of their input (a codec
-// registered for a tree aggregator must too).
-func (f *AggFuncs[T, U, V]) reduceFrames(frames [][]byte, keep func(U) error) (U, error) {
-	var zu U
-	defer func() {
-		for _, p := range frames {
-			transport.PutBuf(p)
+// read decodes frames, and serde's built-in codecs copy out of their
+// input (a codec registered for a tree aggregator must too).
+func (f *AggFuncs[T, U, V]) read(frames [][]byte, keep func(V) error) (V, error) {
+	defer putBufs(frames)
+	acc := f.Zero()
+	for _, p := range frames {
+		var err error
+		if acc, err = f.mergeWire(acc, p); err != nil {
+			var zv V
+			return zv, err
 		}
-	}()
-	if !f.f64Wire() {
-		acc := f.Zero()
-		for _, p := range frames {
-			var err error
-			if acc, err = f.mergeWire(acc, p); err != nil {
-				return zu, err
-			}
-		}
-		if keep != nil {
-			return acc, keep(acc)
-		}
-		return acc, nil
 	}
-	agg, err := serde.SumF64(frames)
-	if err != nil {
-		return zu, err
-	}
-	defer agg.Release()
+	v := f.SplitOp(acc, 0, 1)
 	if keep != nil {
-		u := any(agg.Dense()).(U)
-		if err := keep(u); err != nil || f.Finish == nil {
-			return u, err
-		}
+		return v, keep(v)
 	}
-	v, err := finishF64(agg, f.Finish)
-	return any(v).(U), err
+	return v, nil
 }
 
-// result is what Aggregate returns for the tree strategies' aggregate
-// u: Finish's result as it is, or the aggregate viewed as a segment.
-func (f *AggFuncs[T, U, V]) result(u U) V {
-	if f.Finish != nil {
-		return any(u).(V)
-	}
-	return f.SplitOp(u, 0, 1)
+func (f *AggFuncs[T, U, V]) reduce(ctx context.Context, ec *rdd.ExecContext, u U, nExec, p int, _ bool) (ringRun[V], error) {
+	return reduceDense(ctx, ec, u, support{}, nExec, p, f.ringOps(), f.SplitOp)
 }
 
-// finishF64 ends a reduction read from its frames: finish reads it, or
-// with finish nil the dense aggregate is assembled from it. V is
-// []float64.
-func finishF64[V any](agg *serde.F64Frames, finish func(*serde.F64Frames) (V, error)) (V, error) {
-	if finish != nil {
-		return finish(agg)
+func (f *AggFuncs[T, U, V]) readOwned(payloads [][]byte) (V, error) {
+	return decodeOwned(payloads, f.ringOps(), f.ConcatOp, denseOf[V])
+}
+
+// ringOps is Ops, or serde's for V.
+func (f *AggFuncs[T, U, V]) ringOps() collective.Ops[V] {
+	if f.Ops != nil {
+		return *f.Ops
 	}
-	return any(agg.Dense()).(V), nil
+	return serdeOps[V](f.ReduceOp)
+}
+
+// decode is serde's decoding of an X. It leaves p to the garbage
+// collector: a generic codec may alias it.
+func decode[X any](p []byte) (X, error) {
+	v, _, err := serde.Decode(p)
+	if err != nil {
+		var zx X
+		return zx, err
+	}
+	return v.(X), nil
+}
+
+// denseOf assembles a fixed-stride generic aggregate, whose V is
+// []float64 (decodeOwned), from its frames.
+func denseOf[V any](agg *serde.F64Frames) (V, error) { return any(agg.Dense()).(V), nil }
+
+// putBufs hands frames back to the wire pool.
+func putBufs(frames [][]byte) {
+	for _, p := range frames {
+		transport.PutBuf(p)
+	}
 }
 
 // serdeOps builds the collective callbacks for a serde-encodable
@@ -582,14 +483,7 @@ func serdeOps[V any](reduceOp func(V, V) V) collective.Ops[V] {
 		Reduce:   reduceOp,
 		Encode:   func(dst []byte, v V) []byte { return serde.MustEncode(dst, v) },
 		EncodeTo: func(dst []byte, v V) []byte { return serde.MustEncode(dst[:0], v) },
-		Decode: func(src []byte) (V, error) {
-			val, _, err := serde.Decode(src)
-			if err != nil {
-				var z V
-				return z, err
-			}
-			return val.(V), nil
-		},
+		Decode:   decode[V],
 	}
 }
 
@@ -801,7 +695,7 @@ func parseOwned(p []byte, segs []ownedSeg) error {
 // ops are F64Ops' []float64 words: the segments, in index order, are the
 // ranges of one serde.F64Frames reader — by the chunk contract that is
 // the concatenation, so concatOp is not consulted — which finish reads
-// (nil: the dense vector is assembled from it), and the frames, which
+// (denseOf: the dense vector is assembled from it), and the frames, which
 // the reader validated whole before finish saw an element and keeps
 // nothing of, go back to the wire pool. Otherwise segments are decoded
 // one by one and handed to concatOp, and the frames are left to the
@@ -861,9 +755,7 @@ func decodeOwned[V any](payloads [][]byte, ops collective.Ops[V], concatOp func(
 			return zv, fmt.Errorf("%w: segment %d: %w", ErrMalformedFrame, i, err)
 		}
 	}
-	v, err := finishF64(agg, finish)
-	for _, p := range payloads {
-		transport.PutBuf(p)
-	}
+	v, err := finish(agg)
+	putBufs(payloads)
 	return v, err
 }

@@ -25,29 +25,33 @@ import (
 	"sparker/internal/transport"
 )
 
-// poisonPool is a Zero/Recycle pair that catches use after recycle: a
-// recycled aggregator is filled with NaN and handed out again (zeroed)
-// by the next Zero, so any engine read of an aggregator it has already
-// given back surfaces as NaN in the result, and any aliasing between a
-// live and a recycled aggregator corrupts a sum.
+// poisonPool is an f64-plane free list (aggregateWith) that catches
+// use after recycle: a recycled aggregator is filled with NaN and handed
+// out again (zeroed) by the next get, so any engine read of an
+// aggregator it has already given back surfaces as NaN in the result,
+// and any aliasing between a live and a recycled aggregator corrupts a
+// sum.
 type poisonPool struct {
 	mu       sync.Mutex
 	free     [][]float64
 	recycled int
 }
 
-func (p *poisonPool) zero(dim int) func() []float64 {
-	return func() []float64 {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		if n := len(p.free); n > 0 {
-			v := p.free[n-1]
-			p.free = p.free[:n-1]
-			clear(v)
-			return v
-		}
-		return make([]float64, dim)
+func (p *poisonPool) get(n int) []float64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if k := len(p.free); k > 0 {
+		v := p.free[k-1]
+		p.free = p.free[:k-1]
+		clear(v)
+		return v
 	}
+	return make([]float64, n)
+}
+
+// aggregate runs fns on the f64 plane with p as its free list.
+func (p *poisonPool) aggregate(ctx context.Context, r *rdd.RDD[int64], fns F64Funcs[int64], opts ...AggOption) ([]float64, error) {
+	return aggregateWith(ctx, r, fns, p.get, p.recycle, opts...)
 }
 
 func (p *poisonPool) recycle(v []float64) {
@@ -86,10 +90,10 @@ func bitsEqual(t *testing.T, name string, got, want []float64) {
 
 // TestInPlaceSplitEquivalence: split by view ≡ split by copy ≡ tree,
 // bit for bit, for 1 and 3 partitions per executor and 1 and 2 cores,
-// with and without the fixed-stride F64Ops gather, with recycled
-// aggregators poisoned. The data is integer-valued so that every
-// association order yields the same float64s — which is what makes the
-// tree comparable at all.
+// with and without the fixed-stride F64Ops gather, and on the f64 plane
+// with recycled aggregators poisoned. The data is integer-valued so
+// that every association order yields the same float64s — which is
+// what makes the tree comparable at all.
 //
 // Adoption (the first accumulator to finish becomes the resident
 // aggregator) changes who merges into whom, not the association order:
@@ -107,19 +111,24 @@ func TestInPlaceSplitEquivalence(t *testing.T) {
 				parts := execs * perExec
 				r := vectorRDD(ctx, samples, parts)
 
-				funcs := func(seqOp func([]float64, int64) []float64, split func([]float64, int, int) []float64, ops *collective.Ops[[]float64], pool *poisonPool) AggFuncs[int64, []float64, []float64] {
-					f := AggFuncs[int64, []float64, []float64]{
+				funcs := func(seqOp func([]float64, int64) []float64, split func([]float64, int, int) []float64, ops *collective.Ops[[]float64]) AggFuncs[int64, []float64, []float64] {
+					return AggFuncs[int64, []float64, []float64]{
 						Zero: vecZero(dim), SeqOp: seqOp, MergeOp: AddF64,
 						SplitOp: split, ReduceOp: AddF64, ConcatOp: ConcatSlices[float64], Ops: ops,
 					}
-					if pool != nil {
-						f.Zero, f.Recycle = pool.zero(dim), pool.recycle
-					}
-					return f
 				}
 				run := func(name string, f AggFuncs[int64, []float64, []float64], opts ...AggOption) []float64 {
 					t.Helper()
 					got, err := Aggregate(fillChannels(context.Background(), dim, par), r, f, opts...)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					return got
+				}
+				pool := &poisonPool{}
+				runF64 := func(name string, seqOp func([]float64, int64) []float64, opts ...AggOption) []float64 {
+					t.Helper()
+					got, err := pool.aggregate(fillChannels(context.Background(), dim, par), r, F64Funcs[int64]{Dim: dim, SeqOp: seqOp}, opts...)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
@@ -135,9 +144,8 @@ func TestInPlaceSplitEquivalence(t *testing.T) {
 					}
 				}
 
-				tree := run("tree", funcs(vecSeqOp, SplitSliceCopy[float64], nil, nil), WithStrategy(StrategyTree))
+				tree := run("tree", funcs(vecSeqOp, SplitSliceCopy[float64], nil), WithStrategy(StrategyTree))
 				requireExact(t, tree, expectedVector(samples, dim))
-				pool := &poisonPool{}
 				for _, c := range []struct {
 					name  string
 					split func([]float64, int, int) []float64
@@ -148,15 +156,19 @@ func TestInPlaceSplitEquivalence(t *testing.T) {
 					{"view/f64", SplitSlice[float64], &f64},
 					{"copy/f64", SplitSliceCopy[float64], &f64},
 				} {
-					bitsEqual(t, c.name, run(c.name, funcs(vecSeqOp, c.split, c.ops, pool)), tree)
-					bitsEqual(t, c.name+"/allreduce", run(c.name, funcs(vecSeqOp, c.split, c.ops, pool), WithStrategy(StrategyAllReduce)), tree)
+					bitsEqual(t, c.name, run(c.name, funcs(vecSeqOp, c.split, c.ops)), tree)
+					bitsEqual(t, c.name+"/allreduce", run(c.name, funcs(vecSeqOp, c.split, c.ops), WithStrategy(StrategyAllReduce)), tree)
 					checkSteps(c.name, 1+phases(StrategyAllReduce))
 				}
-				bitsEqual(t, "imm", run("imm", funcs(vecSeqOp, SplitSlice[float64], nil, pool), WithStrategy(StrategyIMM)), tree)
+				bitsEqual(t, "f64 plane", runF64("f64 plane", vecSeqOp), tree)
+				bitsEqual(t, "f64 plane/allreduce", runF64("f64 plane", vecSeqOp, WithStrategy(StrategyAllReduce)), tree)
+				checkSteps("f64 plane", 1+phases(StrategyAllReduce))
+				bitsEqual(t, "imm", run("imm", funcs(vecSeqOp, SplitSlice[float64], nil), WithStrategy(StrategyIMM)), tree)
+				bitsEqual(t, "f64 plane/imm", runF64("f64 plane", vecSeqOp, WithStrategy(StrategyIMM)), tree)
 				// Per aggregation every partition's accumulator but the
 				// adopted one, and every executor's aggregator, come back.
-				if want := 9 * parts; pool.recycled != want {
-					t.Fatalf("recycled %d aggregators over 9 aggregations, want %d", pool.recycled, want)
+				if want := 3 * parts; pool.recycled != want {
+					t.Fatalf("recycled %d aggregators over 3 aggregations, want %d", pool.recycled, want)
 				}
 
 				if cores != 1 {
@@ -183,12 +195,14 @@ func TestInPlaceSplitEquivalence(t *testing.T) {
 					want = AddF64(want, agg)
 				}
 				bitsEqual(t, "imm vs sequential fold",
-					run("imm", funcs(orderSensitiveSeqOp, SplitSlice[float64], nil, pool), WithStrategy(StrategyIMM)), want)
-				view := run("view", funcs(orderSensitiveSeqOp, SplitSlice[float64], &f64, pool))
-				bitsEqual(t, "order-sensitive copy vs view",
-					run("copy", funcs(orderSensitiveSeqOp, SplitSliceCopy[float64], &f64, nil)), view)
-				bitsEqual(t, "order-sensitive serde vs f64 gather",
-					run("serde", funcs(orderSensitiveSeqOp, SplitSlice[float64], nil, pool)), view)
+					run("imm", funcs(orderSensitiveSeqOp, SplitSlice[float64], nil), WithStrategy(StrategyIMM)), want)
+				bitsEqual(t, "f64 plane imm vs sequential fold",
+					runF64("f64 plane imm", orderSensitiveSeqOp, WithStrategy(StrategyIMM)), want)
+				view := runF64("view", orderSensitiveSeqOp)
+				bitsEqual(t, "order-sensitive copy vs f64 plane",
+					run("copy", funcs(orderSensitiveSeqOp, SplitSliceCopy[float64], &f64)), view)
+				bitsEqual(t, "order-sensitive serde vs f64 plane",
+					run("serde", funcs(orderSensitiveSeqOp, SplitSlice[float64], nil)), view)
 				checkSteps("order-sensitive", 3)
 			})
 		}
@@ -216,10 +230,8 @@ func TestChaosFallbackAfterPartialInPlaceReduce(t *testing.T) {
 				AfterMsgs: 2,
 			})
 			r := vectorRDD(ctx, samples, 6)
-			pool := &poisonPool{}
 			f := vecFuncs(dim)
 			f.SplitOp = SplitSlice[float64]
-			f.Zero, f.Recycle = pool.zero(dim), pool.recycle
 			var reduces atomic.Int64
 			f.ReduceOp = func(a, b []float64) []float64 {
 				reduces.Add(1)
@@ -434,7 +446,7 @@ func TestDecodeOwnedRejectsMalformedFrames(t *testing.T) {
 		ownedFrame(2, 0, f64Body(1, 2), 2, f64Body(5)),
 		ownedFrame(2, 1, f64Body(3, 4), 3, f64Body()),
 	}
-	got, err := decodeOwned(good, ops, ConcatSlices[float64], nil)
+	got, err := decodeOwned(good, ops, ConcatSlices[float64], denseOf[[]float64])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +457,7 @@ func TestDecodeOwnedRejectsMalformedFrames(t *testing.T) {
 	got, err = decodeOwned([][]byte{
 		ownedFrame(2, 0|ownedPacked, packedSeg(0, 0, negZero, 0, 7), 2, f64Body(5)),
 		ownedFrame(2, 1, f64Body(3, 4), 3|ownedPacked, packedSeg(0, tiny, 0, math.Inf(-1))),
-	}, ops, ConcatSlices[float64], nil)
+	}, ops, ConcatSlices[float64], denseOf[[]float64])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,7 +499,7 @@ func TestDecodeOwnedRejectsMalformedFrames(t *testing.T) {
 		{"packed: bit set past elems", corrupt(func(b []byte) []byte { b[4] = 0b1000; return b }), true},
 		{"packed: truncated value", corrupt(func(b []byte) []byte { return b[:len(b)-1] }), true},
 	} {
-		_, err := decodeOwned(c.payloads, ops, ConcatSlices[float64], nil)
+		_, err := decodeOwned(c.payloads, ops, ConcatSlices[float64], denseOf[[]float64])
 		if err == nil {
 			t.Errorf("%s: accepted", c.name)
 		} else if errors.Is(err, ErrMalformedFrame) != c.malformed {
@@ -498,16 +510,16 @@ func TestDecodeOwnedRejectsMalformedFrames(t *testing.T) {
 	// The generic (serde-framed) path shares the parser.
 	generic := serdeOps[[]float64](AddF64)
 	seg := func(vals ...float64) []byte { return generic.Encode(nil, vals) }
-	got, err = decodeOwned([][]byte{ownedFrame(2, 1, seg(3), 0, seg(1, 2))}, generic, ConcatSlices[float64], nil)
+	got, err = decodeOwned([][]byte{ownedFrame(2, 1, seg(3), 0, seg(1, 2))}, generic, ConcatSlices[float64], denseOf[[]float64])
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireExact(t, got, []float64{1, 2, 3})
-	if _, err := decodeOwned([][]byte{ownedFrame(2, 1, seg(3), 1, seg(1))}, generic, ConcatSlices[float64], nil); !errors.Is(err, ErrMalformedFrame) {
+	if _, err := decodeOwned([][]byte{ownedFrame(2, 1, seg(3), 1, seg(1))}, generic, ConcatSlices[float64], denseOf[[]float64]); !errors.Is(err, ErrMalformedFrame) {
 		t.Errorf("generic path accepted a duplicate: %v", err)
 	}
 	// Ops that cannot pack refuse a packed segment instead of misreading it.
-	if _, err := decodeOwned([][]byte{ownedFrame(2, 1, seg(3), 0|ownedPacked, packedSeg(1, 2))}, generic, ConcatSlices[float64], nil); !errors.Is(err, ErrMalformedFrame) {
+	if _, err := decodeOwned([][]byte{ownedFrame(2, 1, seg(3), 0|ownedPacked, packedSeg(1, 2))}, generic, ConcatSlices[float64], denseOf[[]float64]); !errors.Is(err, ErrMalformedFrame) {
 		t.Errorf("generic path accepted a packed segment: %v", err)
 	}
 }
@@ -604,7 +616,7 @@ func TestOwnedFramePacksPerSegment(t *testing.T) {
 	if at := 4 + 8 + 4 + 8*(4+3); !bytes.Equal(frame[at:at+8+8*200], rawFrame[4:]) {
 		t.Error("a segment that does not pack is not byte-identical to the raw form")
 	}
-	got, err := decodeOwned([][]byte{frame}, ops, ConcatSlices[float64], nil)
+	got, err := decodeOwned([][]byte{frame}, ops, ConcatSlices[float64], denseOf[[]float64])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -650,7 +662,7 @@ func TestOwnedFrameOverhead(t *testing.T) {
 		frame := encodeOwned(owned(stride), ops, nil, nil, draw)
 		return testing.AllocsPerRun(50, func() {
 			// decodeOwned releases accepted frames to the wire pool.
-			if _, err := decodeOwned([][]byte{append([]byte(nil), frame...)}, ops, ConcatSlices[float64], nil); err != nil {
+			if _, err := decodeOwned([][]byte{append([]byte(nil), frame...)}, ops, ConcatSlices[float64], denseOf[[]float64]); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -663,15 +675,14 @@ func TestOwnedFrameOverhead(t *testing.T) {
 // TestAllReduceFrameOverhead is the allreduce row of `make overhead`:
 // ring rank 0 frames the reduced vector in serde's bytes, packed or not,
 // straight into the frame the task draws, allocating nothing. Then
-// allreduce steps over F64Ops, whose rank-0 frames go from the task's
+// allreduce steps on the f64 plane, whose rank-0 frames go from the task's
 // draw through the transport to the driver's reader and back to the
 // pool, must come out exact; `make race` runs this under -race, where
 // the wire pool's double-park guard is armed.
 func TestAllReduceFrameOverhead(t *testing.T) {
 	const dim = 1 << 12
-	fns := vecFuncs(dim)
-	ops := collective.F64Ops()
-	fns.Ops = &ops
+	fns := F64Funcs[int64]{Dim: dim, SeqOp: vecSeqOp}
+	pl := &f64Plane[int64]{F64Funcs: fns}
 	buf := make([]byte, 0, 8+8*dim)
 	draw := func(int) []byte { return buf }
 	for _, stride := range []int{1, 20} { // dense, then packed
@@ -679,11 +690,11 @@ func TestAllReduceFrameOverhead(t *testing.T) {
 		for j := 0; j < dim; j += stride {
 			v[j] = float64(j + 1)
 		}
-		got, err := fns.encodeResult(v, draw)
+		got, err := pl.encodeResult(v, draw)
 		if err != nil || !bytes.Equal(got, serde.MustEncode(nil, v)) {
 			t.Fatalf("stride %d: rank 0's frame is not serde's bytes (%v)", stride, err)
 		}
-		if a := testing.AllocsPerRun(50, func() { fns.encodeResult(v, draw) }); a != 0 {
+		if a := testing.AllocsPerRun(50, func() { pl.encodeResult(v, draw) }); a != 0 {
 			t.Errorf("stride %d: encodeResult allocates %v times per frame, want 0", stride, a)
 		}
 	}
@@ -692,7 +703,7 @@ func TestAllReduceFrameOverhead(t *testing.T) {
 	r := vectorRDD(ctx, samples, 6).Cache()
 	want := expectedVector(samples, dim)
 	for step := 0; step < 5; step++ {
-		got, err := Aggregate(context.Background(), r, fns, WithStrategy(StrategyAllReduce))
+		got, err := AggregateF64(context.Background(), r, fns, WithStrategy(StrategyAllReduce))
 		if err != nil {
 			t.Fatal(err)
 		}

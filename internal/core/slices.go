@@ -41,13 +41,15 @@ func ConcatSlices[E any](segs [][]E) []E {
 }
 
 // AddF64 merges b into a elementwise and returns a — the element-wise
-// sum used by every aggregator in the paper's workloads.
+// sum used by every aggregator in the paper's workloads. b's element is
+// the sum's first operand, so where both are NaN the sum keeps b's, as
+// every other []float64 adder does (TestNaNPayloadOfEveryAdder).
 func AddF64(a, b []float64) []float64 {
 	if len(a) != len(b) {
 		panic("core: AddF64 length mismatch")
 	}
 	for i := range a {
-		a[i] += b[i]
+		a[i] = b[i] + a[i]
 	}
 	return a
 }

@@ -24,10 +24,10 @@ func supportOver(vals []float64) []uint64 {
 	return sup
 }
 
-// TestSplitSupportEquivalence: with AggFuncs.Support the split and
+// TestSplitSupportEquivalence: with F64Funcs.Support the split and
 // allreduce strategies return the tree's vector bit for bit, encode
-// from the support (ChunkSize is handed candidates), and never write an
-// element's bitmap — with every executor holding partitions, with one
+// from the support (ChunkSize, in the plane's ops, is handed
+// candidates), and never write an element's bitmap — with every executor holding partitions, with one
 // holding none (its Zero aggregator's support is empty), and with some
 // elements whose support is unknown.
 func TestSplitSupportEquivalence(t *testing.T) {
@@ -52,6 +52,8 @@ func TestSplitSupportEquivalence(t *testing.T) {
 		return size(v, off, n, cand, bit)
 	}
 	ops.Packed = &hook
+	defer func(o collective.Ops[[]float64]) { f64Ops = o }(f64Ops)
+	f64Ops = ops
 
 	for _, parts := range []int{2, execs * 2} {
 		r := vectorRDD(ctx, samples, parts)
@@ -70,10 +72,8 @@ func TestSplitSupportEquivalence(t *testing.T) {
 				for _, par := range []int{1, 4} {
 					name := fmt.Sprintf("parts=%d/unknown=%v/%v/par=%d", parts, unknown, strategy, par)
 					before, steps := fromSupport.Load(), ringSteps(ctx)
-					got, err := Aggregate(fillChannels(context.Background(), dim, par), r, AggFuncs[int64, []float64, []float64]{
-						Zero: vecZero(dim), SeqOp: sparseSeqOp, MergeOp: AddF64,
-						SplitOp: SplitSlice[float64], ReduceOp: AddF64, ConcatOp: ConcatSlices[float64],
-						Ops: &ops, Support: support,
+					got, err := AggregateF64(fillChannels(context.Background(), dim, par), r, F64Funcs[int64]{
+						Dim: dim, SeqOp: sparseSeqOp, Support: support,
 					}, WithStrategy(strategy), WithParallelism(par))
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
@@ -99,7 +99,7 @@ func TestSplitSupportEquivalence(t *testing.T) {
 }
 
 // TestTreeSupportEquivalence: the tree's stage-1 blocks and the IMM
-// gather's frames are encoded from AggFuncs.Support, and the driver adds
+// gather's frames are encoded from F64Funcs.Support, and the driver adds
 // them into its accumulator from the wire: with true supports, some of
 // them unknown, both return the sequential sum bit for bit. A support
 // that claims nothing can be non-zero — a broken promise — gives zero
@@ -116,7 +116,6 @@ func TestTreeSupportEquivalence(t *testing.T) {
 	for i := int64(0); i < samples; i++ {
 		want = sparseSeqOp(want, i)
 	}
-	ops := collective.F64Ops()
 	for _, parts := range []int{2, execs * 2, 16} {
 		r := vectorRDD(ctx, samples, parts)
 		for _, sup := range []string{"true", "unknown", "clear"} {
@@ -131,10 +130,8 @@ func TestTreeSupportEquivalence(t *testing.T) {
 			}
 			for _, strategy := range []Strategy{StrategyTree, StrategyIMM} {
 				name := fmt.Sprintf("parts=%d/%s/%v", parts, sup, strategy)
-				got, err := Aggregate(context.Background(), r, AggFuncs[int64, []float64, []float64]{
-					Zero: vecZero(dim), SeqOp: sparseSeqOp, MergeOp: AddF64,
-					SplitOp: SplitSlice[float64], ReduceOp: AddF64, ConcatOp: ConcatSlices[float64],
-					Ops: &ops, Support: support,
+				got, err := AggregateF64(context.Background(), r, F64Funcs[int64]{
+					Dim: dim, SeqOp: sparseSeqOp, Support: support,
 				}, WithStrategy(strategy))
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)

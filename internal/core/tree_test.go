@@ -15,7 +15,7 @@ import (
 
 // TestTreeRounds: the tree's round plan at depths 1–3 over 1 to 16
 // partitions, each row naming its combine rounds, with the sparse
-// aggregator on core's serde path (Ops nil) and on its []float64 one
+// aggregator on the generic plane (serde's frames) and on the f64 one
 // (frames from the support, the compact Fold, a combine task and the
 // driver adding each frame from the wire). Every run returns the
 // sequential fold bit for bit. Every round but the last puts a block
@@ -24,8 +24,9 @@ import (
 // SeqOp on every stage-1 task, also where the partition's support
 // passes ½ of dim (the dense rows): its packed encode declines there,
 // and the compact accumulator is expanded rather than folded again.
-// Every dense accumulator goes to Recycle once its frame is encoded: a
-// combine task's, and a stage-1 task's unless it stayed compact.
+// On the f64 plane every dense accumulator is recycled once its frame is
+// encoded: a combine task's, and a stage-1 task's unless it stayed
+// compact.
 func TestTreeRounds(t *testing.T) {
 	const dim = 3001
 	ctx := testContext(t, 3, 2)
@@ -61,17 +62,20 @@ func TestTreeRounds(t *testing.T) {
 			for _, packs := range []bool{false, true} {
 				var folds, seqOps, recycled atomic.Int64
 				fns := sparseFuncs(dim, &folds)
-				fns.Recycle = func([]float64) { recycled.Add(1) }
 				seqOp := fns.SeqOp
 				fns.SeqOp = func(acc []float64, sp sparsePart) []float64 {
 					seqOps.Add(1)
 					return seqOp(acc, sp)
 				}
-				if !packs {
-					fns.Ops = nil
-				}
 				puts, gets, ran := count(metrics.HistBlockPutBytes), count(metrics.HistBlockGetBytes), count(metrics.HistSchedStageNS)
-				got, err := Aggregate(context.Background(), r, fns, WithStrategy(StrategyTree), WithDepth(g.depth))
+				opts := []AggOption{WithStrategy(StrategyTree), WithDepth(g.depth)}
+				var got []float64
+				var err error
+				if packs {
+					got, err = aggregateWith(context.Background(), r, fns, makeVec, func([]float64) { recycled.Add(1) }, opts...)
+				} else {
+					got, err = Aggregate(context.Background(), r, genericOf(fns, nil), opts...)
+				}
 				if err != nil {
 					t.Fatalf("packs=%v: %v", packs, err)
 				}
@@ -83,14 +87,14 @@ func TestTreeRounds(t *testing.T) {
 					t.Errorf("packs=%v: %d stages ran, want %d", packs, n, stages)
 				}
 				wantFolds, wantSeqOps, wantRecycled := int64(g.parts), int64(0), int64(0)
-				if !packs {
-					wantFolds, wantSeqOps = 0, int64(g.parts)
-				}
-				if !packs || g.dense {
+				if g.dense {
 					wantRecycled = int64(g.parts)
 				}
 				for _, c := range g.rounds {
 					wantRecycled += int64(c)
+				}
+				if !packs {
+					wantFolds, wantSeqOps, wantRecycled = 0, int64(g.parts), 0
 				}
 				if f, s, c := folds.Load(), seqOps.Load(), recycled.Load(); f != wantFolds || s != wantSeqOps || c != wantRecycled {
 					t.Errorf("packs=%v: %d partitions folded compact, %d elements by SeqOp and %d accumulators recycled, want %d, %d and %d",

@@ -107,7 +107,8 @@ func AxpyDense(alpha float64, x, y []float64) {
 // AddAssign performs dst += src elementwise, in place — the reduction
 // kernel of F64 aggregators and the collective layer's fused
 // decode-reduce. Element adds are independent, so unrolling preserves
-// bitwise results.
+// bitwise results. src's element is each sum's first operand, so NaN +
+// NaN keeps src's, as core.AddF64 does.
 func AddAssign(dst, src []float64) {
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("linalg: AddAssign length mismatch %d vs %d", len(dst), len(src)))
@@ -115,13 +116,13 @@ func AddAssign(dst, src []float64) {
 	src = src[:len(dst)]
 	i := 0
 	for ; i+4 <= len(dst); i += 4 {
-		dst[i] += src[i]
-		dst[i+1] += src[i+1]
-		dst[i+2] += src[i+2]
-		dst[i+3] += src[i+3]
+		dst[i] = src[i] + dst[i]
+		dst[i+1] = src[i+1] + dst[i+1]
+		dst[i+2] = src[i+2] + dst[i+2]
+		dst[i+3] = src[i+3] + dst[i+3]
 	}
 	for ; i < len(dst); i++ {
-		dst[i] += src[i]
+		dst[i] = src[i] + dst[i]
 	}
 }
 

@@ -159,7 +159,7 @@ func TestFinishBitIdentical(t *testing.T) {
 			var losses []float64
 			for iter := 1; iter <= iters; iter++ {
 				g := packedGrad{kind: linalg.CSRLogistic, w: w, dim: dim, frac: frac, seed: 7, iter: iter}
-				agg, err := g.aggregate(context.Background(), plan, nil, r.s, 2, 0)
+				agg, err := AggregateF64(context.Background(), plan.packed, g.funcs(nil), r.s, 2, 0)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}

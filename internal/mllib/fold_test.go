@@ -17,7 +17,7 @@ import (
 )
 
 // TestTreeFoldMatchesSeqOp holds packedGrad.fold to the contract of
-// core.AggFuncs.Fold. On random sparse partitions, for every fused
+// core.F64Funcs.Fold. On random sparse partitions, for every fused
 // gradient family, full and half minibatches: a partition storing at
 // most half of dim's columns folds to exactly the values seqOp from Zero
 // leaves at its support's set bits, appended after what dst held, and
@@ -90,7 +90,7 @@ func TestTreeFoldMatchesSeqOp(t *testing.T) {
 						t.Fatal(err)
 					}
 					head := []float64{-1, 2}
-					got, n, ok, err := g.fold(slices.Clone(head), []packedPart{pp})
+					got, ok, err := g.fold(slices.Clone(head), []packedPart{pp})
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
@@ -100,9 +100,7 @@ func TestTreeFoldMatchesSeqOp(t *testing.T) {
 					if !ok {
 						continue
 					}
-					if n != sh.dim+2 {
-						t.Fatalf("%s: fold reports %d elements, want %d", name, n, sh.dim+2)
-					}
+					n := sh.dim + 2
 					bitsEqualSlices(t, name+": dst's head", head, got[:len(head)])
 					got = got[len(head):]
 					var atSup []float64
@@ -167,12 +165,13 @@ func TestTreeFoldMatchesSeqOp(t *testing.T) {
 	// densely with seqOp and encodes from the support.
 	plan := newPackedPlan(train, dim)
 	defer plan.release()
-	support := func(pp packedPart) []uint64 { return pp.Support }
 	w := make([]float64, dim)
 	var losses []float64
 	for iter := 1; iter <= iters; iter++ {
 		g := packedGrad{kind: linalg.CSRLogistic, w: w, dim: dim, frac: 0.5, seed: 3, iter: iter}
-		agg, err := aggregateF64(context.Background(), plan.packed, dim+2, g.seqOp, support, nil, nil, StrategyTree, 2, 0)
+		fns := g.funcs(nil)
+		fns.Fold = nil
+		agg, err := AggregateF64(context.Background(), plan.packed, fns, StrategyTree, 2, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +201,6 @@ func TestSplitCompactMatchesDense(t *testing.T) {
 		name string
 		k    linalg.CSRGradKind
 	}{{"logistic", linalg.CSRLogistic}, {"leastsquares", linalg.CSRLeastSquares}, {"hinge", linalg.CSRHinge}}
-	support := func(pp packedPart) []uint64 { return pp.Support }
 	for _, sh := range []struct {
 		name    string
 		dim     int
@@ -226,17 +224,18 @@ func TestSplitCompactMatchesDense(t *testing.T) {
 							before := wire()
 							for iter := 1; iter <= iters; iter++ {
 								g := packedGrad{kind: kind.k, w: w, dim: sh.dim, frac: frac, seed: 5, iter: iter}
-								var fold func([]float64, []packedPart) ([]float64, int, bool, error)
+								fns := g.funcs(nil)
+								fns.Fold = nil
 								if withFold {
-									fold = func(dst []float64, elems []packedPart) ([]float64, int, bool, error) {
-										vals, n, ok, err := g.fold(dst, elems)
+									fns.Fold = func(dst []float64, elems []packedPart) ([]float64, bool, error) {
+										vals, ok, err := g.fold(dst, elems)
 										if ok {
 											accepted.Add(1)
 										}
-										return vals, n, ok, err
+										return vals, ok, err
 									}
 								}
-								agg, err := aggregateF64(cctx, plan.packed, sh.dim+2, g.seqOp, support, fold, nil, s, 2, par)
+								agg, err := AggregateF64(cctx, plan.packed, fns, s, 2, par)
 								if err != nil {
 									t.Fatalf("%s: %v", name, err)
 								}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"sparker/internal/core"
 	"sparker/internal/linalg"
 	"sparker/internal/rdd"
 )
@@ -181,11 +182,10 @@ func TrainKMeans(points *rdd.RDD[linalg.SparseVector], cfg KMeansConfig) (*KMean
 			}
 			cNorms := make([]float64, k)
 			linalg.CSRKMeansCenterNorms(flat, k, dim, cNorms)
-			agg, err = AggregateF64Ctx(ictx, plan.packed, aggDim,
-				packedKMeansSeqOp(flat, cNorms, k, dim),
+			agg, err = AggregateF64(ictx, plan.packed, core.F64Funcs[packedPart]{Dim: aggDim, SeqOp: packedKMeansSeqOp(flat, cNorms, k, dim)},
 				cfg.Strategy, cfg.Depth, cfg.Parallelism)
 		} else {
-			agg, err = AggregateF64Ctx(ictx, points, aggDim, func(acc []float64, x linalg.SparseVector) []float64 {
+			agg, err = AggregateF64(ictx, points, core.F64Funcs[linalg.SparseVector]{Dim: aggDim, SeqOp: func(acc []float64, x linalg.SparseVector) []float64 {
 				best, bestDist := 0, math.Inf(1)
 				for c, center := range snapshot {
 					if d := sqDist(center, x); d < bestDist {
@@ -196,7 +196,7 @@ func TrainKMeans(points *rdd.RDD[linalg.SparseVector], cfg KMeansConfig) (*KMean
 				acc[k*dim+best]++
 				acc[k*dim+k] += bestDist
 				return acc
-			}, cfg.Strategy, cfg.Depth, cfg.Parallelism)
+			}}, cfg.Strategy, cfg.Depth, cfg.Parallelism)
 		}
 		if err != nil {
 			it.EndErr(err)

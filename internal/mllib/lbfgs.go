@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"sparker/internal/core"
 	"sparker/internal/linalg"
 	"sparker/internal/rdd"
 )
@@ -85,14 +86,14 @@ func RunLBFGS(data *rdd.RDD[LabeledPoint], grad Gradient, initial []float64, cfg
 		var err error
 		if plan != nil {
 			g := packedGrad{kind: kind, w: snapshot, dim: dim, frac: 1}
-			agg, err = g.aggregate(ictx, plan, nil, cfg.Strategy, cfg.Depth, cfg.Parallelism)
+			agg, err = AggregateF64(ictx, plan.packed, g.funcs(nil), cfg.Strategy, cfg.Depth, cfg.Parallelism)
 		} else {
-			agg, err = AggregateF64Ctx(ictx, data, dim+2, func(acc []float64, p LabeledPoint) []float64 {
+			agg, err = AggregateF64(ictx, data, core.F64Funcs[LabeledPoint]{Dim: dim + 2, SeqOp: func(acc []float64, p LabeledPoint) []float64 {
 				loss := grad.Compute(p.Features, p.Label, snapshot, acc[:dim])
 				acc[dim] += loss
 				acc[dim+1]++
 				return acc
-			}, cfg.Strategy, cfg.Depth, cfg.Parallelism)
+			}}, cfg.Strategy, cfg.Depth, cfg.Parallelism)
 		}
 		if err != nil {
 			return 0, nil, err

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"sparker/internal/core"
 	"sparker/internal/rdd"
 )
 
@@ -162,10 +163,10 @@ func TrainLDA(docs *rdd.RDD[Document], cfg LDAConfig) (*LDAModel, error) {
 		alpha, inner := cfg.Alpha, cfg.InnerIters
 
 		it, ictx := startIteration(tr, root, tctx, iter+1)
-		agg, err := AggregateF64Ctx(ictx, docs, dim, func(acc []float64, d Document) []float64 {
+		agg, err := AggregateF64(ictx, docs, core.F64Funcs[Document]{Dim: dim, SeqOp: func(acc []float64, d Document) []float64 {
 			docEStep(d, flatBeta, acc, k, v, alpha, inner)
 			return acc
-		}, cfg.Strategy, cfg.Depth, cfg.Parallelism)
+		}}, cfg.Strategy, cfg.Depth, cfg.Parallelism)
 		if err != nil {
 			it.EndErr(err)
 			root.SetAttr("error", err.Error())

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"sparker/internal/core"
 	"sparker/internal/linalg"
 	"sparker/internal/rdd"
 	"sparker/internal/serde"
@@ -312,7 +313,7 @@ func TestGDValidation(t *testing.T) {
 	if _, _, err := RunGradientDescent(train, LogisticGradient{}, SimpleUpdater{}, nil, GDConfig{}); err == nil {
 		t.Fatal("empty initial weights should fail")
 	}
-	if _, err := AggregateF64Ctx(context.Background(), train, 4, func(a []float64, p LabeledPoint) []float64 { return a }, Strategy(42), 2, 1); err == nil {
+	if _, err := AggregateF64(context.Background(), train, core.F64Funcs[LabeledPoint]{Dim: 4, SeqOp: func(a []float64, p LabeledPoint) []float64 { return a }}, Strategy(42), 2, 1); err == nil {
 		t.Fatal("unknown strategy should fail")
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"time"
 
-	"sparker/internal/collective"
 	"sparker/internal/core"
 	"sparker/internal/linalg"
 	"sparker/internal/rdd"
@@ -85,34 +84,14 @@ func (s Strategy) CoreStrategy() (core.Strategy, error) {
 	}
 }
 
-// f64Ops is the shared fused collective implementation for the flat
-// []float64 aggregators of every mllib model. Passing it as
-// AggFuncs.Ops replaces the generic serde path in the ring stage with
-// the chunked zero-decode reduce and the packed chunk form.
-var f64Ops = collective.F64Ops()
-
-// AggregateF64Ctx reduces a flattened []float64 aggregator over an RDD
-// using the chosen strategy. It is the shared plumbing of every model:
-// each builds its per-iteration sufficient statistics as one flat
-// vector, which is exactly the shape that makes splitOp/concatOp
-// trivial (Figure 7's splitA/concatA). All strategies route through
-// core.Aggregate, so training inherits its per-step deadlines and
-// failure handling. Cancelling ctx bounds the ring collectives, and a
-// trace span carried in ctx (an iteration span, typically) becomes the
-// parent of the per-call "aggregate" span so whole training runs stitch
-// into one timeline. extra options (e.g. core.WithDeadline) are
-// appended after the strategy options, so they may override any of them.
-func AggregateF64Ctx[T any](ctx context.Context, r *rdd.RDD[T], dim int, seqOp func(acc []float64, v T) []float64, s Strategy, depth, parallelism int, extra ...core.AggOption) ([]float64, error) {
-	return aggregateF64(ctx, r, dim, seqOp, nil, nil, nil, s, depth, parallelism, extra...)
-}
-
-// aggregateF64 is AggregateF64Ctx with the elements' supports
-// (core.AggFuncs.Support; nil when unknown), which let the ring encode
-// packed chunks in O(support), a task's fold in its partition's column
-// space (core.AggFuncs.Fold; nil: none), and the driver's reading of the
-// reduced aggregate from its frames (core.AggFuncs.Finish; nil: the
-// dense aggregate is returned).
-func aggregateF64[T any](ctx context.Context, r *rdd.RDD[T], dim int, seqOp func(acc []float64, v T) []float64, support func(T) []uint64, fold func([]float64, []T) ([]float64, int, bool, error), finish func(*serde.F64Frames) ([]float64, error), s Strategy, depth, parallelism int, extra ...core.AggOption) ([]float64, error) {
+// AggregateF64 reduces a flattened []float64 aggregator over an RDD
+// (core.AggregateF64) with the chosen strategy: every model's per-
+// iteration sufficient statistics are one flat vector, the shape that
+// makes splitOp/concatOp trivial (Figure 7's splitA/concatA). ctx bounds
+// the ring collectives, and a span it carries (an iteration's) parents
+// the call's "aggregate" span. extra options (e.g. core.WithDeadline)
+// follow the strategy's, so they may override any of them.
+func AggregateF64[T any](ctx context.Context, r *rdd.RDD[T], fns core.F64Funcs[T], s Strategy, depth, parallelism int, extra ...core.AggOption) ([]float64, error) {
 	cs, err := s.CoreStrategy()
 	if err != nil {
 		return nil, err
@@ -120,32 +99,17 @@ func aggregateF64[T any](ctx context.Context, r *rdd.RDD[T], dim int, seqOp func
 	opts := append([]core.AggOption{
 		core.WithStrategy(cs), core.WithDepth(depth), core.WithParallelism(parallelism),
 	}, extra...)
-	// Accumulators cycle through linalg's vector free list, and the
-	// split is by view: the ring reduces in place in each executor's
-	// resident aggregator (DESIGN.md "Aggregator ownership and
-	// lifetime"). ConcatSlices copies and serde encodes by value, so a
-	// recycled aggregator is never aliased.
-	return core.Aggregate(ctx, r, core.AggFuncs[T, []float64, []float64]{
-		Zero:     func() []float64 { return linalg.GetVec(dim) },
-		SeqOp:    seqOp,
-		MergeOp:  core.AddF64,
-		SplitOp:  core.SplitSlice[float64],
-		ReduceOp: core.AddF64,
-		ConcatOp: core.ConcatSlices[float64],
-		Ops:      &f64Ops,
-		Recycle:  linalg.PutVec,
-		Support:  support,
-		Fold:     fold,
-		Finish:   finish,
-	}, opts...)
+	return core.AggregateF64(ctx, r, fns, opts...)
 }
 
-// aggregate reduces g over plan under strategy s: seqOp on every path,
-// and on the tree's stage 1 fold; finish (nil: none) is the driver's
-// Finish.
-func (g packedGrad) aggregate(ctx context.Context, plan *packedPlan, finish func(*serde.F64Frames) ([]float64, error), s Strategy, depth, parallelism int, extra ...core.AggOption) ([]float64, error) {
-	support := func(pp packedPart) []uint64 { return pp.Support }
-	return aggregateF64(ctx, plan.packed, g.dim+2, g.seqOp, support, g.fold, finish, s, depth, parallelism, extra...)
+// funcs is g's aggregation over a packed plan: seqOp on every path, the
+// partitions' supports, the compact fold, and finish (nil: none) as
+// the driver's Finish.
+func (g packedGrad) funcs(finish func(*serde.F64Frames) ([]float64, error)) core.F64Funcs[packedPart] {
+	return core.F64Funcs[packedPart]{
+		Dim: g.dim + 2, SeqOp: g.seqOp, Fold: g.fold, Finish: finish,
+		Support: func(pp packedPart) []uint64 { return pp.Support },
+	}
 }
 
 // startTrainSpan opens the root "train" span for one optimizer run and
@@ -294,18 +258,18 @@ func RunGradientDescent(data *rdd.RDD[LabeledPoint], grad Gradient, up Updater, 
 			// in-kernel minibatch sampling over the same RNG stream
 			// sampleRDD would use.
 			g := packedGrad{kind: kind, w: w, dim: dim, frac: cfg.MiniBatchFraction, seed: cfg.Seed, iter: iter}
-			agg, err = g.aggregate(ictx, plan, finish, cfg.Strategy, cfg.Depth, cfg.Parallelism, extra...)
+			agg, err = AggregateF64(ictx, plan.packed, g.funcs(finish), cfg.Strategy, cfg.Depth, cfg.Parallelism, extra...)
 		} else {
 			batch := data
 			if cfg.MiniBatchFraction < 1.0 {
 				batch = sampleRDD(data, cfg.MiniBatchFraction, cfg.Seed, iter)
 			}
-			agg, err = aggregateF64(ictx, batch, dim+2, func(acc []float64, p LabeledPoint) []float64 {
+			agg, err = AggregateF64(ictx, batch, core.F64Funcs[LabeledPoint]{Dim: dim + 2, SeqOp: func(acc []float64, p LabeledPoint) []float64 {
 				loss := grad.Compute(p.Features, p.Label, w, acc[:dim])
 				acc[dim] += loss
 				acc[dim+1]++
 				return acc
-			}, nil, nil, finish, cfg.Strategy, cfg.Depth, cfg.Parallelism, extra...)
+			}, Finish: finish}, cfg.Strategy, cfg.Depth, cfg.Parallelism, extra...)
 		}
 		if err != nil {
 			it.EndErr(err)
@@ -346,7 +310,7 @@ func RunGradientDescent(data *rdd.RDD[LabeledPoint], grad Gradient, up Updater, 
 	return weights, losses, nil
 }
 
-// meanStep is one iteration of a mean updater as core.AggFuncs.Finish.
+// meanStep is one iteration of a mean updater as core.F64Funcs.Finish.
 // It reads the loss sum and sample count from the aggregate's tail, then
 // writes decay·w − step·(gradSum/count) in one pass over w and the
 // aggregate's frames into a fresh vector: the new weights, and the one

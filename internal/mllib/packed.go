@@ -406,21 +406,21 @@ func (g packedGrad) seqOp(acc []float64, pp packedPart) []float64 {
 }
 
 // fold is seqOp from Zero for a task's one packed partition
-// (core.AggFuncs.Fold), in the block's own column space: w gathered at
+// (core.F64Funcs.Fold), in the block's own column space: w gathered at
 // the column dictionary, the same kernel over the re-indexed block into a
 // compact accumulator of the support's len(cols)+2 elements, appended to
 // dst — in support order, the values the dense accumulator holds at its
 // set bits, loss and count last. Every element sees the same operations
 // in the same order as in seqOp. It declines, and the task folds
 // densely, for a partition without a dictionary (the ½ rule).
-func (g packedGrad) fold(dst []float64, elems []packedPart) ([]float64, int, bool, error) {
+func (g packedGrad) fold(dst []float64, elems []packedPart) ([]float64, bool, error) {
 	if len(elems) != 1 || elems[0].Cols == nil {
-		return dst, 0, false, nil
+		return dst, false, nil
 	}
 	pp := elems[0]
 	local, cols := pp.Cols.get(pp.M, pp.Support)
 	if local == nil {
-		return dst, 0, false, nil
+		return dst, false, nil
 	}
 	n := len(cols)
 	w := getLocalVec(n)
@@ -434,7 +434,7 @@ func (g packedGrad) fold(dst []float64, elems []packedPart) ([]float64, int, boo
 	acc[at+n] += lossSum
 	acc[at+n+1] += count
 	putLocalVec(w)
-	return acc, g.dim + 2, true, nil
+	return acc, true, nil
 }
 
 // localVecs parks the compact fold's gathered weights between steps — a

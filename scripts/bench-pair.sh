@@ -8,21 +8,39 @@
 #   scripts/bench-pair.sh <parent-rev> <workload> [pairs] [seed] [seconds]
 #   make bench-pair PARENT=<rev> WORKLOAD=<name> [PAIRS=10] [SEED=2] [RUN_SECONDS=20]
 #
+# Same-bits mode checks that a change keeps the engine's exact counts:
+# one traced seed-1 run a side on each workload of BENCHMARK.json, and
+# a diff of the ring steps, wire bytes, loss error and block-manager
+# bytes per iteration. It exits non-zero, naming each count that moved,
+# on any difference. The counts are per iteration, so a 5-second run
+# reads what a 20-second one does (about 90 s in all on a 2-vCPU host).
+#
+#   scripts/bench-pair.sh --same-bits <parent-rev>
+#   make same-bits PARENT=<rev>
+#
 # The parent is built from a `git worktree` of <parent-rev> in a temp
 # directory (removed on exit); set PARENT_DIR to an existing checkout of
 # it to skip that. Each run is the driver's form of the benchmark,
-# `<binary> -workload W -seed N -seconds S -trace 0`, with both binaries
-# built once by `go build ./benchmark` from their own trees.
+# `<binary> -workload W -seed N -seconds S -trace 0` (`-trace 1` and
+# seed 1 in same-bits mode), with both binaries built once by `go build
+# ./benchmark` from their own trees.
 set -euo pipefail
 
-parent=${1:?usage: bench-pair.sh <parent-rev> <workload> [pairs] [seed] [seconds]}
-workload=${2:?usage: bench-pair.sh <parent-rev> <workload> [pairs] [seed] [seconds]}
-pairs=${3:-10}
-seed=${4:-2}
-seconds=${5:-20}
-if [ "$pairs" -lt 10 ]; then
-	echo "bench-pair: the paired rule needs at least 10 pairs, got $pairs" >&2
-	exit 2
+same_bits=
+if [ "${1:-}" = --same-bits ]; then
+	same_bits=1
+	parent=${2:?usage: bench-pair.sh --same-bits <parent-rev>}
+	seconds=5
+else
+	parent=${1:?usage: bench-pair.sh <parent-rev> <workload> [pairs] [seed] [seconds]}
+	workload=${2:?usage: bench-pair.sh <parent-rev> <workload> [pairs] [seed] [seconds]}
+	pairs=${3:-10}
+	seed=${4:-2}
+	seconds=${5:-20}
+	if [ "$pairs" -lt 10 ]; then
+		echo "bench-pair: the paired rule needs at least 10 pairs, got $pairs" >&2
+		exit 2
+	fi
 fi
 
 root=$(git rev-parse --show-toplevel)
@@ -43,6 +61,37 @@ else
 fi
 (cd "$parent_dir" && go build -o "$tmp/bench-parent" ./benchmark)
 (cd "$root" && go build -o "$tmp/bench-change" ./benchmark)
+
+if [ -n "$same_bits" ]; then
+	workloads=$(python3 -c 'import json,sys; print(" ".join(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))' "$root/BENCHMARK.json")
+	for w in $workloads; do
+		for side in parent change; do
+			dir=$root
+			[ "$side" = parent ] && dir=$parent_dir
+			(cd "$dir" && "$tmp/bench-$side" -workload "$w" -seed 1 -seconds "$seconds" -trace 1 -out "$tmp/out-$side") \
+				>"$tmp/run.txt" 2>"$tmp/err.txt" || { cat "$tmp/err.txt" >&2; echo "same-bits: $side run of $w failed" >&2; exit 1; }
+			tail -n 1 "$tmp/run.txt" >"$tmp/$side-$w.json"
+		done
+	done
+	python3 - "$tmp" "$parent" $workloads <<'PY'
+import json, sys
+tmp, parent, workloads = sys.argv[1], sys.argv[2], sys.argv[3:]
+counts = ["collective.ring_steps_per_iter", "collective.wire_bytes_per_iter", "mllib.loss_rel_err",
+          "blockmanager.put_bytes_per_iter", "blockmanager.get_bytes_per_iter"]
+moved = 0
+print(f"same bits against {parent}, traced seed-1 runs (parent, change):")
+for w in workloads:
+    p, c = (json.load(open(f"{tmp}/{side}-{w}.json"))["metrics"] for side in ("parent", "change"))
+    for k in counts:
+        pv, cv = p[k]["value"], c[k]["value"]
+        print(f"  {w:<16} {k:<34} {pv!r:>24} {cv!r:>24}  {'same' if pv == cv else 'MOVED'}")
+        moved += pv != cv
+if moved:
+    print(f"same-bits: {moved} count(s) moved", file=sys.stderr)
+    sys.exit(1)
+PY
+	exit
+fi
 
 # one <side> <pair>: run one side, append its result line and steal line.
 one() {
