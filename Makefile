@@ -21,8 +21,9 @@ vet:
 	$(GO) vet ./...
 	@test -z "$$(gofmt -l .)" || { echo "vet: gofmt -l lists these files; run gofmt -w:" >&2; gofmt -l . >&2; exit 1; }
 
-# core.Aggregate is the only aggregation entry point and mllib.LoadModel
-# the only loader: a deprecated wrapper beside them is a second way in.
+# core.Aggregate (with core.AggregateF64 for a []float64 sum) is the
+# aggregation entry point and mllib.LoadModel the only loader: a
+# deprecated wrapper beside them is a second way in.
 # Delete the old name and port its callers instead of marking it.
 no-deprecated:
 	@if grep -rn '^// Deprecated:' --include='*.go' --exclude='*_test.go' internal cmd examples; then \

@@ -383,7 +383,7 @@ func encodeF64(dst []byte, v []float64) []byte {
 // against len(src) before any allocation, so a corrupt prefix cannot
 // trigger a huge make.
 func decodeF64(src []byte) ([]float64, error) {
-	n, body, err := f64WireBody(src)
+	n, body, err := f64FrameBody(src)
 	if err != nil {
 		return nil, err
 	}
@@ -394,9 +394,9 @@ func decodeF64(src []byte) ([]float64, error) {
 	return out, nil
 }
 
-// f64WireBody validates a []float64 wire frame and returns its element
+// f64FrameBody validates a []float64 wire frame and returns its element
 // count and payload bytes.
-func f64WireBody(src []byte) (int, []byte, error) {
+func f64FrameBody(src []byte) (int, []byte, error) {
 	if len(src) < 4 {
 		return 0, nil, fmt.Errorf("collective: short []float64")
 	}
@@ -412,7 +412,7 @@ func f64WireBody(src []byte) (int, []byte, error) {
 // slice. Element adds are independent, so the result is bitwise
 // identical to decodeF64 followed by F64Ops().Reduce.
 func decodeReduceIntoF64(acc []float64, wire []byte) ([]float64, error) {
-	n, body, err := f64WireBody(wire)
+	n, body, err := f64FrameBody(wire)
 	if err != nil {
 		return nil, err
 	}

@@ -84,7 +84,7 @@ func BodyOps() Ops[*serde.Body] {
 			return b.AppendDense(binary.LittleEndian.AppendUint32(dst, uint32(b.N)), 0, b.N)
 		},
 		DecodeReduceInto: func(acc *serde.Body, wire []byte) (*serde.Body, error) {
-			n, body, err := f64WireBody(wire)
+			n, body, err := f64FrameBody(wire)
 			if err == nil && n != acc.N {
 				err = fmt.Errorf("collective: segment length mismatch %d vs %d", acc.N, n)
 			}

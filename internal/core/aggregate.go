@@ -1,6 +1,6 @@
 package core
 
-// Aggregate (and AggregateF64) is the aggregation entry point: a call that
+// Aggregate and AggregateF64 are the aggregation entry points: a call
 // selects the reduction strategy (tree, tree+IMM, split, allreduce),
 // carries per-step communication deadlines into the ring collectives,
 // and owns the one failure rule of the IMM-based strategies — re-run
