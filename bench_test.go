@@ -449,10 +449,14 @@ func BenchmarkFig16Aggregation(b *testing.B) {
 							return acc
 						}
 					}
+					opts, err := strat.Options(2, 4)
+					if err != nil {
+						b.Fatal(err)
+					}
 					b.SetBytes(int64(dim * 8))
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						if _, err := mllib.AggregateF64(context.Background(), samples, core.F64Funcs[int64]{Dim: dim, SeqOp: seqOp}, strat, 2, 4); err != nil {
+						if _, err := core.AggregateF64(context.Background(), samples, core.F64Funcs[int64]{Dim: dim, SeqOp: seqOp}, opts...); err != nil {
 							b.Fatal(err)
 						}
 					}

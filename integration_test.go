@@ -418,14 +418,18 @@ func TestFunctionalAggregationShape(t *testing.T) {
 		return acc
 	}
 	timeIt := func(s mllib.Strategy) time.Duration {
+		opts, err := s.Options(2, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
 		// Warm once, then take the best of 3 to shed scheduler noise.
-		if _, err := mllib.AggregateF64(context.Background(), samples, core.F64Funcs[int64]{Dim: dim, SeqOp: seqOp}, s, 2, 4); err != nil {
+		if _, err := core.AggregateF64(context.Background(), samples, core.F64Funcs[int64]{Dim: dim, SeqOp: seqOp}, opts...); err != nil {
 			t.Fatal(err)
 		}
 		best := time.Duration(math.MaxInt64)
 		for i := 0; i < 3; i++ {
 			start := time.Now()
-			if _, err := mllib.AggregateF64(context.Background(), samples, core.F64Funcs[int64]{Dim: dim, SeqOp: seqOp}, s, 2, 4); err != nil {
+			if _, err := core.AggregateF64(context.Background(), samples, core.F64Funcs[int64]{Dim: dim, SeqOp: seqOp}, opts...); err != nil {
 				t.Fatal(err)
 			}
 			if d := time.Since(start); d < best {

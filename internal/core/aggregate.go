@@ -238,7 +238,7 @@ func Aggregate[T, U, V any](ctx context.Context, r *rdd.RDD[T], fns AggFuncs[T, 
 // AggregateF64 is Aggregate for a []float64 sum (F64Funcs): it returns
 // the reduced aggregate, or what Finish returns.
 func AggregateF64[T any](ctx context.Context, r *rdd.RDD[T], fns F64Funcs[T], opts ...AggOption) ([]float64, error) {
-	return aggregate[T, f64Acc, []float64](ctx, r, &f64Plane[T]{F64Funcs: fns, get: linalg.GetVec, put: linalg.PutVec}, opts)
+	return aggregate[T, f64Acc, []float64](ctx, r, &f64Plane[T]{F64Funcs: fns, get: linalg.GetVec, put: linalg.PutVec, ops: collective.F64Ops()}, opts)
 }
 
 // aggregate is both entries' one body over the plane pl.

@@ -372,7 +372,7 @@ func sparseFuncs(dim int, folds *atomic.Int64) F64Funcs[sparsePart] {
 // aggregateWith is AggregateF64 with get and put as the plane's vector
 // free list in place of linalg's.
 func aggregateWith[T any](ctx context.Context, r *rdd.RDD[T], fns F64Funcs[T], get func(int) []float64, put func([]float64), opts ...AggOption) ([]float64, error) {
-	return aggregate[T, f64Acc, []float64](ctx, r, &f64Plane[T]{F64Funcs: fns, get: get, put: put}, opts)
+	return aggregate[T, f64Acc, []float64](ctx, r, &f64Plane[T]{F64Funcs: fns, get: get, put: put, ops: collective.F64Ops()}, opts)
 }
 
 // makeVec is a fresh +0.0 vector of n elements, a free list that

@@ -16,10 +16,6 @@ import (
 	"sparker/internal/transport"
 )
 
-// f64Ops are the f64 plane's segment ops: the chunked zero-decode
-// reduce and the packed chunk form.
-var f64Ops = collective.F64Ops()
-
 // support is what core knows of an aggregator's possibly non-zero
 // elements (F64Funcs.Support): a bitmap over its elements, bit i%64 of
 // word i/64 for element i. The zero value knows nothing, so the ring
@@ -89,14 +85,16 @@ type f64Acc struct {
 }
 
 // f64Plane is the plane (core.go) of F64Funcs: get and put draw and
-// recycle its dense vectors (AggregateF64: linalg's free list). The
-// split is by view, so the ring reduces in place in each executor's
-// aggregator; ConcatSlices copies and frames encode by value, so a
-// recycled vector is never aliased.
+// recycle its dense vectors (AggregateF64: linalg's free list), and ops
+// are its segment ops (collective.F64Ops: the chunked zero-decode
+// reduce and the packed chunk form). The split is by view, so the ring
+// reduces in place in each executor's aggregator; ConcatSlices copies
+// and frames encode by value, so a recycled vector is never aliased.
 type f64Plane[T any] struct {
 	F64Funcs[T]
 	get func(n int) []float64
 	put func([]float64)
+	ops collective.Ops[[]float64]
 }
 
 func (f *f64Plane[T]) validate(s Strategy) error {
@@ -187,7 +185,7 @@ func (f *f64Plane[T]) mergeWire(a f64Acc, wire []byte) (f64Acc, error) {
 }
 
 // read sums the frames from +0.0 in task order (serde.SumF64) for
-// Finish, assembling the aggregate only for keep or a nil Finish.
+// Finish, assembling the aggregate once, only for keep or a nil Finish.
 func (f *f64Plane[T]) read(frames [][]byte, keep func([]float64) error) ([]float64, error) {
 	defer putBufs(frames)
 	agg, err := serde.SumF64(frames)
@@ -195,12 +193,14 @@ func (f *f64Plane[T]) read(frames [][]byte, keep func([]float64) error) ([]float
 		return nil, err
 	}
 	defer agg.Release()
-	if keep != nil {
-		if err := keep(agg.Dense()); err != nil {
-			return nil, err
-		}
+	if keep == nil {
+		return f.finish(agg)
 	}
-	return f.finish(agg)
+	d := agg.Dense()
+	if err := keep(d); err != nil || f.Finish == nil {
+		return d, err
+	}
+	return f.Finish(agg)
 }
 
 // finish is Finish, or the dense aggregate with Finish nil.
@@ -218,13 +218,13 @@ func (f *f64Plane[T]) finish(agg *serde.F64Frames) ([]float64, error) {
 // bodies it owns are densified once, in place.
 func (f *f64Plane[T]) reduce(ctx context.Context, ec *rdd.ExecContext, a f64Acc, nExec, p int, allGather bool) (ringRun[[]float64], error) {
 	if !a.compact {
-		return reduceDense(ctx, ec, a.vals, a.sup, nExec, p, f64Ops, SplitSlice[float64])
+		return reduceDense(ctx, ec, a.vals, a.sup, nExec, p, f.ops, SplitSlice[float64])
 	}
 	ops := collective.BodyOps()
 	p = collective.RingChannels(ctx, p, f.Dim, ops)
 	src := newCompactSegs(a.vals, a.sup.bits, f.Dim, p*nExec)
 	bodies, err := collective.RingReduceScatterFrom(ctx, ec.Comm, src, p, ops)
-	run := ringRun[[]float64]{p: p, ops: f64Ops, src: src, bodies: bodies}
+	run := ringRun[[]float64]{p: p, ops: f.ops, src: src, bodies: bodies}
 	if err == nil && allGather {
 		run.owned = make(map[int][]float64, len(bodies))
 		for i, b := range bodies {
@@ -262,5 +262,5 @@ func (f *f64Plane[T]) readResult(p []byte) ([]float64, error) {
 }
 
 func (f *f64Plane[T]) readOwned(payloads [][]byte) ([]float64, error) {
-	return decodeOwned(payloads, f64Ops, ConcatSlices[float64], f.finish)
+	return decodeOwned(payloads, f.ops, ConcatSlices[float64], f.finish)
 }

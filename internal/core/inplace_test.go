@@ -215,69 +215,96 @@ func TestInPlaceSplitEquivalence(t *testing.T) {
 // gathered what is resident would double-count. The fallback must
 // recompute, return exactly the tree result — it is a StrategyIMM run,
 // so bit for bit that one's, over task result frames with no block
-// published — and be counted once.
+// published — and be counted once. The f64 plane runs it with a
+// poisoned free list, so a read of a vector the failed ring or the
+// fallback already recycled shows as NaN.
 func TestChaosFallbackAfterPartialInPlaceReduce(t *testing.T) {
 	const samples, dim = 300, 97
 	for _, par := range []int{1, 2} {
 		t.Run(fmt.Sprintf("p=%d", par), func(t *testing.T) {
-			name := fmt.Sprintf("chaos-inplace-%d", par)
-			victim := transport.Addr(fmt.Sprintf("comm/%s/ring/%d", name, 1))
-			ctx := chaosContext(t, name, 3, 2, par, &transport.FaultRule{
-				Match: func(a transport.Addr) bool { return a == victim },
-				Kind:  transport.FaultKill,
-				// Per connection: the boot handshake and the step-0 frame
-				// pass, the step-1 frame dies with the link.
-				AfterMsgs: 2,
-			})
-			r := vectorRDD(ctx, samples, 6)
-			f := vecFuncs(dim)
-			f.SplitOp = SplitSlice[float64]
-			var reduces atomic.Int64
-			f.ReduceOp = func(a, b []float64) []float64 {
-				reduces.Add(1)
-				return AddF64(a, b)
-			}
+			for _, plane := range []string{"generic", "f64"} {
+				t.Run(plane, func(t *testing.T) {
+					name := fmt.Sprintf("chaos-inplace-%d-%s", par, plane)
+					victim := transport.Addr(fmt.Sprintf("comm/%s/ring/%d", name, 1))
+					ctx := chaosContext(t, name, 3, 2, par, &transport.FaultRule{
+						Match: func(a transport.Addr) bool { return a == victim },
+						Kind:  transport.FaultKill,
+						// Per connection: the boot handshake and the step-0 frame
+						// pass, the step-1 frame dies with the link.
+						AfterMsgs: 2,
+					})
+					r := vectorRDD(ctx, samples, 6)
 
-			tree, err := Aggregate(context.Background(), r, vecFuncs(dim), WithStrategy(StrategyTree))
-			if err != nil {
-				t.Fatal(err)
-			}
-			imm, err := Aggregate(context.Background(), r, vecFuncs(dim), WithStrategy(StrategyIMM))
-			if err != nil {
-				t.Fatal(err)
-			}
-			blockPuts := func() int64 {
-				return ctx.MergedMetrics().Histogram(metrics.HistBlockPutBytes).Count()
-			}
-			putsBefore := blockPuts()
-			got, err := Aggregate(collective.WithChunkBytes(context.Background(), -1), r, f, WithDeadline(500*time.Millisecond))
-			if err != nil {
-				t.Fatalf("fallback should mask the kill: %v", err)
-			}
-			bitsEqual(t, "fallback vs tree", got, tree)
-			bitsEqual(t, "fallback vs imm", got, imm)
-			if n := blockPuts() - putsBefore; n != 0 {
-				t.Fatalf("degraded run published %d blocks, want none", n)
-			}
-			// Step 0 completed on every rank and channel before the kill:
-			// the aggregators the ring died on were already reduced into.
-			if n := reduces.Load(); n < int64(3*par) {
-				t.Fatalf("ring died after %d in-place reductions, want >= %d (the kill must land past step 0)", n, 3*par)
-			}
-			if n := ctx.Metrics().Count(metrics.CounterRingFallback); n != 1 {
-				t.Fatalf("ring-fallback counter = %d, want 1", n)
-			}
-			// The failed attempt and the fallback both cleaned up.
-			leftovers, err := ctx.RunOnAllExecutors(func(ec *rdd.ExecContext, task, attempt int) ([]byte, error) {
-				return []byte{byte(ec.MutObjs.Len())}, nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for e, p := range leftovers {
-				if len(p) == 1 && p[0] != 0 {
-					t.Fatalf("executor %d still holds %d mutable objects", e, p[0])
-				}
+					tree, err := Aggregate(context.Background(), r, vecFuncs(dim), WithStrategy(StrategyTree))
+					if err != nil {
+						t.Fatal(err)
+					}
+					imm, err := Aggregate(context.Background(), r, vecFuncs(dim), WithStrategy(StrategyIMM))
+					if err != nil {
+						t.Fatal(err)
+					}
+					blockPuts := func() int64 {
+						return ctx.MergedMetrics().Histogram(metrics.HistBlockPutBytes).Count()
+					}
+					putsBefore := blockPuts()
+					// reduces counts the ring's in-place reductions: the
+					// generic plane's ReduceOp, the f64 plane's whole-frame
+					// decode-reduce.
+					var reduces atomic.Int64
+					dctx := collective.WithChunkBytes(context.Background(), -1)
+					var got []float64
+					if plane == "f64" {
+						pool := &poisonPool{}
+						ops := collective.F64Ops()
+						decodeReduce := ops.DecodeReduceInto
+						ops.DecodeReduceInto = func(acc []float64, wire []byte) ([]float64, error) {
+							reduces.Add(1)
+							return decodeReduce(acc, wire)
+						}
+						got, err = aggregate[int64, f64Acc, []float64](dctx, r, &f64Plane[int64]{
+							F64Funcs: F64Funcs[int64]{Dim: dim, SeqOp: vecSeqOp}, get: pool.get, put: pool.recycle, ops: ops,
+						}, []AggOption{WithDeadline(500 * time.Millisecond)})
+						if err == nil && pool.recycled == 0 {
+							t.Fatal("no aggregator was recycled, so the poison was never read")
+						}
+					} else {
+						f := vecFuncs(dim)
+						f.SplitOp = SplitSlice[float64]
+						f.ReduceOp = func(a, b []float64) []float64 {
+							reduces.Add(1)
+							return AddF64(a, b)
+						}
+						got, err = Aggregate(dctx, r, f, WithDeadline(500*time.Millisecond))
+					}
+					if err != nil {
+						t.Fatalf("fallback should mask the kill: %v", err)
+					}
+					bitsEqual(t, "fallback vs tree", got, tree)
+					bitsEqual(t, "fallback vs imm", got, imm)
+					if n := blockPuts() - putsBefore; n != 0 {
+						t.Fatalf("degraded run published %d blocks, want none", n)
+					}
+					// Step 0 completed on every rank and channel before the kill:
+					// the aggregators the ring died on were already reduced into.
+					if n := reduces.Load(); n < int64(3*par) {
+						t.Fatalf("ring died after %d in-place reductions, want >= %d (the kill must land past step 0)", n, 3*par)
+					}
+					if n := ctx.Metrics().Count(metrics.CounterRingFallback); n != 1 {
+						t.Fatalf("ring-fallback counter = %d, want 1", n)
+					}
+					// The failed attempt and the fallback both cleaned up.
+					leftovers, err := ctx.RunOnAllExecutors(func(ec *rdd.ExecContext, task, attempt int) ([]byte, error) {
+						return []byte{byte(ec.MutObjs.Len())}, nil
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for e, p := range leftovers {
+						if len(p) == 1 && p[0] != 0 {
+							t.Fatalf("executor %d still holds %d mutable objects", e, p[0])
+						}
+					}
+				})
 			}
 		})
 	}

@@ -52,8 +52,6 @@ func TestSplitSupportEquivalence(t *testing.T) {
 		return size(v, off, n, cand, bit)
 	}
 	ops.Packed = &hook
-	defer func(o collective.Ops[[]float64]) { f64Ops = o }(f64Ops)
-	f64Ops = ops
 
 	for _, parts := range []int{2, execs * 2} {
 		r := vectorRDD(ctx, samples, parts)
@@ -72,9 +70,10 @@ func TestSplitSupportEquivalence(t *testing.T) {
 				for _, par := range []int{1, 4} {
 					name := fmt.Sprintf("parts=%d/unknown=%v/%v/par=%d", parts, unknown, strategy, par)
 					before, steps := fromSupport.Load(), ringSteps(ctx)
-					got, err := AggregateF64(fillChannels(context.Background(), dim, par), r, F64Funcs[int64]{
-						Dim: dim, SeqOp: sparseSeqOp, Support: support,
-					}, WithStrategy(strategy), WithParallelism(par))
+					got, err := aggregate[int64, f64Acc, []float64](fillChannels(context.Background(), dim, par), r, &f64Plane[int64]{
+						F64Funcs: F64Funcs[int64]{Dim: dim, SeqOp: sparseSeqOp, Support: support},
+						get:      makeVec, put: func([]float64) {}, ops: ops,
+					}, []AggOption{WithStrategy(strategy), WithParallelism(par)})
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}

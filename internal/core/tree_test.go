@@ -116,6 +116,42 @@ func TestTreeRounds(t *testing.T) {
 	}
 }
 
+// TestDriverSumsFramesInTaskOrder: the driver's end of the tree and of
+// the IMM gather adds the per-task frames in task order from +0.0, on
+// both planes. Partition p — one per executor — holds one term whose
+// float64 sum moves with the order: 1e16 − 1e16 + 1 is 1 in task
+// order and 0 reversed, so a reader that summed the frames any other
+// way round would return another value.
+func TestDriverSumsFramesInTaskOrder(t *testing.T) {
+	const execs = 3
+	terms := []float64{1e16, -1e16, 1}
+	seqOp := func(acc []float64, v int64) []float64 {
+		acc[0] += terms[v]
+		return acc
+	}
+	want := []float64{0}
+	for _, x := range terms {
+		want[0] += x
+	}
+	if reversed := terms[2] + terms[1] + terms[0]; reversed == want[0] {
+		t.Fatalf("terms are not order-sensitive: %v both ways", reversed)
+	}
+	ctx := testContext(t, execs, 1)
+	r := vectorRDD(ctx, execs, execs)
+	fns := F64Funcs[int64]{Dim: 1, SeqOp: seqOp}
+	for _, s := range []Strategy{StrategyTree, StrategyIMM} {
+		got, err := Aggregate(context.Background(), r, genericOf(fns, nil), WithStrategy(s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bitsEqual(t, fmt.Sprintf("generic/%v", s), got, want)
+		if got, err = AggregateF64(context.Background(), r, fns, WithStrategy(s)); err != nil {
+			t.Fatal(err)
+		}
+		bitsEqual(t, fmt.Sprintf("f64/%v", s), got, want)
+	}
+}
+
 func TestIntRoot(t *testing.T) {
 	cases := []struct{ n, k, want int }{
 		{1, 2, 1}, {2, 2, 2}, {4, 2, 2}, {5, 2, 3}, {9, 2, 3}, {10, 2, 4},

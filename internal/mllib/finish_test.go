@@ -7,6 +7,7 @@ import (
 	"math"
 	"testing"
 
+	"sparker/internal/core"
 	"sparker/internal/linalg"
 	"sparker/internal/rdd"
 	"sparker/internal/serde"
@@ -159,7 +160,7 @@ func TestFinishBitIdentical(t *testing.T) {
 			var losses []float64
 			for iter := 1; iter <= iters; iter++ {
 				g := packedGrad{kind: linalg.CSRLogistic, w: w, dim: dim, frac: frac, seed: 7, iter: iter}
-				agg, err := AggregateF64(context.Background(), plan.packed, g.funcs(nil), r.s, 2, 0)
+				agg, err := core.AggregateF64(context.Background(), plan.packed, g.funcs(nil), strategyOpts(t, r.s, 2, 0)...)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"sparker/internal/collective"
+	"sparker/internal/core"
 	"sparker/internal/linalg"
 	"sparker/internal/metrics"
 	"sparker/internal/serde"
@@ -171,7 +172,7 @@ func TestTreeFoldMatchesSeqOp(t *testing.T) {
 		g := packedGrad{kind: linalg.CSRLogistic, w: w, dim: dim, frac: 0.5, seed: 3, iter: iter}
 		fns := g.funcs(nil)
 		fns.Fold = nil
-		agg, err := AggregateF64(context.Background(), plan.packed, fns, StrategyTree, 2, 0)
+		agg, err := core.AggregateF64(context.Background(), plan.packed, fns, strategyOpts(t, StrategyTree, 2, 0)...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,7 +236,7 @@ func TestSplitCompactMatchesDense(t *testing.T) {
 										return vals, ok, err
 									}
 								}
-								agg, err := AggregateF64(cctx, plan.packed, fns, s, 2, par)
+								agg, err := core.AggregateF64(cctx, plan.packed, fns, strategyOpts(t, s, 2, par)...)
 								if err != nil {
 									t.Fatalf("%s: %v", name, err)
 								}

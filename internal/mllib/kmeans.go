@@ -37,9 +37,10 @@ type KMeansConfig struct {
 	Packed PackedMode
 }
 
-func (c *KMeansConfig) fill() error {
+// fill validates c, sets its defaults and returns its aggregation options.
+func (c *KMeansConfig) fill() ([]core.AggOption, error) {
 	if c.K < 1 || c.NumFeatures < 1 {
-		return fmt.Errorf("mllib: KMeans needs positive K and NumFeatures (got %d, %d)", c.K, c.NumFeatures)
+		return nil, fmt.Errorf("mllib: KMeans needs positive K and NumFeatures (got %d, %d)", c.K, c.NumFeatures)
 	}
 	if c.Iterations == 0 {
 		c.Iterations = 20
@@ -47,10 +48,7 @@ func (c *KMeansConfig) fill() error {
 	if c.ConvergenceTol == 0 {
 		c.ConvergenceTol = 1e-4
 	}
-	if c.Depth == 0 {
-		c.Depth = 2
-	}
-	return nil
+	return c.Strategy.Options(c.Depth, c.Parallelism)
 }
 
 // KMeansModel is a trained clustering.
@@ -122,7 +120,8 @@ func sqDist(center []float64, x linalg.SparseVector) float64 {
 // iteration computes every cluster's point sum, count and the total
 // cost against the current centers.
 func TrainKMeans(points *rdd.RDD[linalg.SparseVector], cfg KMeansConfig) (*KMeansModel, error) {
-	if err := cfg.fill(); err != nil {
+	opts, err := cfg.fill()
+	if err != nil {
 		return nil, err
 	}
 	k, dim := cfg.K, cfg.NumFeatures
@@ -171,7 +170,6 @@ func TrainKMeans(points *rdd.RDD[linalg.SparseVector], cfg KMeansConfig) (*KMean
 		}
 		it, ictx := startIteration(tr, root, tctx, iter+1)
 		var agg []float64
-		var err error
 		if plan != nil {
 			// Packed plane: flatten the snapshot, precompute center norms
 			// once per iteration (same arithmetic sequence as sqDist —
@@ -182,10 +180,9 @@ func TrainKMeans(points *rdd.RDD[linalg.SparseVector], cfg KMeansConfig) (*KMean
 			}
 			cNorms := make([]float64, k)
 			linalg.CSRKMeansCenterNorms(flat, k, dim, cNorms)
-			agg, err = AggregateF64(ictx, plan.packed, core.F64Funcs[packedPart]{Dim: aggDim, SeqOp: packedKMeansSeqOp(flat, cNorms, k, dim)},
-				cfg.Strategy, cfg.Depth, cfg.Parallelism)
+			agg, err = core.AggregateF64(ictx, plan.packed, core.F64Funcs[packedPart]{Dim: aggDim, SeqOp: packedKMeansSeqOp(flat, cNorms, k, dim)}, opts...)
 		} else {
-			agg, err = AggregateF64(ictx, points, core.F64Funcs[linalg.SparseVector]{Dim: aggDim, SeqOp: func(acc []float64, x linalg.SparseVector) []float64 {
+			agg, err = core.AggregateF64(ictx, points, core.F64Funcs[linalg.SparseVector]{Dim: aggDim, SeqOp: func(acc []float64, x linalg.SparseVector) []float64 {
 				best, bestDist := 0, math.Inf(1)
 				for c, center := range snapshot {
 					if d := sqDist(center, x); d < bestDist {
@@ -196,7 +193,7 @@ func TrainKMeans(points *rdd.RDD[linalg.SparseVector], cfg KMeansConfig) (*KMean
 				acc[k*dim+best]++
 				acc[k*dim+k] += bestDist
 				return acc
-			}}, cfg.Strategy, cfg.Depth, cfg.Parallelism)
+			}}, opts...)
 		}
 		if err != nil {
 			it.EndErr(err)

@@ -35,7 +35,8 @@ type LBFGSConfig struct {
 	Packed PackedMode
 }
 
-func (c *LBFGSConfig) fill() {
+// fill sets c's defaults and returns its aggregation options.
+func (c *LBFGSConfig) fill() ([]core.AggOption, error) {
 	if c.Iterations == 0 {
 		c.Iterations = 50
 	}
@@ -48,16 +49,17 @@ func (c *LBFGSConfig) fill() {
 	if c.MaxLineSearch == 0 {
 		c.MaxLineSearch = 10
 	}
-	if c.Depth == 0 {
-		c.Depth = 2
-	}
+	return c.Strategy.Options(c.Depth, c.Parallelism)
 }
 
 // RunLBFGS minimizes the regularized empirical loss with limited-memory
 // BFGS, evaluating cost and gradient with one distributed aggregation
 // per probe. Returns the weights and the per-iteration loss history.
 func RunLBFGS(data *rdd.RDD[LabeledPoint], grad Gradient, initial []float64, cfg LBFGSConfig) (finalW []float64, lossHist []float64, retErr error) {
-	cfg.fill()
+	opts, err := cfg.fill()
+	if err != nil {
+		return nil, nil, err
+	}
 	dim := len(initial)
 	if dim == 0 {
 		return nil, nil, fmt.Errorf("mllib: empty initial weights")
@@ -86,14 +88,14 @@ func RunLBFGS(data *rdd.RDD[LabeledPoint], grad Gradient, initial []float64, cfg
 		var err error
 		if plan != nil {
 			g := packedGrad{kind: kind, w: snapshot, dim: dim, frac: 1}
-			agg, err = AggregateF64(ictx, plan.packed, g.funcs(nil), cfg.Strategy, cfg.Depth, cfg.Parallelism)
+			agg, err = core.AggregateF64(ictx, plan.packed, g.funcs(nil), opts...)
 		} else {
-			agg, err = AggregateF64(ictx, data, core.F64Funcs[LabeledPoint]{Dim: dim + 2, SeqOp: func(acc []float64, p LabeledPoint) []float64 {
+			agg, err = core.AggregateF64(ictx, data, core.F64Funcs[LabeledPoint]{Dim: dim + 2, SeqOp: func(acc []float64, p LabeledPoint) []float64 {
 				loss := grad.Compute(p.Features, p.Label, snapshot, acc[:dim])
 				acc[dim] += loss
 				acc[dim+1]++
 				return acc
-			}}, cfg.Strategy, cfg.Depth, cfg.Parallelism)
+			}}, opts...)
 		}
 		if err != nil {
 			return 0, nil, err

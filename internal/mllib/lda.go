@@ -33,9 +33,10 @@ type LDAConfig struct {
 	Seed int64
 }
 
-func (c *LDAConfig) fill() error {
+// fill validates c, sets its defaults and returns its aggregation options.
+func (c *LDAConfig) fill() ([]core.AggOption, error) {
 	if c.K <= 0 || c.Vocab <= 0 {
-		return fmt.Errorf("mllib: LDA needs positive K and Vocab, got K=%d V=%d", c.K, c.Vocab)
+		return nil, fmt.Errorf("mllib: LDA needs positive K and Vocab, got K=%d V=%d", c.K, c.Vocab)
 	}
 	if c.Alpha == 0 {
 		c.Alpha = 1.0 / float64(c.K)
@@ -49,10 +50,7 @@ func (c *LDAConfig) fill() error {
 	if c.InnerIters == 0 {
 		c.InnerIters = 20
 	}
-	if c.Depth == 0 {
-		c.Depth = 2
-	}
-	return nil
+	return c.Strategy.Options(c.Depth, c.Parallelism)
 }
 
 // LDAModel is a trained topic model.
@@ -133,7 +131,8 @@ func (m *LDAModel) TopTerms(k, n int) []int {
 // fraction 1). Each outer iteration performs exactly one aggregation of
 // the K×V sufficient statistics using the configured strategy.
 func TrainLDA(docs *rdd.RDD[Document], cfg LDAConfig) (*LDAModel, error) {
-	if err := cfg.fill(); err != nil {
+	opts, err := cfg.fill()
+	if err != nil {
 		return nil, err
 	}
 	k, v := cfg.K, cfg.Vocab
@@ -163,10 +162,10 @@ func TrainLDA(docs *rdd.RDD[Document], cfg LDAConfig) (*LDAModel, error) {
 		alpha, inner := cfg.Alpha, cfg.InnerIters
 
 		it, ictx := startIteration(tr, root, tctx, iter+1)
-		agg, err := AggregateF64(ictx, docs, core.F64Funcs[Document]{Dim: dim, SeqOp: func(acc []float64, d Document) []float64 {
+		agg, err := core.AggregateF64(ictx, docs, core.F64Funcs[Document]{Dim: dim, SeqOp: func(acc []float64, d Document) []float64 {
 			docEStep(d, flatBeta, acc, k, v, alpha, inner)
 			return acc
-		}}, cfg.Strategy, cfg.Depth, cfg.Parallelism)
+		}}, opts...)
 		if err != nil {
 			it.EndErr(err)
 			root.SetAttr("error", err.Error())

@@ -37,6 +37,16 @@ func sparse(t *testing.T, dim int, idx []int32, vals []float64) linalg.SparseVec
 	return v
 }
 
+// strategyOpts is s.Options, failing t on an unknown strategy.
+func strategyOpts(t testing.TB, s Strategy, depth, parallelism int) []core.AggOption {
+	t.Helper()
+	opts, err := s.Options(depth, parallelism)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return opts
+}
+
 func TestLabeledPointSerdeRoundTrip(t *testing.T) {
 	p := LabeledPoint{Label: 1, Features: sparse(t, 10, []int32{2, 7}, []float64{1.5, -3})}
 	b, err := serde.Encode(nil, p)
@@ -313,7 +323,7 @@ func TestGDValidation(t *testing.T) {
 	if _, _, err := RunGradientDescent(train, LogisticGradient{}, SimpleUpdater{}, nil, GDConfig{}); err == nil {
 		t.Fatal("empty initial weights should fail")
 	}
-	if _, err := AggregateF64(context.Background(), train, core.F64Funcs[LabeledPoint]{Dim: 4, SeqOp: func(a []float64, p LabeledPoint) []float64 { return a }}, Strategy(42), 2, 1); err == nil {
+	if _, err := Strategy(42).Options(2, 1); err == nil {
 		t.Fatal("unknown strategy should fail")
 	}
 }

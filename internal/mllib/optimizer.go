@@ -84,22 +84,16 @@ func (s Strategy) CoreStrategy() (core.Strategy, error) {
 	}
 }
 
-// AggregateF64 reduces a flattened []float64 aggregator over an RDD
-// (core.AggregateF64) with the chosen strategy: every model's per-
-// iteration sufficient statistics are one flat vector, the shape that
-// makes splitOp/concatOp trivial (Figure 7's splitA/concatA). ctx bounds
-// the ring collectives, and a span it carries (an iteration's) parents
-// the call's "aggregate" span. extra options (e.g. core.WithDeadline)
-// follow the strategy's, so they may override any of them.
-func AggregateF64[T any](ctx context.Context, r *rdd.RDD[T], fns core.F64Funcs[T], s Strategy, depth, parallelism int, extra ...core.AggOption) ([]float64, error) {
+// Options are s's core.AggregateF64 options at a tree depth and ring
+// parallelism: every model's per-iteration sufficient statistics are
+// one flat vector (core.F64Funcs), the shape that makes splitOp/concatOp
+// trivial (Figure 7's splitA/concatA).
+func (s Strategy) Options(depth, parallelism int) ([]core.AggOption, error) {
 	cs, err := s.CoreStrategy()
 	if err != nil {
 		return nil, err
 	}
-	opts := append([]core.AggOption{
-		core.WithStrategy(cs), core.WithDepth(depth), core.WithParallelism(parallelism),
-	}, extra...)
-	return core.AggregateF64(ctx, r, fns, opts...)
+	return []core.AggOption{core.WithStrategy(cs), core.WithDepth(depth), core.WithParallelism(parallelism)}, nil
 }
 
 // funcs is g's aggregation over a packed plan: seqOp on every path, the
@@ -175,7 +169,8 @@ type GDConfig struct {
 	Packed PackedMode
 }
 
-func (c *GDConfig) fill() {
+// fill sets c's defaults and returns its aggregation options.
+func (c *GDConfig) fill() ([]core.AggOption, error) {
 	if c.StepSize == 0 {
 		c.StepSize = 1.0
 	}
@@ -185,9 +180,11 @@ func (c *GDConfig) fill() {
 	if c.MiniBatchFraction == 0 {
 		c.MiniBatchFraction = 1.0
 	}
-	if c.Depth == 0 {
-		c.Depth = 2
+	opts, err := c.Strategy.Options(c.Depth, c.Parallelism)
+	if err == nil && c.StepDeadline != 0 {
+		opts = append(opts, core.WithDeadline(c.StepDeadline))
 	}
+	return opts, err
 }
 
 // RunGradientDescent is MLlib's GradientDescent.runMiniBatchSGD: per
@@ -197,7 +194,10 @@ func (c *GDConfig) fill() {
 // straight from the reduced aggregate's frames (meanStep). It returns
 // the final weights and the per-iteration loss history.
 func RunGradientDescent(data *rdd.RDD[LabeledPoint], grad Gradient, up Updater, initial []float64, cfg GDConfig) (finalW []float64, lossHist []float64, retErr error) {
-	cfg.fill()
+	opts, err := cfg.fill()
+	if err != nil {
+		return nil, nil, err
+	}
 	dim := len(initial)
 	if dim == 0 {
 		return nil, nil, fmt.Errorf("mllib: empty initial weights")
@@ -241,10 +241,6 @@ func RunGradientDescent(data *rdd.RDD[LabeledPoint], grad Gradient, up Updater, 
 		w := weights // this iteration's vector, whatever the variable holds later; never written
 
 		it, ictx := startIteration(tr, root, tctx, iter)
-		var extra []core.AggOption
-		if cfg.StepDeadline != 0 {
-			extra = append(extra, core.WithDeadline(cfg.StepDeadline))
-		}
 		if ms != nil {
 			ms.w = w
 			ms.decay, ms.step = ms.up.meanStep(cfg.StepSize, iter, cfg.RegParam)
@@ -252,24 +248,23 @@ func RunGradientDescent(data *rdd.RDD[LabeledPoint], grad Gradient, up Updater, 
 		// Aggregator layout: [0,dim) gradient sum, [dim] loss sum,
 		// [dim+1] sample count.
 		var agg []float64
-		var err error
 		if plan != nil {
 			// Packed plane: one fused kernel pass per partition, with
 			// in-kernel minibatch sampling over the same RNG stream
 			// sampleRDD would use.
 			g := packedGrad{kind: kind, w: w, dim: dim, frac: cfg.MiniBatchFraction, seed: cfg.Seed, iter: iter}
-			agg, err = AggregateF64(ictx, plan.packed, g.funcs(finish), cfg.Strategy, cfg.Depth, cfg.Parallelism, extra...)
+			agg, err = core.AggregateF64(ictx, plan.packed, g.funcs(finish), opts...)
 		} else {
 			batch := data
 			if cfg.MiniBatchFraction < 1.0 {
 				batch = sampleRDD(data, cfg.MiniBatchFraction, cfg.Seed, iter)
 			}
-			agg, err = AggregateF64(ictx, batch, core.F64Funcs[LabeledPoint]{Dim: dim + 2, SeqOp: func(acc []float64, p LabeledPoint) []float64 {
+			agg, err = core.AggregateF64(ictx, batch, core.F64Funcs[LabeledPoint]{Dim: dim + 2, SeqOp: func(acc []float64, p LabeledPoint) []float64 {
 				loss := grad.Compute(p.Features, p.Label, w, acc[:dim])
 				acc[dim] += loss
 				acc[dim+1]++
 				return acc
-			}, Finish: finish}, cfg.Strategy, cfg.Depth, cfg.Parallelism, extra...)
+			}, Finish: finish}, opts...)
 		}
 		if err != nil {
 			it.EndErr(err)

@@ -31,7 +31,11 @@ func ColumnStats(data *rdd.RDD[LabeledPoint], numFeatures int, strategy Strategy
 	// Aggregator layout: [0,d) sum, [d,2d) sum of squares, [2d,3d) nnz,
 	// [3d] count.
 	d := numFeatures
-	agg, err := AggregateF64(context.Background(), data, core.F64Funcs[LabeledPoint]{Dim: 3*d + 1, SeqOp: func(acc []float64, p LabeledPoint) []float64 {
+	opts, err := strategy.Options(2, parallelism)
+	if err != nil {
+		return nil, err
+	}
+	agg, err := core.AggregateF64(context.Background(), data, core.F64Funcs[LabeledPoint]{Dim: 3*d + 1, SeqOp: func(acc []float64, p LabeledPoint) []float64 {
 		for i, ix := range p.Features.Indices {
 			v := p.Features.Values[i]
 			acc[ix] += v
@@ -42,7 +46,7 @@ func ColumnStats(data *rdd.RDD[LabeledPoint], numFeatures int, strategy Strategy
 		}
 		acc[3*d]++
 		return acc
-	}}, strategy, 2, parallelism)
+	}}, opts...)
 	if err != nil {
 		return nil, err
 	}
