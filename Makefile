@@ -41,10 +41,11 @@ no-deprecated:
 # tenancy API, or the rdd operators no training path ran (the hash
 # shuffle, the join, the set operators, the per-RDD placement knob),
 # the linear-regression trainer, or the five examples deleted with them
-# (DESIGN.md §1), or rdd's deleted tree, the ring's take path and the
-# f64-only AggFuncs hooks (DESIGN.md §18). The script names the history
-# files it exempts, and exempts EXPERIMENTS.md from the column-view,
-# tree and f64-plane rules only.
+# (DESIGN.md §1), or rdd's deleted tree, the ring's take path, the
+# f64-only AggFuncs hooks and the ring's support plumbing (DESIGN.md
+# §18). The script names the history files it exempts, and exempts
+# EXPERIMENTS.md from the column-view, tree, f64-plane and ring-support
+# rules only.
 no-stale-refs:
 	@scripts/no-stale-refs.sh
 

@@ -77,8 +77,8 @@ func TreeReduce[V any](ctx context.Context, e *comm.Endpoint, root int, value V,
 // uses channels 0..P-1).
 const treeChannel = 1 << 20
 
-// --- tiny local binary helpers (no dependency on serde to keep the
-// collective layer reusable under the pure communicator benches) ------
+// --- the ring frame's little-endian header words (float64 words are
+// serde's: Float64At, AddWords) ---------------------------------------
 
 func putUint32(dst []byte, v uint32) {
 	binary.LittleEndian.PutUint32(dst, v)
@@ -98,8 +98,4 @@ func putUint64(dst []byte, v uint64) {
 
 func uint64At(src []byte, i int) uint64 {
 	return binary.LittleEndian.Uint64(src[i:])
-}
-
-func float64At(src []byte, i int) float64 {
-	return math.Float64frombits(binary.LittleEndian.Uint64(src[i:]))
 }

@@ -25,6 +25,7 @@ import (
 	"sparker/internal/linalg"
 	"sparker/internal/metrics"
 	"sparker/internal/obsv"
+	"sparker/internal/serde"
 	"sparker/internal/trace"
 )
 
@@ -276,17 +277,13 @@ type Ops[V any] struct {
 type PackedOps[V any] struct {
 	// ChunkSize decides the form of elements [off, off+n) of v: the
 	// packed payload size when packing wins (at most half the dense
-	// bytes), else 0 — the chunk then goes dense. cand, when non-nil,
-	// holds the chunk's candidate bits: bit bit+i of cand (bit b is bit
-	// b%64 of word b/64) is set for every element off+i that may be
-	// non-zero, and a clear bit promises +0.0 (WithSupport). When the
-	// candidates settle the choice the size is read from them and may
-	// overstate the payload; otherwise it is exact. nil means count.
-	ChunkSize func(v V, off, n int, cand []uint64, bit int) int
+	// bytes), else 0 — the chunk then goes dense. The size may overstate
+	// the payload (a dense serde.Body sizes it from its candidates).
+	ChunkSize func(v V, off, n int) int
 	// EncodeChunkTo appends the packed form of elements [off, off+n) of
-	// v to dst, which has at least ChunkSize(v, off, n, cand, bit) bytes
-	// of spare capacity. The bytes do not depend on cand.
-	EncodeChunkTo func(dst []byte, v V, off, n int, cand []uint64, bit int) []byte
+	// v to dst, which has at least ChunkSize(v, off, n) bytes of spare
+	// capacity.
+	EncodeChunkTo func(dst []byte, v V, off, n int) []byte
 	// DecodeReduceChunkInto reduces the n-element packed payload into
 	// elements [off, off+n) of acc in place. It validates the whole
 	// payload before its first store (ErrMalformedChunk) and must not
@@ -389,7 +386,7 @@ func decodeF64(src []byte) ([]float64, error) {
 	}
 	out := make([]float64, n)
 	for i := range out {
-		out[i] = float64At(body, 8*i)
+		out[i] = serde.Float64At(body, 8*i)
 	}
 	return out, nil
 }
@@ -408,7 +405,7 @@ func f64FrameBody(src []byte) (int, []byte, error) {
 }
 
 // decodeReduceIntoF64 is the fused decode-reduce: acc[i] += wire[i]
-// straight out of the wire bytes, 4-wide unrolled, no intermediate
+// straight out of the wire bytes (serde.AddWords), no intermediate
 // slice. Element adds are independent, so the result is bitwise
 // identical to decodeF64 followed by F64Ops().Reduce.
 func decodeReduceIntoF64(acc []float64, wire []byte) ([]float64, error) {
@@ -421,16 +418,7 @@ func decodeReduceIntoF64(acc []float64, wire []byte) ([]float64, error) {
 		// message), so it must fail the step, not kill the process.
 		return nil, fmt.Errorf("collective: segment length mismatch %d vs %d", len(acc), n)
 	}
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		acc[i] += float64At(body, 8*i)
-		acc[i+1] += float64At(body, 8*i+8)
-		acc[i+2] += float64At(body, 8*i+16)
-		acc[i+3] += float64At(body, 8*i+24)
-	}
-	for ; i < n; i++ {
-		acc[i] += float64At(body, 8*i)
-	}
+	serde.AddWords(acc, body)
 	return acc, nil
 }
 
@@ -468,26 +456,16 @@ func f64ChunkBody(payload []byte, off, seg int) (int, error) {
 }
 
 // decodeReduceChunkF64 is the chunked fused decode-reduce:
-// acc[off+i] += word i straight out of the payload, the same 4-wide
-// unrolled kernel as decodeReduceIntoF64 over a sub-range. Element adds
-// are independent and in-place, so sharding a chunk across cores stays
-// bitwise identical to the sequential fused pass.
+// acc[off+i] += word i straight out of the payload, the same kernel as
+// decodeReduceIntoF64 over a sub-range. Element adds are independent and
+// in-place, so sharding a chunk across cores stays bitwise identical to
+// the sequential fused pass.
 func decodeReduceChunkF64(acc []float64, off int, payload []byte) error {
 	n, err := f64ChunkBody(payload, off, len(acc))
 	if err != nil {
 		return err
 	}
-	dst := acc[off : off+n]
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		dst[i] += float64At(payload, 8*i)
-		dst[i+1] += float64At(payload, 8*i+8)
-		dst[i+2] += float64At(payload, 8*i+16)
-		dst[i+3] += float64At(payload, 8*i+24)
-	}
-	for ; i < n; i++ {
-		dst[i] += float64At(payload, 8*i)
-	}
+	serde.AddWords(acc[off:off+n], payload)
 	return nil
 }
 
@@ -500,7 +478,7 @@ func decodeChunkF64(dst []float64, off int, payload []byte) error {
 	}
 	out := dst[off : off+n]
 	for i := range out {
-		out[i] = float64At(payload, 8*i)
+		out[i] = serde.Float64At(payload, 8*i)
 	}
 	return nil
 }
@@ -537,11 +515,7 @@ func decodeReduce[V any](ops Ops[V], acc V, wire []byte) (V, bool, error) {
 //
 // ctx bounds the whole collective; wrap it with WithStepDeadline to
 // additionally bound each pipelined step, classifying a silent peer as
-// comm.ErrPeerTimeout and a dead one as comm.ErrPeerDown. A support
-// bitmap carried by WithSupport lets the packed encoder read only the
-// elements that can be non-zero. Each channel works on a private copy of
-// its block's share and ORs it back when it finishes, under the lock
-// that guards owned.
+// comm.ErrPeerTimeout and a dead one as comm.ErrPeerDown.
 func RingReduceScatter[V any](ctx context.Context, e *comm.Endpoint, segs []V, parallelism int, ops Ops[V]) (map[int]V, error) {
 	if p := parallelism; p > 0 && len(segs) != p*e.Size() {
 		return nil, fmt.Errorf("collective: need %d segments (P=%d × N=%d), got %d", p*e.Size(), p, e.Size(), len(segs))
@@ -588,19 +562,10 @@ func (s sliceSegments[V]) Elems(i int) int  { return s.elems(s.segs[i]) }
 func (s sliceSegments[V]) Take(i, _ int) V  { return s.segs[i] }
 func (s sliceSegments[V]) Give(int, int, V) {}
 
-// srcElems is the element count of segments [lo, hi) of src.
-func srcElems[V any, S Segments[V]](src S, lo, hi int) int {
-	n := 0
-	for i := lo; i < hi; i++ {
-		n += src.Elems(i)
-	}
-	return n
-}
-
 // RingReduceScatterFrom is RingReduceScatter over the P×N segments src
 // hands out (Segments): the same schedule, frames and result, with each
 // segment taken just before its first use and given back after its last
-// send. A WithSupport bitmap covers the concatenation of src's segments.
+// send.
 func RingReduceScatterFrom[V any, S Segments[V]](ctx context.Context, e *comm.Endpoint, src S, parallelism int, ops Ops[V]) (map[int]V, error) {
 	n := e.Size()
 	p := parallelism
@@ -638,9 +603,6 @@ func RingReduceScatterFrom[V any, S Segments[V]](ctx context.Context, e *comm.En
 	tel := telemetryFrom(ctx)
 	chunkBytes := resolveChunkBytes(ctx)
 	cores := CoresFrom(ctx)
-	// Assigned once: a variable the goroutines capture and that is written
-	// after its declaration would move to the heap.
-	sup := supportFor(ctx, ops, src, p*n)
 	r := e.Rank()
 	for ch := 0; ch < p; ch++ {
 		wg.Add(1)
@@ -661,9 +623,6 @@ func RingReduceScatterFrom[V any, S Segments[V]](ctx context.Context, e *comm.En
 			// N-1 times.
 			var rc ringChan[V]
 			rc.init(e, ops, ch, epoch, tel, chunkBytes, cores)
-			if sup != nil {
-				rc.loadSupport(&mu, sup, srcElems[V](src, 0, ch*n), srcElems[V](src, ch*n, (ch+1)*n))
-			}
 			for k := 0; k < n-1; k++ {
 				if err := ringStepRS(ctx, &rc, src, cur, r, n, k); err != nil {
 					setErr(err)
@@ -673,7 +632,6 @@ func RingReduceScatterFrom[V any, S Segments[V]](ctx context.Context, e *comm.En
 			final := (r + 1) % n
 			mu.Lock()
 			owned[ch*n+final] = cur[final]
-			rc.storeSupport(sup)
 			mu.Unlock()
 		}(ch)
 	}
@@ -711,9 +669,6 @@ func ringStepRS[V any, S Segments[V]](ctx context.Context, rc *ringChan[V], src 
 	// no step has used yet.
 	if k == 0 {
 		cur[sendIdx] = src.Take(base+sendIdx, rc.ch)
-	}
-	if rc.sup != nil {
-		rc.outBit, rc.inBit = srcElems[V](src, base, base+sendIdx), srcElems[V](src, base, base+recvIdx)
 	}
 	acc, err := transferReduce(rc, sctx, span, src, cur[sendIdx], base+sendIdx, base+recvIdx)
 	if err != nil {

@@ -28,12 +28,14 @@ import (
 // returns the measured result.
 func benchHotRing(t *testing.T, p int, name string, ctxFor func(rank int) context.Context) testing.BenchmarkResult {
 	t.Helper()
-	return benchHotRingData(t, p, name, ctxFor, func(j int) float64 { return float64(j%17) * 0.25 })
+	return benchHotRingData(t, p, name, ctxFor, func(j int) float64 { return float64(j%17) * 0.25 }, nil)
 }
 
 // benchHotRingData is benchHotRing over segments whose element j is
-// fill(j); the result's "wireB/op" is rank 0's bytes sent per op.
-func benchHotRingData(t *testing.T, p int, name string, ctxFor func(rank int) context.Context, fill func(j int) float64) testing.BenchmarkResult {
+// fill(j); the result's "wireB/op" is rank 0's bytes sent per op. With
+// cand set, each rank reduces dense views of its segments (BodyOps) whose
+// candidates are cand(p), a bitmap over the rank's segments.
+func benchHotRingData(t *testing.T, p int, name string, ctxFor func(rank int) context.Context, fill func(j int) float64, cand func(p int) []uint64) testing.BenchmarkResult {
 	t.Helper()
 	const (
 		n      = 4
@@ -61,8 +63,12 @@ func benchHotRingData(t *testing.T, p int, name string, ctxFor func(rank int) co
 			}
 		}
 		ctxs := make([]context.Context, n)
+		views := make([]*viewSource, n)
 		for r := range ctxs {
 			ctxs[r] = ctxFor(r)
+			if cand != nil {
+				views[r] = newViewSource(inputs[r], cand(p))
+			}
 		}
 		op := func() {
 			var wg sync.WaitGroup
@@ -70,7 +76,13 @@ func benchHotRingData(t *testing.T, p int, name string, ctxFor func(rank int) co
 				wg.Add(1)
 				go func(e *comm.Endpoint) {
 					defer wg.Done()
-					if _, err := RingReduceScatter(ctxs[e.Rank()], e, inputs[e.Rank()], p, F64Ops()); err != nil {
+					var err error
+					if r := e.Rank(); cand != nil {
+						_, err = RingReduceScatterFrom(ctxs[r], e, views[r], p, BodyOps())
+					} else {
+						_, err = RingReduceScatter(ctxs[r], e, inputs[r], p, F64Ops())
+					}
+					if err != nil {
 						b.Error(err)
 					}
 				}(e)
@@ -225,9 +237,10 @@ func TestPipelineOverheadChunkingOn(t *testing.T) {
 // counting pass picks packed — the counting pass, the packed encode into
 // a pooled draw and the bit-walking decode-reduce add no steady-state
 // allocations, whole-segment (one-chunk packed trains) or chunked, and
-// neither does encoding from a support (WithSupport): the per-channel
-// copies come from a pool. The wire-byte check keeps the gate from
-// passing vacuously on the dense path.
+// neither does encoding from candidates: dense view bodies (BodyOps)
+// whose Bits are the segments' support, reused from op to op. The
+// wire-byte check keeps the gate from passing vacuously on the dense
+// path.
 func TestPipelineOverheadPacked(t *testing.T) {
 	if testing.Short() {
 		t.Skip("overhead gate skipped in -short")
@@ -256,13 +269,13 @@ func TestPipelineOverheadPacked(t *testing.T) {
 		for _, chunkBytes := range []int{-1, 256 << 10} {
 			for _, withSup := range []bool{false, true} {
 				res, min := allocsFloorOf(baselines[p]+slack, func(round int) testing.BenchmarkResult {
+					var cand func(int) []uint64
+					if withSup {
+						cand = support
+					}
 					return benchHotRingData(t, p, fmt.Sprintf("packed-%d-%v-r%d", chunkBytes, withSup, round), func(int) context.Context {
-						ctx := WithChunkBytes(context.Background(), chunkBytes)
-						if withSup {
-							ctx = WithSupport(ctx, support(p))
-						}
-						return ctx
-					}, sparse)
+						return WithChunkBytes(context.Background(), chunkBytes)
+					}, sparse, cand)
 				})
 				// Dense would be 3 steps × p channels × 1 MiB per op.
 				dense := float64(3 * p * (8 << 17))

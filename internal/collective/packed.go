@@ -37,10 +37,13 @@ func (ops Ops[V]) CanPack() bool {
 	return ops.Packed != nil && ops.ChunkStride() > 0
 }
 
-// f64Packed is F64Ops' packed form: its Reduce is float64 addition.
+// f64Packed is F64Ops' packed form: its Reduce is float64 addition,
+// and it scans each chunk for its non-zero words.
 var f64Packed = &PackedOps[[]float64]{
-	ChunkSize:     serde.PackedSizeF64,
-	EncodeChunkTo: serde.EncodePackedF64,
+	ChunkSize: func(v []float64, off, n int) int { return serde.PackedSizeF64(v, off, n, nil, 0) },
+	EncodeChunkTo: func(dst []byte, v []float64, off, n int) []byte {
+		return serde.EncodePackedF64(dst, v, off, n, nil, 0)
+	},
 	DecodeReduceChunkInto: func(acc []float64, off, n int, payload []byte) error {
 		return malformedChunk(serde.DecodeReducePackedF64(acc, off, n, payload))
 	},
@@ -57,27 +60,26 @@ func malformedChunk(err error) error {
 	return nil
 }
 
-// bodyPacked is BodyOps' packed form: a packed body's range is copied
-// out of its bitmap and values, and a chunk is merged into it (the
-// candidates are not read: a body's bitmap is the range's presence).
+// bodyPacked is BodyOps' packed form: a range is copied out of a
+// packed body's bitmap and values, or encoded from a dense body's values
+// and candidate bits, and a chunk is merged into the body.
 var bodyPacked = &PackedOps[*serde.Body]{
-	ChunkSize: func(b *serde.Body, off, n int, _ []uint64, _ int) int { return b.PackedSize(off, n) },
-	EncodeChunkTo: func(dst []byte, b *serde.Body, off, n int, _ []uint64, _ int) []byte {
-		return b.AppendPacked(dst, off, n)
-	},
+	ChunkSize:     (*serde.Body).PackedSize,
+	EncodeChunkTo: func(dst []byte, b *serde.Body, off, n int) []byte { return b.AppendPacked(dst, off, n) },
 	DecodeReduceChunkInto: func(acc *serde.Body, off, n int, payload []byte) error {
 		return malformedChunk(acc.MergePacked(off, n, payload))
 	},
 }
 
 // BodyOps are F64Ops over segments held as serde.Body, for the
-// reduce-scatter of a compact aggregator (RingReduceScatterFrom) only:
+// reduce-scatter of a []float64 aggregator (RingReduceScatterFrom) only:
 // the same chunk plan, forms and bytes as F64Ops over the dense
-// segments, from a send that copies a packed body and a receive that
-// merges into it. A chunk is merged into a body on its channel's
-// goroutine, never sharded, and a body is not cleared as it is sent:
-// its source recycles it whole. They have no Reduce or Decode (every
-// receive is fused) and no allgather assembly.
+// segments, from a send that copies a packed body or encodes a dense one
+// from its candidates, and a receive that merges into it. A chunk is
+// merged into a body on its channel's goroutine, never sharded, and a
+// body is not cleared as it is sent: its source recycles it whole. They
+// have no Reduce or Decode (every receive is fused) and no allgather
+// assembly.
 func BodyOps() Ops[*serde.Body] {
 	return Ops[*serde.Body]{
 		Encode: func(dst []byte, b *serde.Body) []byte {

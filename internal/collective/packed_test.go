@@ -86,9 +86,9 @@ func countForms(ops Ops[[]float64], c *encodeCounts) Ops[[]float64] {
 	if ops.Packed != nil {
 		p := *ops.Packed
 		inner := p.EncodeChunkTo
-		p.EncodeChunkTo = func(dst []byte, v []float64, off, n int, cand []uint64, bit int) []byte {
+		p.EncodeChunkTo = func(dst []byte, v []float64, off, n int) []byte {
 			c.packed.Add(1)
-			return inner(dst, v, off, n, cand, bit)
+			return inner(dst, v, off, n)
 		}
 		ops.Packed = &p
 	}
@@ -446,9 +446,9 @@ func FuzzPackedChunk(f *testing.F) {
 					continue
 				}
 				if name == "reduce" {
-					want[off+i] += float64At(vals, 0)
+					want[off+i] += serde.Float64At(vals, 0)
 				} else {
-					want[off+i] = float64At(vals, 0)
+					want[off+i] = serde.Float64At(vals, 0)
 				}
 				vals = vals[8:]
 			}
@@ -457,7 +457,7 @@ func FuzzPackedChunk(f *testing.F) {
 
 		v := make([]float64, len(payload)/8)
 		for i := range v {
-			v[i] = float64At(payload, 8*i)
+			v[i] = serde.Float64At(payload, 8*i)
 		}
 		requireSupportMatchesScan(t, v, 0, len(v), supersetOf(v, off%131, extra), off%131)
 		size := serde.PackedSizeF64(v, 0, len(v), nil, 0)

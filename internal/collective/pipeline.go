@@ -229,14 +229,6 @@ type ringChan[V any] struct {
 	stride     int  // payload bytes per element (0 when ops lack chunk support)
 	packs      bool // ops supply the packed chunk form
 
-	// The reduce-scatter channel's private support copy (support.go):
-	// nil means scan. supLo is its bit in the shared bitmap; outBit and
-	// inBit are this step's send and receive segments' bits in the copy.
-	sup           []uint64
-	supBuf        *[]uint64
-	supLo         int
-	outBit, inBit int
-
 	next   int             // successor rank, cached
 	done   chan error      // send completions; capacity 2 covers the window
 	sctx   context.Context // current step context
@@ -268,7 +260,7 @@ func (rc *ringChan[V]) init(e *comm.Endpoint, ops Ops[V], ch int, epoch uint32, 
 	rc.releasable = ops.DecodeReduceInto != nil
 	rc.tel = tel
 	rc.cores = cores
-	if any(ops.Packed) == any(bodyPacked) {
+	if _, body := any((*V)(nil)).(**serde.Body); body {
 		rc.cores = 1 // a chunk merges into a body in one ordered pass
 	}
 	rc.next = e.Next()
@@ -407,22 +399,21 @@ func (rc *ringChan[V]) encodeChunkFrame(spanID uint64, v V, idx, total, elemOff,
 	return wire
 }
 
-// encodePackedFrame is the data-driven choice: one counting pass over
-// the chunk, or its support's candidates (Packed.ChunkSize), and when
-// packing wins, the packed frame as a pooled draw of that size. It
+// encodePackedFrame is the data-driven choice: the chunk's packed size
+// (Packed.ChunkSize: one counting pass, or a body's candidates), and
+// when packing wins, the packed frame as a pooled draw of that size. It
 // returns nil when the chunk stays dense, or when the ops cannot pack.
 func (rc *ringChan[V]) encodePackedFrame(spanID uint64, v V, idx, total, elemOff, elemCnt, elemAll int) []byte {
 	if !rc.packs {
 		return nil
 	}
-	bit := rc.outBit + elemOff
-	size := rc.ops.Packed.ChunkSize(v, elemOff, elemCnt, rc.sup, bit)
+	size := rc.ops.Packed.ChunkSize(v, elemOff, elemCnt)
 	if size <= 0 {
 		return nil
 	}
 	hs := chunkHeaderSize(spanID)
 	buf := comm.GetBuffer(hs + size)
-	wire := rc.ops.Packed.EncodeChunkTo(buf[:hs], v, elemOff, elemCnt, rc.sup, bit)
+	wire := rc.ops.Packed.EncodeChunkTo(buf[:hs], v, elemOff, elemCnt)
 	releaseIfAbandoned(buf, wire)
 	rc.stampChunk(wire, spanID, idx, total, elemOff, elemCnt, elemAll, formPacked)
 	rc.lastRaw = int64(hs + rc.stride*elemCnt)
@@ -758,9 +749,6 @@ func transferReduce[V any, S Segments[V]](rc *ringChan[V], sctx context.Context,
 			if rc.tel.on {
 				active := rc.inflight() > 0 || rc.sent < outTotal || inGot < inNeed
 				rc.observeReduce(time.Since(start), active)
-			}
-			if rerr == nil && rc.sup != nil {
-				rc.markSupport(acc, fr)
 			}
 			if canRelease {
 				comm.Release(fr.wire)

@@ -645,7 +645,7 @@ func FuzzRingFrame(f *testing.F) {
 			requireBitwiseEqual(t, name+": above the chunk", acc[hi:], want[hi:])
 			if fr.form == formDense {
 				for i := lo; i < hi; i++ {
-					v := float64At(fr.payload, 8*(i-lo))
+					v := serde.Float64At(fr.payload, 8*(i-lo))
 					if name == "reduce" {
 						v += want[i]
 					}

@@ -16,9 +16,10 @@ import (
 // aggregators hold the gradient support of the first 1–4 partitions of
 // the wide-split-tcp data (GenClassification at seed 2, four contiguous
 // partitions of 5 000 rows) — one executor's accumulator up to the fully
-// reduced union. encode-packed is the scan (probe, count, mask);
-// encode-support reads only the union's candidates. support% is the
-// union's share of the aggregator.
+// reduced union. encode-packed is the scan (probe, count, mask) of F64Ops;
+// encode-support makes the segment a dense view body whose Bits are the
+// union's share, as the f64 plane's ring takes it, and reads only those
+// candidates. support% is the union's share of the aggregator.
 func BenchmarkPackedChunkCold(b *testing.B) {
 	const (
 		samples, features, parts = 20_000, 1_000_000, 4
@@ -34,6 +35,7 @@ func BenchmarkPackedChunkCold(b *testing.B) {
 	}
 	sup := make([]uint64, serde.PackedWords(dim))
 	packed := collective.F64Ops().Packed
+	var view serde.Body
 	buf := make([]byte, 0, 8*(serde.PackedWords(dim)+dim))
 	for k := 1; k <= parts; k++ {
 		// Widen the support to the first k partitions: each aggregator
@@ -51,19 +53,27 @@ func BenchmarkPackedChunkCold(b *testing.B) {
 			set += int(sup[j>>6] >> uint(j&63) & 1)
 		}
 		for _, row := range []struct {
-			name string
-			cand []uint64
-		}{{"encode-packed", nil}, {"encode-support", sup}} {
+			name   string
+			encode func(v []float64, lo, hi int)
+		}{
+			{"encode-packed", func(v []float64, lo, hi int) {
+				if packed.ChunkSize(v[lo:hi], 0, hi-lo) > 0 {
+					buf = packed.EncodeChunkTo(buf[:0], v[lo:hi], 0, hi-lo)
+				}
+			}},
+			{"encode-support", func(v []float64, lo, hi int) {
+				view.View(v[lo:hi], sup, lo)
+				if view.PackedSize(0, hi-lo) > 0 {
+					buf = view.AppendPacked(buf[:0], 0, hi-lo)
+				}
+			}},
+		} {
 			b.Run(fmt.Sprintf("%s/partitions=%d", row.name, k), func(b *testing.B) {
 				b.SetBytes(8 * dim / segs)
 				for i := 0; i < b.N; i++ {
-					v, s := vals[i%aggs], i/aggs%segs
-					lo, hi := s*dim/segs, (s+1)*dim/segs
-					// As the ring calls it: the segment is the chunk, its
-					// candidates start at the segment's base.
-					if packed.ChunkSize(v[lo:hi], 0, hi-lo, row.cand, lo) > 0 {
-						buf = packed.EncodeChunkTo(buf[:0], v[lo:hi], 0, hi-lo, row.cand, lo)
-					}
+					// As the ring calls it: the segment is the chunk.
+					s := i / aggs % segs
+					row.encode(vals[i%aggs], s*dim/segs, (s+1)*dim/segs)
 				}
 				b.ReportMetric(100*float64(set)/dim, "support%")
 			})

@@ -34,25 +34,42 @@ func supersetOf(v []float64, bit int, extra []byte) []uint64 {
 
 // requireSupportMatchesScan: sizing and encoding v[off:off+n] from the
 // candidates cand (at bit) chooses what the scan chooses, produces the
-// scan's bytes, and stays within the size it promised.
+// scan's bytes, and stays within the size it promised — through serde's
+// candidate API, and through a dense view body (serde.Body.View) whose
+// Bits are cand's bits over the range, and over all of v, with the range
+// at element off of the body.
 func requireSupportMatchesScan(t *testing.T, v []float64, off, n int, cand []uint64, bit int) {
 	t.Helper()
 	scan := serde.PackedSizeF64(v, off, n, nil, 0)
-	sized := serde.PackedSizeF64(v, off, n, cand, bit)
-	if (scan > 0) != (sized > 0) {
-		t.Fatalf("n=%d bit=%d: the scan sizes %d bytes, the support %d", n, bit, scan, sized)
+	want := []byte(nil)
+	if scan > 0 {
+		want = serde.EncodePackedF64(make([]byte, 0, scan), v, off, n, nil, 0)
 	}
-	if scan == 0 {
-		return
+	check := func(from string, sized int, encode func(dst []byte) []byte) {
+		t.Helper()
+		if (scan > 0) != (sized > 0) {
+			t.Fatalf("n=%d bit=%d: the scan sizes %d bytes, %s %d", n, bit, scan, from, sized)
+		}
+		if scan == 0 {
+			return
+		}
+		if sized < scan {
+			t.Fatalf("n=%d bit=%d: %s sizes %d bytes, under the exact %d", n, bit, from, sized, scan)
+		}
+		// A capacity of exactly the promised size: writing past it panics.
+		if got := encode(make([]byte, 0, sized)); !bytes.Equal(got, want) {
+			t.Fatalf("n=%d bit=%d: encoding from %s changed the bytes (%d vs %d)", n, bit, from, len(got), len(want))
+		}
 	}
-	if sized < scan {
-		t.Fatalf("n=%d bit=%d: the support sizes %d bytes, under the exact %d", n, bit, sized, scan)
-	}
-	want := serde.EncodePackedF64(make([]byte, 0, scan), v, off, n, nil, 0)
-	// A capacity of exactly the promised size: writing past it panics.
-	got := serde.EncodePackedF64(make([]byte, 0, sized), v, off, n, cand, bit)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("n=%d bit=%d: encoding from the support changed the bytes (%d vs %d)", n, bit, len(got), len(want))
+	check("the support", serde.PackedSizeF64(v, off, n, cand, bit), func(dst []byte) []byte {
+		return serde.EncodePackedF64(dst, v, off, n, cand, bit)
+	})
+	var b serde.Body
+	b.View(v[off:off+n], cand, bit)
+	check("a view", b.PackedSize(0, n), func(dst []byte) []byte { return b.AppendPacked(dst, 0, n) })
+	if bit >= off {
+		b.View(v, cand, bit-off)
+		check("a view of all of v", b.PackedSize(off, n), func(dst []byte) []byte { return b.AppendPacked(dst, off, n) })
 	}
 }
 
@@ -136,50 +153,132 @@ func TestSupportEncodeMatchesScan(t *testing.T) {
 	requireSupportMatchesScan(t, v, 0, len(v), supersetOf(v, 5, nil), 5)
 }
 
-// TestRingSupportMatchesScan: a reduce-scatter run with a support per
-// rank returns what the same run returns without one, puts the same
-// bytes on the wire, and leaves every rank's bitmap covering its owned
-// segments' results.
+// viewSource is a Segments of dense views (serde.Body.View) of a rank's
+// segments, their candidates cand over the segments' concatenation
+// (nil: none), in one body per segment that every ring reuses.
+type viewSource struct {
+	segs   [][]float64
+	cand   []uint64
+	first  []int
+	bodies []serde.Body
+}
+
+func newViewSource(segs [][]float64, cand []uint64) *viewSource {
+	s := &viewSource{segs: segs, cand: cand, first: make([]int, len(segs)), bodies: make([]serde.Body, len(segs))}
+	for i := 1; i < len(segs); i++ {
+		s.first[i] = s.first[i-1] + len(segs[i-1])
+	}
+	return s
+}
+
+func (s *viewSource) Elems(i int) int { return len(s.segs[i]) }
+
+func (s *viewSource) Take(i, _ int) *serde.Body {
+	s.bodies[i].View(s.segs[i], s.cand, s.first[i])
+	return &s.bodies[i]
+}
+
+func (s *viewSource) Give(int, int, *serde.Body) {}
+
+// TestRingSupportMatchesScan: reduce-scatter over dense views of the
+// segments with candidate bits (BodyOps) owns what RingReduceScatter over
+// F64Ops, which scans, owns — bit for bit, in the views' memory — in the
+// same steps and with the same bytes on the wire; and each owned body's
+// Bits still cover every element that is not +0.0. At P = 1 and 4,
+// whole-segment and chunked (1000-element chunks); over sparse data
+// that packs and data that stays dense, with −0.0, NaN payloads and
+// subnormals among it; with candidates that are exact, a random
+// superset, and none. One element of every segment holds 1e16, 1 and
+// −1e16 on three ranks, so a merge that reordered the adds would change
+// its sum.
 func TestRingSupportMatchesScan(t *testing.T) {
-	const n, p, segLen = 4, 2, 3001
-	inputs := makeSparseInputs(rand.New(rand.NewSource(31)), n, p*n, segLen, headDense, true)
-	run := func(name string, withSup bool) ([]map[int][]float64, [][]uint64, int64) {
-		cp := deepCopySegs(inputs)
-		sups := make([][]uint64, n)
-		owned := make([]map[int][]float64, n)
-		regs := make([]*metrics.Registry, n)
-		runGroup(t, n, name, func(e *comm.Endpoint) error {
-			regs[e.Rank()] = metrics.NewRegistry()
-			ctx := metrics.NewContext(WithChunkBytes(context.Background(), 8000), regs[e.Rank()]) // 1000-element chunks
-			if withSup {
-				var all []float64
-				for _, s := range cp[e.Rank()] {
-					all = append(all, s...)
+	const n, segLen = 4, 3001
+	rng := rand.New(rand.NewSource(31))
+	for _, p := range []int{1, 4} {
+		for _, chunkBytes := range []int{-1, 8000} {
+			for _, data := range []struct {
+				name    string
+				density densePattern
+			}{{"sparse", uniform(0.02)}, {"dense", headDense}} {
+				inputs := makeSparseInputs(rng, n, p*n, segLen, data.density, true)
+				for i := 0; i < p*n; i++ {
+					for r, x := range []float64{1e16, 1, -1e16, 0} {
+						inputs[r][i][segLen/3] = x
+					}
 				}
-				sups[e.Rank()] = supersetOf(all, 0, []byte{0, 0, 0, 0x10})[:serde.PackedWords(len(all))]
-				ctx = WithSupport(ctx, sups[e.Rank()])
-			}
-			var err error
-			owned[e.Rank()], err = RingReduceScatter(ctx, e, cp[e.Rank()], p, F64Ops())
-			return err
-		})
-		var wire int64
-		for _, reg := range regs {
-			wire += reg.Histogram(metrics.HistRingStepBytes).Sum()
-		}
-		return owned, sups, wire
-	}
-	want, _, wantWire := run("sup-scan", false)
-	got, sups, gotWire := run("sup-support", true)
-	if gotWire != wantWire {
-		t.Errorf("wire bytes %d with the support, %d without", gotWire, wantWire)
-	}
-	for r := range want {
-		for i, seg := range want[r] {
-			requireBitwiseEqual(t, fmt.Sprintf("rank %d segment %d", r, i), got[r][i], seg)
-			for j, x := range got[r][i] {
-				if b := i*segLen + j; math.Float64bits(x) != 0 && sups[r][b>>6]>>uint(b&63)&1 == 0 {
-					t.Fatalf("rank %d: element %d of owned segment %d is non-zero outside the support", r, j, i)
+				// run reduces a copy of inputs, through views with the
+				// candidates cand gives a rank's concatenated segments when
+				// cand is set, and returns each rank's owned segments and the
+				// ring's frames (wire B, raw B, steps).
+				run := func(name string, cand func(all []float64) []uint64) ([]map[int][]float64, [3]int64) {
+					cp := deepCopySegs(inputs)
+					owned := make([]map[int][]float64, n)
+					regs := make([]*metrics.Registry, n)
+					cands := make([][]uint64, n)
+					for r := 0; cand != nil && r < n; r++ {
+						cands[r] = cand(slices.Concat(cp[r]...))
+					}
+					runGroup(t, n, name, func(e *comm.Endpoint) error {
+						r := e.Rank()
+						regs[r] = metrics.NewRegistry()
+						ctx := metrics.NewContext(WithChunkBytes(context.Background(), chunkBytes), regs[r])
+						if cand == nil {
+							var err error
+							owned[r], err = RingReduceScatter(ctx, e, cp[r], p, F64Ops())
+							return err
+						}
+						bodies, err := RingReduceScatterFrom(ctx, e, newViewSource(cp[r], cands[r]), p, BodyOps())
+						owned[r] = map[int][]float64{}
+						for i, b := range bodies {
+							if !b.Dense || &b.Vals[0] != &cp[r][i][0] {
+								return fmt.Errorf("owned segment %d is not its view", i)
+							}
+							for j, x := range b.Vals {
+								if b.Bits != nil && math.Float64bits(x) != 0 && b.Bits[j>>6]>>uint(j&63)&1 == 0 {
+									return fmt.Errorf("element %d of owned segment %d is not +0.0 and its bit is clear", j, i)
+								}
+							}
+							owned[r][i] = cp[r][i]
+						}
+						return err
+					})
+					var frames [3]int64
+					for _, reg := range regs {
+						frames[0] += reg.Histogram(metrics.HistRingStepBytes).Sum()
+						frames[1] += reg.Histogram(metrics.HistRingStepRawBytes).Sum()
+						frames[2] += reg.Histogram(metrics.HistRingStepNS).Count()
+					}
+					return owned, frames
+				}
+				label := fmt.Sprintf("P=%d/chunk=%d/%s", p, chunkBytes, data.name)
+				want, wantFrames := run("scan-"+label, nil)
+				for _, c := range []struct {
+					name string
+					cand func(all []float64) []uint64
+				}{
+					{"exact", func(all []float64) []uint64 { return supersetOf(all, 0, nil)[:serde.PackedWords(len(all))] }},
+					{"superset", func(all []float64) []uint64 {
+						extra := make([]byte, 61)
+						rng.Read(extra)
+						for i := range extra {
+							extra[i] &= byte(rng.Intn(256)) // about a quarter of the zeros
+						}
+						return supersetOf(all, 0, extra)[:serde.PackedWords(len(all))]
+					}},
+					{"none", func([]float64) []uint64 { return nil }},
+				} {
+					got, gotFrames := run(c.name+"-"+label, c.cand)
+					if gotFrames != wantFrames {
+						t.Errorf("%s/%s: frames (wire B, raw B, steps) %v from the views, %v from the scan", label, c.name, gotFrames, wantFrames)
+					}
+					for r := range want {
+						if len(got[r]) != len(want[r]) {
+							t.Fatalf("%s/%s rank %d: owns %d segments, want %d", label, c.name, r, len(got[r]), len(want[r]))
+						}
+						for i, seg := range want[r] {
+							requireBitwiseEqual(t, fmt.Sprintf("%s/%s rank %d segment %d", label, c.name, r, i), got[r][i], seg)
+						}
+					}
 				}
 			}
 		}
@@ -223,20 +322,18 @@ func (s *denseSource) Give(i, ch int, v []float64) {
 
 // TestRingSourceMatchesSlice: reduce-scatter from a source that builds
 // each segment when the ring takes it returns what the []V call returns
-// over the same segments — the same owned segments, bit for bit, the
-// same support left in the caller's bitmap, and the same frames (wire
-// bytes, dense equivalent and step count) — and takes and gives back
-// the segments as Segments promises: every segment once, the owned ones
-// never given back, the rest given back once — with dense and packed
-// chunks in every train (headDense), and −0.0 and NaN payloads among
-// the values.
+// over the same segments — the same owned segments, bit for bit, and the
+// same frames (wire bytes, dense equivalent and step count) — and takes
+// and gives back the segments as Segments promises: every segment once,
+// the owned ones never given back, the rest given back once — with dense
+// and packed chunks in every train (headDense), and −0.0 and NaN payloads
+// among the values.
 func TestRingSourceMatchesSlice(t *testing.T) {
 	const n, segLen = 4, 3001
 	for _, p := range []int{1, 3} {
 		inputs := makeSparseInputs(rand.New(rand.NewSource(int64(41+p))), n, p*n, segLen, headDense, true)
-		run := func(name string, fromSource bool) ([]map[int][]float64, [][]uint64, [3]int64, []*denseSource) {
+		run := func(name string, fromSource bool) ([]map[int][]float64, [3]int64, []*denseSource) {
 			cp := deepCopySegs(inputs)
-			sups := make([][]uint64, n)
 			owned := make([]map[int][]float64, n)
 			regs := make([]*metrics.Registry, n)
 			srcs := make([]*denseSource, n)
@@ -244,12 +341,6 @@ func TestRingSourceMatchesSlice(t *testing.T) {
 				r := e.Rank()
 				regs[r] = metrics.NewRegistry()
 				ctx := metrics.NewContext(WithChunkBytes(context.Background(), 8000), regs[r]) // 1000-element chunks
-				var all []float64
-				for _, s := range cp[r] {
-					all = append(all, s...)
-				}
-				sups[r] = supersetOf(all, 0, []byte{0, 0, 0, 0x10})[:serde.PackedWords(len(all))]
-				ctx = WithSupport(ctx, sups[r])
 				var err error
 				if fromSource {
 					srcs[r] = &denseSource{segs: cp[r], n: n, taken: map[int]bool{}, given: map[int]bool{}}
@@ -265,13 +356,10 @@ func TestRingSourceMatchesSlice(t *testing.T) {
 				frames[1] += reg.Histogram(metrics.HistRingStepRawBytes).Sum()
 				frames[2] += reg.Histogram(metrics.HistRingStepNS).Count()
 			}
-			return owned, sups, frames, srcs
+			return owned, frames, srcs
 		}
-		want, wantSups, wantFrames := func() ([]map[int][]float64, [][]uint64, [3]int64) {
-			o, s, f, _ := run(fmt.Sprintf("src-slice-%d", p), false)
-			return o, s, f
-		}()
-		got, gotSups, gotFrames, srcs := run(fmt.Sprintf("src-source-%d", p), true)
+		want, wantFrames, _ := run(fmt.Sprintf("src-slice-%d", p), false)
+		got, gotFrames, srcs := run(fmt.Sprintf("src-source-%d", p), true)
 		if gotFrames != wantFrames {
 			t.Errorf("P=%d: frames (wire B, raw B, steps) %v from the source, %v from the slice", p, gotFrames, wantFrames)
 		}
@@ -281,9 +369,6 @@ func TestRingSourceMatchesSlice(t *testing.T) {
 			}
 			for i, seg := range want[r] {
 				requireBitwiseEqual(t, fmt.Sprintf("P=%d rank %d segment %d", p, r, i), got[r][i], seg)
-			}
-			if !slices.Equal(gotSups[r], wantSups[r]) {
-				t.Errorf("P=%d rank %d: the ring left a different support", p, r)
 			}
 			s := srcs[r]
 			if s.failed != "" {

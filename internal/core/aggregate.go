@@ -238,7 +238,7 @@ func Aggregate[T, U, V any](ctx context.Context, r *rdd.RDD[T], fns AggFuncs[T, 
 // AggregateF64 is Aggregate for a []float64 sum (F64Funcs): it returns
 // the reduced aggregate, or what Finish returns.
 func AggregateF64[T any](ctx context.Context, r *rdd.RDD[T], fns F64Funcs[T], opts ...AggOption) ([]float64, error) {
-	return aggregate[T, f64Acc, []float64](ctx, r, &f64Plane[T]{F64Funcs: fns, get: linalg.GetVec, put: linalg.PutVec, ops: collective.F64Ops()}, opts)
+	return aggregate[T, f64Acc, []float64](ctx, r, &f64Plane[T]{F64Funcs: fns, get: linalg.GetVec, put: linalg.PutVec, ops: collective.BodyOps()}, opts)
 }
 
 // aggregate is both entries' one body over the plane pl.
@@ -592,17 +592,13 @@ func runRingStage[T, A, V any](ctx context.Context, rc *rdd.Context, opID int64,
 }
 
 // ringRun is one executor's reduce-scatter as the ring task finishes
-// it: the segments it owns, the support the ring left over its segments
-// (nil: none), the channel count it ran at, the ops of the segments it
-// owns, and what it reduced — a dense aggregator's segments, or a
-// compact one's source and the bodies it owns (then owned holds them
-// dense only for the allgather).
+// it: the segments it owns, the channel count it ran at, the ops of the
+// segments it owns, and, on the f64 plane, its source and the bodies it
+// owns (then owned holds them dense only for the allgather).
 type ringRun[V any] struct {
 	owned  map[int]V
-	bits   []uint64
 	p      int
 	ops    collective.Ops[V]
-	segs   []V
 	src    *compactSegs
 	bodies map[int]*serde.Body
 }
@@ -610,20 +606,19 @@ type ringRun[V any] struct {
 // frame is the owned-segments frame (encodeOwned) of the run.
 func (r *ringRun[V]) frame(draw func(n int) []byte) []byte {
 	if r.src != nil {
-		return encodeOwned(r.bodies, collective.BodyOps(), nil, nil, draw)
+		return encodeOwned(r.bodies, collective.BodyOps(), draw)
 	}
-	return encodeOwned(r.owned, r.ops, r.bits, func(i int) int { return segsElems(r.ops, r.segs[:i]) }, draw)
+	return encodeOwned(r.owned, r.ops, draw)
 }
 
-// reduceDense reduce-scatters a dense aggregator u, split by split.
-// P is a cap: a fixed-stride aggregator too small to fill a chunk per
-// channel rides fewer (collective.RingChannels), and is split again at
-// that width — at most a few chunks' bytes, so an aggregator wide
-// enough for all P is split once. Every rank's aggregator has the same
-// length, so every rank picks the same width, and the driver reads it
-// off the frames. The support goes to the ring, which ORs what it
-// reduces in into it, and then to the owned frame; it dies with u.
-func reduceDense[U, V any](ctx context.Context, ec *rdd.ExecContext, u U, sup support, nExec, parallelism int, ops collective.Ops[V], split func(U, int, int) V) (ringRun[V], error) {
+// reduceDense reduce-scatters the generic plane's aggregator u, split
+// by split. P is a cap: a fixed-stride aggregator too small to fill a
+// chunk per channel rides fewer (collective.RingChannels), and is split
+// again at that width — at most a few chunks' bytes, so an aggregator
+// wide enough for all P is split once. Every rank's aggregator has the
+// same length, so every rank picks the same width, and the driver reads
+// it off the frames.
+func reduceDense[U, V any](ctx context.Context, ec *rdd.ExecContext, u U, nExec, parallelism int, ops collective.Ops[V], split func(U, int, int) V) (ringRun[V], error) {
 	segs := splitParallel(u, parallelism*nExec, ec.Cores, split)
 	elems := 0
 	if ops.ChunkStride() > 0 {
@@ -633,14 +628,8 @@ func reduceDense[U, V any](ctx context.Context, ec *rdd.ExecContext, u U, sup su
 	if p < parallelism {
 		segs = splitParallel(u, p*nExec, ec.Cores, split)
 	}
-	var bits []uint64
-	if ops.CanPack() {
-		if bits = sup.words(elems); bits != nil {
-			ctx = collective.WithSupport(ctx, bits)
-		}
-	}
 	owned, err := collective.RingReduceScatter(ctx, ec.Comm, segs, p, ops)
-	return ringRun[V]{owned: owned, bits: bits, p: p, ops: ops, segs: segs}, err
+	return ringRun[V]{owned: owned, p: p, ops: ops}, err
 }
 
 // replicateResult pushes a degraded allreduce's result back onto every

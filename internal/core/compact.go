@@ -84,28 +84,32 @@ func onesBelow(sup []uint64, b int) int {
 	return n
 }
 
-// compactSegs is a compact aggregator as the ring's segment source
-// (collective.Segments over collective.BodyOps): the n-element
-// aggregator holding vals at the set bits of sup and +0.0 elsewhere,
-// cut into nSegs segments at SplitSlice's bounds. Take loads segment i
-// into a body from the bodies list — its bitmap and its values, read
-// straight from vals — and Give parks a sent body there again; the ring
-// merges what it receives into bodies and sends them by copying them,
-// so no segment is ever laid out at its dense length unless it passes
-// the ½ rule (serde.Body). release parks the owned bodies and hands
-// vals on to compactVals.
+// compactSegs is a []float64 aggregator as the ring's segment source
+// (collective.Segments over collective.BodyOps), cut into nSegs
+// segments at SplitSlice's bounds: compact, the n-element aggregator
+// holding vals at the set bits of sup and +0.0 elsewhere; dense, vals
+// itself, whose possibly non-zero elements sup marks (nil: unknown).
+// Take gives segment i a body from the bodies list — compact, its bitmap
+// and its values, read straight from vals (serde.Body.Load); dense, a
+// view of vals with sup's share as candidates (serde.Body.View) — and
+// Give parks a sent body there again; the ring merges what it receives
+// into bodies, so a compact segment is never laid out at its dense
+// length unless it passes the ½ rule, and a dense one is reduced in
+// place. release parks the owned bodies and hands compact vals on to
+// compactVals; a dense aggregator stays its plane's.
 //
-// Ownership: vals and sup are read-only while the ring runs. A body
-// belongs to the ring from Take to Give, to the caller once the ring
-// returns it owned, and to the bodies list otherwise; after a failed
-// ring nothing is parked, and what the ring held is left to the
-// collector.
+// Ownership: vals and sup are read-only while the ring runs, but for
+// the views the ring reduces in. A body belongs to the ring from Take to
+// Give, to the caller once the ring returns it owned, and to the bodies
+// list otherwise; after a failed ring nothing is parked, and what the
+// ring held is left to the collector.
 type compactSegs struct {
 	vals     []float64
 	sup      []uint64
 	n, nSegs int
-	// rank[i] is the index in vals of segment i's first value: the set
-	// bits of sup below the segment.
+	compact  bool
+	// rank[i] is, compact, the index in vals of segment i's first value:
+	// the set bits of sup below the segment.
 	rank []int
 }
 
@@ -118,14 +122,14 @@ var (
 	bodies         = make(chan *serde.Body, 64)
 )
 
-// newCompactSegs returns the source of the compact aggregator vals over
-// sup, of n elements, cut into nSegs segments.
-func newCompactSegs(vals []float64, sup []uint64, n, nSegs int) *compactSegs {
+// newCompactSegs returns the source of the n-element aggregator vals
+// over sup, compact or dense, cut into nSegs segments.
+func newCompactSegs(vals []float64, sup []uint64, n, nSegs int, compact bool) *compactSegs {
 	c := compactSources.Get().(*compactSegs)
-	c.vals, c.sup, c.n, c.nSegs = vals, sup, n, nSegs
+	c.vals, c.sup, c.n, c.nSegs, c.compact = vals, sup, n, nSegs, compact
 	c.rank = c.rank[:0]
 	k := 0
-	for i := 0; i < nSegs; i++ {
+	for i := 0; compact && i < nSegs; i++ {
 		c.rank = append(c.rank, k)
 		lo, hi := c.bounds(i)
 		for w := lo; w < hi; w += 64 {
@@ -146,7 +150,7 @@ func (c *compactSegs) Elems(i int) int {
 	return hi - lo
 }
 
-// Take loads segment i into a body.
+// Take loads segment i into a body, or makes the body its view.
 func (c *compactSegs) Take(i, _ int) *serde.Body {
 	var b *serde.Body
 	select {
@@ -158,7 +162,11 @@ func (c *compactSegs) Take(i, _ int) *serde.Body {
 		b = new(serde.Body)
 	}
 	lo, hi := c.bounds(i)
-	b.Load(hi-lo, c.sup, lo, c.vals[c.rank[i]:])
+	if c.compact {
+		b.Load(hi-lo, c.sup, lo, c.vals[c.rank[i]:])
+	} else {
+		b.View(c.vals[lo:hi], c.sup, lo)
+	}
 	return b
 }
 
@@ -179,13 +187,15 @@ func (c *compactSegs) Give(_, _ int, b *serde.Body) {
 }
 
 // release ends a ring that succeeded, once nothing reads the owned
-// bodies: they go back to the bodies list, the values to compactVals
+// bodies: they go back to the bodies list, compact values to compactVals
 // and c to its pool.
 func (c *compactSegs) release(owned map[int]*serde.Body) {
 	for i, b := range owned {
 		c.Give(i, 0, b)
 	}
-	compactVals.put(c.vals)
+	if c.compact {
+		compactVals.put(c.vals)
+	}
 	c.vals, c.sup = nil, nil
 	compactSources.Put(c)
 }

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"sparker/internal/collective"
 	"sparker/internal/comm"
@@ -62,9 +63,11 @@ func rawWords(v []float64) []byte {
 }
 
 // requireBody fails unless the body b holds the dense segment ref bit
-// for bit — a packed body exactly ref's non-+0.0 words — and sends, for
-// each chunk of per elements and for the whole segment, the form and
-// bytes the packed encoder writes from ref.
+// for bit — a packed body exactly ref's non-+0.0 words — with the bit of
+// every element that is not +0.0 set in Bits (a dense body may know none:
+// nil Bits), and sends, for each chunk of per elements and for the whole
+// segment, the form and bytes the packed encoder writes from ref: sized
+// as the scan sizes it, or, for a dense body, as its candidates bound it.
 func requireBody(t *testing.T, name string, b *serde.Body, ref []float64, per int) {
 	t.Helper()
 	got := b.Vals
@@ -78,17 +81,22 @@ func requireBody(t *testing.T, name string, b *serde.Body, ref []float64, per in
 		serde.ScatterF64(got, b.Bits, b.Vals)
 	}
 	requireBitwise(t, name, got, ref)
+	for j, x := range ref {
+		if (b.Bits != nil || !b.Dense) && math.Float64bits(x) != 0 && b.Bits[j>>6]>>uint(j&63)&1 == 0 {
+			t.Fatalf("%s: element %d is not +0.0 and its bit is clear", name, j)
+		}
+	}
 	for off := 0; off < len(ref); off += per {
 		cnt := min(per, len(ref)-off)
 		for _, r := range [][2]int{{off, cnt}, {0, len(ref)}} {
-			size := serde.PackedSizeF64(ref, r[0], r[1], nil, 0)
-			if got := b.PackedSize(r[0], r[1]); got != size {
-				t.Fatalf("%s [%d,+%d): the body sizes its packed form %d bytes, the scan %d", name, r[0], r[1], got, size)
+			size, sized := serde.PackedSizeF64(ref, r[0], r[1], nil, 0), b.PackedSize(r[0], r[1])
+			if sized != size && !(b.Dense && size > 0 && sized > size) {
+				t.Fatalf("%s [%d,+%d): the body sizes its packed form %d bytes, the scan %d", name, r[0], r[1], sized, size)
 			}
 			want, sent := rawWords(ref[r[0]:r[0]+r[1]]), b.AppendDense(nil, r[0], r[1])
 			if size > 0 {
 				want = serde.EncodePackedF64(make([]byte, 0, size), ref, r[0], r[1], nil, 0)
-				sent = b.AppendPacked(make([]byte, 0, size), r[0], r[1])
+				sent = b.AppendPacked(make([]byte, 0, sized), r[0], r[1])
 			}
 			if !bytes.Equal(sent, want) {
 				t.Fatalf("%s [%d,+%d): the body sends other bytes than the encoder writes from the dense segment", name, r[0], r[1])
@@ -99,28 +107,37 @@ func requireBody(t *testing.T, name string, b *serde.Body, ref []float64, per in
 
 // FuzzCompactSegments: for any aggregator length, support and segment
 // count, with +0.0 at set bits, −0.0, NaN payloads and subnormals among
-// the values, every segment compactSegs loads is SplitSlice of the
-// expanded vector, as a body that holds no +0.0 and sends the packed
-// encoder's form and bytes for every chunk and for the whole segment —
-// whatever body it was loaded into, a fresh one or one the ring gave
-// back. Three ring steps then merge chunk trains of addends into each
-// body (−0.0 addends, NaN payloads, sums that cancel to +0.0, dense and
-// packed chunks), and after each the body must equal the dense segment
-// the dense ring would hold — serde.DecodeReducePackedF64 (addPacked),
-// or F64Ops' dense chunk add, into a segment from +0.0 — and send its
-// bytes, NaN payloads included (where both addends are NaN, the
-// incoming one's, as those kernels leave it); the
-// addends grow denser step by step, so a body can cross ½ in the middle
-// of the ring and go on dense.
+// the values, every segment compactSegs hands out is SplitSlice of the
+// expanded vector, as a body that sends the packed encoder's form and
+// bytes for every chunk and for the whole segment — whatever body it was
+// loaded into, a fresh one or one the ring gave back. form picks the
+// aggregator: compact (a packed body that holds no +0.0), or dense (a
+// view of its memory, serde.Body.View) with candidates that are its
+// support, a random superset of it, or none. Three ring steps then merge
+// chunk trains of addends into each body (−0.0 addends, NaN payloads,
+// sums that cancel to +0.0, dense and packed chunks), and after each the
+// body — for a view, the aggregator memory it covers — must equal the
+// dense segment the dense ring would hold — serde.DecodeReducePackedF64
+// (addPacked), or F64Ops' dense chunk add, into a segment from +0.0 —
+// with the bit of every element that is not +0.0 set, and send its
+// bytes, NaN payloads included (where both addends are NaN, the incoming
+// one's, as those kernels leave it); the addends grow denser step by
+// step, so a packed body can cross ½ in the middle of the ring and go on
+// dense. Releasing the source parks no view: under the race build's
+// guard the aggregator is not on compactVals.
 func FuzzCompactSegments(f *testing.F) {
-	f.Add(uint16(1000), uint8(4), uint8(20), uint8(20), uint8(0), int64(1))
-	f.Add(uint16(1), uint8(1), uint8(255), uint8(255), uint8(0), int64(2))
-	f.Add(uint16(64), uint8(7), uint8(0), uint8(0), uint8(3), int64(3))       // all-zero words
-	f.Add(uint16(4099), uint8(16), uint8(128), uint8(40), uint8(9), int64(4)) // chunks inside a segment
-	f.Add(uint16(3001), uint8(3), uint8(255), uint8(30), uint8(17), int64(5)) // all-set words, bounds inside a word
-	f.Add(uint16(2000), uint8(5), uint8(50), uint8(70), uint8(1), int64(6))   // crosses ½ at the second step
-	f.Add(uint16(4500), uint8(1), uint8(30), uint8(100), uint8(200), int64(7))
-	f.Fuzz(func(t *testing.T, n16 uint16, segs8, density, addDensity, chunk8 uint8, seed int64) {
+	f.Add(uint16(1000), uint8(4), uint8(20), uint8(20), uint8(0), int64(1), uint8(0))
+	f.Add(uint16(1), uint8(1), uint8(255), uint8(255), uint8(0), int64(2), uint8(0))
+	f.Add(uint16(64), uint8(7), uint8(0), uint8(0), uint8(3), int64(3), uint8(0))       // all-zero words
+	f.Add(uint16(4099), uint8(16), uint8(128), uint8(40), uint8(9), int64(4), uint8(0)) // chunks inside a segment
+	f.Add(uint16(3001), uint8(3), uint8(255), uint8(30), uint8(17), int64(5), uint8(0)) // all-set words, bounds inside a word
+	f.Add(uint16(2000), uint8(5), uint8(50), uint8(70), uint8(1), int64(6), uint8(0))   // crosses ½ at the second step
+	f.Add(uint16(4500), uint8(1), uint8(30), uint8(100), uint8(200), int64(7), uint8(0))
+	f.Add(uint16(1000), uint8(4), uint8(20), uint8(20), uint8(0), int64(8), uint8(1))    // views, exact candidates
+	f.Add(uint16(4099), uint8(16), uint8(128), uint8(40), uint8(9), int64(9), uint8(2))  // views, a superset
+	f.Add(uint16(3001), uint8(3), uint8(255), uint8(30), uint8(17), int64(10), uint8(3)) // views, no candidates
+	f.Add(uint16(2000), uint8(5), uint8(10), uint8(70), uint8(1), int64(11), uint8(2))
+	f.Fuzz(func(t *testing.T, n16 uint16, segs8, density, addDensity, chunk8 uint8, seed int64, form uint8) {
 		n, nSegs := int(n16)%5000+1, int(segs8)%17+1
 		if nSegs > n {
 			nSegs = n
@@ -141,13 +158,31 @@ func FuzzCompactSegments(f *testing.F) {
 			}
 		}
 		vals, sup := compactOf(dense, func(i int) bool { return zeroAt[i] })
-		c := newCompactSegs(vals, sup, n, nSegs)
+		compact := form%4 == 0
+		switch form % 4 {
+		case 1, 2:
+			vals = append([]float64(nil), dense...) // the aggregator the views reduce in
+			for w := range sup {
+				if form%4 == 2 {
+					sup[w] |= rng.Uint64() & rng.Uint64()
+				}
+			}
+			if tail := n % 64; tail != 0 {
+				sup[len(sup)-1] &= 1<<uint(tail) - 1
+			}
+		case 3:
+			vals, sup = append([]float64(nil), dense...), nil
+		}
+		c := newCompactSegs(vals, sup, n, nSegs, compact)
 		owned := map[int]*serde.Body{}
 		f64 := collective.F64Ops()
 		for i := 0; i < nSegs; i++ {
-			name := fmt.Sprintf("n=%d segment %d of %d", n, i, nSegs)
+			name := fmt.Sprintf("n=%d form %d segment %d of %d", n, form%4, i, nSegs)
 			ref := append([]float64(nil), SplitSlice(dense, i, nSegs)...)
 			b := c.Take(i, i%3)
+			if view := SplitSlice(vals, i, nSegs); !compact && (!b.Dense || &b.Vals[0] != &view[0]) {
+				t.Fatalf("%s: the body is not a view of its segment of the aggregator", name)
+			}
 			requireBody(t, name+", loaded", b, ref, per)
 			for step := 0; step < 3; step++ {
 				in := addends(rng, ref, int(addDensity)+64*step)
@@ -171,6 +206,9 @@ func FuzzCompactSegments(f *testing.F) {
 					}
 				}
 				requireBody(t, fmt.Sprintf("%s, step %d", name, step), b, ref, per)
+				if !compact {
+					requireBitwise(t, fmt.Sprintf("%s, step %d, the aggregator", name, step), SplitSlice(vals, i, nSegs), ref)
+				}
 			}
 			if i%2 == 0 {
 				owned[i] = b // the ring's last segment on a channel is owned
@@ -179,6 +217,9 @@ func FuzzCompactSegments(f *testing.F) {
 			}
 		}
 		c.release(owned)
+		if _, parked := parkedVecs.Load(unsafe.SliceData(vals[:cap(vals)])); !compact && parked {
+			t.Fatal("the dense aggregator the views covered was parked on compactVals")
+		}
 	})
 }
 
@@ -219,7 +260,7 @@ func hotCompactRing(t *testing.T, p int, name string) (testing.BenchmarkResult, 
 				dense[j] = float64(j%17+r+1) * 0.25
 			}
 			vals, sup := compactOf(dense, func(int) bool { return false })
-			srcs[r] = newCompactSegs(vals, sup, elems, p*n)
+			srcs[r] = newCompactSegs(vals, sup, elems, p*n, true)
 		}
 		op := func(keep bool) {
 			var wg sync.WaitGroup
@@ -372,7 +413,7 @@ func sparseFuncs(dim int, folds *atomic.Int64) F64Funcs[sparsePart] {
 // aggregateWith is AggregateF64 with get and put as the plane's vector
 // free list in place of linalg's.
 func aggregateWith[T any](ctx context.Context, r *rdd.RDD[T], fns F64Funcs[T], get func(int) []float64, put func([]float64), opts ...AggOption) ([]float64, error) {
-	return aggregate[T, f64Acc, []float64](ctx, r, &f64Plane[T]{F64Funcs: fns, get: get, put: put, ops: collective.F64Ops()}, opts)
+	return aggregate[T, f64Acc, []float64](ctx, r, &f64Plane[T]{F64Funcs: fns, get: get, put: put, ops: collective.BodyOps()}, opts)
 }
 
 // makeVec is a fresh +0.0 vector of n elements, a free list that

@@ -435,7 +435,7 @@ func (f *AggFuncs[T, U, V]) read(frames [][]byte, keep func(V) error) (V, error)
 }
 
 func (f *AggFuncs[T, U, V]) reduce(ctx context.Context, ec *rdd.ExecContext, u U, nExec, p int, _ bool) (ringRun[V], error) {
-	return reduceDense(ctx, ec, u, support{}, nExec, p, f.ringOps(), f.SplitOp)
+	return reduceDense(ctx, ec, u, nExec, p, f.ringOps(), f.SplitOp)
 }
 
 func (f *AggFuncs[T, U, V]) readOwned(payloads [][]byte) (V, error) {
@@ -555,13 +555,11 @@ func segsElems[V any](ops collective.Ops[V], segs []V) int {
 
 // encodeOwned frames a rank's owned segments. With fixed-stride ops the
 // frame's size is known up front — one counting pass per segment when
-// the ops can pack, or a read of the segment's share of sup, the
-// support over the ring's segments it left (nil: count), segment i's
-// first bit being first(i) — and it is encoded once, straight into the
-// buffer draw(size) returns (the task's pooled result frame); otherwise
-// it grows by append. A size read from sup may overstate: the frame is
-// then shorter than its draw.
-func encodeOwned[V any](owned map[int]V, ops collective.Ops[V], sup []uint64, first func(i int) int, draw func(n int) []byte) []byte {
+// the ops can pack, or a read of a dense body's candidates — and it is
+// encoded once, straight into the buffer draw(size) returns (the task's
+// pooled result frame); otherwise it grows by append. A size read from
+// candidates may overstate: the frame is then shorter than its draw.
+func encodeOwned[V any](owned map[int]V, ops collective.Ops[V], draw func(n int) []byte) []byte {
 	// A rank owns one segment per ring channel; the arrays keep the
 	// usual case off the heap.
 	var idxBuf, packedBuf [16]int
@@ -577,13 +575,6 @@ func encodeOwned[V any](owned map[int]V, ops collective.Ops[V], sup []uint64, fi
 	if len(idxs) > len(packed) {
 		packed = make([]int, len(idxs))
 	}
-	// bit is segment i's first bit in sup.
-	bit := func(i int) int {
-		if sup == nil {
-			return 0
-		}
-		return first(i)
-	}
 	var dst []byte
 	if stride > 0 {
 		size := 4
@@ -591,7 +582,7 @@ func encodeOwned[V any](owned map[int]V, ops collective.Ops[V], sup []uint64, fi
 			n := ops.Elems(owned[i])
 			body := stride * n
 			if canPack {
-				if packed[k] = ops.Packed.ChunkSize(owned[i], 0, n, sup, bit(i)); packed[k] > 0 {
+				if packed[k] = ops.Packed.ChunkSize(owned[i], 0, n); packed[k] > 0 {
 					body = 4 + packed[k]
 				}
 			}
@@ -611,7 +602,7 @@ func encodeOwned[V any](owned map[int]V, ops collective.Ops[V], sup []uint64, fi
 		switch v := owned[i]; {
 		case packed[k] > 0:
 			dst = binary.LittleEndian.AppendUint32(dst, uint32(ops.Elems(v)))
-			dst = ops.Packed.EncodeChunkTo(dst, v, 0, ops.Elems(v), sup, bit(i))
+			dst = ops.Packed.EncodeChunkTo(dst, v, 0, ops.Elems(v))
 		case stride > 0:
 			dst = ops.EncodeChunkTo(dst, v, 0, ops.Elems(v))
 		default:

@@ -21,7 +21,7 @@ import (
 // word i/64 for element i. The zero value knows nothing, so the ring
 // scans; known with nil bits means every element is still +0.0.
 // borrowed bits are an element's own bitmap, which core only reads;
-// core copies them before the first write (add, words).
+// core copies them before the first write (add).
 type support struct {
 	bits     []uint64
 	known    bool
@@ -66,15 +66,6 @@ func (s *support) view(elems int) []uint64 {
 	return s.bits
 }
 
-// words is view's bitmap as one the ring may also write: s's own copy.
-func (s *support) words(elems int) []uint64 {
-	if s.view(elems) == nil {
-		return nil
-	}
-	s.own()
-	return s.bits
-}
-
 // f64Acc is an f64-plane accumulator: Dim values, or, compact, the
 // values at sup's set bits (compact.go); sup is what core knows of its
 // support.
@@ -86,15 +77,15 @@ type f64Acc struct {
 
 // f64Plane is the plane (core.go) of F64Funcs: get and put draw and
 // recycle its dense vectors (AggregateF64: linalg's free list), and ops
-// are its segment ops (collective.F64Ops: the chunked zero-decode
-// reduce and the packed chunk form). The split is by view, so the ring
-// reduces in place in each executor's aggregator; ConcatSlices copies
-// and frames encode by value, so a recycled vector is never aliased.
+// are its ring's segment ops (collective.BodyOps: every segment a
+// serde.Body). A dense aggregator's bodies view it, so the ring reduces
+// in place in each executor's aggregator; ConcatSlices copies and frames
+// encode by value, so a recycled vector is never aliased.
 type f64Plane[T any] struct {
 	F64Funcs[T]
 	get func(n int) []float64
 	put func([]float64)
-	ops collective.Ops[[]float64]
+	ops collective.Ops[*serde.Body]
 }
 
 func (f *f64Plane[T]) validate(s Strategy) error {
@@ -211,20 +202,16 @@ func (f *f64Plane[T]) finish(agg *serde.F64Frames) ([]float64, error) {
 	return agg.Dense(), nil
 }
 
-// reduce reduce-scatters a dense aggregator by SplitSlice, and a
-// compact one through a compactSegs source at the width and SplitSlice
-// bounds a dense one would ride: the same segments, held as bodies
-// (collective.BodyOps), and the same frames. For the allgather, the
-// bodies it owns are densified once, in place.
+// reduce reduce-scatters a through one compactSegs source at the width
+// and SplitSlice bounds a dense aggregator rides: a compact one's
+// segments as packed bodies, a dense one's as views of it with its
+// support's share as candidates, and the same frames either way. For
+// the allgather, the bodies it owns are densified once, in place.
 func (f *f64Plane[T]) reduce(ctx context.Context, ec *rdd.ExecContext, a f64Acc, nExec, p int, allGather bool) (ringRun[[]float64], error) {
-	if !a.compact {
-		return reduceDense(ctx, ec, a.vals, a.sup, nExec, p, f.ops, SplitSlice[float64])
-	}
-	ops := collective.BodyOps()
-	p = collective.RingChannels(ctx, p, f.Dim, ops)
-	src := newCompactSegs(a.vals, a.sup.bits, f.Dim, p*nExec)
-	bodies, err := collective.RingReduceScatterFrom(ctx, ec.Comm, src, p, ops)
-	run := ringRun[[]float64]{p: p, ops: f.ops, src: src, bodies: bodies}
+	p = collective.RingChannels(ctx, p, f.Dim, f.ops)
+	src := newCompactSegs(a.vals, a.sup.view(f.Dim), f.Dim, p*nExec, a.compact)
+	bodies, err := collective.RingReduceScatterFrom(ctx, ec.Comm, src, p, f.ops)
+	run := ringRun[[]float64]{p: p, ops: collective.F64Ops(), src: src, bodies: bodies}
 	if err == nil && allGather {
 		run.owned = make(map[int][]float64, len(bodies))
 		for i, b := range bodies {
@@ -236,14 +223,13 @@ func (f *f64Plane[T]) reduce(ctx context.Context, ec *rdd.ExecContext, a f64Acc,
 
 func (f *f64Plane[T]) concat(segs [][]float64) []float64 { return ConcatSlices(segs) }
 
-// release hands a compact run's bodies and values to core's free lists
-// and a dense aggregator to put.
+// release hands the run's bodies, and a compact aggregator's values, to
+// core's free lists and a dense aggregator to put.
 func (f *f64Plane[T]) release(run *ringRun[[]float64], a f64Acc) {
-	if run.src != nil {
-		run.src.release(run.bodies)
-		return
+	run.src.release(run.bodies)
+	if !a.compact {
+		f.put(a.vals)
 	}
-	f.put(a.vals)
 }
 
 func (f *f64Plane[T]) encodeResult(v []float64, draw func(int) []byte) ([]byte, error) {
@@ -262,5 +248,5 @@ func (f *f64Plane[T]) readResult(p []byte) ([]float64, error) {
 }
 
 func (f *f64Plane[T]) readOwned(payloads [][]byte) ([]float64, error) {
-	return decodeOwned(payloads, f.ops, ConcatSlices[float64], f.finish)
+	return decodeOwned(payloads, collective.F64Ops(), ConcatSlices[float64], f.finish)
 }

@@ -249,15 +249,15 @@ func TestChaosFallbackAfterPartialInPlaceReduce(t *testing.T) {
 					putsBefore := blockPuts()
 					// reduces counts the ring's in-place reductions: the
 					// generic plane's ReduceOp, the f64 plane's whole-frame
-					// decode-reduce.
+					// merge into a view of the aggregator.
 					var reduces atomic.Int64
 					dctx := collective.WithChunkBytes(context.Background(), -1)
 					var got []float64
 					if plane == "f64" {
 						pool := &poisonPool{}
-						ops := collective.F64Ops()
+						ops := collective.BodyOps()
 						decodeReduce := ops.DecodeReduceInto
-						ops.DecodeReduceInto = func(acc []float64, wire []byte) ([]float64, error) {
+						ops.DecodeReduceInto = func(acc *serde.Body, wire []byte) (*serde.Body, error) {
 							reduces.Add(1)
 							return decodeReduce(acc, wire)
 						}
@@ -574,9 +574,9 @@ func TestSplitPackedEquivalence(t *testing.T) {
 	var packedEncodes atomic.Int64
 	packing := collective.F64Ops()
 	hook := *packing.Packed
-	hook.EncodeChunkTo = func(dst []byte, v []float64, off, n int, cand []uint64, bit int) []byte {
+	hook.EncodeChunkTo = func(dst []byte, v []float64, off, n int) []byte {
 		packedEncodes.Add(1)
-		return packing.Packed.EncodeChunkTo(dst, v, off, n, cand, bit)
+		return packing.Packed.EncodeChunkTo(dst, v, off, n)
 	}
 	counted := packing
 	counted.Packed = &hook
@@ -632,14 +632,14 @@ func TestOwnedFramePacksPerSegment(t *testing.T) {
 	}
 	owned := map[int][]float64{0: sparse, 1: dense, 2: make([]float64, 130), 3: {}}
 	drawn := 0
-	frame := encodeOwned(owned, ops, nil, nil, func(n int) []byte { drawn = n; return make([]byte, 0, n) })
+	frame := encodeOwned(owned, ops, func(n int) []byte { drawn = n; return make([]byte, 0, n) })
 	// count | packed(4 words bitmap + 3 values) | raw | packed(3 words, no values) | raw, empty
 	if want := 4 + (8 + 4 + 8*(4+3)) + (8 + 8*200) + (8 + 4 + 8*3) + 8; len(frame) != want || drawn != want {
 		t.Fatalf("frame is %d bytes, drew %d, want %d", len(frame), drawn, want)
 	}
 	rawOnly := collective.F64Ops()
 	rawOnly.Packed = nil
-	rawFrame := encodeOwned(map[int][]float64{1: dense}, rawOnly, nil, nil, func(n int) []byte { return make([]byte, 0, n) })
+	rawFrame := encodeOwned(map[int][]float64{1: dense}, rawOnly, func(n int) []byte { return make([]byte, 0, n) })
 	if at := 4 + 8 + 4 + 8*(4+3); !bytes.Equal(frame[at:at+8+8*200], rawFrame[4:]) {
 		t.Error("a segment that does not pack is not byte-identical to the raw form")
 	}
@@ -675,18 +675,18 @@ func TestOwnedFrameOverhead(t *testing.T) {
 		support bool
 	}{{"raw", 1, false}, {"packed", 20, false}, {"packed from a support", 20, true}} {
 		segs := owned(c.stride)
-		var sup []uint64
-		var first func(int) int
+		encode := func() { encodeOwned(segs, ops, draw) }
 		if c.support {
 			list := [][]float64{segs[0], segs[1], segs[2], segs[3]}
-			sup, first = supportOver(ConcatSlices(list)), firstOf(list)
+			views := viewsOf(segs, supportOver(ConcatSlices(list)), firstOf(list))
+			encode = func() { encodeOwned(views, collective.BodyOps(), draw) }
 		}
-		if a := testing.AllocsPerRun(50, func() { encodeOwned(segs, ops, sup, first, draw) }); a != 0 {
+		if a := testing.AllocsPerRun(50, encode); a != 0 {
 			t.Errorf("%s: encodeOwned allocates %v times per frame, want 0", c.name, a)
 		}
 	}
 	decodeAllocs := func(stride int) float64 {
-		frame := encodeOwned(owned(stride), ops, nil, nil, draw)
+		frame := encodeOwned(owned(stride), ops, draw)
 		return testing.AllocsPerRun(50, func() {
 			// decodeOwned releases accepted frames to the wire pool.
 			if _, err := decodeOwned([][]byte{append([]byte(nil), frame...)}, ops, ConcatSlices[float64], denseOf[[]float64]); err != nil {

@@ -26,10 +26,11 @@ func supportOver(vals []float64) []uint64 {
 
 // TestSplitSupportEquivalence: with F64Funcs.Support the split and
 // allreduce strategies return the tree's vector bit for bit, encode
-// from the support (ChunkSize, in the plane's ops, is handed
-// candidates), and never write an element's bitmap — with every executor holding partitions, with one
-// holding none (its Zero aggregator's support is empty), and with some
-// elements whose support is unknown.
+// from the support (ChunkSize, in the plane's ops, is handed dense view
+// bodies with candidate Bits), and never write an element's bitmap —
+// with every executor holding partitions, with one holding none (its
+// Zero aggregator's support is empty), and with some elements whose
+// support is unknown.
 func TestSplitSupportEquivalence(t *testing.T) {
 	const execs, samples, dim = 3, 240, 6007
 	ctx := testContext(t, execs, 2)
@@ -42,14 +43,14 @@ func TestSplitSupportEquivalence(t *testing.T) {
 		pristine[v] = slices.Clone(elems[v])
 	}
 	var fromSupport atomic.Int64
-	ops := collective.F64Ops()
+	ops := collective.BodyOps()
 	hook := *ops.Packed
 	size := hook.ChunkSize
-	hook.ChunkSize = func(v []float64, off, n int, cand []uint64, bit int) int {
-		if cand != nil {
+	hook.ChunkSize = func(b *serde.Body, off, n int) int {
+		if b.Dense && b.Bits != nil {
 			fromSupport.Add(1)
 		}
-		return size(v, off, n, cand, bit)
+		return size(b, off, n)
 	}
 	ops.Packed = &hook
 
@@ -145,9 +146,10 @@ func TestTreeSupportEquivalence(t *testing.T) {
 	}
 }
 
-// TestOwnedFrameSupportMatchesScan: framing owned segments from a
-// support over the whole segment set gives the counted frame's bytes;
-// only the draw may be larger, by the candidates that hold +0.0.
+// TestOwnedFrameSupportMatchesScan: framing owned segments as dense
+// view bodies whose candidates are their share of a support over the
+// whole segment set gives the counted frame's bytes; only the draw may
+// be larger, by the candidates that hold +0.0.
 func TestOwnedFrameSupportMatchesScan(t *testing.T) {
 	ops := collective.F64Ops()
 	sparse := make([]float64, 200)
@@ -162,8 +164,8 @@ func TestOwnedFrameSupportMatchesScan(t *testing.T) {
 	sup := supportOver(ConcatSlices(segs))
 	sup[(200+200+5)>>6] |= 1 << ((200 + 200 + 5) & 63) // a candidate holding +0.0
 	var counted, supported int
-	want := encodeOwned(owned, ops, nil, nil, func(n int) []byte { counted = n; return make([]byte, 0, n) })
-	got := encodeOwned(owned, ops, sup, firstOf(segs), func(n int) []byte { supported = n; return make([]byte, 0, n) })
+	want := encodeOwned(owned, ops, func(n int) []byte { counted = n; return make([]byte, 0, n) })
+	got := encodeOwned(viewsOf(owned, sup, firstOf(segs)), collective.BodyOps(), func(n int) []byte { supported = n; return make([]byte, 0, n) })
 	if !bytes.Equal(got, want) {
 		t.Fatal("the frame encoded from the support differs from the counted one")
 	}
@@ -172,8 +174,19 @@ func TestOwnedFrameSupportMatchesScan(t *testing.T) {
 	}
 }
 
-// firstOf is encodeOwned's first over segs: segment i's first element
-// in their concatenation.
+// viewsOf is owned as dense view bodies (serde.Body.View) whose
+// candidates are sup's bits from first(i) on for segment i.
+func viewsOf(owned map[int][]float64, sup []uint64, first func(int) int) map[int]*serde.Body {
+	views := make(map[int]*serde.Body, len(owned))
+	for i, v := range owned {
+		views[i] = new(serde.Body)
+		views[i].View(v, sup, first(i))
+	}
+	return views
+}
+
+// firstOf is, over segs, segment i's first element in their
+// concatenation.
 func firstOf(segs [][]float64) func(i int) int {
 	return func(i int) int {
 		n := 0

@@ -1,10 +1,12 @@
 package serde
 
-// The packed form held in memory (DESIGN.md §11 and §18): a compact
-// aggregator's ring segment is a Body from the fold to its owner's
-// gather frame. A send copies it into the wire, and a receive merges
-// the incoming chunk into it in one ordered pass; nothing expands it to
-// its dense length unless it passes ½ of its elements.
+// The ring segment of a []float64 aggregator held in memory (DESIGN.md
+// §11 and §18): a Body from the fold to its owner's gather frame. A
+// compact aggregator's segment is a packed body — a send copies it into
+// the wire, a receive merges the incoming chunk into it in one ordered
+// pass, and nothing expands it to its dense length unless it passes ½
+// of its elements — and a dense aggregator's is a view of its memory,
+// whose candidate bits the packed encoder reads.
 
 import (
 	"encoding/binary"
@@ -14,14 +16,18 @@ import (
 	"slices"
 )
 
-// Body is an N-element []float64 range. Packed (Dense false), Bits marks
-// each element whose bit pattern is not +0.0 (PackedWords(N) words, no
-// bit past N) and Vals holds those elements in bit order — the payload
-// of the range's packed form, word for word, so a send copies it and
-// scans nothing. A +0.0 never enters Vals, whether a fold or a sum that
-// cancels made it. Dense, Vals holds all N elements: a body densifies
-// once, when a merge may leave more values than the packed form holds
-// (the ½ rule) or a dense chunk arrives, and stays dense.
+// Body is an N-element []float64 range, and one rule holds for every
+// body: a clear bit of Bits promises +0.0. Packed (Dense false), Bits is
+// exact — it marks each element whose bit pattern is not +0.0
+// (PackedWords(N) words, no bit past N) — and Vals holds those elements
+// in bit order: the payload of the range's packed form, word for word,
+// so a send copies it and scans nothing. A +0.0 never enters Vals,
+// whether a fold or a sum that cancels made it. Dense, Vals holds all N
+// elements and Bits are a superset, the candidates the packed encoder
+// reads (nil: none known, so it scans). A packed body densifies once,
+// when a merge may leave more values than the packed form holds (the ½
+// rule) or a dense chunk arrives, and stays dense; a view (View) is
+// dense from the start, over memory the body does not own.
 //
 // A merge (MergePacked) takes a chunk train in element order, writes
 // the sum into the spare buffers and swaps them in after the last
@@ -37,6 +43,7 @@ type Body struct {
 	sumVals []float64
 	at, k   int       // elements merged so far, values of Vals read so far
 	packed  []float64 // a dense body's packed values buffer, for its next Load
+	view    bool      // Vals is a View's memory, not b's
 }
 
 // packLimit is the most values an n-element range holds and still packs
@@ -54,24 +61,9 @@ var denseVals = make(chan []float64, 16)
 // bit lo on, in bit order, and every other element is +0.0. A +0.0 value
 // stays out of the body; a body past the ½ rule is made dense.
 func (b *Body) Load(n int, sup []uint64, lo int, vals []float64) {
-	if b.Dense {
-		select {
-		case denseVals <- b.Vals:
-		default:
-		}
-		b.Vals, b.packed = b.packed, nil
-	}
-	b.N, b.Dense, b.at = n, false, 0
-	if words := PackedWords(n); cap(b.Bits) < words {
-		b.Bits = make([]uint64, words)
-	} else {
-		b.Bits = b.Bits[:words]
-	}
-	c := 0
-	for w := range b.Bits {
-		b.Bits[w] = BitsAt(sup, lo+64*w, min(64, n-64*w))
-		c += bits.OnesCount64(b.Bits[w])
-	}
+	b.undense()
+	b.N, b.at = n, 0
+	c := b.loadBits(sup, lo)
 	b.Vals = append(b.Vals[:0], vals[:c]...)
 	z := 0
 	for _, x := range b.Vals {
@@ -91,10 +83,56 @@ func (b *Body) Load(n int, sup []uint64, lo int, vals []float64) {
 	}
 }
 
+// View makes b the dense body of vals, which it reduces in place and
+// never copies or parks: vals stays its caller's. Its Bits are the
+// len(vals) bits of cand from bit lo on, vals' candidates, or nil when
+// cand is nil.
+func (b *Body) View(vals []float64, cand []uint64, lo int) {
+	b.undense()
+	b.packed, b.Vals = b.Vals, vals
+	b.N, b.Dense, b.view, b.at = len(vals), true, true, 0
+	if cand == nil {
+		b.Bits = nil
+		return
+	}
+	b.loadBits(cand, lo)
+}
+
+// loadBits sets Bits to the N bits of sup from bit lo on, in b's own
+// buffer, and returns how many are set.
+func (b *Body) loadBits(sup []uint64, lo int) int {
+	if words := PackedWords(b.N); cap(b.Bits) < words {
+		b.Bits = make([]uint64, words)
+	} else {
+		b.Bits = b.Bits[:words]
+	}
+	c := 0
+	for w := range b.Bits {
+		b.Bits[w] = BitsAt(sup, lo+64*w, min(64, b.N-64*w))
+		c += bits.OnesCount64(b.Bits[w])
+	}
+	return c
+}
+
+// undense makes a dense body's Vals its packed values' buffer again. Its
+// dense buffer goes back to denseVals; a view's memory is only let go.
+func (b *Body) undense() {
+	if !b.Dense {
+		return
+	}
+	if !b.view {
+		select {
+		case denseVals <- b.Vals:
+		default:
+		}
+	}
+	b.Vals, b.packed, b.Dense, b.view = b.packed, nil, false, false
+}
+
 // densify writes b's values out to its N elements, in a buffer from
 // denseVals — during a merge, the sum below the element it has reached
-// and b's values from there on; the packed values' buffer waits for the
-// next Load.
+// and b's values from there on, whose bits Bits takes in; the packed
+// values' buffer waits for the next Load.
 func (b *Body) densify() {
 	var d []float64
 	select {
@@ -109,6 +147,9 @@ func (b *Body) densify() {
 	k := 0
 	if b.at > 0 {
 		ScatterF64(d, b.sumBits, b.sumVals)
+		for w, m := range b.sumBits {
+			b.Bits[w] |= m
+		}
 		k = b.k
 	}
 	for w := b.at >> 6; w < len(b.Bits); w++ {
@@ -148,10 +189,12 @@ func ScatterF64(dst []float64, set []uint64, vals []float64) {
 // PackedSize is PackedSizeF64 of elements [off, off+n) of b: the packed
 // payload size when the range packs, else 0. A packed body reads it
 // from its bitmap, which is the range's exact presence, so the probe
-// and the count decide as the scan of the dense range would.
+// and the count decide as the scan of the dense range would; a dense
+// one hands its Bits to PackedSizeF64 as candidates, so the size may
+// overstate.
 func (b *Body) PackedSize(off, n int) int {
 	if b.Dense {
-		return PackedSizeF64(b.Vals, off, n, nil, 0)
+		return PackedSizeF64(b.Vals, off, n, b.Bits, off)
 	}
 	if _, c := b.valsAt(off, n); c <= packLimit(n) && probeCannotFire(b.Bits, off, n) {
 		return 8 * (PackedWords(n) + c)
@@ -161,10 +204,11 @@ func (b *Body) PackedSize(off, n int) int {
 
 // AppendPacked appends the packed form of elements [off, off+n) of b to
 // dst, which has PackedSize(off, n) bytes of spare capacity: a packed
-// body's bitmap bits and values, copied.
+// body's bitmap bits and values, copied, or a dense one's values
+// encoded from its candidates.
 func (b *Body) AppendPacked(dst []byte, off, n int) []byte {
 	if b.Dense {
-		return EncodePackedF64(dst, b.Vals, off, n, nil, 0)
+		return EncodePackedF64(dst, b.Vals, off, n, b.Bits, off)
 	}
 	for w := 0; 64*w < n; w++ {
 		dst = binary.LittleEndian.AppendUint64(dst, BitsAt(b.Bits, off+64*w, min(64, n-64*w)))
@@ -207,7 +251,8 @@ func (b *Body) AppendDense(dst []byte, off, n int) []byte {
 // range — onto +0.0 where b holds none, so an incoming −0.0 alone
 // becomes +0.0 — and every +0.0 sum is left out. The payload is
 // validated whole first, and a train must arrive in element order;
-// either refusal leaves b's values as they were.
+// either refusal leaves b's values as they were. Into a dense body it
+// adds as addPacked and ORs the chunk's bitmap into Bits.
 func (b *Body) MergePacked(off, n int, payload []byte) error {
 	bitmap, vals, err := packedBody(payload, off, n, b.N)
 	if err != nil {
@@ -230,6 +275,9 @@ func (b *Body) MergePacked(off, n int, payload []byte) error {
 	}
 	if b.Dense {
 		addPacked(b.Vals[off:], bitmap, vals)
+		for w := 0; b.Bits != nil && 64*w < n; w++ {
+			OrBitsAt(b.Bits, off+64*w, binary.LittleEndian.Uint64(bitmap[8*w:]))
+		}
 		return nil
 	}
 	out := slices.Grow(b.sumVals, most-len(b.sumVals))
@@ -291,9 +339,9 @@ func (b *Body) MergePacked(off, n int, payload []byte) error {
 }
 
 // MergeDense adds a raw-word payload into elements [off, off+len/8) of
-// b in place, as the dense chunk kernel adds it; a packed body densifies
-// first (the chunk alone is past the ½ rule, or the probe's call), a
-// merge in progress with it.
+// b in place with AddWords, and sets their bits of Bits; a packed body
+// densifies first (the chunk alone is past the ½ rule, or the probe's
+// call), a merge in progress with it.
 func (b *Body) MergeDense(off int, payload []byte) error {
 	n := len(payload) / 8
 	if len(payload)%8 != 0 || off < 0 || off+n > b.N {
@@ -305,9 +353,9 @@ func (b *Body) MergeDense(off int, payload []byte) error {
 		}
 		b.densify()
 	}
-	dst := b.Vals[off : off+n]
-	for j := range dst {
-		dst[j] += Float64At(payload, 8*j)
+	AddWords(b.Vals[off:off+n], payload)
+	if b.Bits != nil {
+		setBits(b.Bits, off, n)
 	}
 	return nil
 }
@@ -355,6 +403,15 @@ func (b *Body) end(at int) {
 	b.Bits, b.sumBits = b.sumBits, b.Bits
 	b.Vals, b.sumVals = b.sumVals, b.Vals
 	b.at = 0
+}
+
+// setBits sets bits [b, b+k) of sup.
+func setBits(sup []uint64, b, k int) {
+	for k > 0 {
+		n := min(64, k)
+		OrBitsAt(sup, b, ^uint64(0)>>uint(64-n))
+		b, k = b+n, k-n
+	}
 }
 
 // OrBitsAt ORs m into sup at bit b. The bits of m past the ones sup

@@ -193,9 +193,7 @@ func (p *f64Part) read(dst []float64, a, b int, add bool) {
 		src := p.vals[8*a : 8*b]
 		switch {
 		case add:
-			for j := range dst {
-				dst[j] += Float64At(src, 8*j)
-			}
+			AddWords(dst, src)
 		case hostLittleEndian:
 			copy(f64Bytes(dst), src)
 		default:

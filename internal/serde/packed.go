@@ -319,9 +319,7 @@ func DecodeReduceF64(acc []float64, src []byte) error {
 		addPacked(acc, body[:8*words], body[8*words:])
 		return nil
 	}
-	for i := range acc {
-		acc[i] += Float64At(body, 8*i)
-	}
+	AddWords(acc, body)
 	return nil
 }
 

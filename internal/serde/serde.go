@@ -307,6 +307,25 @@ func Float64At(src []byte, i int) float64 {
 	return math.Float64frombits(binary.LittleEndian.Uint64(src[i:]))
 }
 
+// AddWords adds word i of src, a little-endian float64, into dst[i] for
+// every element of dst: the one dense add-from-wire kernel, 4-wide
+// unrolled. The incoming word is the sum's second operand, as in every
+// []float64 adder, so where both are NaN the sum keeps the incoming
+// one's on amd64. src holds at least len(dst) words.
+func AddWords(dst []float64, src []byte) {
+	src = src[:8*len(dst)]
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		dst[i] += Float64At(src, 8*i)
+		dst[i+1] += Float64At(src, 8*i+8)
+		dst[i+2] += Float64At(src, 8*i+16)
+		dst[i+3] += Float64At(src, 8*i+24)
+	}
+	for ; i < len(dst); i++ {
+		dst[i] += Float64At(src, 8*i)
+	}
+}
+
 // AppendInt appends a 64-bit little-endian integer.
 func AppendInt(dst []byte, v int) []byte {
 	return appendUint64(dst, uint64(v))

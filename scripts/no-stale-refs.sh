@@ -21,12 +21,15 @@
 # the tree over, or the ring's take path (the clearing encoders),
 # deleted with it — or names f64Wire or the f64-only AggFuncs fields
 # (Recycle, Support, Fold, Finish), deleted when the f64 plane got its
-# own entry (core.AggregateF64 and F64Funcs).
+# own entry (core.AggregateF64 and F64Funcs) — or names the ring's
+# support plumbing (WithSupport, supportFor, loadSupport, storeSupport,
+# markSupport, supportPool), deleted when every []float64 segment
+# became a serde.Body whose Bits are its candidates.
 # CHANGES.md, ROADMAP.md and ISSUE.md record history and are exempt, as
 # is benchmark/, which a PR other than its own may not edit;
-# EXPERIMENTS.md is exempt from the column-view, tree and f64-plane
-# rules only, because its pprof dumps and records name the deleted
-# functions.
+# EXPERIMENTS.md is exempt from the column-view, tree, f64-plane and
+# ring-support rules only, because its pprof dumps and records name the
+# deleted functions.
 #
 #   scripts/no-stale-refs.sh      (or: make no-stale-refs)
 set -euo pipefail
@@ -74,6 +77,10 @@ if grep -nE 'f64Wire|AggFuncs\.(Recycle|Support|Fold|Finish)' $(grep -vx 'EXPERI
 	echo "the f64 plane has its own entry (DESIGN.md §18): core.AggregateF64 takes F64Funcs, AggFuncs has no Recycle, Support, Fold or Finish, and there is no f64Wire"
 	bad=1
 fi
+if grep -nE 'WithSupport|supportFor|loadSupport|storeSupport|markSupport|supportPool' $(grep -vx 'EXPERIMENTS\.md' <<<"$own"); then
+	echo "the ring carries no support (DESIGN.md §11 and §18): every []float64 segment is a serde.Body, and a dense body's Bits are its candidates"
+	bad=1
+fi
 while IFS=: read -r file line id; do
 	if [[ "$ids" != *" $id "* ]]; then
 		echo "$file:$line: sparkerbench -only $id: no such report id"
@@ -82,6 +89,6 @@ while IFS=: read -r file line id; do
 done < <(grep -noE 'sparkerbench -only [a-z0-9-]+' $files | sed 's/sparkerbench -only //')
 
 if [ "$bad" -ne 0 ]; then
-	echo "no-stale-refs: the references above name the retired bench harness (see EXPERIMENTS.md \"Settled single-layer claims\"), the deleted chunk controller, the retired codecs and MPI baselines, the deleted column view and kernel sharding, the retired serving plane, the deleted rdd surface and examples, rdd's deleted tree and the ring's take path, or the f64 plane's deleted AggFuncs hooks" >&2
+	echo "no-stale-refs: the references above name the retired bench harness (see EXPERIMENTS.md \"Settled single-layer claims\"), the deleted chunk controller, the retired codecs and MPI baselines, the deleted column view and kernel sharding, the retired serving plane, the deleted rdd surface and examples, rdd's deleted tree and the ring's take path, the f64 plane's deleted AggFuncs hooks, or the ring's deleted support plumbing" >&2
 	exit 1
 fi
